@@ -38,7 +38,7 @@ from .models import (
     total_mass,
     true_quantile,
 )
-from .numerics import FrequencyGrid, SampledFunction, bracketed_root, inverse_fourier
+from .numerics import FrequencyGrid, bracketed_root, inverse_fourier
 from .kernels import OrderReport, SpectralKernel, flat_top_kernel, triangle_kernel, verify_order
 from .increments import (
     IncrementSample,

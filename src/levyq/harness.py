@@ -18,10 +18,10 @@ the r-th child of a single SeedSequence, so results do not depend on the
 order in which replications execute.
 
 The Monte Carlo loop prices the chain once (the strike design is fixed) and
-re-perturbs it per replication.  Inversion of the smoothed curvature back to
-tail functions is batched: the inverse-transform phase matrix over the tail
-nodes is built once per run and applied to all bandwidth columns with one
-matrix product per sign.
+re-perturbs it per replication.  Both option-chain drivers share one
+per-chain path: the curvature is tabulated once on a master frequency grid,
+and every bandwidth's tail function comes from one batched inversion of
+all the kernel-damped columns (`inversion.tail_estimates`).
 """
 from __future__ import annotations
 
@@ -33,18 +33,16 @@ import numpy as np
 from scipy.special import ndtri
 
 from .adaptive import adaptive_quantile, build_grid, sigma_tilde
-from .errors import InputError, LevyqError, NoSolutionError, NumericalError
+from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
-from .inversion import (SPECTRAL_POINTS, X_MAX_DEFAULT, DistributionEstimate,
-                        _TailEvaluator, distribution_estimate,
-                        quantile_from_distribution, tail_nodes,
-                        tail_table_from_transform)
+from .inversion import (SPECTRAL_POINTS, X_MAX_DEFAULT, distribution_estimate,
+                        quantile_from_distribution, tail_estimates)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, LevyModel, exponential_jumps,
                      martingale_drift, true_quantile)
-from .numerics import FrequencyGrid, inverse_fourier
-from .options import (OptionChain, build_spline, compute_chain_spectra,
-                      option_function, option_psi2, read_chain_csv)
+from .numerics import FrequencyGrid
+from .options import (OptionChain, compute_chain_spectra, option_function,
+                      read_chain_csv)
 from .simulate import METHODS, IncrementSampler, sample_increments
 
 __all__ = [
@@ -67,15 +65,10 @@ _MODES = ("oracle", "adaptive", "both")
 # default threshold ladder for the per-chain quantile curves: 0.2, 0.4, .., 4
 DEFAULT_CHAIN_TAUS = tuple(round(0.2 * k, 10) for k in range(1, 21))
 
-# quote-count ceiling for the batched Monte Carlo path; it keeps the master
-# frequency window at [-n, n] (= the full band of the smallest bandwidth
-# 1/n) with the default node count, and bounds the phase matrix size.
+# quote-count ceiling for the Monte Carlo path; its master frequency window
+# is [-n, n] (= the full band of the smallest bandwidth 1/n), and this keeps
+# that window finely resolved at the default node count.
 _MC_MAX_QUOTES = 256
-
-# per-chain estimation integrates deviation bounds on one master grid whose
-# window only needs to cover the noise-trust region (the integrands vanish
-# beyond it); 400 covers any realistic quote noise at daily vol scales
-_CHAIN_MASTER_CUTOFF_CAP = 400.0
 
 
 @dataclass(frozen=True)
@@ -336,88 +329,57 @@ class RmseTable:
         return "\n".join(lines) + "\n"
 
 
-def _aligned_transform(column: np.ndarray, grid: FrequencyGrid):
-    """Real inverse transform of a fixed spectrum column, aligned with the
-    input order (the generic routine returns values sorted by target)."""
-
-    def transform(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        sampled = inverse_fourier(column, grid, xs)
-        order = np.argsort(xs, kind="stable")
-        out = np.empty(xs.size)
-        out[order] = sampled.ordinates.real
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    return transform
-
-
-def _batched_distributions(spectra, bandwidths, kernel, basis, nodes,
-                           master, x_max):
-    """Tail-function estimates for every bandwidth from one pair of matrix
-    products.  Returns a list of (DistributionEstimate, d_pos, d_neg)."""
-    u = master.u
-    columns = np.empty((u.size, bandwidths.size), dtype=complex)
-    for j, h in enumerate(bandwidths):
-        columns[:, j] = spectra.psi2 * kernel.fk(h * u)
-    plus = basis @ columns            # F_h(+nodes), one column per bandwidth
-    minus = basis @ np.conj(columns)  # conj(F_h(-nodes)): real parts agree
-    scale = max(1.0, float(np.max(np.abs(plus.real))))
-    resid = float(max(np.max(np.abs(plus.imag)), np.max(np.abs(minus.imag))))
-    if resid > 1e-6 * scale:
-        raise NumericalError(
-            f"inverse transform has imaginary residual {resid:.3e}; "
-            "curvature input is not Hermitian")
-    out = []
-    for j, h in enumerate(bandwidths):
-        d_pos, cum_pos = tail_table_from_transform(nodes, plus[:, j].real)
-        d_neg, cum_neg = tail_table_from_transform(nodes, minus[:, j].real)
-        evaluator = _TailEvaluator(nodes, d_pos, cum_pos, d_neg, cum_neg,
-                                   _aligned_transform(columns[:, j], master))
-        dist = DistributionEstimate(eval=evaluator, bandwidth=float(h),
-                                    kernel=kernel, x_max=x_max)
-        out.append((dist, d_pos, d_neg))
-    return out
-
-
 def _cells_for(taus):
     return [(tau, side) for tau in taus for side in ("-", "+")]
 
 
-def _chain_estimates(spectra, bw, kernel, basis, nodes, master, config,
-                     want_adaptive):
-    """Per-(tau, side) estimates for one chain.
+@dataclass(frozen=True)
+class _CellEstimate:
+    """One (tau, side) cell of one chain: the quantile and clamp flag at
+    every inverted bandwidth, and the selector's (h, q, diagnostics) over
+    the screened grid (None when the selector was not run)."""
 
-    Returns a dict mapping (tau, side) to either
-    ``(q_per_bandwidth, adaptive_q)`` or an error message string when that
-    cell failed (the rest of the chain is still used).
+    qs: np.ndarray
+    clamped: np.ndarray
+    selection: tuple | None
+
+
+def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
+    """Per-(tau, side) estimates for one chain from its tabulated spectra.
+
+    All tail tables come from one tail_estimates call on the spectra grid.
+    With `oracle` the bandwidths are the full grid (the post-hoc standard
+    compares every grid bandwidth, whatever the screen kept), otherwise the
+    screened subset ``bw.values``; the interval rule (with `adaptive`)
+    always runs over the screened subset.  Returns a dict mapping
+    (tau, side) to a _CellEstimate, or to the LevyqError that cell raised
+    (the rest of the chain is still used).
     """
-    hs = bw.values
-    dists = _batched_distributions(spectra, hs, kernel, basis, nodes,
-                                   master, config.x_max)
+    hs = build_grid(bw.n, bw.L).values if oracle else bw.values
+    first = bw.j_min if oracle else 0   # index of bw.values[0] in hs
+    dists = tail_estimates(spectra.psi2, spectra.grid, kernel, hs,
+                           config.x_max)
     out = {}
-    for tau, side in _cells_for(config.taus):
+    for tau, side in _cells_for(taus):
         try:
-            qs = np.empty(hs.size)
-            dens = np.empty(hs.size)
-            sigs = np.empty(hs.size)
-            for j, (dist, d_pos, d_neg) in enumerate(dists):
-                estimate = quantile_from_distribution(dist, tau, config.eta,
-                                                      side)
-                qs[j] = estimate.value
-                if want_adaptive:
-                    table = d_pos if side == "+" else d_neg
-                    dens[j] = np.interp(estimate.value, nodes, table)
-                    sigs[j] = sigma_tilde(spectra, kernel, float(hs[j]),
-                                          estimate.value, side, config.x_max)
-            if want_adaptive:
-                _, q_chosen, _ = adaptive_quantile(hs, qs, dens, sigs,
-                                                   spectra.n_obs,
-                                                   config.delta)
-            else:
-                q_chosen = math.nan
-            out[(tau, side)] = (qs, q_chosen)
+            found = [quantile_from_distribution(dist, tau, config.eta, side)
+                     for dist in dists]
+            qs = np.array([qe.value for qe in found])
+            selection = None
+            if adaptive:
+                sign = 1.0 if side == "+" else -1.0
+                screened = range(first, hs.size)
+                dens = [dists[j].eval.density(sign * qs[j]) for j in screened]
+                sigs = [sigma_tilde(spectra, kernel, float(hs[j]), qs[j],
+                                    side, config.x_max) for j in screened]
+                selection = adaptive_quantile(hs[first:], qs[first:], dens,
+                                              sigs, spectra.n_obs,
+                                              config.delta)
+            out[(tau, side)] = _CellEstimate(
+                qs=qs, clamped=np.array([qe.at_threshold for qe in found]),
+                selection=selection)
         except LevyqError as exc:
-            out[(tau, side)] = str(exc)
+            out[(tau, side)] = exc
     return out
 
 
@@ -449,9 +411,8 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
     if config.n > _MC_MAX_QUOTES:
         raise InputError(
             f"run_mc_table supports at most {_MC_MAX_QUOTES} quotes per "
-            "chain (the batched inversion keeps the full frequency band of "
-            "the smallest bandwidth in memory); estimate_chain has no such "
-            "limit")
+            "chain (its master window [-n, n] stays finely resolved at the "
+            "default node count); estimate_chain takes larger chains")
 
     model = pricing_model(config)
     truth = {}
@@ -471,15 +432,10 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
 
     master = FrequencyGrid(cutoff=float(config.n),
                            points=config.spectral_points)
-    nodes = tail_nodes(config.x_max)
-    basis = np.exp(-1j * np.outer(nodes, master.u)) \
-        * (master.weights / (2.0 * math.pi))
-
     want_oracle = config.mode in ("oracle", "both")
     want_adaptive = config.mode in ("adaptive", "both")
     cells = _cells_for(config.taus)
-    grid_q = {cell: [] for cell in cells}
-    adaptive_q = {cell: [] for cell in cells}
+    kept = {cell: [] for cell in cells}
     failures = []
 
     children = np.random.SeedSequence(seed0).spawn(reps)
@@ -491,21 +447,20 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
                                 prices=exact + noise, noise_levels=noise_sd)
             spectra = compute_chain_spectra(chain, master, degree=1)
             bw = build_grid(config.n, config.L, spectra, strict=False)
-            result = _chain_estimates(spectra, bw, kernel, basis, nodes,
-                                      master, config, want_adaptive)
+            result = _chain_estimates(spectra, bw, kernel, config,
+                                      config.taus, oracle=want_oracle,
+                                      adaptive=want_adaptive)
         except LevyqError as exc:
             failures.append(f"replication {index}: {exc}")
             continue
         for cell in cells:
             value = result[cell]
-            if isinstance(value, str):
+            if isinstance(value, LevyqError):
                 tau, side = cell
                 failures.append(
                     f"replication {index}, tau {tau:g}, side {side}: {value}")
-                continue
-            qs, q_chosen = value
-            grid_q[cell].append(qs)
-            adaptive_q[cell].append(q_chosen)
+            else:
+                kept[cell].append(value)
 
     rows = []
     for tau in config.taus:
@@ -515,13 +470,13 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
             q_true = truth[cell]
             oracle = math.nan
             adaptive = math.nan
-            if grid_q[cell]:
-                stacked = np.array(grid_q[cell])
+            if kept[cell]:
                 if want_oracle:
+                    stacked = np.array([est.qs for est in kept[cell]])
                     per_h = np.sqrt(np.mean((stacked - q_true) ** 2, axis=0))
                     oracle = 100.0 * float(np.min(per_h))
                 if want_adaptive:
-                    picks = np.array(adaptive_q[cell])
+                    picks = np.array([est.selection[1] for est in kept[cell]])
                     adaptive = 100.0 * float(
                         np.sqrt(np.mean((picks - q_true) ** 2)))
             columns[side] = (oracle, adaptive)
@@ -552,8 +507,10 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     grid, and full per-(tau, side) selector diagnostics; `plots` maps
     "minus"/"plus" to two-column CSV texts (tau, quantile) ready to plot.
 
-    Unlike the Monte Carlo path, each bandwidth is inverted on its own full
-    frequency band, so there is no quote-count ceiling here.
+    The spectra are tabulated once on the master grid |u| <= n, the full
+    band of the smallest grid bandwidth 1/n, and every grid bandwidth is
+    inverted from it in one batch: the same per-chain path as the Monte
+    Carlo loop.
     """
     if isinstance(chain, (str, os.PathLike)):
         chain = read_chain_csv(chain, maturity=config.T, rate=config.r,
@@ -570,43 +527,27 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
         raise InputError(f"taus must be strictly increasing, got {taus}")
 
     kernel = flat_top_kernel(config.kernel_c)
-    master = FrequencyGrid(
-        cutoff=float(min(chain.n, _CHAIN_MASTER_CUTOFF_CAP)),
-        points=config.spectral_points)
+    master = FrequencyGrid(cutoff=float(chain.n),
+                           points=config.spectral_points)
     spectra = compute_chain_spectra(chain, master, degree=1)
     bw = build_grid(chain.n, config.L, spectra, strict=False)
-    spline = build_spline(chain.xs, chain.prices, degree=1)
-    curvature = option_psi2(spline, chain.maturity,
-                            noise_scale=spectra.noise_scale)
-    dists = [distribution_estimate(curvature, kernel, float(h),
-                                   config.x_max, config.spectral_points)
-             for h in bw.values]
+    cells = _chain_estimates(spectra, bw, kernel, config, taus,
+                             oracle=False, adaptive=True)
 
     estimates = {"-": [], "+": []}
     diagnostics = {"-": {}, "+": {}}
     for side in ("-", "+"):
-        sign = 1 if side == "+" else -1
         for tau in taus:
-            qs = np.empty(bw.values.size)
-            dens = np.empty(bw.values.size)
-            sigs = np.empty(bw.values.size)
-            clamped = np.empty(bw.values.size, dtype=bool)
-            for j, dist in enumerate(dists):
-                qe = quantile_from_distribution(dist, tau, config.eta, side)
-                qs[j] = qe.value
-                clamped[j] = qe.at_threshold
-                table = dist.eval.tables[sign][0]
-                dens[j] = np.interp(qe.value, dist.eval.nodes, table)
-                sigs[j] = sigma_tilde(spectra, kernel, float(bw.values[j]),
-                                      qe.value, side, config.x_max)
-            h_chosen, q_chosen, diag = adaptive_quantile(
-                bw.values, qs, dens, sigs, chain.n, config.delta)
+            cell = cells[(tau, side)]
+            if isinstance(cell, LevyqError):
+                raise cell
+            h_chosen, q_chosen, diag = cell.selection
             chosen_index = int(np.argmin(np.abs(bw.values - h_chosen)))
             estimates[side].append({
                 "tau": tau,
                 "quantile": q_chosen,
                 "bandwidth": h_chosen,
-                "at_threshold": bool(clamped[chosen_index]),
+                "at_threshold": bool(cell.clamped[chosen_index]),
             })
             diagnostics[side][f"{tau:g}"] = diag.to_json_rows()
 

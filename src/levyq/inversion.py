@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import SpectralKernel
-from .numerics import FrequencyGrid, SampledFunction, bracketed_root, inverse_fourier
+from .numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
 __all__ = [
     "DensityEstimate",
@@ -38,7 +38,7 @@ __all__ = [
     "density_from_psi2",
     "density_estimate",
     "tail_nodes",
-    "tail_table_from_transform",
+    "tail_estimates",
     "distribution_from_psi2",
     "distribution_estimate",
     "quantile_from_distribution",
@@ -103,30 +103,30 @@ def _spectral_grid(h: float, points: int = SPECTRAL_POINTS) -> FrequencyGrid:
     return FrequencyGrid(cutoff=1.0 / h, points=points)
 
 
-def smoothed_inverse_transform(psi2, kernel: SpectralKernel, h: float, x,
-                               points: int = SPECTRAL_POINTS) -> np.ndarray:
-    """F_h(x) = (1/2pi) int e^{-iux} psi2(u) fk(hu) du, real part.
+def _real_part(values: np.ndarray) -> np.ndarray:
+    """Real part of inverted values, one column per spectrum.
 
     The imaginary residual must vanish for Hermitian curvature input; a
-    large residual indicates a broken estimate and raises.
+    large residual in any column indicates a broken estimate and raises.
     """
+    if values.size:
+        scale = np.maximum(1.0, np.max(np.abs(values.real), axis=0))
+        resid = np.max(np.abs(values.imag), axis=0)
+        if np.any(resid > 1e-6 * scale):
+            raise NumericalError(
+                f"inverse transform has imaginary residual "
+                f"{float(np.max(resid)):.3e}; curvature input is not Hermitian"
+            )
+    return values.real
+
+
+def smoothed_inverse_transform(psi2, kernel: SpectralKernel, h: float, x,
+                               points: int = SPECTRAL_POINTS) -> np.ndarray:
+    """F_h(x) = (1/2pi) int e^{-iux} psi2(u) fk(hu) du, real part."""
     grid = _spectral_grid(h, points)
-
-    def spectrum(u):
-        return np.asarray(psi2(u), dtype=complex) * kernel.fk(h * u)
-
+    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    order = np.argsort(x_arr, kind="stable")
-    vals = np.empty(x_arr.size, dtype=complex)
-    vals[order] = inverse_fourier(spectrum, grid, x_arr[order]).ordinates
-    scale = max(1.0, float(np.max(np.abs(vals.real))) if vals.size else 1.0)
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if resid > 1e-6 * scale:
-        raise NumericalError(
-            f"inverse transform has imaginary residual {resid:.3e}; "
-            "curvature input is not Hermitian"
-        )
-    return vals.real
+    return _real_part(inverse_fourier(spectrum, grid, x_arr))
 
 
 def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
@@ -167,12 +167,11 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
     return nodes
 
 
-def tail_table_from_transform(nodes: np.ndarray, F_on_nodes: np.ndarray):
+def _tail_table(nodes: np.ndarray, F_on_nodes: np.ndarray):
     """Cumulative tail integrals of -x^{-2} F over [node_i, x_max].
 
     Returns (integrand, cumulative) where integrand_i = -F_i / node_i^2 and
-    cumulative_i = int_{node_i}^{x_max} integrand dx by trapezoid.  Shared
-    by the simple builder below and the batched Monte Carlo path.
+    cumulative_i = int_{node_i}^{x_max} integrand dx by trapezoid.
     """
     d = -F_on_nodes / (nodes * nodes)
     seg = 0.5 * np.diff(nodes) * (d[1:] + d[:-1])
@@ -192,6 +191,11 @@ class _TailEvaluator:
         self.nodes = nodes
         self.tables = {1: (d_pos, cum_pos), -1: (d_neg, cum_neg)}
         self._transform = transform  # F(x) for fresh nodes below the grid
+
+    def density(self, t):
+        """Tabulated density nu_h(t) = -t^{-2} F_h(t), linear between nodes."""
+        d, _ = self.tables[1 if t > 0 else -1]
+        return float(np.interp(abs(t), self.nodes, d))
 
     def _one_side(self, s, sign):
         nodes = self.nodes
@@ -220,7 +224,7 @@ class _TailEvaluator:
         if not t > 0:
             raise InputError("tail evaluation needs t != 0")
         xs = np.geomspace(t, self.nodes[0], 33)
-        F = self._transform(sign * xs)  # aligned with xs (transform unsorts)
+        F = self._transform(sign * xs)
         return float(np.trapezoid(-F / (xs * xs), xs))
 
     def __call__(self, t):
@@ -236,23 +240,57 @@ class _TailEvaluator:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
+def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
+                   bandwidths, x_max: float = X_MAX_DEFAULT) -> list:
+    """Tail-function estimates N_h for every bandwidth from one curvature table.
+
+    `psi2_values` is the curvature estimate tabulated on ``grid.u``.  Column
+    j of the smoothed spectrum is psi2 * fk(h_j u); a single inverse_fourier
+    pass evaluates F_h at +-tail_nodes for all columns, and each column
+    becomes one DistributionEstimate with its +- density tables.  The grid
+    window should cover |u| < 1/h (the kernel's band): frequencies beyond
+    ``grid.cutoff`` are not integrated.  The node spacing must stay below
+    pi / x_max, or the periodic images of F_h alias into [-x_max, x_max].
+    """
+    hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
+    if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
+        raise InputError(f"bandwidths must be positive, got {bandwidths}")
+    u = grid.u
+    psi2 = np.asarray(psi2_values, dtype=complex)
+    if psi2.shape != u.shape:
+        raise InputError("curvature table must match the grid nodes")
+    if not grid.spacing * x_max < math.pi:
+        raise InputError(
+            f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
+            f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
+            f"spectral points for a window of {grid.cutoff:g}")
+    nodes = tail_nodes(x_max)
+    columns = np.stack([psi2 * kernel.fk(h * u) for h in hs], axis=1)
+    F = _real_part(inverse_fourier(columns, grid,
+                                   np.concatenate([-nodes[::-1], nodes])))
+    F_neg = F[nodes.size - 1 :: -1]   # F(-nodes[i])
+    F_pos = F[nodes.size :]
+    out = []
+    for j, h in enumerate(hs):
+        def transform(x, column=columns[:, j]):
+            return _real_part(inverse_fourier(column, grid, x))
+
+        d_pos, cum_pos = _tail_table(nodes, F_pos[:, j])
+        d_neg, cum_neg = _tail_table(nodes, F_neg[:, j])
+        evaluator = _TailEvaluator(nodes, d_pos, cum_pos, d_neg, cum_neg,
+                                   transform)
+        out.append(DistributionEstimate(eval=evaluator, bandwidth=float(h),
+                                        kernel=kernel, x_max=x_max))
+    return out
+
+
 def distribution_estimate(psi2, kernel: SpectralKernel, h: float,
                           x_max: float = X_MAX_DEFAULT,
                           points: int = SPECTRAL_POINTS) -> DistributionEstimate:
-    """Tail-function estimate with precomputed node tables for both signs."""
-    nodes = tail_nodes(x_max)
-
-    def transform(x):
-        return smoothed_inverse_transform(psi2, kernel, h, x, points)
-
-    both = transform(np.concatenate([-nodes[::-1], nodes]))
-    F_neg = both[: nodes.size][::-1]   # F(-nodes[i])
-    F_pos = both[nodes.size:]
-    d_pos, cum_pos = tail_table_from_transform(nodes, F_pos)
-    d_neg, cum_neg = tail_table_from_transform(nodes, F_neg)
-    evaluator = _TailEvaluator(nodes, d_pos, cum_pos, d_neg, cum_neg, transform)
-    return DistributionEstimate(eval=evaluator, bandwidth=h, kernel=kernel,
-                                x_max=x_max)
+    """Tail-function estimate at one bandwidth: psi2 tabulated on the full
+    band |u| <= 1/h, then tail_estimates."""
+    grid = _spectral_grid(h, points)
+    return tail_estimates(psi2(grid.u), grid, kernel, [h], x_max)[0]
 
 
 def distribution_from_psi2(psi2, kernel: SpectralKernel, h: float, t,

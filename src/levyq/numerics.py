@@ -11,7 +11,7 @@ hence the inverse used throughout is (1/2pi) int e^{-iux} F(u) du.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import InputError, NoSolutionError
 
 __all__ = [
     "FrequencyGrid",
-    "SampledFunction",
     "inverse_fourier",
     "bracketed_root",
 ]
@@ -90,49 +89,49 @@ class FrequencyGrid:
         return w
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """A function tabulated on strictly increasing abscissae."""
-
-    abscissae: np.ndarray
-    ordinates: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.abscissae, dtype=float)
-        y = np.asarray(self.ordinates)
-        if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-            raise InputError("abscissae and ordinates must be 1-d of equal length")
-        if x.size > 1 and not np.all(np.diff(x) > 0):
-            raise InputError("abscissae must be strictly increasing")
-        object.__setattr__(self, "abscissae", x)
-        object.__setattr__(self, "ordinates", y)
+# nodes per block of the factored phase sum, and targets per chunk; a chunk's
+# work array holds _CHUNK * (points / _BLOCK) * columns complex values
+_BLOCK = 64
+_CHUNK = 256
 
 
-# number of target points transformed per chunk; bounds the size of the
-# e^{-iux} work array to roughly chunk * points complex values
-_CHUNK = 64
-
-
-def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> SampledFunction:
-    """Inverse Fourier transform of a band-limited spectrum.
+def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
+    """Inverse Fourier transform of band-limited spectra.
 
     Evaluates (1/2pi) * sum_j w_j e^{-i u_j x} g(u_j) at each target x,
     where the u_j and w_j come from `grid`.  `spectrum` may be a callable
-    of the node array or an array already aligned with ``grid.u``.
+    of the node array or an array aligned with ``grid.u``, either of shape
+    (N,) or (N, B) with one spectrum per column.  Returns complex values in
+    the order of the targets, of shape (K,) or (K, B).
+
+    The uniform nodes are summed in blocks of _BLOCK, as in a blocked
+    nonuniform DFT (Greengard & Lee, SIAM Rev. 2004): with block start u_a
+    and in-block offset b * spacing, e^{-ix u_j} = e^{-ix u_a} e^{-ix b du}.
+    Per target that takes _BLOCK + N/_BLOCK exponentials instead of N, and
+    no targets x nodes phase matrix is formed.
     """
     x = np.atleast_1d(np.asarray(targets, dtype=float))
     u = grid.u
     g = spectrum(u) if callable(spectrum) else np.asarray(spectrum)
-    if g.shape != u.shape:
+    if g.shape[:1] != u.shape or g.ndim > 2:
         raise InputError("spectrum array must match the grid nodes")
-    wg = grid.weights * g
-    out = np.empty(x.size, dtype=complex)
+    block = min(_BLOCK, u.size)
+    starts = u[::block]
+    offsets = grid.spacing * np.arange(block)
+    # (block, starts * columns): row b holds node a * block + b of every block
+    wg = (grid.weights * g.T).T.reshape(starts.size, block, -1)
+    wg = wg.transpose(1, 0, 2)
+    columns = wg.shape[2]
+    wg = wg.reshape(block, -1)
+    out = np.empty((x.size, columns), dtype=complex)
     for lo in range(0, x.size, _CHUNK):
         xs = x[lo : lo + _CHUNK, None]
-        out[lo : lo + _CHUNK] = np.exp(-1j * xs * u[None, :]) @ wg
+        inner = np.exp(-1j * xs * offsets) @ wg
+        inner = inner.reshape(xs.shape[0], starts.size, columns)
+        outer = np.exp(-1j * xs * starts)
+        out[lo : lo + _CHUNK] = (outer[:, None, :] @ inner)[:, 0, :]
     out /= 2.0 * np.pi
-    order = np.argsort(x, kind="stable")
-    return SampledFunction(x[order], out[order])
+    return out if g.ndim == 2 else out[:, 0]
 
 
 def bracketed_root(f, lo: float, hi: float, tol: float = 1e-8) -> float:

@@ -224,10 +224,8 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     phi_shift = np.exp(maturity * characteristic_exponent(model, u - 1j))
     ref_shift = _reference_cf_shifted(_REFERENCE_VOL, maturity, u)
     spectrum = (ref_shift - phi_shift) / (u * (u - 1j))
-    order = np.argsort(x_arr, kind="stable")
-    diff = inverse_fourier(spectrum, grid, x_arr[order]).ordinates.real
     out = _brownian_reference(_REFERENCE_VOL, maturity, x_arr)
-    out[order] += diff
+    out += inverse_fourier(spectrum, grid, x_arr).real
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out

@@ -42,10 +42,10 @@ import numpy as np
 import pytest
 
 from levyq.adaptive import adaptive_quantile, build_grid, sigma_tilde
-from levyq.harness import ExperimentConfig, _batched_distributions, demo_direct
+from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
 from levyq.inversion import (density_from_psi2, distribution_from_psi2,
-                             quantile_from_distribution, tail_nodes)
+                             quantile_from_distribution, tail_estimates)
 from levyq.kernels import flat_top_kernel, verify_order
 from levyq.models import characteristic_exponent, exponent_curvature, true_quantile
 from levyq.numerics import FrequencyGrid
@@ -192,16 +192,12 @@ def test_criterion_4_noiseless_dense_chain(bench_model):
     master = FrequencyGrid(cutoff=inv_h[-1] + 1.0, points=512)
     spectra = compute_chain_spectra(chain, master, degree=1)
     kernel = flat_top_kernel(cfg.kernel_c)
-    nodes = tail_nodes(cfg.x_max)
-    basis = np.exp(-1j * np.outer(nodes, master.u)) \
-        * (master.weights / (2.0 * math.pi))
-    dists = _batched_distributions(spectra, ladder, kernel, basis, nodes,
-                                   master, cfg.x_max)
+    dists = tail_estimates(spectra.psi2, master, kernel, ladder, cfg.x_max)
 
     truth = {s: true_quantile(bench_model.jumps, 1.0, s) for s in ("-", "+")}
     best = {"-": math.inf, "+": math.inf}
     argbest = {"-": math.nan, "+": math.nan}
-    for dist, _, _ in dists:
+    for dist in dists:
         for side in ("-", "+"):
             q = quantile_from_distribution(dist, 1.0, cfg.eta, side).value
             err = abs(q - truth[side])

@@ -98,6 +98,23 @@ class TestMcTableCommand:
                                 replications=2, seed=21)
         assert out.read_text() == expected.to_csv()
 
+    def test_oracle_mode_with_per_replication_screen(self, tmp_path, capsys):
+        # the screen passes at a different j_min in each replication; this
+        # config once escaped the exit-code contract with a raw ValueError
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("noise_fraction = 0.0012\n"
+                       "replications = 10\n"
+                       "mode = oracle\n")
+        out = tmp_path / "table.csv"
+        code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert "0 failures" in capsys.readouterr().out
+        rows = [line.split(",") for line in out.read_text().split()[1:]]
+        assert len(rows) == len(ExperimentConfig().taus)
+        for row in rows:
+            assert row[3] and row[5]            # oracle cells filled
+            assert not row[4] and not row[6]    # adaptive cells blank
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["mc-table", "--config", str(tmp_path / "no.cfg"),
                          "--out", str(tmp_path / "t.csv")])

@@ -24,10 +24,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from levyq.adaptive import build_grid
 from levyq.errors import ChainFormatError, InputError
 from levyq.harness import (
     DEFAULT_CHAIN_TAUS,
+    _chain_estimates,
     ExperimentConfig,
     RmseTable,
     demo_direct,
@@ -38,8 +41,13 @@ from levyq.harness import (
     pricing_model,
     run_mc_table,
 )
+from levyq.inversion import distribution_estimate, quantile_from_distribution
+from levyq.kernels import flat_top_kernel
 from levyq.models import martingale_drift, true_quantile
-from levyq.options import generate_synthetic_chain, write_chain_csv
+from levyq.numerics import FrequencyGrid
+from levyq.options import (OptionChain, build_spline, compute_chain_spectra,
+                           generate_synthetic_chain, option_function,
+                           option_psi2, write_chain_csv)
 
 from conftest import TRUE_QUANTILES
 
@@ -219,6 +227,20 @@ class TestMcTable:
         data_line = table.to_csv().strip().split("\n")[1]
         assert ",," in data_line   # blank adaptive cells
 
+    def test_oracle_mode_with_per_replication_screen(self):
+        # at 0.12 % noise the screen passes, at a different j_min in each
+        # replication; the oracle still compares every grid bandwidth and
+        # the table is complete (this config once raised a raw ValueError)
+        cfg = ExperimentConfig(noise_fraction=0.0012, replications=10,
+                               mode="oracle")
+        table = run_mc_table(cfg)
+        assert table.failures == 0
+        for row in table.rows:
+            assert math.isfinite(row.rmse_oracle_minus)
+            assert math.isfinite(row.rmse_oracle_plus)
+            assert math.isnan(row.rmse_adaptive_minus)
+            assert math.isnan(row.rmse_adaptive_plus)
+
     def test_rejects_brownian(self):
         with pytest.raises(InputError):
             run_mc_table(ExperimentConfig(kind="brownian", **TINY_MC))
@@ -320,6 +342,54 @@ class TestEstimateChain:
             assert len(lines) == 3
             # plot rows mirror the report values exactly
             assert float(lines[1].split(",")[1]) == rows[0]["quantile"]
+
+    def test_chain_and_mc_paths_give_identical_quantiles(self):
+        # one chain, built the way run_mc_table builds replication 0, goes
+        # through estimate_chain and through the Monte Carlo per-replication
+        # path; both masters are [-n, n], so the per-bandwidth quantiles
+        # must agree bitwise
+        cfg = ExperimentConfig(n=64, spectral_points=2048, taus=(0.5, 1.0))
+        ranks = np.arange(1, cfg.n + 1) / (cfg.n + 1.0)
+        xs = cfg.strike_mean + math.sqrt(cfg.strike_variance) * ndtri(ranks)
+        exact = np.maximum(option_function(pricing_model(cfg), cfg.T, xs), 0.0)
+        noise_sd = cfg.noise_fraction * exact
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        chain = OptionChain(maturity=cfg.T, rate=cfg.r, xs=xs,
+                            prices=exact + rng.standard_normal(cfg.n) * noise_sd,
+                            noise_levels=noise_sd)
+        report, _ = estimate_chain(chain, cfg, taus=cfg.taus)
+
+        master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
+        spectra = compute_chain_spectra(chain, master, degree=1)
+        bw = build_grid(cfg.n, cfg.L, spectra, strict=False)
+        cells = _chain_estimates(spectra, bw, flat_top_kernel(cfg.kernel_c),
+                                 cfg, cfg.taus, oracle=True, adaptive=True)
+        assert report["bandwidth_grid"] == list(bw.values)
+        for key, side in (("minus", "-"), ("plus", "+")):
+            for row in report["estimates"][key]:
+                cell = cells[(row["tau"], side)]
+                rows = report["diagnostics"][key][f"{row['tau']:g}"]
+                assert [r["q"] for r in rows] == list(cell.qs[bw.j_min:])
+                assert row["quantile"] == cell.selection[1]
+
+    def test_large_chain_inverts_the_full_band(self):
+        # beyond n = 400 the master window stays [-n, n]: psi~'' is still
+        # trusted out to |u| = n (measured at n = 500 without noise and
+        # n = 1000 at 1 % noise), so the smallest bandwidth 1/n keeps its
+        # whole band, as a one-bandwidth inversion on its own grid does
+        cfg = ExperimentConfig(n=500, noise_fraction=0.0, spectral_points=2048)
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, 0.0,
+            (cfg.strike_mean, cfg.strike_variance), seed=1)
+        report, _ = estimate_chain(chain, cfg, taus=(1.0,))
+        h = report["bandwidth_grid"][0]
+        assert h == 1.0 / cfg.n
+        curvature = option_psi2(build_spline(chain.xs, chain.prices), cfg.T)
+        alone = distribution_estimate(curvature, flat_top_kernel(cfg.kernel_c),
+                                      h, cfg.x_max, cfg.spectral_points)
+        for key, side in (("minus", "-"), ("plus", "+")):
+            q = quantile_from_distribution(alone, 1.0, cfg.eta, side).value
+            assert report["diagnostics"][key]["1"][0]["q"] == q
 
     def test_default_tau_ladder(self):
         assert DEFAULT_CHAIN_TAUS[0] == pytest.approx(0.2)

@@ -33,8 +33,10 @@ from levyq.inversion import (
     distribution_from_psi2,
     quantile_from_distribution,
     smoothed_inverse_transform,
+    tail_estimates,
 )
 from levyq.kernels import flat_top_kernel
+from levyq.numerics import FrequencyGrid
 
 FLAT = flat_top_kernel(0.5)
 C_K = 5.106  # measured ||x K||_L1, see module docstring
@@ -103,6 +105,14 @@ class TestDensity:
                 lambda u: np.full(np.shape(u), 1j), FLAT, 0.1,
                 np.array([0.0, 0.7]))
 
+    def test_non_hermitian_curvature_caught_by_batched_builder(self):
+        grid = FrequencyGrid(cutoff=20.0, points=1024)
+        hermitian = psi2_cp(grid.u)
+        hs = [0.05, 0.1, 0.2]
+        assert [e.bandwidth for e in tail_estimates(hermitian, grid, FLAT, hs)] == hs
+        with pytest.raises(NumericalError):
+            tail_estimates(hermitian + 1j, grid, FLAT, hs)
+
     def test_estimate_wrapper(self):
         est = density_estimate(psi2_cp, FLAT, 0.1)
         assert est.bandwidth == 0.1
@@ -110,6 +120,24 @@ class TestDensity:
 
 
 class TestDistribution:
+    def test_batched_builder_matches_single_bandwidth(self):
+        # each column of one batched inversion equals the one-bandwidth
+        # estimate on the same grid
+        grid = FrequencyGrid(cutoff=20.0, points=2048)
+        hs = [0.05, 0.08, 0.2]
+        batch = tail_estimates(psi2_cp(grid.u), grid, FLAT, hs)
+        t = np.array([-2.0, -0.3, 0.01, 0.4, 1.7])
+        for est, h in zip(batch, hs):
+            alone = tail_estimates(psi2_cp(grid.u), grid, FLAT, [h])[0]
+            np.testing.assert_allclose(est.eval(t), alone.eval(t),
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_aliasing_grid_rejected(self):
+        # spacing 200/255 exceeds pi / x_max: images of F_h would fold
+        # into the tail nodes
+        with pytest.raises(InputError):
+            distribution_estimate(psi2_cp, FLAT, 0.01, points=256)
+
     def test_cp_tail_at_one(self):
         N = distribution_from_psi2(psi2_cp, FLAT, 0.05, 1.0)
         assert N == pytest.approx(np.exp(-1.0), abs=2e-2)

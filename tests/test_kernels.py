@@ -87,23 +87,23 @@ class TestFlatTopProfile:
 
     def test_kernel_value_at_origin(self, flat):
         # closed form (1+c)/(2pi) from the smoothstep symmetry
-        K0 = inverse_fourier(flat.fk, DENSE, [0.0]).ordinates.real[0]
+        K0 = inverse_fourier(flat.fk, DENSE, [0.0]).real[0]
         assert K0 == pytest.approx(1.5 / (2.0 * np.pi), abs=1e-12)
 
     def test_spatial_decay_envelope(self, flat):
         # C^2 profile => |K(x)| <= C / x^2 on |x| <= 1e3 (measured max of
         # |K| x^2 is ~1.97; bound 3 leaves margin without hiding regressions)
         x = np.logspace(0.0, 3.0, 200)
-        K = inverse_fourier(flat.fk, DENSE, x).ordinates.real
+        K = inverse_fourier(flat.fk, DENSE, x).real
         assert np.max(np.abs(K) * x ** 2) < 3.0
 
     def test_scaling_identity(self, flat):
         # spectrum fk(h u) reconstructs h^{-1} K(x / h)
         h = 0.3
         x = np.array([0.0, 0.4, 1.1, 2.7])
-        lhs = inverse_fourier(lambda u: flat.fk(h * u), DENSE, x).ordinates.real
+        lhs = inverse_fourier(lambda u: flat.fk(h * u), DENSE, x).real
         narrow = FrequencyGrid(cutoff=h, points=2 ** 16)
-        rhs = inverse_fourier(flat.fk, narrow, x / h).ordinates.real / h
+        rhs = inverse_fourier(flat.fk, narrow, x / h).real / h
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ class TestTriangleProfile:
         # reconstruction must match (1 - cos x)/(pi x^2) pointwise
         tri = triangle_kernel()
         x = np.array([0.5, 1.7, 3.0, 7.3, 20.0, 55.5])
-        K = inverse_fourier(tri.fk, DENSE, x).ordinates.real
+        K = inverse_fourier(tri.fk, DENSE, x).real
         closed = (1.0 - np.cos(x)) / (np.pi * x ** 2)
         np.testing.assert_allclose(K, closed, atol=1e-9)
 

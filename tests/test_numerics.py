@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from levyq.errors import InputError, NoSolutionError
 from levyq.models import TailIntegralOracle, tail_integral
-from levyq.numerics import FrequencyGrid, SampledFunction, bracketed_root, inverse_fourier
+from levyq.numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
 
 class TestFrequencyGrid:
@@ -55,27 +55,27 @@ class TestInverseFourier:
         # spectrum e^{-u^2/2} inverts to the standard normal density
         g = FrequencyGrid(cutoff=12.0, points=2 ** 12)
         out = inverse_fourier(lambda u: np.exp(-0.5 * u ** 2), g, [0.0])
-        assert out.ordinates[0].real == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-6)
-        assert abs(out.ordinates[0].imag) < 1e-12
+        assert out[0].real == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-6)
+        assert abs(out[0].imag) < 1e-12
 
     def test_zero_spectrum(self):
         g = FrequencyGrid(cutoff=1.0, points=64)
         out = inverse_fourier(lambda u: np.zeros_like(u), g, np.linspace(-2, 2, 9))
-        assert np.all(out.ordinates == 0)
+        assert np.all(out == 0)
 
     def test_linearity(self):
         g = FrequencyGrid(cutoff=5.0, points=512)
         f = lambda u: np.exp(-u ** 2)
         h = lambda u: 1.0 / (1.0 + u ** 2)
         x = np.linspace(-1, 1, 11)
-        combo = inverse_fourier(lambda u: 2.0 * f(u) - 3.0 * h(u), g, x).ordinates
-        parts = 2.0 * inverse_fourier(f, g, x).ordinates - 3.0 * inverse_fourier(h, g, x).ordinates
+        combo = inverse_fourier(lambda u: 2.0 * f(u) - 3.0 * h(u), g, x)
+        parts = 2.0 * inverse_fourier(f, g, x) - 3.0 * inverse_fourier(h, g, x)
         assert np.allclose(combo, parts, rtol=0, atol=1e-14)
 
     def test_hermitian_spectrum_gives_real_output(self):
         g = FrequencyGrid(cutoff=8.0, points=1024)
         spectrum = lambda u: np.exp(-u ** 2) * (np.cos(u) + 1j * np.sin(u))  # = e^{-u^2+iu}
-        out = inverse_fourier(spectrum, g, np.linspace(-3, 3, 21)).ordinates
+        out = inverse_fourier(spectrum, g, np.linspace(-3, 3, 21))
         assert np.max(np.abs(out.imag)) < 1e-10 * np.max(np.abs(out.real))
 
     def test_grid_refinement_converges(self):
@@ -83,26 +83,65 @@ class TestInverseFourier:
         vals = []
         for k in (10, 11, 12):
             g = FrequencyGrid(cutoff=10.0, points=2 ** k)
-            vals.append(inverse_fourier(lambda u: np.exp(-0.5 * u ** 2), g, x).ordinates)
+            vals.append(inverse_fourier(lambda u: np.exp(-0.5 * u ** 2), g, x))
         assert np.max(np.abs(vals[2] - vals[1])) < np.max(np.abs(vals[1] - vals[0])) + 1e-12
         assert np.max(np.abs(vals[2] - vals[1])) < 1e-8
 
     def test_accepts_precomputed_array(self):
         g = FrequencyGrid(cutoff=3.0, points=128)
         arr = np.exp(-g.u ** 2)
-        a = inverse_fourier(arr, g, [0.5]).ordinates
-        b = inverse_fourier(lambda u: np.exp(-u ** 2), g, [0.5]).ordinates
+        a = inverse_fourier(arr, g, [0.5])
+        b = inverse_fourier(lambda u: np.exp(-u ** 2), g, [0.5])
         assert np.allclose(a, b)
 
 
-class TestSampledFunction:
-    def test_requires_increasing_abscissae(self):
-        with pytest.raises(InputError):
-            SampledFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+class TestFactoredTransform:
+    """The blocked phase sum against the direct sum (1/2pi) sum w e^{-iux} g."""
 
-    def test_requires_matching_lengths(self):
+    @staticmethod
+    def direct(g, grid, x):
+        phase = np.exp(-1j * np.outer(x, grid.u)) * grid.weights
+        return phase @ g / (2.0 * math.pi)
+
+    @staticmethod
+    def max_rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("points", [16, 64, 1024, 8192])
+    def test_matches_direct_sum(self, offset, points):
+        rng = np.random.default_rng(points + offset)
+        grid = FrequencyGrid(cutoff=0.05 * points, points=points, offset=offset)
+        g = rng.standard_normal((points, 3)) + 1j * rng.standard_normal((points, 3))
+        x = rng.uniform(-5.0, 5.0, 300)
+        want = self.direct(g, grid, x)
+        batched = inverse_fourier(g, grid, x)
+        assert batched.shape == (300, 3)
+        assert self.max_rel(batched, want) <= 1e-12
+        for col in range(3):
+            single = inverse_fourier(g[:, col], grid, x)
+            assert single.shape == (300,)
+            assert self.max_rel(single, want[:, col]) <= 1e-12
+
+    def test_target_order_preserved(self):
+        grid = FrequencyGrid(cutoff=40.0, points=2048, offset=True)
+        g = np.exp(-0.01 * grid.u ** 2) * (1.0 + 0.3j * np.sin(grid.u))
+        x = np.array([2.5, -1.0, 2.5, 0.0, -4.75, 0.3, -1.0, 5.0])
+        out = inverse_fourier(g, grid, x)
+        assert self.max_rel(out, self.direct(g, grid, x)) <= 1e-12
+        # repeated targets give the same value; shuffling permutes the output
+        tol = 1e-14 * np.max(np.abs(out))
+        np.testing.assert_allclose(out[[2, 6]], out[[0, 1]], rtol=0, atol=tol)
+        perm = np.random.default_rng(3).permutation(x.size)
+        np.testing.assert_allclose(inverse_fourier(g, grid, x[perm]), out[perm],
+                                   rtol=0, atol=tol)
+
+    def test_rejects_misaligned_spectrum(self):
+        grid = FrequencyGrid(cutoff=1.0, points=64)
         with pytest.raises(InputError):
-            SampledFunction(np.array([0.0, 1.0]), np.zeros(3))
+            inverse_fourier(np.ones(32), grid, [0.0])
+        with pytest.raises(InputError):
+            inverse_fourier(np.ones((64, 2, 2)), grid, [0.0])
 
 
 class TestBracketedRoot:
