@@ -495,7 +495,7 @@ def psi_tilde_derivatives(spline: SplineOptionFunction, maturity: float, u,
 
 
 def option_psi2(spline: SplineOptionFunction, maturity: float,
-                noise_scale: float = 0.0, valid_cutoff: float = math.inf) -> Psi2Estimate:
+                noise_scale: float = 0.0) -> Psi2Estimate:
     """Package the curvature estimator for the inversion pipeline."""
 
     def evaluate(u):
@@ -505,7 +505,7 @@ def option_psi2(spline: SplineOptionFunction, maturity: float,
             return complex(psi2[0])
         return psi2
 
-    return Psi2Estimate(eval=evaluate, valid_cutoff=valid_cutoff, scheme_tag="option")
+    return Psi2Estimate(eval=evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,15 @@ from levyq.increments import (
     IncrementSample,
     Psi2Estimate,
     _curvature_ratio,
+    _ecf_all,
+    _progression_block,
     ecf_derivative,
     psi2_from_increments,
     read_increment_csv,
     write_increment_csv,
 )
 from levyq.models import LevyModel, exponential_jumps, exponent_curvature
+from levyq.numerics import FrequencyGrid
 
 
 def psi_cp(u):
@@ -108,6 +111,80 @@ class TestEcfDerivative:
         s = IncrementSample(np.array([1.0]), delta=1.0)
         with pytest.raises(InputError):
             ecf_derivative(s, 0.0, 3)
+
+
+def direct_ecf(values, u):
+    """Reference (1/n) sum_j (iY_j)^k e^{iuY_j}, k = 0, 1, 2, node by node."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty((3, u.size), dtype=complex)
+    for lo in range(0, u.size, 256):
+        phase = np.exp(1j * u[lo : lo + 256, None] * values[None, :])
+        for k in range(3):
+            out[k, lo : lo + 256] = phase @ ((1j * values) ** k) / values.size
+    return out
+
+
+def assert_matches_direct(got, values, u, rtol=1e-12):
+    # relative to the largest |phi_k|: the reference itself carries rounding
+    # of order eps * |u Y| per term, which swamps entries where phi_k ~ 0
+    want = direct_ecf(values, u)
+    for k in range(3):
+        assert got[k].shape == want[k].shape
+        if want[k].size:
+            err = np.max(np.abs(got[k] - want[k])) / np.max(np.abs(want[k]))
+            assert err <= rtol, (k, err)
+
+
+@pytest.fixture(scope="module")
+def jumpy_values():
+    # Gaussian part plus one-sided jumps, as in the compound-Poisson demo;
+    # 2000 samples span several sample chunks at every grid size below
+    rng = np.random.default_rng(17)
+    jumps = rng.exponential(1.0, 2000) * (rng.random(2000) < 0.3)
+    return rng.standard_normal(2000) * 0.5 + jumps
+
+
+class TestBlockedEcf:
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("points", [128, 512, 8192])
+    def test_uniform_grid_matches_direct_sum(self, jumpy_values, points, offset):
+        u = FrequencyGrid(cutoff=20.0, points=points, offset=offset).u
+        assert _progression_block(u) == 64
+        assert_matches_direct(_ecf_all(jumpy_values, u), jumpy_values, u)
+
+    def test_partial_last_block(self, jumpy_values):
+        u = np.linspace(-5.0, 7.0, 100)
+        assert _progression_block(u) == 64
+        assert_matches_direct(_ecf_all(jumpy_values, u), jumpy_values, u)
+
+    def test_descending_progression_in_input_order(self, jumpy_values):
+        u = FrequencyGrid(cutoff=10.0, points=256).u[::-1]
+        assert _progression_block(u) == 64
+        assert_matches_direct(_ecf_all(jumpy_values, u), jumpy_values, u)
+
+    def test_non_uniform_nodes_in_input_order(self, jumpy_values):
+        rng = np.random.default_rng(3)
+        grid = FrequencyGrid(cutoff=20.0, points=512).u
+        for u in (rng.uniform(-20.0, 20.0, 300),
+                  rng.permutation(grid),
+                  np.where(np.arange(grid.size) == 200, grid + 1e-3, grid)):
+            assert _progression_block(u) == 1
+            assert_matches_direct(_ecf_all(jumpy_values, u), jumpy_values, u)
+        # a non-finite node must not be replaced by its block's progression
+        assert _progression_block(np.where(grid == grid[200], np.nan, grid)) == 1
+
+    def test_scalar_length_one_and_empty(self, jumpy_values):
+        s = IncrementSample(jumpy_values, delta=0.5)
+        want = direct_ecf(jumpy_values, 2.3)
+        for k in range(3):
+            got = ecf_derivative(s, 2.3, k)
+            assert np.ndim(got) == 0
+            assert abs(got - want[k, 0]) <= 1e-12 * abs(want[k, 0])
+        u1 = np.array([-4.1])
+        assert_matches_direct(_ecf_all(jumpy_values, u1), jumpy_values, u1)
+        empty = np.array([])
+        assert_matches_direct(_ecf_all(jumpy_values, empty), jumpy_values, empty)
+        assert psi2_from_increments(s)(empty).shape == (0,)
 
 
 class TestIncrementSample:
@@ -197,13 +274,12 @@ class TestCurvatureEstimate:
         with pytest.raises(InputError):
             psi2_from_increments(IncrementSample(np.array([1.0]), delta=0.1))
 
-    def test_metadata(self):
+    def test_packaged_estimator(self):
         s = IncrementSample(np.array([-1.0, 1.0]), delta=0.1)
         est = psi2_from_increments(s)
-        assert est.scheme_tag == "direct"
-        assert est.valid_cutoff == math.inf
-        with pytest.raises(InputError):
-            Psi2Estimate(eval=lambda u: u, valid_cutoff=1.0, scheme_tag="fancy")
+        assert isinstance(est, Psi2Estimate)
+        u = np.array([0.0, 0.3, 2.0])
+        np.testing.assert_array_equal(est(u), est.eval(u))
 
     def test_drift_invariance(self):
         rng = np.random.default_rng(11)

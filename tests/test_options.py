@@ -393,9 +393,7 @@ class TestPsiTildeDerivatives:
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 200, 0.0,
                                          STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        est = option_psi2(sp, MATURITY, valid_cutoff=15.0)
-        assert est.scheme_tag == "option"
-        assert est.valid_cutoff == 15.0
+        est = option_psi2(sp, MATURITY)
         direct1, direct2 = psi_tilde_derivatives(sp, MATURITY, 4.0)
         assert est(4.0) == direct2
 
