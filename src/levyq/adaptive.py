@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
+from scipy.special import sici
 
 from .errors import EmptyGridError, InputError, NoSolutionError, NumericalError
 from .inversion import X_MAX_DEFAULT
@@ -58,18 +58,22 @@ __all__ = [
 # spectrum of the truncated tail weight g_t(x) = x^{-2} on [t, X_max]
 
 
-def _e2(z: np.ndarray) -> np.ndarray:
-    """Exponential integral of order 2, E2(z) = e^{-z} - z E1(z), z = i w.
+def _e2(w: np.ndarray) -> np.ndarray:
+    """Exponential integral of order 2 on the imaginary axis, E2(iw), w real.
 
-    Vectorized over purely imaginary arguments (both signs), with the
-    removable value E2(0) = 1 filled explicitly; |E2(iw)| <= 1 throughout.
+    E2(iw) = e^{-iw} - iw E1(iw) with E1(iw) = -Ci(|w|) + i sign(w) (Si(|w|)
+    - pi/2), so from the real sine and cosine integrals
+
+        E2(iw) = cos w + |w| (Si(|w|) - pi/2) + i (w Ci(|w|) - sin w).
+
+    The removable value E2(0) = 1 is filled explicitly; |E2(iw)| <= 1 and
+    E2(-iw) = conj E2(iw) throughout.
     """
-    z = np.asarray(z, dtype=complex)
-    out = np.ones_like(z)
-    nz = z != 0
+    w = np.asarray(w, dtype=float)
+    si, ci = sici(np.abs(w))
     with np.errstate(invalid="ignore"):
-        out[nz] = np.exp(-z[nz]) - z[nz] * exp1(z[nz])
-    return out
+        out = (np.cos(w) + np.abs(w) * (si - 0.5 * np.pi)) + 1j * (w * ci - np.sin(w))
+    return np.where(w == 0, 1.0 + 0j, out)
 
 
 def tail_weight_spectrum(t: float, u, x_max: float = X_MAX_DEFAULT):
@@ -91,7 +95,7 @@ def tail_weight_spectrum(t: float, u, x_max: float = X_MAX_DEFAULT):
     if t < 0:
         vals = tail_weight_spectrum(-t, -u_arr, x_max)
     else:
-        vals = _e2(1j * u_arr * t) / t - _e2(1j * u_arr * x_max) / x_max
+        vals = _e2(u_arr * t) / t - _e2(u_arr * x_max) / x_max
     if np.ndim(u) == 0:
         return complex(vals[0])
     return vals
@@ -112,12 +116,12 @@ def _tail_weight_on_grid(t: float, u: np.ndarray, x_max: float, key,
     if tail is None:
         if len(_TAIL_TERM_CACHE) >= 8:
             _TAIL_TERM_CACHE.clear()
-        tail = _e2(1j * u * x_max) / x_max
+        tail = _e2(u * x_max) / x_max
         _TAIL_TERM_CACHE[key] = tail
     if select is not None:
         tail = tail[select]
         u = u[select]
-    head = _e2(1j * u * t) / t
+    head = _e2(u * t) / t
     if t > 0:
         return head - tail
     # reflection x -> -x: E2(iut)/(-t) - conj(E2(iu x_max))/x_max

@@ -11,10 +11,19 @@ phi_T of the log-price at maturity:
 
 Estimation interpolates observed (x_j, O_j) by a piecewise polynomial with
 linear decay ramps to zero beyond the design range, evaluates the weighted
-transforms F_k(u) = int x^k O~(x) e^{(iu-1)x} dx segment-by-segment in
-closed form (no quadrature error for the interpolant), and differentiates
-the log of the reconstructed characteristic function twice.  The curvature
-formulas are rational expressions in F_0, F_1, F_2:
+transforms F_k(u) = int x^k O~(x) e^{(iu-1)x} dx in closed form (no
+quadrature error for the interpolant), and differentiates the log of the
+reconstructed characteristic function twice.  Integrating each segment by
+parts and grouping the end terms by breakpoint x_j gives, with z = iu - 1,
+
+    F_k(u) = sum_r (-1)^r z^{-(r+1)} sum_j C_{k,r,j} e^{z x_j},
+
+C_{k,r,j} = (x^k O~)^(r)(x_j-) - (x^k O~)^(r)(x_j+).  For the linear
+interpolant this matches per-segment integration to 1e-11 of max|F_k|.  For
+the cubic one the large third-derivative jumps of a noisy chain cancel near
+u = 0: with 100 quotes at 1 % noise, F_2 is off by up to 1e-7 of max|F_2|
+at |u| < 1 (per-segment integration is exact to rounding there).  The
+curvature formulas are rational expressions in F_0, F_1, F_2:
 
     phi~(u)  = 1 - u(u+i) F_0(u)
     psi~'(u) = -[(2u+i) F_0 + u(iu-1) F_1] / (T phi~)
@@ -364,71 +373,51 @@ def build_spline(xs, values, degree: int = 1, pad: float | None = None) -> Splin
 # ---------------------------------------------------------------------------
 # closed-form weighted transforms F_k(u) = int x^k O~(x) e^{(iu-1)x} dx
 
-_SERIES_RADIUS = 0.8
-_SERIES_TERMS = 26
-_U_CHUNK = 32
-
-
-def _exp_moment_integrals(widths: np.ndarray, z: np.ndarray, mmax: int) -> np.ndarray:
-    """J_m = int_0^w t^m e^{z t} dt for m = 0..mmax.
-
-    widths: (S,) nonnegative; z: (U, 1) with Re z = -1 (so |e^{zw}| <= 1 and
-    |z| >= 1).  Small |z w| uses the series w^{m+1} sum_j (zw)^j/(j!(m+j+1));
-    otherwise the forward recursion J_m = (w^m e^{zw} - m J_{m-1})/z, which
-    is stable here because each step divides by |z| >= max(1, 0.8/w).
-    """
-    zw = z * widths
-    small = np.abs(zw) <= _SERIES_RADIUS
-    expzw = np.exp(zw)
-
-    acc = np.zeros((mmax + 1,) + zw.shape, dtype=complex)
-    term = np.ones_like(zw)
-    for j in range(_SERIES_TERMS):
-        if j:
-            term = term * zw / j
-        for m in range(mmax + 1):
-            acc[m] += term / (m + j + 1)
-
-    rec = [(expzw - 1.0) / z]
-    wm = np.ones_like(widths)
-    for m in range(1, mmax + 1):
-        wm = wm * widths
-        rec.append((wm * expzw - m * rec[-1]) / z)
-
-    out = np.empty((mmax + 1,) + zw.shape, dtype=complex)
-    for m in range(mmax + 1):
-        out[m] = np.where(small, widths ** (m + 1) * acc[m], rec[m])
-    return out
+_U_CHUNK = 512
 
 
 def _weighted_transforms(spline: SplineOptionFunction, u: np.ndarray, ks) -> dict:
-    """All requested F_k on a common frequency array, sharing one J pass."""
-    breaks = spline._breaks
+    """All requested F_k on a common frequency array, as breakpoint sums.
+
+    The jumps of (x^k O~)^(r) follow from those of O~^(s) by Leibniz' rule.
+    Per chunk of _U_CHUNK frequencies, one (frequencies x breakpoints) phase
+    matrix times each k's (breakpoints x orders r) jump matrix, summed in
+    powers of 1/z, gives F_k; |z| >= 1, so no division needs a guard.
+    """
+    x = spline._breaks
     asc = spline._ascending  # (d+1, S), ascending powers of (x - left edge)
-    lefts = breaks[:-1]
-    widths = np.diff(breaks)
+    widths = np.diff(x)
     d = asc.shape[0] - 1
-    kmax = max(ks)
-    mmax = d + kmax
+    # jumps[s, j] = O~^(s)(x_j-) - O~^(s)(x_j+); O~ vanishes off its support
+    jumps = np.zeros((d + 1, x.size))
+    for s in range(d + 1):
+        jumps[s, :-1] -= math.factorial(s) * asc[s]
+        jumps[s, 1:] += sum(math.perm(p, s) * asc[p] * widths ** (p - s)
+                            for p in range(s, d + 1))
+    # column r of weights[k]: (-1)^r e^{-x_j} times the jump of (x^k O~)^(r),
+    # sum_i C(r, i) k!/(k-i)! x^(k-i) jumps[r-i]
+    weights = {
+        k: np.exp(-x)[:, None] * np.stack([
+            (-1) ** r * sum(math.comb(r, i) * math.perm(k, i) * x ** (k - i) * jumps[r - i]
+                            for i in range(max(0, r - d), min(k, r) + 1))
+            for r in range(d + k + 1)
+        ], axis=1)
+        for k in ks
+    }
 
-    # multiply the local polynomial by (t + a)^k once per k, vectorized
-    qcoef = {}
-    for k in ks:
-        q = np.zeros((d + k + 1, asc.shape[1]))
-        for r in range(k + 1):
-            q[r : r + d + 1] += math.comb(k, r) * lefts ** (k - r) * asc
-        qcoef[k] = q
-
-    out = {k: np.zeros(u.shape, dtype=complex) for k in ks}
+    out = {k: np.empty(u.shape, dtype=complex) for k in ks}
     for lo in range(0, u.size, _U_CHUNK):
         uc = u[lo : lo + _U_CHUNK]
-        z = (1j * uc - 1.0)[:, None]
-        J = _exp_moment_integrals(widths, z, mmax)
-        phase = np.exp(z * lefts)
+        phase = np.multiply.outer(uc, x)
+        cos, sin = np.cos(phase), np.sin(phase)
+        inv = 1.0 / (1j * uc - 1.0)
         for k in ks:
-            out[k][lo : lo + _U_CHUNK] = np.einsum(
-                "ms,mus,us->u", qcoef[k], J[: d + k + 1], phase
-            )
+            # one product per k, so F_k does not depend on the other ks asked for
+            sums = cos @ weights[k] + 1j * (sin @ weights[k])
+            acc = sums[:, -1]
+            for r in range(sums.shape[1] - 2, -1, -1):
+                acc = sums[:, r] + inv * acc
+            out[k][lo : lo + _U_CHUNK] = inv * acc
     return out
 
 

@@ -1,6 +1,7 @@
 """Bandwidth-selection tests.
 
-Oracles: adaptive quadrature for the tail-weight spectrum and for the
+Oracles: scipy's complex exponential integral E1 for E2 on the imaginary
+axis; adaptive quadrature for the tail-weight spectrum and for the
 auxiliary-spectrum L2 norm (independent scalar evaluation of phi~ via the
 closed-form transforms, no shared tabulation); hand arithmetic for the grid
 shape, the 1/sqrt(2) scaling, and the interval-intersection fixtures.
@@ -13,9 +14,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from levyq.adaptive import (
     BandwidthGrid,
+    _e2,
     adaptive_quantile,
     auxiliary_spectra,
     build_grid,
@@ -57,6 +60,42 @@ def noisy_spectra(bench_model):
     return compute_chain_spectra(chain, grid, degree=1)
 
 
+def e2_reference(w):
+    """E2(iw) = e^{-iw} - iw E1(iw) from scipy's complex exp1 (w != 0)."""
+    z = 1j * np.asarray(w, dtype=float)
+    return np.exp(-z) - z * exp1(z)
+
+
+class TestE2:
+    def test_against_complex_exp1(self):
+        # Si(|w|) - pi/2 carries the rounding of pi/2, scaled by |w| in the
+        # real part; measured at most 1.5e-15 * max(1, |w|) on this range
+        w = np.logspace(-12, 4, 801)
+        w = np.concatenate([w, -w, [0.37, -2.5, 31.0, -499.9]])
+        err = np.abs(_e2(w) - e2_reference(w))
+        assert np.all(err <= 5e-15 * np.maximum(1.0, np.abs(w)))
+
+    def test_zero_is_exactly_one(self):
+        assert _e2(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("w", [1e-12, -1e-12])
+    def test_tiny_argument(self, w):
+        got = _e2(np.array([w]))[0]
+        assert abs(got - e2_reference(w)) < 1e-15
+        assert abs(got - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("w", [1e4, -1e4])
+    def test_large_argument(self, w):
+        # |E2(iw)| ~ 1/|w|, so the absolute error bound above is 1e-7 of it
+        got = _e2(np.array([w]))[0]
+        assert abs(got - e2_reference(w)) < 5e-11
+        assert abs(abs(got) - 1.0 / abs(w)) < 1e-7
+
+    def test_conjugate_symmetry(self):
+        w = np.concatenate([np.logspace(-12, 4, 401), [0.0]])
+        assert np.max(np.abs(_e2(-w) - np.conj(_e2(w)))) <= 1e-14
+
+
 class TestTailWeightSpectrum:
     @pytest.mark.parametrize("t", [0.05, 0.3, 2.0, -0.3, -1.5])
     @pytest.mark.parametrize("u", [0.0, 0.5, 7.0, 40.0, -7.0])
@@ -70,6 +109,11 @@ class TestTailWeightSpectrum:
     def test_zero_frequency_closed_form(self):
         assert tail_weight_spectrum(0.25, 0.0) == pytest.approx(1 / 0.25 - 1 / 5.0)
         assert tail_weight_spectrum(-0.25, 0.0) == pytest.approx(1 / 0.25 - 1 / 5.0)
+
+    @pytest.mark.parametrize("t", [0.25, -0.25, 0.05, -3.0])
+    def test_zero_frequency_is_exact(self, t):
+        got = tail_weight_spectrum(t, np.array([0.0, -0.0]))
+        assert got.tolist() == [1 / abs(t) - 1 / 5.0] * 2
 
     def test_hermitian(self):
         u = np.array([0.3, 2.0, 15.0])

@@ -301,6 +301,69 @@ class TestMcTable:
 
 
 # ---------------------------------------------------------------------------
+# results frozen from a reference implementation
+
+# Computed with per-segment spline transforms (series/recursion) and E2
+# from scipy's complex exp1; the breakpoint sum and the sine/cosine
+# integrals must reproduce them.  Rows: tau, q_minus, q_plus, then the
+# oracle/adaptive RMSE x 100 for the minus and the plus side.
+FROZEN_TABLE = (
+    (0.5, 0.17852489840127528, 0.12546803387440741, 0.17178694492538557,
+     0.6282562621789763, 1.3516482740231228, 1.4310304470301798),
+    (1.0, 0.12015464727170763, 0.08667558549903329, 1.746532073351307,
+     1.794543825687081, 2.3058873268014133, 2.3058873268014133),
+    (1.5, 0.09145128022171559, 0.06723333995230493, 1.674037609190417,
+     1.674037609190417, 2.261919191807941, 2.261919191807941),
+    (2.0, 0.07370016969181595, 0.05502228472121059, 1.16036482470996,
+     1.16036482470996, 1.9821014602697757, 1.9821014602697757),
+    (2.5, 0.06146587842367589, 0.04649250612296162, 0.5579754110329089,
+     0.5579754110329089, 1.645526714707373, 1.645526714707373),
+)
+FROZEN_CHAIN_TAUS = (0.4, 0.8, 1.2, 1.6, 2.0)
+# per side: (chosen quantile, chosen bandwidth, sigma of the chosen record)
+FROZEN_CHAIN = {
+    "minus": (
+        (0.18336806876446243, 0.03138428376721003, 0.09662502120387917),
+        (0.14598625458430653, 0.03138428376721003, 0.14351210874460782),
+        (0.12763843615841658, 0.021435888100000015, 0.3380452413675373),
+        (0.10434955280975243, 0.03138428376721003, 0.2511634119661806),
+        (0.08953701722529192, 0.03138428376721003, 0.32115014393789004),
+    ),
+    "plus": (
+        (0.14585827373486293, 0.03138428376721003, 0.1437272640990336),
+        (0.11535014487986697, 0.03138428376721003, 0.21314620220286948),
+        (0.0956681554887277, 0.03138428376721003, 0.28896144625435727),
+        (0.08100139343488327, 0.03138428376721003, 0.3759886834084536),
+        (0.06944139598748979, 0.03138428376721003, 0.47673127370312185),
+    ),
+}
+
+
+class TestFrozenResults:
+    def test_small_default_table(self):
+        table = run_mc_table(ExperimentConfig(replications=2, seed=0))
+        assert table.failures == 0
+        got = [(r.tau, r.q_minus, r.q_plus, r.rmse_oracle_minus,
+                r.rmse_adaptive_minus, r.rmse_oracle_plus,
+                r.rmse_adaptive_plus) for r in table.rows]
+        np.testing.assert_allclose(got, FROZEN_TABLE, rtol=1e-10, atol=0)
+
+    def test_chain_choices(self):
+        cfg = ExperimentConfig()
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+            (cfg.strike_mean, cfg.strike_variance), seed=1)
+        report, _ = estimate_chain(chain, cfg, taus=FROZEN_CHAIN_TAUS)
+        for key, frozen in FROZEN_CHAIN.items():
+            got = []
+            for row in report["estimates"][key]:
+                records = report["diagnostics"][key][f"{row['tau']:g}"]
+                sigma = next(r["sigma"] for r in records if r["chosen"])
+                got.append((row["quantile"], row["bandwidth"], sigma))
+            np.testing.assert_allclose(got, frozen, rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # chain estimation
 
 
