@@ -224,6 +224,21 @@ def segment_moments(widths, z, mmax):
             for m in range(mmax + 1)]
 
 
+class TestExpMomentIntegrals:
+    """The per-segment reference of TestBreakpointSum against quadrature."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("u", [0.0, 1.0, 4.0, 20.0])
+    @pytest.mark.parametrize("w", [0.05, 0.3, 0.79, 0.81, 2.5])
+    def test_against_quadrature_both_branches(self, u, w):
+        z = 1j * u - 1.0
+        got = segment_moments(np.array([w]), np.array([[z]]), 5)
+        for m in range(6):
+            want = quad_complex(lambda t: t ** m * np.exp(z * t), 0.0, w,
+                                epsabs=1e-14, epsrel=1e-13)
+            assert abs(got[m][0, 0] - want) < 1e-13 * max(1.0, abs(want))
+
+
 def per_segment_transforms(spline, u, ks):
     """F_k(u) as a sum of exact per-segment integrals of the local
     polynomial (t + a)^k q(t) against e^{z(t + a)}, z = iu - 1."""
