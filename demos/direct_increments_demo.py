@@ -20,7 +20,7 @@ from levyq import (
     CompoundPoissonJumps,
     IncrementSampler,
     LevyModel,
-    density_estimate,
+    density_from_psi2,
     distribution_estimate,
     exponent_curvature,
     exponential_jumps,
@@ -59,8 +59,8 @@ for u in (0.0, 2.0, 5.0):
 kernel = flat_top_kernel(0.5)
 h = 0.05
 
-nu_hat = density_estimate(psi2, kernel, h)
-print(f"\njump density at t = 0.7: estimate {nu_hat(0.7):.4f}, "
+print(f"\njump density at t = 0.7: estimate "
+      f"{density_from_psi2(psi2, kernel, h, 0.7):.4f}, "
       f"exact {math.exp(-0.7):.4f}")
 
 tail = distribution_estimate(psi2, kernel, h)

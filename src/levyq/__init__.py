@@ -50,10 +50,8 @@ from .increments import (
 )
 from .simulate import METHODS, IncrementSampler, sample_increments
 from .inversion import (
-    DensityEstimate,
     DistributionEstimate,
     QuantileEstimate,
-    density_estimate,
     density_from_psi2,
     distribution_estimate,
     distribution_from_psi2,

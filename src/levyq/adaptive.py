@@ -11,7 +11,9 @@ Three layers:
     in the three observable transforms) are assembled from the chain
     spectra, their L2 norms weighted by the noise profile's sup norms,
     giving sigma_tilde = (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
-    * ||chi_k||_L2;
+    * ||chi_k||_L2.  One call serves every (threshold, side) cell of a
+    bandwidth: the factors that depend on h alone are formed once, and only
+    the tail weight and the three norms are per cell;
 
   * the interval-intersection rule: each bandwidth proposes the interval
     quantile +- (1+delta) sqrt(2 log log n) sigma_tilde / density; the
@@ -32,7 +34,7 @@ the simulation harness uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import sici
@@ -76,7 +78,7 @@ def _e2(w: np.ndarray) -> np.ndarray:
     return np.where(w == 0, 1.0 + 0j, out)
 
 
-def tail_weight_spectrum(t: float, u, x_max: float = X_MAX_DEFAULT):
+def tail_weight_spectrum(t, u, x_max: float = X_MAX_DEFAULT):
     """int g_t(x) e^{-iux} dx for the truncated tail weight.
 
     g_t(x) = x^{-2} 1_{[t, x_max]} for t > 0 and x^{-2} 1_{[-x_max, t]} for
@@ -84,48 +86,26 @@ def tail_weight_spectrum(t: float, u, x_max: float = X_MAX_DEFAULT):
 
         int_t^X x^{-2} e^{-iux} dx = E2(iut)/t - E2(iuX)/X,
 
-    and the t < 0 side by the reflection x -> -x.  Exact at u = 0
-    (value 1/|t| - 1/x_max).
+    and the t < 0 side by the reflection x -> -x, which turns the X term
+    into -conj(E2(iuX)/X).  Exact at u = 0 (value 1/|t| - 1/x_max).
+
+    `t` is one signed threshold or a 1-D array of them; an array gives one
+    row per threshold, and the X term is formed once for all rows.
     """
-    if t == 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts == 0):
         raise InputError("tail weight needs a nonzero threshold t")
-    if not x_max > abs(t):
-        raise InputError(f"x_max = {x_max} must exceed |t| = {abs(t)}")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if t < 0:
-        vals = tail_weight_spectrum(-t, -u_arr, x_max)
-    else:
-        vals = _e2(u_arr * t) / t - _e2(u_arr * x_max) / x_max
-    if np.ndim(u) == 0:
-        return complex(vals[0])
-    return vals
-
-
-# The x_max term of the tail weight does not depend on the threshold t, so
-# when the deviation bound is evaluated many times on one frequency grid
-# (once per bandwidth, threshold, and side) it is cached per grid layout.
-_TAIL_TERM_CACHE: dict = {}
-
-
-def _tail_weight_on_grid(t: float, u: np.ndarray, x_max: float, key,
-                         select=None) -> np.ndarray:
-    """tail_weight_spectrum(t, u, x_max) with the E2(iu x_max)/x_max term
-    cached under `key`; the t < 0 side reuses the conjugate of the cache.
-    `select` restricts the evaluation to a boolean subset of the nodes."""
-    tail = _TAIL_TERM_CACHE.get(key)
-    if tail is None:
-        if len(_TAIL_TERM_CACHE) >= 8:
-            _TAIL_TERM_CACHE.clear()
-        tail = _e2(u * x_max) / x_max
-        _TAIL_TERM_CACHE[key] = tail
-    if select is not None:
-        tail = tail[select]
-        u = u[select]
-    head = _e2(u * t) / t
-    if t > 0:
-        return head - tail
-    # reflection x -> -x: E2(iut)/(-t) - conj(E2(iu x_max))/x_max
-    return -head - np.conj(tail)
+    if not np.all(x_max > np.abs(ts)):
+        raise InputError(
+            f"x_max = {x_max} must exceed |t| = {np.max(np.abs(ts))}")
+    u_arr = np.asarray(u, dtype=float).ravel()
+    tail = _e2(u_arr * x_max) / x_max
+    vals = np.empty((ts.size, u_arr.size), dtype=complex)
+    for row, ti in zip(vals, ts):
+        head = _e2(u_arr * ti) / ti
+        row[:] = head - tail if ti > 0 else -head - np.conj(tail)
+    vals = vals.reshape(np.shape(t) + np.shape(u))
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +199,55 @@ def build_grid(n: int, L: float, spectra: ChainSpectra | None = None,
 # deviation bound at a fixed bandwidth
 
 
+def _masked_chis(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
+                 q, side, x_max: float):
+    """Validate the cells (`q` one threshold or a 1-D array, `side` one
+    side or one per threshold); return the integration mask and an iterator
+    over the cells' (chi0, chi1, chi2) on the masked nodes.  The mask, the
+    kernel profile, the masked spectra and the three rational factors
+    depend on h alone and are formed once; each cell adds its tail weight.
+    """
+    if not h > 0:
+        raise InputError(f"bandwidth must be positive, got {h}")
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    sides = [side] * qs.size if isinstance(side, str) else list(side)
+    if qs.ndim != 1 or len(sides) != qs.size:
+        raise InputError("need a 1-D array of thresholds, one side each")
+    for qi, si in zip(qs, sides):
+        if not qi > 0:
+            raise InputError(f"threshold must be positive, got {qi}")
+        if si not in ("+", "-"):
+            raise InputError(f"side must be '+' or '-', got {si!r}")
+        if not x_max > qi:
+            raise InputError(
+                f"x_max = {x_max} must exceed the threshold q = {qi}")
+    t = np.array([qi if si == "+" else -qi for qi, si in zip(qs, sides)])
+    T = spectra.maturity
+    u_all = spectra.grid.u
+    mask = spectra.trusted & (np.abs(u_all) <= 1.0 / h)
+    u = u_all[mask]
+    fk = kernel(h * u)
+    phi = spectra.phi[mask]  # trusted nodes, so bounded away from zero
+    psi1 = spectra.psi1[mask]
+    psi2 = spectra.psi2[mask]
+    factors = (
+        u * (u - 1j) * (T ** 2 * psi1 ** 2 - T * psi2)
+        + 2.0 * T * (1j - 2.0 * u) * psi1
+        + 2.0,
+        (4j * u + 2.0) - 2.0 * T * u * (1j * u + 1.0) * psi1,
+        u * (1j - u),
+    )
+
+    def cells():
+        for gw in tail_weight_spectrum(t, u, x_max):
+            base = gw * fk / phi
+            yield tuple(base * f for f in factors)
+
+    return mask, cells()
+
+
 def auxiliary_spectra(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
-                      q: float, side: str, x_max: float = X_MAX_DEFAULT):
+                      q, side, x_max: float = X_MAX_DEFAULT):
     """The three linearization spectra chi_0, chi_1, chi_2 and their mask.
 
     chi_k is the sensitivity of the smoothed tail integral at threshold
@@ -230,60 +257,42 @@ def auxiliary_spectra(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     |u| <= 1/h intersected with the trust region; entries outside the mask
     are returned as zero (they never enter the deviation bound, and skipping
     them avoids evaluating the tail weight off the integration domain).
+    An array of thresholds gives one row of each chi_k per threshold.
     """
-    if not h > 0:
-        raise InputError(f"bandwidth must be positive, got {h}")
-    if not q > 0:
-        raise InputError(f"threshold must be positive, got {q}")
-    if side not in ("+", "-"):
-        raise InputError(f"side must be '+' or '-', got {side!r}")
-    if not x_max > q:
-        raise InputError(f"x_max = {x_max} must exceed the threshold q = {q}")
-    grid = spectra.grid
-    u_all = grid.u
-    T = spectra.maturity
-    mask = spectra.trusted & (np.abs(u_all) <= 1.0 / h)
-    t = q if side == "+" else -q
-    chi0 = np.zeros(u_all.size, dtype=complex)
-    chi1 = np.zeros(u_all.size, dtype=complex)
-    chi2 = np.zeros(u_all.size, dtype=complex)
-    if mask.any():
-        u = u_all[mask]
-        gw = _tail_weight_on_grid(
-            t, u_all, x_max,
-            key=(grid.cutoff, grid.points, grid.offset, x_max), select=mask)
-        fk = kernel(h * u)
-        phi = spectra.phi[mask]  # trusted nodes, so bounded away from zero
-        psi1 = spectra.psi1[mask]
-        psi2 = spectra.psi2[mask]
-        base = gw * fk / phi
-        chi0[mask] = base * (
-            u * (u - 1j) * (T ** 2 * psi1 ** 2 - T * psi2)
-            + 2.0 * T * (1j - 2.0 * u) * psi1
-            + 2.0
-        )
-        chi1[mask] = base * ((4j * u + 2.0) - 2.0 * T * u * (1j * u + 1.0) * psi1)
-        chi2[mask] = base * (u * (1j - u))
-    return chi0, chi1, chi2, mask
+    mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
+    chis = np.zeros((3, np.size(q), mask.size), dtype=complex)
+    for i, cell in enumerate(cells):
+        chis[:, i, mask] = cell
+    if np.ndim(q) == 0:
+        chis = chis[:, 0]
+    return chis[0], chis[1], chis[2], mask
 
 
 def sigma_tilde(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
-                q: float, side: str, x_max: float = X_MAX_DEFAULT) -> float:
+                q, side, x_max: float = X_MAX_DEFAULT):
     """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
-    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q."""
-    chi0, chi1, chi2, mask = auxiliary_spectra(spectra, kernel, h, q, side, x_max)
+    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
+
+    An array of thresholds gives an array from one pass over the h-only
+    factors.  Each norm is a trapezoid over the grid, zero off the mask.
+    """
+    mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
     if not mask.any():
         raise NumericalError(
             f"trust region is empty on |u| <= {1.0 / h:.3g}; "
             "the noise guard dominates at this bandwidth"
         )
     u = spectra.grid.u
-    norms = [
-        math.sqrt(np.trapezoid(np.where(mask, np.abs(c) ** 2, 0.0), u))
-        for c in (chi0, chi1, chi2)
-    ]
     pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.maturity)
-    return pref * sum(s * nm for s, nm in zip(spectra.sup_norms, norms))
+    power = np.zeros(u.size)
+
+    def norm(chi):
+        power[mask] = np.abs(chi) ** 2
+        return math.sqrt(np.trapezoid(power, u))
+
+    values = [pref * sum(s * norm(chi) for s, chi in zip(spectra.sup_norms, cell))
+              for cell in cells]
+    return values[0] if np.ndim(q) == 0 else np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +366,11 @@ def adaptive_quantile(bandwidths, quantiles, densities, sigmas, n: int,
     chosen_idx = None
     alive = True
     for i in range(hs.size):
-        if dens[i] == 0.0:
-            records.append(BandwidthRecord(
-                h=float(hs[i]), q=float(qs[i]), sigma=float(sig[i]),
-                V=None, lo=None, hi=None, chosen=False, dropped=True,
-            ))
-            continue
-        V = multiplier * sig[i] / abs(dens[i])
-        lo, hi = float(qs[i] - V), float(qs[i] + V)
-        if alive:
+        V = lo = hi = None
+        if dens[i] != 0.0:
+            V = float(multiplier * sig[i] / abs(dens[i]))
+            lo, hi = float(qs[i] - V), float(qs[i] + V)
+        if alive and V is not None:
             lo_new, hi_new = max(lo_run, lo), min(hi_run, hi)
             if lo_new <= hi_new:
                 lo_run, hi_run = lo_new, hi_new
@@ -374,19 +379,14 @@ def adaptive_quantile(bandwidths, quantiles, densities, sigmas, n: int,
                 alive = False  # once empty, stays empty
         records.append(BandwidthRecord(
             h=float(hs[i]), q=float(qs[i]), sigma=float(sig[i]),
-            V=float(V), lo=lo, hi=hi, chosen=False,
+            V=V, lo=lo, hi=hi, chosen=False, dropped=V is None,
         ))
     if chosen_idx is None:
         raise NoSolutionError(
             "every bandwidth was dropped by the density guard; "
             "no interval to intersect"
         )
-    records[chosen_idx] = BandwidthRecord(
-        h=records[chosen_idx].h, q=records[chosen_idx].q,
-        sigma=records[chosen_idx].sigma, V=records[chosen_idx].V,
-        lo=records[chosen_idx].lo, hi=records[chosen_idx].hi,
-        chosen=True,
-    )
+    records[chosen_idx] = replace(records[chosen_idx], chosen=True)
     diag = LepskiDiagnostics(
         records=tuple(records),
         chosen_h=float(hs[chosen_idx]),

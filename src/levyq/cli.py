@@ -7,8 +7,9 @@ Three subcommands mirror the harness entry points:
 * ``levyq demo-direct --config FILE --out report.json``
 
 Exit codes: 0 on success, 2 for input problems (bad config, malformed
-chain file, invalid arguments), 3 for numerical failures during
-estimation.  Error messages go to stderr.
+chain file, invalid arguments, a chain or output file that cannot be
+read or written), 3 for numerical failures during estimation.  Error
+messages go to stderr.
 """
 from __future__ import annotations
 
@@ -67,8 +68,6 @@ def _run_mc_table(args) -> None:
     config = load_config(args.config)
     table = run_mc_table(config, replications=args.reps, seed=args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        raise InputError(f"output directory {out.parent} does not exist")
     out.write_text(table.to_csv(), encoding="utf-8")
     used = table.replications - table.failures
     print(f"wrote {out} ({len(table.rows)} levels, {used} of "
@@ -95,8 +94,6 @@ def _run_demo_direct(args) -> None:
     config = load_config(args.config)
     report = demo_direct(config)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        raise InputError(f"output directory {out.parent} does not exist")
     out.write_text(_json_text(report), encoding="utf-8")
     with_truth = sum(1 for row in report["results"]
                      if row["truth"] is not None)
@@ -116,7 +113,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _DISPATCH[args.command](args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # OSError: a chain file or --out path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LevyqError as exc:

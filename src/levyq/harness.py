@@ -20,8 +20,10 @@ order in which replications execute.
 The Monte Carlo loop prices the chain once (the strike design is fixed) and
 re-perturbs it per replication.  Both option-chain drivers share one
 per-chain path: the curvature is tabulated once on a master frequency grid,
-and every bandwidth's tail function comes from one batched inversion of
-all the kernel-damped columns (`inversion.tail_estimates`).
+every bandwidth's tail function comes from one batched inversion of all
+the kernel-damped columns (`inversion.tail_estimates`), and the deviation
+bounds of all (tau, side) cells come from one `sigma_tilde` call per
+bandwidth.
 """
 from __future__ import annotations
 
@@ -184,14 +186,20 @@ class ExperimentConfig:
                 f"replications must be at least 1, got {self.replications}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
-        taus = tuple(float(t) for t in self.taus)
-        if not taus:
-            raise InputError("taus must be a non-empty list of levels")
-        if not all(np.isfinite(t) and t > 0 for t in taus):
-            raise InputError(f"taus must be positive and finite, got {taus}")
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise InputError(f"taus must be strictly increasing, got {taus}")
-        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "taus", _levels(self.taus))
+
+
+def _levels(taus) -> tuple:
+    """Threshold levels as a tuple of floats, checked to be nonempty,
+    positive, finite and strictly increasing."""
+    taus = tuple(float(t) for t in taus)
+    if not taus:
+        raise InputError("taus must be a non-empty list of levels")
+    if not all(np.isfinite(t) and t > 0 for t in taus):
+        raise InputError(f"taus must be positive and finite, got {taus}")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise InputError(f"taus must be strictly increasing, got {taus}")
+    return taus
 
 
 _INT_KEYS = {"n", "spectral_points", "replications", "seed"}
@@ -344,6 +352,14 @@ class _CellEstimate:
     selection: tuple | None
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the LevyqError it raised in place of the result."""
+    try:
+        return fn(*args)
+    except LevyqError as exc:
+        return exc
+
+
 def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
     """Per-(tau, side) estimates for one chain from its tabulated spectra.
 
@@ -351,35 +367,55 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
     With `oracle` the bandwidths are the full grid (the post-hoc standard
     compares every grid bandwidth, whatever the screen kept), otherwise the
     screened subset ``bw.values``; the interval rule (with `adaptive`)
-    always runs over the screened subset.  Returns a dict mapping
-    (tau, side) to a _CellEstimate, or to the LevyqError that cell raised
-    (the rest of the chain is still used).
+    always runs over the screened subset, after one sigma_tilde call per
+    screened bandwidth for all cells still standing.  Returns a dict
+    mapping (tau, side) to a _CellEstimate, or to the LevyqError that cell
+    raised (the rest of the chain is still used).
     """
     hs = build_grid(bw.n, bw.L).values if oracle else bw.values
     first = bw.j_min if oracle else 0   # index of bw.values[0] in hs
     dists = tail_estimates(spectra.psi2, spectra.grid, kernel, hs,
                            config.x_max)
-    out = {}
-    for tau, side in _cells_for(taus):
-        try:
-            found = [quantile_from_distribution(dist, tau, config.eta, side)
-                     for dist in dists]
-            qs = np.array([qe.value for qe in found])
-            selection = None
-            if adaptive:
-                sign = 1.0 if side == "+" else -1.0
-                screened = range(first, hs.size)
-                dens = [dists[j].eval.density(sign * qs[j]) for j in screened]
-                sigs = [sigma_tilde(spectra, kernel, float(hs[j]), qs[j],
-                                    side, config.x_max) for j in screened]
-                selection = adaptive_quantile(hs[first:], qs[first:], dens,
-                                              sigs, spectra.n_obs,
-                                              config.delta)
-            out[(tau, side)] = _CellEstimate(
-                qs=qs, clamped=np.array([qe.at_threshold for qe in found]),
-                selection=selection)
-        except LevyqError as exc:
-            out[(tau, side)] = exc
+
+    def search(tau, side):
+        return [quantile_from_distribution(dist, tau, config.eta, side)
+                for dist in dists]
+
+    found = {cell: _attempt(search, *cell) for cell in _cells_for(taus)}
+    out = {cell: v for cell, v in found.items() if isinstance(v, LevyqError)}
+
+    sigmas = {cell: [] for cell in found}
+    for j in range(first, hs.size) if adaptive else ():
+        live = [cell for cell in found if cell not in out]
+        h = float(hs[j])
+        q_live = [found[cell][j].value for cell in live]
+        values = _attempt(sigma_tilde, spectra, kernel, h, q_live,
+                          [side for _, side in live], config.x_max)
+        if isinstance(values, LevyqError):
+            # redo each cell alone, so an error stays with its own cell
+            values = [_attempt(sigma_tilde, spectra, kernel, h, q, side,
+                               config.x_max)
+                      for q, (_, side) in zip(q_live, live)]
+        for cell, value in zip(live, values):
+            sigmas[cell].append(value)
+            if isinstance(value, LevyqError):
+                out[cell] = value
+
+    for cell, quantiles in found.items():
+        if cell in out:
+            continue
+        qs = np.array([qe.value for qe in quantiles])
+        selection = None
+        if adaptive:
+            sign = 1.0 if cell[1] == "+" else -1.0
+            dens = [dists[j].eval.density(sign * qs[j])
+                    for j in range(first, hs.size)]
+            selection = _attempt(adaptive_quantile, hs[first:], qs[first:],
+                                 dens, sigmas[cell], spectra.n_obs,
+                                 config.delta)
+        clamped = np.array([qe.at_threshold for qe in quantiles])
+        out[cell] = (selection if isinstance(selection, LevyqError) else
+                     _CellEstimate(qs=qs, clamped=clamped, selection=selection))
     return out
 
 
@@ -518,13 +554,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     if chain.n < 10:
         raise InputError(
             f"need at least 10 quotes to estimate, got {chain.n}")
-    if taus is None:
-        taus = DEFAULT_CHAIN_TAUS
-    taus = tuple(float(t) for t in taus)
-    if not taus or not all(np.isfinite(t) and t > 0 for t in taus):
-        raise InputError(f"taus must be positive and finite, got {taus}")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise InputError(f"taus must be strictly increasing, got {taus}")
+    taus = _levels(DEFAULT_CHAIN_TAUS if taus is None else taus)
 
     kernel = flat_top_kernel(config.kernel_c)
     master = FrequencyGrid(cutoff=float(chain.n),
@@ -583,11 +613,7 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     are filled from the closed-form tail integral where the model has one
     (and the level is reachable); otherwise they are None.
     """
-    if taus is None:
-        taus = config.taus
-    taus = tuple(float(t) for t in taus)
-    if not taus or not all(np.isfinite(t) and t > 0 for t in taus):
-        raise InputError(f"taus must be positive and finite, got {taus}")
+    taus = _levels(config.taus if taus is None else taus)
     model = observation_model(config)
     sampler = IncrementSampler(model=model, delta=config.increment_delta,
                                method=config.method, seed=config.seed)

@@ -30,13 +30,11 @@ from .kernels import SpectralKernel
 from .numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
 __all__ = [
-    "DensityEstimate",
     "DistributionEstimate",
     "QuantileEstimate",
     "X_MAX_DEFAULT",
     "smoothed_inverse_transform",
     "density_from_psi2",
-    "density_estimate",
     "tail_nodes",
     "tail_estimates",
     "distribution_from_psi2",
@@ -55,18 +53,6 @@ _NODE_SPLIT = 0.5
 _GEOM_LO = 0.004
 _GEOM_POINTS = 640
 _LINEAR_STEP = 0.01
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Kernel-smoothed jump density estimate t != 0 -> intensity density."""
-
-    eval: object
-    bandwidth: float
-    kernel: SpectralKernel
-
-    def __call__(self, t):
-        return self.eval(t)
 
 
 @dataclass(frozen=True)
@@ -138,16 +124,6 @@ def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
     F = smoothed_inverse_transform(psi2, kernel, h, t_arr, points)
     out = -F / (t_arr * t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def density_estimate(psi2, kernel: SpectralKernel, h: float,
-                     points: int = SPECTRAL_POINTS) -> DensityEstimate:
-    """Package density_from_psi2 as a DensityEstimate."""
-
-    def evaluate(t):
-        return density_from_psi2(psi2, kernel, h, t, points)
-
-    return DensityEstimate(eval=evaluate, bandwidth=h, kernel=kernel)
 
 
 def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:

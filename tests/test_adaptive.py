@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
@@ -254,6 +256,62 @@ class TestSigmaTilde:
             sigma_tilde(noisy_spectra, kernel, 0.02, -0.1, "+")
         with pytest.raises(InputError):
             sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "up")
+
+
+class TestBatchedBound:
+    """One call per bandwidth for many (threshold, side) cells gives, cell
+    for cell, exactly what one call per cell gives."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.02, 4.9), st.sampled_from("+-")),
+                    min_size=1, max_size=12))
+    def test_vector_equals_scalar_calls(self, noisy_spectra, cells):
+        kernel = flat_top_kernel()
+        qs = [q for q, _ in cells]
+        sides = [side for _, side in cells]
+        for h in (0.01, 0.02, 0.031):
+            batched = sigma_tilde(noisy_spectra, kernel, h, qs, sides)
+            alone = [sigma_tilde(noisy_spectra, kernel, h, q, side)
+                     for q, side in cells]
+            assert batched.tolist() == alone
+        t = np.array([q if side == "+" else -q for q, side in cells])
+        u = noisy_spectra.grid.u[::5]
+        rows = tail_weight_spectrum(t, u)
+        assert rows.shape == (t.size, u.size)
+        for row, ti in zip(rows, t):
+            assert np.array_equal(row, tail_weight_spectrum(ti, u))
+
+    def test_shapes_and_scalar_float(self, noisy_spectra):
+        kernel = flat_top_kernel()
+        one = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "-")
+        assert isinstance(one, float)
+        both = sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 0.3], "-")
+        assert both.tolist() == [
+            one, sigma_tilde(noisy_spectra, kernel, 0.02, 0.3, "-")]
+        assert isinstance(tail_weight_spectrum(0.2, 1.5), complex)
+        assert tail_weight_spectrum([0.2, -0.4], 1.5).tolist() == [
+            tail_weight_spectrum(0.2, 1.5), tail_weight_spectrum(-0.4, 1.5)]
+
+    def test_auxiliary_rows_equal_scalar_calls(self, noisy_spectra):
+        kernel = flat_top_kernel()
+        rows = auxiliary_spectra(noisy_spectra, kernel, 0.02, [0.1, 0.25],
+                                 ["+", "-"])
+        for i, (q, side) in enumerate([(0.1, "+"), (0.25, "-")]):
+            alone = auxiliary_spectra(noisy_spectra, kernel, 0.02, q, side)
+            for k in range(3):
+                assert np.array_equal(rows[k][i], alone[k])
+            assert np.array_equal(rows[3], alone[3])
+
+    def test_validation(self, noisy_spectra):
+        kernel = flat_top_kernel()
+        with pytest.raises(InputError):
+            sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 0.2], ["+"])
+        with pytest.raises(InputError):
+            sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 5.0], "+")
+        with pytest.raises(InputError):
+            tail_weight_spectrum([0.1, 0.0], 1.0)
+        with pytest.raises(InputError):
+            tail_weight_spectrum([0.1, -6.0], 1.0)
 
 
 class TestAdaptiveQuantile:

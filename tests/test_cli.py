@@ -66,6 +66,15 @@ def mc_config_file(tmp_path):
     return path
 
 
+def assert_input_error(code, capsys):
+    """A file the command cannot read or write is an input error: exit 2
+    with an `error:` line and no traceback."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def _run_demo(command, tmp_path, env=None):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(DEMO_CFG)
@@ -136,6 +145,12 @@ class TestMcTableCommand:
         assert code == 2
         assert "directory" in capsys.readouterr().err
 
+    def test_output_path_is_a_directory(self, mc_config_file, tmp_path,
+                                        capsys):
+        code = cli.main(["mc-table", "--config", str(mc_config_file),
+                         "--out", str(tmp_path)])
+        assert_input_error(code, capsys)
+
 
 class TestEstimateChainCommand:
     @pytest.fixture()
@@ -166,6 +181,19 @@ class TestEstimateChainCommand:
             assert len(lines) == 21
         assert "report.json" in capsys.readouterr().out
 
+    def test_output_path_is_a_file(self, chain_file, tmp_path, capsys):
+        chain_path, cfg_path = chain_file
+        code = cli.main(["estimate-chain", "--chain", str(chain_path),
+                         "--config", str(cfg_path), "--out", str(chain_path)])
+        assert_input_error(code, capsys)
+
+    def test_missing_chain_file(self, chain_file, tmp_path, capsys):
+        _, cfg_path = chain_file
+        code = cli.main(["estimate-chain", "--chain",
+                         str(tmp_path / "absent.csv"), "--config",
+                         str(cfg_path), "--out", str(tmp_path / "r")])
+        assert_input_error(code, capsys)
+
     def test_malformed_chain_names_line(self, chain_file, tmp_path, capsys):
         _, cfg_path = chain_file
         bad = tmp_path / "bad.csv"
@@ -189,6 +217,13 @@ class TestDemoDirectCommand:
         assert report["n"] == 400
         assert {row["side"] for row in report["results"]} == {"-", "+"}
         assert "closed-form truth" in capsys.readouterr().out
+
+    def test_output_path_is_a_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_CFG)
+        code = cli.main(["demo-direct", "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert_input_error(code, capsys)
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(config):

@@ -19,6 +19,7 @@ noise) sits above those expectations.  README section "Known deviations
 from the benchmark table" walks through the measurements.
 """
 
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from levyq.adaptive import build_grid
+import levyq.harness
+from levyq.adaptive import build_grid, sigma_tilde
 from levyq.errors import ChainFormatError, InputError
 from levyq.harness import (
     DEFAULT_CHAIN_TAUS,
@@ -434,6 +436,49 @@ class TestEstimateChain:
                 rows = report["diagnostics"][key][f"{row['tau']:g}"]
                 assert [r["q"] for r in rows] == list(cell.qs[bw.j_min:])
                 assert row["quantile"] == cell.selection[1]
+
+    def test_invalid_threshold_fails_only_its_cell(self, monkeypatch):
+        # one cell's quantile at one bandwidth is moved to x_max, where the
+        # deviation bound is undefined: the batched sigma call of that
+        # bandwidth raises, yet only that cell may fail, with the message a
+        # one-cell call gives, and every other cell stays as it was
+        cfg = ExperimentConfig(n=48, spectral_points=1024, taus=(0.5, 1.0))
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+            (cfg.strike_mean, cfg.strike_variance), seed=3)
+        master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
+        spectra = compute_chain_spectra(chain, master, degree=1)
+        bw = build_grid(cfg.n, cfg.L, spectra, strict=False)
+        kernel = flat_top_kernel(cfg.kernel_c)
+
+        def run():
+            return _chain_estimates(spectra, bw, kernel, cfg, cfg.taus,
+                                    oracle=False, adaptive=True)
+
+        clean = run()
+        bad_cell, bad_h = (1.0, "+"), float(bw.values[3])
+
+        def shifted(dist, tau, eta, side):
+            found = quantile_from_distribution(dist, tau, eta, side)
+            if (tau, side) == bad_cell and dist.bandwidth == bad_h:
+                return dataclasses.replace(found, value=cfg.x_max)
+            return found
+
+        monkeypatch.setattr(levyq.harness, "quantile_from_distribution",
+                            shifted)
+        cells = run()
+        with pytest.raises(InputError) as alone:
+            sigma_tilde(spectra, kernel, bad_h, cfg.x_max, "+", cfg.x_max)
+        assert isinstance(cells[bad_cell], InputError)
+        assert str(cells[bad_cell]) == str(alone.value)
+        assert cells.keys() == clean.keys()
+        for cell, est in clean.items():
+            if cell == bad_cell:
+                continue
+            assert np.array_equal(cells[cell].qs, est.qs)
+            assert cells[cell].selection[:2] == est.selection[:2]
+            assert (cells[cell].selection[2].to_json_rows()
+                    == est.selection[2].to_json_rows())
 
     def test_large_chain_inverts_the_full_band(self):
         # beyond n = 400 the master window stays [-n, n]: psi~'' is still

@@ -27,7 +27,6 @@ from levyq.errors import InputError, NumericalError
 from levyq.inversion import (
     DistributionEstimate,
     QuantileEstimate,
-    density_estimate,
     density_from_psi2,
     distribution_estimate,
     distribution_from_psi2,
@@ -112,11 +111,6 @@ class TestDensity:
         assert [e.bandwidth for e in tail_estimates(hermitian, grid, FLAT, hs)] == hs
         with pytest.raises(NumericalError):
             tail_estimates(hermitian + 1j, grid, FLAT, hs)
-
-    def test_estimate_wrapper(self):
-        est = density_estimate(psi2_cp, FLAT, 0.1)
-        assert est.bandwidth == 0.1
-        assert est(1.0) == density_from_psi2(psi2_cp, FLAT, 0.1, 1.0)
 
 
 class TestDistribution:
