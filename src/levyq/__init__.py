@@ -27,7 +27,6 @@ from .models import (
     LevyModel,
     TailIntegralOracle,
     VarianceGammaJumps,
-    bowley_skewness,
     characteristic_exponent,
     exponent_curvature,
     exponential_jumps,
@@ -43,7 +42,6 @@ from .kernels import OrderReport, SpectralKernel, flat_top_kernel, triangle_kern
 from .increments import (
     IncrementSample,
     Psi2Estimate,
-    ecf_derivative,
     psi2_from_increments,
     read_increment_csv,
     write_increment_csv,
@@ -54,9 +52,7 @@ from .inversion import (
     QuantileEstimate,
     density_from_psi2,
     distribution_estimate,
-    distribution_from_psi2,
     quantile_from_distribution,
-    smoothed_inverse_transform,
 )
 from .options import (
     ChainSpectra,

@@ -37,7 +37,6 @@ from .numerics import _BLOCK
 __all__ = [
     "IncrementSample",
     "Psi2Estimate",
-    "ecf_derivative",
     "psi2_from_increments",
     "read_increment_csv",
     "write_increment_csv",
@@ -132,18 +131,6 @@ def _ecf_all(values: np.ndarray, u: np.ndarray):
     # acc[a, k * block + b] is phi_k at node a * block + b
     phi = acc.reshape(starts.size, 3, block).transpose(1, 0, 2).reshape(3, -1)
     return phi[0, : u.size], phi[1, : u.size], phi[2, : u.size]
-
-
-def ecf_derivative(sample: IncrementSample, u, k: int):
-    """k-th derivative of the empirical characteristic function at u.
-
-    (1/n) sum_j (i Y_j)^k e^{i u Y_j} for k in {0, 1, 2}; vectorized in u.
-    """
-    if k not in (0, 1, 2):
-        raise InputError(f"derivative order must be 0, 1 or 2, got {k}")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = _ecf_all(sample.values, u_arr)[k]
-    return out[0] if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
 def _curvature_ratio(phi0, phi1, phi2, delta: float):

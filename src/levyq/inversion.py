@@ -33,11 +33,9 @@ __all__ = [
     "DistributionEstimate",
     "QuantileEstimate",
     "X_MAX_DEFAULT",
-    "smoothed_inverse_transform",
     "density_from_psi2",
     "tail_nodes",
     "tail_estimates",
-    "distribution_from_psi2",
     "distribution_estimate",
     "quantile_from_distribution",
 ]
@@ -93,8 +91,10 @@ def _real_part(values: np.ndarray) -> np.ndarray:
     """Real part of inverted values, one column per spectrum.
 
     The imaginary residual must vanish for Hermitian curvature input; a
-    large residual in any column indicates a broken estimate and raises.
+    large residual or a value that is not finite raises.
     """
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("inverse transform of the curvature is not finite")
     if values.size:
         scale = np.maximum(1.0, np.max(np.abs(values.real), axis=0))
         resid = np.max(np.abs(values.imag), axis=0)
@@ -106,22 +106,16 @@ def _real_part(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def smoothed_inverse_transform(psi2, kernel: SpectralKernel, h: float, x,
-                               points: int = SPECTRAL_POINTS) -> np.ndarray:
-    """F_h(x) = (1/2pi) int e^{-iux} psi2(u) fk(hu) du, real part."""
-    grid = _spectral_grid(h, points)
-    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return _real_part(inverse_fourier(spectrum, grid, x_arr))
-
-
 def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
                       points: int = SPECTRAL_POINTS):
-    """Jump density estimate nu_h(t) = -t^{-2} F_h(t) at t != 0."""
+    """Jump density estimate nu_h(t) = -t^{-2} F_h(t) at t != 0, where
+    F_h(t) = (1/2pi) int e^{-iut} psi2(u) fk(hu) du."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr == 0.0):
         raise InputError("density estimate is undefined at t = 0")
-    F = smoothed_inverse_transform(psi2, kernel, h, t_arr, points)
+    grid = _spectral_grid(h, points)
+    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
+    F = _real_part(inverse_fourier(spectrum, grid, t_arr))
     out = -F / (t_arr * t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -267,14 +261,6 @@ def distribution_estimate(psi2, kernel: SpectralKernel, h: float,
     band |u| <= 1/h, then tail_estimates."""
     grid = _spectral_grid(h, points)
     return tail_estimates(psi2(grid.u), grid, kernel, [h], x_max)[0]
-
-
-def distribution_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
-                           x_max: float = X_MAX_DEFAULT,
-                           points: int = SPECTRAL_POINTS):
-    """Tail function N_h(t) at the requested t (scalar or array)."""
-    est = distribution_estimate(psi2, kernel, h, x_max, points)
-    return est.eval(t)
 
 
 def quantile_from_distribution(dist: DistributionEstimate, tau: float,

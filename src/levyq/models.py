@@ -12,7 +12,8 @@ Poisson, and variance-gamma families are supported; the CGMY and VG
 exponents are closed-form, compound Poisson falls back to quadrature.
 
 The tail-intensity functions and their quantiles computed here serve as
-the reference truth for every estimator in the package.
+the reference truth for every estimator in the package; they are
+closed-form except for a compound-Poisson density given without a `tail`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exp1, gammaincc
 from scipy.special import gamma as _gamma_fn
 
 from .errors import InputError, NoSolutionError, NumericalError
@@ -43,7 +45,6 @@ __all__ = [
     "jump_second_moment",
     "tail_integral",
     "true_quantile",
-    "bowley_skewness",
 ]
 
 
@@ -83,12 +84,14 @@ class CompoundPoissonJumps:
     `density` maps jump size to intensity density (integrates to
     `total_mass` over the real line).  `jump_sampler(rng, size)`, when
     provided, draws jump sizes from the normalized law density/total_mass;
-    it is required by the exact path sampler.
+    it is required by the exact path sampler.  `tail`, when provided, maps
+    signed t != 0 to the tail intensity N(t) (see `tail_integral`).
     """
 
     density: Callable[[float], float]
     total_mass: float
     jump_sampler: Optional[Callable] = None
+    tail: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.total_mass > 0:
@@ -141,7 +144,11 @@ def exponential_jumps(intensity: float = 1.0, rate: float = 1.0) -> CompoundPois
     def sampler(rng, size):
         return rng.exponential(scale=1.0 / beta, size=size)
 
-    return CompoundPoissonJumps(density=density, total_mass=lam, jump_sampler=sampler)
+    def tail(t):
+        return lam * math.exp(-beta * t) if t > 0 else 0.0
+
+    return CompoundPoissonJumps(density=density, total_mass=lam,
+                                jump_sampler=sampler, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -420,10 +427,11 @@ def jump_mean(model_or_jumps) -> float:
 
 @dataclass(frozen=True)
 class TailIntegralOracle:
-    """Exact tail intensity N(t) of a jump measure, by adaptive quadrature.
+    """Exact tail intensity N(t) of a jump measure.
 
     N(t) = nu([t, infinity)) for t > 0 and nu((-infinity, t]) for t < 0:
     the expected number of jumps per unit time at least as extreme as t.
+    `tol` applies to the quadrature route of `tail_integral` only.
     """
 
     jumps: object
@@ -433,8 +441,24 @@ class TailIntegralOracle:
         return tail_integral(self, t)
 
 
+def _upper_gamma(a: float, z: float) -> float:
+    """Upper incomplete gamma Gamma(a, z) for z > 0, a > -2, a not in {0, -1}.
+
+    Negative a steps up by Gamma(a, z) = (Gamma(a+1, z) - z^a e^{-z}) / a.
+    """
+    if a > 0:
+        return gammaincc(a, z) * _gamma_fn(a)
+    return (_upper_gamma(a + 1.0, z) - z ** a * math.exp(-z)) / a
+
+
 def tail_integral(oracle, t: float) -> float:
-    """Tail intensity N(t) (see TailIntegralOracle), t != 0."""
+    """Tail intensity N(t) (see TailIntegralOracle), t != 0.
+
+    CGMY: C rate^Y Gamma(-Y, rate|t|) (Carr, Geman, Madan & Yor 2002), or
+    C|t|^{-Y}/Y at rate 0; variance gamma: E1(rate|t|)/kappa (Madan, Carr &
+    Chang 1998); rate M or G, resp. the tilt pair, by the side of t.
+    Compound Poisson: its `tail`, else quadrature of the density.
+    """
     if not isinstance(oracle, TailIntegralOracle):
         oracle = TailIntegralOracle(jumps=oracle)
     if t == 0:
@@ -442,11 +466,24 @@ def tail_integral(oracle, t: float) -> float:
     jumps, tol = oracle.jumps, oracle.tol
     if jumps is None:
         return 0.0
+    s = abs(t)
+    if isinstance(jumps, CGMYJumps):
+        rate, Y = (jumps.M if t > 0 else jumps.G), jumps.Y
+        if rate == 0:
+            if Y < 0:
+                raise InputError("tail intensity is infinite for Y < 0 "
+                                 "without tempering on that side")
+            return float(jumps.C * s ** -Y / Y)
+        return float(jumps.C * rate ** Y * _upper_gamma(-Y, rate * s))
+    if isinstance(jumps, VarianceGammaJumps):
+        left, right = jumps.tilt_pair
+        return float(exp1((right if t > 0 else left) * s) / jumps.variance_rate)
+    if isinstance(jumps, CompoundPoissonJumps) and jumps.tail is not None:
+        return float(jumps.tail(t))
 
     # integrate on the positive axis in both cases (mirror for t < 0) and
     # split at a midpoint so the near-origin intensity blow-up and the far
     # tail are handled by separate adaptive panels
-    s = abs(t)
     sign = 1.0 if t > 0 else -1.0
 
     def dens(y):
@@ -467,8 +504,6 @@ def true_quantile(oracle, tau: float, side: str) -> float:
     value is the positive jump magnitude in both cases.  Root found by
     bracket expansion plus bisection to absolute tolerance 1e-8.
     """
-    if not isinstance(oracle, TailIntegralOracle):
-        oracle = TailIntegralOracle(jumps=oracle)
     if tau <= 0:
         raise InputError("tau must be positive")
     if side not in ("+", "-"):
@@ -490,10 +525,3 @@ def true_quantile(oracle, tau: float, side: str) -> float:
         if hi > 1e7:
             raise NumericalError("failed to bracket the quantile from above")
     return bracketed_root(f, lo, hi, tol=1e-8)
-
-
-def bowley_skewness(oracle, tau: float) -> float:
-    """Quantile-based asymmetry |q^- - q^+| / (q^- + q^+) at level tau."""
-    qm = true_quantile(oracle, tau, "-")
-    qp = true_quantile(oracle, tau, "+")
-    return abs(qm - qp) / (qm + qp)

@@ -3,8 +3,8 @@
 Uniform symmetric frequency grids, discrete inverse Fourier transforms of
 band-limited spectra, and bracketed root finding.  Everything here is pure
 and deterministic, with no adaptive quadrature; scipy.integrate.quad runs
-in `models`, for the truth oracle (`true_quantile`, called by every
-run_mc_table and demo_direct) and the compound-Poisson exponent.
+in `models` for compound Poisson only: the exponent, its curvature,
+`jump_mean`, and the tail (`true_quantile`) of a density without `tail`.
 
 Fourier convention: the forward transform of f is F(u) = int e^{iux} f(x) dx,
 hence the inverse used throughout is (1/2pi) int e^{-iux} F(u) du.

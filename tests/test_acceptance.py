@@ -44,7 +44,7 @@ import pytest
 from levyq.adaptive import adaptive_quantile, build_grid, sigma_tilde
 from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
-from levyq.inversion import (density_from_psi2, distribution_from_psi2,
+from levyq.inversion import (density_from_psi2, distribution_estimate,
                              quantile_from_distribution, tail_estimates)
 from levyq.kernels import flat_top_kernel, verify_order
 from levyq.models import characteristic_exponent, exponent_curvature, true_quantile
@@ -282,10 +282,10 @@ def test_criterion_5_exact_identity_suite(bench_model):
     step = 1e-3
     fd_worst = 0.0
     for t in (0.4, 0.8, -0.4, -0.8):
-        hi = distribution_from_psi2(psi2_two_sided, kernel, 0.05, t + step,
-                                    x_max=5.0, points=2048)
-        lo = distribution_from_psi2(psi2_two_sided, kernel, 0.05, t - step,
-                                    x_max=5.0, points=2048)
+        hi = distribution_estimate(psi2_two_sided, kernel, 0.05, x_max=5.0,
+                                   points=2048).eval(t + step)
+        lo = distribution_estimate(psi2_two_sided, kernel, 0.05, x_max=5.0,
+                                   points=2048).eval(t - step)
         slope = (hi - lo) / (2.0 * step)
         dens = density_from_psi2(psi2_two_sided, kernel, 0.05, t,
                                  points=2048)

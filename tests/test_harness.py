@@ -28,6 +28,7 @@ import pytest
 from scipy.special import ndtri
 
 import levyq.harness
+import levyq.models
 from levyq.adaptive import build_grid, sigma_tilde
 from levyq.errors import ChainFormatError, InputError
 from levyq.harness import (
@@ -203,6 +204,17 @@ class TestMcTable:
         second = run_mc_table(cfg)
         assert first.to_csv() == second.to_csv()
         assert first.failures == 0
+
+    def test_no_quadrature_on_the_run_path(self, monkeypatch):
+        # the truth columns come from closed-form tails
+        def no_quad(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(levyq.models, "quad", no_quad)
+        assert run_mc_table(ExperimentConfig(**TINY_MC)).failures == 0
+        report = demo_direct(demo_config(n=1000, intensity=5.0))
+        assert all(row["truth"] is not None
+                   for row in report["results"] if row["side"] == "+")
 
     def test_seed_override_changes_noise(self):
         cfg = ExperimentConfig(**TINY_MC, mode="oracle")

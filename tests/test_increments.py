@@ -29,7 +29,6 @@ from levyq.increments import (
     _curvature_ratio,
     _ecf_all,
     _progression_block,
-    ecf_derivative,
     psi2_from_increments,
     read_increment_csv,
     write_increment_csv,
@@ -77,40 +76,40 @@ def test_hand_derivation_matches_quadrature_route():
         )
 
 
+def ecf_at(sample, u, k):
+    """k-th empirical cf derivative at the scalar frequency u."""
+    return _ecf_all(sample.values, np.array([u]))[k][0]
+
+
 class TestEcfDerivative:
     def test_mass_at_zero(self):
         s = IncrementSample(np.array([0.3, -1.2, 4.0]), delta=0.5)
-        assert ecf_derivative(s, 0.0, 0) == pytest.approx(1.0, abs=0)
+        assert ecf_at(s, 0.0, 0) == pytest.approx(1.0, abs=0)
 
     def test_two_point_cosine(self):
         s = IncrementSample(np.array([-1.0, 1.0]), delta=1.0)
-        assert abs(ecf_derivative(s, math.pi / 2.0, 0)) < 1e-12
+        assert abs(ecf_at(s, math.pi / 2.0, 0)) < 1e-12
 
     def test_second_derivative_at_zero(self):
         s = IncrementSample(np.array([-1.0, 1.0]), delta=1.0)
-        assert ecf_derivative(s, 0.0, 2) == pytest.approx(-1.0, abs=1e-15)
+        assert ecf_at(s, 0.0, 2) == pytest.approx(-1.0, abs=1e-15)
 
     def test_first_derivative_closed_form(self):
         # (1/n) sum iY e^{iuY} for a single point is i y e^{iuy}
         s = IncrementSample(np.array([0.7]), delta=1.0)
         u = 2.3
         expected = 1j * 0.7 * np.exp(1j * u * 0.7)
-        assert ecf_derivative(s, u, 1) == pytest.approx(expected, abs=1e-15)
+        assert ecf_at(s, u, 1) == pytest.approx(expected, abs=1e-15)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
         s = IncrementSample(rng.standard_normal(40), delta=0.2)
         u = np.array([-3.0, 0.0, 1.7, 9.2])
         for k in (0, 1, 2):
-            vec = ecf_derivative(s, u, k)
-            scal = np.array([ecf_derivative(s, float(x), k) for x in u])
+            vec = _ecf_all(s.values, u)[k]
+            scal = np.array([ecf_at(s, float(x), k) for x in u])
             # batched and single-point paths may differ by SIMD rounding
             np.testing.assert_allclose(vec, scal, atol=1e-15, rtol=1e-14)
-
-    def test_bad_order_rejected(self):
-        s = IncrementSample(np.array([1.0]), delta=1.0)
-        with pytest.raises(InputError):
-            ecf_derivative(s, 0.0, 3)
 
 
 def direct_ecf(values, u):
@@ -177,9 +176,9 @@ class TestBlockedEcf:
         s = IncrementSample(jumpy_values, delta=0.5)
         want = direct_ecf(jumpy_values, 2.3)
         for k in range(3):
-            got = ecf_derivative(s, 2.3, k)
-            assert np.ndim(got) == 0
-            assert abs(got - want[k, 0]) <= 1e-12 * abs(want[k, 0])
+            got = _ecf_all(s.values, np.array([2.3]))[k]
+            assert got.shape == (1,)
+            assert abs(got[0] - want[k, 0]) <= 1e-12 * abs(want[k, 0])
         u1 = np.array([-4.1])
         assert_matches_direct(_ecf_all(jumpy_values, u1), jumpy_values, u1)
         empty = np.array([])

@@ -29,9 +29,7 @@ from levyq.inversion import (
     QuantileEstimate,
     density_from_psi2,
     distribution_estimate,
-    distribution_from_psi2,
     quantile_from_distribution,
-    smoothed_inverse_transform,
     tail_estimates,
 )
 from levyq.kernels import flat_top_kernel
@@ -100,9 +98,9 @@ class TestDensity:
     def test_non_hermitian_curvature_caught(self):
         # constant imaginary spectrum violates psi2(-u) = conj(psi2(u))
         with pytest.raises(NumericalError):
-            smoothed_inverse_transform(
+            density_from_psi2(
                 lambda u: np.full(np.shape(u), 1j), FLAT, 0.1,
-                np.array([0.0, 0.7]))
+                np.array([0.05, 0.7]))
 
     def test_non_hermitian_curvature_caught_by_batched_builder(self):
         grid = FrequencyGrid(cutoff=20.0, points=1024)
@@ -126,6 +124,23 @@ class TestDistribution:
             np.testing.assert_allclose(est.eval(t), alone.eval(t),
                                        rtol=1e-12, atol=1e-14)
 
+    def test_nan_curvature_node_caught(self):
+        # NaN fails every comparison, so the imaginary-residual check alone
+        # passed it and the tail came out NaN
+        grid = FrequencyGrid(cutoff=20.0, points=1024)
+        psi2 = psi2_cp(grid.u)
+        psi2[300] = np.nan
+        with pytest.raises(NumericalError):
+            tail_estimates(psi2, grid, FLAT, [0.05, 0.1])
+
+        def psi2_with_nan(u):
+            out = psi2_cp(u)
+            out[out.size // 3] = np.nan
+            return out
+
+        with pytest.raises(NumericalError):
+            distribution_estimate(psi2_with_nan, FLAT, 0.05)
+
     def test_aliasing_grid_rejected(self):
         # spacing 200/255 exceeds pi / x_max: images of F_h would fold
         # into the tail nodes
@@ -133,7 +148,7 @@ class TestDistribution:
             distribution_estimate(psi2_cp, FLAT, 0.01, points=256)
 
     def test_cp_tail_at_one(self):
-        N = distribution_from_psi2(psi2_cp, FLAT, 0.05, 1.0)
+        N = distribution_estimate(psi2_cp, FLAT, 0.05).eval(1.0)
         assert N == pytest.approx(np.exp(-1.0), abs=2e-2)
 
     def test_vanishes_at_truncation(self):
@@ -152,7 +167,7 @@ class TestDistribution:
     def test_bias_monotone_in_bandwidth(self):
         # against the truncated truth; see module docstring for why
         truth = np.exp(-1.0) - np.exp(-5.0)
-        errs = [abs(distribution_from_psi2(psi2_cp, FLAT, h, 1.0) - truth)
+        errs = [abs(distribution_estimate(psi2_cp, FLAT, h).eval(1.0) - truth)
                 for h in (0.2, 0.1, 0.05)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -160,10 +175,10 @@ class TestDistribution:
         # adding a Brownian component perturbs the tail integral by at most
         # sigma^2 t^{-3} h C_K (smoothed-Dirac leakage bound)
         h, t = 0.1, 0.5
-        base = distribution_from_psi2(psi2_cp, FLAT, h, t)
+        base = distribution_estimate(psi2_cp, FLAT, h).eval(t)
         for sigma2 in (0.01, 0.04):
-            shifted = distribution_from_psi2(
-                lambda u, s=sigma2: psi2_cp(u) - s, FLAT, h, t)
+            shifted = distribution_estimate(
+                lambda u, s=sigma2: psi2_cp(u) - s, FLAT, h).eval(t)
             assert abs(shifted - base) <= sigma2 * t ** -3 * h * C_K
 
     def test_below_table_evaluation(self):

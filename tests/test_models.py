@@ -13,7 +13,6 @@ from levyq.models import (
     LevyModel,
     TailIntegralOracle,
     VarianceGammaJumps,
-    bowley_skewness,
     characteristic_exponent,
     exponent_curvature,
     exponential_jumps,
@@ -222,6 +221,13 @@ class TestTrueQuantile:
             true_quantile(oracle, 10.0, "+")
 
 
+def bowley_skewness(oracle, tau):
+    """Quantile-based asymmetry |q^- - q^+| / (q^- + q^+) at level tau."""
+    qm = true_quantile(oracle, tau, "-")
+    qp = true_quantile(oracle, tau, "+")
+    return abs(qm - qp) / (qm + qp)
+
+
 class TestBowleySkewness:
     def test_symmetric_measure_is_zero(self):
         jumps = CGMYJumps(C=1.0, G=6.0, M=6.0, Y=0.5)
@@ -232,6 +238,94 @@ class TestBowleySkewness:
             qm, qp = TRUE_QUANTILES[tau]
             assert bowley_skewness(bench_oracle, tau) == pytest.approx(
                 abs(qm - qp) / (qm + qp), abs=1e-5)
+
+
+def tail_by_quadrature(jumps, t):
+    """N(t) by adaptive quadrature of levy_density, to 1e-12 relative."""
+    s, sign = abs(t), math.copysign(1.0, t)
+
+    def dens(y):
+        return float(levy_density(jumps, sign * y))
+
+    mid = max(2.0 * s, 1.0)
+    return sum(quad(dens, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+               for lo, hi in ((s, mid), (mid, np.inf)))
+
+
+def quadrature_spec(jumps):
+    """The same measure as a compound-Poisson density without a `tail`.
+
+    tail_integral then takes its quadrature route, which was the route of
+    every family before the closed forms.  total_mass is a placeholder:
+    only the tail is queried.
+    """
+    return CompoundPoissonJumps(density=lambda x: levy_density(jumps, x),
+                                total_mass=1.0)
+
+
+CLOSED_FORM_YS = (-0.5, 0.2, 0.5, 0.9, 1.5, 1.8)
+TAIL_POINTS = np.geomspace(1e-3, 5.0, 25)
+
+
+def assert_tails_match_quadrature(jumps, rel=1e-10):
+    for t in np.concatenate([TAIL_POINTS, -TAIL_POINTS]):
+        want = tail_by_quadrature(jumps, t)
+        assert tail_integral(jumps, t) == pytest.approx(want, rel=rel, abs=0.0)
+
+
+class TestClosedFormTails:
+    @pytest.mark.parametrize("Y", CLOSED_FORM_YS)
+    def test_cgmy_matches_quadrature(self, Y):
+        assert_tails_match_quadrature(CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y))
+
+    def test_variance_gamma_matches_quadrature(self):
+        assert_tails_match_quadrature(
+            VarianceGammaJumps(scale=0.25, drift=-0.15, variance_rate=0.4))
+
+    def test_exponential_matches_quadrature(self):
+        jumps = exponential_jumps(5.0, 1.5)
+        assert_tails_match_quadrature(jumps)
+        assert tail_integral(jumps, -0.3) == 0.0
+        assert tail_integral(jumps, 0.4) == 5.0 * math.exp(-1.5 * 0.4)
+
+    @pytest.mark.parametrize("Y", (0.5, 1.5))
+    def test_untempered_side_is_stable_tail(self, Y):
+        # rate 0: N(t) = C |t|^{-Y} / Y on that side
+        jumps = CGMYJumps(C=0.7, G=0.0, M=0.0, Y=Y)
+        assert_tails_match_quadrature(jumps)
+        for t in (0.01, 0.3, 4.0):
+            assert tail_integral(jumps, -t) == pytest.approx(
+                0.7 * t ** -Y / Y, rel=1e-14)
+        tempered_right = CGMYJumps(C=0.7, G=0.0, M=3.0, Y=Y)
+        assert_tails_match_quadrature(tempered_right)
+
+    def test_untempered_finite_activity_tail_rejected(self):
+        # Y < 0 without tempering: the density is not integrable at infinity
+        jumps = CGMYJumps(C=1.0, G=5.0, M=0.0, Y=-0.5)
+        with pytest.raises(InputError):
+            tail_integral(jumps, 1.0)
+        assert np.isfinite(tail_integral(jumps, -1.0))
+
+    # The quadrature route warns near the bracket's lower end in the Y < 0
+    # cells that have no solution; only that reference route is affected.
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("jumps", [
+        *(CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y) for Y in CLOSED_FORM_YS),
+        exponential_jumps(5.0, 1.0),
+    ], ids=[*(f"cgmy-Y{Y}" for Y in CLOSED_FORM_YS), "cp-exp"])
+    def test_true_quantile_equals_quadrature_route(self, jumps):
+        # bitwise: the bisection takes the same branch at every step
+        sides = "+" if isinstance(jumps, CompoundPoissonJumps) else "-+"
+        reference = quadrature_spec(jumps)
+        for tau in sorted(TRUE_QUANTILES):
+            for side in sides:
+                try:
+                    want = true_quantile(reference, tau, side)
+                except NoSolutionError:
+                    with pytest.raises(NoSolutionError):
+                        true_quantile(jumps, tau, side)
+                    continue
+                assert true_quantile(jumps, tau, side) == want
 
 
 class TestMassAndDensity:
