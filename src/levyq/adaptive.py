@@ -318,8 +318,6 @@ class LepskiDiagnostics:
     """Full audit trail of one interval-intersection run."""
 
     records: tuple
-    chosen_h: float
-    chosen_q: float
     multiplier: float
 
     def to_json_rows(self) -> list:
@@ -387,10 +385,5 @@ def adaptive_quantile(bandwidths, quantiles, densities, sigmas, n: int,
             "no interval to intersect"
         )
     records[chosen_idx] = replace(records[chosen_idx], chosen=True)
-    diag = LepskiDiagnostics(
-        records=tuple(records),
-        chosen_h=float(hs[chosen_idx]),
-        chosen_q=float(qs[chosen_idx]),
-        multiplier=multiplier,
-    )
+    diag = LepskiDiagnostics(records=tuple(records), multiplier=multiplier)
     return float(hs[chosen_idx]), float(qs[chosen_idx]), diag

@@ -37,8 +37,9 @@ from scipy.special import ndtri
 from .adaptive import adaptive_quantile, build_grid, sigma_tilde
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
-from .inversion import (SPECTRAL_POINTS, X_MAX_DEFAULT, distribution_estimate,
-                        quantile_from_distribution, tail_estimates)
+from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
+                        distribution_estimate, quantile_from_distribution,
+                        tail_estimates)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, LevyModel, exponential_jumps,
                      martingale_drift, true_quantile)
@@ -88,9 +89,9 @@ class ExperimentConfig:
     the exact price), strike_mean / strike_variance (Gaussian quantile
     design of log-strikes).
 
-    Estimator keys: eta (smallest admissible threshold), kernel_c (flat-top
-    fraction), x_max (truncation of the jump domain), spectral_points
-    (frequency nodes, a power of two).
+    Estimator keys: eta (smallest admissible threshold, at least the first
+    tail node 0.004), kernel_c (flat-top fraction), x_max (truncation of
+    the jump domain), spectral_points (frequency nodes, a power of two).
 
     Bandwidth-selection keys: L (geometric grid ratio), delta (slack in the
     deviation-bound multiplier).
@@ -168,9 +169,9 @@ class ExperimentConfig:
                 f"kernel_c must lie strictly in (0, 1), got {self.kernel_c}")
         if not self.L > 1:
             raise InputError(f"L must exceed 1, got {self.L}")
-        if not self.x_max > self.eta:
-            raise InputError(
-                f"x_max = {self.x_max} must exceed eta = {self.eta}")
+        if not FIRST_TAIL_NODE <= self.eta < self.x_max:
+            raise InputError(f"eta = {self.eta} must lie in [first tail node "
+                             f"{FIRST_TAIL_NODE:g}, x_max = {self.x_max})")
         for name in ("n", "spectral_points", "replications", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -408,7 +409,7 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
         selection = None
         if adaptive:
             sign = 1.0 if cell[1] == "+" else -1.0
-            dens = [dists[j].eval.density(sign * qs[j])
+            dens = [dists[j].density(sign * qs[j])
                     for j in range(first, hs.size)]
             selection = _attempt(adaptive_quantile, hs[first:], qs[first:],
                                  dens, sigmas[cell], spectra.n_obs,

@@ -13,26 +13,29 @@ The pipeline shared by both observation schemes:
    fastest, uniform further out where the Nyquist limit of the band-limited
    transform binds), truncated at X = x_max where the integrand is
    negligible for tempered models.
-4. The tau-quantile of the tail function is the jump size t >= eta at which
-   N_h crosses tau, located by a geometric scan plus bisection, clamped to
-   the threshold eta when the tail never reaches tau.
+4. The tau-quantile is the paper's q = inf{t > 0 : N(t) <= tau} (a jump
+   beyond q is expected once in 1/tau time units) applied to the smallest
+   nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
+   the last crossing of tau, clamped to eta when N_h < tau throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import SpectralKernel
-from .numerics import FrequencyGrid, bracketed_root, inverse_fourier
+from .numerics import FrequencyGrid, inverse_fourier
 
 __all__ = [
     "DistributionEstimate",
     "QuantileEstimate",
     "X_MAX_DEFAULT",
+    "FIRST_TAIL_NODE",
     "density_from_psi2",
     "tail_nodes",
     "tail_estimates",
@@ -43,27 +46,83 @@ __all__ = [
 X_MAX_DEFAULT = 5.0
 # spectral nodes used when inverting a curvature estimate
 SPECTRAL_POINTS = 2 ** 13
-# quantile search: geometric scan resolution and bisection tolerance
-QUANTILE_GRID_POINTS = 400
-QUANTILE_TOL = 1e-6
-# composite spatial grid: geometric inner part, uniform outer part
+# composite spatial grid: geometric inner part, uniform outer part; no
+# tail is tabulated below FIRST_TAIL_NODE, so no threshold eta may lie there
+FIRST_TAIL_NODE = 0.004
 _NODE_SPLIT = 0.5
-_GEOM_LO = 0.004
 _GEOM_POINTS = 640
 _LINEAR_STEP = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionEstimate:
-    """Estimated tail function t != 0 -> intensity of jumps beyond t."""
+    """Tail function N_h (call it) and density nu_h (`density`) at one
+    bandwidth from the tables density_pos[i] = nu_h(nodes[i]) and
+    density_neg[i] = nu_h(-nodes[i]), nodes increasing to x_max = nodes[-1].
 
-    eval: object
+    The density is linear between nodes, so N_h(t) = int_t^{x_max} nu_h
+    (mirrored for t < 0) is quadratic there, continuous, and exactly 0 at
+    +-x_max.  `transform` gives F_h(x) = -x^2 nu_h(x) below the first node.
+    """
+
+    nodes: np.ndarray
+    density_pos: np.ndarray
+    density_neg: np.ndarray
     bandwidth: float
-    kernel: SpectralKernel
-    x_max: float = X_MAX_DEFAULT
+    transform: Callable
+
+    def __post_init__(self):
+        tables = {}
+        for sign, d in ((1, self.density_pos), (-1, self.density_neg)):
+            seg = 0.5 * np.diff(self.nodes) * (d[1:] + d[:-1])
+            tables[sign] = (d, np.concatenate([np.cumsum(seg[::-1])[::-1],
+                                               [0.0]]))
+        object.__setattr__(self, "_tables", tables)
+
+    def density(self, t):
+        """Tabulated density nu_h(t), linear between nodes."""
+        d, _ = self._tables[1 if t > 0 else -1]
+        return float(np.interp(abs(t), self.nodes, d))
+
+    def _one_side(self, s, sign):
+        nodes = self.nodes
+        d, cum = self._tables[sign]
+        out = np.empty(s.size)
+        inside = s <= nodes[-1]
+        out[~inside] = 0.0
+        si = s[inside]
+        if si.size:
+            idx = np.searchsorted(nodes, si, side="left")
+            below = si < nodes[0]
+            idx = np.clip(idx, 1, nodes.size - 1)
+            x_hi = nodes[idx]
+            frac = (x_hi - si) / (x_hi - nodes[idx - 1])
+            d_at = d[idx] + frac * (d[idx - 1] - d[idx])
+            vals = cum[idx] + 0.5 * (x_hi - si) * (d_at + d[idx])
+            if np.any(below):
+                vals[below] = cum[0] + np.array(
+                    [self._fresh_piece(t, sign) for t in si[below]]
+                )
+            out[inside] = vals
+        return out
+
+    def _fresh_piece(self, t, sign):
+        # rare path: t > 0 below the table; integrate [t, nodes[0]] directly
+        xs = np.geomspace(t, self.nodes[0], 33)
+        F = self.transform(sign * xs)
+        return float(np.trapezoid(-F / (xs * xs), xs))
 
     def __call__(self, t):
-        return self.eval(t)
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t_arr == 0.0):
+            raise InputError("tail estimate is undefined at t = 0")
+        out = np.empty(t_arr.size)
+        pos = t_arr > 0
+        if pos.any():
+            out[pos] = self._one_side(t_arr[pos], 1)
+        if (~pos).any():
+            out[~pos] = self._one_side(-t_arr[~pos], -1)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -121,7 +180,7 @@ def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
 
 
 def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
-    """Composite positive-axis quadrature nodes on [_GEOM_LO, x_max].
+    """Composite positive-axis quadrature nodes on [FIRST_TAIL_NODE, x_max].
 
     Geometric spacing up to _NODE_SPLIT resolves the x^{-2} weight near the
     origin; uniform _LINEAR_STEP spacing beyond keeps the oscillation of the
@@ -129,85 +188,12 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
     """
     if not x_max > _NODE_SPLIT:
         raise InputError(f"x_max must exceed {_NODE_SPLIT}, got {x_max}")
-    inner = np.geomspace(_GEOM_LO, _NODE_SPLIT, _GEOM_POINTS)
+    inner = np.geomspace(FIRST_TAIL_NODE, _NODE_SPLIT, _GEOM_POINTS)
     outer = np.arange(_NODE_SPLIT, x_max + 0.5 * _LINEAR_STEP, _LINEAR_STEP)
     nodes = np.unique(np.concatenate([inner, outer]))
     # land exactly on x_max so the cumulative table starts at 0 there
     nodes[-1] = x_max
     return nodes
-
-
-def _tail_table(nodes: np.ndarray, F_on_nodes: np.ndarray):
-    """Cumulative tail integrals of -x^{-2} F over [node_i, x_max].
-
-    Returns (integrand, cumulative) where integrand_i = -F_i / node_i^2 and
-    cumulative_i = int_{node_i}^{x_max} integrand dx by trapezoid.
-    """
-    d = -F_on_nodes / (nodes * nodes)
-    seg = 0.5 * np.diff(nodes) * (d[1:] + d[:-1])
-    cum = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    return d, cum
-
-
-class _TailEvaluator:
-    """Callable N_h(t) built from per-side node tables.
-
-    Between nodes the integrand is interpolated linearly, so the evaluator
-    is continuous, differentiable almost everywhere with derivative equal
-    to minus the (interpolated) density, and exactly 0 at +-x_max.
-    """
-
-    def __init__(self, nodes, d_pos, cum_pos, d_neg, cum_neg, transform):
-        self.nodes = nodes
-        self.tables = {1: (d_pos, cum_pos), -1: (d_neg, cum_neg)}
-        self._transform = transform  # F(x) for fresh nodes below the grid
-
-    def density(self, t):
-        """Tabulated density nu_h(t) = -t^{-2} F_h(t), linear between nodes."""
-        d, _ = self.tables[1 if t > 0 else -1]
-        return float(np.interp(abs(t), self.nodes, d))
-
-    def _one_side(self, s, sign):
-        nodes = self.nodes
-        d, cum = self.tables[sign]
-        out = np.empty(s.size)
-        inside = s <= nodes[-1]
-        out[~inside] = 0.0
-        si = s[inside]
-        if si.size:
-            idx = np.searchsorted(nodes, si, side="left")
-            below = si < nodes[0]
-            idx = np.clip(idx, 1, nodes.size - 1)
-            x_hi = nodes[idx]
-            frac = (x_hi - si) / (x_hi - nodes[idx - 1])
-            d_at = d[idx] + frac * (d[idx - 1] - d[idx])
-            vals = cum[idx] + 0.5 * (x_hi - si) * (d_at + d[idx])
-            if np.any(below):
-                vals[below] = cum[0] + np.array(
-                    [self._fresh_piece(t, sign) for t in si[below]]
-                )
-            out[inside] = vals
-        return out
-
-    def _fresh_piece(self, t, sign):
-        # rare path: t below the table; integrate [t, nodes[0]] directly
-        if not t > 0:
-            raise InputError("tail evaluation needs t != 0")
-        xs = np.geomspace(t, self.nodes[0], 33)
-        F = self._transform(sign * xs)
-        return float(np.trapezoid(-F / (xs * xs), xs))
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr == 0.0):
-            raise InputError("tail estimate is undefined at t = 0")
-        out = np.empty(t_arr.size)
-        pos = t_arr > 0
-        if pos.any():
-            out[pos] = self._one_side(t_arr[pos], 1)
-        if (~pos).any():
-            out[~pos] = self._one_side(-t_arr[~pos], -1)
-        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
@@ -245,12 +231,10 @@ def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
         def transform(x, column=columns[:, j]):
             return _real_part(inverse_fourier(column, grid, x))
 
-        d_pos, cum_pos = _tail_table(nodes, F_pos[:, j])
-        d_neg, cum_neg = _tail_table(nodes, F_neg[:, j])
-        evaluator = _TailEvaluator(nodes, d_pos, cum_pos, d_neg, cum_neg,
-                                   transform)
-        out.append(DistributionEstimate(eval=evaluator, bandwidth=float(h),
-                                        kernel=kernel, x_max=x_max))
+        out.append(DistributionEstimate(
+            nodes=nodes, density_pos=-F_pos[:, j] / (nodes * nodes),
+            density_neg=-F_neg[:, j] / (nodes * nodes), bandwidth=float(h),
+            transform=transform))
     return out
 
 
@@ -265,43 +249,50 @@ def distribution_estimate(psi2, kernel: SpectralKernel, h: float,
 
 def quantile_from_distribution(dist: DistributionEstimate, tau: float,
                                eta: float, side: str) -> QuantileEstimate:
-    """Jump size t in [eta, x_max] where the tail function crosses tau.
+    """The tau-quantile q = sup{t in [eta, x_max] : N_h(+-t) >= tau}.
 
-    Scans a geometric grid for sign changes of N_h(+-t) - tau, refines each
-    by bisection, and returns the candidate with the smallest residual
-    |N_h - tau| (ties broken toward the smallest t).  If the curve never
-    reaches tau the estimate clamps to eta with at_threshold=True.
+    On node interval i, in w = nodes[i+1] - t, N_h - tau = a w^2 + b w + c.
+    The last interval whose maximum (end values and interior vertex)
+    reaches tau holds q; N_h < tau at its right end, so q sits at the
+    smallest positive root, taken from the numerically stable form.  If
+    N_h < tau on all of [eta, x_max] the estimate clamps to eta with
+    at_threshold=True.  eta may not lie below the first tail node.
     """
     if not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
-    if not eta > 0:
-        raise InputError(f"eta must be positive, got {eta}")
     if side not in ("+", "-"):
         raise InputError(f"side must be '+' or '-', got {side!r}")
-    sign = 1.0 if side == "+" else -1.0
-    x_max = dist.x_max
-
-    def f(t):
-        return float(dist.eval(sign * t)) - tau
-
-    ts = np.geomspace(eta, x_max, QUANTILE_GRID_POINTS)
-    vals = np.asarray(dist.eval(sign * ts), dtype=float) - tau
-    crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    candidates = [float(ts[i]) for i in np.nonzero(vals == 0.0)[0]]
-    for i in crossings:
-        candidates.append(bracketed_root(f, float(ts[i]), float(ts[i + 1]),
-                                         tol=QUANTILE_TOL))
-    if not candidates:
-        if vals[0] < 0.0:
-            # tail never reaches tau: clamp to the threshold
-            return QuantileEstimate(value=eta, side=side, tau=tau,
-                                    bandwidth=dist.bandwidth, at_threshold=True)
-        # curve stays at or above tau on the whole scan: deterministic
-        # fallback to the grid argmin (residual, then smallest t)
-        best = int(np.lexsort((ts, np.abs(vals)))[0])
-        return QuantileEstimate(value=float(ts[best]), side=side, tau=tau,
-                                bandwidth=dist.bandwidth, at_threshold=False)
-    resid = [abs(f(c)) for c in candidates]
-    best = min(range(len(candidates)), key=lambda i: (resid[i], candidates[i]))
-    return QuantileEstimate(value=candidates[best], side=side, tau=tau,
-                            bandwidth=dist.bandwidth, at_threshold=False)
+    nodes = dist.nodes
+    if not eta >= nodes[0]:
+        raise InputError(
+            f"eta must be at least the first tail node {nodes[0]:g}, got {eta}")
+    d, cum = dist._tables[1 if side == "+" else -1]
+    # intervals from the one holding eta, the first cut at eta; the left
+    # end of a whole interval takes its table value, so c < 0 at k below
+    first = int(np.searchsorted(nodes, eta, side="right")) - 1
+    x_hi, step = nodes[first + 1:], np.diff(nodes[first:])
+    width = np.minimum(step, x_hi - eta)
+    a = 0.5 * (d[first:-1] - d[first + 1:]) / step
+    b, c = d[first + 1:], cum[first + 1:] - tau
+    vertex = np.clip(np.divide(-b, 2.0 * a, out=np.zeros_like(b),
+                               where=a < 0), 0.0, width)
+    left = np.where(width < step, (a * width + b) * width + c,
+                    cum[first:-1] - tau)
+    peak = np.maximum.reduce([c, left, (a * vertex + b) * vertex + c])
+    reach = np.nonzero(peak >= 0.0)[0]
+    if not reach.size:
+        return QuantileEstimate(value=eta, side=side, tau=tau,
+                                bandwidth=dist.bandwidth, at_threshold=True)
+    k = reach[-1]
+    # in v = w / width, scaled to a largest coefficient of 1 so that the
+    # discriminant neither overflows nor underflows
+    coef = np.array([a[k] * width[k] ** 2, b[k] * width[k], c[k]])
+    A, B, C = (float(x) for x in coef / np.max(np.abs(coef)))
+    root = math.sqrt(max(B * B - 4.0 * A * C, 0.0))
+    if B < 0:
+        v = (root - B) / (2.0 * A)
+    else:
+        v = -2.0 * C / (B + root) if B + root > 0 else 0.0
+    return QuantileEstimate(value=max(float(x_hi[k] - v * width[k]), eta),
+                            side=side, tau=tau, bandwidth=dist.bandwidth,
+                            at_threshold=False)

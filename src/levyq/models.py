@@ -19,11 +19,12 @@ closed-form except for a compound-Poisson density given without a `tail`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import exp1, gammaincc
 from scipy.special import gamma as _gamma_fn
 
@@ -481,19 +482,27 @@ def tail_integral(oracle, t: float) -> float:
     if isinstance(jumps, CompoundPoissonJumps) and jumps.tail is not None:
         return float(jumps.tail(t))
 
-    # integrate on the positive axis in both cases (mirror for t < 0) and
-    # split at a midpoint so the near-origin intensity blow-up and the far
-    # tail are handled by separate adaptive panels
+    # on the positive axis (mirrored for t < 0), the inner panel in log x,
+    # where a blow-up at the origin is smooth.  A quadrature warning or a
+    # negative tail would hand a wrong N(t) to true_quantile: both raise.
     sign = 1.0 if t > 0 else -1.0
 
     def dens(y):
         return levy_density(jumps, sign * y)
 
     mid = max(2.0 * s, 1.0)
-    val = quad(dens, s, mid, epsabs=tol, epsrel=tol, limit=400)[0]
-    val += quad(dens, mid, np.inf, epsabs=tol, epsrel=tol, limit=400)[0]
-    if not np.isfinite(val):
-        raise NumericalError(f"tail quadrature failed at t={t}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val = quad(lambda y: math.exp(y) * dens(math.exp(y)), math.log(s),
+                       math.log(mid), epsabs=tol, epsrel=tol, limit=400)[0]
+            val += quad(dens, mid, np.inf, epsabs=tol, epsrel=tol,
+                        limit=400)[0]
+        except IntegrationWarning as exc:
+            raise NumericalError(
+                f"tail quadrature failed at t={t}: {exc}") from exc
+    if not (np.isfinite(val) and val >= 0.0):
+        raise NumericalError(f"tail quadrature gave N({t}) = {val!r}")
     return float(val)
 
 

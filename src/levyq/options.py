@@ -517,7 +517,6 @@ class NoiseProfile:
     rho: object
     sup_norms: tuple
     l2_weighted: float
-    bandwidth: float
     density: object
 
 
@@ -551,7 +550,7 @@ def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
     )
     l2 = float(np.sqrt(np.trapezoid(weighted ** 2, grid)))
     return NoiseProfile(rho=rho, sup_norms=sup_norms, l2_weighted=l2,
-                        bandwidth=bandwidth, density=density)
+                        density=density)
 
 
 # ---------------------------------------------------------------------------

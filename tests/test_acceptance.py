@@ -283,9 +283,9 @@ def test_criterion_5_exact_identity_suite(bench_model):
     fd_worst = 0.0
     for t in (0.4, 0.8, -0.4, -0.8):
         hi = distribution_estimate(psi2_two_sided, kernel, 0.05, x_max=5.0,
-                                   points=2048).eval(t + step)
+                                   points=2048)(t + step)
         lo = distribution_estimate(psi2_two_sided, kernel, 0.05, x_max=5.0,
-                                   points=2048).eval(t - step)
+                                   points=2048)(t - step)
         slope = (hi - lo) / (2.0 * step)
         dens = density_from_psi2(psi2_two_sided, kernel, 0.05, t,
                                  points=2048)

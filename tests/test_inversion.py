@@ -31,6 +31,7 @@ from levyq.inversion import (
     distribution_estimate,
     quantile_from_distribution,
     tail_estimates,
+    tail_nodes,
 )
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid
@@ -121,7 +122,7 @@ class TestDistribution:
         t = np.array([-2.0, -0.3, 0.01, 0.4, 1.7])
         for est, h in zip(batch, hs):
             alone = tail_estimates(psi2_cp(grid.u), grid, FLAT, [h])[0]
-            np.testing.assert_allclose(est.eval(t), alone.eval(t),
+            np.testing.assert_allclose(est(t), alone(t),
                                        rtol=1e-12, atol=1e-14)
 
     def test_nan_curvature_node_caught(self):
@@ -148,26 +149,26 @@ class TestDistribution:
             distribution_estimate(psi2_cp, FLAT, 0.01, points=256)
 
     def test_cp_tail_at_one(self):
-        N = distribution_estimate(psi2_cp, FLAT, 0.05).eval(1.0)
+        N = distribution_estimate(psi2_cp, FLAT, 0.05)(1.0)
         assert N == pytest.approx(np.exp(-1.0), abs=2e-2)
 
     def test_vanishes_at_truncation(self):
         est = distribution_estimate(psi2_cp, FLAT, 0.05)
-        assert est.eval(5.0) == 0.0
-        assert est.eval(-5.0) == 0.0
-        assert est.eval(7.0) == 0.0  # beyond the table
+        assert est(5.0) == 0.0
+        assert est(-5.0) == 0.0
+        assert est(7.0) == 0.0  # beyond the table
 
     def test_derivative_is_minus_density(self):
         est = distribution_estimate(psi2_cp, FLAT, 0.05)
         eps = 1e-4
-        fd = (est.eval(0.5 + eps) - est.eval(0.5 - eps)) / (2.0 * eps)
+        fd = (est(0.5 + eps) - est(0.5 - eps)) / (2.0 * eps)
         dens = density_from_psi2(psi2_cp, FLAT, 0.05, 0.5)
         assert fd == pytest.approx(-dens, abs=1e-3)
 
     def test_bias_monotone_in_bandwidth(self):
         # against the truncated truth; see module docstring for why
         truth = np.exp(-1.0) - np.exp(-5.0)
-        errs = [abs(distribution_estimate(psi2_cp, FLAT, h).eval(1.0) - truth)
+        errs = [abs(distribution_estimate(psi2_cp, FLAT, h)(1.0) - truth)
                 for h in (0.2, 0.1, 0.05)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -175,31 +176,93 @@ class TestDistribution:
         # adding a Brownian component perturbs the tail integral by at most
         # sigma^2 t^{-3} h C_K (smoothed-Dirac leakage bound)
         h, t = 0.1, 0.5
-        base = distribution_estimate(psi2_cp, FLAT, h).eval(t)
+        base = distribution_estimate(psi2_cp, FLAT, h)(t)
         for sigma2 in (0.01, 0.04):
             shifted = distribution_estimate(
-                lambda u, s=sigma2: psi2_cp(u) - s, FLAT, h).eval(t)
+                lambda u, s=sigma2: psi2_cp(u) - s, FLAT, h)(t)
             assert abs(shifted - base) <= sigma2 * t ** -3 * h * C_K
 
     def test_below_table_evaluation(self):
         # t smaller than the smallest table node takes the fresh-nodes path
         est = distribution_estimate(psi2_cp, FLAT, 0.1)
-        lo = est.eval(0.002)
-        hi = est.eval(0.004)
+        lo = est(0.002)
+        hi = est(0.004)
         assert np.isfinite(lo) and lo > hi  # tail grows toward the origin
 
     def test_t_zero_rejected(self):
         est = distribution_estimate(psi2_cp, FLAT, 0.1)
         with pytest.raises(InputError):
-            est.eval(0.0)
+            est(0.0)
+
+
+def table_estimate(density, x_max=5.0, nodes=None, bandwidth=0.05):
+    """DistributionEstimate with the density tables `density` (a function of
+    |t|) on both sides of the tail nodes; F = -x^2 density below them."""
+    nodes = tail_nodes(x_max) if nodes is None else nodes
+    d = density(nodes)
+    return DistributionEstimate(
+        nodes=nodes, density_pos=d, density_neg=d, bandwidth=bandwidth,
+        transform=lambda x: -x * x * density(np.abs(x)))
+
+
+def dense_sample(nodes, eta, per_interval=64):
+    """eta, then per_interval points in every node interval above eta, and
+    x_max."""
+    frac = np.linspace(0.0, 1.0, per_interval + 1)[:-1]
+    ts = (nodes[:-1, None] + np.diff(nodes)[:, None] * frac).ravel()
+    return np.concatenate([[eta], ts[ts > eta], nodes[-1:]])
+
+
+def last_crossing_reference(dist, tau, eta, side):
+    """The last t in [eta, x_max] with N_h(t) >= tau, by a dense scan and
+    bisection of the bracketing sample interval; None when every sample
+    lies below tau."""
+    sign = 1.0 if side == "+" else -1.0
+    ts = dense_sample(dist.nodes, eta)
+    above = np.nonzero(dist(sign * ts) >= tau)[0]
+    if not above.size:
+        return None
+    lo, hi = ts[above[-1]], ts[above[-1] + 1]   # N_h(x_max) = 0 < tau
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dist(sign * mid) >= tau else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def tail_tables(draw):
+    """A random tail table, a level tau, a threshold eta and a side.
+
+    Densities may be negative or zero, so N_h can cross tau several times
+    or run flat; with `monotone` they are at least 1e-3, so N_h decreases
+    and its crossing moves by no more than rounding / 1e-3."""
+    size = draw(st.integers(min_value=2, max_value=24))
+    first = draw(st.floats(min_value=0.004, max_value=0.1))
+    steps = draw(st.lists(st.floats(min_value=0.005, max_value=0.5),
+                          min_size=size - 1, max_size=size - 1))
+    nodes = first + np.concatenate([[0.0], np.cumsum(steps)])
+    monotone = draw(st.booleans())
+    low = 1e-3 if monotone else -3.0
+    d_pos, d_neg = (np.array(draw(st.lists(
+        st.floats(min_value=low, max_value=5.0),
+        min_size=size, max_size=size))) for _ in range(2))
+    dist = DistributionEstimate(
+        nodes=nodes, density_pos=d_pos, density_neg=d_neg, bandwidth=0.1,
+        transform=lambda x: -x * x * np.interp(np.abs(x), nodes, d_pos))
+    side = draw(st.sampled_from("+-"))
+    sign = 1.0 if side == "+" else -1.0
+    peak = float(np.max(dist(sign * nodes)))
+    tau = draw(st.floats(min_value=0.02, max_value=1.3)) * (
+        peak if peak > 0 else 1.0)
+    eta = nodes[0] + draw(st.floats(min_value=0.0, max_value=0.95)) * (
+        nodes[-1] - nodes[0])
+    return dist, tau, eta, side, monotone
 
 
 class TestQuantile:
     def exact_exp_tail(self):
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            return np.exp(-np.abs(t))
-        return DistributionEstimate(eval=ev, bandwidth=0.05, kernel=FLAT)
+        # truncated at 30, where e^{-30} is far below every tolerance
+        return table_estimate(lambda t: np.exp(-t), x_max=30.0)
 
     def test_exact_tail_gives_log_two(self):
         q = quantile_from_distribution(self.exact_exp_tail(), 0.5, 0.02, "+")
@@ -228,20 +291,30 @@ class TestQuantile:
         q_p2 = quantile_from_distribution(e_mirr, 0.3, 0.02, "+")
         assert q_m2.value == q_p2.value
 
-    def test_multiple_crossings_prefer_smallest_t(self):
-        # tail wiggles through tau three times; residuals tie at ~0 so the
-        # smallest crossing wins
-        def wiggle(t):
-            t = np.abs(np.asarray(t, dtype=float))
-            out = np.where(t < 0.8, 1.0 - t,
-                           np.where(t < 1.3, 0.2 + (t - 0.8),
-                                    np.maximum(0.7 - (t - 1.3), 0.0)))
-            return out if out.ndim else float(out)
+    def test_multiple_crossings_take_the_last(self):
+        # N = 1 - t, then 0.2 + (t - 0.8), then 0.7 - (t - 1.3) down to 0
+        # at 2: tau = 0.5 is crossed at 0.5, 1.1 and 1.5.  A jump beyond
+        # 1.5 is expected less than once per 1/tau time units, beyond any
+        # t < 1.5 at least once, so q = 1.5.
+        nodes = tail_nodes()
 
-        dist = DistributionEstimate(eval=wiggle, bandwidth=0.1, kernel=FLAT)
+        def density(t):
+            d = np.select([t < 0.8, t < 1.3, t < 2.0], [1.0, -1.0, 1.0], 0.0)
+            # the mean of both sides at a jump node keeps the trapezoid
+            # sums of the piecewise-constant density exact
+            for jump, mean in ((0.8, 0.0), (1.3, 0.0), (2.0, 0.5)):
+                d[np.isclose(t, jump)] = mean
+            return d
+
+        dist = table_estimate(density, nodes=nodes, bandwidth=0.1)
+        for t, want in ((0.5, 0.5), (1.1, 0.5), (1.5, 0.5), (1.0, 0.4)):
+            assert dist(t) == pytest.approx(want, abs=1e-12)
         q = quantile_from_distribution(dist, 0.5, 0.02, "+")
-        assert q.value == pytest.approx(0.5, abs=1e-5)
+        assert q.value == pytest.approx(1.5, abs=1e-12)
         assert not q.at_threshold
+        # the hump in the middle tops out at 0.7: tau = 0.9 is crossed once
+        q = quantile_from_distribution(dist, 0.9, 0.02, "+")
+        assert q.value == pytest.approx(0.1, abs=1e-12)
 
     def test_validation(self):
         dist = self.exact_exp_tail()
@@ -249,6 +322,9 @@ class TestQuantile:
             quantile_from_distribution(dist, 0.0, 0.02, "+")
         with pytest.raises(InputError):
             quantile_from_distribution(dist, 0.5, 0.0, "+")
+        with pytest.raises(InputError):
+            # below the first tail node, where no table exists
+            quantile_from_distribution(dist, 0.5, 0.003, "+")
         with pytest.raises(InputError):
             quantile_from_distribution(dist, 0.5, 0.02, "up")
         with pytest.raises(InputError):
@@ -269,3 +345,25 @@ class TestQuantile:
     def test_value_never_below_threshold(self, tau):
         q = quantile_from_distribution(self.exact_exp_tail(), tau, 0.02, "+")
         assert q.value >= 0.02
+
+    @given(case=tail_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_last_crossing_on_random_tables(self, case):
+        dist, tau, eta, side, monotone = case
+        sign = 1.0 if side == "+" else -1.0
+        q = quantile_from_distribution(dist, tau, eta, side)
+        ts = dense_sample(dist.nodes, eta)
+        tail = dist(sign * ts)
+        rounding = 1e-12 * (1.0 + float(np.max(np.abs(tail))))
+        assert eta <= q.value <= dist.nodes[-1]
+        if q.at_threshold:
+            assert q.value == eta
+            assert np.max(tail) < tau
+        else:
+            assert dist(sign * q.value) == pytest.approx(tau, abs=rounding)
+            assert np.all(tail[ts > q.value] < tau + rounding)
+        if monotone:
+            want = last_crossing_reference(dist, tau, eta, side)
+            assert q.at_threshold == (want is None)
+            if want is not None:
+                assert q.value == pytest.approx(want, abs=5e-7)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levyq.errors import InputError, NoSolutionError
+from levyq.errors import InputError, NoSolutionError, NumericalError
 from levyq.models import (
     CGMYJumps,
     CompoundPoissonJumps,
@@ -306,9 +306,6 @@ class TestClosedFormTails:
             tail_integral(jumps, 1.0)
         assert np.isfinite(tail_integral(jumps, -1.0))
 
-    # The quadrature route warns near the bracket's lower end in the Y < 0
-    # cells that have no solution; only that reference route is affected.
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("jumps", [
         *(CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y) for Y in CLOSED_FORM_YS),
         exponential_jumps(5.0, 1.0),
@@ -326,6 +323,32 @@ class TestClosedFormTails:
                         true_quantile(jumps, tau, side)
                     continue
                 assert true_quantile(jumps, tau, side) == want
+
+
+class TestQuadratureRouteFailures:
+    """A density the quadrature cannot integrate must raise, not hand a
+    wrong N(t) to true_quantile.  Each test switches off the pytest filter
+    that turns an IntegrationWarning into an error, so it sees what a user
+    sees outside pytest."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_divergent_tail_raises(self):
+        # |x|^-0.5 on x > 0 has an infinite tail; quad returned N(1) = -2.0
+        jumps = CompoundPoissonJumps(
+            density=lambda x: x ** -0.5 if x > 0 else 0.0, total_mass=1.0)
+        with pytest.raises(NumericalError):
+            tail_integral(jumps, 1.0)
+        with pytest.raises(NumericalError):
+            true_quantile(jumps, 0.5, "+")
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_negative_tail_raises(self):
+        jumps = CompoundPoissonJumps(density=lambda x: -math.exp(-abs(x)),
+                                     total_mass=1.0)
+        with pytest.raises(NumericalError):
+            tail_integral(jumps, 1.0)
+        with pytest.raises(NumericalError):
+            true_quantile(jumps, 0.5, "-")
 
 
 class TestMassAndDensity:
