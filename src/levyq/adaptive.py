@@ -132,23 +132,20 @@ class BandwidthGrid:
 
 def _screen_statistic(spectra: ChainSpectra, n: int, cutoffs: np.ndarray) -> np.ndarray:
     """S(j) = (log10 n)^2 n^{-1/2} s_rho (int_{|u|<=1/h_j, trusted}
-    (1+u^4)/|phi~|^2 du)^{1/2}, trapezoid on the spectra grid.
+    (1+u^4)/|phi~|^2 du)^{1/2}, read at every cutoff off one prefix sum of
+    the grid weights times the even integrand on the trusted nodes.
 
     s_rho is the weighted L2 norm of the noise profile; with zero noise the
     statistic vanishes identically and the screen passes everywhere.
     """
     s_rho = spectra.noise_scale * math.sqrt(spectra.n_obs)
-    u = spectra.grid.u
-    with np.errstate(divide="ignore"):
-        base = np.where(
-            spectra.trusted, (1.0 + u ** 4) / np.abs(spectra.phi) ** 2, 0.0
-        )
+    trusted = spectra.trusted
+    u = spectra.grid.u[trusted]
+    terms = (spectra.grid.weights[trusted] * (1.0 + u ** 4)
+             / np.abs(spectra.phi[trusted]) ** 2)
+    prefix = np.concatenate([[0.0], np.cumsum(terms)])
     pref = math.log10(n) ** 2 / math.sqrt(n) * s_rho
-    out = np.empty(cutoffs.size)
-    for i, c in enumerate(cutoffs):
-        integrand = np.where(np.abs(u) <= c, base, 0.0)
-        out[i] = pref * math.sqrt(np.trapezoid(integrand, u))
-    return out
+    return pref * np.sqrt(prefix[np.searchsorted(u, cutoffs, side="right")])
 
 
 def build_grid(n: int, L: float, spectra: ChainSpectra | None = None,
@@ -224,7 +221,7 @@ def _masked_chis(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     t = np.array([qi if si == "+" else -qi for qi, si in zip(qs, sides)])
     T = spectra.maturity
     u_all = spectra.grid.u
-    mask = spectra.trusted & (np.abs(u_all) <= 1.0 / h)
+    mask = spectra.trusted & (u_all <= 1.0 / h)
     u = u_all[mask]
     fk = kernel(h * u)
     phi = spectra.phi[mask]  # trusted nodes, so bounded away from zero
@@ -254,7 +251,7 @@ def auxiliary_spectra(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     +-q to the k-th observable transform; each is a product of the tail
     weight spectrum, the kernel profile at scale h, and rational expressions
     in (phi~, psi~', psi~'').  The mask marks the integration domain
-    |u| <= 1/h intersected with the trust region; entries outside the mask
+    u <= 1/h intersected with the trust region; entries outside the mask
     are returned as zero (they never enter the deviation bound, and skipping
     them avoids evaluating the tail weight off the integration domain).
     An array of thresholds gives one row of each chi_k per threshold.
@@ -274,7 +271,7 @@ def sigma_tilde(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
 
     An array of thresholds gives an array from one pass over the h-only
-    factors.  Each norm is a trapezoid over the grid, zero off the mask.
+    factors.  Each norm sums the grid weights times the even |chi_k|^2.
     """
     mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
     if not mask.any():
@@ -282,13 +279,11 @@ def sigma_tilde(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
             f"trust region is empty on |u| <= {1.0 / h:.3g}; "
             "the noise guard dominates at this bandwidth"
         )
-    u = spectra.grid.u
+    weights = spectra.grid.weights[mask]
     pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.maturity)
-    power = np.zeros(u.size)
 
     def norm(chi):
-        power[mask] = np.abs(chi) ** 2
-        return math.sqrt(np.trapezoid(power, u))
+        return math.sqrt(weights @ (chi.real ** 2 + chi.imag ** 2))
 
     values = [pref * sum(s * norm(chi) for s, chi in zip(spectra.sup_norms, cell))
               for cell in cells]

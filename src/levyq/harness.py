@@ -38,8 +38,8 @@ from .adaptive import adaptive_quantile, build_grid, sigma_tilde
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
 from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
-                        distribution_estimate, quantile_from_distribution,
-                        tail_estimates)
+                        checked_tail_nodes, distribution_estimate,
+                        quantile_from_distribution, tail_estimates)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, LevyModel, exponential_jumps,
                      martingale_drift, true_quantile)
@@ -450,6 +450,9 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
             f"run_mc_table supports at most {_MC_MAX_QUOTES} quotes per "
             "chain (its master window [-n, n] stays finely resolved at the "
             "default node count); estimate_chain takes larger chains")
+    master = FrequencyGrid(cutoff=float(config.n),
+                           points=config.spectral_points)
+    checked_tail_nodes(master, config.x_max)  # else every replication fails
 
     model = pricing_model(config)
     truth = {}
@@ -467,8 +470,6 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
     exact = np.maximum(option_function(model, config.T, xs), 0.0)
     noise_sd = config.noise_fraction * exact
 
-    master = FrequencyGrid(cutoff=float(config.n),
-                           points=config.spectral_points)
     want_oracle = config.mode in ("oracle", "both")
     want_adaptive = config.mode in ("adaptive", "both")
     cells = _cells_for(config.taus)

@@ -70,7 +70,7 @@ class Psi2Estimate:
     """An estimated exponent curvature u -> psi2(u).
 
     `eval` is a pure vectorized function of frequency returning complex
-    values (Hermitian up to floating point).
+    values, evaluated on u > 0; the negative half is its conjugate.
     """
 
     eval: object

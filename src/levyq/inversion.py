@@ -38,6 +38,7 @@ __all__ = [
     "FIRST_TAIL_NODE",
     "density_from_psi2",
     "tail_nodes",
+    "checked_tail_nodes",
     "tail_estimates",
     "distribution_estimate",
     "quantile_from_distribution",
@@ -146,23 +147,11 @@ def _spectral_grid(h: float, points: int = SPECTRAL_POINTS) -> FrequencyGrid:
     return FrequencyGrid(cutoff=1.0 / h, points=points)
 
 
-def _real_part(values: np.ndarray) -> np.ndarray:
-    """Real part of inverted values, one column per spectrum.
-
-    The imaginary residual must vanish for Hermitian curvature input; a
-    large residual or a value that is not finite raises.
-    """
+def _finite(values: np.ndarray) -> np.ndarray:
+    """The inverted values, checked to be finite."""
     if not np.all(np.isfinite(values)):
         raise NumericalError("inverse transform of the curvature is not finite")
-    if values.size:
-        scale = np.maximum(1.0, np.max(np.abs(values.real), axis=0))
-        resid = np.max(np.abs(values.imag), axis=0)
-        if np.any(resid > 1e-6 * scale):
-            raise NumericalError(
-                f"inverse transform has imaginary residual "
-                f"{float(np.max(resid)):.3e}; curvature input is not Hermitian"
-            )
-    return values.real
+    return values
 
 
 def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
@@ -174,7 +163,7 @@ def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
         raise InputError("density estimate is undefined at t = 0")
     grid = _spectral_grid(h, points)
     spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
-    F = _real_part(inverse_fourier(spectrum, grid, t_arr))
+    F = _finite(inverse_fourier(spectrum, grid, t_arr))
     out = -F / (t_arr * t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -196,6 +185,18 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
     return nodes
 
 
+def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:
+    """tail_nodes(x_max), once the grid spacing is known to stay below
+    pi / x_max, so the periodic images of F_h miss [-x_max, x_max]."""
+    nodes = tail_nodes(x_max)
+    if not grid.spacing * x_max < math.pi:
+        raise InputError(
+            f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
+            f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
+            f"spectral points for a window of {grid.cutoff:g}")
+    return nodes
+
+
 def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
                    bandwidths, x_max: float = X_MAX_DEFAULT) -> list:
     """Tail-function estimates N_h for every bandwidth from one curvature table.
@@ -205,8 +206,8 @@ def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
     pass evaluates F_h at +-tail_nodes for all columns, and each column
     becomes one DistributionEstimate with its +- density tables.  The grid
     window should cover |u| < 1/h (the kernel's band): frequencies beyond
-    ``grid.cutoff`` are not integrated.  The node spacing must stay below
-    pi / x_max, or the periodic images of F_h alias into [-x_max, x_max].
+    ``grid.cutoff`` are not integrated.  The grid must not alias the tail
+    nodes (`checked_tail_nodes`).
     """
     hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
     if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
@@ -215,21 +216,16 @@ def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
     psi2 = np.asarray(psi2_values, dtype=complex)
     if psi2.shape != u.shape:
         raise InputError("curvature table must match the grid nodes")
-    if not grid.spacing * x_max < math.pi:
-        raise InputError(
-            f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
-            f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
-            f"spectral points for a window of {grid.cutoff:g}")
-    nodes = tail_nodes(x_max)
+    nodes = checked_tail_nodes(grid, x_max)
     columns = np.stack([psi2 * kernel.fk(h * u) for h in hs], axis=1)
-    F = _real_part(inverse_fourier(columns, grid,
-                                   np.concatenate([-nodes[::-1], nodes])))
+    F = _finite(inverse_fourier(columns, grid,
+                                np.concatenate([-nodes[::-1], nodes])))
     F_neg = F[nodes.size - 1 :: -1]   # F(-nodes[i])
     F_pos = F[nodes.size :]
     out = []
     for j, h in enumerate(hs):
         def transform(x, column=columns[:, j]):
-            return _real_part(inverse_fourier(column, grid, x))
+            return _finite(inverse_fourier(column, grid, x))
 
         out.append(DistributionEstimate(
             nodes=nodes, density_pos=-F_pos[:, j] / (nodes * nodes),

@@ -148,7 +148,7 @@ def verify_order(kernel: SpectralKernel, p: int, tol: float = 1e-6,
         raise InputError(f"moment order must be >= 0, got {p}")
     grid = FrequencyGrid(cutoff=1.0, points=_VERIFY_POINTS)
     x = np.arange(-_VERIFY_XMAX, _VERIFY_XMAX + 0.5 * _VERIFY_DX, _VERIFY_DX)
-    K = inverse_fourier(kernel.fk, grid, x).real
+    K = inverse_fourier(kernel.fk, grid, x)
     w = _window(x, _VERIFY_SCALE)
     residuals = {}
     failures = []

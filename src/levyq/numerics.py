@@ -8,6 +8,13 @@ in `models` for compound Poisson only: the exponent, its curvature,
 
 Fourier convention: the forward transform of f is F(u) = int e^{iux} f(x) dx,
 hence the inverse used throughout is (1/2pi) int e^{-iux} F(u) du.
+
+Half-grid convention: every spectrum formed here transforms a real object
+(option function, increment law, kernel, tail weight), so F(-u) = conj F(u).
+Spectra are tabulated on the positive nodes u > 0 of a symmetric grid only,
+the negative half is defined as the conjugate, each even integral is
+2 int_{u > 0} (the grid weights carry the 2), and an inverse transform is
+the real part of the half sum.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ def _is_power_of_two(m: int) -> bool:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Symmetric uniform grid on [-cutoff, cutoff].
+    """Positive half of a symmetric uniform grid on [-cutoff, cutoff].
 
     Parameters
     ----------
@@ -39,7 +46,7 @@ class FrequencyGrid:
         Half-width of the frequency window (the reciprocal bandwidth 1/h
         when used for kernel-smoothed inversion).
     points : int
-        Number of nodes, a power of two.
+        Nodes of the whole symmetric grid, a power of two; `u` holds half.
     offset : bool
         If True, use a midpoint (half-step-shifted) grid.  Both layouts
         omit u = 0; the offset layout additionally keeps every node at
@@ -54,6 +61,8 @@ class FrequencyGrid:
     nodes sit at cell midpoints ``(j + 1/2) * spacing`` for
     ``j = -points/2 .. points/2 - 1`` with ``spacing = 2 * cutoff / points``;
     weights are the midpoint rule, and the cell edges span the same window.
+    `u` and `weights` keep the nodes u > 0, each weight doubled, so
+    sum(weights * f) integrates an even f over the whole window.
     """
 
     cutoff: float
@@ -74,19 +83,18 @@ class FrequencyGrid:
 
     @property
     def u(self) -> np.ndarray:
-        """Node locations, symmetric about 0 and excluding 0."""
+        """The points / 2 positive nodes, increasing."""
+        half = self.points // 2
         if self.offset:
-            j = np.arange(self.points) - self.points // 2
-            return (j + 0.5) * self.spacing
-        return np.linspace(-self.cutoff, self.cutoff, self.points)
+            return (np.arange(half) + 0.5) * self.spacing
+        return np.linspace(-self.cutoff, self.cutoff, self.points)[half:]
 
     @property
     def weights(self) -> np.ndarray:
-        """Quadrature weights matching the node layout."""
-        w = np.full(self.points, self.spacing)
+        """Weights of the positive nodes for an even integrand."""
+        w = np.full(self.points // 2, 2.0 * self.spacing)
         if not self.offset:
-            w[0] *= 0.5
-            w[-1] *= 0.5
+            w[-1] = self.spacing
         return w
 
 
@@ -97,13 +105,13 @@ _CHUNK = 256
 
 
 def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
-    """Inverse Fourier transform of band-limited spectra.
+    """Inverse Fourier transform of band-limited Hermitian spectra.
 
-    Evaluates (1/2pi) * sum_j w_j e^{-i u_j x} g(u_j) at each target x,
-    where the u_j and w_j come from `grid`.  `spectrum` may be a callable
-    of the node array or an array aligned with ``grid.u``, either of shape
-    (N,) or (N, B) with one spectrum per column.  Returns complex values in
-    the order of the targets, of shape (K,) or (K, B).
+    Evaluates (1/2pi) Re sum_j w_j e^{-i u_j x} g(u_j), the whole symmetric
+    sum of g(-u) = conj g(u), at each target x from the positive nodes u_j
+    and weights w_j of `grid`.  `spectrum` may be a callable of the node
+    array or an array aligned with ``grid.u``, of shape (N,) or (N, B) with
+    one spectrum per column.  Returns real values of shape (K,) or (K, B).
 
     The uniform nodes are summed in blocks of _BLOCK, as in a blocked
     nonuniform DFT (Greengard & Lee, SIAM Rev. 2004): with block start u_a
@@ -124,13 +132,13 @@ def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
     wg = wg.transpose(1, 0, 2)
     columns = wg.shape[2]
     wg = wg.reshape(block, -1)
-    out = np.empty((x.size, columns), dtype=complex)
+    out = np.empty((x.size, columns))
     for lo in range(0, x.size, _CHUNK):
         xs = x[lo : lo + _CHUNK, None]
         inner = np.exp(-1j * xs * offsets) @ wg
         inner = inner.reshape(xs.shape[0], starts.size, columns)
         outer = np.exp(-1j * xs * starts)
-        out[lo : lo + _CHUNK] = (outer[:, None, :] @ inner)[:, 0, :]
+        out[lo : lo + _CHUNK] = (outer[:, None, :] @ inner)[:, 0, :].real
     out /= 2.0 * np.pi
     return out if g.ndim == 2 else out[:, 0]
 

@@ -234,7 +234,7 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     ref_shift = _reference_cf_shifted(_REFERENCE_VOL, maturity, u)
     spectrum = (ref_shift - phi_shift) / (u * (u - 1j))
     out = _brownian_reference(_REFERENCE_VOL, maturity, x_arr)
-    out += inverse_fourier(spectrum, grid, x_arr).real
+    out += inverse_fourier(spectrum, grid, x_arr)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -559,7 +559,7 @@ def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
 
 @dataclass(frozen=True, eq=False)
 class ChainSpectra:
-    """Everything the bandwidth selector needs, tabulated on one grid."""
+    """Everything the bandwidth selector needs, tabulated on ``grid.u``."""
 
     grid: FrequencyGrid
     maturity: float

@@ -33,6 +33,21 @@ PRINTED_QUANTILES = {
 }
 
 
+def hermitian_full_sum(g, grid, x):
+    """Reference inverse transform of half-grid data: the direct complex sum
+    (1/2pi) sum w e^{-iux} G over every node of the symmetric layout, where
+    G is the Hermitian extension of g (G(-u) = conj g(u)) and w are the
+    symmetric rule's weights, half of ``grid.weights``.  Forms the whole
+    targets x nodes phase matrix; complex output, one column per column of
+    g."""
+    u = np.concatenate([-grid.u[::-1], grid.u])
+    w = 0.5 * np.concatenate([grid.weights[::-1], grid.weights])
+    g = np.asarray(g)
+    full = np.concatenate([np.conj(g[::-1]), g])
+    phase = np.exp(-1j * np.outer(np.atleast_1d(x), u)) * w
+    return phase @ full / (2.0 * np.pi)
+
+
 @pytest.fixture(scope="session")
 def bench_jumps():
     return CGMYJumps(**BENCH)

@@ -10,6 +10,7 @@ shape, the 1/sqrt(2) scaling, and the interval-intersection fixtures.
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from scipy.special import exp1
 from levyq.adaptive import (
     BandwidthGrid,
     _e2,
+    _masked_chis,
+    _screen_statistic,
     adaptive_quantile,
     auxiliary_spectra,
     build_grid,
@@ -30,7 +33,7 @@ from levyq.adaptive import (
 from levyq.errors import EmptyGridError, InputError, NoSolutionError, NumericalError
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid
-from levyq.options import ChainSpectra, build_spline, compute_chain_spectra, generate_synthetic_chain, phi_tilde
+from levyq.options import ChainSpectra, _psi_all, build_spline, compute_chain_spectra, generate_synthetic_chain, phi_tilde
 
 RATE = 0.06
 MATURITY = 0.25
@@ -55,11 +58,15 @@ def synthetic_spectra(grid, phi_values, noise_scale, n_obs=100,
 
 
 @pytest.fixture(scope="module")
-def noisy_spectra(bench_model):
-    chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
-                                     STRIKE_LAW, seed=7)
+def noisy_chain(bench_model):
+    return generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
+                                    STRIKE_LAW, seed=7)
+
+
+@pytest.fixture(scope="module")
+def noisy_spectra(noisy_chain):
     grid = FrequencyGrid(cutoff=40.0, points=2 ** 12)
-    return compute_chain_spectra(chain, grid, degree=1)
+    return compute_chain_spectra(noisy_chain, grid, degree=1)
 
 
 def e2_reference(w):
@@ -161,6 +168,19 @@ class TestBuildGrid:
         assert np.all(np.diff(grid.s_values) <= 1e-12)
         assert np.all(grid.s_values >= 0)
 
+    def test_screen_matches_masked_sum(self, noisy_spectra):
+        # the prefix-sum reading against a masked weighted sum per cutoff;
+        # a cutoff on a node counts that node in, one below u_0 gives 0
+        u = noisy_spectra.grid.u
+        cutoffs = np.array([40.0, 7.3, u[100], 1e-3])
+        got = _screen_statistic(noisy_spectra, 100, cutoffs)
+        terms = np.where(noisy_spectra.trusted, noisy_spectra.grid.weights
+                         * (1.0 + u ** 4) / np.abs(noisy_spectra.phi) ** 2, 0.0)
+        pref = 4.0 / 10.0 * noisy_spectra.noise_scale * 10.0
+        want = [pref * math.sqrt(np.sum(terms[u <= c])) for c in cutoffs]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[-1] == 0.0
+
     def test_zero_noise_screen_passes_everywhere(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 50, 0.0,
                                          STRIKE_LAW, seed=1)
@@ -228,8 +248,9 @@ class TestSigmaTilde:
         kernel = flat_top_kernel()
         h, q = 0.1, 0.2
         chi0, chi1, chi2, mask = auxiliary_spectra(spectra, kernel, h, q, "+")
-        u = fgrid.u
-        got = math.sqrt(np.trapezoid(np.where(mask, np.abs(chi2) ** 2, 0.0), u))
+        # |chi_2|^2 is even: the weights of the positive nodes integrate it
+        # over the whole band
+        got = math.sqrt(np.sum(fgrid.weights[mask] * np.abs(chi2[mask]) ** 2))
         spline = build_spline(model_chain.xs, model_chain.prices, degree=1)
 
         def integrand(v):
@@ -256,6 +277,30 @@ class TestSigmaTilde:
             sigma_tilde(noisy_spectra, kernel, 0.02, -0.1, "+")
         with pytest.raises(InputError):
             sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "up")
+
+
+class TestHermitianFactors:
+    @given(u=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=12),
+           q=st.floats(0.02, 4.9), side=st.sampled_from("+-"))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_is_conjugate(self, noisy_chain, noisy_spectra, u, q, side):
+        # the chain spectra at +-u, as if both halves were tabulated
+        u = np.array(u)
+        both = np.concatenate([u, -u])
+        spline = build_spline(noisy_chain.xs, noisy_chain.prices, degree=1)
+        phi, trusted, psi1, psi2 = _psi_all(spline, MATURITY, both,
+                                            noisy_spectra.noise_scale)
+        spectra = dataclasses.replace(noisy_spectra, grid=SimpleNamespace(u=both),
+                                      phi=phi, psi1=psi1, psi2=psi2,
+                                      trusted=trusted)
+        h = 1.0 / (np.max(u) + 1.0)
+        mask, cells = _masked_chis(spectra, flat_top_kernel(), h, q, side, 5.0)
+        assert np.array_equal(mask[u.size :], mask[: u.size])
+        kept = np.count_nonzero(mask[: u.size])
+        for chi in next(cells):
+            np.testing.assert_allclose(
+                chi[kept:], np.conj(chi[:kept]), rtol=1e-12,
+                atol=1e-15 * max(np.max(np.abs(chi), initial=0.0), 1.0))
 
 
 class TestBatchedBound:

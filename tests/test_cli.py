@@ -124,6 +124,20 @@ class TestMcTableCommand:
             assert row[3] and row[5]            # oracle cells filled
             assert not row[4] and not row[6]    # adaptive cells blank
 
+    @pytest.mark.parametrize("line", ["x_max = 0.4", "spectral_points = 16"])
+    def test_config_no_replication_can_run(self, tmp_path, capsys, line):
+        # no tail nodes below x_max = 0.5, and a master window [-32, 32] on
+        # 16 points aliases the tail nodes: every replication would fail
+        # with the same message, so the run is refused before the first
+        cfg = tmp_path / "cannot.cfg"
+        key = line.split(" = ")[0]
+        cfg.write_text("".join(row + "\n" for row in MC_CFG.splitlines()
+                               if not row.startswith(key)) + line + "\n")
+        out = tmp_path / "t.csv"
+        code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+        assert_input_error(code, capsys)
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["mc-table", "--config", str(tmp_path / "no.cfg"),
                          "--out", str(tmp_path / "t.csv")])

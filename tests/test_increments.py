@@ -186,6 +186,23 @@ class TestBlockedEcf:
         assert psi2_from_increments(s)(empty).shape == (0,)
 
 
+class TestHermitianEcf:
+    @given(cutoff=st.floats(0.1, 300.0), k=st.integers(1, 10),
+           u=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_is_signed_conjugate(self, jumpy_values, cutoff, k, u):
+        # phi_k(-u) = (-1)^k conj phi_k(u), on a grid's positive nodes (the
+        # blocked sum) and on arbitrary frequencies (the direct sum)
+        for nodes in (FrequencyGrid(cutoff=cutoff, points=2 ** k).u,
+                      np.array(u)):
+            pos, neg = _ecf_all(jumpy_values, nodes), _ecf_all(jumpy_values, -nodes)
+            for order in range(3):
+                scale = np.mean(np.abs(jumpy_values) ** order)
+                np.testing.assert_allclose(
+                    neg[order], (-1) ** order * np.conj(pos[order]),
+                    rtol=0, atol=1e-12 * scale)
+
+
 class TestIncrementSample:
     def test_validation(self):
         with pytest.raises(InputError):

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import hermitian_full_sum
 from levyq.errors import InputError, NumericalError
 from levyq.inversion import (
     DistributionEstimate,
@@ -96,20 +97,30 @@ class TestDensity:
         with pytest.raises(InputError):
             density_from_psi2(psi2_cp, FLAT, -0.1, 1.0)
 
-    def test_non_hermitian_curvature_caught(self):
-        # constant imaginary spectrum violates psi2(-u) = conj(psi2(u))
-        with pytest.raises(NumericalError):
-            density_from_psi2(
-                lambda u: np.full(np.shape(u), 1j), FLAT, 0.1,
-                np.array([0.05, 0.7]))
+    def test_half_grid_curvature_read_as_hermitian(self):
+        # a constant imaginary psi2 on u > 0 stands for i sign(u) on the
+        # whole line, whose inverse transform is real and odd
+        t = np.array([0.05, 0.7])
+        got = density_from_psi2(lambda u: np.full(np.shape(u), 1j), FLAT,
+                                0.1, t)
+        grid = FrequencyGrid(cutoff=10.0, points=2 ** 13)
+        F = hermitian_full_sum(1j * FLAT.fk(0.1 * grid.u), grid, t)
+        assert np.max(np.abs(F.imag)) < 1e-12 * np.max(np.abs(F.real))
+        np.testing.assert_allclose(got, -F.real / t ** 2, rtol=1e-12)
 
-    def test_non_hermitian_curvature_caught_by_batched_builder(self):
+    def test_half_grid_curvature_read_as_hermitian_by_batched_builder(self):
         grid = FrequencyGrid(cutoff=20.0, points=1024)
         hermitian = psi2_cp(grid.u)
         hs = [0.05, 0.1, 0.2]
         assert [e.bandwidth for e in tail_estimates(hermitian, grid, FLAT, hs)] == hs
-        with pytest.raises(NumericalError):
-            tail_estimates(hermitian + 1j, grid, FLAT, hs)
+        shifted = tail_estimates(hermitian + 1j, grid, FLAT, hs)
+        nodes = tail_nodes()
+        for est, h in zip(shifted, hs):
+            column = (hermitian + 1j) * FLAT.fk(h * grid.u)
+            F = hermitian_full_sum(column, grid, np.concatenate([nodes, -nodes]))
+            want = -F.real / np.concatenate([nodes, nodes]) ** 2
+            got = np.concatenate([est.density_pos, est.density_neg])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDistribution:

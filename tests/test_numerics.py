@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hermitian_full_sum
 from levyq.errors import InputError, NoSolutionError
 from levyq.models import TailIntegralOracle, tail_integral
 from levyq.numerics import FrequencyGrid, bracketed_root, inverse_fourier
@@ -12,21 +13,29 @@ from levyq.numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
 class TestFrequencyGrid:
     def test_symmetric_about_zero(self):
+        # u holds the positive half of a layout symmetric about 0 that
+        # omits 0; mirrored, it is the whole symmetric grid
         for offset in (False, True):
             g = FrequencyGrid(cutoff=3.0, points=256, offset=offset)
             u = g.u
-            assert np.allclose(u + u[::-1], 0.0, atol=1e-14)
-            assert not np.any(u == 0.0)
+            assert u.size == 128 and np.all(u > 0)
+            full = np.concatenate([-u[::-1], u])
+            assert np.allclose(full + full[::-1], 0.0, atol=1e-14)
+            assert np.allclose(np.diff(full), g.spacing, rtol=1e-12)
 
     def test_span_relation(self):
         g = FrequencyGrid(cutoff=7.0, points=1024)
         assert g.spacing * (g.points - 1) == pytest.approx(2 * g.cutoff)
-        assert g.u[0] == -7.0 and g.u[-1] == 7.0
+        assert g.u[-1] == 7.0
+        assert g.u[0] == pytest.approx(g.spacing / 2, rel=1e-12)
+        # the same node values as the positive half of the symmetric layout
+        full = np.linspace(-7.0, 7.0, 1024)
+        assert np.array_equal(g.u, full[full > 0])
 
     def test_offset_is_midpoint_layout(self):
         g = FrequencyGrid(cutoff=1.0, points=8, offset=True)
         assert g.spacing == pytest.approx(0.25)
-        assert np.allclose(g.u, [-0.875, -0.625, -0.375, -0.125, 0.125, 0.375, 0.625, 0.875])
+        assert np.allclose(g.u, [0.125, 0.375, 0.625, 0.875])
         assert np.min(np.abs(g.u)) == pytest.approx(g.spacing / 2)
 
     def test_rejects_bad_parameters(self):
@@ -45,9 +54,10 @@ class TestFrequencyGrid:
     def test_grid_invariants_property(self, k, cutoff):
         g = FrequencyGrid(cutoff=cutoff, points=2 ** k)
         u = g.u
-        assert u.size == 2 ** k
+        assert u.size == 2 ** (k - 1) == g.weights.size
         assert np.all(np.diff(u) > 0)
-        assert np.allclose(u + u[::-1], 0.0, atol=1e-9 * cutoff)
+        assert u[0] > 0 and u[-1] == cutoff
+        assert u[0] == pytest.approx(g.spacing / 2, rel=1e-9)
 
 
 class TestInverseFourier:
@@ -73,10 +83,14 @@ class TestInverseFourier:
         assert np.allclose(combo, parts, rtol=0, atol=1e-14)
 
     def test_hermitian_spectrum_gives_real_output(self):
+        # e^{-u^2+iu} inverts to the shifted Gaussian e^{-(x-1)^2/4} / (2 sqrt(pi))
         g = FrequencyGrid(cutoff=8.0, points=1024)
-        spectrum = lambda u: np.exp(-u ** 2) * (np.cos(u) + 1j * np.sin(u))  # = e^{-u^2+iu}
-        out = inverse_fourier(spectrum, g, np.linspace(-3, 3, 21))
-        assert np.max(np.abs(out.imag)) < 1e-10 * np.max(np.abs(out.real))
+        spectrum = lambda u: np.exp(-u ** 2) * (np.cos(u) + 1j * np.sin(u))
+        x = np.linspace(-3, 3, 21)
+        out = inverse_fourier(spectrum, g, x)
+        assert out.dtype == np.float64
+        want = np.exp(-0.25 * (x - 1.0) ** 2) / (2.0 * math.sqrt(math.pi))
+        assert np.max(np.abs(out - want)) < 1e-10 * np.max(want)
 
     def test_grid_refinement_converges(self):
         x = np.linspace(-2, 2, 17)
@@ -96,12 +110,10 @@ class TestInverseFourier:
 
 
 class TestFactoredTransform:
-    """The blocked phase sum against the direct sum (1/2pi) sum w e^{-iux} g."""
+    """The blocked half sum of random (not Hermitian) half-grid data against
+    the direct complex sum over its Hermitian extension."""
 
-    @staticmethod
-    def direct(g, grid, x):
-        phase = np.exp(-1j * np.outer(x, grid.u)) * grid.weights
-        return phase @ g / (2.0 * math.pi)
+    direct = staticmethod(hermitian_full_sum)
 
     @staticmethod
     def max_rel(got, want):
@@ -112,7 +124,8 @@ class TestFactoredTransform:
     def test_matches_direct_sum(self, offset, points):
         rng = np.random.default_rng(points + offset)
         grid = FrequencyGrid(cutoff=0.05 * points, points=points, offset=offset)
-        g = rng.standard_normal((points, 3)) + 1j * rng.standard_normal((points, 3))
+        half = points // 2
+        g = rng.standard_normal((half, 3)) + 1j * rng.standard_normal((half, 3))
         x = rng.uniform(-5.0, 5.0, 300)
         want = self.direct(g, grid, x)
         batched = inverse_fourier(g, grid, x)
@@ -122,6 +135,19 @@ class TestFactoredTransform:
             single = inverse_fourier(g[:, col], grid, x)
             assert single.shape == (300,)
             assert self.max_rel(single, want[:, col]) <= 1e-12
+
+    @given(k=st.integers(min_value=1, max_value=11),
+           cutoff=st.floats(0.5, 200.0), offset=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_hermitian_extension_property(self, k, cutoff, offset, seed):
+        rng = np.random.default_rng(seed)
+        grid = FrequencyGrid(cutoff=cutoff, points=2 ** k, offset=offset)
+        g = (rng.standard_normal((grid.u.size, 2))
+             + 1j * rng.standard_normal((grid.u.size, 2)))
+        x = rng.uniform(-3.0, 3.0, 40)
+        want = self.direct(g, grid, x)
+        assert self.max_rel(inverse_fourier(g, grid, x), want) <= 1e-12
 
     def test_target_order_preserved(self):
         grid = FrequencyGrid(cutoff=40.0, points=2048, offset=True)
@@ -138,10 +164,11 @@ class TestFactoredTransform:
 
     def test_rejects_misaligned_spectrum(self):
         grid = FrequencyGrid(cutoff=1.0, points=64)
+        # 64 points hold 32 positive nodes
         with pytest.raises(InputError):
-            inverse_fourier(np.ones(32), grid, [0.0])
+            inverse_fourier(np.ones(64), grid, [0.0])
         with pytest.raises(InputError):
-            inverse_fourier(np.ones((64, 2, 2)), grid, [0.0])
+            inverse_fourier(np.ones((32, 2, 2)), grid, [0.0])
 
 
 class TestBracketedRoot:

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.special import ndtr, ndtri
 
@@ -39,7 +41,7 @@ from levyq.options import (
     weighted_spline_transform,
     write_chain_csv,
 )
-from levyq.options import _weighted_transforms
+from levyq.options import _psi_all, _weighted_transforms
 
 RATE = 0.06
 MATURITY = 0.25
@@ -656,3 +658,33 @@ class TestChainSpectra:
         assert spectra.noise_scale == 0.0
         assert spectra.sup_norms == (0.0, 0.0, 0.0)
         assert spectra.trusted.all()
+
+
+@pytest.fixture(scope="module")
+def noisy_chain(bench_model):
+    return generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
+                                    STRIKE_LAW, seed=7)
+
+
+class TestHermitianSpectra:
+    """Spectra are tabulated on u > 0 and their negative half is defined as
+    the conjugate; the closed forms must agree with that at -u."""
+
+    @given(u=st.lists(st.floats(1e-6, 500.0), min_size=1, max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_mirror_is_conjugate(self, noisy_chain, u):
+        u = np.array(u)
+        both = np.concatenate([u, -u])
+        spline = build_spline(noisy_chain.xs, noisy_chain.prices, degree=1)
+        f = _weighted_transforms(spline, both, (0, 1, 2))
+        for k in (0, 1, 2):
+            pos, neg = f[k][: u.size], f[k][u.size :]
+            np.testing.assert_allclose(neg, np.conj(pos), rtol=1e-12,
+                                       atol=1e-15 * np.max(np.abs(pos)))
+        noise_scale = (estimate_noise_profile(noisy_chain).l2_weighted
+                       / math.sqrt(noisy_chain.n))
+        _, trusted, _, psi2 = _psi_all(spline, MATURITY, both, noise_scale)
+        np.testing.assert_array_equal(trusted[u.size :], trusted[: u.size])
+        pos, neg = psi2[: u.size], psi2[u.size :]
+        np.testing.assert_allclose(neg, np.conj(pos), rtol=1e-12,
+                                   atol=1e-15 * max(np.max(np.abs(pos)), 1.0))
