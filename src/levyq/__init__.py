@@ -14,7 +14,6 @@ are included, along with a small CLI (`levyq`).
 
 from .errors import (
     ChainFormatError,
-    EmptyGridError,
     InputError,
     LevyqError,
     MartingaleError,
@@ -25,7 +24,6 @@ from .models import (
     CGMYJumps,
     CompoundPoissonJumps,
     LevyModel,
-    TailIntegralOracle,
     VarianceGammaJumps,
     characteristic_exponent,
     exponent_curvature,
@@ -66,11 +64,9 @@ from .options import (
     generate_synthetic_chain,
     option_function,
     option_psi2,
-    phi_tilde,
-    psi_tilde_derivatives,
     put_value,
     read_chain_csv,
-    weighted_spline_transform,
+    spline_spectra,
     write_chain_csv,
 )
 from .adaptive import (

@@ -26,9 +26,7 @@ On realistic desk-scale chains the screen fails at *every* grid bandwidth:
 the window of the smallest grid bandwidth already extends beyond the trust
 region, where the integrand saturates, and the saturated value exceeds 1
 by a wide margin (it would need n in the 1e60 range to pass).  build_grid
-therefore has two modes: strict raises the empty-grid error, permissive
-records infeasibility and keeps the full grid (j_min = 0), which is what
-the simulation harness uses.
+then records the infeasibility and keeps the full grid (j_min = 0).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import sici
 
-from .errors import EmptyGridError, InputError, NoSolutionError, NumericalError
+from .errors import InputError, NoSolutionError, NumericalError
 from .inversion import X_MAX_DEFAULT
 from .kernels import SpectralKernel
 from .options import ChainSpectra
@@ -118,7 +116,7 @@ class BandwidthGrid:
 
     s_values holds the screen statistic per index 0..j_max when a chain was
     supplied (None otherwise); feasible records whether the screen was
-    actually passed or the permissive fallback kept the full grid.
+    actually passed or the fallback kept the full grid.
     """
 
     n: int
@@ -148,16 +146,16 @@ def _screen_statistic(spectra: ChainSpectra, n: int, cutoffs: np.ndarray) -> np.
     return pref * np.sqrt(prefix[np.searchsorted(u, cutoffs, side="right")])
 
 
-def build_grid(n: int, L: float, spectra: ChainSpectra | None = None,
-               strict: bool = True) -> BandwidthGrid:
+def build_grid(n: int, L: float,
+               spectra: ChainSpectra | None = None) -> BandwidthGrid:
     """Bandwidth grid with the data-dependent lower cut.
 
     j_max is the smallest index with L^j / n >= (log10 n)^{-5}; j_min is the
     first index whose screen statistic S(j) is <= 1 (if S skips past the
     band [1/2, 1] in one step, that index still wins — only the upper bound
     controls consistency).  Without chain spectra the screen is skipped and
-    the full grid is returned.  strict=False downgrades an infeasible
-    screen from an error to a flag.
+    the full grid is returned.  If no bandwidth passes, the full grid is
+    kept and flagged feasible=False.
     """
     if n < 10:
         raise InputError(f"need n >= 10, got {n}")
@@ -179,13 +177,7 @@ def build_grid(n: int, L: float, spectra: ChainSpectra | None = None,
         passing = np.flatnonzero(s_values <= 1.0)
         if passing.size:
             j_min = int(passing[0])
-        elif strict:
-            raise EmptyGridError(
-                f"signal-to-noise screen fails at every bandwidth "
-                f"(min S = {s_values.min():.3g} > 1); no usable grid"
-            )
         else:
-            j_min = 0
             feasible = False
     return BandwidthGrid(n=n, L=L, j_min=j_min, j_max=j_max,
                          values=all_values[j_min:], s_values=s_values,

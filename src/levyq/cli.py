@@ -14,6 +14,7 @@ messages go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,7 +67,11 @@ def _json_text(payload: dict) -> str:
 
 def _run_mc_table(args) -> None:
     config = load_config(args.config)
-    table = run_mc_table(config, replications=args.reps, seed=args.seed)
+    if args.reps is not None:
+        config = dataclasses.replace(config, replications=args.reps)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    table = run_mc_table(config)
     out = Path(args.out)
     out.write_text(table.to_csv(), encoding="utf-8")
     used = table.replications - table.failures

@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
 Input-side problems (bad config, malformed data files) and numerical
-failures (empty grids, diverging integrals) are kept apart so the CLI
-can map them to distinct exit codes.
+failures (non-finite transforms, diverging integrals) are kept apart so
+the CLI can map them to distinct exit codes.
 """
 
 
@@ -30,10 +30,6 @@ class NumericalError(LevyqError):
 
 class NoSolutionError(NumericalError):
     """A root/quantile does not exist for the requested level."""
-
-
-class EmptyGridError(NumericalError):
-    """No bandwidth on the grid passes the frequency-trust test."""
 
 
 class MartingaleError(NumericalError):

@@ -420,8 +420,7 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
     return out
 
 
-def run_mc_table(config: ExperimentConfig, replications: int | None = None,
-                 seed: int | None = None) -> RmseTable:
+def run_mc_table(config: ExperimentConfig) -> RmseTable:
     """Replicated synthetic chains -> RMSE table against model truth.
 
     The strike design and exact prices are computed once; each replication
@@ -434,12 +433,6 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
     Failures (any estimation error in one replication cell) are excluded
     from the averages and counted in the returned table.
     """
-    reps = config.replications if replications is None else int(replications)
-    seed0 = config.seed if seed is None else int(seed)
-    if reps < 1:
-        raise InputError(f"replications must be at least 1, got {reps}")
-    if seed0 < 0:
-        raise InputError(f"seed must be nonnegative, got {seed0}")
     if config.kind == "brownian":
         raise InputError("the Monte Carlo table needs a jump component; "
                          "kind = brownian has none")
@@ -476,7 +469,7 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
     kept = {cell: [] for cell in cells}
     failures = []
 
-    children = np.random.SeedSequence(seed0).spawn(reps)
+    children = np.random.SeedSequence(config.seed).spawn(config.replications)
     for index, child in enumerate(children):
         rng = np.random.default_rng(child)
         noise = rng.standard_normal(config.n) * noise_sd
@@ -484,7 +477,7 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
             chain = OptionChain(maturity=config.T, rate=config.r, xs=xs,
                                 prices=exact + noise, noise_levels=noise_sd)
             spectra = compute_chain_spectra(chain, master, degree=1)
-            bw = build_grid(config.n, config.L, spectra, strict=False)
+            bw = build_grid(config.n, config.L, spectra)
             result = _chain_estimates(spectra, bw, kernel, config,
                                       config.taus, oracle=want_oracle,
                                       adaptive=want_adaptive)
@@ -527,7 +520,7 @@ def run_mc_table(config: ExperimentConfig, replications: int | None = None,
             rmse_oracle_plus=columns["+"][0],
             rmse_adaptive_plus=columns["+"][1],
         ))
-    return RmseTable(rows=tuple(rows), replications=reps,
+    return RmseTable(rows=tuple(rows), replications=config.replications,
                      failures=len(failures), failure_log=tuple(failures),
                      mode=config.mode)
 
@@ -562,7 +555,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     master = FrequencyGrid(cutoff=float(chain.n),
                            points=config.spectral_points)
     spectra = compute_chain_spectra(chain, master, degree=1)
-    bw = build_grid(chain.n, config.L, spectra, strict=False)
+    bw = build_grid(chain.n, config.L, spectra)
     cells = _chain_estimates(spectra, bw, kernel, config, taus,
                              oracle=False, adaptive=True)
 

@@ -12,7 +12,8 @@ The pipeline shared by both observation schemes:
    composite grid (geometric near the origin where the integrand varies
    fastest, uniform further out where the Nyquist limit of the band-limited
    transform binds), truncated at X = x_max where the integrand is
-   negligible for tempered models.
+   negligible for tempered models.  The grid starts at FIRST_TAIL_NODE,
+   and N_h is defined for |t| from there to x_max only.
 4. The tau-quantile is the paper's q = inf{t > 0 : N(t) <= tau} (a jump
    beyond q is expected once in 1/tau time units) applied to the smallest
    nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import InputError, NumericalError
@@ -63,14 +62,13 @@ class DistributionEstimate:
 
     The density is linear between nodes, so N_h(t) = int_t^{x_max} nu_h
     (mirrored for t < 0) is quadratic there, continuous, and exactly 0 at
-    +-x_max.  `transform` gives F_h(x) = -x^2 nu_h(x) below the first node.
+    +-x_max.  N_h is defined on first node <= |t| <= x_max and 0 beyond.
     """
 
     nodes: np.ndarray
     density_pos: np.ndarray
     density_neg: np.ndarray
     bandwidth: float
-    transform: Callable
 
     def __post_init__(self):
         tables = {}
@@ -94,29 +92,18 @@ class DistributionEstimate:
         si = s[inside]
         if si.size:
             idx = np.searchsorted(nodes, si, side="left")
-            below = si < nodes[0]
             idx = np.clip(idx, 1, nodes.size - 1)
             x_hi = nodes[idx]
             frac = (x_hi - si) / (x_hi - nodes[idx - 1])
             d_at = d[idx] + frac * (d[idx - 1] - d[idx])
-            vals = cum[idx] + 0.5 * (x_hi - si) * (d_at + d[idx])
-            if np.any(below):
-                vals[below] = cum[0] + np.array(
-                    [self._fresh_piece(t, sign) for t in si[below]]
-                )
-            out[inside] = vals
+            out[inside] = cum[idx] + 0.5 * (x_hi - si) * (d_at + d[idx])
         return out
-
-    def _fresh_piece(self, t, sign):
-        # rare path: t > 0 below the table; integrate [t, nodes[0]] directly
-        xs = np.geomspace(t, self.nodes[0], 33)
-        F = self.transform(sign * xs)
-        return float(np.trapezoid(-F / (xs * xs), xs))
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr == 0.0):
-            raise InputError("tail estimate is undefined at t = 0")
+        if not np.all(np.abs(t_arr) >= self.nodes[0]):
+            raise InputError(f"|t| must be at least the first tail node "
+                             f"{self.nodes[0]:g}, got {t}")
         out = np.empty(t_arr.size)
         pos = t_arr > 0
         if pos.any():
@@ -131,14 +118,7 @@ class QuantileEstimate:
     """Location where the estimated tail function crosses level tau."""
 
     value: float
-    side: str
-    tau: float
-    bandwidth: float
     at_threshold: bool
-
-    def __post_init__(self):
-        if self.side not in ("+", "-"):
-            raise InputError(f"side must be '+' or '-', got {self.side!r}")
 
 
 def _spectral_grid(h: float, points: int = SPECTRAL_POINTS) -> FrequencyGrid:
@@ -188,13 +168,12 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
 def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:
     """tail_nodes(x_max), once the grid spacing is known to stay below
     pi / x_max, so the periodic images of F_h miss [-x_max, x_max]."""
-    nodes = tail_nodes(x_max)
     if not grid.spacing * x_max < math.pi:
         raise InputError(
             f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
             f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
             f"spectral points for a window of {grid.cutoff:g}")
-    return nodes
+    return tail_nodes(x_max)
 
 
 def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
@@ -222,16 +201,10 @@ def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
                                 np.concatenate([-nodes[::-1], nodes])))
     F_neg = F[nodes.size - 1 :: -1]   # F(-nodes[i])
     F_pos = F[nodes.size :]
-    out = []
-    for j, h in enumerate(hs):
-        def transform(x, column=columns[:, j]):
-            return _finite(inverse_fourier(column, grid, x))
-
-        out.append(DistributionEstimate(
-            nodes=nodes, density_pos=-F_pos[:, j] / (nodes * nodes),
-            density_neg=-F_neg[:, j] / (nodes * nodes), bandwidth=float(h),
-            transform=transform))
-    return out
+    return [DistributionEstimate(
+                nodes=nodes, density_pos=-F_pos[:, j] / (nodes * nodes),
+                density_neg=-F_neg[:, j] / (nodes * nodes), bandwidth=float(h))
+            for j, h in enumerate(hs)]
 
 
 def distribution_estimate(psi2, kernel: SpectralKernel, h: float,
@@ -277,8 +250,7 @@ def quantile_from_distribution(dist: DistributionEstimate, tau: float,
     peak = np.maximum.reduce([c, left, (a * vertex + b) * vertex + c])
     reach = np.nonzero(peak >= 0.0)[0]
     if not reach.size:
-        return QuantileEstimate(value=eta, side=side, tau=tau,
-                                bandwidth=dist.bandwidth, at_threshold=True)
+        return QuantileEstimate(value=eta, at_threshold=True)
     k = reach[-1]
     # in v = w / width, scaled to a largest coefficient of 1 so that the
     # discriminant neither overflows nor underflows
@@ -290,5 +262,4 @@ def quantile_from_distribution(dist: DistributionEstimate, tau: float,
     else:
         v = -2.0 * C / (B + root) if B + root > 0 else 0.0
     return QuantileEstimate(value=max(float(x_hi[k] - v * width[k]), eta),
-                            side=side, tau=tau, bandwidth=dist.bandwidth,
                             at_threshold=False)

@@ -36,7 +36,6 @@ __all__ = [
     "CompoundPoissonJumps",
     "VarianceGammaJumps",
     "LevyModel",
-    "TailIntegralOracle",
     "exponential_jumps",
     "characteristic_exponent",
     "exponent_curvature",
@@ -426,20 +425,8 @@ def jump_mean(model_or_jumps) -> float:
 # tail integrals and generalized quantiles (the ground-truth oracle)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailIntegralOracle:
-    """Exact tail intensity N(t) of a jump measure.
-
-    N(t) = nu([t, infinity)) for t > 0 and nu((-infinity, t]) for t < 0:
-    the expected number of jumps per unit time at least as extreme as t.
-    `tol` applies to the quadrature route of `tail_integral` only.
-    """
-
-    jumps: object
-    tol: float = 1e-10
-
-    def eval(self, t: float) -> float:
-        return tail_integral(self, t)
+# absolute and relative tolerance of the tail quadrature route
+_TAIL_QUAD_TOL = 1e-10
 
 
 def _upper_gamma(a: float, z: float) -> float:
@@ -452,19 +439,18 @@ def _upper_gamma(a: float, z: float) -> float:
     return (_upper_gamma(a + 1.0, z) - z ** a * math.exp(-z)) / a
 
 
-def tail_integral(oracle, t: float) -> float:
-    """Tail intensity N(t) (see TailIntegralOracle), t != 0.
+def tail_integral(jumps, t: float) -> float:
+    """Exact tail intensity N(t) of a jump measure, t != 0.
 
+    N(t) = nu([t, infinity)) for t > 0 and nu((-infinity, t]) for t < 0:
+    the expected number of jumps per unit time at least as extreme as t.
     CGMY: C rate^Y Gamma(-Y, rate|t|) (Carr, Geman, Madan & Yor 2002), or
     C|t|^{-Y}/Y at rate 0; variance gamma: E1(rate|t|)/kappa (Madan, Carr &
     Chang 1998); rate M or G, resp. the tilt pair, by the side of t.
     Compound Poisson: its `tail`, else quadrature of the density.
     """
-    if not isinstance(oracle, TailIntegralOracle):
-        oracle = TailIntegralOracle(jumps=oracle)
     if t == 0:
         raise InputError("t must be nonzero")
-    jumps, tol = oracle.jumps, oracle.tol
     if jumps is None:
         return 0.0
     s = abs(t)
@@ -495,9 +481,10 @@ def tail_integral(oracle, t: float) -> float:
         warnings.simplefilter("error", IntegrationWarning)
         try:
             val = quad(lambda y: math.exp(y) * dens(math.exp(y)), math.log(s),
-                       math.log(mid), epsabs=tol, epsrel=tol, limit=400)[0]
-            val += quad(dens, mid, np.inf, epsabs=tol, epsrel=tol,
-                        limit=400)[0]
+                       math.log(mid), epsabs=_TAIL_QUAD_TOL,
+                       epsrel=_TAIL_QUAD_TOL, limit=400)[0]
+            val += quad(dens, mid, np.inf, epsabs=_TAIL_QUAD_TOL,
+                        epsrel=_TAIL_QUAD_TOL, limit=400)[0]
         except IntegrationWarning as exc:
             raise NumericalError(
                 f"tail quadrature failed at t={t}: {exc}") from exc
@@ -506,7 +493,7 @@ def tail_integral(oracle, t: float) -> float:
     return float(val)
 
 
-def true_quantile(oracle, tau: float, side: str) -> float:
+def true_quantile(jumps, tau: float, side: str) -> float:
     """Generalized tau-quantile magnitude: the t > 0 with N(sign * t) = tau.
 
     side "+" looks at the right tail, side "-" at the left; the returned
@@ -520,7 +507,7 @@ def true_quantile(oracle, tau: float, side: str) -> float:
     sgn = 1.0 if side == "+" else -1.0
 
     def f(t):
-        return tail_integral(oracle, sgn * t) - tau
+        return tail_integral(jumps, sgn * t) - tau
 
     lo = 1e-4
     while f(lo) <= 0.0:

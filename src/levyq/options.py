@@ -46,7 +46,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import ndtri
 
-from .errors import ChainFormatError, InputError, MartingaleError
+from .errors import ChainFormatError, InputError, MartingaleError, NumericalError
 from .increments import Psi2Estimate
 from .models import LevyModel, characteristic_exponent
 from .numerics import FrequencyGrid, inverse_fourier
@@ -61,9 +61,7 @@ __all__ = [
     "put_value",
     "generate_synthetic_chain",
     "build_spline",
-    "weighted_spline_transform",
-    "phi_tilde",
-    "psi_tilde_derivatives",
+    "spline_spectra",
     "option_psi2",
     "estimate_noise_profile",
     "compute_chain_spectra",
@@ -217,7 +215,8 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
 
     Inverts (1 - phi_T(u-i)) / (u(u-i)) on a half-step-offset frequency
     grid, after subtracting the analytically known spectrum of a reference
-    diffusion so the integrand decays fast.  Values are not floored at 0.
+    diffusion so the integrand decays fast.  Values are not floored at 0;
+    a non-finite value (the reference overflows far out) raises.
     """
     if not maturity > 0:
         raise InputError(f"maturity must be positive, got {maturity}")
@@ -233,8 +232,12 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     phi_shift = np.exp(maturity * characteristic_exponent(model, u - 1j))
     ref_shift = _reference_cf_shifted(_REFERENCE_VOL, maturity, u)
     spectrum = (ref_shift - phi_shift) / (u * (u - 1j))
-    out = _brownian_reference(_REFERENCE_VOL, maturity, x_arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = _brownian_reference(_REFERENCE_VOL, maturity, x_arr)
     out += inverse_fourier(spectrum, grid, x_arr)
+    if not np.all(np.isfinite(out)):
+        bad = x_arr[~np.isfinite(out)][0]
+        raise NumericalError(f"option function is not finite at x = {bad:.3g}")
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out
@@ -421,38 +424,21 @@ def _weighted_transforms(spline: SplineOptionFunction, u: np.ndarray, ks) -> dic
     return out
 
 
-def weighted_spline_transform(spline: SplineOptionFunction, k: int, u):
-    """F_k(u) = int x^k O~(x) e^{(iu-1)x} dx, exact for the interpolant."""
-    if k not in (0, 1, 2):
-        raise InputError(f"k must be 0, 1 or 2, got {k}")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    vals = _weighted_transforms(spline, u_arr, (k,))[k]
-    if np.ndim(u) == 0:
-        return complex(vals[0])
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # spectral estimators
 
 
-def phi_tilde(spline: SplineOptionFunction, u):
-    """Reconstructed characteristic function 1 - u(u+i) F_0(u)."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    f0 = _weighted_transforms(spline, u_arr, (0,))[0]
-    vals = 1.0 - u_arr * (u_arr + 1j) * f0
-    if np.ndim(u) == 0:
-        return complex(vals[0])
-    return vals
-
-
-def _psi_all(spline: SplineOptionFunction, maturity: float, u: np.ndarray,
-             noise_scale: float):
+def spline_spectra(spline: SplineOptionFunction, maturity: float, u: np.ndarray,
+                   noise_scale: float = 0.0):
     """(phi~, trusted, psi~', psi~'') on an array of frequencies.
 
     trusted marks |phi~(u)| >= (1+|u|)^2 * noise_scale (and phi~ != 0);
-    both derivative arrays are zeroed outside it.
+    both derivative arrays are zeroed outside it.  noise_scale is the
+    amplitude of the trust guard (0 disables it except for exact zeros of
+    phi~); pass ||e^{-x} rho|| / sqrt(n) for noisy data.
     """
+    if not maturity > 0:
+        raise InputError(f"maturity must be positive, got {maturity}")
     f = _weighted_transforms(spline, u, (0, 1, 2))
     f0, f1, f2 = f[0], f[1], f[2]
     phi = 1.0 - u * (u + 1j) * f0
@@ -467,29 +453,13 @@ def _psi_all(spline: SplineOptionFunction, maturity: float, u: np.ndarray,
     return phi, trusted, psi1, psi2
 
 
-def psi_tilde_derivatives(spline: SplineOptionFunction, maturity: float, u,
-                          noise_scale: float = 0.0):
-    """First and second derivatives of the reconstructed exponent.
-
-    noise_scale is the amplitude of the trust guard (0 disables it except
-    for exact zeros of phi~); pass ||e^{-x} rho|| / sqrt(n) for noisy data.
-    """
-    if not maturity > 0:
-        raise InputError(f"maturity must be positive, got {maturity}")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    _, _, psi1, psi2 = _psi_all(spline, maturity, u_arr, noise_scale)
-    if np.ndim(u) == 0:
-        return complex(psi1[0]), complex(psi2[0])
-    return psi1, psi2
-
-
 def option_psi2(spline: SplineOptionFunction, maturity: float,
                 noise_scale: float = 0.0) -> Psi2Estimate:
     """Package the curvature estimator for the inversion pipeline."""
 
     def evaluate(u):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        _, _, _, psi2 = _psi_all(spline, maturity, u_arr, noise_scale)
+        _, _, _, psi2 = spline_spectra(spline, maturity, u_arr, noise_scale)
         if np.ndim(u) == 0:
             return complex(psi2[0])
         return psi2
@@ -583,7 +553,8 @@ def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid,
     else:
         sup_norms = (0.0, 0.0, 0.0)
         noise_scale = 0.0
-    phi, trusted, psi1, psi2 = _psi_all(spline, chain.maturity, grid.u, noise_scale)
+    phi, trusted, psi1, psi2 = spline_spectra(spline, chain.maturity, grid.u,
+                                              noise_scale)
     return ChainSpectra(
         grid=grid,
         maturity=chain.maturity,

@@ -101,7 +101,12 @@ def _sample_compound_poisson(rng, model, delta, n):
         )
     lam = jumps.total_mass
     # fixed draw order (counts, diffusion, jump sizes) for reproducibility
-    counts = rng.poisson(lam * delta, size=n)
+    try:
+        counts = rng.poisson(lam * delta, size=n)
+    except ValueError as exc:
+        raise InputError(
+            f"cannot draw Poisson jump counts at intensity * increment_delta "
+            f"= {lam * delta:.3g} ({exc})") from None
     z = rng.standard_normal(n)
     total = int(counts.sum())
     sums = np.zeros(n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyq.models import CGMYJumps, LevyModel, TailIntegralOracle, martingale_drift
+from levyq.models import CGMYJumps, LevyModel, martingale_drift
 
 # Benchmark tempered-stable measure used across the test suite, together
 # with the frozen ground-truth quantile magnitudes: exact roots of
@@ -51,11 +51,6 @@ def hermitian_full_sum(g, grid, x):
 @pytest.fixture(scope="session")
 def bench_jumps():
     return CGMYJumps(**BENCH)
-
-
-@pytest.fixture(scope="session")
-def bench_oracle(bench_jumps):
-    return TailIntegralOracle(jumps=bench_jumps)
 
 
 @pytest.fixture(scope="session")

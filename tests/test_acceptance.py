@@ -50,8 +50,7 @@ from levyq.kernels import flat_top_kernel, verify_order
 from levyq.models import characteristic_exponent, exponent_curvature, true_quantile
 from levyq.numerics import FrequencyGrid
 from levyq.options import (build_spline, call_value, compute_chain_spectra,
-                           generate_synthetic_chain, phi_tilde,
-                           psi_tilde_derivatives, put_value)
+                           generate_synthetic_chain, put_value, spline_spectra)
 
 from conftest import PRINTED_QUANTILES
 
@@ -178,7 +177,7 @@ def test_criterion_4_noiseless_dense_chain(bench_model):
 
     # spectral accuracy on the band the estimators actually resolve
     u_check = np.linspace(-20.0, 20.0, 401)
-    estimated = phi_tilde(spline, u_check)
+    estimated = spline_spectra(spline, cfg.T, u_check)[0]
     exact = np.exp(cfg.T * characteristic_exponent(bench_model, u_check))
     sup_phi = float(np.max(np.abs(estimated - exact)))
 
@@ -264,7 +263,7 @@ def test_criterion_5_exact_identity_suite(bench_model):
     chain = generate_synthetic_chain(bench_model, 0.25, 0.06, 40, 0.01,
                                      (0.0, 0.5), seed=2)
     spline = build_spline(chain.xs, chain.prices, degree=1)
-    assert phi_tilde(spline, 0.0) == 1.0 + 0.0j
+    assert spline_spectra(spline, 0.25, np.array([0.0]))[0][0] == 1.0 + 0.0j
     worst["origin"] = 0.0
 
     # (e) kernel mass and vanishing moments through order 4
@@ -331,7 +330,7 @@ def test_criterion_6_convergence(bench_model):
         chain = generate_synthetic_chain(bench_model, 0.25, 0.06, n, 0.0,
                                          (0.0, 0.5), seed=1)
         spline = build_spline(chain.xs, chain.prices, degree=1)
-        _, psi2 = psi_tilde_derivatives(spline, 0.25, u)
+        psi2 = spline_spectra(spline, 0.25, u)[3]
         sups.append(float(np.max(np.abs(psi2 - want))))
 
     ok = (medians[0] > medians[1] > medians[2]
@@ -360,7 +359,7 @@ def test_criterion_7_selector_structure(bench_model):
                                          (0.0, 0.5), seed=seed)
         master = FrequencyGrid(cutoff=100.0, points=4096)
         spectra = compute_chain_spectra(chain, master, degree=1)
-        grid = build_grid(100, 1.1, spectra, strict=False)
+        grid = build_grid(100, 1.1, spectra)
         for side in ("-", "+"):
             for q in (0.09, 0.15):
                 sigmas = np.array([

@@ -30,10 +30,10 @@ from levyq.adaptive import (
     sigma_tilde,
     tail_weight_spectrum,
 )
-from levyq.errors import EmptyGridError, InputError, NoSolutionError, NumericalError
+from levyq.errors import InputError, NoSolutionError, NumericalError
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid
-from levyq.options import ChainSpectra, _psi_all, build_spline, compute_chain_spectra, generate_synthetic_chain, phi_tilde
+from levyq.options import ChainSpectra, build_spline, compute_chain_spectra, generate_synthetic_chain, spline_spectra
 
 RATE = 0.06
 MATURITY = 0.25
@@ -162,7 +162,7 @@ class TestBuildGrid:
         fgrid = FrequencyGrid(cutoff=120.0, points=2 ** 13)
         phi = np.exp(-fgrid.u ** 2 / 5000.0)
         spectra = synthetic_spectra(fgrid, phi, noise_scale=1e-6)
-        grid = build_grid(100, 1.1, spectra, strict=False)
+        grid = build_grid(100, 1.1, spectra)
         assert grid.s_values is not None
         # integration window shrinks as j grows
         assert np.all(np.diff(grid.s_values) <= 1e-12)
@@ -193,11 +193,9 @@ class TestBuildGrid:
 
     def test_benchmark_noise_fails_screen(self, noisy_spectra):
         # the screen saturates on the trust region and exceeds 1 at every
-        # grid bandwidth at n = 100; strict mode refuses, permissive keeps
-        # the full grid and records the failure
-        with pytest.raises(EmptyGridError):
-            build_grid(100, 1.1, noisy_spectra, strict=True)
-        grid = build_grid(100, 1.1, noisy_spectra, strict=False)
+        # grid bandwidth at n = 100; the full grid is kept and the failure
+        # recorded
+        grid = build_grid(100, 1.1, noisy_spectra)
         assert not grid.feasible
         assert grid.j_min == 0
         assert np.all(grid.s_values > 1.0)
@@ -219,7 +217,7 @@ class TestSigmaTilde:
 
     def test_monotone_decreasing_in_h(self, noisy_spectra):
         kernel = flat_top_kernel()
-        grid = build_grid(100, 1.1, noisy_spectra, strict=False)
+        grid = build_grid(100, 1.1, noisy_spectra)
         for side in ("+", "-"):
             vals = [sigma_tilde(noisy_spectra, kernel, h, 0.12, side)
                     for h in grid.values]
@@ -255,7 +253,8 @@ class TestSigmaTilde:
 
         def integrand(v):
             gw = tail_weight_spectrum(q, v)
-            return abs(v * (1j - v) * gw * kernel(h * v) / phi_tilde(spline, v)) ** 2
+            phi = spline_spectra(spline, MATURITY, np.array([v]))[0][0]
+            return abs(v * (1j - v) * gw * kernel(h * v) / phi) ** 2
 
         want = math.sqrt(quad(integrand, -1.0 / h, 1.0 / h, limit=400,
                               points=[-0.5 / h, 0.0, 0.5 / h])[0])
@@ -288,8 +287,8 @@ class TestHermitianFactors:
         u = np.array(u)
         both = np.concatenate([u, -u])
         spline = build_spline(noisy_chain.xs, noisy_chain.prices, degree=1)
-        phi, trusted, psi1, psi2 = _psi_all(spline, MATURITY, both,
-                                            noisy_spectra.noise_scale)
+        phi, trusted, psi1, psi2 = spline_spectra(spline, MATURITY, both,
+                                                  noisy_spectra.noise_scale)
         spectra = dataclasses.replace(noisy_spectra, grid=SimpleNamespace(u=both),
                                       phi=phi, psi1=psi1, psi2=psi2,
                                       trusted=trusted)

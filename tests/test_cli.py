@@ -10,6 +10,7 @@ installation; the other runs ``levyq`` from PATH and is skipped where the
 package is not installed.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -103,9 +104,32 @@ class TestMcTableCommand:
         code = cli.main(["mc-table", "--config", str(mc_config_file),
                          "--reps", "2", "--seed", "21", "--out", str(out)])
         assert code == 0
-        expected = run_mc_table(parse_config_text(MC_CFG),
-                                replications=2, seed=21)
+        expected = run_mc_table(dataclasses.replace(
+            parse_config_text(MC_CFG), replications=2, seed=21))
         assert out.read_text() == expected.to_csv()
+
+    @pytest.mark.parametrize("flag", [["--reps", "0"], ["--seed", "-4"]])
+    def test_bad_overrides_are_input_errors(self, mc_config_file, tmp_path,
+                                            capsys, flag):
+        out = tmp_path / "table.csv"
+        code = cli.main(["mc-table", "--config", str(mc_config_file),
+                         *flag, "--out", str(out)])
+        assert_input_error(code, capsys)
+        assert not out.exists()
+
+    def test_nonfinite_prices_are_a_numerical_failure(self, tmp_path,
+                                                      capsys):
+        # far-out strikes overflow the pricing reference; every replication
+        # would be excluded and the table left blank
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(MC_CFG + "strike_variance = 1e6\n")
+        out = tmp_path / "t.csv"
+        code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_oracle_mode_with_per_replication_screen(self, tmp_path, capsys):
         # the screen passes at a different j_min in each replication; this
@@ -238,6 +262,19 @@ class TestDemoDirectCommand:
         code = cli.main(["demo-direct", "--config", str(cfg),
                          "--out", str(tmp_path)])
         assert_input_error(code, capsys)
+
+    def test_poisson_count_overflow_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_CFG.replace("intensity = 1.0", "intensity = 1e300"))
+        out = tmp_path / "r.json"
+        code = cli.main(["demo-direct", "--config", str(cfg),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "intensity * increment_delta" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(config):

@@ -220,7 +220,7 @@ class TestMcTable:
     def test_seed_override_changes_noise(self):
         cfg = ExperimentConfig(**TINY_MC, mode="oracle")
         base = run_mc_table(cfg)
-        other = run_mc_table(cfg, seed=12)
+        other = run_mc_table(dataclasses.replace(cfg, seed=12))
         assert base.to_csv() != other.to_csv()
 
     def test_csv_schema(self):
@@ -275,11 +275,12 @@ class TestMcTable:
                                           taus=(500.0,), replications=1))
 
     def test_rejects_bad_rep_and_seed_overrides(self):
+        # the CLI applies --reps and --seed this way
         cfg = ExperimentConfig(**TINY_MC)
         with pytest.raises(InputError):
-            run_mc_table(cfg, replications=0)
+            dataclasses.replace(cfg, replications=0)
         with pytest.raises(InputError):
-            run_mc_table(cfg, seed=-4)
+            dataclasses.replace(cfg, seed=-4)
 
     def test_truth_columns_match_frozen_roots(self, mc_table_default):
         for row in mc_table_default.rows:
@@ -441,7 +442,7 @@ class TestEstimateChain:
 
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
         spectra = compute_chain_spectra(chain, master, degree=1)
-        bw = build_grid(cfg.n, cfg.L, spectra, strict=False)
+        bw = build_grid(cfg.n, cfg.L, spectra)
         cells = _chain_estimates(spectra, bw, flat_top_kernel(cfg.kernel_c),
                                  cfg, cfg.taus, oracle=True, adaptive=True)
         assert report["bandwidth_grid"] == list(bw.values)
@@ -463,7 +464,7 @@ class TestEstimateChain:
             (cfg.strike_mean, cfg.strike_variance), seed=3)
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
         spectra = compute_chain_spectra(chain, master, degree=1)
-        bw = build_grid(cfg.n, cfg.L, spectra, strict=False)
+        bw = build_grid(cfg.n, cfg.L, spectra)
         kernel = flat_top_kernel(cfg.kernel_c)
 
         def run():

@@ -55,9 +55,9 @@ def psi2_cp(u):
 def sample_cp_increments(rng, n, delta, sigma2, gamma, lam=1.0, rate=1.0):
     """Compensated compound-Poisson + Brownian increments."""
     counts = rng.poisson(lam * delta, size=n)
-    jump_sums = np.array(
-        [rng.exponential(1.0 / rate, size=c).sum() for c in counts]
-    )
+    sizes = rng.exponential(1.0 / rate, size=counts.sum())
+    jump_sums = np.bincount(np.repeat(np.arange(n), counts), weights=sizes,
+                            minlength=n)
     z = rng.standard_normal(n)
     mean_jump = 1.0 / rate
     return (

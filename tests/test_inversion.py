@@ -25,9 +25,11 @@ from scipy.integrate import quad
 
 from conftest import hermitian_full_sum
 from levyq.errors import InputError, NumericalError
+import levyq.inversion
 from levyq.inversion import (
+    FIRST_TAIL_NODE,
     DistributionEstimate,
-    QuantileEstimate,
+    checked_tail_nodes,
     density_from_psi2,
     distribution_estimate,
     quantile_from_distribution,
@@ -159,6 +161,16 @@ class TestDistribution:
         with pytest.raises(InputError):
             distribution_estimate(psi2_cp, FLAT, 0.01, points=256)
 
+    def test_aliasing_checked_before_nodes_are_built(self, monkeypatch):
+        # x_max = 1e7 would ask tail_nodes for 1e9 nodes; the spacing check
+        # must refuse it first
+        def no_nodes(x_max):
+            raise AssertionError("tail nodes built before the check")
+
+        monkeypatch.setattr(levyq.inversion, "tail_nodes", no_nodes)
+        with pytest.raises(InputError):
+            checked_tail_nodes(FrequencyGrid(100.0, 8192), 1e7)
+
     def test_cp_tail_at_one(self):
         N = distribution_estimate(psi2_cp, FLAT, 0.05)(1.0)
         assert N == pytest.approx(np.exp(-1.0), abs=2e-2)
@@ -194,11 +206,14 @@ class TestDistribution:
             assert abs(shifted - base) <= sigma2 * t ** -3 * h * C_K
 
     def test_below_table_evaluation(self):
-        # t smaller than the smallest table node takes the fresh-nodes path
+        # no table lies below the first tail node, so N_h is not defined
+        # there (the same rule as for eta); the first node itself is
         est = distribution_estimate(psi2_cp, FLAT, 0.1)
-        lo = est(0.002)
-        hi = est(0.004)
-        assert np.isfinite(lo) and lo > hi  # tail grows toward the origin
+        assert np.isfinite(est(FIRST_TAIL_NODE))
+        assert np.isfinite(est(-FIRST_TAIL_NODE))
+        for t in (0.002, -0.002, [0.002, 0.5]):
+            with pytest.raises(InputError):
+                est(t)
 
     def test_t_zero_rejected(self):
         est = distribution_estimate(psi2_cp, FLAT, 0.1)
@@ -208,12 +223,11 @@ class TestDistribution:
 
 def table_estimate(density, x_max=5.0, nodes=None, bandwidth=0.05):
     """DistributionEstimate with the density tables `density` (a function of
-    |t|) on both sides of the tail nodes; F = -x^2 density below them."""
+    |t|) on both sides of the tail nodes."""
     nodes = tail_nodes(x_max) if nodes is None else nodes
     d = density(nodes)
     return DistributionEstimate(
-        nodes=nodes, density_pos=d, density_neg=d, bandwidth=bandwidth,
-        transform=lambda x: -x * x * density(np.abs(x)))
+        nodes=nodes, density_pos=d, density_neg=d, bandwidth=bandwidth)
 
 
 def dense_sample(nodes, eta, per_interval=64):
@@ -258,8 +272,7 @@ def tail_tables(draw):
         st.floats(min_value=low, max_value=5.0),
         min_size=size, max_size=size))) for _ in range(2))
     dist = DistributionEstimate(
-        nodes=nodes, density_pos=d_pos, density_neg=d_neg, bandwidth=0.1,
-        transform=lambda x: -x * x * np.interp(np.abs(x), nodes, d_pos))
+        nodes=nodes, density_pos=d_pos, density_neg=d_neg, bandwidth=0.1)
     side = draw(st.sampled_from("+-"))
     sign = 1.0 if side == "+" else -1.0
     peak = float(np.max(dist(sign * nodes)))
@@ -338,9 +351,6 @@ class TestQuantile:
             quantile_from_distribution(dist, 0.5, 0.003, "+")
         with pytest.raises(InputError):
             quantile_from_distribution(dist, 0.5, 0.02, "up")
-        with pytest.raises(InputError):
-            QuantileEstimate(value=1.0, side="both", tau=0.5,
-                             bandwidth=0.1, at_threshold=False)
 
     @given(tau=st.floats(min_value=1.2, max_value=50.0))
     @settings(max_examples=25, deadline=None)

@@ -11,7 +11,6 @@ from levyq.models import (
     CGMYJumps,
     CompoundPoissonJumps,
     LevyModel,
-    TailIntegralOracle,
     VarianceGammaJumps,
     characteristic_exponent,
     exponent_curvature,
@@ -178,65 +177,65 @@ class TestMartingaleDrift:
 
 class TestTailIntegral:
     def test_exponential_closed_form(self):
-        oracle = TailIntegralOracle(jumps=exponential_jumps(1.0, 1.0))
-        assert tail_integral(oracle, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-9)
+        jumps = exponential_jumps(1.0, 1.0)
+        assert tail_integral(jumps, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-9)
 
-    def test_benchmark_right_tail_half_level(self, bench_oracle):
+    def test_benchmark_right_tail_half_level(self, bench_jumps):
         # exact root of N(t) = 0.5 (the printed benchmark value 0.1241 sits
         # ~1.4e-3 below the true root; see conftest.PRINTED_QUANTILES)
-        assert tail_integral(bench_oracle, 0.125468) == pytest.approx(0.5, abs=5e-6)
+        assert tail_integral(bench_jumps, 0.125468) == pytest.approx(0.5, abs=5e-6)
 
-    def test_benchmark_left_tail_half_level(self, bench_oracle):
-        assert tail_integral(bench_oracle, -0.178525) == pytest.approx(0.5, abs=5e-6)
+    def test_benchmark_left_tail_half_level(self, bench_jumps):
+        assert tail_integral(bench_jumps, -0.178525) == pytest.approx(0.5, abs=5e-6)
 
-    def test_monotone_on_positive_axis(self, bench_oracle):
+    def test_monotone_on_positive_axis(self, bench_jumps):
         ts = np.linspace(0.05, 2.0, 25)
-        vals = [tail_integral(bench_oracle, t) for t in ts]
+        vals = [tail_integral(bench_jumps, t) for t in ts]
         assert np.all(np.diff(vals) < 0)
 
-    def test_zero_rejected(self, bench_oracle):
+    def test_zero_rejected(self, bench_jumps):
         with pytest.raises(InputError):
-            tail_integral(bench_oracle, 0.0)
+            tail_integral(bench_jumps, 0.0)
 
 
 class TestTrueQuantile:
     @pytest.mark.parametrize("tau", sorted(TRUE_QUANTILES))
-    def test_frozen_benchmark_values(self, bench_oracle, tau):
+    def test_frozen_benchmark_values(self, bench_jumps, tau):
         q_minus, q_plus = TRUE_QUANTILES[tau]
-        assert true_quantile(bench_oracle, tau, "-") == pytest.approx(q_minus, abs=1e-6)
-        assert true_quantile(bench_oracle, tau, "+") == pytest.approx(q_plus, abs=1e-6)
+        assert true_quantile(bench_jumps, tau, "-") == pytest.approx(q_minus, abs=1e-6)
+        assert true_quantile(bench_jumps, tau, "+") == pytest.approx(q_plus, abs=1e-6)
 
     def test_exponential_closed_form(self):
-        oracle = TailIntegralOracle(jumps=exponential_jumps(1.0, 1.0))
-        assert true_quantile(oracle, 0.5, "+") == pytest.approx(math.log(2.0), abs=1e-6)
+        jumps = exponential_jumps(1.0, 1.0)
+        assert true_quantile(jumps, 0.5, "+") == pytest.approx(math.log(2.0), abs=1e-6)
 
-    def test_roundtrip_through_tail(self, bench_oracle):
+    def test_roundtrip_through_tail(self, bench_jumps):
         for tau in (0.3, 1.0, 2.2):
-            q = true_quantile(bench_oracle, tau, "+")
-            assert tail_integral(bench_oracle, q) == pytest.approx(tau, abs=1e-6)
+            q = true_quantile(bench_jumps, tau, "+")
+            assert tail_integral(bench_jumps, q) == pytest.approx(tau, abs=1e-6)
 
     def test_level_exceeding_mass(self):
-        oracle = TailIntegralOracle(jumps=exponential_jumps(1.0, 1.0))
+        jumps = exponential_jumps(1.0, 1.0)
         with pytest.raises(NoSolutionError):
-            true_quantile(oracle, 10.0, "+")
+            true_quantile(jumps, 10.0, "+")
 
 
-def bowley_skewness(oracle, tau):
+def bowley_skewness(jumps, tau):
     """Quantile-based asymmetry |q^- - q^+| / (q^- + q^+) at level tau."""
-    qm = true_quantile(oracle, tau, "-")
-    qp = true_quantile(oracle, tau, "+")
+    qm = true_quantile(jumps, tau, "-")
+    qp = true_quantile(jumps, tau, "+")
     return abs(qm - qp) / (qm + qp)
 
 
 class TestBowleySkewness:
     def test_symmetric_measure_is_zero(self):
         jumps = CGMYJumps(C=1.0, G=6.0, M=6.0, Y=0.5)
-        assert bowley_skewness(TailIntegralOracle(jumps=jumps), 1.0) == pytest.approx(0.0, abs=1e-6)
+        assert bowley_skewness(jumps, 1.0) == pytest.approx(0.0, abs=1e-6)
 
-    def test_benchmark_values(self, bench_oracle):
+    def test_benchmark_values(self, bench_jumps):
         for tau in (0.5, 2.0):
             qm, qp = TRUE_QUANTILES[tau]
-            assert bowley_skewness(bench_oracle, tau) == pytest.approx(
+            assert bowley_skewness(bench_jumps, tau) == pytest.approx(
                 abs(qm - qp) / (qm + qp), abs=1e-5)
 
 

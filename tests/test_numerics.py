@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import hermitian_full_sum
 from levyq.errors import InputError, NoSolutionError
-from levyq.models import TailIntegralOracle, tail_integral
+from levyq.models import tail_integral
 from levyq.numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
 
@@ -179,9 +179,9 @@ class TestBracketedRoot:
         root = bracketed_root(lambda t: math.exp(-t) - 0.5, 0.0, 2.0, tol=1e-10)
         assert root == pytest.approx(math.log(2.0), abs=1e-9)
 
-    def test_benchmark_tail_level(self, bench_oracle):
+    def test_benchmark_tail_level(self, bench_jumps):
         # right-tail intensity hits 1.5 at the frozen magnitude 0.067233
-        f = lambda t: tail_integral(bench_oracle, t) - 1.5
+        f = lambda t: tail_integral(bench_jumps, t) - 1.5
         root = bracketed_root(f, 0.01, 1.0, tol=1e-9)
         assert root == pytest.approx(0.067233, abs=1e-4)
 

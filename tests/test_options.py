@@ -34,14 +34,12 @@ from levyq.options import (
     generate_synthetic_chain,
     option_function,
     option_psi2,
-    phi_tilde,
-    psi_tilde_derivatives,
     put_value,
     read_chain_csv,
-    weighted_spline_transform,
+    spline_spectra,
     write_chain_csv,
 )
-from levyq.options import _psi_all, _weighted_transforms
+from levyq.options import _weighted_transforms
 
 RATE = 0.06
 MATURITY = 0.25
@@ -321,13 +319,23 @@ class TestBreakpointSum:
             assert err_away < tol_away * np.max(np.abs(want[k]))
 
 
+def transform_at(sp, k, u):
+    """F_k at one frequency, read off the breakpoint sum."""
+    return _weighted_transforms(sp, np.array([u], dtype=float), (k,))[k][0]
+
+
+def phi_at(sp, u):
+    """phi~ at one frequency, unguarded."""
+    return spline_spectra(sp, MATURITY, np.array([u], dtype=float))[0][0]
+
+
 class TestWeightedTransform:
     def test_flat_segment_closed_form(self):
         sp = build_spline([0.0, 1.0], [1.0, 1.0], degree=1, pad=0.0)
         for u in (0.0, 0.7, 3.0, -2.0):
             z = 1j * u - 1.0
             want = (np.exp(z) - 1.0) / z
-            assert abs(weighted_spline_transform(sp, 0, u) - want) < 1e-13
+            assert abs(transform_at(sp, 0, u) - want) < 1e-13
 
     def test_narrow_flat_segment_series_branch(self):
         # width 0.25 keeps |z w| <= 0.8 for small u, exercising the series
@@ -337,14 +345,14 @@ class TestWeightedTransform:
             w = 0.25
             want0 = (np.exp(z * w) - 1.0) / z
             want1 = w * np.exp(z * w) / z - (np.exp(z * w) - 1.0) / z ** 2
-            assert abs(weighted_spline_transform(sp, 0, u) - want0) < 1e-14
-            assert abs(weighted_spline_transform(sp, 1, u) - want1) < 1e-14
+            assert abs(transform_at(sp, 0, u) - want0) < 1e-14
+            assert abs(transform_at(sp, 1, u) - want1) < 1e-14
 
     def test_tent_against_adaptive_quadrature(self):
         sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], degree=1, pad=0.0)
         for k in (0, 1, 2):
             for u in (0.0, 3.0, 10.0):
-                got = weighted_spline_transform(sp, k, u)
+                got = transform_at(sp, k, u)
                 want = quad_complex(
                     lambda t: t ** k * sp(t) * np.exp((1j * u - 1.0) * t),
                     0.0, 2.0, points=[1.0], epsabs=1e-12, epsrel=1e-12,
@@ -358,7 +366,7 @@ class TestWeightedTransform:
         coarse = quad(f, 0.0, 2.0, points=[1.0], epsabs=1e-10)[0]
         fine = quad(f, 0.0, 2.0, points=[1.0], epsabs=1e-14, limit=400)[0]
         assert abs(coarse - fine) < 1e-12
-        got = weighted_spline_transform(sp, 1, u).real
+        got = transform_at(sp, 1, u).real
         assert abs(got - fine) < 1e-12
 
     def test_realistic_chain_against_quadrature(self, bench_model):
@@ -369,7 +377,7 @@ class TestWeightedTransform:
         interior = list(sp._breaks[1:-1])
         for k in (0, 1, 2):
             for u in (0.0, 3.0, 10.0):
-                got = weighted_spline_transform(sp, k, u)
+                got = transform_at(sp, k, u)
                 want = quad_complex(
                     lambda t: t ** k * sp(t) * np.exp((1j * u - 1.0) * t),
                     lo, hi, points=interior, limit=200,
@@ -382,7 +390,7 @@ class TestWeightedTransform:
                                          STRIKE_LAW, seed=2)
         sp = build_spline(chain.xs, chain.prices, degree=3)
         lo, hi = sp.support
-        got = weighted_spline_transform(sp, 0, 3.0)
+        got = transform_at(sp, 0, 3.0)
         want = quad_complex(
             lambda t: sp(t) * np.exp((3j - 1.0) * t),
             lo, hi, points=list(sp._breaks[1:-1]), limit=200,
@@ -395,15 +403,10 @@ class TestWeightedTransform:
                                          STRIKE_LAW, seed=9)
         sp = build_spline(chain.xs, chain.prices, degree=1)
         u = np.array([0.3, 1.7, 6.0, 19.0])
+        plus = _weighted_transforms(sp, u, (0, 1, 2))
+        minus = _weighted_transforms(sp, -u, (0, 1, 2))
         for k in (0, 1, 2):
-            plus = weighted_spline_transform(sp, k, u)
-            minus = weighted_spline_transform(sp, k, -u)
-            assert np.max(np.abs(minus - np.conj(plus))) < 1e-12
-
-    def test_rejects_bad_k(self):
-        sp = build_spline([0.0, 1.0], [1.0, 1.0], degree=1, pad=0.0)
-        with pytest.raises(InputError):
-            weighted_spline_transform(sp, 3, 1.0)
+            assert np.max(np.abs(minus[k] - np.conj(plus[k]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +418,14 @@ class TestPhiTilde:
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 20, 0.01,
                                          STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        assert phi_tilde(sp, 0.0) == 1.0 + 0.0j
+        assert phi_at(sp, 0.0) == 1.0 + 0.0j
 
     def test_dense_noiseless_chain_recovers_cf(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 10_000,
                                          0.0, STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
         u = np.linspace(-20.0, 20.0, 81)
-        got = phi_tilde(sp, u)
+        got = spline_spectra(sp, MATURITY, u)[0]
         want = np.exp(MATURITY * characteristic_exponent(bench_model, u))
         assert np.max(np.abs(got - want)) <= 1e-3
 
@@ -431,7 +434,7 @@ class TestPhiTilde:
         chain = generate_synthetic_chain(model, MATURITY, RATE, 2000, 0.0,
                                          STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        got = phi_tilde(sp, 5.0)
+        got = phi_at(sp, 5.0)
         want = np.exp(MATURITY * characteristic_exponent(model, 5.0))
         assert abs(got - want) < 1e-3
 
@@ -441,17 +444,17 @@ class TestPsiTildeDerivatives:
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 10_000,
                                          0.0, STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        for u in (0.0, 2.0, 8.0):
-            _, psi2 = psi_tilde_derivatives(sp, MATURITY, u)
-            want = exponent_curvature(bench_model, u)
-            assert abs(psi2 - want) <= 5e-4
+        u = np.array([0.0, 2.0, 8.0])
+        psi2 = spline_spectra(sp, MATURITY, u)[3]
+        want = exponent_curvature(bench_model, u)
+        assert np.max(np.abs(psi2 - want)) <= 5e-4
 
     def test_pure_diffusion_curvature_is_constant(self):
         model = brownian_model(0.1)
         chain = generate_synthetic_chain(model, MATURITY, RATE, 4000, 0.0,
                                          STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        psi1, psi2 = psi_tilde_derivatives(sp, MATURITY, np.array([0.0, 1.0, 3.0]))
+        _, _, psi1, psi2 = spline_spectra(sp, MATURITY, np.array([0.0, 1.0, 3.0]))
         assert np.max(np.abs(psi2 - (-0.01))) < 1e-4
         # psi'(0) = i*gamma for the diffusion
         assert abs(psi1[0] - (-0.005j)) < 1e-4
@@ -462,8 +465,8 @@ class TestPsiTildeDerivatives:
         profile = estimate_noise_profile(chain)
         scale = profile.l2_weighted / math.sqrt(chain.n)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        psi1, psi2 = psi_tilde_derivatives(sp, MATURITY, np.array([5.0, 60.0]),
-                                           noise_scale=scale)
+        _, _, psi1, psi2 = spline_spectra(sp, MATURITY, np.array([5.0, 60.0]),
+                                          noise_scale=scale)
         assert psi2[0] != 0 and psi1[0] != 0
         assert psi2[1] == 0 and psi1[1] == 0
 
@@ -473,16 +476,17 @@ class TestPsiTildeDerivatives:
         profile = estimate_noise_profile(chain)
         scale = profile.l2_weighted / math.sqrt(chain.n)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        _, psi2 = psi_tilde_derivatives(sp, MATURITY, 0.0, noise_scale=scale)
-        assert psi2 != 0 and np.isfinite(psi2)
+        _, trusted, _, psi2 = spline_spectra(sp, MATURITY, np.array([0.0]),
+                                             noise_scale=scale)
+        assert trusted[0] and psi2[0] != 0 and np.isfinite(psi2[0])
 
     def test_hermitian_curvature(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 60, 0.01,
                                          STRIKE_LAW, seed=3)
         sp = build_spline(chain.xs, chain.prices, degree=1)
         u = np.array([0.5, 2.0, 9.0])
-        _, plus = psi_tilde_derivatives(sp, MATURITY, u)
-        _, minus = psi_tilde_derivatives(sp, MATURITY, -u)
+        plus = spline_spectra(sp, MATURITY, u)[3]
+        minus = spline_spectra(sp, MATURITY, -u)[3]
         assert np.max(np.abs(minus - np.conj(plus))) < 1e-10
 
     def test_error_decreases_with_chain_size(self, bench_model):
@@ -493,7 +497,7 @@ class TestPsiTildeDerivatives:
             chain = generate_synthetic_chain(bench_model, MATURITY, RATE, n,
                                              0.0, STRIKE_LAW, seed=1)
             sp = build_spline(chain.xs, chain.prices, degree=1)
-            _, psi2 = psi_tilde_derivatives(sp, MATURITY, u)
+            psi2 = spline_spectra(sp, MATURITY, u)[3]
             sups.append(np.max(np.abs(psi2 - want)))
         assert sups[0] > sups[1] > sups[2]
 
@@ -502,8 +506,14 @@ class TestPsiTildeDerivatives:
                                          STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
         est = option_psi2(sp, MATURITY)
-        direct1, direct2 = psi_tilde_derivatives(sp, MATURITY, 4.0)
-        assert est(4.0) == direct2
+        direct = spline_spectra(sp, MATURITY, np.array([4.0]))[3][0]
+        assert est(4.0) == direct
+
+    def test_rejects_nonpositive_maturity(self):
+        sp = build_spline([0.0, 1.0], [1.0, 1.0], degree=1, pad=0.0)
+        for maturity in (0.0, -0.25):
+            with pytest.raises(InputError):
+                spline_spectra(sp, maturity, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +657,9 @@ class TestChainSpectra:
         assert spectra.trusted.any() and not spectra.trusted.all()
         assert np.all(spectra.psi2[~spectra.trusted] == 0)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        direct = phi_tilde(sp, grid.u)
-        assert np.array_equal(spectra.phi, direct)
+        u = grid.u
+        f0 = _weighted_transforms(sp, u, (0,))[0]
+        assert np.array_equal(spectra.phi, 1.0 - u * (u + 1j) * f0)
 
     def test_noiseless_bundle_trusts_everything(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 50, 0.0,
@@ -683,7 +694,7 @@ class TestHermitianSpectra:
                                        atol=1e-15 * np.max(np.abs(pos)))
         noise_scale = (estimate_noise_profile(noisy_chain).l2_weighted
                        / math.sqrt(noisy_chain.n))
-        _, trusted, _, psi2 = _psi_all(spline, MATURITY, both, noise_scale)
+        _, trusted, _, psi2 = spline_spectra(spline, MATURITY, both, noise_scale)
         np.testing.assert_array_equal(trusted[u.size :], trusted[: u.size])
         pos, neg = psi2[: u.size], psi2[u.size :]
         np.testing.assert_allclose(neg, np.conj(pos), rtol=1e-12,
