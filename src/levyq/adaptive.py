@@ -146,6 +146,36 @@ def _screen_statistic(spectra: ChainSpectra, n: int, cutoffs: np.ndarray) -> np.
     return pref * np.sqrt(prefix[np.searchsorted(u, cutoffs, side="right")])
 
 
+# most bandwidths build_grid makes: each one is inverted and bounded, about
+# 0.65 MB of work arrays at the default 8,192 spectral points (measured
+# through estimate_chain at n = 100), so the cap stands for about 0.65 GB;
+# the default grid at n = 100, L = 1.1 has 13 bandwidths
+_MAX_BANDWIDTHS = 1000
+
+
+def _top_index(n: int, L: float) -> int:
+    """j_max of the grid: the smallest j with L^j / n >= (log10 n)^{-5}.
+
+    Refuses n < 10, L <= 1 and grids of more than _MAX_BANDWIDTHS
+    bandwidths, the last before anything of that size is allocated.
+    """
+    if n < 10:
+        raise InputError(f"need n >= 10, got {n}")
+    if not L > 1:
+        raise InputError(f"grid ratio must exceed 1, got {L}")
+    target = math.log10(n) ** -5.0
+    j_max = max(0, math.ceil(math.log(target * n) / math.log(L)))
+    if j_max + 1 > _MAX_BANDWIDTHS:
+        raise InputError(
+            f"grid ratio L = {L!r} gives about {j_max + 1} bandwidths at "
+            f"n = {n}, above the cap of {_MAX_BANDWIDTHS}; use a larger L")
+    while L ** j_max / n < target:
+        j_max += 1
+    while j_max > 0 and L ** (j_max - 1) / n >= target:
+        j_max -= 1
+    return j_max
+
+
 def build_grid(n: int, L: float,
                spectra: ChainSpectra | None = None) -> BandwidthGrid:
     """Bandwidth grid with the data-dependent lower cut.
@@ -155,19 +185,10 @@ def build_grid(n: int, L: float,
     band [1/2, 1] in one step, that index still wins — only the upper bound
     controls consistency).  Without chain spectra the screen is skipped and
     the full grid is returned.  If no bandwidth passes, the full grid is
-    kept and flagged feasible=False.
+    kept and flagged feasible=False.  Grids of more than _MAX_BANDWIDTHS
+    bandwidths are refused.
     """
-    if n < 10:
-        raise InputError(f"need n >= 10, got {n}")
-    if not L > 1:
-        raise InputError(f"grid ratio must exceed 1, got {L}")
-    target = math.log10(n) ** -5.0
-    j_max = max(0, math.ceil(math.log(target * n) / math.log(L)))
-    while L ** j_max / n < target:
-        j_max += 1
-    while j_max > 0 and L ** (j_max - 1) / n >= target:
-        j_max -= 1
-
+    j_max = _top_index(n, L)
     all_values = L ** np.arange(0, j_max + 1) / n
     j_min = 0
     s_values = None

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import ndtri
 
-from .adaptive import adaptive_quantile, build_grid, sigma_tilde
+from .adaptive import _top_index, adaptive_quantile, build_grid, sigma_tilde
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
 from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
@@ -443,6 +443,7 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
             f"run_mc_table supports at most {_MC_MAX_QUOTES} quotes per "
             "chain (its master window [-n, n] stays finely resolved at the "
             "default node count); estimate_chain takes larger chains")
+    _top_index(config.n, config.L)  # else every replication fails
     master = FrequencyGrid(cutoff=float(config.n),
                            points=config.spectral_points)
     checked_tail_nodes(master, config.x_max)  # else every replication fails

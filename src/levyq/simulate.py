@@ -50,6 +50,9 @@ METHODS = (
     "inverse-cdf-from-characteristic-function",
 )
 
+# most jumps one exact compound-Poisson draw holds (see the sampler)
+_MAX_JUMPS = 10 ** 7
+
 # inverse-CDF tabulation: grid size and half-width in standard deviations
 _ICDF_POINTS = 2 ** 16
 _ICDF_SPAN_SDS = 12.0
@@ -90,6 +93,13 @@ def sample_increments(sampler: IncrementSampler, n: int) -> IncrementSample:
 
 
 def _sample_compound_poisson(rng, model, delta, n):
+    """n increments drawn exactly: jump counts, diffusion, jump sizes.
+
+    All jump sizes are drawn in one array, and with their owner indices
+    they take about 16 bytes a jump (peak RSS measured at 10^7 jumps).  A
+    draw of more than _MAX_JUMPS = 10^7 jumps, about 160 MB, is refused
+    once the counts are known, before any size is drawn.
+    """
     jumps = model.jumps
     if not isinstance(jumps, CompoundPoissonJumps):
         raise InputError(
@@ -107,8 +117,13 @@ def _sample_compound_poisson(rng, model, delta, n):
         raise InputError(
             f"cannot draw Poisson jump counts at intensity * increment_delta "
             f"= {lam * delta:.3g} ({exc})") from None
-    z = rng.standard_normal(n)
     total = int(counts.sum())
+    if total > _MAX_JUMPS:
+        raise InputError(
+            f"{total} jumps in {n} increments (intensity * increment_delta "
+            f"= {lam * delta:.3g}) exceed the cap of {_MAX_JUMPS} jumps per "
+            "draw; lower the intensity, increment_delta or n")
+    z = rng.standard_normal(n)
     sums = np.zeros(n)
     if total:
         sizes = np.asarray(jumps.jump_sampler(rng, total), dtype=float)

@@ -206,6 +206,15 @@ class TestBuildGrid:
         with pytest.raises(InputError):
             build_grid(100, 1.0)
 
+    def test_bandwidth_count_cap(self):
+        # L -> 1 would build ln(3.125) / ln(L) bandwidths at n = 100
+        with pytest.raises(InputError, match="cap of 1000"):
+            build_grid(100, 1.000001)
+        with pytest.raises(InputError, match="cap of 1000"):
+            build_grid(100, 1 + 1e-15)
+        assert build_grid(100, 1.1).values.size == 13
+        assert build_grid(100, 1.002).values.size == 572
+
 
 class TestSigmaTilde:
     def test_doubling_n_scales_by_inverse_sqrt2(self, noisy_spectra):

@@ -16,6 +16,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,6 +164,15 @@ class TestMcTableCommand:
         assert_input_error(code, capsys)
         assert not out.exists()
 
+    def test_oversized_bandwidth_grid_is_refused(self, tmp_path, capsys):
+        # about 1.1e7 bandwidths at n = 32: refused before any replication
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text(MC_CFG + "L = 1.0000001\n")
+        out = tmp_path / "t.csv"
+        code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+        assert_input_error(code, capsys)
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["mc-table", "--config", str(tmp_path / "no.cfg"),
                          "--out", str(tmp_path / "t.csv")])
@@ -225,6 +236,16 @@ class TestEstimateChainCommand:
                          "--config", str(cfg_path), "--out", str(chain_path)])
         assert_input_error(code, capsys)
 
+    def test_oversized_bandwidth_grid_is_refused(self, chain_file, tmp_path,
+                                                 capsys):
+        chain_path, cfg_path = chain_file
+        cfg_path.write_text(cfg_path.read_text() + "L = 1.0000001\n")
+        out_dir = tmp_path / "results"
+        code = cli.main(["estimate-chain", "--chain", str(chain_path),
+                         "--config", str(cfg_path), "--out", str(out_dir)])
+        assert_input_error(code, capsys)
+        assert not out_dir.exists()
+
     def test_missing_chain_file(self, chain_file, tmp_path, capsys):
         _, cfg_path = chain_file
         code = cli.main(["estimate-chain", "--chain",
@@ -275,6 +296,27 @@ class TestDemoDirectCommand:
         assert "intensity * increment_delta" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_oversized_jump_draw_is_refused(self, tmp_path, capsys):
+        # intensity * increment_delta = 1e6 at n = 5e4 would be 5e10 jump
+        # sizes (400 GB): refused from the counts alone, quickly and small
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_CFG.replace("intensity = 1.0", "intensity = 2e6")
+                       .replace("n = 400", "n = 50000"))
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = cli.main(["demo-direct", "--config", str(cfg),
+                             "--out", str(out)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_input_error(code, capsys)
+        assert not out.exists()
+        assert elapsed < 1.0
+        assert peak < 20e6
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(config):

@@ -73,6 +73,20 @@ class TestExactCompoundPoisson:
         with pytest.raises(InputError, match="jump_sampler"):
             sample_increments(sampler, 10)
 
+    def test_oversized_draw_refused_before_sizes(self):
+        # 10^6 jumps per increment: the sampler must not be asked for them
+        def never(rng, size):
+            raise AssertionError(f"asked for {size} jump sizes")
+
+        bare = exponential_jumps(2e6, 1.0)
+        jumps = CompoundPoissonJumps(density=bare.density,
+                                     total_mass=bare.total_mass,
+                                     jump_sampler=never)
+        model = LevyModel(sigma2=0.0, gamma=0.0, jumps=jumps)
+        sampler = IncrementSampler(model=model, delta=0.5, method=METHODS[0], seed=1)
+        with pytest.raises(InputError, match="cap of 10000000 jumps"):
+            sample_increments(sampler, 50)
+
 
 class TestVarianceGammaSubordination:
     def test_moments(self):
