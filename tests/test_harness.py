@@ -355,6 +355,25 @@ FROZEN_CHAIN = {
         (0.06944185785883382, 0.03138428376721003, 0.47672644605022685),
     ),
 }
+# demo_direct on compound-Poisson-exp increments (intensity 5, Exp(1)
+# jumps, sigma 0, spacing 0.5, h 0.05), n = 5,000, seed 1, default taus and
+# spectral points.  Rows: tau, side, estimate, at_threshold.
+FROZEN_DIRECT_CONFIG = dict(
+    kind="compound-poisson-exp", intensity=5.0, jump_rate=1.0, sigma=0.0,
+    gamma=0.0, increment_delta=0.5, h=0.05, method="exact-compound-poisson",
+    n=5000, seed=1)
+FROZEN_DIRECT = (
+    (0.5, "-", 0.02, True),
+    (0.5, "+", 2.307217562429571, False),
+    (1.0, "-", 0.02, True),
+    (1.0, "+", 1.5281697698940409, False),
+    (1.5, "-", 0.02, True),
+    (1.5, "+", 1.1578782919295785, False),
+    (2.0, "-", 0.02, True),
+    (2.0, "+", 0.8774005107902547, False),
+    (2.5, "-", 0.02, True),
+    (2.5, "+", 0.6478086376502641, False),
+)
 
 
 class TestFrozenResults:
@@ -379,6 +398,12 @@ class TestFrozenResults:
                 sigma = next(r["sigma"] for r in records if r["chosen"])
                 got.append((row["quantile"], row["bandwidth"], sigma))
             np.testing.assert_allclose(got, frozen, rtol=1e-10, atol=0)
+
+    def test_direct_estimates(self):
+        report = demo_direct(ExperimentConfig(**FROZEN_DIRECT_CONFIG))
+        got = tuple((r["tau"], r["side"], r["estimate"], r["at_threshold"])
+                    for r in report["results"])
+        assert got == FROZEN_DIRECT
 
 
 # ---------------------------------------------------------------------------
