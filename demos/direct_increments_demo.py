@@ -2,9 +2,10 @@
 Jump-intensity quantiles from discrete increments
 =================================================
 
-Observe a Levy process on a fixed time grid, estimate the curvature of
-its characteristic exponent from the empirical characteristic function,
-and invert the result into tail intensities and their quantiles.
+Observe a Levy process on a fixed time grid, tabulate the curvature of
+its characteristic exponent from the empirical characteristic function on
+a frequency grid, and invert that table into tail intensities and their
+quantiles.
 
 The model here is a unit-rate compound Poisson process with Exp(1) jump
 sizes, chosen because everything is available in closed form: the tail
@@ -17,17 +18,16 @@ import math
 import numpy as np
 
 from levyq import (
-    CompoundPoissonJumps,
+    FrequencyGrid,
     IncrementSampler,
     LevyModel,
-    density_from_psi2,
-    distribution_estimate,
     exponent_curvature,
     exponential_jumps,
     flat_top_kernel,
     psi2_from_increments,
     quantile_from_distribution,
     sample_increments,
+    tail_estimates,
 )
 
 # --- the observed process --------------------------------------------------
@@ -45,25 +45,29 @@ print(f"observed {sample.values.size} increments, spacing {sample.delta}")
 
 # --- curvature of the characteristic exponent ------------------------------
 
-# psi2(u) estimates psi''(u) = -int x^2 e^{iux} nu(dx); outside the trust
-# region |phi_hat| >= (delta n)^{-1/2} it is exactly zero
-psi2 = psi2_from_increments(sample)
+# the table holds estimates of psi''(u) = -int x^2 e^{iux} nu(dx) on the
+# positive nodes of a grid covering the kernel band |u| <= 1/h; outside the
+# trust region |phi_hat| >= (delta n)^{-1/2} they are exactly zero
+h = 0.05
+spectra = psi2_from_increments(sample, FrequencyGrid(cutoff=1.0 / h,
+                                                     points=2 ** 13))
+print(f"{spectra.trusted.sum()} of {spectra.grid.u.size} frequency nodes "
+      "trusted")
 
+u_nodes = spectra.grid.u
 for u in (0.0, 2.0, 5.0):
-    got = psi2(u)
-    want = exponent_curvature(model, u)
-    print(f"psi''({u:3.0f}): estimate {got:+.4f}, exact {want:+.4f}")
+    i = int(np.argmin(np.abs(u_nodes - u)))
+    want = exponent_curvature(model, u_nodes[i])
+    print(f"psi''({u_nodes[i]:6.3f}): estimate {spectra.psi2[i]:+.4f}, "
+          f"exact {want:+.4f}")
 
 # --- inversion at a fixed bandwidth -----------------------------------------
 
 kernel = flat_top_kernel(0.5)
-h = 0.05
+tail = tail_estimates(spectra, kernel, [h])[0]
 
-print(f"\njump density at t = 0.7: estimate "
-      f"{density_from_psi2(psi2, kernel, h, 0.7):.4f}, "
+print(f"\njump density at t = 0.7: estimate {tail.density(0.7):.4f}, "
       f"exact {math.exp(-0.7):.4f}")
-
-tail = distribution_estimate(psi2, kernel, h)
 print(f"tail intensity at t = 0.7: estimate {tail(0.7):.4f}, "
       f"exact {math.exp(-0.7):.4f}")
 

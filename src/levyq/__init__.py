@@ -5,7 +5,8 @@ Two observation schemes feed a common spectral pipeline:
 * equidistant increments of the process (empirical characteristic function),
 * noisy option prices across strikes (implied characteristic function),
 
-from which the curvature of the characteristic exponent is estimated,
+from which the curvature of the characteristic exponent is estimated and
+tabulated on a frequency grid (one `Spectra` table for either scheme),
 kernel-smoothed, and inverted into jump-intensity densities, tail
 intensities, and their generalized quantiles.  A fully data-driven
 (Lepski-type) bandwidth selection and a Monte Carlo benchmark harness
@@ -35,11 +36,10 @@ from .models import (
     total_mass,
     true_quantile,
 )
-from .numerics import FrequencyGrid, bracketed_root, inverse_fourier
+from .numerics import FrequencyGrid, Spectra, bracketed_root, inverse_fourier
 from .kernels import OrderReport, SpectralKernel, flat_top_kernel, triangle_kernel, verify_order
 from .increments import (
     IncrementSample,
-    Psi2Estimate,
     psi2_from_increments,
     read_increment_csv,
     write_increment_csv,
@@ -48,12 +48,10 @@ from .simulate import METHODS, IncrementSampler, sample_increments
 from .inversion import (
     DistributionEstimate,
     QuantileEstimate,
-    density_from_psi2,
-    distribution_estimate,
     quantile_from_distribution,
+    tail_estimates,
 )
 from .options import (
-    ChainSpectra,
     NoiseProfile,
     OptionChain,
     SplineOptionFunction,
@@ -63,7 +61,6 @@ from .options import (
     estimate_noise_profile,
     generate_synthetic_chain,
     option_function,
-    option_psi2,
     put_value,
     read_chain_csv,
     spline_spectra,

@@ -40,7 +40,7 @@ from scipy.special import sici
 from .errors import InputError, NoSolutionError, NumericalError
 from .inversion import X_MAX_DEFAULT
 from .kernels import SpectralKernel
-from .options import ChainSpectra
+from .numerics import Spectra
 
 __all__ = [
     "BandwidthGrid",
@@ -128,7 +128,18 @@ class BandwidthGrid:
     feasible: bool = True
 
 
-def _screen_statistic(spectra: ChainSpectra, n: int, cutoffs: np.ndarray) -> np.ndarray:
+def _require_noise_profile(spectra: Spectra, step: str) -> None:
+    """Refuse a table without a quote-noise summary (an increments table):
+    the screen and the deviation bound are built from the option scheme's
+    noise profile, and the increments scheme has no counterpart yet."""
+    if spectra.sup_norms is None or spectra.noise_scale is None:
+        raise InputError(
+            f"{step} needs an option chain's quote-noise profile; this "
+            "spectra table has none (no bandwidth selection for increments "
+            "yet)")
+
+
+def _screen_statistic(spectra: Spectra, n: int, cutoffs: np.ndarray) -> np.ndarray:
     """S(j) = (log10 n)^2 n^{-1/2} s_rho (int_{|u|<=1/h_j, trusted}
     (1+u^4)/|phi~|^2 du)^{1/2}, read at every cutoff off one prefix sum of
     the grid weights times the even integrand on the trusted nodes.
@@ -136,6 +147,7 @@ def _screen_statistic(spectra: ChainSpectra, n: int, cutoffs: np.ndarray) -> np.
     s_rho is the weighted L2 norm of the noise profile; with zero noise the
     statistic vanishes identically and the screen passes everywhere.
     """
+    _require_noise_profile(spectra, "the bandwidth screen")
     s_rho = spectra.noise_scale * math.sqrt(spectra.n_obs)
     trusted = spectra.trusted
     u = spectra.grid.u[trusted]
@@ -177,7 +189,7 @@ def _top_index(n: int, L: float) -> int:
 
 
 def build_grid(n: int, L: float,
-               spectra: ChainSpectra | None = None) -> BandwidthGrid:
+               spectra: Spectra | None = None) -> BandwidthGrid:
     """Bandwidth grid with the data-dependent lower cut.
 
     j_max is the smallest index with L^j / n >= (log10 n)^{-5}; j_min is the
@@ -209,7 +221,7 @@ def build_grid(n: int, L: float,
 # deviation bound at a fixed bandwidth
 
 
-def _masked_chis(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
+def _masked_chis(spectra: Spectra, kernel: SpectralKernel, h: float,
                  q, side, x_max: float):
     """Validate the cells (`q` one threshold or a 1-D array, `side` one
     side or one per threshold); return the integration mask and an iterator
@@ -217,6 +229,7 @@ def _masked_chis(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     kernel profile, the masked spectra and the three rational factors
     depend on h alone and are formed once; each cell adds its tail weight.
     """
+    _require_noise_profile(spectra, "the deviation bound")
     if not h > 0:
         raise InputError(f"bandwidth must be positive, got {h}")
     qs = np.atleast_1d(np.asarray(q, dtype=float))
@@ -232,7 +245,7 @@ def _masked_chis(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
             raise InputError(
                 f"x_max = {x_max} must exceed the threshold q = {qi}")
     t = np.array([qi if si == "+" else -qi for qi, si in zip(qs, sides)])
-    T = spectra.maturity
+    T = spectra.horizon
     u_all = spectra.grid.u
     mask = spectra.trusted & (u_all <= 1.0 / h)
     u = u_all[mask]
@@ -256,7 +269,7 @@ def _masked_chis(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     return mask, cells()
 
 
-def auxiliary_spectra(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
+def auxiliary_spectra(spectra: Spectra, kernel: SpectralKernel, h: float,
                       q, side, x_max: float = X_MAX_DEFAULT):
     """The three linearization spectra chi_0, chi_1, chi_2 and their mask.
 
@@ -278,7 +291,7 @@ def auxiliary_spectra(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
     return chis[0], chis[1], chis[2], mask
 
 
-def sigma_tilde(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
+def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
                 q, side, x_max: float = X_MAX_DEFAULT):
     """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
     ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
@@ -293,7 +306,7 @@ def sigma_tilde(spectra: ChainSpectra, kernel: SpectralKernel, h: float,
             "the noise guard dominates at this bandwidth"
         )
     weights = spectra.grid.weights[mask]
-    pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.maturity)
+    pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.horizon)
 
     def norm(chi):
         return math.sqrt(weights @ (chi.real ** 2 + chi.imag ** 2))

@@ -17,12 +17,16 @@ downstream of the seed is deterministic: replication r draws its noise from
 the r-th child of a single SeedSequence, so results do not depend on the
 order in which replications execute.
 
-The Monte Carlo loop prices the chain once (the strike design is fixed) and
-re-perturbs it per replication.  Both option-chain drivers share one
-per-chain path: the curvature is tabulated once on a master frequency grid,
-every bandwidth's tail function comes from one batched inversion of all
-the kernel-damped columns (`inversion.tail_estimates`), and the deviation
-bounds of all (tau, side) cells come from one `sigma_tilde` call per
+All three drivers hand the inversion step the same table: the estimated
+cf and exponent derivatives on one frequency grid (`numerics.Spectra`,
+from `options.compute_chain_spectra` or `increments.psi2_from_increments`),
+and every bandwidth's tail function comes from one batched inversion of
+all its kernel-damped columns (`inversion.tail_estimates`).  The option
+drivers tabulate on the master window |u| <= n, the band of the smallest
+grid bandwidth 1/n; the direct demo on |u| <= 1/h, the band of its one
+bandwidth.  The Monte Carlo loop prices the chain once (the strike design
+is fixed) and re-perturbs it per replication, and the deviation bounds of
+all (tau, side) cells of a chain come from one `sigma_tilde` call per
 bandwidth.
 """
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .adaptive import _top_index, adaptive_quantile, build_grid, sigma_tilde
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
 from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
-                        checked_tail_nodes, distribution_estimate,
-                        quantile_from_distribution, tail_estimates)
+                        checked_tail_nodes, quantile_from_distribution,
+                        tail_estimates)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, LevyModel, exponential_jumps,
                      martingale_drift, true_quantile)
@@ -250,7 +254,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -375,8 +379,7 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
     """
     hs = build_grid(bw.n, bw.L).values if oracle else bw.values
     first = bw.j_min if oracle else 0   # index of bw.values[0] in hs
-    dists = tail_estimates(spectra.psi2, spectra.grid, kernel, hs,
-                           config.x_max)
+    dists = tail_estimates(spectra, kernel, hs, config.x_max)
 
     def search(tau, side):
         return [quantile_from_distribution(dist, tau, config.eta, side)
@@ -605,7 +608,10 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
 def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     """Estimate quantiles from simulated increments at a fixed bandwidth.
 
-    No bandwidth selection: the configured h is used as-is.  Truth columns
+    No bandwidth selection: the configured h is used as-is.  The spectra
+    table of the increments covers its band |u| <= 1/h with
+    `spectral_points` nodes and goes through `tail_estimates`, the
+    inversion the chain drivers use.  Truth columns
     are filled from the closed-form tail integral where the model has one
     (and the level is reachable); otherwise they are None.
     """
@@ -614,10 +620,10 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     sampler = IncrementSampler(model=model, delta=config.increment_delta,
                                method=config.method, seed=config.seed)
     sample = sample_increments(sampler, config.n)
-    curvature = psi2_from_increments(sample)
-    kernel = flat_top_kernel(config.kernel_c)
-    dist = distribution_estimate(curvature, kernel, config.h, config.x_max,
-                                 config.spectral_points)
+    grid = FrequencyGrid(cutoff=1.0 / config.h, points=config.spectral_points)
+    spectra = psi2_from_increments(sample, grid)
+    dist = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
+                          [config.h], config.x_max)[0]
     results = []
     for tau in taus:
         for side in ("-", "+"):

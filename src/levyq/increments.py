@@ -5,13 +5,15 @@ characteristic function and its first two derivatives
 
     phi^(k)(u) = (1/n) sum_j (i Y_j)^k e^{i u Y_j},   k = 0, 1, 2,
 
-combine into an estimate of the second derivative of the characteristic
+combine into estimates of the first two derivatives of the characteristic
 exponent,
 
+    psi1(u) = phi'(u) / (delta phi(u)),
     psi2(u) = [phi''(u) phi(u) - phi'(u)^2] / (delta phi(u)^2),
 
 kept only on the trust region |phi(u)| >= (delta n)^{-1/2} and set to 0
-elsewhere.  The ratio is exactly invariant under adding a constant to every
+elsewhere (the low-frequency cf approach of Neumann & Reiss, Bernoulli
+2009).  The ratio is exactly invariant under adding a constant to every
 increment (the e^{iuc} factors cancel), so no drift correction is needed.
 
 On a uniform frequency grid the three sums factor exactly over blocks of
@@ -22,8 +24,9 @@ each chunk of samples costs three exponentials per sample (one more per
 matrix product, instead of N exponentials.  Any other set of frequencies
 is summed directly.
 
-`Psi2Estimate` is the common currency handed to the inversion stage by both
-this scheme and the option-implied scheme.
+`psi2_from_increments` tabulates them on a frequency grid as a
+`numerics.Spectra`, the same table the option scheme hands to the
+inversion step (`inversion.tail_estimates`).
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numerics import _BLOCK
+from .numerics import _BLOCK, FrequencyGrid, Spectra
 
 __all__ = [
     "IncrementSample",
-    "Psi2Estimate",
     "psi2_from_increments",
     "read_increment_csv",
     "write_increment_csv",
@@ -66,20 +68,6 @@ class IncrementSample:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class Psi2Estimate:
-    """An estimated exponent curvature u -> psi2(u).
-
-    `eval` is a pure vectorized function of frequency returning complex
-    values, evaluated on u > 0; the negative half is its conjugate.
-    """
-
-    eval: object
-
-    def __call__(self, u):
-        return self.eval(u)
 
 
 # cap on the complex entries of one sample chunk's work arrays: the block
@@ -177,32 +165,26 @@ def _curvature_ratio(phi0, phi1, phi2, delta: float):
     return (phi2 * phi0 - phi1 * phi1) / (delta * phi0 * phi0)
 
 
-def psi2_from_increments(sample: IncrementSample) -> Psi2Estimate:
-    """Curvature estimate from increments, zeroed off the trust region.
+def psi2_from_increments(sample: IncrementSample,
+                         grid: FrequencyGrid) -> Spectra:
+    """Empirical cf and exponent derivatives of the increments on ``grid.u``.
 
-    The trust region is |phi(u)| >= (delta n)^{-1/2}; outside it the
-    estimate is exactly 0 so downstream integrals simply drop those
-    frequencies.
+    The trust region is |phi(u)| >= (delta n)^{-1/2}; outside it psi1 and
+    psi2 are exactly 0 so downstream integrals simply drop those
+    frequencies.  The table carries no quote-noise summary.
     """
     if sample.n < 2:
         raise InputError("need at least 2 increments")
-    values = sample.values
     delta = sample.delta
-    threshold = 1.0 / math.sqrt(delta * sample.n)
-
-    def evaluate(u):
-        scalar = np.isscalar(u) or np.ndim(u) == 0
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        phi0, phi1, phi2 = _ecf_all(values, u_arr)
-        trusted = np.abs(phi0) >= threshold
-        # guard the division as well: off the trust region phi0 may be ~0
-        safe0 = np.where(trusted, phi0, 1.0)
-        vals = np.where(
-            trusted, _curvature_ratio(safe0, phi1, phi2, delta), 0.0 + 0.0j
-        )
-        return vals[0] if scalar else vals
-
-    return Psi2Estimate(eval=evaluate)
+    phi0, phi1, phi2 = _ecf_all(sample.values, grid.u)
+    trusted = np.abs(phi0) >= 1.0 / math.sqrt(delta * sample.n)
+    # guard the division as well: off the trust region phi0 may be ~0
+    safe0 = np.where(trusted, phi0, 1.0)
+    psi1 = np.where(trusted, phi1 / (delta * safe0), 0.0 + 0.0j)
+    psi2 = np.where(trusted, _curvature_ratio(safe0, phi1, phi2, delta),
+                    0.0 + 0.0j)
+    return Spectra(grid=grid, horizon=delta, n_obs=sample.n, phi=phi0,
+                   psi1=psi1, psi2=psi2, trusted=trusted)
 
 
 def read_increment_csv(path, delta: float) -> IncrementSample:

@@ -3,7 +3,9 @@
 The pipeline shared by both observation schemes:
 
 1. Smooth the curvature estimate with a band-limited kernel at bandwidth h
-   and invert:  F_h(x) = (1/2pi) int e^{-iux} psi2(u) fk(hu) du.
+   and invert:  F_h(x) = (1/2pi) int e^{-iux} psi2(u) fk(hu) du.  Either
+   scheme hands over its estimate as one `numerics.Spectra` table, and
+   `tail_estimates` inverts every bandwidth of it in one pass.
 2. The density estimate is  nu_h(t) = -t^{-2} F_h(t)  for t != 0.
 3. The tail function N_h(t) integrates the density outward:
        N_h(t) = int_t^{X}  nu_h(x) dx          (t > 0)
@@ -28,23 +30,21 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import SpectralKernel
-from .numerics import FrequencyGrid, inverse_fourier
+from .numerics import FrequencyGrid, Spectra, inverse_fourier
 
 __all__ = [
     "DistributionEstimate",
     "QuantileEstimate",
     "X_MAX_DEFAULT",
     "FIRST_TAIL_NODE",
-    "density_from_psi2",
     "tail_nodes",
     "checked_tail_nodes",
     "tail_estimates",
-    "distribution_estimate",
     "quantile_from_distribution",
 ]
 
 X_MAX_DEFAULT = 5.0
-# spectral nodes used when inverting a curvature estimate
+# default spectral nodes of the grid a curvature estimate is tabulated on
 SPECTRAL_POINTS = 2 ** 13
 # composite spatial grid: geometric inner part, uniform outer part; no
 # tail is tabulated below FIRST_TAIL_NODE, so no threshold eta may lie there
@@ -121,33 +121,6 @@ class QuantileEstimate:
     at_threshold: bool
 
 
-def _spectral_grid(h: float, points: int = SPECTRAL_POINTS) -> FrequencyGrid:
-    if not h > 0:
-        raise InputError(f"bandwidth must be positive, got {h}")
-    return FrequencyGrid(cutoff=1.0 / h, points=points)
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    """The inverted values, checked to be finite."""
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("inverse transform of the curvature is not finite")
-    return values
-
-
-def density_from_psi2(psi2, kernel: SpectralKernel, h: float, t,
-                      points: int = SPECTRAL_POINTS):
-    """Jump density estimate nu_h(t) = -t^{-2} F_h(t) at t != 0, where
-    F_h(t) = (1/2pi) int e^{-iut} psi2(u) fk(hu) du."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr == 0.0):
-        raise InputError("density estimate is undefined at t = 0")
-    grid = _spectral_grid(h, points)
-    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
-    F = _finite(inverse_fourier(spectrum, grid, t_arr))
-    out = -F / (t_arr * t_arr)
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
     """Composite positive-axis quadrature nodes on [FIRST_TAIL_NODE, x_max].
 
@@ -176,44 +149,34 @@ def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:
     return tail_nodes(x_max)
 
 
-def tail_estimates(psi2_values, grid: FrequencyGrid, kernel: SpectralKernel,
-                   bandwidths, x_max: float = X_MAX_DEFAULT) -> list:
-    """Tail-function estimates N_h for every bandwidth from one curvature table.
+def tail_estimates(spectra: Spectra, kernel: SpectralKernel, bandwidths,
+                   x_max: float = X_MAX_DEFAULT) -> list:
+    """Tail-function estimates N_h for every bandwidth from one spectra table.
 
-    `psi2_values` is the curvature estimate tabulated on ``grid.u``.  Column
-    j of the smoothed spectrum is psi2 * fk(h_j u); a single inverse_fourier
-    pass evaluates F_h at +-tail_nodes for all columns, and each column
-    becomes one DistributionEstimate with its +- density tables.  The grid
-    window should cover |u| < 1/h (the kernel's band): frequencies beyond
+    Column j of the smoothed spectrum is spectra.psi2 * fk(h_j u) on the
+    table's grid; a single inverse_fourier pass evaluates F_h at
+    +-tail_nodes for all columns, and each column becomes one
+    DistributionEstimate with its +- density tables.  The grid window
+    should cover |u| < 1/h (the kernel's band): frequencies beyond
     ``grid.cutoff`` are not integrated.  The grid must not alias the tail
     nodes (`checked_tail_nodes`).
     """
     hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
     if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
         raise InputError(f"bandwidths must be positive, got {bandwidths}")
+    grid = spectra.grid
     u = grid.u
-    psi2 = np.asarray(psi2_values, dtype=complex)
-    if psi2.shape != u.shape:
-        raise InputError("curvature table must match the grid nodes")
     nodes = checked_tail_nodes(grid, x_max)
-    columns = np.stack([psi2 * kernel.fk(h * u) for h in hs], axis=1)
-    F = _finite(inverse_fourier(columns, grid,
-                                np.concatenate([-nodes[::-1], nodes])))
+    columns = np.stack([spectra.psi2 * kernel.fk(h * u) for h in hs], axis=1)
+    F = inverse_fourier(columns, grid, np.concatenate([-nodes[::-1], nodes]))
+    if not np.all(np.isfinite(F)):
+        raise NumericalError("inverse transform of the curvature is not finite")
     F_neg = F[nodes.size - 1 :: -1]   # F(-nodes[i])
     F_pos = F[nodes.size :]
     return [DistributionEstimate(
                 nodes=nodes, density_pos=-F_pos[:, j] / (nodes * nodes),
                 density_neg=-F_neg[:, j] / (nodes * nodes), bandwidth=float(h))
             for j, h in enumerate(hs)]
-
-
-def distribution_estimate(psi2, kernel: SpectralKernel, h: float,
-                          x_max: float = X_MAX_DEFAULT,
-                          points: int = SPECTRAL_POINTS) -> DistributionEstimate:
-    """Tail-function estimate at one bandwidth: psi2 tabulated on the full
-    band |u| <= 1/h, then tail_estimates."""
-    grid = _spectral_grid(h, points)
-    return tail_estimates(psi2(grid.u), grid, kernel, [h], x_max)[0]
 
 
 def quantile_from_distribution(dist: DistributionEstimate, tau: float,

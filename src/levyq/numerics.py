@@ -1,6 +1,7 @@
 """Shared numeric substrate.
 
-Uniform symmetric frequency grids, discrete inverse Fourier transforms of
+Uniform symmetric frequency grids, the spectra table both observation
+schemes hand to the inversion step, discrete inverse Fourier transforms of
 band-limited spectra, and bracketed root finding.  Everything here is pure
 and deterministic, with no adaptive quadrature; scipy.integrate.quad runs
 in `models` for compound Poisson only: the exponent, its curvature,
@@ -27,6 +28,7 @@ from .errors import InputError, NoSolutionError
 
 __all__ = [
     "FrequencyGrid",
+    "Spectra",
     "inverse_fourier",
     "bracketed_root",
 ]
@@ -96,6 +98,31 @@ class FrequencyGrid:
         if not self.offset:
             w[-1] = self.spacing
         return w
+
+
+@dataclass(frozen=True, eq=False)
+class Spectra:
+    """An estimated cf and exponent derivatives, tabulated on ``grid.u``.
+
+    The one input of the inversion step, made by
+    `options.compute_chain_spectra` from an option chain and by
+    `increments.psi2_from_increments` from increments.  phi estimates
+    e^{horizon psi} (horizon is the maturity T of the chain or the spacing
+    delta of the increments); psi1 and psi2 estimate psi' and psi'' on the
+    trusted nodes and are exactly 0 off them.  n_obs counts quotes or
+    increments.  sup_norms and noise_scale are the quote-noise summary
+    the bandwidth selector reads; an increments table has none (None).
+    """
+
+    grid: FrequencyGrid
+    horizon: float
+    n_obs: int
+    phi: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+    trusted: np.ndarray
+    sup_norms: tuple | None = None
+    noise_scale: float | None = None
 
 
 # nodes per block of the factored phase sum, and targets per chunk; a chunk's

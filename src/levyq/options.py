@@ -47,22 +47,19 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import ndtri
 
 from .errors import ChainFormatError, InputError, MartingaleError, NumericalError
-from .increments import Psi2Estimate
 from .models import LevyModel, characteristic_exponent
-from .numerics import FrequencyGrid, inverse_fourier
+from .numerics import FrequencyGrid, Spectra, inverse_fourier
 
 __all__ = [
     "OptionChain",
     "SplineOptionFunction",
     "NoiseProfile",
-    "ChainSpectra",
     "option_function",
     "call_value",
     "put_value",
     "generate_synthetic_chain",
     "build_spline",
     "spline_spectra",
-    "option_psi2",
     "estimate_noise_profile",
     "compute_chain_spectra",
     "read_chain_csv",
@@ -123,8 +120,13 @@ def read_chain_csv(path, maturity: float, rate: float, spot: float | None = None
     x = log(strike/spot) - rate*maturity).  Rows are sorted by x; parse
     failures carry the 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ChainFormatError(f"not UTF-8 text: {exc.reason}",
+                               line=exc.object[:exc.start].count(b"\n") + 1
+                               ) from None
     if not lines:
         raise ChainFormatError("empty chain file", line=1)
     header = lines[0].strip()
@@ -453,20 +455,6 @@ def spline_spectra(spline: SplineOptionFunction, maturity: float, u: np.ndarray,
     return phi, trusted, psi1, psi2
 
 
-def option_psi2(spline: SplineOptionFunction, maturity: float,
-                noise_scale: float = 0.0) -> Psi2Estimate:
-    """Package the curvature estimator for the inversion pipeline."""
-
-    def evaluate(u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        _, _, _, psi2 = spline_spectra(spline, maturity, u_arr, noise_scale)
-        if np.ndim(u) == 0:
-            return complex(psi2[0])
-        return psi2
-
-    return Psi2Estimate(eval=evaluate)
-
-
 # ---------------------------------------------------------------------------
 # noise profile
 
@@ -524,27 +512,13 @@ def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
 
 
 # ---------------------------------------------------------------------------
-# one-stop spectra bundle for the adaptive selector and the harness
-
-
-@dataclass(frozen=True, eq=False)
-class ChainSpectra:
-    """Everything the bandwidth selector needs, tabulated on ``grid.u``."""
-
-    grid: FrequencyGrid
-    maturity: float
-    n_obs: int
-    phi: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
-    trusted: np.ndarray
-    sup_norms: tuple
-    noise_scale: float
+# the spectra table of a chain
 
 
 def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid,
-                          degree: int = 1) -> ChainSpectra:
-    """Interpolate the chain and tabulate phi~, psi~', psi~'' on the grid."""
+                          degree: int = 1) -> Spectra:
+    """Interpolate the chain and tabulate phi~, psi~', psi~'' on the grid,
+    with the noise summary the bandwidth selector reads."""
     spline = build_spline(chain.xs, chain.prices, degree=degree)
     if np.any(chain.noise_levels > 0):
         profile = estimate_noise_profile(chain)
@@ -555,9 +529,9 @@ def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid,
         noise_scale = 0.0
     phi, trusted, psi1, psi2 = spline_spectra(spline, chain.maturity, grid.u,
                                               noise_scale)
-    return ChainSpectra(
+    return Spectra(
         grid=grid,
-        maturity=chain.maturity,
+        horizon=chain.maturity,
         n_obs=chain.n,
         phi=phi,
         psi1=psi1,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from levyq.inversion import SPECTRAL_POINTS, X_MAX_DEFAULT, tail_estimates
 from levyq.models import CGMYJumps, LevyModel, martingale_drift
+from levyq.numerics import FrequencyGrid, Spectra, inverse_fourier
 
 # Benchmark tempered-stable measure used across the test suite, together
 # with the frozen ground-truth quantile magnitudes: exact roots of
@@ -46,6 +48,36 @@ def hermitian_full_sum(g, grid, x):
     full = np.concatenate([np.conj(g[::-1]), g])
     phase = np.exp(-1j * np.outer(np.atleast_1d(x), u)) * w
     return phase @ full / (2.0 * np.pi)
+
+
+def curvature_table(psi2, grid):
+    """A spectra table that holds only a curvature: psi2 (a callable of the
+    nodes, or an array on them) on ``grid.u``, every node trusted.  phi and
+    psi1 are NaN, so a step that reads them fails loudly."""
+    u = grid.u
+    nan = np.full(u.shape, np.nan + 0j)
+    values = np.asarray(psi2(u) if callable(psi2) else psi2, dtype=complex)
+    return Spectra(grid=grid, horizon=1.0, n_obs=1, phi=nan, psi1=nan,
+                   psi2=values, trusted=np.ones(u.shape, dtype=bool))
+
+
+def tail_at(psi2, kernel, h, x_max=X_MAX_DEFAULT, points=SPECTRAL_POINTS):
+    """Tail-function estimate at one bandwidth: the curvature psi2 (a
+    callable) tabulated on the full band |u| <= 1/h and inverted by
+    tail_estimates, the table demo_direct builds from increments."""
+    grid = FrequencyGrid(1.0 / h, points)
+    return tail_estimates(curvature_table(psi2, grid), kernel, [h], x_max)[0]
+
+
+def density_at(psi2, kernel, h, t, points=SPECTRAL_POINTS):
+    """Pointwise jump density estimate nu_h(t) = -t^{-2} F_h(t) at t != 0,
+    F_h(t) = (1/2pi) int e^{-iut} psi2(u) fk(hu) du on the band |u| <= 1/h
+    (the tail tables hold it only at the tail nodes)."""
+    grid = FrequencyGrid(1.0 / h, points)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
+    out = -inverse_fourier(spectrum, grid, t_arr) / (t_arr * t_arr)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 @pytest.fixture(scope="session")

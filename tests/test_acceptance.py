@@ -44,15 +44,14 @@ import pytest
 from levyq.adaptive import adaptive_quantile, build_grid, sigma_tilde
 from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
-from levyq.inversion import (density_from_psi2, distribution_estimate,
-                             quantile_from_distribution, tail_estimates)
+from levyq.inversion import quantile_from_distribution, tail_estimates
 from levyq.kernels import flat_top_kernel, verify_order
 from levyq.models import characteristic_exponent, exponent_curvature, true_quantile
 from levyq.numerics import FrequencyGrid
 from levyq.options import (build_spline, call_value, compute_chain_spectra,
                            generate_synthetic_chain, put_value, spline_spectra)
 
-from conftest import PRINTED_QUANTILES
+from conftest import PRINTED_QUANTILES, density_at, tail_at
 
 # Reference benchmark table: empirical RMSE multiplied by 100, per
 # threshold level, columns (oracle -, adaptive -, oracle +, adaptive +).
@@ -191,7 +190,7 @@ def test_criterion_4_noiseless_dense_chain(bench_model):
     master = FrequencyGrid(cutoff=inv_h[-1] + 1.0, points=512)
     spectra = compute_chain_spectra(chain, master, degree=1)
     kernel = flat_top_kernel(cfg.kernel_c)
-    dists = tail_estimates(spectra.psi2, master, kernel, ladder, cfg.x_max)
+    dists = tail_estimates(spectra, kernel, ladder, cfg.x_max)
 
     truth = {s: true_quantile(bench_model.jumps, 1.0, s) for s in ("-", "+")}
     best = {"-": math.inf, "+": math.inf}
@@ -228,9 +227,10 @@ def test_criterion_5_exact_identity_suite(bench_model):
     # by a constant changes only the phase of the empirical cf
     rng = np.random.default_rng(11)
     base = rng.standard_normal(500) * 0.3
-    u = np.linspace(-8.0, 8.0, 33)
-    v0 = psi2_from_increments(IncrementSample(base, delta=0.1))(u)
-    vc = psi2_from_increments(IncrementSample(base + 3.7, delta=0.1))(u)
+    grid = FrequencyGrid(8.0, 64)
+    v0 = psi2_from_increments(IncrementSample(base, delta=0.1), grid).psi2
+    vc = psi2_from_increments(IncrementSample(base + 3.7, delta=0.1),
+                              grid).psi2
     np.testing.assert_array_equal(v0 != 0, vc != 0)
     active = v0 != 0
     assert active.any()
@@ -281,13 +281,12 @@ def test_criterion_5_exact_identity_suite(bench_model):
     step = 1e-3
     fd_worst = 0.0
     for t in (0.4, 0.8, -0.4, -0.8):
-        hi = distribution_estimate(psi2_two_sided, kernel, 0.05, x_max=5.0,
-                                   points=2048)(t + step)
-        lo = distribution_estimate(psi2_two_sided, kernel, 0.05, x_max=5.0,
-                                   points=2048)(t - step)
+        hi = tail_at(psi2_two_sided, kernel, 0.05, x_max=5.0,
+                     points=2048)(t + step)
+        lo = tail_at(psi2_two_sided, kernel, 0.05, x_max=5.0,
+                     points=2048)(t - step)
         slope = (hi - lo) / (2.0 * step)
-        dens = density_from_psi2(psi2_two_sided, kernel, 0.05, t,
-                                 points=2048)
+        dens = density_at(psi2_two_sided, kernel, 0.05, t, points=2048)
         fd_worst = max(fd_worst, abs(slope + math.copysign(1.0, t) * dens))
     worst["tail-slope"] = fd_worst
     assert fd_worst <= 1e-3

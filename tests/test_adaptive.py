@@ -31,9 +31,10 @@ from levyq.adaptive import (
     tail_weight_spectrum,
 )
 from levyq.errors import InputError, NoSolutionError, NumericalError
+from levyq.increments import IncrementSample, psi2_from_increments
 from levyq.kernels import flat_top_kernel
-from levyq.numerics import FrequencyGrid
-from levyq.options import ChainSpectra, build_spline, compute_chain_spectra, generate_synthetic_chain, spline_spectra
+from levyq.numerics import FrequencyGrid, Spectra
+from levyq.options import build_spline, compute_chain_spectra, generate_synthetic_chain, spline_spectra
 
 RATE = 0.06
 MATURITY = 0.25
@@ -52,7 +53,7 @@ def synthetic_spectra(grid, phi_values, noise_scale, n_obs=100,
     u = grid.u
     trusted = np.abs(phi_values) >= (1.0 + np.abs(u)) ** 2 * noise_scale
     zero = np.zeros_like(phi_values)
-    return ChainSpectra(grid=grid, maturity=maturity, n_obs=n_obs,
+    return Spectra(grid=grid, horizon=maturity, n_obs=n_obs,
                         phi=phi_values, psi1=zero, psi2=zero, trusted=trusted,
                         sup_norms=sup_norms, noise_scale=noise_scale)
 
@@ -285,6 +286,31 @@ class TestSigmaTilde:
             sigma_tilde(noisy_spectra, kernel, 0.02, -0.1, "+")
         with pytest.raises(InputError):
             sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "up")
+
+
+class TestIncrementsTableRefused:
+    """The screen and the deviation bound are built from an option chain's
+    quote-noise profile.  An increments table has none, so both refuse it
+    rather than screen it as noiseless or bound it by 0."""
+
+    @pytest.fixture(scope="class")
+    def increments_spectra(self):
+        rng = np.random.default_rng(2)
+        sample = IncrementSample(rng.standard_normal(500) * 0.3, delta=0.5)
+        return psi2_from_increments(sample, FrequencyGrid(20.0, 256))
+
+    def test_build_grid(self, increments_spectra):
+        with pytest.raises(InputError, match="quote-noise profile"):
+            build_grid(100, 1.1, increments_spectra)
+
+    def test_sigma_tilde_and_auxiliary_spectra(self, increments_spectra):
+        kernel = flat_top_kernel(0.5)
+        with pytest.raises(InputError, match="quote-noise profile"):
+            sigma_tilde(increments_spectra, kernel, 0.1, 0.5, "+")
+        with pytest.raises(InputError, match="quote-noise profile"):
+            sigma_tilde(increments_spectra, kernel, 0.1, [0.5, 0.7], "-")
+        with pytest.raises(InputError, match="quote-noise profile"):
+            auxiliary_spectra(increments_spectra, kernel, 0.1, 0.5, "+")
 
 
 class TestHermitianFactors:

@@ -263,6 +263,21 @@ class TestEstimateChainCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_chain_is_an_input_error(self, chain_file, tmp_path,
+                                              capsys):
+        _, cfg_path = chain_file
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"x,price,noise\n0.1,0.02,0.001\n0.2,0.01,\xb10.001\n")
+        code = cli.main(["estimate-chain", "--chain", str(bad),
+                         "--config", str(cfg_path),
+                         "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "line 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestDemoDirectCommand:
     def test_writes_json_report(self, tmp_path, capsys):
@@ -283,6 +298,18 @@ class TestDemoDirectCommand:
         code = cli.main(["demo-direct", "--config", str(cfg),
                          "--out", str(tmp_path)])
         assert_input_error(code, capsys)
+
+    def test_non_utf8_config_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_bytes(DEMO_CFG.encode() + b"# spacing \xbd day\n")
+        out = tmp_path / "r.json"
+        code = cli.main(["demo-direct", "--config", str(cfg),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_poisson_count_overflow_is_an_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"

@@ -44,13 +44,13 @@ from levyq.harness import (
     pricing_model,
     run_mc_table,
 )
-from levyq.inversion import distribution_estimate, quantile_from_distribution
+from levyq.inversion import quantile_from_distribution, tail_estimates
 from levyq.kernels import flat_top_kernel
 from levyq.models import martingale_drift, true_quantile
 from levyq.numerics import FrequencyGrid
-from levyq.options import (OptionChain, build_spline, compute_chain_spectra,
+from levyq.options import (OptionChain, compute_chain_spectra,
                            generate_synthetic_chain, option_function,
-                           option_psi2, write_chain_csv)
+                           write_chain_csv)
 
 from conftest import TRUE_QUANTILES
 
@@ -533,9 +533,10 @@ class TestEstimateChain:
         report, _ = estimate_chain(chain, cfg, taus=(1.0,))
         h = report["bandwidth_grid"][0]
         assert h == 1.0 / cfg.n
-        curvature = option_psi2(build_spline(chain.xs, chain.prices), cfg.T)
-        alone = distribution_estimate(curvature, flat_top_kernel(cfg.kernel_c),
-                                      h, cfg.x_max, cfg.spectral_points)
+        alone = tail_estimates(
+            compute_chain_spectra(chain, FrequencyGrid(1.0 / h,
+                                                       cfg.spectral_points)),
+            flat_top_kernel(cfg.kernel_c), [h], cfg.x_max)[0]
         # the (N, 13) and (N, 1) blocked sums differ by an ulp or two
         for key, side in (("minus", "-"), ("plus", "+")):
             q = quantile_from_distribution(alone, 1.0, cfg.eta, side).value

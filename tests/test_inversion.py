@@ -23,15 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import hermitian_full_sum
+from conftest import curvature_table, density_at, hermitian_full_sum, tail_at
 from levyq.errors import InputError, NumericalError
 import levyq.inversion
 from levyq.inversion import (
     FIRST_TAIL_NODE,
     DistributionEstimate,
     checked_tail_nodes,
-    density_from_psi2,
-    distribution_estimate,
     quantile_from_distribution,
     tail_estimates,
     tail_nodes,
@@ -55,7 +53,7 @@ class TestDensity:
     def test_cp_density_converges_at_one(self):
         errs = []
         for h in (0.2, 0.1, 0.05):
-            d = density_from_psi2(psi2_cp, FLAT, h, 1.0)
+            d = density_at(psi2_cp, FLAT, h, 1.0)
             errs.append(abs(d - np.exp(-1.0)))
         assert errs[-1] < 2e-2
         assert errs[0] > errs[1] > errs[2]
@@ -65,7 +63,7 @@ class TestDensity:
         # psi2 = -sigma^2 must produce sigma^2 t^{-2} K_h(t) exactly
         sigma2, t = 0.04, 1.0
         for h in (0.5, 0.2, 0.1):
-            d = density_from_psi2(
+            d = density_at(
                 lambda u: np.full(np.shape(u), -sigma2, dtype=complex),
                 FLAT, h, t)
             Kh = quad(lambda u: np.cos(u * t) * FLAT.fk(h * u),
@@ -74,14 +72,14 @@ class TestDensity:
             assert d == pytest.approx(sigma2 * Kh / t ** 2, abs=1e-8)
         # and the mass leaks away as h -> 0 at fixed t (K decays ~x^{-4},
         # so the smoothed Dirac contributes ~h^3 at t = 1)
-        d_small = density_from_psi2(
+        d_small = density_at(
             lambda u: np.full(np.shape(u), -sigma2, dtype=complex),
             FLAT, 0.02, t)
         assert abs(d_small) < 1e-4
 
     def test_zero_curvature_gives_zero(self):
         t = np.array([-2.0, -0.5, 0.3, 1.0])
-        d = density_from_psi2(lambda u: np.zeros(np.shape(u), dtype=complex),
+        d = density_at(lambda u: np.zeros(np.shape(u), dtype=complex),
                               FLAT, 0.1, t)
         np.testing.assert_array_equal(d, np.zeros(4))
 
@@ -89,21 +87,15 @@ class TestDensity:
         def sym(u):
             return psi2_cp(u) + psi2_cp(-np.asarray(u))
 
-        d = density_from_psi2(sym, FLAT, 0.1, np.array([-1.3, -0.4, 0.4, 1.3]))
+        d = density_at(sym, FLAT, 0.1, np.array([-1.3, -0.4, 0.4, 1.3]))
         assert d[0] == d[3]
         assert d[1] == d[2]
-
-    def test_t_zero_rejected(self):
-        with pytest.raises(InputError):
-            density_from_psi2(psi2_cp, FLAT, 0.1, 0.0)
-        with pytest.raises(InputError):
-            density_from_psi2(psi2_cp, FLAT, -0.1, 1.0)
 
     def test_half_grid_curvature_read_as_hermitian(self):
         # a constant imaginary psi2 on u > 0 stands for i sign(u) on the
         # whole line, whose inverse transform is real and odd
         t = np.array([0.05, 0.7])
-        got = density_from_psi2(lambda u: np.full(np.shape(u), 1j), FLAT,
+        got = density_at(lambda u: np.full(np.shape(u), 1j), FLAT,
                                 0.1, t)
         grid = FrequencyGrid(cutoff=10.0, points=2 ** 13)
         F = hermitian_full_sum(1j * FLAT.fk(0.1 * grid.u), grid, t)
@@ -114,8 +106,10 @@ class TestDensity:
         grid = FrequencyGrid(cutoff=20.0, points=1024)
         hermitian = psi2_cp(grid.u)
         hs = [0.05, 0.1, 0.2]
-        assert [e.bandwidth for e in tail_estimates(hermitian, grid, FLAT, hs)] == hs
-        shifted = tail_estimates(hermitian + 1j, grid, FLAT, hs)
+        batch = tail_estimates(curvature_table(hermitian, grid), FLAT, hs)
+        assert [e.bandwidth for e in batch] == hs
+        shifted = tail_estimates(curvature_table(hermitian + 1j, grid), FLAT,
+                                 hs)
         nodes = tail_nodes()
         for est, h in zip(shifted, hs):
             column = (hermitian + 1j) * FLAT.fk(h * grid.u)
@@ -131,10 +125,11 @@ class TestDistribution:
         # estimate on the same grid
         grid = FrequencyGrid(cutoff=20.0, points=2048)
         hs = [0.05, 0.08, 0.2]
-        batch = tail_estimates(psi2_cp(grid.u), grid, FLAT, hs)
+        table = curvature_table(psi2_cp, grid)
+        batch = tail_estimates(table, FLAT, hs)
         t = np.array([-2.0, -0.3, 0.01, 0.4, 1.7])
         for est, h in zip(batch, hs):
-            alone = tail_estimates(psi2_cp(grid.u), grid, FLAT, [h])[0]
+            alone = tail_estimates(table, FLAT, [h])[0]
             np.testing.assert_allclose(est(t), alone(t),
                                        rtol=1e-12, atol=1e-14)
 
@@ -145,7 +140,7 @@ class TestDistribution:
         psi2 = psi2_cp(grid.u)
         psi2[300] = np.nan
         with pytest.raises(NumericalError):
-            tail_estimates(psi2, grid, FLAT, [0.05, 0.1])
+            tail_estimates(curvature_table(psi2, grid), FLAT, [0.05, 0.1])
 
         def psi2_with_nan(u):
             out = psi2_cp(u)
@@ -153,13 +148,13 @@ class TestDistribution:
             return out
 
         with pytest.raises(NumericalError):
-            distribution_estimate(psi2_with_nan, FLAT, 0.05)
+            tail_at(psi2_with_nan, FLAT, 0.05)
 
     def test_aliasing_grid_rejected(self):
         # spacing 200/255 exceeds pi / x_max: images of F_h would fold
         # into the tail nodes
         with pytest.raises(InputError):
-            distribution_estimate(psi2_cp, FLAT, 0.01, points=256)
+            tail_at(psi2_cp, FLAT, 0.01, points=256)
 
     def test_aliasing_checked_before_nodes_are_built(self, monkeypatch):
         # x_max = 1e7 would ask tail_nodes for 1e9 nodes; the spacing check
@@ -172,26 +167,26 @@ class TestDistribution:
             checked_tail_nodes(FrequencyGrid(100.0, 8192), 1e7)
 
     def test_cp_tail_at_one(self):
-        N = distribution_estimate(psi2_cp, FLAT, 0.05)(1.0)
+        N = tail_at(psi2_cp, FLAT, 0.05)(1.0)
         assert N == pytest.approx(np.exp(-1.0), abs=2e-2)
 
     def test_vanishes_at_truncation(self):
-        est = distribution_estimate(psi2_cp, FLAT, 0.05)
+        est = tail_at(psi2_cp, FLAT, 0.05)
         assert est(5.0) == 0.0
         assert est(-5.0) == 0.0
         assert est(7.0) == 0.0  # beyond the table
 
     def test_derivative_is_minus_density(self):
-        est = distribution_estimate(psi2_cp, FLAT, 0.05)
+        est = tail_at(psi2_cp, FLAT, 0.05)
         eps = 1e-4
         fd = (est(0.5 + eps) - est(0.5 - eps)) / (2.0 * eps)
-        dens = density_from_psi2(psi2_cp, FLAT, 0.05, 0.5)
+        dens = density_at(psi2_cp, FLAT, 0.05, 0.5)
         assert fd == pytest.approx(-dens, abs=1e-3)
 
     def test_bias_monotone_in_bandwidth(self):
         # against the truncated truth; see module docstring for why
         truth = np.exp(-1.0) - np.exp(-5.0)
-        errs = [abs(distribution_estimate(psi2_cp, FLAT, h)(1.0) - truth)
+        errs = [abs(tail_at(psi2_cp, FLAT, h)(1.0) - truth)
                 for h in (0.2, 0.1, 0.05)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -199,16 +194,16 @@ class TestDistribution:
         # adding a Brownian component perturbs the tail integral by at most
         # sigma^2 t^{-3} h C_K (smoothed-Dirac leakage bound)
         h, t = 0.1, 0.5
-        base = distribution_estimate(psi2_cp, FLAT, h)(t)
+        base = tail_at(psi2_cp, FLAT, h)(t)
         for sigma2 in (0.01, 0.04):
-            shifted = distribution_estimate(
+            shifted = tail_at(
                 lambda u, s=sigma2: psi2_cp(u) - s, FLAT, h)(t)
             assert abs(shifted - base) <= sigma2 * t ** -3 * h * C_K
 
     def test_below_table_evaluation(self):
         # no table lies below the first tail node, so N_h is not defined
         # there (the same rule as for eta); the first node itself is
-        est = distribution_estimate(psi2_cp, FLAT, 0.1)
+        est = tail_at(psi2_cp, FLAT, 0.1)
         assert np.isfinite(est(FIRST_TAIL_NODE))
         assert np.isfinite(est(-FIRST_TAIL_NODE))
         for t in (0.002, -0.002, [0.002, 0.5]):
@@ -216,7 +211,7 @@ class TestDistribution:
                 est(t)
 
     def test_t_zero_rejected(self):
-        est = distribution_estimate(psi2_cp, FLAT, 0.1)
+        est = tail_at(psi2_cp, FLAT, 0.1)
         with pytest.raises(InputError):
             est(0.0)
 
@@ -299,15 +294,15 @@ class TestQuantile:
         assert q.value == 0.02
 
     def test_estimated_pipeline_quantile(self):
-        est = distribution_estimate(psi2_cp, FLAT, 0.05)
+        est = tail_at(psi2_cp, FLAT, 0.05)
         q = quantile_from_distribution(est, 0.5, 0.02, "+")
         # truncated truth: solve e^{-t} - e^{-5} = 0.5
         expected = -np.log(0.5 + np.exp(-5.0))
         assert q.value == pytest.approx(expected, abs=5e-3)
 
     def test_mirror_swap(self):
-        e_orig = distribution_estimate(psi2_cp, FLAT, 0.05)
-        e_mirr = distribution_estimate(psi2_mirrored, FLAT, 0.05)
+        e_orig = tail_at(psi2_cp, FLAT, 0.05)
+        e_mirr = tail_at(psi2_mirrored, FLAT, 0.05)
         q_plus = quantile_from_distribution(e_orig, 0.5, 0.02, "+")
         q_minus = quantile_from_distribution(e_mirr, 0.5, 0.02, "-")
         assert q_minus.value == q_plus.value

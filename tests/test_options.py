@@ -33,7 +33,6 @@ from levyq.options import (
     estimate_noise_profile,
     generate_synthetic_chain,
     option_function,
-    option_psi2,
     put_value,
     read_chain_csv,
     spline_spectra,
@@ -505,9 +504,11 @@ class TestPsiTildeDerivatives:
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 200, 0.0,
                                          STRIKE_LAW, seed=1)
         sp = build_spline(chain.xs, chain.prices, degree=1)
-        est = option_psi2(sp, MATURITY)
-        direct = spline_spectra(sp, MATURITY, np.array([4.0]))[3][0]
-        assert est(4.0) == direct
+        grid = FrequencyGrid(cutoff=8.0, points=16)
+        spectra = compute_chain_spectra(chain, grid, degree=1)
+        direct = spline_spectra(sp, MATURITY, grid.u)[3]
+        assert spectra.horizon == MATURITY
+        assert np.array_equal(spectra.psi2, direct)
 
     def test_rejects_nonpositive_maturity(self):
         sp = build_spline([0.0, 1.0], [1.0, 1.0], degree=1, pad=0.0)
