@@ -54,8 +54,8 @@ def synthetic_spectra(grid, phi_values, noise_scale, n_obs=100,
     trusted = np.abs(phi_values) >= (1.0 + np.abs(u)) ** 2 * noise_scale
     zero = np.zeros_like(phi_values)
     return Spectra(grid=grid, horizon=maturity, n_obs=n_obs,
-                        phi=phi_values, psi1=zero, psi2=zero, trusted=trusted,
-                        sup_norms=sup_norms, noise_scale=noise_scale)
+                   phi=phi_values, psi1=zero, psi2=zero, trusted=trusted,
+                   sup_norms=sup_norms, noise_scale=noise_scale)
 
 
 @pytest.fixture(scope="module")
