@@ -18,11 +18,11 @@ import math
 import numpy as np
 
 from levyq import (
+    ExponentialJumps,
     FrequencyGrid,
     IncrementSampler,
     LevyModel,
     exponent_curvature,
-    exponential_jumps,
     flat_top_kernel,
     psi2_from_increments,
     quantile_from_distribution,
@@ -32,10 +32,10 @@ from levyq import (
 
 # --- the observed process --------------------------------------------------
 
-jumps = exponential_jumps(intensity=1.0, rate=1.0)
+jumps = ExponentialJumps(intensity=1.0, rate=1.0)
 model = LevyModel(sigma2=0.0, gamma=0.0, jumps=jumps)
 print("model: compound Poisson, intensity 1, Exp(1) jump sizes")
-print(f"total jump intensity: {jumps.total_mass}")
+print(f"total jump intensity: {jumps.intensity}")
 
 # n increments at spacing 0.5, drawn by compounding the Poisson count
 sampler = IncrementSampler(model=model, delta=0.5,

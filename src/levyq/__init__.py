@@ -23,27 +23,18 @@ from .errors import (
 )
 from .models import (
     CGMYJumps,
-    CompoundPoissonJumps,
+    ExponentialJumps,
     LevyModel,
-    VarianceGammaJumps,
     characteristic_exponent,
     exponent_curvature,
-    exponential_jumps,
     jump_second_moment,
-    levy_density,
     martingale_drift,
     tail_integral,
-    total_mass,
     true_quantile,
 )
 from .numerics import FrequencyGrid, Spectra, bracketed_root, inverse_fourier
-from .kernels import OrderReport, SpectralKernel, flat_top_kernel, triangle_kernel, verify_order
-from .increments import (
-    IncrementSample,
-    psi2_from_increments,
-    read_increment_csv,
-    write_increment_csv,
-)
+from .kernels import SpectralKernel, flat_top_kernel
+from .increments import IncrementSample, psi2_from_increments, read_increment_csv
 from .simulate import METHODS, IncrementSampler, sample_increments
 from .inversion import (
     DistributionEstimate,
@@ -56,12 +47,10 @@ from .options import (
     OptionChain,
     SplineOptionFunction,
     build_spline,
-    call_value,
     compute_chain_spectra,
     estimate_noise_profile,
     generate_synthetic_chain,
     option_function,
-    put_value,
     read_chain_csv,
     spline_spectra,
     write_chain_csv,
@@ -71,7 +60,6 @@ from .adaptive import (
     BandwidthRecord,
     LepskiDiagnostics,
     adaptive_quantile,
-    auxiliary_spectra,
     build_grid,
     sigma_tilde,
     tail_weight_spectrum,

@@ -48,7 +48,6 @@ __all__ = [
     "LepskiDiagnostics",
     "tail_weight_spectrum",
     "build_grid",
-    "auxiliary_spectra",
     "sigma_tilde",
     "adaptive_quantile",
 ]
@@ -267,28 +266,6 @@ def _masked_chis(spectra: Spectra, kernel: SpectralKernel, h: float,
             yield tuple(base * f for f in factors)
 
     return mask, cells()
-
-
-def auxiliary_spectra(spectra: Spectra, kernel: SpectralKernel, h: float,
-                      q, side, x_max: float = X_MAX_DEFAULT):
-    """The three linearization spectra chi_0, chi_1, chi_2 and their mask.
-
-    chi_k is the sensitivity of the smoothed tail integral at threshold
-    +-q to the k-th observable transform; each is a product of the tail
-    weight spectrum, the kernel profile at scale h, and rational expressions
-    in (phi~, psi~', psi~'').  The mask marks the integration domain
-    u <= 1/h intersected with the trust region; entries outside the mask
-    are returned as zero (they never enter the deviation bound, and skipping
-    them avoids evaluating the tail weight off the integration domain).
-    An array of thresholds gives one row of each chi_k per threshold.
-    """
-    mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
-    chis = np.zeros((3, np.size(q), mask.size), dtype=complex)
-    for i, cell in enumerate(cells):
-        chis[:, i, mask] = cell
-    if np.ndim(q) == 0:
-        chis = chis[:, 0]
-    return chis[0], chis[1], chis[2], mask
 
 
 def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,

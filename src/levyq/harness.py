@@ -45,7 +45,7 @@ from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
                         checked_tail_nodes, quantile_from_distribution,
                         tail_estimates)
 from .kernels import flat_top_kernel
-from .models import (CGMYJumps, LevyModel, exponential_jumps,
+from .models import (CGMYJumps, ExponentialJumps, LevyModel,
                      martingale_drift, true_quantile)
 from .numerics import FrequencyGrid
 from .options import (OptionChain, compute_chain_spectra, option_function,
@@ -273,7 +273,7 @@ def _jumps_for(config: ExperimentConfig):
     if config.kind == "cgmy":
         return CGMYJumps(C=config.C, G=config.G, M=config.M, Y=config.Y)
     if config.kind == "compound-poisson-exp":
-        return exponential_jumps(config.intensity, config.jump_rate)
+        return ExponentialJumps(config.intensity, config.jump_rate)
     return None
 
 

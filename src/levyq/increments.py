@@ -32,6 +32,7 @@ inversion step (`inversion.tail_estimates`).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -44,7 +45,6 @@ __all__ = [
     "IncrementSample",
     "psi2_from_increments",
     "read_increment_csv",
-    "write_increment_csv",
 ]
 
 
@@ -188,38 +188,34 @@ def psi2_from_increments(sample: IncrementSample,
 
 
 def read_increment_csv(path, delta: float) -> IncrementSample:
-    """Load increments from a one-column CSV with header ``increment``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """Load increments from a one-column UTF-8 CSV with header ``increment``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise InputError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    if [h.strip().lower() for h in header] != ["increment"]:
+        raise InputError(
+            f"{path}: expected single-column header 'increment', got {header!r}"
+        )
+    values = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 1:
+            raise InputError(f"{path}:{lineno}: expected one column, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["increment"]:
+            values.append(float(row[0]))
+        except ValueError:
             raise InputError(
-                f"{path}: expected single-column header 'increment', got {header!r}"
-            )
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise InputError(f"{path}:{lineno}: expected one column, got {len(row)}")
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: not a number: {row[0]!r}"
-                ) from None
+                f"{path}:{lineno}: not a number: {row[0]!r}"
+            ) from None
     if not values:
         raise InputError(f"{path}: no increment rows")
     return IncrementSample(values=np.asarray(values), delta=delta)
-
-
-def write_increment_csv(path, sample: IncrementSample) -> None:
-    """Write increments in the format `read_increment_csv` accepts."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["increment"])
-        for v in sample.values:
-            writer.writerow([repr(float(v))])

@@ -7,25 +7,23 @@ exponent reads
     psi(u) = -sigma^2 u^2 / 2 + i gamma u + int (e^{iux} - 1 - iux) nu(dx).
 
 The jump measure nu is given by an intensity density: expected number of
-jumps per unit time with sizes in dx.  Tempered-stable (CGMY), compound
-Poisson, and variance-gamma families are supported; the CGMY and VG
-exponents are closed-form, compound Poisson falls back to quadrature.
+jumps per unit time with sizes in dx.  Two families are supported, the
+ones the CLI builds: tempered-stable (CGMY, `kind = cgmy`) and compound
+Poisson with exponential sizes (`kind = compound-poisson-exp`).  Their
+exponent, curvature, moments, martingale drift and tail intensity are all
+closed-form; nothing here integrates numerically.
 
 The tail-intensity functions and their quantiles computed here serve as
-the reference truth for every estimator in the package; they are
-closed-form except for a compound-Poisson density given without a `tail`.
+the reference truth for every estimator in the package.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1, gammaincc
+from scipy.special import gammaincc
 from scipy.special import gamma as _gamma_fn
 
 from .errors import InputError, NoSolutionError, NumericalError
@@ -33,15 +31,11 @@ from .numerics import bracketed_root
 
 __all__ = [
     "CGMYJumps",
-    "CompoundPoissonJumps",
-    "VarianceGammaJumps",
+    "ExponentialJumps",
     "LevyModel",
-    "exponential_jumps",
     "characteristic_exponent",
     "exponent_curvature",
     "martingale_drift",
-    "levy_density",
-    "total_mass",
     "jump_second_moment",
     "tail_integral",
     "true_quantile",
@@ -58,7 +52,7 @@ class CGMYJumps:
 
     Y < 2 is required; Y in {0, 1} is rejected (the closed form has
     logarithmic limits there and the package does not need them).  For
-    Y >= 0 the measure is infinite near 0, so total-mass queries fail.
+    Y >= 0 the measure has infinite mass near 0.
     """
 
     C: float
@@ -78,77 +72,22 @@ class CGMYJumps:
 
 
 @dataclass(frozen=True)
-class CompoundPoissonJumps:
-    """Finite-activity jumps given by an intensity density and its total mass.
+class ExponentialJumps:
+    """Compound-Poisson jumps: `intensity` jumps per unit time, Exp(`rate`) sizes.
 
-    `density` maps jump size to intensity density (integrates to
-    `total_mass` over the real line).  `jump_sampler(rng, size)`, when
-    provided, draws jump sizes from the normalized law density/total_mass;
-    it is required by the exact path sampler.  `tail`, when provided, maps
-    signed t != 0 to the tail intensity N(t) (see `tail_integral`).
+    The intensity density is intensity * rate * e^{-rate x} on x > 0, so the
+    measure has total mass `intensity`, mean intensity/rate, and no
+    negative jumps.
     """
 
-    density: Callable[[float], float]
-    total_mass: float
-    jump_sampler: Optional[Callable] = None
-    tail: Optional[Callable[[float], float]] = None
+    intensity: float
+    rate: float
 
     def __post_init__(self):
-        if not self.total_mass > 0:
-            raise InputError("total_mass must be positive")
-
-
-@dataclass(frozen=True)
-class VarianceGammaJumps:
-    """Variance-gamma jump component (Brownian motion time-changed by a gamma clock).
-
-    scale:          volatility of the subordinated Brownian motion
-    drift:          drift of the subordinated Brownian motion
-    variance_rate:  variance per unit time of the gamma subordinator
-    """
-
-    scale: float
-    drift: float
-    variance_rate: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise InputError("scale must be positive")
-        if not self.variance_rate > 0:
-            raise InputError("variance_rate must be positive")
-
-    @property
-    def tilt_pair(self):
-        """Exponential tilt rates (left, right) of the equivalent two-sided density.
-
-        The variance-gamma measure equals (1/kappa)|x|^{-1} e^{-G|x|} on x<0
-        and (1/kappa) x^{-1} e^{-Mx} on x>0 with the rates returned here.
-        """
-        s2, th, k = self.scale ** 2, self.drift, self.variance_rate
-        root = math.sqrt(th * th * k * k + 2.0 * s2 * k)
-        right = (root - th * k) / (s2 * k)
-        left = (root + th * k) / (s2 * k)
-        return left, right
-
-
-def exponential_jumps(intensity: float = 1.0, rate: float = 1.0) -> CompoundPoissonJumps:
-    """Compound Poisson spec with Exp(rate) jump sizes and the given intensity."""
-    if rate <= 0:
-        raise InputError("rate must be positive")
-    lam, beta = float(intensity), float(rate)
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, lam * beta * np.exp(-beta * np.clip(x, 0, None)), 0.0)
-
-    def sampler(rng, size):
-        return rng.exponential(scale=1.0 / beta, size=size)
-
-    def tail(t):
-        return lam * math.exp(-beta * t) if t > 0 else 0.0
-
-    return CompoundPoissonJumps(density=density, total_mass=lam,
-                                jump_sampler=sampler, tail=tail)
+        if not self.intensity > 0:
+            raise InputError(f"intensity must be positive, got {self.intensity}")
+        if not self.rate > 0:
+            raise InputError(f"rate must be positive, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -191,84 +130,29 @@ def _cgmy_jump_exponent(jumps: CGMYJumps, u):
     return C * g * val
 
 
-# Largest |x| probed by the compound-Poisson quadratures.  e^{|x|} stays
-# inside float64 range below this, so exponentially tilted integrands
-# (complex frequencies like -i) never overflow.
-_CP_XMAX = 700.0
+def _exp_shift(jumps: ExponentialJumps, u):
+    """rate - iu, the denominator of every transform of the exponential
+    measure; they converge only for Im(u) > -rate."""
+    if np.any(np.imag(u) <= -jumps.rate):
+        raise InputError(
+            f"Im(u) must exceed -rate = -{jumps.rate} for this measure")
+    return jumps.rate - 1j * np.asarray(u, dtype=complex)
 
 
-def _cp_complex_quad(integrand, side: int):
-    """Integrate a complex integrand over one half-axis with a support cut.
-
-    The cut point is found by scanning |integrand|; a final tail panel must
-    be numerically negligible, otherwise the integral is declared divergent.
-    """
-    xs = side * np.logspace(-3, np.log10(_CP_XMAX), 120)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.array([abs(integrand(x)) for x in xs])
-    mags = np.where(np.isfinite(mags), mags, np.inf)
-    scale = np.max(mags[np.isfinite(mags)], initial=0.0)
-    if scale == 0.0:
-        return 0.0 + 0.0j
-    cut = _CP_XMAX
-    below = np.nonzero(mags < 1e-16 * scale)[0]
-    # take the first point past the global maximum where the integrand
-    # has decayed away, if any
-    imax = int(np.argmax(mags))
-    past = below[below > imax]
-    if past.size:
-        cut = abs(xs[past[0]])
-
-    def re(x):
-        return np.real(integrand(x))
-
-    def im(x):
-        return np.imag(integrand(x))
-
-    a, b = (0.0, side * cut) if side > 0 else (side * cut, 0.0)
-    val = quad(re, a, b, limit=800)[0] + 1j * quad(im, a, b, limit=800)[0]
-    if cut >= _CP_XMAX:
-        # no decay inside the probed window: make sure the far panel is
-        # actually negligible rather than silently truncated
-        ta, tb = (0.55 * _CP_XMAX, _CP_XMAX) if side > 0 else (-_CP_XMAX, -0.55 * _CP_XMAX)
-        tail = quad(re, ta, tb, limit=200)[0] + 1j * quad(im, ta, tb, limit=200)[0]
-        if abs(tail) > max(1e-12, 1e-10 * abs(val)):
-            raise NumericalError("compound-Poisson jump integral does not converge")
-    if not np.isfinite(val):
-        raise NumericalError("compound-Poisson jump quadrature failed")
-    return val
-
-
-def _cp_jump_exponent(jumps: CompoundPoissonJumps, u):
-    """Quadrature of int (e^{iux}-1-iux) density(x) dx, one frequency at a time."""
-    dens = jumps.density
-
-    def one(uc):
-        def integrand(x):
-            return (np.exp(1j * uc * x) - 1.0 - 1j * uc * x) * dens(x)
-
-        return _cp_complex_quad(integrand, +1) + _cp_complex_quad(integrand, -1)
-
-    u_arr = np.atleast_1d(np.asarray(u, dtype=complex))
-    vals = np.array([one(uc) for uc in u_arr])
-    return vals if np.ndim(u) else vals[0]
-
-
-def _vg_jump_exponent(jumps: VarianceGammaJumps, u):
+def _exp_jump_exponent(jumps: ExponentialJumps, u):
+    """Closed form lam beta/(beta - iu) - lam - iu lam/beta of
+    int (e^{iux}-1-iux) nu(dx) for intensity lam and Exp(beta) sizes."""
+    lam, beta = jumps.intensity, jumps.rate
     u = np.asarray(u, dtype=complex)
-    s2, th, k = jumps.scale ** 2, jumps.drift, jumps.variance_rate
-    d = 1.0 - 1j * th * k * u + 0.5 * s2 * k * u * u
-    # subordinated log-cf minus iu*theta puts the exponent in compensated form
-    return -np.log(d) / k - 1j * u * th
+    return lam * beta / _exp_shift(jumps, u) - lam - 1j * u * lam / beta
 
 
 def characteristic_exponent(model: LevyModel, u):
     """Characteristic exponent psi(u), vectorized over u (real or complex).
 
-    psi(u) = -sigma^2 u^2/2 + i gamma u + int(e^{iux}-1-iux) nu(dx); the jump
-    integral uses the closed form for CGMY and variance gamma, quadrature for
-    compound Poisson.  For CGMY, complex arguments must satisfy
-    Im(u) in (-M, G].
+    psi(u) = -sigma^2 u^2/2 + i gamma u + int(e^{iux}-1-iux) nu(dx), with
+    the jump integral in closed form.  Complex arguments must satisfy
+    Im(u) in (-M, G] for CGMY and Im(u) > -rate for exponential jumps.
     """
     u_c = np.asarray(u, dtype=complex)
     val = -0.5 * model.sigma2 * u_c * u_c + 1j * model.gamma * u_c
@@ -277,10 +161,8 @@ def characteristic_exponent(model: LevyModel, u):
         pass
     elif isinstance(j, CGMYJumps):
         val = val + _cgmy_jump_exponent(j, u)
-    elif isinstance(j, CompoundPoissonJumps):
-        val = val + _cp_jump_exponent(j, u)
-    elif isinstance(j, VarianceGammaJumps):
-        val = val + _vg_jump_exponent(j, u)
+    elif isinstance(j, ExponentialJumps):
+        val = val + _exp_jump_exponent(j, u)
     else:
         raise InputError(f"unknown jump specification {type(j).__name__}")
     # psi(0) = 0 exactly for every model; do not leave closed-form rounding dust
@@ -306,19 +188,8 @@ def exponent_curvature(model: LevyModel, u):
         g2 = _gamma_fn(2.0 - j.Y)  # = Y(Y-1)Gamma(-Y)
         out = out - j.C * g2 * ((j.M - 1j * u_c) ** (j.Y - 2.0)
                                 + (j.G + 1j * u_c) ** (j.Y - 2.0))
-    elif isinstance(j, CompoundPoissonJumps):
-        def one(uc):
-            def integrand(x):
-                return np.exp(1j * uc * x) * x * x * j.density(x)
-            return _cp_complex_quad(integrand, +1) + _cp_complex_quad(integrand, -1)
-
-        flat = np.atleast_1d(u_c)
-        out = out - np.array([one(uc) for uc in flat]).reshape(u_c.shape)
-    elif isinstance(j, VarianceGammaJumps):
-        s2, th, k = j.scale ** 2, j.drift, j.variance_rate
-        d = 1.0 - 1j * th * k * u_c + 0.5 * s2 * k * u_c * u_c
-        dp = -1j * th * k + s2 * k * u_c
-        out = out - (s2 * k * d - dp * dp) / (k * d * d)
+    elif isinstance(j, ExponentialJumps):
+        out = out - 2.0 * j.intensity * j.rate / _exp_shift(j, u_c) ** 3
     else:
         raise InputError(f"unknown jump specification {type(j).__name__}")
     return out if np.ndim(u) else complex(out)
@@ -328,7 +199,8 @@ def martingale_drift(sigma2: float, jumps=None) -> float:
     """Drift gamma making e^{L_t} a martingale: gamma = -sigma^2/2 - int(e^x-1-x)nu(dx).
 
     Requires the exponential moment int_{x>1} e^x nu(dx) < infinity
-    (CGMY: M > 1; exponential jumps: rate > 1).
+    (CGMY: M > 1; exponential jumps: rate > 1, where the correction is
+    lam beta/(beta - 1) - lam - lam/beta).
     """
     if jumps is None:
         return -0.5 * sigma2
@@ -336,17 +208,11 @@ def martingale_drift(sigma2: float, jumps=None) -> float:
         if not jumps.M > 1:
             raise InputError("martingale drift needs M > 1 (exponential moment)")
         corr = _cgmy_jump_exponent(jumps, -1j)
-    elif isinstance(jumps, VarianceGammaJumps):
-        left, right = jumps.tilt_pair
-        if not right > 1:
-            raise InputError("martingale drift needs the right tilt rate > 1")
-        corr = _vg_jump_exponent(jumps, -1j)
-    elif isinstance(jumps, CompoundPoissonJumps):
-        try:
-            corr = _cp_jump_exponent(jumps, -1j)
-        except NumericalError as exc:
+    elif isinstance(jumps, ExponentialJumps):
+        if not jumps.rate > 1:
             raise InputError(
-                "exponential moment of the jump measure does not exist") from exc
+                "exponential moment of the jump measure does not exist")
+        corr = _exp_jump_exponent(jumps, -1j)
     else:
         raise InputError(f"unknown jump specification {type(jumps).__name__}")
     if abs(corr.imag) > 1e-8 * max(1.0, abs(corr.real)):
@@ -355,43 +221,8 @@ def martingale_drift(sigma2: float, jumps=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# densities, masses, moments
+# moments
 # ---------------------------------------------------------------------------
-
-def levy_density(jumps, x):
-    """Intensity density nu(x) of the jump measure, vectorized, x != 0."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(jumps, CGMYJumps):
-        ax = np.abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = jumps.C * ax ** (-1.0 - jumps.Y) * np.exp(
-                np.where(x >= 0, -jumps.M * ax, -jumps.G * ax))
-        return out
-    if isinstance(jumps, CompoundPoissonJumps):
-        return np.asarray(jumps.density(x), dtype=float)
-    if isinstance(jumps, VarianceGammaJumps):
-        left, right = jumps.tilt_pair
-        k = jumps.variance_rate
-        ax = np.abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(np.where(x >= 0, -right * ax, -left * ax)) / (k * ax)
-        return out
-    raise InputError(f"unknown jump specification {type(jumps).__name__}")
-
-
-def total_mass(jumps) -> float:
-    """Total jump intensity nu(R); rejects infinite-activity measures."""
-    if isinstance(jumps, CompoundPoissonJumps):
-        return jumps.total_mass
-    if isinstance(jumps, CGMYJumps):
-        if jumps.Y >= 0:
-            raise InputError("total mass is infinite for Y >= 0")
-        g = _gamma_fn(-jumps.Y)
-        return jumps.C * g * (jumps.M ** jumps.Y + jumps.G ** jumps.Y)
-    if isinstance(jumps, VarianceGammaJumps):
-        raise InputError("variance-gamma measure has infinite total mass")
-    raise InputError(f"unknown jump specification {type(jumps).__name__}")
-
 
 def jump_second_moment(model_or_jumps) -> float:
     """int x^2 nu(dx), the jump contribution to the variance per unit time."""
@@ -412,22 +243,14 @@ def jump_mean(model_or_jumps) -> float:
         C, G, M, Y = jumps.C, jumps.G, jumps.M, jumps.Y
         g1 = _gamma_fn(1.0 - Y)
         return float(C * g1 * (M ** (Y - 1.0) - G ** (Y - 1.0)))
-    if isinstance(jumps, VarianceGammaJumps):
-        return float(jumps.drift)
-    if isinstance(jumps, CompoundPoissonJumps):
-        val = quad(lambda x: x * jumps.density(x), 0.0, np.inf, limit=200)[0]
-        val += quad(lambda x: x * jumps.density(x), -np.inf, 0.0, limit=200)[0]
-        return float(val)
+    if isinstance(jumps, ExponentialJumps):
+        return float(jumps.intensity / jumps.rate)
     raise InputError(f"unknown jump specification {type(jumps).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # tail integrals and generalized quantiles (the ground-truth oracle)
 # ---------------------------------------------------------------------------
-
-# absolute and relative tolerance of the tail quadrature route
-_TAIL_QUAD_TOL = 1e-10
-
 
 def _upper_gamma(a: float, z: float) -> float:
     """Upper incomplete gamma Gamma(a, z) for z > 0, a > -2, a not in {0, -1}.
@@ -445,9 +268,8 @@ def tail_integral(jumps, t: float) -> float:
     N(t) = nu([t, infinity)) for t > 0 and nu((-infinity, t]) for t < 0:
     the expected number of jumps per unit time at least as extreme as t.
     CGMY: C rate^Y Gamma(-Y, rate|t|) (Carr, Geman, Madan & Yor 2002), or
-    C|t|^{-Y}/Y at rate 0; variance gamma: E1(rate|t|)/kappa (Madan, Carr &
-    Chang 1998); rate M or G, resp. the tilt pair, by the side of t.
-    Compound Poisson: its `tail`, else quadrature of the density.
+    C|t|^{-Y}/Y at rate 0, with rate M or G by the side of t.  Exponential
+    jumps: lam e^{-beta t} for t > 0, and 0 for t < 0.
     """
     if t == 0:
         raise InputError("t must be nonzero")
@@ -462,35 +284,10 @@ def tail_integral(jumps, t: float) -> float:
                                  "without tempering on that side")
             return float(jumps.C * s ** -Y / Y)
         return float(jumps.C * rate ** Y * _upper_gamma(-Y, rate * s))
-    if isinstance(jumps, VarianceGammaJumps):
-        left, right = jumps.tilt_pair
-        return float(exp1((right if t > 0 else left) * s) / jumps.variance_rate)
-    if isinstance(jumps, CompoundPoissonJumps) and jumps.tail is not None:
-        return float(jumps.tail(t))
-
-    # on the positive axis (mirrored for t < 0), the inner panel in log x,
-    # where a blow-up at the origin is smooth.  A quadrature warning or a
-    # negative tail would hand a wrong N(t) to true_quantile: both raise.
-    sign = 1.0 if t > 0 else -1.0
-
-    def dens(y):
-        return levy_density(jumps, sign * y)
-
-    mid = max(2.0 * s, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val = quad(lambda y: math.exp(y) * dens(math.exp(y)), math.log(s),
-                       math.log(mid), epsabs=_TAIL_QUAD_TOL,
-                       epsrel=_TAIL_QUAD_TOL, limit=400)[0]
-            val += quad(dens, mid, np.inf, epsabs=_TAIL_QUAD_TOL,
-                        epsrel=_TAIL_QUAD_TOL, limit=400)[0]
-        except IntegrationWarning as exc:
-            raise NumericalError(
-                f"tail quadrature failed at t={t}: {exc}") from exc
-    if not (np.isfinite(val) and val >= 0.0):
-        raise NumericalError(f"tail quadrature gave N({t}) = {val!r}")
-    return float(val)
+    if isinstance(jumps, ExponentialJumps):
+        lam, beta = jumps.intensity, jumps.rate
+        return lam * math.exp(-beta * t) if t > 0 else 0.0
+    raise InputError(f"unknown jump specification {type(jumps).__name__}")
 
 
 def true_quantile(jumps, tau: float, side: str) -> float:

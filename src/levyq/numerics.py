@@ -3,9 +3,8 @@
 Uniform symmetric frequency grids, the spectra table both observation
 schemes hand to the inversion step, discrete inverse Fourier transforms of
 band-limited spectra, and bracketed root finding.  Everything here is pure
-and deterministic, with no adaptive quadrature; scipy.integrate.quad runs
-in `models` for compound Poisson only: the exponent, its curvature,
-`jump_mean`, and the tail (`true_quantile`) of a density without `tail`.
+and deterministic, with no adaptive quadrature; nor does any other module
+use one (`models` is closed-form for both jump families).
 
 Fourier convention: the forward transform of f is F(u) = int e^{iux} f(x) dx,
 hence the inverse used throughout is (1/2pi) int e^{-iux} F(u) du.

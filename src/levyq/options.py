@@ -55,8 +55,6 @@ __all__ = [
     "SplineOptionFunction",
     "NoiseProfile",
     "option_function",
-    "call_value",
-    "put_value",
     "generate_synthetic_chain",
     "build_spline",
     "spline_spectra",
@@ -243,20 +241,6 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out
-
-
-def call_value(model: LevyModel, maturity: float, x):
-    """Normalized call price at all log-moneyness, from the same transform."""
-    x_arr = np.asarray(x, dtype=float)
-    o = option_function(model, maturity, x_arr)
-    return o + np.where(x_arr < 0, 1.0 - np.exp(x_arr), 0.0)
-
-
-def put_value(model: LevyModel, maturity: float, x):
-    """Normalized put price at all log-moneyness, from the same transform."""
-    x_arr = np.asarray(x, dtype=float)
-    o = option_function(model, maturity, x_arr)
-    return o - np.where(x_arr >= 0, 1.0 - np.exp(x_arr), 0.0)
 
 
 def generate_synthetic_chain(model: LevyModel, maturity: float, rate: float, n: int,

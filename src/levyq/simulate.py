@@ -1,16 +1,15 @@
 """Samplers for process increments over a fixed time spacing.
 
-Three methods:
+Two methods:
 
-* ``exact-compound-poisson`` — draws the jump count and jump sizes exactly;
-  requires finite-activity jumps carrying a `jump_sampler`.
-* ``variance-gamma-subordination`` — Brownian motion with drift evaluated at
-  a gamma-distributed random time; requires the variance-gamma jump spec.
+* ``exact-compound-poisson`` — draws the jump count and the Exp(rate) jump
+  sizes exactly; requires exponential compound-Poisson jumps.
 * ``inverse-cdf-from-characteristic-function`` — tabulates the increment
-  density by FFT inversion of the characteristic function on a wide grid
-  and samples by inverse transform; works for any model whose increment law
-  is (absolutely) continuous, with an explicit atom split for driftless
-  finite-activity models where the no-jump event has positive mass.
+  density by FFT inversion of the closed-form characteristic function on a
+  wide grid and samples by inverse transform; works for any model whose
+  increment law is (absolutely) continuous, with an explicit atom split
+  for driftless compound-Poisson models where the no-jump event has
+  positive mass.
 
 Convention: the sampled increment law has mean delta * (gamma + int x nu),
 matching the plain sum form gamma*delta + sigma*sqrt(delta)*Z + sum J_i for
@@ -29,10 +28,8 @@ import numpy as np
 from .errors import InputError
 from .increments import IncrementSample
 from .models import (
-    CGMYJumps,
-    CompoundPoissonJumps,
+    ExponentialJumps,
     LevyModel,
-    VarianceGammaJumps,
     characteristic_exponent,
     jump_mean,
     jump_second_moment,
@@ -46,7 +43,6 @@ __all__ = [
 
 METHODS = (
     "exact-compound-poisson",
-    "variance-gamma-subordination",
     "inverse-cdf-from-characteristic-function",
 )
 
@@ -85,8 +81,6 @@ def sample_increments(sampler: IncrementSampler, n: int) -> IncrementSample:
     delta = sampler.delta
     if sampler.method == "exact-compound-poisson":
         values = _sample_compound_poisson(rng, model, delta, n)
-    elif sampler.method == "variance-gamma-subordination":
-        values = _sample_variance_gamma(rng, model, delta, n)
     else:
         values = _sample_inverse_cdf(rng, model, delta, n)
     return IncrementSample(values=values, delta=delta)
@@ -101,15 +95,11 @@ def _sample_compound_poisson(rng, model, delta, n):
     once the counts are known, before any size is drawn.
     """
     jumps = model.jumps
-    if not isinstance(jumps, CompoundPoissonJumps):
+    if not isinstance(jumps, ExponentialJumps):
         raise InputError(
             "exact-compound-poisson requires finite-activity jumps"
         )
-    if jumps.jump_sampler is None:
-        raise InputError(
-            "exact-compound-poisson requires a jump_sampler on the jump spec"
-        )
-    lam = jumps.total_mass
+    lam = jumps.intensity
     # fixed draw order (counts, diffusion, jump sizes) for reproducibility
     try:
         counts = rng.poisson(lam * delta, size=n)
@@ -126,57 +116,17 @@ def _sample_compound_poisson(rng, model, delta, n):
     z = rng.standard_normal(n)
     sums = np.zeros(n)
     if total:
-        sizes = np.asarray(jumps.jump_sampler(rng, total), dtype=float)
-        if sizes.shape != (total,):
-            raise InputError("jump_sampler must return `size` draws")
+        sizes = rng.exponential(scale=1.0 / jumps.rate, size=total)
         owner = np.repeat(np.arange(n), counts)
         sums = np.bincount(owner, weights=sizes, minlength=n)
     return model.gamma * delta + math.sqrt(model.sigma2 * delta) * z + sums
 
 
-def _sample_variance_gamma(rng, model, delta, n):
-    jumps = model.jumps
-    if not isinstance(jumps, VarianceGammaJumps):
-        raise InputError(
-            "variance-gamma-subordination requires the variance-gamma spec"
-        )
-    kappa = jumps.variance_rate
-    clock = rng.gamma(shape=delta / kappa, scale=kappa, size=n)
-    z = rng.standard_normal(n)
-    z_sub = rng.standard_normal(n)
-    return (
-        model.gamma * delta
-        + math.sqrt(model.sigma2 * delta) * z
-        + jumps.drift * clock
-        + jumps.scale * np.sqrt(clock) * z_sub
-    )
-
-
-def _increment_cf_on_grid(model, delta, u):
-    """Characteristic function of the (mean-uncompensated) increment law."""
-    jumps = model.jumps
-    if isinstance(jumps, CompoundPoissonJumps):
-        # tabulate the jump density and transform it on the matching grid;
-        # avoids per-frequency quadrature for generic finite-activity jumps
-        M = u.size
-        du = abs(u[1] - u[0])
-        dx = 2.0 * math.pi / (M * du)
-        xj = (np.arange(M) - M // 2) * dx
-        dens = np.asarray([jumps.density(x) for x in xj], dtype=float)
-        fw = dx * M * np.fft.ifft(dens)
-        transform = fw * np.exp(1j * u * xj[0])  # int e^{iux} nu(x) dx
-        psi_unc = transform - jumps.total_mass
-        psi = -0.5 * model.sigma2 * u ** 2 + 1j * model.gamma * u + psi_unc
-        return np.exp(delta * psi)
-    m1 = jump_mean(jumps) if jumps is not None else 0.0
-    psi = characteristic_exponent(model, u) + 1j * u * m1
-    return np.exp(delta * psi)
-
-
 def _sample_inverse_cdf(rng, model, delta, n):
     jumps = model.jumps
-    mean = delta * (model.gamma + (jump_mean(jumps) if jumps is not None else 0.0))
-    var = delta * (model.sigma2 + (jump_second_moment(jumps) if jumps is not None else 0.0))
+    m1 = jump_mean(jumps)
+    mean = delta * (model.gamma + m1)
+    var = delta * (model.sigma2 + jump_second_moment(jumps))
     if var == 0.0:
         return np.full(n, mean)
     half = _ICDF_SPAN_SDS * math.sqrt(var)
@@ -185,17 +135,15 @@ def _sample_inverse_cdf(rng, model, delta, n):
     dx = 2.0 * half / M
     x = x0 + dx * np.arange(M)
     u = 2.0 * math.pi * np.fft.fftfreq(M, d=dx)
-    phi = _increment_cf_on_grid(model, delta, u)
+    # cf of the mean-uncompensated increment law
+    phi = np.exp(delta * (characteristic_exponent(model, u) + 1j * u * m1))
 
     atom_mass = 0.0
     atom_at = model.gamma * delta
-    if (
-        isinstance(jumps, CompoundPoissonJumps)
-        and model.sigma2 == 0.0
-    ):
+    if isinstance(jumps, ExponentialJumps) and model.sigma2 == 0.0:
         # no-jump event has positive probability: split it off so the FFT
         # only has to represent the continuous remainder
-        atom_mass = math.exp(-jumps.total_mass * delta)
+        atom_mass = math.exp(-jumps.intensity * delta)
         phi = phi - atom_mass * np.exp(1j * u * atom_at)
 
     dens = np.fft.fft(phi * np.exp(-1j * u * x0)).real / (M * dx)

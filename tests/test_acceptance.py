@@ -40,18 +40,21 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from levyq.adaptive import adaptive_quantile, build_grid, sigma_tilde
 from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
 from levyq.inversion import quantile_from_distribution, tail_estimates
-from levyq.kernels import flat_top_kernel, verify_order
-from levyq.models import characteristic_exponent, exponent_curvature, true_quantile
+from levyq.kernels import flat_top_kernel
+from levyq.models import (LevyModel, characteristic_exponent,
+                          exponent_curvature, true_quantile)
 from levyq.numerics import FrequencyGrid
-from levyq.options import (build_spline, call_value, compute_chain_spectra,
-                           generate_synthetic_chain, put_value, spline_spectra)
+from levyq.options import (build_spline, compute_chain_spectra,
+                           generate_synthetic_chain, option_function,
+                           spline_spectra)
 
-from conftest import PRINTED_QUANTILES, density_at, tail_at
+from conftest import PRINTED_QUANTILES, density_at, tail_at, verify_order
 
 # Reference benchmark table: empirical RMSE multiplied by 100, per
 # threshold level, columns (oracle -, adaptive -, oracle +, adaptive +).
@@ -252,12 +255,20 @@ def test_criterion_5_exact_identity_suite(bench_model):
         worst["plugin"] = max(worst["plugin"], abs(got - p2))
     assert worst["plugin"] <= 1e-10
 
-    # (c) put-call parity of the pricing layer
+    # (c) the pricing transform reproduces Black-Scholes for a pure
+    # diffusion, at volatilities other than its 0.25 reference
     xs = np.array([-0.4, -0.1, 0.0, 0.2, 0.5])
-    parity = call_value(bench_model, 0.25, xs) \
-        - put_value(bench_model, 0.25, xs) - (1.0 - np.exp(xs))
-    worst["parity"] = float(np.max(np.abs(parity)))
-    assert worst["parity"] <= 1e-8
+    worst["black-scholes"] = 0.0
+    for sigma in (0.1, 0.3, 0.6):
+        model = LevyModel(sigma2=sigma ** 2, gamma=-0.5 * sigma ** 2)
+        st = sigma * math.sqrt(0.25)
+        d1 = -xs / st + st / 2.0
+        call = norm.cdf(d1) - np.exp(xs) * norm.cdf(d1 - st)
+        want = np.where(xs >= 0, call, call - 1.0 + np.exp(xs))
+        got = option_function(model, 0.25, xs)
+        worst["black-scholes"] = max(worst["black-scholes"],
+                                     float(np.max(np.abs(got - want))))
+    assert worst["black-scholes"] <= 1e-8
 
     # (d) the reconstructed cf is exactly 1 at the origin, algebraically
     chain = generate_synthetic_chain(bench_model, 0.25, 0.06, 40, 0.01,
@@ -293,7 +304,8 @@ def test_criterion_5_exact_identity_suite(bench_model):
 
     _verdict(5, True,
              "drift invariance {drift:.1e} (<= 1e-9), plug-in identity "
-             "{plugin:.1e} (<= 1e-10), parity {parity:.1e} (<= 1e-8), "
+             "{plugin:.1e} (<= 1e-10), Black-Scholes pricing {black-scholes:.1e} "
+             "(<= 1e-8), "
              "origin exact, kernel residuals {kernel:.1e} (<= 1e-6), "
              "tail-slope vs density {tail-slope:.1e} (<= 1e-3)"
              .format(**worst))

@@ -25,13 +25,13 @@ from levyq.adaptive import (
     _masked_chis,
     _screen_statistic,
     adaptive_quantile,
-    auxiliary_spectra,
     build_grid,
     sigma_tilde,
     tail_weight_spectrum,
 )
 from levyq.errors import InputError, NoSolutionError, NumericalError
 from levyq.increments import IncrementSample, psi2_from_increments
+from levyq.inversion import X_MAX_DEFAULT
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid, Spectra
 from levyq.options import build_spline, compute_chain_spectra, generate_synthetic_chain, spline_spectra
@@ -45,6 +45,23 @@ def quad_complex(f, a, b, **kw):
     re = quad(lambda t: f(t).real, a, b, **kw)[0]
     im = quad(lambda t: f(t).imag, a, b, **kw)[0]
     return re + 1j * im
+
+
+def auxiliary_spectra(spectra, kernel, h, q, side, x_max=X_MAX_DEFAULT):
+    """The three linearization spectra chi_0, chi_1, chi_2 of
+    `sigma_tilde` on the whole grid, and their mask.
+
+    Entries outside the mask (u <= 1/h intersected with the trust region)
+    are zero; an array of thresholds gives one row of each chi_k per
+    threshold.
+    """
+    mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
+    chis = np.zeros((3, np.size(q), mask.size), dtype=complex)
+    for i, cell in enumerate(cells):
+        chis[:, i, mask] = cell
+    if np.ndim(q) == 0:
+        chis = chis[:, 0]
+    return chis[0], chis[1], chis[2], mask
 
 
 def synthetic_spectra(grid, phi_values, noise_scale, n_obs=100,

@@ -78,6 +78,16 @@ def assert_input_error(code, capsys):
     assert "Traceback" not in err
 
 
+def _child_env():
+    """The environment of a child Python that imports the very copy of
+    levyq this process imported.  The suite's PYTHONPATH is relative to
+    where pytest started, so its entries are made absolute."""
+    inherited = os.environ.get("PYTHONPATH", "")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(levyq.__file__).resolve().parents[1])]
+        + [os.path.abspath(p) for p in inherited.split(os.pathsep) if p]))
+
+
 def _run_demo(command, tmp_path, env=None):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(DEMO_CFG)
@@ -171,6 +181,26 @@ class TestMcTableCommand:
         out = tmp_path / "t.csv"
         code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
         assert_input_error(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate, message", [
+        ("1.0", "exponential moment of the jump measure does not exist"),
+        ("2.0", "exceeds the jump mass on side '-'"),
+    ], ids=["no-exponential-moment", "no-minus-tail"])
+    def test_compound_poisson_chain_is_an_input_error(self, tmp_path, capsys,
+                                                      rate, message):
+        # at rate 1 no martingale drift exists; at rate 2 there are no
+        # negative jumps, so the '-' column has no truth to compare against
+        cfg = tmp_path / "cp.cfg"
+        cfg.write_text(MC_CFG + "kind = compound-poisson-exp\n"
+                       f"jump_rate = {rate}\n")
+        out = tmp_path / "t.csv"
+        code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -299,6 +329,36 @@ class TestDemoDirectCommand:
                          "--out", str(tmp_path)])
         assert_input_error(code, capsys)
 
+    def test_variance_gamma_method_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_CFG.replace("exact-compound-poisson",
+                                        "variance-gamma-subordination"))
+        out = tmp_path / "r.json"
+        code = cli.main(["demo-direct", "--config", str(cfg),
+                         "--out", str(out)])
+        assert_input_error(code, capsys)
+        assert not out.exists()
+
+    def test_no_quadrature_module_is_imported(self, tmp_path):
+        # the model layer is closed-form: even the inverse-cdf sampler on
+        # compound-Poisson jumps, which reads the jump mean and second
+        # moment, runs without importing scipy.integrate (a fresh process,
+        # since the test suite itself imports it)
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_CFG.replace(
+            "exact-compound-poisson",
+            "inverse-cdf-from-characteristic-function"))
+        args = ["demo-direct", "--config", str(cfg),
+                "--out", str(tmp_path / "r.json")]
+        script = ("import sys\n"
+                  "import levyq.cli\n"
+                  f"assert levyq.cli.main({args!r}) == 0\n"
+                  "assert 'scipy.integrate' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              cwd=tmp_path, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+
     def test_non_utf8_config_is_an_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
         cfg.write_bytes(DEMO_CFG.encode() + b"# spacing \xbd day\n")
@@ -383,12 +443,7 @@ class TestParser:
         script = tmp_path / "bin" / "levyq"
         script.parent.mkdir()
         script.write_text(_WRAPPER.format(module=module, attr=attr))
-        # The suite's PYTHONPATH is relative to where pytest started; point
-        # the child at the very copy of levyq this process imported.
-        inherited = os.environ.get("PYTHONPATH", "")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(levyq.__file__).resolve().parents[1])]
-            + [os.path.abspath(p) for p in inherited.split(os.pathsep) if p]))
+        env = _child_env()
         command = [sys.executable, str(script)]
 
         _run_demo(command, tmp_path, env)

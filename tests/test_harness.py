@@ -25,10 +25,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import ndtri
 
 import levyq.harness
-import levyq.models
 from levyq.adaptive import build_grid, sigma_tilde
 from levyq.errors import ChainFormatError, InputError
 from levyq.harness import (
@@ -46,7 +46,7 @@ from levyq.harness import (
 )
 from levyq.inversion import quantile_from_distribution, tail_estimates
 from levyq.kernels import flat_top_kernel
-from levyq.models import martingale_drift, true_quantile
+from levyq.models import ExponentialJumps, martingale_drift
 from levyq.numerics import FrequencyGrid
 from levyq.options import (OptionChain, compute_chain_spectra,
                            generate_synthetic_chain, option_function,
@@ -189,9 +189,7 @@ class TestModelAssembly:
         cfg = ExperimentConfig(kind="compound-poisson-exp", intensity=2.0,
                                jump_rate=3.0)
         model = observation_model(cfg)
-        assert model.jumps is not None
-        # total mass is the Poisson intensity
-        assert model.jumps.total_mass == pytest.approx(2.0)
+        assert model.jumps == ExponentialJumps(intensity=2.0, rate=3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ class TestMcTable:
         def no_quad(*args, **kwargs):
             raise AssertionError("adaptive quadrature called")
 
-        monkeypatch.setattr(levyq.models, "quad", no_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
         assert run_mc_table(ExperimentConfig(**TINY_MC)).failures == 0
         report = demo_direct(demo_config(n=1000, intensity=5.0))
         assert all(row["truth"] is not None

@@ -30,9 +30,8 @@ from levyq.increments import (
     _progression_block,
     psi2_from_increments,
     read_increment_csv,
-    write_increment_csv,
 )
-from levyq.models import LevyModel, exponential_jumps, exponent_curvature
+from levyq.models import ExponentialJumps, LevyModel, exponent_curvature
 from levyq.numerics import _BLOCK, FrequencyGrid
 
 
@@ -68,7 +67,7 @@ def sample_cp_increments(rng, n, delta, sigma2, gamma, lam=1.0, rate=1.0):
 
 
 def test_hand_derivation_matches_quadrature_route():
-    model = LevyModel(sigma2=0.0, gamma=0.0, jumps=exponential_jumps(1.0, 1.0))
+    model = LevyModel(sigma2=0.0, gamma=0.0, jumps=ExponentialJumps(1.0, 1.0))
     for u in (0.0, 1.0, 3.5):
         assert complex(exponent_curvature(model, u)) == pytest.approx(
             complex(psi2_cp(u)), abs=1e-9
@@ -286,11 +285,17 @@ class TestIncrementSample:
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "inc.csv"
-        orig = IncrementSample(np.array([0.25, -1.5, 3.125e-4]), delta=0.1)
-        write_increment_csv(path, orig)
+        orig = np.array([0.25, -1.5, 3.125e-4, 0.1 + 0.2])
+        path.write_text("increment\n" + "".join(f"{float(v)!r}\n" for v in orig))
         back = read_increment_csv(path, delta=0.1)
-        np.testing.assert_array_equal(back.values, orig.values)
+        np.testing.assert_array_equal(back.values, orig)
         assert back.delta == 0.1
+
+    def test_csv_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"increment\n1.0\n\xb10.5\n")
+        with pytest.raises(InputError, match=r":3: not UTF-8"):
+            read_increment_csv(path, delta=0.1)
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -424,7 +429,7 @@ class TestCurvatureEstimate:
 class TestMonteCarloConsistency:
     def test_error_decreases_with_sample_size(self):
         sigma2, gamma, delta = 0.04, 0.1, 0.1
-        model = LevyModel(sigma2=sigma2, gamma=gamma, jumps=exponential_jumps(1.0, 1.0))
+        model = LevyModel(sigma2=sigma2, gamma=gamma, jumps=ExponentialJumps(1.0, 1.0))
         u = np.linspace(-5.0, 5.0, 21)
         truth = exponent_curvature(model, u)
         seeds = np.random.SeedSequence(20260816).spawn(50)

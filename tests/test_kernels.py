@@ -1,4 +1,4 @@
-"""Kernel profiles and the numerical moment verifier.
+"""Kernel profiles and the numerical moment verifier (tests/conftest.py).
 
 Oracles
 -------
@@ -19,14 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyq.errors import InputError
-from levyq.kernels import (
-    OrderReport,
-    SpectralKernel,
-    flat_top_kernel,
-    triangle_kernel,
-    verify_order,
-)
+from levyq.kernels import SpectralKernel, flat_top_kernel
 from levyq.numerics import FrequencyGrid, inverse_fourier
+
+from conftest import OrderReport, triangle_kernel, verify_order
 
 DENSE = FrequencyGrid(cutoff=1.0, points=2 ** 16)
 

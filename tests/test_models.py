@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levyq.errors import InputError, NoSolutionError, NumericalError
+import levyq.models
+from levyq.errors import InputError, NoSolutionError
 from levyq.models import (
     CGMYJumps,
-    CompoundPoissonJumps,
+    ExponentialJumps,
     LevyModel,
-    VarianceGammaJumps,
     characteristic_exponent,
     exponent_curvature,
-    exponential_jumps,
+    jump_mean,
     jump_second_moment,
-    levy_density,
     martingale_drift,
     tail_integral,
-    total_mass,
     true_quantile,
 )
 from conftest import BENCH, TRUE_QUANTILES
@@ -33,6 +31,22 @@ def cgmy_density(x, C, G, M, Y):
     a = abs(x)
     tilt = M if x > 0 else G
     return C * a ** (-1.0 - Y) * math.exp(-tilt * a)
+
+
+def levy_density(jumps, x):
+    """Intensity density nu(x), x != 0, of either jump family."""
+    if isinstance(jumps, ExponentialJumps):
+        lam, beta = jumps.intensity, jumps.rate
+        return lam * beta * math.exp(-beta * x) if x > 0 else 0.0
+    return cgmy_density(x, jumps.C, jumps.G, jumps.M, jumps.Y)
+
+
+def complex_quad(f, lo, hi):
+    """Adaptive quadrature of a complex integrand, parts taken separately."""
+    def part(take):
+        return quad(lambda x: take(f(x)), lo, hi, limit=400,
+                    epsabs=1e-13, epsrel=1e-12)[0]
+    return part(np.real) + 1j * part(np.imag)
 
 
 def jump_exponent_by_quadrature(u, C, G, M, Y):
@@ -100,21 +114,25 @@ class TestCharacteristicExponent:
             CGMYJumps(C=1.0, G=5.0, M=8.0, Y=0.0)
 
     def test_compound_poisson_quadrature_route(self):
-        model = LevyModel(sigma2=0.0, gamma=0.0, jumps=exponential_jumps(1.0, 1.0))
-        # closed form for nu = e^{-x} 1{x>0}: int (e^{iux}-1-iux) e^{-x} dx
-        #   = iu/(1-iu) - ... easier: 1/(1-iu) - 1 - iu
-        for u in (0.7, 3.0):
-            want = 1.0 / (1.0 - 1j * u) - 1.0 - 1j * u
-            got = characteristic_exponent(model, u)
-            assert abs(got - want) < 1e-9
+        # the closed forms of the exponential measure against quadrature of
+        # its density lam beta e^{-beta x} (e^{-1.5 * 60} is far below 1e-9)
+        jumps = ExponentialJumps(2.0, 1.5)
+        model = LevyModel(sigma2=0.0, gamma=0.0, jumps=jumps)
 
-    def test_variance_gamma_reduces_to_subordination_formula(self):
-        vg = VarianceGammaJumps(scale=0.2, drift=-0.1, variance_rate=0.3)
-        model = LevyModel(sigma2=0.0, gamma=vg.drift, jumps=vg)
-        u = 1.7
-        want = -np.log(1 - 1j * vg.drift * vg.variance_rate * u
-                       + 0.5 * vg.scale ** 2 * vg.variance_rate * u ** 2) / vg.variance_rate
-        assert abs(characteristic_exponent(model, u) - want) < 1e-12
+        def nu(x):
+            return levy_density(jumps, x)
+
+        for u in (0.7, 3.0, -5.0):
+            want = complex_quad(
+                lambda x: (np.exp(1j * u * x) - 1.0 - 1j * u * x) * nu(x), 0.0, 60.0)
+            assert abs(characteristic_exponent(model, u) - want) < 1e-9
+            want = -complex_quad(lambda x: np.exp(1j * u * x) * x * x * nu(x), 0.0, 60.0)
+            assert abs(exponent_curvature(model, u) - want) < 1e-9
+        assert jump_mean(jumps) == pytest.approx(
+            quad(lambda x: x * nu(x), 0.0, 60.0)[0], rel=1e-12)
+        assert martingale_drift(0.0, jumps) == pytest.approx(
+            -quad(lambda x: (math.exp(x) - 1.0 - x) * nu(x), 0.0, 60.0)[0],
+            rel=1e-10)
 
     @given(u=st.floats(0.01, 60))
     @settings(max_examples=40, deadline=None)
@@ -172,12 +190,12 @@ class TestMartingaleDrift:
         with pytest.raises(InputError):
             martingale_drift(0.0, CGMYJumps(C=1.0, G=5.0, M=0.9, Y=0.5))
         with pytest.raises(InputError):
-            martingale_drift(0.0, exponential_jumps(1.0, 1.0))  # rate 1: no e^x moment
+            martingale_drift(0.0, ExponentialJumps(1.0, 1.0))  # rate 1: no e^x moment
 
 
 class TestTailIntegral:
     def test_exponential_closed_form(self):
-        jumps = exponential_jumps(1.0, 1.0)
+        jumps = ExponentialJumps(1.0, 1.0)
         assert tail_integral(jumps, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_benchmark_right_tail_half_level(self, bench_jumps):
@@ -206,7 +224,7 @@ class TestTrueQuantile:
         assert true_quantile(bench_jumps, tau, "+") == pytest.approx(q_plus, abs=1e-6)
 
     def test_exponential_closed_form(self):
-        jumps = exponential_jumps(1.0, 1.0)
+        jumps = ExponentialJumps(1.0, 1.0)
         assert true_quantile(jumps, 0.5, "+") == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_roundtrip_through_tail(self, bench_jumps):
@@ -215,7 +233,7 @@ class TestTrueQuantile:
             assert tail_integral(bench_jumps, q) == pytest.approx(tau, abs=1e-6)
 
     def test_level_exceeding_mass(self):
-        jumps = exponential_jumps(1.0, 1.0)
+        jumps = ExponentialJumps(1.0, 1.0)
         with pytest.raises(NoSolutionError):
             true_quantile(jumps, 10.0, "+")
 
@@ -240,26 +258,20 @@ class TestBowleySkewness:
 
 
 def tail_by_quadrature(jumps, t):
-    """N(t) by adaptive quadrature of levy_density, to 1e-12 relative."""
+    """N(t) by adaptive quadrature of levy_density, to 1e-12 relative.
+
+    An independent oracle for `tail_integral`, with the same signature."""
     s, sign = abs(t), math.copysign(1.0, t)
 
     def dens(y):
         return float(levy_density(jumps, sign * y))
 
+    # the inner panel in log x, where a blow-up at the origin is smooth
     mid = max(2.0 * s, 1.0)
-    return sum(quad(dens, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)[0]
-               for lo, hi in ((s, mid), (mid, np.inf)))
-
-
-def quadrature_spec(jumps):
-    """The same measure as a compound-Poisson density without a `tail`.
-
-    tail_integral then takes its quadrature route, which was the route of
-    every family before the closed forms.  total_mass is a placeholder:
-    only the tail is queried.
-    """
-    return CompoundPoissonJumps(density=lambda x: levy_density(jumps, x),
-                                total_mass=1.0)
+    inner = quad(lambda y: math.exp(y) * dens(math.exp(y)), math.log(s),
+                 math.log(mid), epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    return inner + quad(dens, mid, np.inf, epsabs=0.0, epsrel=1e-12,
+                        limit=400)[0]
 
 
 CLOSED_FORM_YS = (-0.5, 0.2, 0.5, 0.9, 1.5, 1.8)
@@ -277,12 +289,8 @@ class TestClosedFormTails:
     def test_cgmy_matches_quadrature(self, Y):
         assert_tails_match_quadrature(CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y))
 
-    def test_variance_gamma_matches_quadrature(self):
-        assert_tails_match_quadrature(
-            VarianceGammaJumps(scale=0.25, drift=-0.15, variance_rate=0.4))
-
     def test_exponential_matches_quadrature(self):
-        jumps = exponential_jumps(5.0, 1.5)
+        jumps = ExponentialJumps(5.0, 1.5)
         assert_tails_match_quadrature(jumps)
         assert tail_integral(jumps, -0.3) == 0.0
         assert tail_integral(jumps, 0.4) == 5.0 * math.exp(-1.5 * 0.4)
@@ -307,65 +315,41 @@ class TestClosedFormTails:
 
     @pytest.mark.parametrize("jumps", [
         *(CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y) for Y in CLOSED_FORM_YS),
-        exponential_jumps(5.0, 1.0),
+        ExponentialJumps(5.0, 1.0),
     ], ids=[*(f"cgmy-Y{Y}" for Y in CLOSED_FORM_YS), "cp-exp"])
-    def test_true_quantile_equals_quadrature_route(self, jumps):
-        # bitwise: the bisection takes the same branch at every step
-        sides = "+" if isinstance(jumps, CompoundPoissonJumps) else "-+"
-        reference = quadrature_spec(jumps)
-        for tau in sorted(TRUE_QUANTILES):
-            for side in sides:
+    def test_true_quantile_equals_quadrature_route(self, jumps, monkeypatch):
+        # bitwise: true_quantile's bisection takes the same branch at every
+        # step whether it reads the closed-form or the quadrature tail
+        sides = "+" if isinstance(jumps, ExponentialJumps) else "-+"
+        cells = [(tau, side) for tau in sorted(TRUE_QUANTILES) for side in sides]
+
+        def outcomes():
+            out = []
+            for tau, side in cells:
                 try:
-                    want = true_quantile(reference, tau, side)
+                    out.append(true_quantile(jumps, tau, side))
                 except NoSolutionError:
-                    with pytest.raises(NoSolutionError):
-                        true_quantile(jumps, tau, side)
-                    continue
-                assert true_quantile(jumps, tau, side) == want
+                    out.append(NoSolutionError)
+            return out
 
-
-class TestQuadratureRouteFailures:
-    """A density the quadrature cannot integrate must raise, not hand a
-    wrong N(t) to true_quantile.  Each test switches off the pytest filter
-    that turns an IntegrationWarning into an error, so it sees what a user
-    sees outside pytest."""
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_divergent_tail_raises(self):
-        # |x|^-0.5 on x > 0 has an infinite tail; quad returned N(1) = -2.0
-        jumps = CompoundPoissonJumps(
-            density=lambda x: x ** -0.5 if x > 0 else 0.0, total_mass=1.0)
-        with pytest.raises(NumericalError):
-            tail_integral(jumps, 1.0)
-        with pytest.raises(NumericalError):
-            true_quantile(jumps, 0.5, "+")
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_negative_tail_raises(self):
-        jumps = CompoundPoissonJumps(density=lambda x: -math.exp(-abs(x)),
-                                     total_mass=1.0)
-        with pytest.raises(NumericalError):
-            tail_integral(jumps, 1.0)
-        with pytest.raises(NumericalError):
-            true_quantile(jumps, 0.5, "-")
+        closed = outcomes()
+        monkeypatch.setattr(levyq.models, "tail_integral", tail_by_quadrature)
+        assert outcomes() == closed
 
 
 class TestMassAndDensity:
     def test_total_mass_finite_activity(self):
-        assert total_mass(exponential_jumps(2.5, 1.0)) == 2.5
+        # the total mass of a finite-activity measure is N(0+) + N(0-)
+        assert tail_integral(ExponentialJumps(2.5, 1.0), 1e-300) == 2.5
+        assert tail_integral(ExponentialJumps(2.5, 1.0), -1e-300) == 0.0
         # tempered stable with Y < 0 has finite mass C Gamma(-Y)(M^Y + G^Y)
         jumps = CGMYJumps(C=1.0, G=2.0, M=3.0, Y=-0.5)
         want = math.gamma(0.5) * (3.0 ** -0.5 + 2.0 ** -0.5)
-        assert total_mass(jumps) == pytest.approx(want, rel=1e-12)
+        got = tail_integral(jumps, 1e-300) + tail_integral(jumps, -1e-300)
+        assert got == pytest.approx(want, rel=1e-12)
 
-    def test_total_mass_infinite_activity_rejected(self, bench_jumps):
-        with pytest.raises(InputError):
-            total_mass(bench_jumps)
-        with pytest.raises(InputError):
-            total_mass(VarianceGammaJumps(scale=0.2, drift=0.0, variance_rate=0.3))
-
-    def test_vg_density_integrates_to_exponent_curvature(self):
-        vg = VarianceGammaJumps(scale=0.25, drift=-0.15, variance_rate=0.4)
-        m2 = quad(lambda x: x * x * levy_density(vg, x), 0, np.inf)[0]
-        m2 += quad(lambda x: x * x * levy_density(vg, x), -np.inf, 0)[0]
-        assert jump_second_moment(vg) == pytest.approx(m2, rel=1e-8)
+    def test_exponential_density_integrates_to_second_moment(self):
+        # the closed-form curvature at 0 against quadrature of x^2 nu(x)
+        jumps = ExponentialJumps(2.0, 1.5)
+        m2 = quad(lambda x: x * x * levy_density(jumps, x), 0, np.inf)[0]
+        assert jump_second_moment(jumps) == pytest.approx(m2, rel=1e-8)

@@ -28,12 +28,10 @@ from levyq.numerics import FrequencyGrid
 from levyq.options import (
     OptionChain,
     build_spline,
-    call_value,
     compute_chain_spectra,
     estimate_noise_profile,
     generate_synthetic_chain,
     option_function,
-    put_value,
     read_chain_csv,
     spline_spectra,
     write_chain_csv,
@@ -101,14 +99,15 @@ class TestOptionFunction:
             assert abs(lhs - rhs) < 1e-8
 
     def test_put_call_branches(self, bench_model):
+        # O is the out-of-the-money branch: a call on x >= 0, bounded by the
+        # spot (1) and falling in the strike; a put on x < 0, bounded by the
+        # discounted strike (e^x) and rising in the strike
         xs = np.linspace(-2.0, 2.0, 41)
-        c = call_value(bench_model, MATURITY, xs)
-        p = put_value(bench_model, MATURITY, xs)
-        # parity c - p = 1 - e^x, and the option function picks the OTM branch
-        assert np.max(np.abs(c - p - (1.0 - np.exp(xs)))) < 1e-12
         o = option_function(bench_model, MATURITY, xs)
-        assert np.max(np.abs(np.where(xs >= 0, c, p) - o)) == 0.0
-        assert np.all(c > -1e-10) and np.all(p > -1e-10)
+        assert np.all(o > -1e-10)
+        assert np.all(o <= np.minimum(1.0, np.exp(xs)))
+        assert np.all(np.diff(o[xs >= 0]) < 0)
+        assert np.all(np.diff(o[xs <= 0]) > 0)
 
     def test_rejects_non_martingale_model(self, bench_jumps):
         bad = LevyModel(sigma2=0.01, gamma=0.0, jumps=bench_jumps)
