@@ -23,6 +23,7 @@ from scipy.integrate import quad, simpson
 from scipy.special import ndtr, ndtri
 
 from levyq.errors import ChainFormatError, InputError, MartingaleError
+from levyq.harness import ExperimentConfig, pricing_model
 from levyq.models import LevyModel, characteristic_exponent, exponent_curvature, martingale_drift
 from levyq.numerics import FrequencyGrid
 from levyq.options import (
@@ -669,6 +670,65 @@ class TestChainSpectra:
         assert spectra.noise_scale == 0.0
         assert spectra.sup_norms == (0.0, 0.0, 0.0)
         assert spectra.trusted.all()
+
+
+# node index: (phi~, psi~', psi~'', trusted), frozen from the breakpoint sum
+# on the default-config chain (seed 1) at FrequencyGrid(100, 8192); the
+# trust region ends between nodes 1762 and 1763
+FROZEN_SPECTRA = {
+    0: ((0.9999975915434782-0.00018909091824693419j),
+        (-0.0015664981873240698-0.0619530791125693j),
+        (-0.1283111603301387+0.0002009612223014579j),
+        True),
+    1: ((0.9999783243539273-0.0005672319274730292j),
+        (-0.004699391106343763-0.061943265781796576j),
+        (-0.12830268650621052+0.0006028312193990217j),
+        True),
+    40: ((0.9844688330846163-0.014440372176870235j),
+         (-0.12465458272358078-0.054184382809475004j),
+         (-0.12165677308866069+0.015167585115771643j),
+         True),
+    400: ((0.37527150598519077+0.025973031006455562j),
+          (-0.5833359239222129+0.09401340743963857j),
+          (-0.011890264497767797+0.002154671639643193j),
+          True),
+    1000: ((0.04272705871356419+0.02310351879748348j),
+           (-0.22161370484232545+0.07044549528242619j),
+           (0.0783386752140525-0.07494430835403143j),
+           True),
+    1500: ((0.04394188467712601+0.015617260821578976j),
+           (0.22677057699376368+0.004526024687378613j),
+           (0.02033027280501841-0.04866696017844578j),
+           True),
+    1762: ((0.0563050236784437+0.012251952102350085j),
+           (0.011269257323927208+0.03306052456229029j),
+           (0.005598914634073221+0.10698596605731929j),
+           True),
+    1763: ((0.056306350261159155+0.012264613668131351j), 0j, 0j, False),
+    2500: ((0.08592932861761471+0.01584557426345665j), 0j, 0j, False),
+    4095: ((0.18572328869417898+0.18128795087416122j), 0j, 0j, False),
+}
+FROZEN_SUP_NORMS = (0.000797136905137785, 4.390747795464468e-05,
+                    9.546631321195215e-06)
+FROZEN_NOISE_SCALE = 2.9704142343208677e-05
+
+
+class TestFrozenChainSpectra:
+    """The chain table every command inverts, compared bit for bit."""
+
+    def test_default_chain(self):
+        cfg = ExperimentConfig()
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+            (cfg.strike_mean, cfg.strike_variance), seed=1)
+        spectra = compute_chain_spectra(chain, FrequencyGrid(100.0, 8192))
+        for i, (phi, psi1, psi2, trusted) in FROZEN_SPECTRA.items():
+            assert spectra.phi[i] == phi
+            assert spectra.psi1[i] == psi1
+            assert spectra.psi2[i] == psi2
+            assert spectra.trusted[i] == trusted
+        assert spectra.sup_norms == FROZEN_SUP_NORMS
+        assert spectra.noise_scale == FROZEN_NOISE_SCALE
 
 
 @pytest.fixture(scope="module")
