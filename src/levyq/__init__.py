@@ -45,8 +45,6 @@ from .inversion import (
 from .options import (
     NoiseProfile,
     OptionChain,
-    SplineOptionFunction,
-    build_spline,
     compute_chain_spectra,
     estimate_noise_profile,
     generate_synthetic_chain,

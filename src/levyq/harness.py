@@ -480,7 +480,7 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
         try:
             chain = OptionChain(maturity=config.T, rate=config.r, xs=xs,
                                 prices=exact + noise, noise_levels=noise_sd)
-            spectra = compute_chain_spectra(chain, master, degree=1)
+            spectra = compute_chain_spectra(chain, master)
             bw = build_grid(config.n, config.L, spectra)
             result = _chain_estimates(spectra, bw, kernel, config,
                                       config.taus, oracle=want_oracle,
@@ -558,7 +558,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     kernel = flat_top_kernel(config.kernel_c)
     master = FrequencyGrid(cutoff=float(chain.n),
                            points=config.spectral_points)
-    spectra = compute_chain_spectra(chain, master, degree=1)
+    spectra = compute_chain_spectra(chain, master)
     bw = build_grid(chain.n, config.L, spectra)
     cells = _chain_estimates(spectra, bw, kernel, config, taus,
                              oracle=False, adaptive=True)

@@ -9,21 +9,21 @@ phi_T of the log-price at maturity:
     int e^{iux} O(x) dx = (1 - phi_T(u - i)) / (u(u - i)),
     phi_T(u)            = 1 - u(u + i) * int e^{(iu-1)x} O(x) dx.
 
-Estimation interpolates observed (x_j, O_j) by a piecewise polynomial with
-linear decay ramps to zero beyond the design range, evaluates the weighted
-transforms F_k(u) = int x^k O~(x) e^{(iu-1)x} dx in closed form (no
-quadrature error for the interpolant), and differentiates the log of the
-reconstructed characteristic function twice.  Integrating each segment by
-parts and grouping the end terms by breakpoint x_j gives, with z = iu - 1,
+Estimation interpolates observed (x_j, O_j) piecewise linearly, with ramps
+that fall linearly to zero over a pad of twice the mean knot spacing,
+2 (x_n - x_1)/(n - 1), beyond each end of the design range; the
+interpolant O~ is zero outside that.  The weighted transforms
+F_k(u) = int x^k O~(x) e^{(iu-1)x} dx are evaluated in closed form (no
+quadrature error for the interpolant), and the log of the reconstructed
+characteristic function is differentiated twice.  Integrating each segment
+by parts and grouping the end terms by breakpoint x_j gives, with
+z = iu - 1,
 
     F_k(u) = sum_r (-1)^r z^{-(r+1)} sum_j C_{k,r,j} e^{z x_j},
 
-C_{k,r,j} = (x^k O~)^(r)(x_j-) - (x^k O~)^(r)(x_j+).  For the linear
-interpolant this matches per-segment integration to 1e-11 of max|F_k|.  For
-the cubic one the large third-derivative jumps of a noisy chain cancel near
-u = 0: with 100 quotes at 1 % noise, F_2 is off by up to 1e-7 of max|F_2|
-at |u| < 1 (per-segment integration is exact to rounding there).  The
-curvature formulas are rational expressions in F_0, F_1, F_2:
+C_{k,r,j} = (x^k O~)^(r)(x_j-) - (x^k O~)^(r)(x_j+); this matches
+per-segment integration to 1e-11 of max|F_k|.  The curvature formulas are
+rational expressions in F_0, F_1, F_2:
 
     phi~(u)  = 1 - u(u+i) F_0(u)
     psi~'(u) = -[(2u+i) F_0 + u(iu-1) F_1] / (T phi~)
@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import ndtri
 
 from .errors import ChainFormatError, InputError, MartingaleError, NumericalError
@@ -52,11 +51,9 @@ from .numerics import FrequencyGrid, Spectra, inverse_fourier
 
 __all__ = [
     "OptionChain",
-    "SplineOptionFunction",
     "NoiseProfile",
     "option_function",
     "generate_synthetic_chain",
-    "build_spline",
     "spline_spectra",
     "estimate_noise_profile",
     "compute_chain_spectra",
@@ -276,87 +273,23 @@ def generate_synthetic_chain(model: LevyModel, maturity: float, rate: float, n: 
 # interpolation
 
 
-@dataclass(frozen=True, eq=False)
-class SplineOptionFunction:
-    """Piecewise-polynomial surrogate for the option function.
+def _linear_table(xs: np.ndarray, values: np.ndarray) -> tuple:
+    """Breakpoints and ascending segment coefficients of the interpolant O~.
 
-    Interpolates the knots (degree 1 or 3), continues linearly to zero over
-    a pad of twice the mean knot spacing on each side, and is identically
-    zero beyond.  Segment data (breakpoints and ascending local coefficients)
-    are precomputed for the closed-form weighted transforms.
+    O~ interpolates (xs, values) linearly, continues linearly to zero over a
+    pad of twice the mean knot spacing, 2 (x_n - x_1)/(n - 1), on each side,
+    and is identically zero beyond.  Column j of ascending holds the value
+    and the slope of O~ on [breaks[j], breaks[j+1]], as coefficients of
+    ascending powers of (x - breaks[j]).
     """
-
-    knots: np.ndarray
-    values: np.ndarray
-    degree: int
-    pad: float
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or knots.size < 2:
-            raise InputError("need at least two knots")
-        if values.shape != knots.shape:
-            raise InputError("knots and values must have equal length")
-        if not np.all(np.diff(knots) > 0):
-            raise InputError("knots must be strictly increasing")
-        if self.degree not in (1, 3):
-            raise InputError(f"degree must be 1 or 3, got {self.degree}")
-        if self.degree == 3 and knots.size < 4:
-            raise InputError("cubic interpolation needs at least four knots")
-        if self.pad < 0:
-            raise InputError("pad must be nonnegative")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-
-        rows = self.degree + 1
-        if self.degree == 1:
-            slopes = np.diff(values) / np.diff(knots)
-            interior = np.vstack([slopes, values[:-1]])  # descending powers
-        else:
-            # natural ends blend most gently into the linear decay ramps
-            interior = CubicSpline(knots, values, bc_type="natural").c
-        if self.pad > 0:
-            left = np.zeros((rows, 1))
-            left[-2, 0] = values[0] / self.pad
-            right = np.zeros((rows, 1))
-            right[-2, 0] = -values[-1] / self.pad
-            right[-1, 0] = values[-1]
-            coeffs = np.hstack([left, interior, right])
-            breaks = np.concatenate([[knots[0] - self.pad], knots, [knots[-1] + self.pad]])
-        else:
-            coeffs = interior
-            breaks = knots
-        object.__setattr__(self, "_breaks", breaks)
-        object.__setattr__(self, "_ascending", coeffs[::-1].copy())
-        object.__setattr__(self, "_ppoly", PPoly(coeffs, breaks, extrapolate=False))
-
-    @property
-    def n_obs(self) -> int:
-        return self.knots.size
-
-    @property
-    def support(self) -> tuple:
-        return (float(self._breaks[0]), float(self._breaks[-1]))
-
-    def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        y = self._ppoly(x_arr)
-        y = np.where(np.isnan(y), 0.0, y)
-        if np.ndim(x) == 0:
-            return float(y)
-        return y
-
-
-def build_spline(xs, values, degree: int = 1, pad: float | None = None) -> SplineOptionFunction:
-    """Interpolant with default pad = 2 * mean knot spacing (0 disables ramps)."""
-    xs = np.asarray(xs, dtype=float)
-    if pad is None:
-        if xs.size < 2:
-            raise InputError("need at least two knots")
-        pad = 2.0 * (xs[-1] - xs[0]) / (xs.size - 1)
-    return SplineOptionFunction(knots=xs, values=np.asarray(values, dtype=float),
-                                degree=degree, pad=float(pad))
+    pad = float(2.0 * (xs[-1] - xs[0]) / (xs.size - 1))
+    slopes = np.diff(values) / np.diff(xs)
+    interior = np.vstack([slopes, values[:-1]])  # descending powers
+    left = np.array([[values[0] / pad], [0.0]])
+    right = np.array([[-values[-1] / pad], [values[-1]]])
+    coeffs = np.hstack([left, interior, right])
+    breaks = np.concatenate([[xs[0] - pad], xs, [xs[-1] + pad]])
+    return breaks, coeffs[::-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +298,17 @@ def build_spline(xs, values, degree: int = 1, pad: float | None = None) -> Splin
 _U_CHUNK = 512
 
 
-def _weighted_transforms(spline: SplineOptionFunction, u: np.ndarray, ks) -> dict:
+def _weighted_transforms(breaks: np.ndarray, ascending: np.ndarray, u: np.ndarray,
+                         ks) -> dict:
     """All requested F_k on a common frequency array, as breakpoint sums.
 
     The jumps of (x^k O~)^(r) follow from those of O~^(s) by Leibniz' rule.
     Per chunk of _U_CHUNK frequencies, one (frequencies x breakpoints) phase
     matrix times each k's (breakpoints x orders r) jump matrix, summed in
     powers of 1/z, gives F_k; |z| >= 1, so no division needs a guard.
+    (breaks, ascending) is a table of `_linear_table`'s form.
     """
-    x = spline._breaks
-    asc = spline._ascending  # (d+1, S), ascending powers of (x - left edge)
+    x, asc = breaks, ascending  # asc: (d+1, S), powers of (x - left edge)
     widths = np.diff(x)
     d = asc.shape[0] - 1
     # jumps[s, j] = O~^(s)(x_j-) - O~^(s)(x_j+); O~ vanishes off its support
@@ -414,9 +348,10 @@ def _weighted_transforms(spline: SplineOptionFunction, u: np.ndarray, ks) -> dic
 # spectral estimators
 
 
-def spline_spectra(spline: SplineOptionFunction, maturity: float, u: np.ndarray,
+def spline_spectra(xs, prices, maturity: float, u: np.ndarray,
                    noise_scale: float = 0.0):
-    """(phi~, trusted, psi~', psi~'') on an array of frequencies.
+    """(phi~, trusted, psi~', psi~'') on an array of frequencies, from the
+    interpolant of the quotes (xs, prices).
 
     trusted marks |phi~(u)| >= (1+|u|)^2 * noise_scale (and phi~ != 0);
     both derivative arrays are zeroed outside it.  noise_scale is the
@@ -425,7 +360,13 @@ def spline_spectra(spline: SplineOptionFunction, maturity: float, u: np.ndarray,
     """
     if not maturity > 0:
         raise InputError(f"maturity must be positive, got {maturity}")
-    f = _weighted_transforms(spline, u, (0, 1, 2))
+    xs = np.asarray(xs, dtype=float)
+    prices = np.asarray(prices, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or prices.shape != xs.shape:
+        raise InputError("need two or more knots, one price each")
+    if not np.all(np.diff(xs) > 0):
+        raise InputError("knots must be strictly increasing")
+    f = _weighted_transforms(*_linear_table(xs, prices), u, (0, 1, 2))
     f0, f1, f2 = f[0], f[1], f[2]
     phi = 1.0 - u * (u + 1j) * f0
     threshold = (1.0 + np.abs(u)) ** 2 * noise_scale
@@ -499,11 +440,9 @@ def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
 # the spectra table of a chain
 
 
-def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid,
-                          degree: int = 1) -> Spectra:
+def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid) -> Spectra:
     """Interpolate the chain and tabulate phi~, psi~', psi~'' on the grid,
     with the noise summary the bandwidth selector reads."""
-    spline = build_spline(chain.xs, chain.prices, degree=degree)
     if np.any(chain.noise_levels > 0):
         profile = estimate_noise_profile(chain)
         sup_norms = profile.sup_norms
@@ -511,8 +450,8 @@ def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid,
     else:
         sup_norms = (0.0, 0.0, 0.0)
         noise_scale = 0.0
-    phi, trusted, psi1, psi2 = spline_spectra(spline, chain.maturity, grid.u,
-                                              noise_scale)
+    phi, trusted, psi1, psi2 = spline_spectra(chain.xs, chain.prices,
+                                              chain.maturity, grid.u, noise_scale)
     return Spectra(
         grid=grid,
         horizon=chain.maturity,

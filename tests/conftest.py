@@ -65,6 +65,16 @@ def curvature_table(psi2, grid):
                    psi2=values, trusted=np.ones(u.shape, dtype=bool))
 
 
+def interpolant_at(x, table):
+    """The piecewise-linear option interpolant of a (breaks, ascending)
+    table (`options._linear_table`'s form) at x: the straight line between
+    its values at the breakpoints, zero outside them."""
+    breaks, ascending = table
+    last = ascending[0, -1] + ascending[1, -1] * (breaks[-1] - breaks[-2])
+    values_at_breaks = np.append(ascending[0], last)
+    return np.interp(x, breaks, values_at_breaks, left=0.0, right=0.0)
+
+
 def tail_at(psi2, kernel, h, x_max=X_MAX_DEFAULT, points=SPECTRAL_POINTS):
     """Tail-function estimate at one bandwidth: the curvature psi2 (a
     callable) tabulated on the full band |u| <= 1/h and inverted by

@@ -50,9 +50,8 @@ from levyq.kernels import flat_top_kernel
 from levyq.models import (LevyModel, characteristic_exponent,
                           exponent_curvature, true_quantile)
 from levyq.numerics import FrequencyGrid
-from levyq.options import (build_spline, compute_chain_spectra,
-                           generate_synthetic_chain, option_function,
-                           spline_spectra)
+from levyq.options import (compute_chain_spectra, generate_synthetic_chain,
+                           option_function, spline_spectra)
 
 from conftest import PRINTED_QUANTILES, density_at, tail_at, verify_order
 
@@ -175,11 +174,10 @@ def test_criterion_4_noiseless_dense_chain(bench_model):
     chain = generate_synthetic_chain(
         bench_model, cfg.T, cfg.r, n, 0.0,
         (cfg.strike_mean, cfg.strike_variance), seed=0)
-    spline = build_spline(chain.xs, chain.prices, degree=1)
 
     # spectral accuracy on the band the estimators actually resolve
     u_check = np.linspace(-20.0, 20.0, 401)
-    estimated = spline_spectra(spline, cfg.T, u_check)[0]
+    estimated = spline_spectra(chain.xs, chain.prices, cfg.T, u_check)[0]
     exact = np.exp(cfg.T * characteristic_exponent(bench_model, u_check))
     sup_phi = float(np.max(np.abs(estimated - exact)))
 
@@ -191,7 +189,7 @@ def test_criterion_4_noiseless_dense_chain(bench_model):
     ladder = np.array(sorted(1.0 / v for v in inv_h))
 
     master = FrequencyGrid(cutoff=inv_h[-1] + 1.0, points=512)
-    spectra = compute_chain_spectra(chain, master, degree=1)
+    spectra = compute_chain_spectra(chain, master)
     kernel = flat_top_kernel(cfg.kernel_c)
     dists = tail_estimates(spectra, kernel, ladder, cfg.x_max)
 
@@ -273,8 +271,8 @@ def test_criterion_5_exact_identity_suite(bench_model):
     # (d) the reconstructed cf is exactly 1 at the origin, algebraically
     chain = generate_synthetic_chain(bench_model, 0.25, 0.06, 40, 0.01,
                                      (0.0, 0.5), seed=2)
-    spline = build_spline(chain.xs, chain.prices, degree=1)
-    assert spline_spectra(spline, 0.25, np.array([0.0]))[0][0] == 1.0 + 0.0j
+    phi0 = spline_spectra(chain.xs, chain.prices, 0.25, np.array([0.0]))[0][0]
+    assert phi0 == 1.0 + 0.0j
     worst["origin"] = 0.0
 
     # (e) kernel mass and vanishing moments through order 4
@@ -340,8 +338,7 @@ def test_criterion_6_convergence(bench_model):
     for n in (200, 800, 3200):
         chain = generate_synthetic_chain(bench_model, 0.25, 0.06, n, 0.0,
                                          (0.0, 0.5), seed=1)
-        spline = build_spline(chain.xs, chain.prices, degree=1)
-        psi2 = spline_spectra(spline, 0.25, u)[3]
+        psi2 = spline_spectra(chain.xs, chain.prices, 0.25, u)[3]
         sups.append(float(np.max(np.abs(psi2 - want))))
 
     ok = (medians[0] > medians[1] > medians[2]
@@ -369,7 +366,7 @@ def test_criterion_7_selector_structure(bench_model):
         chain = generate_synthetic_chain(bench_model, 0.25, 0.06, 100, 0.01,
                                          (0.0, 0.5), seed=seed)
         master = FrequencyGrid(cutoff=100.0, points=4096)
-        spectra = compute_chain_spectra(chain, master, degree=1)
+        spectra = compute_chain_spectra(chain, master)
         grid = build_grid(100, 1.1, spectra)
         for side in ("-", "+"):
             for q in (0.09, 0.15):

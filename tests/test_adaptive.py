@@ -30,11 +30,12 @@ from levyq.adaptive import (
     tail_weight_spectrum,
 )
 from levyq.errors import InputError, NoSolutionError, NumericalError
+from levyq.harness import ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
 from levyq.inversion import X_MAX_DEFAULT
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid, Spectra
-from levyq.options import build_spline, compute_chain_spectra, generate_synthetic_chain, spline_spectra
+from levyq.options import compute_chain_spectra, generate_synthetic_chain, spline_spectra
 
 RATE = 0.06
 MATURITY = 0.25
@@ -84,7 +85,7 @@ def noisy_chain(bench_model):
 @pytest.fixture(scope="module")
 def noisy_spectra(noisy_chain):
     grid = FrequencyGrid(cutoff=40.0, points=2 ** 12)
-    return compute_chain_spectra(noisy_chain, grid, degree=1)
+    return compute_chain_spectra(noisy_chain, grid)
 
 
 def e2_reference(w):
@@ -218,6 +219,24 @@ class TestBuildGrid:
         assert grid.j_min == 0
         assert np.all(grid.s_values > 1.0)
 
+    def test_screen_cuts_at_fifty_quotes(self):
+        # the Monte Carlo design at n = 50 and 1 % noise (seed 0), where the
+        # screen cuts: on each of its first five replications it passes and
+        # drops the nine smallest bandwidths or more (j_max is 14)
+        cfg = ExperimentConfig(n=50, noise_fraction=0.01)
+        exact = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, 0.0,
+            (cfg.strike_mean, cfg.strike_variance), seed=0)
+        noise_sd = cfg.noise_fraction * exact.prices
+        fgrid = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
+        for child in np.random.SeedSequence(cfg.seed).spawn(5):
+            noise = np.random.default_rng(child).standard_normal(cfg.n) * noise_sd
+            chain = dataclasses.replace(exact, prices=exact.prices + noise,
+                                        noise_levels=noise_sd)
+            grid = build_grid(cfg.n, cfg.L, compute_chain_spectra(chain, fgrid))
+            assert grid.feasible
+            assert grid.j_min >= 9
+
     def test_validation(self):
         with pytest.raises(InputError):
             build_grid(9, 1.1)
@@ -276,11 +295,11 @@ class TestSigmaTilde:
         # |chi_2|^2 is even: the weights of the positive nodes integrate it
         # over the whole band
         got = math.sqrt(np.sum(fgrid.weights[mask] * np.abs(chi2[mask]) ** 2))
-        spline = build_spline(model_chain.xs, model_chain.prices, degree=1)
 
         def integrand(v):
             gw = tail_weight_spectrum(q, v)
-            phi = spline_spectra(spline, MATURITY, np.array([v]))[0][0]
+            phi = spline_spectra(model_chain.xs, model_chain.prices, MATURITY,
+                                 np.array([v]))[0][0]
             return abs(v * (1j - v) * gw * kernel(h * v) / phi) ** 2
 
         want = math.sqrt(quad(integrand, -1.0 / h, 1.0 / h, limit=400,
@@ -338,9 +357,9 @@ class TestHermitianFactors:
         # the chain spectra at +-u, as if both halves were tabulated
         u = np.array(u)
         both = np.concatenate([u, -u])
-        spline = build_spline(noisy_chain.xs, noisy_chain.prices, degree=1)
-        phi, trusted, psi1, psi2 = spline_spectra(spline, MATURITY, both,
-                                                  noisy_spectra.noise_scale)
+        phi, trusted, psi1, psi2 = spline_spectra(noisy_chain.xs,
+                                                  noisy_chain.prices, MATURITY,
+                                                  both, noisy_spectra.noise_scale)
         spectra = dataclasses.replace(noisy_spectra, grid=SimpleNamespace(u=both),
                                       phi=phi, psi1=psi1, psi2=psi2,
                                       trusted=trusted)

@@ -339,26 +339,6 @@ class TestDemoDirectCommand:
         assert_input_error(code, capsys)
         assert not out.exists()
 
-    def test_no_quadrature_module_is_imported(self, tmp_path):
-        # the model layer is closed-form: even the inverse-cdf sampler on
-        # compound-Poisson jumps, which reads the jump mean and second
-        # moment, runs without importing scipy.integrate (a fresh process,
-        # since the test suite itself imports it)
-        cfg = tmp_path / "demo.cfg"
-        cfg.write_text(DEMO_CFG.replace(
-            "exact-compound-poisson",
-            "inverse-cdf-from-characteristic-function"))
-        args = ["demo-direct", "--config", str(cfg),
-                "--out", str(tmp_path / "r.json")]
-        script = ("import sys\n"
-                  "import levyq.cli\n"
-                  f"assert levyq.cli.main({args!r}) == 0\n"
-                  "assert 'scipy.integrate' not in sys.modules\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120,
-                              cwd=tmp_path, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-
     def test_non_utf8_config_is_an_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
         cfg.write_bytes(DEMO_CFG.encode() + b"# spacing \xbd day\n")
@@ -416,6 +396,45 @@ class TestDemoDirectCommand:
                          "--out", str(tmp_path / "r.json")])
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_commands_import_no_quadrature_or_interpolation(tmp_path,
+                                                         bench_model):
+    # every command is closed-form end to end: the model layer needs no
+    # quadrature, even for the inverse-cdf sampler on compound-Poisson
+    # jumps (it reads the jump mean and second moment), and the chain
+    # interpolant is a breakpoint table, so one fresh process (the test
+    # suite itself imports both modules) runs all three commands without
+    # importing scipy.integrate or scipy.interpolate
+    mc_cfg = tmp_path / "mc.cfg"
+    mc_cfg.write_text(MC_CFG)
+    chain = generate_synthetic_chain(bench_model, 0.25, 0.06, 48, 0.01,
+                                     (0.0, 0.5), seed=3)
+    chain_csv = tmp_path / "chain.csv"
+    write_chain_csv(chain_csv, chain)
+    chain_cfg = tmp_path / "chain.cfg"
+    chain_cfg.write_text("n = 48\nspectral_points = 1024\n")
+    demo_cfg = tmp_path / "demo.cfg"
+    demo_cfg.write_text(DEMO_CFG.replace(
+        "exact-compound-poisson", "inverse-cdf-from-characteristic-function"))
+    runs = [
+        ["mc-table", "--config", str(mc_cfg), "--reps", "1",
+         "--out", str(tmp_path / "table.csv")],
+        ["estimate-chain", "--chain", str(chain_csv), "--config",
+         str(chain_cfg), "--out", str(tmp_path / "chain")],
+        ["demo-direct", "--config", str(demo_cfg),
+         "--out", str(tmp_path / "demo.json")],
+    ]
+    script = ("import sys\n"
+              "import levyq.cli\n"
+              f"for args in {runs!r}:\n"
+              "    assert levyq.cli.main(args) == 0, args\n"
+              "for name in ('scipy.integrate', 'scipy.interpolate'):\n"
+              "    assert name not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=240,
+                          cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

@@ -464,7 +464,7 @@ class TestEstimateChain:
         report, _ = estimate_chain(chain, cfg, taus=cfg.taus)
 
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
-        spectra = compute_chain_spectra(chain, master, degree=1)
+        spectra = compute_chain_spectra(chain, master)
         bw = build_grid(cfg.n, cfg.L, spectra)
         cells = _chain_estimates(spectra, bw, flat_top_kernel(cfg.kernel_c),
                                  cfg, cfg.taus, oracle=True, adaptive=True)
@@ -486,7 +486,7 @@ class TestEstimateChain:
             pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
             (cfg.strike_mean, cfg.strike_variance), seed=3)
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
-        spectra = compute_chain_spectra(chain, master, degree=1)
+        spectra = compute_chain_spectra(chain, master)
         bw = build_grid(cfg.n, cfg.L, spectra)
         kernel = flat_top_kernel(cfg.kernel_c)
 

@@ -7,8 +7,9 @@ Oracles, written before the implementation:
     quadrature of the *returned* prices on a dense grid;
   * segment transforms: hand closed forms for flat and tent interpolants,
     adaptive quadrature (scipy.integrate.quad, real and imaginary parts
-    separately) over the actual spline, and a per-segment series/recursion
-    kept in this file as the reference for the breakpoint sum;
+    separately) over the actual interpolant, and a per-segment
+    series/recursion kept in this file as the reference for the breakpoint
+    sum;
   * spectral estimators: the exact characteristic exponent and its
     curvature from the model layer, on dense noiseless chains.
 """
@@ -28,7 +29,6 @@ from levyq.models import LevyModel, characteristic_exponent, exponent_curvature,
 from levyq.numerics import FrequencyGrid
 from levyq.options import (
     OptionChain,
-    build_spline,
     compute_chain_spectra,
     estimate_noise_profile,
     generate_synthetic_chain,
@@ -37,7 +37,9 @@ from levyq.options import (
     spline_spectra,
     write_chain_csv,
 )
-from levyq.options import _weighted_transforms
+from levyq.options import _linear_table, _weighted_transforms
+
+from conftest import interpolant_at
 
 RATE = 0.06
 MATURITY = 0.25
@@ -170,34 +172,28 @@ class TestSpline:
     def test_interpolates_knots_and_vanishes_outside(self):
         xs = np.array([-1.0, -0.2, 0.4, 1.5])
         vals = np.array([0.1, 0.8, 0.5, 0.05])
-        sp = build_spline(xs, vals, degree=1)
-        assert np.allclose(sp(xs), vals, atol=1e-14)
+        table = _linear_table(xs, vals)
+        breaks, ascending = table
+        # each segment's line ends where the next one starts
+        ends = ascending[0, :-1] + ascending[1, :-1] * np.diff(breaks)[:-1]
+        assert np.allclose(ends, ascending[0, 1:], atol=1e-14)
+        assert np.allclose(interpolant_at(xs, table), vals, atol=1e-14)
         pad = 2.0 * (xs[-1] - xs[0]) / 3
-        assert sp.support == (xs[0] - pad, xs[-1] + pad)
-        assert sp(xs[0] - pad - 0.01) == 0.0
-        assert sp(xs[-1] + pad + 1.0) == 0.0
+        assert (breaks[0], breaks[-1]) == (xs[0] - pad, xs[-1] + pad)
+        assert interpolant_at(xs[0] - pad - 0.01, table) == 0.0
+        assert interpolant_at(xs[-1] + pad + 1.0, table) == 0.0
         # linear ramps pass through half the edge value at mid-pad
-        assert sp(xs[0] - pad / 2) == pytest.approx(vals[0] / 2)
-        assert sp(xs[-1] + pad / 2) == pytest.approx(vals[-1] / 2)
-
-    def test_cubic_interpolates_knots(self):
-        xs = np.linspace(-1, 1, 9)
-        vals = np.exp(-xs ** 2)
-        sp = build_spline(xs, vals, degree=3)
-        assert np.allclose(sp(xs), vals, atol=1e-12)
-        mid = 0.5 * (xs[:-1] + xs[1:])
-        err = np.abs(sp(mid) - np.exp(-mid ** 2))
-        # the natural end conditions cost accuracy in the outermost cells
-        assert np.max(err[1:-1]) < 1e-3
-        assert np.max(err) < 5e-3
+        assert interpolant_at(xs[0] - pad / 2, table) == pytest.approx(vals[0] / 2)
+        assert interpolant_at(xs[-1] + pad / 2, table) == pytest.approx(vals[-1] / 2)
 
     def test_validation(self):
+        u = np.array([1.0])
         with pytest.raises(InputError):
-            build_spline([0.0, 0.0], [1.0, 1.0])
+            spline_spectra([0.0, 0.0], [1.0, 1.0], MATURITY, u)
         with pytest.raises(InputError):
-            build_spline([0.0, 1.0], [1.0, 1.0], degree=2)
+            spline_spectra([0.0], [1.0], MATURITY, u)
         with pytest.raises(InputError):
-            build_spline([0.0, 1.0, 2.0], [1.0, 1.0, 0.0], degree=3)
+            spline_spectra([0.0, 1.0], [1.0], MATURITY, u)
 
 
 def segment_moments(widths, z, mmax):
@@ -238,11 +234,10 @@ class TestExpMomentIntegrals:
             assert abs(got[m][0, 0] - want) < 1e-13 * max(1.0, abs(want))
 
 
-def per_segment_transforms(spline, u, ks):
+def per_segment_transforms(table, u, ks):
     """F_k(u) as a sum of exact per-segment integrals of the local
     polynomial (t + a)^k q(t) against e^{z(t + a)}, z = iu - 1."""
-    breaks = spline._breaks
-    asc = spline._ascending
+    breaks, asc = table
     lefts = breaks[:-1]
     widths = np.diff(breaks)
     d = asc.shape[0] - 1
@@ -273,137 +268,113 @@ class TestBreakpointSum:
     def test_linear_chain_on_production_grid(self, bench_model, n, seed):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, n, 0.01,
                                          STRIKE_LAW, seed=seed)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
+        table = _linear_table(chain.xs, chain.prices)
         u = FrequencyGrid(cutoff=float(n), points=8192).u
         # segments on both sides of the reference's series radius |zw| = 0.8
-        zw = np.abs(1j * u - 1.0)[:, None] * np.diff(sp._breaks)
+        zw = np.abs(1j * u - 1.0)[:, None] * np.diff(table[0])
         assert zw.min() < 0.8 < zw.max()
-        got = _weighted_transforms(sp, u, (0, 1, 2))
-        want = per_segment_transforms(sp, u, (0, 1, 2))
+        got = _weighted_transforms(*table, u, (0, 1, 2))
+        want = per_segment_transforms(table, u, (0, 1, 2))
         for k in (0, 1, 2):
             assert relative_to_max(got[k], want[k]) < 1e-11
 
-    @pytest.mark.parametrize("degree", [1, 3])
     @pytest.mark.parametrize("pad", [0.0, None])
-    def test_hand_widths_around_series_radius(self, degree, pad):
-        # widths 0.05 .. 2.5 put |zw| on both sides of 0.8 at every u; the
-        # cubic's low-frequency cancellation (below) measured 6.6e-12 here
+    def test_hand_widths_around_series_radius(self, pad):
+        # widths 0.05 .. 2.5 put |zw| on both sides of 0.8 at every u
         knots = np.cumsum([0.0, 0.05, 0.3, 0.79, 0.81, 2.5]) - 1.5
         values = np.array([0.2, 0.5, -0.1, 0.4, 0.3, 0.05])
-        sp = build_spline(knots, values, degree=degree, pad=pad)
+        if pad is None:
+            table = _linear_table(knots, values)
+        else:
+            table = (knots, np.vstack([values[:-1],
+                                       np.diff(values) / np.diff(knots)]))
         u = np.array([0.0, 1.0, 4.0, 20.0, -4.0])
-        got = _weighted_transforms(sp, u, (0, 1, 2))
-        want = per_segment_transforms(sp, u, (0, 1, 2))
-        tol = 1e-13 if degree == 1 else 3e-11
+        got = _weighted_transforms(*table, u, (0, 1, 2))
+        want = per_segment_transforms(table, u, (0, 1, 2))
         for k in (0, 1, 2):
-            assert relative_to_max(got[k], want[k]) < tol
-
-    def test_cubic_chain_loses_digits_only_at_low_frequency(self, bench_model):
-        # Near u = 0 the large third-derivative jumps of a noisy cubic spline
-        # cancel in the sum.  Measured on such chains (n = 100, 1 % noise,
-        # seeds 1, 2, 3, 7), relative to max|F_k|: at most 2.3e-10, 5.5e-9,
-        # 7.5e-8 for k = 0, 1, 2 over all nodes, and 5.9e-11, 1.1e-9, 8.2e-9
-        # over |u| >= 1; the tolerances are for seed 1.
-        chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
-                                         STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=3)
-        u = FrequencyGrid(cutoff=100.0, points=8192).u
-        got = _weighted_transforms(sp, u, (0, 1, 2))
-        want = per_segment_transforms(sp, u, (0, 1, 2))
-        away = np.abs(u) >= 1.0
-        for k, tol, tol_away in ((0, 3e-10, 1e-10), (1, 1.5e-8, 3e-9),
-                                 (2, 2e-7, 2.5e-8)):
-            assert relative_to_max(got[k], want[k]) < tol
-            err_away = np.max(np.abs(got[k] - want[k])[away])
-            assert err_away < tol_away * np.max(np.abs(want[k]))
+            assert relative_to_max(got[k], want[k]) < 1e-13
 
 
-def transform_at(sp, k, u):
+def transform_at(table, k, u):
     """F_k at one frequency, read off the breakpoint sum."""
-    return _weighted_transforms(sp, np.array([u], dtype=float), (k,))[k][0]
+    return _weighted_transforms(*table, np.array([u], dtype=float), (k,))[k][0]
 
 
-def phi_at(sp, u):
-    """phi~ at one frequency, unguarded."""
-    return spline_spectra(sp, MATURITY, np.array([u], dtype=float))[0][0]
+def phi_at(chain, u):
+    """phi~ of a chain at one frequency, unguarded."""
+    return spline_spectra(chain.xs, chain.prices, MATURITY,
+                          np.array([u], dtype=float))[0][0]
+
+
+# hand tables without ramps: a box of height 1 on [0, w], and the tent
+# rising from 0 at x = 0 to 1 at x = 1 and back to 0 at x = 2
+def box(width):
+    return np.array([0.0, width]), np.array([[1.0], [0.0]])
+
+
+TENT = (np.array([0.0, 1.0, 2.0]), np.array([[0.0, 1.0], [1.0, -1.0]]))
 
 
 class TestWeightedTransform:
     def test_flat_segment_closed_form(self):
-        sp = build_spline([0.0, 1.0], [1.0, 1.0], degree=1, pad=0.0)
         for u in (0.0, 0.7, 3.0, -2.0):
             z = 1j * u - 1.0
             want = (np.exp(z) - 1.0) / z
-            assert abs(transform_at(sp, 0, u) - want) < 1e-13
+            assert abs(transform_at(box(1.0), 0, u) - want) < 1e-13
 
     def test_narrow_flat_segment_series_branch(self):
         # width 0.25 keeps |z w| <= 0.8 for small u, exercising the series
-        sp = build_spline([0.0, 0.25], [1.0, 1.0], degree=1, pad=0.0)
         for u in (0.0, 1.0, 2.0):
             z = 1j * u - 1.0
             w = 0.25
             want0 = (np.exp(z * w) - 1.0) / z
             want1 = w * np.exp(z * w) / z - (np.exp(z * w) - 1.0) / z ** 2
-            assert abs(transform_at(sp, 0, u) - want0) < 1e-14
-            assert abs(transform_at(sp, 1, u) - want1) < 1e-14
+            assert abs(transform_at(box(w), 0, u) - want0) < 1e-14
+            assert abs(transform_at(box(w), 1, u) - want1) < 1e-14
 
     def test_tent_against_adaptive_quadrature(self):
-        sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], degree=1, pad=0.0)
         for k in (0, 1, 2):
             for u in (0.0, 3.0, 10.0):
-                got = transform_at(sp, k, u)
+                got = transform_at(TENT, k, u)
                 want = quad_complex(
-                    lambda t: t ** k * sp(t) * np.exp((1j * u - 1.0) * t),
+                    lambda t: t ** k * interpolant_at(t, TENT)
+                    * np.exp((1j * u - 1.0) * t),
                     0.0, 2.0, points=[1.0], epsabs=1e-12, epsrel=1e-12,
                 )
                 assert abs(got - want) < 1e-9
 
     def test_quadrature_refinement_changes_nothing(self):
-        sp = build_spline([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], degree=1, pad=0.0)
         u = 1.0
-        f = lambda t: t * sp(t) * np.exp((1j * u - 1.0) * t).real  # noqa: E731
+        f = lambda t: t * interpolant_at(t, TENT) * np.exp((1j * u - 1.0) * t).real  # noqa: E731
         coarse = quad(f, 0.0, 2.0, points=[1.0], epsabs=1e-10)[0]
         fine = quad(f, 0.0, 2.0, points=[1.0], epsabs=1e-14, limit=400)[0]
         assert abs(coarse - fine) < 1e-12
-        got = transform_at(sp, 1, u).real
+        got = transform_at(TENT, 1, u).real
         assert abs(got - fine) < 1e-12
 
     def test_realistic_chain_against_quadrature(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 40, 0.0,
                                          STRIKE_LAW, seed=2)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
-        lo, hi = sp.support
-        interior = list(sp._breaks[1:-1])
+        table = _linear_table(chain.xs, chain.prices)
+        breaks = table[0]
         for k in (0, 1, 2):
             for u in (0.0, 3.0, 10.0):
-                got = transform_at(sp, k, u)
+                got = transform_at(table, k, u)
                 want = quad_complex(
-                    lambda t: t ** k * sp(t) * np.exp((1j * u - 1.0) * t),
-                    lo, hi, points=interior, limit=200,
+                    lambda t: t ** k * interpolant_at(t, table)
+                    * np.exp((1j * u - 1.0) * t),
+                    breaks[0], breaks[-1], points=list(breaks[1:-1]), limit=200,
                     epsabs=1e-12, epsrel=1e-12,
                 )
                 assert abs(got - want) < 1e-9
 
-    def test_cubic_chain_against_quadrature(self, bench_model):
-        chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 12, 0.0,
-                                         STRIKE_LAW, seed=2)
-        sp = build_spline(chain.xs, chain.prices, degree=3)
-        lo, hi = sp.support
-        got = transform_at(sp, 0, 3.0)
-        want = quad_complex(
-            lambda t: sp(t) * np.exp((3j - 1.0) * t),
-            lo, hi, points=list(sp._breaks[1:-1]), limit=200,
-            epsabs=1e-12, epsrel=1e-12,
-        )
-        assert abs(got - want) < 1e-9
-
     def test_hermitian_symmetry(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 30, 0.01,
                                          STRIKE_LAW, seed=9)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
+        table = _linear_table(chain.xs, chain.prices)
         u = np.array([0.3, 1.7, 6.0, 19.0])
-        plus = _weighted_transforms(sp, u, (0, 1, 2))
-        minus = _weighted_transforms(sp, -u, (0, 1, 2))
+        plus = _weighted_transforms(*table, u, (0, 1, 2))
+        minus = _weighted_transforms(*table, -u, (0, 1, 2))
         for k in (0, 1, 2):
             assert np.max(np.abs(minus[k] - np.conj(plus[k]))) < 1e-12
 
@@ -416,15 +387,13 @@ class TestPhiTilde:
     def test_value_at_zero_is_exactly_one(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 20, 0.01,
                                          STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
-        assert phi_at(sp, 0.0) == 1.0 + 0.0j
+        assert phi_at(chain, 0.0) == 1.0 + 0.0j
 
     def test_dense_noiseless_chain_recovers_cf(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 10_000,
                                          0.0, STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
         u = np.linspace(-20.0, 20.0, 81)
-        got = spline_spectra(sp, MATURITY, u)[0]
+        got = spline_spectra(chain.xs, chain.prices, MATURITY, u)[0]
         want = np.exp(MATURITY * characteristic_exponent(bench_model, u))
         assert np.max(np.abs(got - want)) <= 1e-3
 
@@ -432,8 +401,7 @@ class TestPhiTilde:
         model = brownian_model(0.1)
         chain = generate_synthetic_chain(model, MATURITY, RATE, 2000, 0.0,
                                          STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
-        got = phi_at(sp, 5.0)
+        got = phi_at(chain, 5.0)
         want = np.exp(MATURITY * characteristic_exponent(model, 5.0))
         assert abs(got - want) < 1e-3
 
@@ -442,9 +410,8 @@ class TestPsiTildeDerivatives:
     def test_dense_noiseless_curvature(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 10_000,
                                          0.0, STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
         u = np.array([0.0, 2.0, 8.0])
-        psi2 = spline_spectra(sp, MATURITY, u)[3]
+        psi2 = spline_spectra(chain.xs, chain.prices, MATURITY, u)[3]
         want = exponent_curvature(bench_model, u)
         assert np.max(np.abs(psi2 - want)) <= 5e-4
 
@@ -452,8 +419,8 @@ class TestPsiTildeDerivatives:
         model = brownian_model(0.1)
         chain = generate_synthetic_chain(model, MATURITY, RATE, 4000, 0.0,
                                          STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
-        _, _, psi1, psi2 = spline_spectra(sp, MATURITY, np.array([0.0, 1.0, 3.0]))
+        _, _, psi1, psi2 = spline_spectra(chain.xs, chain.prices, MATURITY,
+                                          np.array([0.0, 1.0, 3.0]))
         assert np.max(np.abs(psi2 - (-0.01))) < 1e-4
         # psi'(0) = i*gamma for the diffusion
         assert abs(psi1[0] - (-0.005j)) < 1e-4
@@ -463,8 +430,8 @@ class TestPsiTildeDerivatives:
                                          STRIKE_LAW, seed=7)
         profile = estimate_noise_profile(chain)
         scale = profile.l2_weighted / math.sqrt(chain.n)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
-        _, _, psi1, psi2 = spline_spectra(sp, MATURITY, np.array([5.0, 60.0]),
+        _, _, psi1, psi2 = spline_spectra(chain.xs, chain.prices, MATURITY,
+                                          np.array([5.0, 60.0]),
                                           noise_scale=scale)
         assert psi2[0] != 0 and psi1[0] != 0
         assert psi2[1] == 0 and psi1[1] == 0
@@ -474,18 +441,17 @@ class TestPsiTildeDerivatives:
                                          STRIKE_LAW, seed=7)
         profile = estimate_noise_profile(chain)
         scale = profile.l2_weighted / math.sqrt(chain.n)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
-        _, trusted, _, psi2 = spline_spectra(sp, MATURITY, np.array([0.0]),
+        _, trusted, _, psi2 = spline_spectra(chain.xs, chain.prices, MATURITY,
+                                             np.array([0.0]),
                                              noise_scale=scale)
         assert trusted[0] and psi2[0] != 0 and np.isfinite(psi2[0])
 
     def test_hermitian_curvature(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 60, 0.01,
                                          STRIKE_LAW, seed=3)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
         u = np.array([0.5, 2.0, 9.0])
-        plus = spline_spectra(sp, MATURITY, u)[3]
-        minus = spline_spectra(sp, MATURITY, -u)[3]
+        plus = spline_spectra(chain.xs, chain.prices, MATURITY, u)[3]
+        minus = spline_spectra(chain.xs, chain.prices, MATURITY, -u)[3]
         assert np.max(np.abs(minus - np.conj(plus))) < 1e-10
 
     def test_error_decreases_with_chain_size(self, bench_model):
@@ -495,26 +461,23 @@ class TestPsiTildeDerivatives:
         for n in (200, 800, 3200):
             chain = generate_synthetic_chain(bench_model, MATURITY, RATE, n,
                                              0.0, STRIKE_LAW, seed=1)
-            sp = build_spline(chain.xs, chain.prices, degree=1)
-            psi2 = spline_spectra(sp, MATURITY, u)[3]
+            psi2 = spline_spectra(chain.xs, chain.prices, MATURITY, u)[3]
             sups.append(np.max(np.abs(psi2 - want)))
         assert sups[0] > sups[1] > sups[2]
 
     def test_packaged_estimator(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 200, 0.0,
                                          STRIKE_LAW, seed=1)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
         grid = FrequencyGrid(cutoff=8.0, points=16)
-        spectra = compute_chain_spectra(chain, grid, degree=1)
-        direct = spline_spectra(sp, MATURITY, grid.u)[3]
+        spectra = compute_chain_spectra(chain, grid)
+        direct = spline_spectra(chain.xs, chain.prices, MATURITY, grid.u)[3]
         assert spectra.horizon == MATURITY
         assert np.array_equal(spectra.psi2, direct)
 
     def test_rejects_nonpositive_maturity(self):
-        sp = build_spline([0.0, 1.0], [1.0, 1.0], degree=1, pad=0.0)
         for maturity in (0.0, -0.25):
             with pytest.raises(InputError):
-                spline_spectra(sp, maturity, np.array([1.0]))
+                spline_spectra([0.0, 1.0], [1.0, 1.0], maturity, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +615,20 @@ class TestChainSpectra:
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
                                          STRIKE_LAW, seed=7)
         grid = FrequencyGrid(cutoff=40.0, points=2 ** 10)
-        spectra = compute_chain_spectra(chain, grid, degree=1)
+        spectra = compute_chain_spectra(chain, grid)
         assert spectra.n_obs == 100
         assert spectra.noise_scale > 0
         assert spectra.trusted.any() and not spectra.trusted.all()
         assert np.all(spectra.psi2[~spectra.trusted] == 0)
-        sp = build_spline(chain.xs, chain.prices, degree=1)
         u = grid.u
-        f0 = _weighted_transforms(sp, u, (0,))[0]
+        f0 = _weighted_transforms(*_linear_table(chain.xs, chain.prices), u, (0,))[0]
         assert np.array_equal(spectra.phi, 1.0 - u * (u + 1j) * f0)
 
     def test_noiseless_bundle_trusts_everything(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 50, 0.0,
                                          STRIKE_LAW, seed=7)
         grid = FrequencyGrid(cutoff=20.0, points=2 ** 9)
-        spectra = compute_chain_spectra(chain, grid, degree=1)
+        spectra = compute_chain_spectra(chain, grid)
         assert spectra.noise_scale == 0.0
         assert spectra.sup_norms == (0.0, 0.0, 0.0)
         assert spectra.trusted.all()
@@ -746,15 +708,16 @@ class TestHermitianSpectra:
     def test_mirror_is_conjugate(self, noisy_chain, u):
         u = np.array(u)
         both = np.concatenate([u, -u])
-        spline = build_spline(noisy_chain.xs, noisy_chain.prices, degree=1)
-        f = _weighted_transforms(spline, both, (0, 1, 2))
+        table = _linear_table(noisy_chain.xs, noisy_chain.prices)
+        f = _weighted_transforms(*table, both, (0, 1, 2))
         for k in (0, 1, 2):
             pos, neg = f[k][: u.size], f[k][u.size :]
             np.testing.assert_allclose(neg, np.conj(pos), rtol=1e-12,
                                        atol=1e-15 * np.max(np.abs(pos)))
         noise_scale = (estimate_noise_profile(noisy_chain).l2_weighted
                        / math.sqrt(noisy_chain.n))
-        _, trusted, _, psi2 = spline_spectra(spline, MATURITY, both, noise_scale)
+        _, trusted, _, psi2 = spline_spectra(noisy_chain.xs, noisy_chain.prices,
+                                             MATURITY, both, noise_scale)
         np.testing.assert_array_equal(trusted[u.size :], trusted[: u.size])
         pos, neg = psi2[: u.size], psi2[u.size :]
         np.testing.assert_allclose(neg, np.conj(pos), rtol=1e-12,
