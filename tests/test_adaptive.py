@@ -224,14 +224,14 @@ class TestBuildGrid:
         # screen cuts: on each of its first five replications it passes and
         # drops the nine smallest bandwidths or more (j_max is 14)
         cfg = ExperimentConfig(n=50, noise_fraction=0.01)
-        exact = generate_synthetic_chain(
+        design = generate_synthetic_chain(
             pricing_model(cfg), cfg.T, cfg.r, cfg.n, 0.0,
             (cfg.strike_mean, cfg.strike_variance), seed=0)
-        noise_sd = cfg.noise_fraction * exact.prices
+        noise_sd = cfg.noise_fraction * design.prices
         fgrid = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
         for child in np.random.SeedSequence(cfg.seed).spawn(5):
             noise = np.random.default_rng(child).standard_normal(cfg.n) * noise_sd
-            chain = dataclasses.replace(exact, prices=exact.prices + noise,
+            chain = dataclasses.replace(design, prices=design.prices + noise,
                                         noise_levels=noise_sd)
             grid = build_grid(cfg.n, cfg.L, compute_chain_spectra(chain, fgrid))
             assert grid.feasible
