@@ -74,10 +74,9 @@ def _run_mc_table(args) -> None:
     table = run_mc_table(config)
     out = Path(args.out)
     out.write_text(table.to_csv(), encoding="utf-8")
-    used = table.replications - table.failures
-    print(f"wrote {out} ({len(table.rows)} levels, {used} of "
-          f"{table.replications} replication cells clean, "
-          f"{table.failures} failures, mode={table.mode})")
+    cells = table.replications * 2 * len(table.rows)
+    print(f"wrote {out} ({len(table.rows)} levels, {cells - table.failures} "
+          f"of {cells} replication cells clean, {table.failures} failures)")
     for message in table.failure_log:
         print(f"  excluded: {message}", file=sys.stderr)
 

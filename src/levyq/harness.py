@@ -15,7 +15,8 @@ Configuration is a flat ``key = value`` text file so a run can be reproduced
 from one small artifact; every key is validated on load.  Everything
 downstream of the seed is deterministic: replication r draws its noise from
 the r-th child of a single SeedSequence, so results do not depend on the
-order in which replications execute.
+order in which replications execute.  Every Monte Carlo run fills all four
+RMSE columns (oracle and adaptive, on both sides).
 
 All three drivers hand the inversion step the same table: the estimated
 cf and exponent derivatives on one frequency grid (`numerics.Spectra`,
@@ -33,10 +34,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
-from scipy.special import ndtri
 
 from .adaptive import _top_index, adaptive_quantile, build_grid, sigma_tilde
 from .errors import InputError, LevyqError, NoSolutionError
@@ -48,8 +48,8 @@ from .kernels import flat_top_kernel
 from .models import (CGMYJumps, ExponentialJumps, LevyModel,
                      martingale_drift, true_quantile)
 from .numerics import FrequencyGrid
-from .options import (OptionChain, compute_chain_spectra, option_function,
-                      read_chain_csv)
+from .options import (_perturbed_chain, _synthetic_design,
+                      compute_chain_spectra, read_chain_csv)
 from .simulate import METHODS, IncrementSampler, sample_increments
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 _KINDS = ("cgmy", "brownian", "compound-poisson-exp")
-_MODES = ("oracle", "adaptive", "both")
 
 # default threshold ladder for the per-chain quantile curves: 0.2, 0.4, .., 4
 DEFAULT_CHAIN_TAUS = tuple(round(0.2 * k, 10) for k in range(1, 21))
@@ -76,6 +75,15 @@ DEFAULT_CHAIN_TAUS = tuple(round(0.2 * k, 10) for k in range(1, 21))
 # is [-n, n] (= the full band of the smallest bandwidth 1/n), and this keeps
 # that window finely resolved at the default node count.
 _MC_MAX_QUOTES = 256
+
+# size caps, checked before anything is allocated.  Peak traced bytes
+# (tracemalloc) were about 1.15 kB per spectral point in mc-table and
+# estimate-chain at n = 100 (13 bandwidths; 2^12 to 2^15 points), 0.2 kB in
+# demo-direct, so 2^19 points stand for about 0.6 GB; demo-direct took
+# 28-72 bytes per increment at 10^6 increments (512 points, exact and
+# inverse-cdf sampling), so 10^7 increments stand for at most 0.72 GB
+_MAX_SPECTRAL_POINTS = 2 ** 19
+_MAX_N = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,7 @@ class ExperimentConfig:
     Bandwidth-selection keys: L (geometric grid ratio), delta (slack in the
     deviation-bound multiplier).
 
-    Monte Carlo keys: replications, seed, taus (threshold levels), mode
-    ("oracle" | "adaptive" | "both").
+    Monte Carlo keys: replications, seed, taus (threshold levels).
 
     Direct-increment keys: increment_delta (time spacing), h (fixed
     bandwidth), method (sampling scheme).
@@ -137,7 +144,6 @@ class ExperimentConfig:
     replications: int = 200
     seed: int = 0
     taus: tuple = (0.5, 1.0, 1.5, 2.0, 2.5)
-    mode: str = "both"
     # direct-increment scheme
     increment_delta: float = 0.5
     h: float = 0.05
@@ -146,8 +152,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.mode not in _MODES:
-            raise InputError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.method not in METHODS:
             raise InputError(
                 f"method must be one of {METHODS}, got {self.method!r}")
@@ -165,6 +169,8 @@ class ExperimentConfig:
             raise InputError(f"Y must be below 2, got {self.Y}")
         if self.sigma < 0:
             raise InputError(f"sigma must be nonnegative, got {self.sigma}")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise InputError(f"sigma^2 must be finite, got sigma = {self.sigma}")
         if self.noise_fraction < 0:
             raise InputError(
                 f"noise_fraction must be nonnegative, got {self.noise_fraction}")
@@ -180,12 +186,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise InputError(f"n must be at least 1, got {self.n}")
+        if not 1 <= self.n <= _MAX_N:
+            raise InputError(f"n must lie in [1, {_MAX_N}], got {self.n}")
         p = self.spectral_points
-        if p < 16 or (p & (p - 1)) != 0:
+        if not 16 <= p <= _MAX_SPECTRAL_POINTS or (p & (p - 1)) != 0:
             raise InputError(
-                f"spectral_points must be a power of two >= 16, got {p}")
+                "spectral_points must be a power of two in "
+                f"[16, {_MAX_SPECTRAL_POINTS}], got {p}")
         if self.replications < 1:
             raise InputError(
                 f"replications must be at least 1, got {self.replications}")
@@ -207,10 +214,8 @@ def _levels(taus) -> tuple:
     return taus
 
 
-_INT_KEYS = {"n", "spectral_points", "replications", "seed"}
-_STR_KEYS = {"kind", "mode", "method"}
-_TUPLE_KEYS = {"taus"}
-_ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+# each key is parsed as the type of its default
+_KEY_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -226,22 +231,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _ALL_KEYS:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise InputError(f"config line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            elif key in _TUPLE_KEYS:
+            if kind is tuple:
                 parts = val.replace(",", " ").split()
                 if not parts:
                     raise ValueError("empty list")
                 values[key] = tuple(float(p) for p in parts)
             else:
-                values[key] = float(val)
+                values[key] = kind(val)
         except ValueError as exc:
             raise InputError(
                 f"config line {lineno}: cannot parse {val!r} for key {key!r}"
@@ -301,8 +303,8 @@ class RmseRow:
 
     q_minus / q_plus are the model-truth generalized quantiles; the four
     rmse columns are root-mean-square errors over the surviving
-    replications, scaled by 100 (display convention).  Columns not covered
-    by the requested mode are NaN.
+    replications, scaled by 100 (display convention); NaN where no
+    replication of that cell survived.  The field names are the CSV header.
     """
 
     tau: float
@@ -322,23 +324,18 @@ def _csv_cell(value: float) -> str:
 
 @dataclass(frozen=True)
 class RmseTable:
-    """Error table plus bookkeeping: attempted replications, excluded
-    failures (count and messages), and the mode that produced it."""
+    """Error table plus bookkeeping: attempted replications, the number of
+    excluded (replication, tau, side) cells, and the failure messages (one
+    per failed cell, or one for a replication that failed as a whole)."""
 
     rows: tuple
     replications: int
     failures: int
     failure_log: tuple
-    mode: str
 
     def to_csv(self) -> str:
-        lines = ["tau,q_minus,q_plus,rmse_oracle_minus,rmse_adaptive_minus,"
-                 "rmse_oracle_plus,rmse_adaptive_plus"]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(v) for v in (
-                row.tau, row.q_minus, row.q_plus,
-                row.rmse_oracle_minus, row.rmse_adaptive_minus,
-                row.rmse_oracle_plus, row.rmse_adaptive_plus)))
+        lines = [",".join(f.name for f in fields(RmseRow))]
+        lines += [",".join(map(_csv_cell, astuple(row))) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -350,11 +347,11 @@ def _cells_for(taus):
 class _CellEstimate:
     """One (tau, side) cell of one chain: the quantile and clamp flag at
     every inverted bandwidth, and the selector's (h, q, diagnostics) over
-    the screened grid (None when the selector was not run)."""
+    the screened grid."""
 
     qs: np.ndarray
     clamped: np.ndarray
-    selection: tuple | None
+    selection: tuple
 
 
 def _attempt(fn, *args):
@@ -365,15 +362,15 @@ def _attempt(fn, *args):
         return exc
 
 
-def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
+def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle):
     """Per-(tau, side) estimates for one chain from its tabulated spectra.
 
     All tail tables come from one tail_estimates call on the spectra grid.
     With `oracle` the bandwidths are the full grid (the post-hoc standard
     compares every grid bandwidth, whatever the screen kept), otherwise the
-    screened subset ``bw.values``; the interval rule (with `adaptive`)
-    always runs over the screened subset, after one sigma_tilde call per
-    screened bandwidth for all cells still standing.  Returns a dict
+    screened subset ``bw.values``; the interval rule always runs over the
+    screened subset, after one sigma_tilde call per screened bandwidth for
+    all cells still standing.  Returns a dict
     mapping (tau, side) to a _CellEstimate, or to the LevyqError that cell
     raised (the rest of the chain is still used).
     """
@@ -389,7 +386,7 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
     out = {cell: v for cell, v in found.items() if isinstance(v, LevyqError)}
 
     sigmas = {cell: [] for cell in found}
-    for j in range(first, hs.size) if adaptive else ():
+    for j in range(first, hs.size):
         live = [cell for cell in found if cell not in out]
         h = float(hs[j])
         q_live = [found[cell][j].value for cell in live]
@@ -409,14 +406,10 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle, adaptive):
         if cell in out:
             continue
         qs = np.array([qe.value for qe in quantiles])
-        selection = None
-        if adaptive:
-            sign = 1.0 if cell[1] == "+" else -1.0
-            dens = [dists[j].density(sign * qs[j])
-                    for j in range(first, hs.size)]
-            selection = _attempt(adaptive_quantile, hs[first:], qs[first:],
-                                 dens, sigmas[cell], spectra.n_obs,
-                                 config.delta)
+        sign = 1.0 if cell[1] == "+" else -1.0
+        dens = [dists[j].density(sign * qs[j]) for j in range(first, hs.size)]
+        selection = _attempt(adaptive_quantile, hs[first:], qs[first:], dens,
+                             sigmas[cell], spectra.n_obs, config.delta)
         clamped = np.array([qe.at_threshold for qe in quantiles])
         out[cell] = (selection if isinstance(selection, LevyqError) else
                      _CellEstimate(qs=qs, clamped=clamped, selection=selection))
@@ -428,13 +421,14 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
 
     The strike design and exact prices are computed once; each replication
     perturbs them with its own child of one seed sequence, re-estimates the
-    quantiles at every grid bandwidth, and (in adaptive modes) runs the
-    bandwidth selector.  "Oracle" errors take, per (tau, side), the fixed
-    grid bandwidth with the smallest root-mean-square error over the whole
-    run -- a post-hoc standard no data-driven rule can see.
+    quantiles at every grid bandwidth, and runs the bandwidth selector.
+    "Oracle" errors take, per (tau, side), the fixed grid bandwidth with the
+    smallest root-mean-square error over the whole run -- a post-hoc
+    standard no data-driven rule can see.
 
-    Failures (any estimation error in one replication cell) are excluded
-    from the averages and counted in the returned table.
+    Failures (any estimation error in one replication cell, or in a whole
+    replication) are excluded from the averages and counted per cell in the
+    returned table.
     """
     if config.kind == "brownian":
         raise InputError("the Monte Carlo table needs a jump component; "
@@ -452,8 +446,9 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
     checked_tail_nodes(master, config.x_max)  # else every replication fails
 
     model = pricing_model(config)
+    cells = _cells_for(config.taus)
     truth = {}
-    for tau, side in _cells_for(config.taus):
+    for tau, side in cells:
         try:
             truth[(tau, side)] = true_quantile(model.jumps, tau, side)
         except NoSolutionError as exc:
@@ -462,29 +457,21 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                 "no true quantile to compare against") from exc
 
     kernel = flat_top_kernel(config.kernel_c)
-    ranks = np.arange(1, config.n + 1) / (config.n + 1.0)
-    xs = config.strike_mean + math.sqrt(config.strike_variance) * ndtri(ranks)
-    exact = np.maximum(option_function(model, config.T, xs), 0.0)
-    noise_sd = config.noise_fraction * exact
-
-    want_oracle = config.mode in ("oracle", "both")
-    want_adaptive = config.mode in ("adaptive", "both")
-    cells = _cells_for(config.taus)
+    xs, exact = _synthetic_design(model, config.T, config.n,
+                                  (config.strike_mean, config.strike_variance))
     kept = {cell: [] for cell in cells}
     failures = []
 
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
     for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        noise = rng.standard_normal(config.n) * noise_sd
         try:
-            chain = OptionChain(maturity=config.T, rate=config.r, xs=xs,
-                                prices=exact + noise, noise_levels=noise_sd)
+            chain = _perturbed_chain(xs, exact, config.T, config.r,
+                                     config.noise_fraction,
+                                     np.random.default_rng(child))
             spectra = compute_chain_spectra(chain, master)
             bw = build_grid(config.n, config.L, spectra)
             result = _chain_estimates(spectra, bw, kernel, config,
-                                      config.taus, oracle=want_oracle,
-                                      adaptive=want_adaptive)
+                                      config.taus, oracle=True)
         except LevyqError as exc:
             failures.append(f"replication {index}: {exc}")
             continue
@@ -499,34 +486,23 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
 
     rows = []
     for tau in config.taus:
-        columns = {}
+        columns = []
         for side in ("-", "+"):
-            cell = (tau, side)
-            q_true = truth[cell]
-            oracle = math.nan
-            adaptive = math.nan
-            if kept[cell]:
-                if want_oracle:
-                    stacked = np.array([est.qs for est in kept[cell]])
-                    per_h = np.sqrt(np.mean((stacked - q_true) ** 2, axis=0))
-                    oracle = 100.0 * float(np.min(per_h))
-                if want_adaptive:
-                    picks = np.array([est.selection[1] for est in kept[cell]])
-                    adaptive = 100.0 * float(
-                        np.sqrt(np.mean((picks - q_true) ** 2)))
-            columns[side] = (oracle, adaptive)
-        rows.append(RmseRow(
-            tau=tau,
-            q_minus=truth[(tau, "-")],
-            q_plus=truth[(tau, "+")],
-            rmse_oracle_minus=columns["-"][0],
-            rmse_adaptive_minus=columns["-"][1],
-            rmse_oracle_plus=columns["+"][0],
-            rmse_adaptive_plus=columns["+"][1],
-        ))
+            found = kept[(tau, side)]
+            q_true = truth[(tau, side)]
+            if not found:
+                columns += [math.nan, math.nan]
+                continue
+            stacked = np.array([est.qs for est in found])
+            per_h = np.sqrt(np.mean((stacked - q_true) ** 2, axis=0))
+            picks = np.array([est.selection[1] for est in found])
+            columns += [100.0 * float(np.min(per_h)),
+                        100.0 * float(np.sqrt(np.mean((picks - q_true) ** 2)))]
+        rows.append(RmseRow(tau, truth[(tau, "-")], truth[(tau, "+")],
+                            *columns))
+    failed_cells = sum(config.replications - len(kept[cell]) for cell in cells)
     return RmseTable(rows=tuple(rows), replications=config.replications,
-                     failures=len(failures), failure_log=tuple(failures),
-                     mode=config.mode)
+                     failures=failed_cells, failure_log=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +536,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
                            points=config.spectral_points)
     spectra = compute_chain_spectra(chain, master)
     bw = build_grid(chain.n, config.L, spectra)
-    cells = _chain_estimates(spectra, bw, kernel, config, taus,
-                             oracle=False, adaptive=True)
+    cells = _chain_estimates(spectra, bw, kernel, config, taus, oracle=False)
 
     estimates = {"-": [], "+": []}
     diagnostics = {"-": {}, "+": {}}
@@ -571,7 +546,8 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
             if isinstance(cell, LevyqError):
                 raise cell
             h_chosen, q_chosen, diag = cell.selection
-            chosen_index = int(np.argmin(np.abs(bw.values - h_chosen)))
+            chosen_index = next(i for i, record in enumerate(diag.records)
+                                if record.chosen)
             estimates[side].append({
                 "tau": tau,
                 "quantile": q_chosen,

@@ -240,33 +240,40 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     return out
 
 
-def generate_synthetic_chain(model: LevyModel, maturity: float, rate: float, n: int,
-                             noise_fraction: float, strike_law: tuple, seed: int) -> OptionChain:
-    """Synthetic chain: design points at j/(n+1)-quantiles of N(mean, var).
-
-    True prices are clipped at zero (far-tail quadrature can dip a hair
-    negative); per-quote noise is noise_fraction times the true price, and
-    the noisy observations themselves are left unclipped.
-    """
+def _synthetic_design(model: LevyModel, maturity: float, n: int,
+                      strike_law: tuple) -> tuple:
+    """Design points at the j/(n+1)-quantiles of N(mean, var), j = 1..n,
+    and the exact option function there, clipped at zero (far-tail
+    quadrature can dip a hair negative)."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if noise_fraction < 0:
-        raise InputError("noise_fraction must be nonnegative")
     mean, variance = strike_law
     if not variance > 0:
         raise InputError("strike law variance must be positive")
-    qs = np.arange(1, n + 1) / (n + 1)
-    xs = mean + math.sqrt(variance) * ndtri(qs)
-    truth = np.maximum(option_function(model, maturity, xs), 0.0)
-    delta = noise_fraction * truth
-    eps = np.random.default_rng(seed).standard_normal(n)
-    return OptionChain(
-        maturity=maturity,
-        rate=rate,
-        xs=xs,
-        prices=truth + delta * eps,
-        noise_levels=delta,
-    )
+    xs = mean + math.sqrt(variance) * ndtri(np.arange(1, n + 1) / (n + 1))
+    return xs, np.maximum(option_function(model, maturity, xs), 0.0)
+
+
+def _perturbed_chain(xs, exact, maturity: float, rate: float,
+                     noise_fraction: float, rng) -> OptionChain:
+    """The design's chain with per-quote noise noise_fraction times the
+    exact price, one standard normal draw from `rng` per quote; the noisy
+    observations themselves are left unclipped."""
+    if noise_fraction < 0:
+        raise InputError("noise_fraction must be nonnegative")
+    delta = noise_fraction * exact
+    return OptionChain(maturity=maturity, rate=rate, xs=xs,
+                       prices=exact + delta * rng.standard_normal(xs.size),
+                       noise_levels=delta)
+
+
+def generate_synthetic_chain(model: LevyModel, maturity: float, rate: float, n: int,
+                             noise_fraction: float, strike_law: tuple, seed: int) -> OptionChain:
+    """Synthetic chain: `_synthetic_design` perturbed by `_perturbed_chain`
+    with the generator of `seed`."""
+    xs, exact = _synthetic_design(model, maturity, n, strike_law)
+    return _perturbed_chain(xs, exact, maturity, rate, noise_fraction,
+                            np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

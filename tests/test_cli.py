@@ -24,6 +24,7 @@ import pytest
 
 import levyq
 import levyq.cli as cli
+import levyq.harness
 from levyq.errors import NumericalError
 from levyq.harness import ExperimentConfig, parse_config_text, run_mc_table
 from levyq.options import generate_synthetic_chain, write_chain_csv
@@ -148,8 +149,7 @@ class TestMcTableCommand:
         # config once escaped the exit-code contract with a raw ValueError
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text("noise_fraction = 0.0012\n"
-                       "replications = 10\n"
-                       "mode = oracle\n")
+                       "replications = 10\n")
         out = tmp_path / "table.csv"
         code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
         assert code == 0
@@ -158,7 +158,35 @@ class TestMcTableCommand:
         assert len(rows) == len(ExperimentConfig().taus)
         for row in rows:
             assert row[3] and row[5]            # oracle cells filled
-            assert not row[4] and not row[6]    # adaptive cells blank
+
+    @pytest.mark.parametrize("target, summary", [
+        ("adaptive_quantile", "0 of 4 replication cells clean, 4 failures"),
+        ("compute_chain_spectra",
+         "2 of 4 replication cells clean, 2 failures"),
+    ], ids=["every-cell-fails", "first-replication-fails"])
+    def test_summary_counts_failed_cells(self, mc_config_file, tmp_path,
+                                         capsys, monkeypatch, target,
+                                         summary):
+        # 2 replications x 1 tau x 2 sides = 4 cells; a failed selector
+        # excludes one cell, a failed spectra table its whole replication
+        original = getattr(levyq.harness, target)
+        calls = []
+
+        def fail_first_or_always(*args):
+            calls.append(None)
+            if target == "adaptive_quantile" or len(calls) == 1:
+                raise NumericalError("synthetic failure")
+            return original(*args)
+
+        monkeypatch.setattr(levyq.harness, target, fail_first_or_always)
+        out = tmp_path / "table.csv"
+        code = cli.main(["mc-table", "--config", str(mc_config_file),
+                         "--reps", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert summary in captured.out
+        assert captured.err.count("excluded:") == (
+            4 if target == "adaptive_quantile" else 1)
 
     @pytest.mark.parametrize("line", ["x_max = 0.4", "spectral_points = 16"])
     def test_config_no_replication_can_run(self, tmp_path, capsys, line):
@@ -173,6 +201,16 @@ class TestMcTableCommand:
         code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
         assert_input_error(code, capsys)
         assert not out.exists()
+
+    def test_mode_key_is_unknown(self, mc_config_file, tmp_path, capsys):
+        # every run fills all four RMSE columns; the key that chose a
+        # subset is gone
+        mc_config_file.write_text(MC_CFG + "mode = oracle\n")
+        code = cli.main(["mc-table", "--config", str(mc_config_file),
+                         "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown key 'mode'" in err
 
     def test_oversized_bandwidth_grid_is_refused(self, tmp_path, capsys):
         # about 1.1e7 bandwidths at n = 32: refused before any replication
@@ -435,6 +473,34 @@ def test_commands_import_no_quadrature_or_interpolation(tmp_path,
                           capture_output=True, text=True, timeout=240,
                           cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command, line", [
+    ("mc-table", "sigma = 1e200"),
+    ("mc-table", "spectral_points = 4503599627370496"),
+    ("demo-direct", "sigma = 1e200"),
+    ("demo-direct", "spectral_points = 4503599627370496"),
+    ("demo-direct", "n = 1000000000000"),
+], ids=["mc-sigma-squared-overflows", "mc-spectral-points-2-52",
+        "demo-sigma-squared-overflows", "demo-spectral-points-2-52",
+        "demo-n-10-12"])
+def test_oversized_config_value_is_refused(tmp_path, capsys, command, line):
+    # refused by the config check, before anything is allocated
+    key = line.split(" = ")[0]
+    base = MC_CFG if command == "mc-table" else DEMO_CFG
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("".join(row + "\n" for row in base.splitlines()
+                           if not row.startswith(key)) + line + "\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_input_error(code, capsys)
+    assert not out.exists()
+    assert peak < 20e6
 
 
 class TestParser:

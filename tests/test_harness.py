@@ -22,11 +22,11 @@ from the benchmark table" walks through the measurements.
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.special import ndtri
 
 import levyq.harness
 from levyq.adaptive import build_grid, sigma_tilde
@@ -48,8 +48,8 @@ from levyq.inversion import quantile_from_distribution, tail_estimates
 from levyq.kernels import flat_top_kernel
 from levyq.models import ExponentialJumps, martingale_drift
 from levyq.numerics import FrequencyGrid
-from levyq.options import (OptionChain, compute_chain_spectra,
-                           generate_synthetic_chain, option_function,
+from levyq.options import (_perturbed_chain, _synthetic_design,
+                           compute_chain_spectra, generate_synthetic_chain,
                            write_chain_csv)
 
 from conftest import TRUE_QUANTILES
@@ -92,7 +92,6 @@ class TestConfigParsing:
         taus = 0.5, 1.0, 2.5
         replications = 7
         seed = 3
-        mode = oracle
         spectral_points = 2048
         method = inverse-cdf-from-characteristic-function
         """
@@ -101,10 +100,16 @@ class TestConfigParsing:
         assert cfg.n == 64 and isinstance(cfg.n, int)
         assert cfg.taus == (0.5, 1.0, 2.5)
         assert cfg.replications == 7 and cfg.seed == 3
-        assert cfg.mode == "oracle"
         assert cfg.method == "inverse-cdf-from-characteristic-function"
         # untouched keys keep their defaults
         assert cfg.T == ExperimentConfig().T
+
+    def test_docstring_names_every_key(self):
+        # README sends users to this docstring for the list of keys
+        doc = ExperimentConfig.__doc__
+        missing = [f.name for f in dataclasses.fields(ExperimentConfig)
+                   if not re.search(rf"\b{f.name}\b", doc)]
+        assert not missing
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# only a comment\n\n  \nL = 1.2 # inline\n")
@@ -145,7 +150,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("kwargs", [
         dict(kind="poisson"),
-        dict(mode="best"),
+        dict(sigma=1e200),                # sigma^2 overflows
         dict(method="shot-noise"),
         dict(n=0),
         dict(Y=2.0),
@@ -198,7 +203,7 @@ class TestModelAssembly:
 
 class TestMcTable:
     def test_single_replication_deterministic(self):
-        cfg = ExperimentConfig(**TINY_MC, mode="both")
+        cfg = ExperimentConfig(**TINY_MC)
         first = run_mc_table(cfg)
         second = run_mc_table(cfg)
         assert first.to_csv() == second.to_csv()
@@ -216,13 +221,13 @@ class TestMcTable:
                    for row in report["results"] if row["side"] == "+")
 
     def test_seed_override_changes_noise(self):
-        cfg = ExperimentConfig(**TINY_MC, mode="oracle")
+        cfg = ExperimentConfig(**TINY_MC)
         base = run_mc_table(cfg)
         other = run_mc_table(dataclasses.replace(cfg, seed=12))
         assert base.to_csv() != other.to_csv()
 
     def test_csv_schema(self):
-        cfg = ExperimentConfig(**TINY_MC, mode="oracle")
+        cfg = ExperimentConfig(**TINY_MC)
         table = run_mc_table(cfg)
         lines = table.to_csv().strip().split("\n")
         assert lines[0] == ("tau,q_minus,q_plus,rmse_oracle_minus,"
@@ -230,29 +235,16 @@ class TestMcTable:
                             "rmse_adaptive_plus")
         assert len(lines) == 1 + len(cfg.taus)
 
-    def test_oracle_mode_leaves_adaptive_blank(self):
-        cfg = ExperimentConfig(**TINY_MC, mode="oracle")
-        table = run_mc_table(cfg)
-        row = table.rows[0]
-        assert math.isnan(row.rmse_adaptive_minus)
-        assert math.isnan(row.rmse_adaptive_plus)
-        assert not math.isnan(row.rmse_oracle_minus)
-        data_line = table.to_csv().strip().split("\n")[1]
-        assert ",," in data_line   # blank adaptive cells
-
     def test_oracle_mode_with_per_replication_screen(self):
         # at 0.12 % noise the screen passes, at a different j_min in each
         # replication; the oracle still compares every grid bandwidth and
         # the table is complete (this config once raised a raw ValueError)
-        cfg = ExperimentConfig(noise_fraction=0.0012, replications=10,
-                               mode="oracle")
+        cfg = ExperimentConfig(noise_fraction=0.0012, replications=10)
         table = run_mc_table(cfg)
         assert table.failures == 0
         for row in table.rows:
             assert math.isfinite(row.rmse_oracle_minus)
             assert math.isfinite(row.rmse_oracle_plus)
-            assert math.isnan(row.rmse_adaptive_minus)
-            assert math.isnan(row.rmse_adaptive_plus)
 
     def test_rejects_brownian(self):
         with pytest.raises(InputError):
@@ -304,8 +296,7 @@ class TestMcTable:
         "interpolation-error band.  See README, 'Known deviations from "
         "the benchmark table'."))
     def test_zero_noise_single_replication_bias(self):
-        cfg = ExperimentConfig(noise_fraction=0.0, replications=1, seed=0,
-                               mode="oracle")
+        cfg = ExperimentConfig(noise_fraction=0.0, replications=1, seed=0)
         table = run_mc_table(cfg)
         assert table.failures == 0
         for row in table.rows:
@@ -453,21 +444,19 @@ class TestEstimateChain:
         # path; both masters are [-n, n], so the per-bandwidth quantiles
         # must agree bitwise
         cfg = ExperimentConfig(n=64, spectral_points=2048, taus=(0.5, 1.0))
-        ranks = np.arange(1, cfg.n + 1) / (cfg.n + 1.0)
-        xs = cfg.strike_mean + math.sqrt(cfg.strike_variance) * ndtri(ranks)
-        exact = np.maximum(option_function(pricing_model(cfg), cfg.T, xs), 0.0)
-        noise_sd = cfg.noise_fraction * exact
+        xs, exact = _synthetic_design(
+            pricing_model(cfg), cfg.T, cfg.n,
+            (cfg.strike_mean, cfg.strike_variance))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-        chain = OptionChain(maturity=cfg.T, rate=cfg.r, xs=xs,
-                            prices=exact + rng.standard_normal(cfg.n) * noise_sd,
-                            noise_levels=noise_sd)
+        chain = _perturbed_chain(xs, exact, cfg.T, cfg.r, cfg.noise_fraction,
+                                 rng)
         report, _ = estimate_chain(chain, cfg, taus=cfg.taus)
 
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
         spectra = compute_chain_spectra(chain, master)
         bw = build_grid(cfg.n, cfg.L, spectra)
         cells = _chain_estimates(spectra, bw, flat_top_kernel(cfg.kernel_c),
-                                 cfg, cfg.taus, oracle=True, adaptive=True)
+                                 cfg, cfg.taus, oracle=True)
         assert report["bandwidth_grid"] == list(bw.values)
         for key, side in (("minus", "-"), ("plus", "+")):
             for row in report["estimates"][key]:
@@ -492,7 +481,7 @@ class TestEstimateChain:
 
         def run():
             return _chain_estimates(spectra, bw, kernel, cfg, cfg.taus,
-                                    oracle=False, adaptive=True)
+                                    oracle=False)
 
         clean = run()
         bad_cell, bad_h = (1.0, "+"), float(bw.values[3])
