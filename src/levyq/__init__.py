@@ -41,6 +41,7 @@ from .inversion import (
     QuantileEstimate,
     quantile_from_distribution,
     tail_estimates,
+    tail_quantiles,
 )
 from .options import (
     NoiseProfile,
@@ -60,7 +61,6 @@ from .adaptive import (
     adaptive_quantile,
     build_grid,
     sigma_tilde,
-    tail_weight_spectrum,
 )
 from .harness import (
     DEFAULT_CHAIN_TAUS,

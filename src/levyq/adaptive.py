@@ -11,9 +11,13 @@ Three layers:
     in the three observable transforms) are assembled from the chain
     spectra, their L2 norms weighted by the noise profile's sup norms,
     giving sigma_tilde = (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
-    * ||chi_k||_L2.  One call serves every (threshold, side) cell of a
-    bandwidth: the factors that depend on h alone are formed once, and only
-    the tail weight and the three norms are per cell;
+    * ||chi_k||_L2.  Each ||chi_k||^2 is |g_t|^2, the power of the tail
+    weight's spectrum, summed against a weight that depends on h alone, so
+    one call serves every (threshold, side) cell of a bandwidth: |g_t|^2
+    comes in real arithmetic from one `sici` call over the (cells x nodes)
+    array, and the work that depends on neither h nor the cell (the three
+    weights without the kernel, the x_max term of g_t) is formed once per
+    spectra table (`_bound_terms`);
 
   * the interval-intersection rule: each bandwidth proposes the interval
     quantile +- (1+delta) sqrt(2 log log n) sigma_tilde / density; the
@@ -40,13 +44,12 @@ from scipy.special import sici
 from .errors import InputError, NoSolutionError, NumericalError
 from .inversion import X_MAX_DEFAULT
 from .kernels import SpectralKernel
-from .numerics import Spectra
+from .numerics import _BLOCK, _MAX_BATCH, Spectra
 
 __all__ = [
     "BandwidthGrid",
     "BandwidthRecord",
     "LepskiDiagnostics",
-    "tail_weight_spectrum",
     "build_grid",
     "sigma_tilde",
     "adaptive_quantile",
@@ -54,7 +57,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# spectrum of the truncated tail weight g_t(x) = x^{-2} on [t, X_max]
+# the exponential integral behind the tail weight g_t(x) = x^{-2} on [t, X_max]
 
 
 def _e2(w: np.ndarray) -> np.ndarray:
@@ -73,36 +76,6 @@ def _e2(w: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         out = (np.cos(w) + np.abs(w) * (si - 0.5 * np.pi)) + 1j * (w * ci - np.sin(w))
     return np.where(w == 0, 1.0 + 0j, out)
-
-
-def tail_weight_spectrum(t, u, x_max: float = X_MAX_DEFAULT):
-    """int g_t(x) e^{-iux} dx for the truncated tail weight.
-
-    g_t(x) = x^{-2} 1_{[t, x_max]} for t > 0 and x^{-2} 1_{[-x_max, t]} for
-    t < 0.  Closed form via the exponential integral:
-
-        int_t^X x^{-2} e^{-iux} dx = E2(iut)/t - E2(iuX)/X,
-
-    and the t < 0 side by the reflection x -> -x, which turns the X term
-    into -conj(E2(iuX)/X).  Exact at u = 0 (value 1/|t| - 1/x_max).
-
-    `t` is one signed threshold or a 1-D array of them; an array gives one
-    row per threshold, and the X term is formed once for all rows.
-    """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts == 0):
-        raise InputError("tail weight needs a nonzero threshold t")
-    if not np.all(x_max > np.abs(ts)):
-        raise InputError(
-            f"x_max = {x_max} must exceed |t| = {np.max(np.abs(ts))}")
-    u_arr = np.asarray(u, dtype=float).ravel()
-    tail = _e2(u_arr * x_max) / x_max
-    vals = np.empty((ts.size, u_arr.size), dtype=complex)
-    for row, ti in zip(vals, ts):
-        head = _e2(u_arr * ti) / ti
-        row[:] = head - tail if ti > 0 else -head - np.conj(tail)
-    vals = vals.reshape(np.shape(t) + np.shape(u))
-    return complex(vals) if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +193,76 @@ def build_grid(n: int, L: float,
 # deviation bound at a fixed bandwidth
 
 
-def _masked_chis(spectra: Spectra, kernel: SpectralKernel, h: float,
-                 q, side, x_max: float):
-    """Validate the cells (`q` one threshold or a 1-D array, `side` one
-    side or one per threshold); return the integration mask and an iterator
-    over the cells' (chi0, chi1, chi2) on the masked nodes.  The mask, the
-    kernel profile, the masked spectra and the three rational factors
-    depend on h alone and are formed once; each cell adds its tail weight.
+@dataclass(frozen=True, eq=False)
+class _BoundTerms:
+    """The h-free part of sigma_tilde for one spectra table, on its trusted
+    nodes u (increasing): the weights w |factor_k|^2 / |phi~|^2 of the three
+    norms, the x_max term E2(iu x_max) / x_max of the tail weight, and the
+    block and in-block index of each node for the phase products, whose
+    block starts are `starts`."""
+
+    spectra: Spectra
+    x_max: float
+    u: np.ndarray
+    weights: np.ndarray
+    tail_re: np.ndarray
+    tail_im: np.ndarray
+    block: np.ndarray
+    offset: np.ndarray
+    starts: np.ndarray
+
+
+def _bound_terms(spectra: Spectra, x_max: float) -> _BoundTerms:
+    """Form once per table what sigma_tilde needs at every bandwidth."""
+    _require_noise_profile(spectra, "the deviation bound")
+    index = np.flatnonzero(spectra.trusted)
+    u = spectra.grid.u[index]
+    T = spectra.horizon
+    phi = spectra.phi[index]  # trusted nodes, so bounded away from zero
+    psi1 = spectra.psi1[index]
+    psi2 = spectra.psi2[index]
+    factors = (
+        u * (u - 1j) * (T ** 2 * psi1 ** 2 - T * psi2)
+        + 2.0 * T * (1j - 2.0 * u) * psi1
+        + 2.0,
+        (4j * u + 2.0) - 2.0 * T * u * (1j * u + 1.0) * psi1,
+        u * (1j - u),
+    )
+    scale = spectra.grid.weights[index] / (phi.real ** 2 + phi.imag ** 2)
+    weights = np.stack([scale * (f.real ** 2 + f.imag ** 2) for f in factors])
+    tail = _e2(u * x_max) / x_max
+    block, offset = np.divmod(index, _BLOCK)
+    return _BoundTerms(spectra=spectra, x_max=x_max, u=u, weights=weights,
+                       tail_re=tail.real.copy(), tail_im=tail.imag.copy(),
+                       block=block, offset=offset,
+                       starts=spectra.grid.u[::_BLOCK])
+
+
+def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
+                q, side, x_max: float = X_MAX_DEFAULT, terms=None):
+    """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
+    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
+
+    chi_k = g_t f_K(hu) factor_k / phi~ on the trusted nodes with u <= 1/h,
+    where g_t is the spectrum of the tail weight x^{-2} on [t, x_max] (t > 0)
+    or [-x_max, t] (t < 0):
+
+        g_t(u) = E2(iut)/t - E2(iu x_max)/x_max,
+
+    and the t < 0 side is its conjugate, so |g_t|^2 is even in t and both
+    sides use |t| = q.  With E2(iw) = cos w + w (Si(w) - pi/2)
+    + i (w Ci(w) - sin w), |g_t|^2 is formed in real arithmetic from one
+    `sici` call over the (cells x nodes) array, and each squared norm is the
+    sum of |g_t|^2 against the h-only weight w f_K(hu)^2 |factor_k|^2 /
+    |phi~|^2.  cos(ut) and sin(ut) are phase products: with block start
+    u_a and in-block offset b * spacing, e^{iut} = e^{iu_a t} e^{ibt du},
+    as in `numerics.inverse_fourier`.  The cells are taken in chunks of at
+    most _MAX_BATCH (cell, node) pairs.
+
+    An array of thresholds gives an array, each entry equal to the call for
+    that threshold alone.  `terms`, from `_bound_terms(spectra, x_max)`,
+    carries the work that does not depend on h, so that a caller bounding
+    many bandwidths of one table forms it once.
     """
     _require_noise_profile(spectra, "the deviation bound")
     if not h > 0:
@@ -243,54 +279,40 @@ def _masked_chis(spectra: Spectra, kernel: SpectralKernel, h: float,
         if not x_max > qi:
             raise InputError(
                 f"x_max = {x_max} must exceed the threshold q = {qi}")
-    t = np.array([qi if si == "+" else -qi for qi, si in zip(qs, sides)])
-    T = spectra.horizon
-    u_all = spectra.grid.u
-    mask = spectra.trusted & (u_all <= 1.0 / h)
-    u = u_all[mask]
-    fk = kernel(h * u)
-    phi = spectra.phi[mask]  # trusted nodes, so bounded away from zero
-    psi1 = spectra.psi1[mask]
-    psi2 = spectra.psi2[mask]
-    factors = (
-        u * (u - 1j) * (T ** 2 * psi1 ** 2 - T * psi2)
-        + 2.0 * T * (1j - 2.0 * u) * psi1
-        + 2.0,
-        (4j * u + 2.0) - 2.0 * T * u * (1j * u + 1.0) * psi1,
-        u * (1j - u),
-    )
-
-    def cells():
-        for gw in tail_weight_spectrum(t, u, x_max):
-            base = gw * fk / phi
-            yield tuple(base * f for f in factors)
-
-    return mask, cells()
-
-
-def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
-                q, side, x_max: float = X_MAX_DEFAULT):
-    """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
-    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
-
-    An array of thresholds gives an array from one pass over the h-only
-    factors.  Each norm sums the grid weights times the even |chi_k|^2.
-    """
-    mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
-    if not mask.any():
+    if terms is None:
+        terms = _bound_terms(spectra, x_max)
+    elif terms.spectra is not spectra or terms.x_max != x_max:
+        raise InputError("bound terms of another spectra table or x_max")
+    kept = int(np.searchsorted(terms.u, 1.0 / h, side="right"))
+    if not kept:
         raise NumericalError(
             f"trust region is empty on |u| <= {1.0 / h:.3g}; "
             "the noise guard dominates at this bandwidth"
         )
-    weights = spectra.grid.weights[mask]
+    u = terms.u[:kept]
+    fk = kernel(h * u)
+    weights = terms.weights[:, :kept] * (fk * fk)
+    tail_re, tail_im = terms.tail_re[:kept], terms.tail_im[:kept]
+    block, offset = terms.block[:kept], terms.offset[:kept]
+    starts = terms.starts[: block[-1] + 1]
+    steps = spectra.grid.spacing * np.arange(_BLOCK)
+    s0, s1, s2 = spectra.sup_norms
     pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.horizon)
-
-    def norm(chi):
-        return math.sqrt(weights @ (chi.real ** 2 + chi.imag ** 2))
-
-    values = [pref * sum(s * norm(chi) for s, chi in zip(spectra.sup_norms, cell))
-              for cell in cells]
-    return values[0] if np.ndim(q) == 0 else np.array(values)
+    values = np.empty(qs.size)
+    chunk = max(1, _MAX_BATCH // kept)
+    for lo in range(0, qs.size, chunk):
+        t = qs[lo : lo + chunk, None]
+        si, ci = sici(t * u)
+        phase = (np.exp(1j * (t * starts))[:, block]
+                 * np.exp(1j * (t * steps))[:, offset])
+        re = phase.real / t + u * (si - 0.5 * np.pi) - tail_re
+        im = u * ci - phase.imag / t - tail_im
+        g2 = re * re + im * im
+        # row sums, not one matrix product, whose rounding could depend on
+        # the number of rows: each cell's bound is the same in any batch
+        n0, n1, n2 = (np.sqrt((g2 * w).sum(axis=1)) for w in weights)
+        values[lo : lo + chunk] = pref * (s0 * n0 + s1 * n1 + s2 * n2)
+    return float(values[0]) if np.ndim(q) == 0 else values
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,14 @@ and every bandwidth's tail function comes from one batched inversion of
 all its kernel-damped columns (`inversion.tail_estimates`).  The option
 drivers tabulate on the master window |u| <= n, the band of the smallest
 grid bandwidth 1/n; the direct demo on |u| <= 1/h, the band of its one
-bandwidth.  The Monte Carlo loop prices the chain once (the strike design
-is fixed) and re-perturbs it per replication, and the deviation bounds of
-all (tau, side) cells of a chain come from one `sigma_tilde` call per
-bandwidth.
+bandwidth.  Per chain, the quantiles of all levels and bandwidths come
+from one `tail_quantiles` pass per side, and the deviation bounds of all
+(tau, side) cells from one `sigma_tilde` call per bandwidth.  The Monte
+Carlo loop prices the chain once (the strike design is fixed), forms the
+noise profile once, and re-perturbs the prices per replication; the
+replications are tabulated in groups that share one phase table per
+frequency chunk (`options._ChainDesign`).  Every command refuses, before
+it allocates, an inversion larger than `inversion._MAX_INVERSION`.
 """
 from __future__ import annotations
 
@@ -38,17 +42,19 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .adaptive import _top_index, adaptive_quantile, build_grid, sigma_tilde
+from .adaptive import (_bound_terms, _top_index, adaptive_quantile,
+                       build_grid, sigma_tilde)
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
 from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
-                        checked_tail_nodes, quantile_from_distribution,
-                        tail_estimates)
+                        _check_inversion_size, checked_tail_nodes,
+                        quantile_from_distribution, tail_estimates,
+                        tail_quantiles)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, ExponentialJumps, LevyModel,
                      martingale_drift, true_quantile)
 from .numerics import FrequencyGrid
-from .options import (_perturbed_chain, _synthetic_design,
+from .options import (_ChainDesign, _perturbed_chain, _synthetic_design,
                       compute_chain_spectra, read_chain_csv)
 from .simulate import METHODS, IncrementSampler, sample_increments
 
@@ -84,6 +90,16 @@ _MC_MAX_QUOTES = 256
 # inverse-cdf sampling), so 10^7 increments stand for at most 0.72 GB
 _MAX_SPECTRAL_POINTS = 2 ** 19
 _MAX_N = 10 ** 7
+
+# mc-table tabulates the spectra of a group of replications together, so
+# that one phase table per frequency chunk serves them all.  A replication's
+# table holds _REPLICATION_BYTES per spectral point (three complex values
+# and a flag per positive node: 205 kB at 8,192 points, measured with
+# tracemalloc), and its transforms as much again while the group is formed;
+# the tables of a group hold at most _GROUP_BYTES (10 replications at the
+# default 8,192 points)
+_REPLICATION_BYTES = 25
+_GROUP_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -365,63 +381,86 @@ def _attempt(fn, *args):
 def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle):
     """Per-(tau, side) estimates for one chain from its tabulated spectra.
 
-    All tail tables come from one tail_estimates call on the spectra grid.
-    With `oracle` the bandwidths are the full grid (the post-hoc standard
-    compares every grid bandwidth, whatever the screen kept), otherwise the
-    screened subset ``bw.values``; the interval rule always runs over the
-    screened subset, after one sigma_tilde call per screened bandwidth for
-    all cells still standing.  Returns a dict
-    mapping (tau, side) to a _CellEstimate, or to the LevyqError that cell
-    raised (the rest of the chain is still used).
+    All tail tables come from one tail_estimates call on the spectra grid,
+    and the quantiles of all levels and bandwidths from one tail_quantiles
+    pass per side.  With `oracle` the bandwidths are the full grid (the
+    post-hoc standard compares every grid bandwidth, whatever the screen
+    kept), otherwise the screened subset ``bw.values``; the interval rule
+    always runs over the screened subset, after one sigma_tilde call per
+    screened bandwidth for all cells still standing (the h-free part of the
+    bound is formed once) and one density lookup per bandwidth and side.
+    Returns a dict mapping (tau, side) to a _CellEstimate, or to the
+    LevyqError that cell raised (the rest of the chain is still used).
     """
     hs = build_grid(bw.n, bw.L).values if oracle else bw.values
     first = bw.j_min if oracle else 0   # index of bw.values[0] in hs
     dists = tail_estimates(spectra, kernel, hs, config.x_max)
+    cells = _cells_for(taus)
+    level = {tau: i for i, tau in enumerate(taus)}
+    found = {side: _attempt(tail_quantiles, dists, taus, config.eta, side)
+             for side in ("-", "+")}
+    out = {cell: found[cell[1]] for cell in cells
+           if isinstance(found[cell[1]], LevyqError)}
+    terms = _bound_terms(spectra, config.x_max)
 
-    def search(tau, side):
-        return [quantile_from_distribution(dist, tau, config.eta, side)
-                for dist in dists]
-
-    found = {cell: _attempt(search, *cell) for cell in _cells_for(taus)}
-    out = {cell: v for cell, v in found.items() if isinstance(v, LevyqError)}
-
-    sigmas = {cell: [] for cell in found}
+    sigmas = {cell: [] for cell in cells}
     for j in range(first, hs.size):
-        live = [cell for cell in found if cell not in out]
+        live = [cell for cell in cells if cell not in out]
         h = float(hs[j])
-        q_live = [found[cell][j].value for cell in live]
+        q_live = [found[side][0][level[tau], j] for tau, side in live]
         values = _attempt(sigma_tilde, spectra, kernel, h, q_live,
-                          [side for _, side in live], config.x_max)
+                          [side for _, side in live], config.x_max, terms)
         if isinstance(values, LevyqError):
             # redo each cell alone, so an error stays with its own cell
             values = [_attempt(sigma_tilde, spectra, kernel, h, q, side,
-                               config.x_max)
+                               config.x_max, terms)
                       for q, (_, side) in zip(q_live, live)]
         for cell, value in zip(live, values):
             sigmas[cell].append(value)
             if isinstance(value, LevyqError):
                 out[cell] = value
 
-    for cell, quantiles in found.items():
+    densities = {}
+    for side in ("-", "+"):
+        if not isinstance(found[side], LevyqError):
+            qs = found[side][0]
+            densities[side] = np.array([
+                np.interp(qs[:, j], dists[j].nodes, dists[j].density_pos
+                          if side == "+" else dists[j].density_neg)
+                for j in range(first, hs.size)]).T
+    for cell in cells:
         if cell in out:
             continue
-        qs = np.array([qe.value for qe in quantiles])
-        sign = 1.0 if cell[1] == "+" else -1.0
-        dens = [dists[j].density(sign * qs[j]) for j in range(first, hs.size)]
-        selection = _attempt(adaptive_quantile, hs[first:], qs[first:], dens,
-                             sigmas[cell], spectra.n_obs, config.delta)
-        clamped = np.array([qe.at_threshold for qe in quantiles])
+        tau, side = cell
+        qs, clamped = (table[level[tau]] for table in found[side])
+        selection = _attempt(adaptive_quantile, hs[first:], qs[first:],
+                             densities[side][level[tau]], sigmas[cell],
+                             spectra.n_obs, config.delta)
         out[cell] = (selection if isinstance(selection, LevyqError) else
-                     _CellEstimate(qs=qs, clamped=clamped, selection=selection))
-    return out
+                     _CellEstimate(qs=qs, clamped=clamped,
+                                   selection=selection))
+    return {cell: out[cell] for cell in cells}
+
+
+def _group_spectra(design, chains) -> list:
+    """design.spectra(chains), one table per chain; if that raises, each
+    chain alone, so that an error stays with its own replication."""
+    tables = _attempt(design.spectra, chains)
+    if not isinstance(tables, LevyqError):
+        return tables
+    alone = [_attempt(design.spectra, [chain]) for chain in chains]
+    return [t if isinstance(t, LevyqError) else t[0] for t in alone]
 
 
 def run_mc_table(config: ExperimentConfig) -> RmseTable:
     """Replicated synthetic chains -> RMSE table against model truth.
 
-    The strike design and exact prices are computed once; each replication
-    perturbs them with its own child of one seed sequence, re-estimates the
-    quantiles at every grid bandwidth, and runs the bandwidth selector.
+    The strike design, exact prices and noise profile are computed once;
+    each replication perturbs the prices with its own child of one seed
+    sequence, re-estimates the quantiles at every grid bandwidth, and runs
+    the bandwidth selector.  The replications' spectra are tabulated in
+    groups of about _GROUP_BYTES, each table bit for bit what it would be
+    alone.
     "Oracle" errors take, per (tau, side), the fixed grid bandwidth with the
     smallest root-mean-square error over the whole run -- a post-hoc
     standard no data-driven rule can see.
@@ -440,10 +479,12 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
             f"run_mc_table supports at most {_MC_MAX_QUOTES} quotes per "
             "chain (its master window [-n, n] stays finely resolved at the "
             "default node count); estimate_chain takes larger chains")
-    _top_index(config.n, config.L)  # else every replication fails
+    # else every replication fails, or asks for more memory than allowed
+    _check_inversion_size(_top_index(config.n, config.L) + 1,
+                          config.spectral_points, config.x_max)
     master = FrequencyGrid(cutoff=float(config.n),
                            points=config.spectral_points)
-    checked_tail_nodes(master, config.x_max)  # else every replication fails
+    checked_tail_nodes(master, config.x_max)
 
     model = pricing_model(config)
     cells = _cells_for(config.taus)
@@ -459,30 +500,35 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
     kernel = flat_top_kernel(config.kernel_c)
     xs, exact = _synthetic_design(model, config.T, config.n,
                                   (config.strike_mean, config.strike_variance))
+    # the noise levels _perturbed_chain gives every replication
+    design = _ChainDesign(xs, config.noise_fraction * exact, config.T, master)
     kept = {cell: [] for cell in cells}
     failures = []
 
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    for index, child in enumerate(children):
-        try:
-            chain = _perturbed_chain(xs, exact, config.T, config.r,
-                                     config.noise_fraction,
-                                     np.random.default_rng(child))
-            spectra = compute_chain_spectra(chain, master)
-            bw = build_grid(config.n, config.L, spectra)
-            result = _chain_estimates(spectra, bw, kernel, config,
-                                      config.taus, oracle=True)
-        except LevyqError as exc:
-            failures.append(f"replication {index}: {exc}")
-            continue
-        for cell in cells:
-            value = result[cell]
-            if isinstance(value, LevyqError):
-                tau, side = cell
-                failures.append(
-                    f"replication {index}, tau {tau:g}, side {side}: {value}")
-            else:
-                kept[cell].append(value)
+    size = max(1, _GROUP_BYTES // (_REPLICATION_BYTES * config.spectral_points))
+    for start in range(0, config.replications, size):
+        indices = range(start, min(start + size, config.replications))
+        chains = [_perturbed_chain(xs, exact, config.T, config.r,
+                                   config.noise_fraction,
+                                   np.random.default_rng(children[index]))
+                  for index in indices]
+        for index, spectra in zip(indices, _group_spectra(design, chains)):
+            try:
+                if isinstance(spectra, LevyqError):
+                    raise spectra
+                bw = build_grid(config.n, config.L, spectra)
+                result = _chain_estimates(spectra, bw, kernel, config,
+                                          config.taus, oracle=True)
+            except LevyqError as exc:
+                failures.append(f"replication {index}: {exc}")
+                continue
+            for (tau, side), value in result.items():
+                if isinstance(value, LevyqError):
+                    failures.append(f"replication {index}, tau {tau:g}, "
+                                    f"side {side}: {value}")
+                else:
+                    kept[(tau, side)].append(value)
 
     rows = []
     for tau in config.taus:
@@ -531,6 +577,8 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
             f"need at least 10 quotes to estimate, got {chain.n}")
     taus = _levels(DEFAULT_CHAIN_TAUS if taus is None else taus)
 
+    _check_inversion_size(_top_index(chain.n, config.L) + 1,
+                          config.spectral_points, config.x_max)
     kernel = flat_top_kernel(config.kernel_c)
     master = FrequencyGrid(cutoff=float(chain.n),
                            points=config.spectral_points)
@@ -592,6 +640,7 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     (and the level is reachable); otherwise they are None.
     """
     taus = _levels(config.taus if taus is None else taus)
+    _check_inversion_size(1, config.spectral_points, config.x_max)
     model = observation_model(config)
     sampler = IncrementSampler(model=model, delta=config.increment_delta,
                                method=config.method, seed=config.seed)

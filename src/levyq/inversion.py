@@ -20,6 +20,12 @@ The pipeline shared by both observation schemes:
    beyond q is expected once in 1/tau time units) applied to the smallest
    nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
    the last crossing of tau, clamped to eta when N_h < tau throughout.
+   `tail_quantiles` finds it for every level and bandwidth of one side in
+   one pass; `quantile_from_distribution` is that pass for one cell.
+
+The inversion's work arrays grow with bandwidths x (spectral points + 2 x
+tail nodes); `tail_estimates` refuses more than _MAX_INVERSION of these
+units before it allocates.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import SpectralKernel
-from .numerics import FrequencyGrid, Spectra, inverse_fourier
+from .numerics import _MAX_BATCH, FrequencyGrid, Spectra, inverse_fourier
 
 __all__ = [
     "DistributionEstimate",
@@ -40,6 +46,7 @@ __all__ = [
     "tail_nodes",
     "checked_tail_nodes",
     "tail_estimates",
+    "tail_quantiles",
     "quantile_from_distribution",
 ]
 
@@ -138,6 +145,27 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
     return nodes
 
 
+# largest inversion, in bandwidths x (spectral points + 2 x tail nodes); each
+# such unit holds about 80 bytes of work arrays (measured through
+# estimate_chain), so the cap stands for about 0.67 GB.  The default grid
+# asks for 13 x (8,192 + 2 x 1,091), about 135,000
+_MAX_INVERSION = 2 ** 23
+
+
+def _check_inversion_size(bandwidths: int, points: int, x_max: float) -> None:
+    """Refuse to invert more than _MAX_INVERSION units, counted from the
+    sizes alone, before anything is allocated."""
+    nodes = _GEOM_POINTS + max(0, math.ceil((x_max - _NODE_SPLIT)
+                                            / _LINEAR_STEP))
+    size = bandwidths * (points + 2 * nodes)
+    if size > _MAX_INVERSION:
+        raise InputError(
+            f"{bandwidths} bandwidths x ({points} spectral points + 2 x "
+            f"{nodes} tail nodes) = {size} exceeds the inversion cap of "
+            f"{_MAX_INVERSION}; use fewer spectral points, a larger L or a "
+            "smaller x_max")
+
+
 def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:
     """tail_nodes(x_max), once the grid spacing is known to stay below
     pi / x_max, so the periodic images of F_h miss [-x_max, x_max]."""
@@ -159,12 +187,14 @@ def tail_estimates(spectra: Spectra, kernel: SpectralKernel, bandwidths,
     DistributionEstimate with its +- density tables.  The grid window
     should cover |u| < 1/h (the kernel's band): frequencies beyond
     ``grid.cutoff`` are not integrated.  The grid must not alias the tail
-    nodes (`checked_tail_nodes`).
+    nodes (`checked_tail_nodes`), and the inversion must stay within
+    `_check_inversion_size`.
     """
     hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
     if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
         raise InputError(f"bandwidths must be positive, got {bandwidths}")
     grid = spectra.grid
+    _check_inversion_size(hs.size, grid.points, x_max)
     u = grid.u
     nodes = checked_tail_nodes(grid, x_max)
     columns = np.stack([spectra.psi2 * kernel.fk(h * u) for h in hs], axis=1)
@@ -179,9 +209,9 @@ def tail_estimates(spectra: Spectra, kernel: SpectralKernel, bandwidths,
             for j, h in enumerate(hs)]
 
 
-def quantile_from_distribution(dist: DistributionEstimate, tau: float,
-                               eta: float, side: str) -> QuantileEstimate:
-    """The tau-quantile q = sup{t in [eta, x_max] : N_h(+-t) >= tau}.
+def tail_quantiles(dists, taus, eta: float, side: str) -> tuple:
+    """The tau-quantiles q = sup{t in [eta, x_max] : N_h(+-t) >= tau} of
+    tail tables on one node grid, for every level and table in one pass.
 
     On node interval i, in w = nodes[i+1] - t, N_h - tau = a w^2 + b w + c.
     The last interval whose maximum (end values and interior vertex)
@@ -189,40 +219,73 @@ def quantile_from_distribution(dist: DistributionEstimate, tau: float,
     smallest positive root, taken from the numerically stable form.  If
     N_h < tau on all of [eta, x_max] the estimate clamps to eta with
     at_threshold=True.  eta may not lie below the first tail node.
+
+    Returns (values, at_threshold), arrays of shape (levels, tables).  The
+    coefficients that do not depend on tau are formed once per table; the
+    levels are taken in chunks of at most _MAX_BATCH elements per work array
+    (one level at a time where the tables alone hold more).
     """
-    if not tau > 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    for tau in taus:
+        if not tau > 0:
+            raise InputError(f"tau must be positive, got {tau}")
     if side not in ("+", "-"):
         raise InputError(f"side must be '+' or '-', got {side!r}")
-    nodes = dist.nodes
+    nodes = dists[0].nodes
+    if not all(np.array_equal(dist.nodes, nodes) for dist in dists[1:]):
+        raise InputError("tail tables must share one node grid")
     if not eta >= nodes[0]:
         raise InputError(
             f"eta must be at least the first tail node {nodes[0]:g}, got {eta}")
-    d, cum = dist._tables[1 if side == "+" else -1]
+    sign = 1 if side == "+" else -1
+    d = np.stack([dist._tables[sign][0] for dist in dists])
+    cum = np.stack([dist._tables[sign][1] for dist in dists])
     # intervals from the one holding eta, the first cut at eta; the left
     # end of a whole interval takes its table value, so c < 0 at k below
     first = int(np.searchsorted(nodes, eta, side="right")) - 1
     x_hi, step = nodes[first + 1:], np.diff(nodes[first:])
     width = np.minimum(step, x_hi - eta)
-    a = 0.5 * (d[first:-1] - d[first + 1:]) / step
-    b, c = d[first + 1:], cum[first + 1:] - tau
+    a = 0.5 * (d[:, first:-1] - d[:, first + 1:]) / step
+    b, cum_hi, cum_lo = d[:, first + 1:], cum[:, first + 1:], cum[:, first:-1]
     vertex = np.clip(np.divide(-b, 2.0 * a, out=np.zeros_like(b),
                                where=a < 0), 0.0, width)
-    left = np.where(width < step, (a * width + b) * width + c,
-                    cum[first:-1] - tau)
-    peak = np.maximum.reduce([c, left, (a * vertex + b) * vertex + c])
-    reach = np.nonzero(peak >= 0.0)[0]
-    if not reach.size:
-        return QuantileEstimate(value=eta, at_threshold=True)
-    k = reach[-1]
-    # in v = w / width, scaled to a largest coefficient of 1 so that the
-    # discriminant neither overflows nor underflows
-    coef = np.array([a[k] * width[k] ** 2, b[k] * width[k], c[k]])
-    A, B, C = (float(x) for x in coef / np.max(np.abs(coef)))
-    root = math.sqrt(max(B * B - 4.0 * A * C, 0.0))
-    if B < 0:
-        v = (root - B) / (2.0 * A)
-    else:
-        v = -2.0 * C / (B + root) if B + root > 0 else 0.0
-    return QuantileEstimate(value=max(float(x_hi[k] - v * width[k]), eta),
-                            at_threshold=False)
+    rise_vertex = (a * vertex + b) * vertex
+    rise_left = (a * width + b) * width
+    cut = width < step
+    rows = np.arange(len(dists))
+    values = np.empty((taus.size, len(dists)))
+    clamped = np.empty((taus.size, len(dists)), dtype=bool)
+    chunk = max(1, _MAX_BATCH // b.size)
+    for lo in range(0, taus.size, chunk):
+        tau = taus[lo : lo + chunk, None, None]
+        c = cum_hi - tau
+        left = np.where(cut, rise_left + c, cum_lo - tau)
+        reach = np.maximum(np.maximum(c, left), rise_vertex + c) >= 0.0
+        k = reach.shape[-1] - 1 - np.argmax(reach[..., ::-1], axis=-1)
+        # in v = w / width, scaled to a largest coefficient of 1 so that the
+        # discriminant neither overflows nor underflows.  w ** 2 is pow, not
+        # w * w: the two round apart in about 1 case in 1,000, and the
+        # frozen quantile outputs are pow's
+        A = a[rows, k] * np.array([w ** 2 for w in width[k].flat]
+                                  ).reshape(k.shape)
+        B = b[rows, k] * width[k]
+        C = np.take_along_axis(c, k[..., None], axis=-1)[..., 0]
+        scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
+        with np.errstate(all="ignore"):  # np.where evaluates both branches
+            A, B, C = A / scale, B / scale, C / scale
+            root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+            v = np.where(B < 0, (root - B) / (2.0 * A),
+                         np.where(B + root > 0, -2.0 * C / (B + root), 0.0))
+        found = reach.any(axis=-1)
+        values[lo : lo + chunk] = np.where(
+            found, np.maximum(x_hi[k] - v * width[k], eta), eta)
+        clamped[lo : lo + chunk] = ~found
+    return values, clamped
+
+
+def quantile_from_distribution(dist: DistributionEstimate, tau: float,
+                               eta: float, side: str) -> QuantileEstimate:
+    """The tau-quantile of one tail table: `tail_quantiles` at one level."""
+    values, clamped = tail_quantiles([dist], [tau], eta, side)
+    return QuantileEstimate(value=float(values[0, 0]),
+                            at_threshold=bool(clamped[0, 0]))

@@ -128,6 +128,10 @@ class Spectra:
 # work array holds _CHUNK * (points / _BLOCK) * columns complex values
 _BLOCK = 64
 _CHUNK = 256
+# largest work array, in elements, that a pass over many (level or threshold)
+# cells builds at once: the quantile pass and the deviation bound take their
+# cells in chunks below it, so their memory does not grow with the levels
+_MAX_BATCH = 2 ** 15
 
 
 def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:

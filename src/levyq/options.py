@@ -307,15 +307,46 @@ _U_CHUNK = 512
 
 def _weighted_transforms(breaks: np.ndarray, ascending: np.ndarray, u: np.ndarray,
                          ks) -> dict:
-    """All requested F_k on a common frequency array, as breakpoint sums.
+    """All requested F_k of one interpolant table; see `_group_transforms`."""
+    return _group_transforms(breaks, [ascending], u, ks)[0]
+
+
+def _group_transforms(breaks: np.ndarray, tables, u: np.ndarray, ks) -> list:
+    """All requested F_k on a common frequency array, as breakpoint sums, for
+    each of several interpolant tables on the same breakpoints.
+
+    Per chunk of _U_CHUNK frequencies, one (frequencies x breakpoints) phase
+    matrix times each table's and each k's (breakpoints x orders r) jump
+    matrix, summed in powers of 1/z, gives F_k; |z| >= 1, so no division
+    needs a guard.  The phase matrix of a chunk serves every table, and each
+    product has the shape of a one-table call, so the F_k of a table do not
+    depend on the other tables (or ks) asked for.  Each table of `tables` is
+    an `ascending` array of `_linear_table`'s form on `breaks`.
+    """
+    weights = [_jump_weights(breaks, asc, ks) for asc in tables]
+    out = [{k: np.empty(u.shape, dtype=complex) for k in ks} for _ in tables]
+    for lo in range(0, u.size, _U_CHUNK):
+        uc = u[lo : lo + _U_CHUNK]
+        phase = np.multiply.outer(uc, breaks)
+        cos, sin = np.cos(phase), np.sin(phase)
+        inv = 1.0 / (1j * uc - 1.0)
+        for table_weights, table_out in zip(weights, out):
+            for k in ks:
+                sums = cos @ table_weights[k] + 1j * (sin @ table_weights[k])
+                acc = sums[:, -1]
+                for r in range(sums.shape[1] - 2, -1, -1):
+                    acc = sums[:, r] + inv * acc
+                table_out[k][lo : lo + _U_CHUNK] = inv * acc
+    return out
+
+
+def _jump_weights(x: np.ndarray, asc: np.ndarray, ks) -> dict:
+    """Per k, the (breakpoints x orders r) matrix whose column r is (-1)^r
+    e^{-x_j} times the jump of (x^k O~)^(r) at x_j.
 
     The jumps of (x^k O~)^(r) follow from those of O~^(s) by Leibniz' rule.
-    Per chunk of _U_CHUNK frequencies, one (frequencies x breakpoints) phase
-    matrix times each k's (breakpoints x orders r) jump matrix, summed in
-    powers of 1/z, gives F_k; |z| >= 1, so no division needs a guard.
-    (breaks, ascending) is a table of `_linear_table`'s form.
+    asc: (d+1, S), powers of (x - left edge) on the breakpoints x.
     """
-    x, asc = breaks, ascending  # asc: (d+1, S), powers of (x - left edge)
     widths = np.diff(x)
     d = asc.shape[0] - 1
     # jumps[s, j] = O~^(s)(x_j-) - O~^(s)(x_j+); O~ vanishes off its support
@@ -326,7 +357,7 @@ def _weighted_transforms(breaks: np.ndarray, ascending: np.ndarray, u: np.ndarra
                             for p in range(s, d + 1))
     # column r of weights[k]: (-1)^r e^{-x_j} times the jump of (x^k O~)^(r),
     # sum_i C(r, i) k!/(k-i)! x^(k-i) jumps[r-i]
-    weights = {
+    return {
         k: np.exp(-x)[:, None] * np.stack([
             (-1) ** r * sum(math.comb(r, i) * math.perm(k, i) * x ** (k - i) * jumps[r - i]
                             for i in range(max(0, r - d), min(k, r) + 1))
@@ -334,21 +365,6 @@ def _weighted_transforms(breaks: np.ndarray, ascending: np.ndarray, u: np.ndarra
         ], axis=1)
         for k in ks
     }
-
-    out = {k: np.empty(u.shape, dtype=complex) for k in ks}
-    for lo in range(0, u.size, _U_CHUNK):
-        uc = u[lo : lo + _U_CHUNK]
-        phase = np.multiply.outer(uc, x)
-        cos, sin = np.cos(phase), np.sin(phase)
-        inv = 1.0 / (1j * uc - 1.0)
-        for k in ks:
-            # one product per k, so F_k does not depend on the other ks asked for
-            sums = cos @ weights[k] + 1j * (sin @ weights[k])
-            acc = sums[:, -1]
-            for r in range(sums.shape[1] - 2, -1, -1):
-                acc = sums[:, r] + inv * acc
-            out[k][lo : lo + _U_CHUNK] = inv * acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +385,22 @@ def spline_spectra(xs, prices, maturity: float, u: np.ndarray,
         raise InputError(f"maturity must be positive, got {maturity}")
     xs = np.asarray(xs, dtype=float)
     prices = np.asarray(prices, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or prices.shape != xs.shape:
+    _check_knots(xs)
+    if prices.shape != xs.shape:
+        raise InputError("need two or more knots, one price each")
+    f = _weighted_transforms(*_linear_table(xs, prices), u, (0, 1, 2))
+    return _curvature(u, f, maturity, noise_scale)
+
+
+def _check_knots(xs: np.ndarray) -> None:
+    if xs.ndim != 1 or xs.size < 2:
         raise InputError("need two or more knots, one price each")
     if not np.all(np.diff(xs) > 0):
         raise InputError("knots must be strictly increasing")
-    f = _weighted_transforms(*_linear_table(xs, prices), u, (0, 1, 2))
+
+
+def _curvature(u, f: dict, maturity: float, noise_scale: float) -> tuple:
+    """(phi~, trusted, psi~', psi~'') from the transforms F_0, F_1, F_2."""
     f0, f1, f2 = f[0], f[1], f[2]
     phi = 1.0 - u * (u + 1j) * f0
     threshold = (1.0 + np.abs(u)) ** 2 * noise_scale
@@ -412,8 +439,11 @@ class NoiseProfile:
 
 def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
     """Triangular-kernel design density, Silverman bandwidth, rho and norms."""
-    xs = chain.xs
-    n = chain.n
+    return _noise_profile(chain.xs, chain.noise_levels)
+
+
+def _noise_profile(xs: np.ndarray, noise_levels: np.ndarray) -> NoiseProfile:
+    n = xs.size
     if n < 5:
         raise InputError(f"noise profile needs at least 5 quotes, got {n}")
     sd = float(np.std(xs, ddof=1))
@@ -429,7 +459,7 @@ def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
         return np.clip(1.0 - t, 0.0, None).sum(axis=-1) / (n * bandwidth)
 
     def rho(x):
-        d = np.interp(np.asarray(x, dtype=float), xs, chain.noise_levels)
+        d = np.interp(np.asarray(x, dtype=float), xs, noise_levels)
         f = np.maximum(density(x), _DENSITY_FLOOR)
         return d / np.sqrt(f)
 
@@ -450,23 +480,57 @@ def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
 def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid) -> Spectra:
     """Interpolate the chain and tabulate phi~, psi~', psi~'' on the grid,
     with the noise summary the bandwidth selector reads."""
-    if np.any(chain.noise_levels > 0):
-        profile = estimate_noise_profile(chain)
-        sup_norms = profile.sup_norms
-        noise_scale = profile.l2_weighted / math.sqrt(chain.n)
-    else:
-        sup_norms = (0.0, 0.0, 0.0)
-        noise_scale = 0.0
-    phi, trusted, psi1, psi2 = spline_spectra(chain.xs, chain.prices,
-                                              chain.maturity, grid.u, noise_scale)
-    return Spectra(
-        grid=grid,
-        horizon=chain.maturity,
-        n_obs=chain.n,
-        phi=phi,
-        psi1=psi1,
-        psi2=psi2,
-        trusted=trusted,
-        sup_norms=sup_norms,
-        noise_scale=noise_scale,
-    )
+    design = _ChainDesign(chain.xs, chain.noise_levels, chain.maturity, grid)
+    return design.spectra([chain])[0]
+
+
+class _ChainDesign:
+    """What the chains quoted on one strike design share: the knots and the
+    breakpoints of their interpolants, the quote noise levels and the
+    noise summary drawn from them, the maturity and the frequency grid.
+
+    `spectra` tabulates several such chains at once, with one phase table
+    per frequency chunk (`_group_transforms`); each table is bit for bit
+    the one `compute_chain_spectra` gives the chain alone.
+    """
+
+    def __init__(self, xs, noise_levels, maturity: float,
+                 grid: FrequencyGrid):
+        self.xs = np.asarray(xs, dtype=float)
+        self.noise_levels = np.asarray(noise_levels, dtype=float)
+        if np.any(self.noise_levels > 0):
+            profile = _noise_profile(self.xs, self.noise_levels)
+            self.sup_norms = profile.sup_norms
+            self.noise_scale = profile.l2_weighted / math.sqrt(self.xs.size)
+        else:
+            self.sup_norms = (0.0, 0.0, 0.0)
+            self.noise_scale = 0.0
+        _check_knots(self.xs)
+        self.maturity = maturity
+        self.grid = grid
+
+    def spectra(self, chains) -> list:
+        """One Spectra table per chain, in order."""
+        for chain in chains:
+            if not (chain.maturity == self.maturity
+                    and np.array_equal(chain.xs, self.xs)
+                    and np.array_equal(chain.noise_levels, self.noise_levels)):
+                raise InputError("chain is not quoted on this design")
+        if not chains:
+            return []
+        u = self.grid.u
+        tables = [_linear_table(self.xs, chain.prices) for chain in chains]
+        transforms = _group_transforms(tables[0][0], [asc for _, asc in tables],
+                                       u, (0, 1, 2))
+        transforms.reverse()
+        out = []
+        for chain in chains:
+            # each chain's transforms are dropped as soon as its table is made
+            phi, trusted, psi1, psi2 = _curvature(u, transforms.pop(),
+                                                  self.maturity,
+                                                  self.noise_scale)
+            out.append(Spectra(grid=self.grid, horizon=self.maturity,
+                               n_obs=chain.n, phi=phi, psi1=psi1, psi2=psi2,
+                               trusted=trusted, sup_norms=self.sup_norms,
+                               noise_scale=self.noise_scale))
+        return out

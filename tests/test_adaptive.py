@@ -3,8 +3,10 @@
 Oracles: scipy's complex exponential integral E1 for E2 on the imaginary
 axis; adaptive quadrature for the tail-weight spectrum and for the
 auxiliary-spectrum L2 norm (independent scalar evaluation of phi~ via the
-closed-form transforms, no shared tabulation); hand arithmetic for the grid
-shape, the 1/sqrt(2) scaling, and the interval-intersection fixtures.
+closed-form transforms, no shared tabulation); the per-cell complex
+chi_k form of the deviation bound for `sigma_tilde`'s real-arithmetic
+pass; hand arithmetic for the grid shape, the 1/sqrt(2) scaling, and the
+interval-intersection fixtures.
 """
 
 import dataclasses
@@ -21,18 +23,17 @@ from scipy.special import exp1
 
 from levyq.adaptive import (
     BandwidthGrid,
+    _bound_terms,
     _e2,
-    _masked_chis,
     _screen_statistic,
     adaptive_quantile,
     build_grid,
     sigma_tilde,
-    tail_weight_spectrum,
 )
 from levyq.errors import InputError, NoSolutionError, NumericalError
-from levyq.harness import ExperimentConfig, pricing_model
+from levyq.harness import DEFAULT_CHAIN_TAUS, ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
-from levyq.inversion import X_MAX_DEFAULT
+from levyq.inversion import X_MAX_DEFAULT, tail_estimates, tail_quantiles
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid, Spectra
 from levyq.options import compute_chain_spectra, generate_synthetic_chain, spline_spectra
@@ -48,6 +49,85 @@ def quad_complex(f, a, b, **kw):
     return re + 1j * im
 
 
+# ---------------------------------------------------------------------------
+# the per-cell complex form of the deviation bound, kept as an oracle
+
+
+def tail_weight_spectrum(t, u, x_max=X_MAX_DEFAULT):
+    """int g_t(x) e^{-iux} dx for the truncated tail weight.
+
+    g_t(x) = x^{-2} 1_{[t, x_max]} for t > 0 and x^{-2} 1_{[-x_max, t]} for
+    t < 0.  Closed form via the exponential integral:
+
+        int_t^X x^{-2} e^{-iux} dx = E2(iut)/t - E2(iuX)/X,
+
+    and the t < 0 side by the reflection x -> -x, which turns the X term
+    into -conj(E2(iuX)/X).  Exact at u = 0 (value 1/|t| - 1/x_max).
+    `t` is one signed threshold or a 1-D array of them (one row each).
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts == 0):
+        raise InputError("tail weight needs a nonzero threshold t")
+    if not np.all(x_max > np.abs(ts)):
+        raise InputError(
+            f"x_max = {x_max} must exceed |t| = {np.max(np.abs(ts))}")
+    u_arr = np.asarray(u, dtype=float).ravel()
+    tail = _e2(u_arr * x_max) / x_max
+    vals = np.empty((ts.size, u_arr.size), dtype=complex)
+    for row, ti in zip(vals, ts):
+        head = _e2(u_arr * ti) / ti
+        row[:] = head - tail if ti > 0 else -head - np.conj(tail)
+    vals = vals.reshape(np.shape(t) + np.shape(u))
+    return complex(vals) if vals.ndim == 0 else vals
+
+
+def masked_chis(spectra, kernel, h, q, side, x_max):
+    """The integration mask (trusted nodes with u <= 1/h) and an iterator
+    over the cells' (chi0, chi1, chi2) on the masked nodes; `q` is one
+    threshold or a 1-D array, `side` one side or one per threshold."""
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    sides = [side] * qs.size if isinstance(side, str) else list(side)
+    t = np.array([qi if si == "+" else -qi for qi, si in zip(qs, sides)])
+    T = spectra.horizon
+    u_all = spectra.grid.u
+    mask = spectra.trusted & (u_all <= 1.0 / h)
+    u = u_all[mask]
+    fk = kernel(h * u)
+    phi = spectra.phi[mask]
+    psi1 = spectra.psi1[mask]
+    psi2 = spectra.psi2[mask]
+    factors = (
+        u * (u - 1j) * (T ** 2 * psi1 ** 2 - T * psi2)
+        + 2.0 * T * (1j - 2.0 * u) * psi1
+        + 2.0,
+        (4j * u + 2.0) - 2.0 * T * u * (1j * u + 1.0) * psi1,
+        u * (1j - u),
+    )
+
+    def cells():
+        for gw in tail_weight_spectrum(t, u, x_max):
+            base = gw * fk / phi
+            yield tuple(base * f for f in factors)
+
+    return mask, cells()
+
+
+def sigma_reference(spectra, kernel, h, q, side, x_max=X_MAX_DEFAULT):
+    """(2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf ||chi_k||_L2 from
+    the complex chi_k, one cell at a time."""
+    mask, cells = masked_chis(spectra, kernel, h, q, side, x_max)
+    weights = spectra.grid.weights[mask]
+    pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.horizon)
+
+    def norm(chi):
+        return math.sqrt(weights @ (chi.real ** 2 + chi.imag ** 2))
+
+    values = [pref * sum(s * norm(chi)
+                         for s, chi in zip(spectra.sup_norms, cell))
+              for cell in cells]
+    return values[0] if np.ndim(q) == 0 else np.array(values)
+
+
 def auxiliary_spectra(spectra, kernel, h, q, side, x_max=X_MAX_DEFAULT):
     """The three linearization spectra chi_0, chi_1, chi_2 of
     `sigma_tilde` on the whole grid, and their mask.
@@ -56,7 +136,10 @@ def auxiliary_spectra(spectra, kernel, h, q, side, x_max=X_MAX_DEFAULT):
     are zero; an array of thresholds gives one row of each chi_k per
     threshold.
     """
-    mask, cells = _masked_chis(spectra, kernel, h, q, side, x_max)
+    if spectra.sup_norms is None:
+        raise InputError("the deviation bound needs an option chain's "
+                         "quote-noise profile")
+    mask, cells = masked_chis(spectra, kernel, h, q, side, x_max)
     chis = np.zeros((3, np.size(q), mask.size), dtype=complex)
     for i, cell in enumerate(cells):
         chis[:, i, mask] = cell
@@ -364,7 +447,7 @@ class TestHermitianFactors:
                                       phi=phi, psi1=psi1, psi2=psi2,
                                       trusted=trusted)
         h = 1.0 / (np.max(u) + 1.0)
-        mask, cells = _masked_chis(spectra, flat_top_kernel(), h, q, side, 5.0)
+        mask, cells = masked_chis(spectra, flat_top_kernel(), h, q, side, 5.0)
         assert np.array_equal(mask[u.size :], mask[: u.size])
         kept = np.count_nonzero(mask[: u.size])
         for chi in next(cells):
@@ -427,6 +510,93 @@ class TestBatchedBound:
             tail_weight_spectrum([0.1, 0.0], 1.0)
         with pytest.raises(InputError):
             tail_weight_spectrum([0.1, -6.0], 1.0)
+
+
+class TestBoundAgainstOracle:
+    """sigma_tilde's real-arithmetic pass against the per-cell complex chi_k
+    form.  They differ by rounding only: on the default chain the largest
+    relative difference measured is 1.5e-14 (3.6e-14 on seeds 2 and 3).
+    The phase u q of the tail weight reaches 490 rad at 1/h = 100 and
+    q = 4.9, and the cancellation in E2(iuq)/q - E2(iu x_max)/x_max
+    amplifies its rounding (in either form): on the noisy fixture the
+    difference grows with q/h to 8e-13 for q in [4, 4.95] at h = 0.01, and
+    stays below 3e-14 for q < 1."""
+
+    RTOL = 5e-14
+    RTOL_FAR = 2e-12
+
+    @pytest.fixture(scope="class")
+    def default_chain_cells(self):
+        # the default chain of estimate_chain, every grid bandwidth, and the
+        # per-bandwidth quantiles of all 20 default levels on both sides
+        cfg = ExperimentConfig()
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+            (cfg.strike_mean, cfg.strike_variance), seed=1)
+        spectra = compute_chain_spectra(chain, FrequencyGrid(100.0, 8192))
+        kernel = flat_top_kernel(cfg.kernel_c)
+        hs = build_grid(cfg.n, cfg.L).values
+        dists = tail_estimates(spectra, kernel, hs, cfg.x_max)
+        qs = np.concatenate([tail_quantiles(dists, DEFAULT_CHAIN_TAUS,
+                                            cfg.eta, side)[0]
+                             for side in ("-", "+")])
+        sides = ["-"] * len(DEFAULT_CHAIN_TAUS) + ["+"] * len(DEFAULT_CHAIN_TAUS)
+        return spectra, kernel, hs, qs, sides
+
+    def test_default_chain_every_bandwidth_and_cell(self, default_chain_cells):
+        spectra, kernel, hs, qs, sides = default_chain_cells
+        assert hs.size == 13 and qs.shape == (40, 13)
+        terms = _bound_terms(spectra, X_MAX_DEFAULT)
+        for j, h in enumerate(hs):
+            got = sigma_tilde(spectra, kernel, h, qs[:, j], sides,
+                              X_MAX_DEFAULT, terms)
+            want = sigma_reference(spectra, kernel, h, qs[:, j], sides)
+            np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0)
+            # the terms formed once give what each call forms for itself
+            assert got.tolist() == sigma_tilde(spectra, kernel, h, qs[:, j],
+                                               sides).tolist()
+
+    def test_one_cell(self, noisy_spectra):
+        kernel = flat_top_kernel()
+        got = sigma_tilde(noisy_spectra, kernel, 0.031, 0.17, "-")
+        assert isinstance(got, float)
+        want = sigma_reference(noisy_spectra, kernel, 0.031, 0.17, "-")
+        assert got == pytest.approx(want, rel=self.RTOL, abs=0)
+
+    @pytest.mark.parametrize("h", [0.01, 0.02, 0.1])
+    def test_mixed_sides(self, noisy_spectra, h):
+        kernel = flat_top_kernel()
+        qs = [0.05, 0.3, 0.3, 0.9, 1.7, 3.1, 4.2, 4.9]
+        sides = ["+", "-", "+", "-", "+", "-", "-", "+"]
+        got = sigma_tilde(noisy_spectra, kernel, h, qs, sides)
+        want = sigma_reference(noisy_spectra, kernel, h, qs, sides)
+        near = np.array(qs) < 1.0
+        np.testing.assert_allclose(got[near], want[near], rtol=self.RTOL,
+                                   atol=0)
+        np.testing.assert_allclose(got, want, rtol=self.RTOL_FAR, atol=0)
+        assert got.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q, s)
+                                for q, s in zip(qs, sides)]
+
+    @pytest.mark.parametrize("t", [0.02, 0.3, 2.5])
+    def test_tail_weight_power_is_even(self, noisy_spectra, t):
+        # g_{-t} = conj g_t, so |g_t|^2 is even in t and sigma_tilde reads
+        # both sides at |t|: equal bounds, exactly
+        u = noisy_spectra.grid.u
+        plus = np.abs(tail_weight_spectrum(t, u)) ** 2
+        minus = np.abs(tail_weight_spectrum(-t, u)) ** 2
+        np.testing.assert_allclose(minus, plus, rtol=1e-13, atol=0)
+        kernel = flat_top_kernel()
+        assert (sigma_tilde(noisy_spectra, kernel, 0.02, t, "+")
+                == sigma_tilde(noisy_spectra, kernel, 0.02, t, "-"))
+
+    def test_terms_of_another_table_refused(self, noisy_spectra):
+        other = dataclasses.replace(noisy_spectra, n_obs=200)
+        terms = _bound_terms(other, X_MAX_DEFAULT)
+        with pytest.raises(InputError):
+            sigma_tilde(noisy_spectra, flat_top_kernel(), 0.02, 0.1, "+",
+                        X_MAX_DEFAULT, terms)
+        with pytest.raises(InputError):
+            sigma_tilde(other, flat_top_kernel(), 0.02, 0.1, "+", 4.0, terms)
 
 
 class TestAdaptiveQuantile:

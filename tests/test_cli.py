@@ -25,6 +25,7 @@ import pytest
 import levyq
 import levyq.cli as cli
 import levyq.harness
+import levyq.options
 from levyq.errors import NumericalError
 from levyq.harness import ExperimentConfig, parse_config_text, run_mc_table
 from levyq.options import generate_synthetic_chain, write_chain_csv
@@ -161,24 +162,32 @@ class TestMcTableCommand:
 
     @pytest.mark.parametrize("target, summary", [
         ("adaptive_quantile", "0 of 4 replication cells clean, 4 failures"),
-        ("compute_chain_spectra",
-         "2 of 4 replication cells clean, 2 failures"),
+        ("spectra", "2 of 4 replication cells clean, 2 failures"),
     ], ids=["every-cell-fails", "first-replication-fails"])
     def test_summary_counts_failed_cells(self, mc_config_file, tmp_path,
                                          capsys, monkeypatch, target,
                                          summary):
         # 2 replications x 1 tau x 2 sides = 4 cells; a failed selector
-        # excludes one cell, a failed spectra table its whole replication
-        original = getattr(levyq.harness, target)
-        calls = []
-
-        def fail_first_or_always(*args):
-            calls.append(None)
-            if target == "adaptive_quantile" or len(calls) == 1:
+        # excludes one cell, a failed spectra table its whole replication.
+        # The replications' tables are made together and, when that fails,
+        # one by one; here only the first replication's table fails.
+        if target == "adaptive_quantile":
+            def fail(*args):
                 raise NumericalError("synthetic failure")
-            return original(*args)
 
-        monkeypatch.setattr(levyq.harness, target, fail_first_or_always)
+            monkeypatch.setattr(levyq.harness, target, fail)
+        else:
+            original = levyq.options._ChainDesign.spectra
+            first = []
+
+            def fail_first_chain(design, chains):
+                first[:] = first or chains[:1]
+                if any(chain is first[0] for chain in chains):
+                    raise NumericalError("synthetic failure")
+                return original(design, chains)
+
+            monkeypatch.setattr(levyq.options._ChainDesign, "spectra",
+                                fail_first_chain)
         out = tmp_path / "table.csv"
         code = cli.main(["mc-table", "--config", str(mc_config_file),
                          "--reps", "2", "--out", str(out)])
@@ -495,6 +504,43 @@ def test_oversized_config_value_is_refused(tmp_path, capsys, command, line):
     tracemalloc.start()
     try:
         code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_input_error(code, capsys)
+    assert not out.exists()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("mc-table", ["L = 1.01", "spectral_points = 131072"]),
+    ("estimate-chain", ["L = 1.01", "spectral_points = 131072"]),
+    ("demo-direct", ["h = 1.0", "x_max = 500000.0",
+                     "spectral_points = 524288"]),
+], ids=["mc-144-bandwidths-2-17-points", "chain-144-bandwidths-2-17-points",
+        "demo-x-max-5e5"])
+def test_oversized_inversion_is_refused(tmp_path, capsys, command, lines):
+    # each value passes its own check, but the inversion would need about
+    # 1.5 GB (144 bandwidths x 2^17 points) or 8 GB (5e7 tail nodes):
+    # refused from the sizes alone, before anything is allocated
+    keys = [line.split(" = ")[0] for line in lines]
+    base = DEMO_CFG if command == "demo-direct" else MC_CFG
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("".join(row + "\n" for row in base.splitlines()
+                           if row.split(" = ")[0] not in keys)
+                   + "".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "estimate-chain":
+        chain = tmp_path / "chain.csv"
+        config = ExperimentConfig(n=32)
+        write_chain_csv(chain, generate_synthetic_chain(
+            levyq.harness.pricing_model(config), config.T, config.r, 32,
+            0.01, (0.0, 0.5), seed=1))
+        argv[1:1] = ["--chain", str(chain)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -44,7 +44,8 @@ from levyq.harness import (
     pricing_model,
     run_mc_table,
 )
-from levyq.inversion import quantile_from_distribution, tail_estimates
+from levyq.inversion import (quantile_from_distribution, tail_estimates,
+                             tail_quantiles)
 from levyq.kernels import flat_top_kernel
 from levyq.models import ExponentialJumps, martingale_drift
 from levyq.numerics import FrequencyGrid
@@ -486,14 +487,14 @@ class TestEstimateChain:
         clean = run()
         bad_cell, bad_h = (1.0, "+"), float(bw.values[3])
 
-        def shifted(dist, tau, eta, side):
-            found = quantile_from_distribution(dist, tau, eta, side)
-            if (tau, side) == bad_cell and dist.bandwidth == bad_h:
-                return dataclasses.replace(found, value=cfg.x_max)
-            return found
+        def shifted(dists, taus, eta, side):
+            values, clamped = tail_quantiles(dists, taus, eta, side)
+            if side == bad_cell[1]:
+                column = [dist.bandwidth for dist in dists].index(bad_h)
+                values[list(taus).index(bad_cell[0]), column] = cfg.x_max
+            return values, clamped
 
-        monkeypatch.setattr(levyq.harness, "quantile_from_distribution",
-                            shifted)
+        monkeypatch.setattr(levyq.harness, "tail_quantiles", shifted)
         cells = run()
         with pytest.raises(InputError) as alone:
             sigma_tilde(spectra, kernel, bad_h, cfg.x_max, "+", cfg.x_max)
@@ -507,6 +508,28 @@ class TestEstimateChain:
             assert cells[cell].selection[:2] == est.selection[:2]
             assert (cells[cell].selection[2].to_json_rows()
                     == est.selection[2].to_json_rows())
+
+    def test_intervals_read_each_sides_density(self):
+        # V_h = multiplier * sigma_h / |density_h(q_h)|, with the density of
+        # the cell's own side read at its own quantile, as the scalar
+        # DistributionEstimate.density gives it
+        cfg = ExperimentConfig(n=48, spectral_points=1024, taus=(0.5, 1.0))
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+            (cfg.strike_mean, cfg.strike_variance), seed=3)
+        spectra = compute_chain_spectra(
+            chain, FrequencyGrid(float(cfg.n), cfg.spectral_points))
+        bw = build_grid(cfg.n, cfg.L, spectra)
+        kernel = flat_top_kernel(cfg.kernel_c)
+        dists = tail_estimates(spectra, kernel, bw.values, cfg.x_max)
+        cells = _chain_estimates(spectra, bw, kernel, cfg, cfg.taus,
+                                 oracle=False)
+        for (tau, side), cell in cells.items():
+            sign = 1.0 if side == "+" else -1.0
+            diag = cell.selection[2]
+            for dist, record in zip(dists, diag.records):
+                density = dist.density(sign * record.q)
+                assert record.V == diag.multiplier * record.sigma / abs(density)
 
     def test_large_chain_inverts_the_full_band(self):
         # beyond n = 400 the master window stays [-n, n]: psi~'' is still

@@ -17,6 +17,8 @@ Oracles
   a dense grid out to |x| = 300 (integrand decays like x^{-3}): 5.1055.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from levyq.inversion import (
     quantile_from_distribution,
     tail_estimates,
     tail_nodes,
+    tail_quantiles,
 )
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid
@@ -383,3 +386,142 @@ class TestQuantile:
             assert q.at_threshold == (want is None)
             if want is not None:
                 assert q.value == pytest.approx(want, abs=5e-7)
+
+
+# ---------------------------------------------------------------------------
+# the quantile pass against the one-cell closed form
+
+
+def quantile_closed_form(dist, tau, eta, side):
+    """(value, at_threshold) of one (table, level) cell, one cell at a time:
+    the arithmetic `tail_quantiles` does element by element, kept as an
+    oracle in its one-cell form."""
+    nodes = dist.nodes
+    d, cum = dist._tables[1 if side == "+" else -1]
+    first = int(np.searchsorted(nodes, eta, side="right")) - 1
+    x_hi, step = nodes[first + 1:], np.diff(nodes[first:])
+    width = np.minimum(step, x_hi - eta)
+    a = 0.5 * (d[first:-1] - d[first + 1:]) / step
+    b, c = d[first + 1:], cum[first + 1:] - tau
+    vertex = np.clip(np.divide(-b, 2.0 * a, out=np.zeros_like(b),
+                               where=a < 0), 0.0, width)
+    left = np.where(width < step, (a * width + b) * width + c,
+                    cum[first:-1] - tau)
+    peak = np.maximum.reduce([c, left, (a * vertex + b) * vertex + c])
+    reach = np.nonzero(peak >= 0.0)[0]
+    if not reach.size:
+        return eta, True
+    k = reach[-1]
+    coef = np.array([a[k] * width[k] ** 2, b[k] * width[k], c[k]])
+    A, B, C = (float(x) for x in coef / np.max(np.abs(coef)))
+    root = math.sqrt(max(B * B - 4.0 * A * C, 0.0))
+    if B < 0:
+        v = (root - B) / (2.0 * A)
+    else:
+        v = -2.0 * C / (B + root) if B + root > 0 else 0.0
+    return max(float(x_hi[k] - v * width[k]), eta), False
+
+
+def assert_pass_equals_cells(dists, taus, eta, side):
+    values, clamped = tail_quantiles(dists, taus, eta, side)
+    assert values.shape == clamped.shape == (len(taus), len(dists))
+    for i, tau in enumerate(taus):
+        for j, dist in enumerate(dists):
+            value, at_threshold = quantile_closed_form(dist, tau, eta, side)
+            assert values[i, j] == value          # bit for bit
+            assert clamped[i, j] == at_threshold
+    return values, clamped
+
+
+@st.composite
+def ladder_tables(draw):
+    """Tables on one random node grid (densities may be negative, so N_h
+    may cross a level several times), a level ladder reaching from below
+    the tables' values to above their peak, and eta inside an interval or
+    on a node."""
+    size = draw(st.integers(min_value=2, max_value=24))
+    first = draw(st.floats(min_value=0.004, max_value=0.1))
+    steps = draw(st.lists(st.floats(min_value=0.005, max_value=0.5),
+                          min_size=size - 1, max_size=size - 1))
+    nodes = first + np.concatenate([[0.0], np.cumsum(steps)])
+    dists = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        d_pos, d_neg = (np.array(draw(st.lists(
+            st.floats(min_value=-3.0, max_value=5.0),
+            min_size=size, max_size=size))) for _ in range(2))
+        dists.append(DistributionEstimate(nodes=nodes, density_pos=d_pos,
+                                          density_neg=d_neg, bandwidth=0.1))
+    side = draw(st.sampled_from("+-"))
+    sign = 1.0 if side == "+" else -1.0
+    peak = max(float(np.max(dist(sign * nodes))) for dist in dists)
+    scale = peak if peak > 0 else 1.0
+    taus = draw(st.lists(st.floats(min_value=0.01, max_value=1.5),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):
+        eta = float(nodes[draw(st.integers(min_value=0,
+                                           max_value=size - 2))])
+    else:
+        eta = nodes[0] + draw(st.floats(min_value=0.0, max_value=0.95)) * (
+            nodes[-1] - nodes[0])
+    return dists, [t * scale for t in taus], eta, side
+
+
+class TestQuantilePass:
+    """tail_quantiles equals the one-cell closed form bit for bit, in value
+    and in at_threshold, over every (level, table) cell."""
+
+    @given(case=ladder_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables_and_ladders(self, case):
+        assert_pass_equals_cells(*case)
+
+    @pytest.fixture(scope="class")
+    def estimated(self):
+        return [tail_at(psi2_cp, FLAT, h) for h in (0.02, 0.05, 0.1)]
+
+    def test_estimated_tables_both_sides(self, estimated):
+        taus = [0.05, 0.2, 0.5, 0.9, 2.0]
+        for side in ("+", "-"):
+            assert_pass_equals_cells(estimated, taus, 0.02, side)
+
+    def test_eta_on_a_node(self, estimated):
+        eta = float(estimated[0].nodes[100])
+        assert_pass_equals_cells(estimated, [0.1, 0.3], eta, "+")
+
+    def test_all_levels_clamped(self, estimated):
+        values, clamped = assert_pass_equals_cells(estimated, [3.0, 7.5],
+                                                   0.02, "+")
+        assert clamped.all() and np.all(values == 0.02)
+
+    def test_multiple_crossings(self):
+        # N_h crosses 0.5 at 0.5, 1.1 and 1.5 (see TestQuantile)
+        nodes = tail_nodes()
+        d = np.select([nodes < 0.8, nodes < 1.3, nodes < 2.0],
+                      [1.0, -1.0, 1.0], 0.0)
+        for jump, mean in ((0.8, 0.0), (1.3, 0.0), (2.0, 0.5)):
+            d[np.isclose(nodes, jump)] = mean
+        dist = DistributionEstimate(nodes=nodes, density_pos=d,
+                                    density_neg=d, bandwidth=0.1)
+        values, _ = assert_pass_equals_cells([dist], [0.3, 0.5, 0.6, 0.9],
+                                             0.02, "+")
+        assert values[1, 0] == pytest.approx(1.5, abs=1e-12)
+
+    def test_levels_in_chunks(self, estimated, monkeypatch):
+        taus = np.linspace(0.05, 1.2, 17)
+        whole = tail_quantiles(estimated, taus, 0.02, "-")
+        # a work-array cap below one table: one level at a time
+        monkeypatch.setattr(levyq.inversion, "_MAX_BATCH", 100)
+        for got, want in zip(tail_quantiles(estimated, taus, 0.02, "-"),
+                             whole):
+            assert np.array_equal(got, want)
+
+    def test_validation(self, estimated):
+        with pytest.raises(InputError):
+            tail_quantiles(estimated, [0.5, 0.0], 0.02, "+")
+        with pytest.raises(InputError):
+            tail_quantiles(estimated, [0.5], 0.02, "up")
+        with pytest.raises(InputError):
+            tail_quantiles(estimated, [0.5], 0.003, "+")
+        other = table_estimate(np.exp, x_max=4.0)
+        with pytest.raises(InputError):
+            tail_quantiles([estimated[0], other], [0.5], 0.02, "+")

@@ -37,7 +37,8 @@ from levyq.options import (
     spline_spectra,
     write_chain_csv,
 )
-from levyq.options import _linear_table, _weighted_transforms
+from levyq.options import (_ChainDesign, _linear_table, _perturbed_chain,
+                           _synthetic_design, _weighted_transforms)
 
 from conftest import interpolant_at
 
@@ -691,6 +692,44 @@ class TestFrozenChainSpectra:
             assert spectra.trusted[i] == trusted
         assert spectra.sup_norms == FROZEN_SUP_NORMS
         assert spectra.noise_scale == FROZEN_NOISE_SCALE
+
+
+class TestChainDesign:
+    """Chains of one strike design tabulated together share the phase
+    tables, and each table is bit for bit the chain's table alone."""
+
+    @pytest.fixture(scope="class")
+    def design_chains(self):
+        cfg = ExperimentConfig(n=40)
+        xs, exact = _synthetic_design(pricing_model(cfg), cfg.T, cfg.n,
+                                      (cfg.strike_mean, cfg.strike_variance))
+        chains = [_perturbed_chain(xs, exact, cfg.T, cfg.r, 0.01,
+                                   np.random.default_rng(seed))
+                  for seed in range(3)]
+        grid = FrequencyGrid(40.0, 1024)
+        return _ChainDesign(xs, 0.01 * exact, cfg.T, grid), chains, grid
+
+    def test_group_tables_equal_each_chain_alone(self, design_chains):
+        design, chains, grid = design_chains
+        tables = design.spectra(chains)
+        assert len(tables) == len(chains)
+        for table, chain in zip(tables, chains):
+            alone = compute_chain_spectra(chain, grid)
+            for name in ("phi", "psi1", "psi2", "trusted"):
+                assert np.array_equal(getattr(table, name),
+                                      getattr(alone, name))
+            assert table.sup_norms == alone.sup_norms
+            assert table.noise_scale == alone.noise_scale
+        assert design.spectra([]) == []
+
+    def test_chain_of_another_design_refused(self, design_chains):
+        design, chains, grid = design_chains
+        shifted = OptionChain(maturity=chains[0].maturity, rate=0.0,
+                              xs=chains[0].xs + 1e-3,
+                              prices=chains[0].prices,
+                              noise_levels=chains[0].noise_levels)
+        with pytest.raises(InputError, match="not quoted on this design"):
+            design.spectra([chains[0], shifted])
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,68 @@
+"""The benchmark tracer (bench/tracer.py) under two tiny commands.
+
+The tracer wraps levyq functions by name and its counter hooks read their
+arguments and results: the ``spectra`` and ``h`` arguments of
+`sigma_tilde`, ``result.trusted`` of `compute_chain_spectra` and
+``result.at_threshold`` of `quantile_from_distribution`.  A hook survives
+only a KeyError, AttributeError or TypeError, so a wrapped function whose
+result changes kind (an array where a record was) can crash a traced run.
+These tests import the tracer as the benchmark does and run `mc-table` and
+`estimate-chain` under it.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import levyq.cli as cli
+from levyq.harness import ExperimentConfig, pricing_model
+from levyq.options import generate_synthetic_chain, write_chain_csv
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+CONFIG = "n = 32\nspectral_points = 1024\ntaus = 0.5 1.0\nreplications = 2\n"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def chain_file(tmp_path):
+    cfg = ExperimentConfig(n=32)
+    chain = generate_synthetic_chain(
+        pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+        (cfg.strike_mean, cfg.strike_variance), seed=1)
+    path = tmp_path / "chain.csv"
+    write_chain_csv(path, chain)
+    return path
+
+
+@pytest.mark.parametrize("command", ["mc-table", "estimate-chain"])
+def test_traced_command_completes_and_counts(tracer_module, tmp_path, capsys,
+                                             command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "estimate-chain":
+        argv[1:1] = ["--chain", str(chain_file(tmp_path))]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert tracer.calls["adaptive.sigma"] > 0
+    assert tracer.counts["adaptive.sigma.mask"] > 0
+    assert tracer.counts["adaptive.sigma.grid"] > 0
+    assert not [entry for entry in tracer.absent
+                if entry.startswith("counter of")]
+    # uninstall restores every wrapped function
+    assert cli.main(argv) == 0
