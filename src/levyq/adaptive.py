@@ -131,8 +131,8 @@ def _screen_statistic(spectra: Spectra, n: int, cutoffs: np.ndarray) -> np.ndarr
 
 
 # most bandwidths build_grid makes: each one is inverted and bounded, about
-# 0.65 MB of work arrays at the default 8,192 spectral points (measured
-# through estimate_chain at n = 100), so the cap stands for about 0.65 GB;
+# 0.4 MB of work arrays at the default 8,192 spectral points (measured
+# through estimate_chain at n = 100), so the cap stands for about 0.4 GB;
 # the default grid at n = 100, L = 1.1 has 13 bandwidths
 _MAX_BANDWIDTHS = 1000
 
@@ -300,17 +300,41 @@ def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
     pref = 1.0 / (2.0 * math.pi * math.sqrt(spectra.n_obs) * spectra.horizon)
     values = np.empty(qs.size)
     chunk = max(1, _MAX_BATCH // kept)
+    # the chunk's work arrays, made once per call: fresh arrays of this size
+    # are mapped and page-faulted anew on every call.  They are filled in
+    # place by the operations of re = phase.real / t + u (si - pi/2) -
+    # tail_re, im = u ci - phase.imag / t - tail_im and g2 = re^2 + im^2,
+    # in that order, so the rounding is that of the plain expressions
+    shape = (min(chunk, qs.size), kept)
+    work = [np.empty(shape) for _ in range(3)]
+    phases = [np.empty(shape, dtype=complex) for _ in range(2)]
     for lo in range(0, qs.size, chunk):
         t = qs[lo : lo + chunk, None]
-        si, ci = sici(t * u)
-        phase = (np.exp(1j * (t * starts))[:, block]
-                 * np.exp(1j * (t * steps))[:, offset])
-        re = phase.real / t + u * (si - 0.5 * np.pi) - tail_re
-        im = u * ci - phase.imag / t - tail_im
-        g2 = re * re + im * im
-        # row sums, not one matrix product, whose rounding could depend on
-        # the number of rows: each cell's bound is the same in any batch
-        n0, n1, n2 = (np.sqrt((g2 * w).sum(axis=1)) for w in weights)
+        re, si, ci = (a[: t.shape[0]] for a in work)
+        phase, inner = (a[: t.shape[0]] for a in phases)
+        sici(np.multiply(t, u, out=re), out=(si, ci))
+        # mode="clip" writes straight into out; the indices are in range
+        np.take(np.exp(1j * (t * starts)), block, axis=1, out=phase,
+                mode="clip")
+        np.take(np.exp(1j * (t * steps)), offset, axis=1, out=inner,
+                mode="clip")
+        phase *= inner
+        np.divide(phase.real, t, out=re)
+        si -= 0.5 * np.pi
+        re += np.multiply(u, si, out=si)
+        re -= tail_re
+        im = np.multiply(u, ci, out=ci)
+        im -= np.divide(phase.imag, t, out=si)
+        im -= tail_im
+        re *= re
+        im *= im
+        g2 = np.add(re, im, out=re)
+        # row sums over C-ordered rows, not one matrix product, whose
+        # rounding could depend on the number of rows: each cell's bound is
+        # the same in any batch (numpy sums rows of another memory order in
+        # another order)
+        n0, n1, n2 = (np.sqrt(np.multiply(g2, w, out=si).sum(axis=1))
+                      for w in weights)
         values[lo : lo + chunk] = pref * (s0 * n0 + s1 * n1 + s2 * n2)
     return float(values[0]) if np.ndim(q) == 0 else values
 

@@ -52,10 +52,10 @@ from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
                         tail_quantiles)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, ExponentialJumps, LevyModel,
-                     martingale_drift, true_quantile)
+                     characteristic_exponent, martingale_drift, true_quantile)
 from .numerics import FrequencyGrid
-from .options import (_ChainDesign, _perturbed_chain, _synthetic_design,
-                      compute_chain_spectra, read_chain_csv)
+from .options import (_MARTINGALE_TOL, _ChainDesign, _perturbed_chain,
+                      _synthetic_design, compute_chain_spectra, read_chain_csv)
 from .simulate import METHODS, IncrementSampler, sample_increments
 
 __all__ = [
@@ -301,6 +301,38 @@ def observation_model(config: ExperimentConfig) -> LevyModel:
                      jumps=_jumps_for(config))
 
 
+def _check_pricing_sigma(config: ExperimentConfig) -> None:
+    """Refuse a sigma too large to price.  psi(-i) = sigma^2/2 + gamma +
+    (jump part) cancels to 0 under the martingale drift, but the sum rounds
+    by about eps sigma^2 / 2, which swallows the jump part; option pricing
+    accepts |phi_T(-i) - 1| up to _MARTINGALE_TOL, so eps sigma^2 T / 2 must
+    stay below it (sigma below about 1.9e4 at T = 0.25)."""
+    rounding = np.finfo(float).eps * 0.5 * config.sigma ** 2 * config.T
+    if rounding > _MARTINGALE_TOL:
+        raise InputError(
+            f"sigma = {config.sigma:g} is too large for option pricing: "
+            f"sigma^2 T / 2 rounds by about {rounding:.3g} in psi(-i), above "
+            f"the martingale tolerance {_MARTINGALE_TOL:g}")
+
+
+def _check_cf_floor(model: LevyModel, config: ExperimentConfig,
+                    grid: FrequencyGrid) -> None:
+    """Refuse a model whose increment cf |phi_delta| is already below the
+    empirical cf's noise floor n^{-1/2} at the first grid node, where it is
+    largest: the estimate would then be noise at every node."""
+    u = grid.u[0]
+    level = abs(np.exp(config.increment_delta
+                       * characteristic_exponent(model, u)))
+    floor = 1.0 / math.sqrt(config.n)
+    if not level >= floor:
+        raise InputError(
+            f"the model's |phi_delta| at the first grid node u = {u:.3g} is "
+            f"{level:.3g}, below the empirical cf's noise floor n^-1/2 = "
+            f"{floor:.3g}: no node carries signal at sigma = "
+            f"{config.sigma:g} and increment_delta = "
+            f"{config.increment_delta:g}")
+
+
 def pricing_model(config: ExperimentConfig) -> LevyModel:
     """Risk-neutral version: drift pinned by the martingale identity."""
     jumps = _jumps_for(config)
@@ -479,6 +511,7 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
             f"run_mc_table supports at most {_MC_MAX_QUOTES} quotes per "
             "chain (its master window [-n, n] stays finely resolved at the "
             "default node count); estimate_chain takes larger chains")
+    _check_pricing_sigma(config)
     # else every replication fails, or asks for more memory than allowed
     _check_inversion_size(_top_index(config.n, config.L) + 1,
                           config.spectral_points, config.x_max)
@@ -567,8 +600,10 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     The spectra are tabulated once on the master grid |u| <= n, the full
     band of the smallest grid bandwidth 1/n, and every grid bandwidth is
     inverted from it in one batch: the same per-chain path as the Monte
-    Carlo loop.
+    Carlo loop.  A config whose sigma could not price a chain is refused
+    as mc-table refuses it.
     """
+    _check_pricing_sigma(config)
     if isinstance(chain, (str, os.PathLike)):
         chain = read_chain_csv(chain, maturity=config.T, rate=config.r,
                                spot=config.S0)
@@ -646,6 +681,7 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
                                method=config.method, seed=config.seed)
     sample = sample_increments(sampler, config.n)
     grid = FrequencyGrid(cutoff=1.0 / config.h, points=config.spectral_points)
+    _check_cf_floor(model, config, grid)
     spectra = psi2_from_increments(sample, grid)
     dist = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
                           [config.h], config.x_max)[0]

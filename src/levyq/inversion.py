@@ -145,9 +145,11 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
     return nodes
 
 
-# largest inversion, in bandwidths x (spectral points + 2 x tail nodes); each
-# such unit holds about 80 bytes of work arrays (measured through
-# estimate_chain), so the cap stands for about 0.67 GB.  The default grid
+# largest inversion, in bandwidths x (spectral points + 2 x tail nodes).  Each
+# such unit holds 34-45 bytes of work arrays through estimate_chain (n = 100,
+# 2^12-2^15 points, x_max 5-40; tracemalloc) and 51 at x_max = 400.  One
+# bandwidth's blocked sum holds up to 160 bytes per spectral point, but at
+# most 2^18 of them, so the cap stands for about 0.4 GB.  The default grid
 # asks for 13 x (8,192 + 2 x 1,091), about 135,000
 _MAX_INVERSION = 2 ** 23
 

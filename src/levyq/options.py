@@ -178,6 +178,8 @@ def write_chain_csv(path, chain: OptionChain) -> None:
 # ---------------------------------------------------------------------------
 # pricing: the exact option function of a model
 
+# largest |phi_T(-i) - 1| option pricing accepts of a martingale model
+_MARTINGALE_TOL = 1e-8
 _PRICING_CUTOFF = 200.0
 _PRICING_POINTS = 2 ** 14
 # reference diffusion whose option function is known in closed form; its
@@ -220,10 +222,10 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     psi_mi = characteristic_exponent(model, np.array([-1j]))[0]
     gap = abs(np.exp(maturity * psi_mi) - 1.0)
-    if gap > 1e-8:
+    if gap > _MARTINGALE_TOL:
         raise MartingaleError(
-            f"model is not martingale-fixed: |phi_T(-i) - 1| = {gap:.3e} > 1e-8"
-        )
+            f"model is not martingale-fixed: |phi_T(-i) - 1| = {gap:.3e} > "
+            f"{_MARTINGALE_TOL:g}")
     grid = FrequencyGrid(cutoff=cutoff, points=points, offset=True)
     u = grid.u
     phi_shift = np.exp(maturity * characteristic_exponent(model, u - 1j))

@@ -35,7 +35,7 @@ from levyq.harness import DEFAULT_CHAIN_TAUS, ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
 from levyq.inversion import X_MAX_DEFAULT, tail_estimates, tail_quantiles
 from levyq.kernels import flat_top_kernel
-from levyq.numerics import FrequencyGrid, Spectra
+from levyq.numerics import _MAX_BATCH, FrequencyGrid, Spectra
 from levyq.options import compute_chain_spectra, generate_synthetic_chain, spline_spectra
 
 RATE = 0.06
@@ -478,6 +478,18 @@ class TestBatchedBound:
         assert rows.shape == (t.size, u.size)
         for row, ti in zip(rows, t):
             assert np.array_equal(row, tail_weight_spectrum(ti, u))
+
+    def test_full_chunk_equals_scalar_calls(self, noisy_spectra):
+        # 1,024 kept nodes and 32 cells fill one chunk of exactly _MAX_BATCH
+        # elements, the size at which numpy may reuse a temporary in place
+        # and hand the row sums an array of another memory order
+        kernel = flat_top_kernel()
+        u = noisy_spectra.grid.u[noisy_spectra.trusted]
+        h = 2.0 / (u[1023] + u[1024])
+        qs = np.linspace(0.05, 4.5, _MAX_BATCH // 1024)
+        batched = sigma_tilde(noisy_spectra, kernel, h, qs, "+")
+        assert batched.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q, "+")
+                                    for q in qs]
 
     def test_shapes_and_scalar_float(self, noisy_spectra):
         kernel = flat_top_kernel()

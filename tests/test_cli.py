@@ -512,6 +512,16 @@ def test_oversized_config_value_is_refused(tmp_path, capsys, command, line):
     assert peak < 20e6
 
 
+def chain_file(tmp_path, n):
+    """A seed-1 default CGMY chain of n quotes at 1 % noise, as a CSV."""
+    path = tmp_path / "chain.csv"
+    config = ExperimentConfig(n=n)
+    write_chain_csv(path, generate_synthetic_chain(
+        levyq.harness.pricing_model(config), config.T, config.r, n, 0.01,
+        (0.0, 0.5), seed=1))
+    return path
+
+
 @pytest.mark.parametrize("command, lines", [
     ("mc-table", ["L = 1.01", "spectral_points = 131072"]),
     ("estimate-chain", ["L = 1.01", "spectral_points = 131072"]),
@@ -532,12 +542,7 @@ def test_oversized_inversion_is_refused(tmp_path, capsys, command, lines):
     out = tmp_path / "out"
     argv = [command, "--config", str(cfg), "--out", str(out)]
     if command == "estimate-chain":
-        chain = tmp_path / "chain.csv"
-        config = ExperimentConfig(n=32)
-        write_chain_csv(chain, generate_synthetic_chain(
-            levyq.harness.pricing_model(config), config.T, config.r, 32,
-            0.01, (0.0, 0.5), seed=1))
-        argv[1:1] = ["--chain", str(chain)]
+        argv[1:1] = ["--chain", str(chain_file(tmp_path, 32))]
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -547,6 +552,36 @@ def test_oversized_inversion_is_refused(tmp_path, capsys, command, lines):
     assert_input_error(code, capsys)
     assert not out.exists()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("command, base", [
+    ("mc-table", MC_CFG),
+    ("estimate-chain", "n = 48\nspectral_points = 1024\n"),
+    ("demo-direct", DEMO_CFG),
+    ("demo-direct", "kind = cgmy\nn = 100\nspectral_points = 512\nmethod = "
+                    "inverse-cdf-from-characteristic-function\n"),
+], ids=["mc-table", "estimate-chain", "demo-compound-poisson",
+        "demo-cgmy-inverse-cdf"])
+def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
+    # sigma^2 = 1e300 is finite, but pricing would lose the jump part of
+    # psi(-i) to the rounding of sigma^2 T / 2 (mc-table exited 3 with a
+    # martingale message), and the increments' cf is 0 at every node
+    # (demo-direct exited 0 with every estimate wrong)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("".join(row + "\n" for row in base.splitlines()
+                           if not row.startswith("sigma"))
+                   + "sigma = 1e150\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "estimate-chain":
+        argv[1:1] = ["--chain", str(chain_file(tmp_path, 48))]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "sigma = 1e+150" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestParser:

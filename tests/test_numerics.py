@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import hermitian_full_sum
 from levyq.errors import InputError, NoSolutionError
+from levyq.inversion import tail_nodes
 from levyq.models import tail_integral
 from levyq.numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
@@ -110,8 +111,9 @@ class TestInverseFourier:
 
 
 class TestFactoredTransform:
-    """The blocked half sum of random (not Hermitian) half-grid data against
-    the direct complex sum over its Hermitian extension."""
+    """The blocked half sum (one column) and Gaussian gridding (more
+    columns) of random (not Hermitian) half-grid data against the direct
+    complex sum over its Hermitian extension, and against each other."""
 
     direct = staticmethod(hermitian_full_sum)
 
@@ -135,16 +137,38 @@ class TestFactoredTransform:
             single = inverse_fourier(g[:, col], grid, x)
             assert single.shape == (300,)
             assert self.max_rel(single, want[:, col]) <= 1e-12
+            # the column inside the batch against the same column alone
+            assert self.max_rel(batched[:, col], single) <= 1e-12
+
+    def test_mc_table_shape(self):
+        # 13 bandwidths on the default master grid |u| <= n = 100 at 8,192
+        # points, inverted at -+tail_nodes(5.0), as tail_estimates does
+        rng = np.random.default_rng(13)
+        grid = FrequencyGrid(cutoff=100.0, points=8192)
+        g = (rng.standard_normal((4096, 13))
+             + 1j * rng.standard_normal((4096, 13)))
+        nodes = tail_nodes(5.0)
+        x = np.concatenate([-nodes[::-1], nodes])
+        got = inverse_fourier(g, grid, x)
+        # the direct sum in chunks of targets, each a (128 x 8,192) matrix
+        want = np.concatenate([self.direct(g, grid, x[lo : lo + 128])
+                               for lo in range(0, x.size, 128)])
+        assert self.max_rel(got, want) <= 1e-12
+        for col in (0, 6, 12):
+            single = inverse_fourier(g[:, col], grid, x)
+            assert self.max_rel(got[:, col], single) <= 1e-12
 
     @given(k=st.integers(min_value=1, max_value=11),
            cutoff=st.floats(0.5, 200.0), offset=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
+           columns=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_hermitian_extension_property(self, k, cutoff, offset, seed):
+    def test_hermitian_extension_property(self, k, cutoff, offset, columns,
+                                          seed):
+        # du * x reaches 600 rad at k = 1, far past pi: gridding wraps it
         rng = np.random.default_rng(seed)
         grid = FrequencyGrid(cutoff=cutoff, points=2 ** k, offset=offset)
-        g = (rng.standard_normal((grid.u.size, 2))
-             + 1j * rng.standard_normal((grid.u.size, 2)))
+        g = (rng.standard_normal((grid.u.size, columns))
+             + 1j * rng.standard_normal((grid.u.size, columns)))
         x = rng.uniform(-3.0, 3.0, 40)
         want = self.direct(g, grid, x)
         assert self.max_rel(inverse_fourier(g, grid, x), want) <= 1e-12
