@@ -254,10 +254,10 @@ def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
     + i (w Ci(w) - sin w), |g_t|^2 is formed in real arithmetic from one
     `sici` call over the (cells x nodes) array, and each squared norm is the
     sum of |g_t|^2 against the h-only weight w f_K(hu)^2 |factor_k|^2 /
-    |phi~|^2.  cos(ut) and sin(ut) are phase products: with block start
-    u_a and in-block offset b * spacing, e^{iut} = e^{iu_a t} e^{ibt du},
-    as in `numerics.inverse_fourier`.  The cells are taken in chunks of at
-    most _MAX_BATCH (cell, node) pairs.
+    |phi~|^2.  cos(ut) and sin(ut) are phase products over blocks of
+    _BLOCK nodes: with block start u_a and in-block offset b * spacing,
+    e^{iut} = e^{iu_a t} e^{ibt du}, as in `increments._ecf_all`.  The
+    cells are taken in chunks of at most _MAX_BATCH (cell, node) pairs.
 
     An array of thresholds gives an array, each entry equal to the call for
     that threshold alone.  `terms`, from `_bound_terms(spectra, x_max)`,

@@ -83,9 +83,10 @@ DEFAULT_CHAIN_TAUS = tuple(round(0.2 * k, 10) for k in range(1, 21))
 _MC_MAX_QUOTES = 256
 
 # size caps, checked before anything is allocated.  Peak traced bytes
-# (tracemalloc) were about 1.15 kB per spectral point in mc-table and
-# estimate-chain at n = 100 (13 bandwidths; 2^12 to 2^15 points), 0.2 kB in
-# demo-direct, so 2^19 points stand for about 0.6 GB; demo-direct took
+# (tracemalloc) were 0.6-1.0 kB per spectral point in mc-table (10
+# replications) and estimate-chain at n = 100 (13 bandwidths; 2^12 to 2^15
+# points, the most at 2^12), 0.1 kB in demo-direct at 2^17 and 2^18 points,
+# so 2^19 points stand for about 0.5 GB; demo-direct took
 # 28-72 bytes per increment at 10^6 increments (512 points, exact and
 # inverse-cdf sampling), so 10^7 increments stand for at most 0.72 GB
 _MAX_SPECTRAL_POINTS = 2 ** 19
@@ -676,11 +677,14 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     """
     taus = _levels(config.taus if taus is None else taus)
     _check_inversion_size(1, config.spectral_points, config.x_max)
+    try:
+        grid = FrequencyGrid(cutoff=1.0 / config.h, points=config.spectral_points)
+    except InputError as exc:
+        raise InputError(f"h = {config.h:g} is too small: {exc}") from None
     model = observation_model(config)
     sampler = IncrementSampler(model=model, delta=config.increment_delta,
                                method=config.method, seed=config.seed)
     sample = sample_increments(sampler, config.n)
-    grid = FrequencyGrid(cutoff=1.0 / config.h, points=config.spectral_points)
     _check_cf_floor(model, config, grid)
     spectra = psi2_from_increments(sample, grid)
     dist = tail_estimates(spectra, flat_top_kernel(config.kernel_c),

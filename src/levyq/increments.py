@@ -97,11 +97,12 @@ def _ecf_all(values: np.ndarray, u: np.ndarray):
     Returns (phi0, phi1, phi2) arrays aligned with u, where
     phi_k(u) = (1/n) sum (iY)^k e^{iuY}.
 
-    The nodes are summed in blocks, as in `numerics.inverse_fourier`: with
-    block start u_a and in-block offset b * du, e^{iu Y} = e^{iu_a Y}
-    e^{ib du Y}, so for each chunk of m samples all three sums come from
-    one matrix product of the start phases (starts x m) with the in-block
-    phases Y^k e^{ib du Y} (3 * block x m, read transposed).
+    The nodes are summed in blocks, a blocked nonuniform DFT (Greengard &
+    Lee, SIAM Rev. 2004): with block start u_a and in-block offset b * du,
+    e^{iu Y} = e^{iu_a Y} e^{ib du Y}, so for each chunk of m samples all
+    three sums come from one matrix product of the start phases
+    (starts x m) with the in-block phases Y^k e^{ib du Y} (3 * block x m,
+    read transposed).
 
     Both tables are geometric in their index, e^{iu_a Y} = e^{iu_0 Y}
     (e^{i block du Y})^a and e^{ib du Y} = (e^{i du Y})^b, so each row is

@@ -146,11 +146,11 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
 
 
 # largest inversion, in bandwidths x (spectral points + 2 x tail nodes).  Each
-# such unit holds 34-45 bytes of work arrays through estimate_chain (n = 100,
-# 2^12-2^15 points, x_max 5-40; tracemalloc) and 51 at x_max = 400.  One
-# bandwidth's blocked sum holds up to 160 bytes per spectral point, but at
-# most 2^18 of them, so the cap stands for about 0.4 GB.  The default grid
-# asks for 13 x (8,192 + 2 x 1,091), about 135,000
+# such unit holds 33-42 bytes of work arrays through estimate_chain (n = 100,
+# 2^12-2^15 points, x_max 5-40; tracemalloc) and 44 at x_max = 400, and
+# 64 bytes when tail_estimates inverts one bandwidth (2^12-2^18 points), so
+# the cap stands for about 0.5 GB.  The default grid asks for
+# 13 x (8,192 + 2 x 1,091), about 135,000
 _MAX_INVERSION = 2 ** 23
 
 

@@ -16,22 +16,17 @@ the negative half is defined as the conjugate, each even integral is
 2 int_{u > 0} (the grid weights carry the 2), and an inverse transform is
 the real part of the half sum.
 
-Inverse transforms: `inverse_fourier` sums the nodes as the progression
-u_0 + j du by one of two paths, chosen by the number of spectra (columns)
-in the call.  One column is summed in blocks of _BLOCK nodes, a blocked
-nonuniform DFT (Greengard & Lee, SIAM Rev. 2004); demo-direct's one
-bandwidth and option pricing take this path, and two tests pin its bits.
-More columns (the bandwidth grid of the chain commands) go through
-Gaussian gridding, a type-2 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci.
-Comput. 1993; Greengard & Lee 2004): one FFT of 2N points per column and a
-32-point gather per target, with a Gaussian of Greengard & Lee's width.
-Its error, measured against the direct sum, is at most 1.9e-13 of max|F|
-on random spectra and 4.4e-15 of each column's max|F| on the mc-table's
-columns (the blocked sum: 5.3e-15).
+Inverse transforms: `inverse_fourier` has one path for every column
+count, Gaussian gridding, a type-2 nonuniform FFT (Dutt & Rokhlin, SIAM J.
+Sci. Comput. 1993; Greengard & Lee, SIAM Rev. 2004), within 1.9e-13 of
+max|F| of the direct sum on random spectra.  Negative targets go through
+the conjugate rule F_g(-x) = F_{conj g}(|x|), so mirrored spectra give
+mirrored values bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +81,9 @@ class FrequencyGrid:
     def __post_init__(self):
         if not self.cutoff > 0:
             raise InputError(f"cutoff must be positive, got {self.cutoff}")
+        if not math.isfinite(2.0 * float(self.cutoff)):
+            raise InputError(f"the frequency window 2 x cutoff is not finite "
+                             f"(cutoff {self.cutoff:g})")
         if not _is_power_of_two(self.points) or self.points < 2:
             raise InputError(f"points must be a power of two >= 2, got {self.points}")
 
@@ -137,12 +135,11 @@ class Spectra:
     noise_scale: float | None = None
 
 
-# nodes per block of the factored phase sum, and targets per chunk of the
-# one-column sum: a chunk's work arrays hold _CHUNK x (nodes / _BLOCK) and
-# _CHUNK x _BLOCK complex values (256 kB each at the default 4,096 nodes)
+# nodes per block of the factored phase sums: the deviation bound's phases
+# e^{iut} and the empirical cf's e^{iuY} (`adaptive.sigma_tilde`,
+# `increments._ecf_all`)
 _BLOCK = 64
-_CHUNK = 256
-# Gaussian gridding of a many-column spectrum: grid points gathered on each
+# Gaussian gridding of the inverse transform: grid points gathered on each
 # side of a target, and the ratio of the FFT grid to the node count (chosen
 # from the measured errors given in `inverse_fourier`)
 _SPREAD = 16
@@ -162,76 +159,62 @@ def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
     array or an array aligned with ``grid.u``, of shape (N,) or (N, B) with
     one spectrum per column.  Returns real values of shape (K,) or (K, B).
 
-    Both paths read the nodes as the progression u_j = u_0 + j du (du =
-    ``grid.spacing``), a uniform-to-nonuniform sum, and the column count
-    chooses between them:
+    The sum is a type-2 nonuniform FFT by Gaussian gridding (Dutt &
+    Rokhlin, SIAM J. Sci. Comput. 1993; Greengard & Lee, SIAM Rev. 2004),
+    whose cost hardly depends on N.  With the centred index k = j - N/2,
+    u_j = c + k du for du = ``grid.spacing`` and c = u_0 + (N/2) du, so the
+    half sum at x is e^{-icx} f(du x), where f(theta) = sum_k a_k
+    e^{-ik theta} is a 2pi-periodic trigonometric sum and a_k = w_j g_j.  f
+    is the convolution of h(y) = sum_k (a_k / G_k) e^{-iky} with the
+    periodised Gaussian e^{-y^2 / (4 tau)}, whose Fourier coefficients are
+    G_k = sqrt(tau / pi) e^{-k^2 tau}.  One FFT of size R = _OVERSAMPLING * N
+    per column gives h on the grid y_m = 2 pi m / R, and the convolution at
+    theta is the trapezoid sum over the 2 * _SPREAD grid points nearest to
+    it (the Gaussian is below e^{-37} beyond), wrapped periodically, so any
+    phase du * x is exact modulo 2 pi.  tau = pi _SPREAD / (N^2 r (r - 1/2)),
+    r = _OVERSAMPLING (Greengard & Lee 2004), balances the Gaussian's
+    truncation against the aliasing of the trapezoid sum.
 
-    * one column (shape (N,) or (N, 1)): the nodes are summed in blocks of
-      _BLOCK, as in a blocked nonuniform DFT (Greengard & Lee, SIAM Rev.
-      2004): with block start u_a and in-block offset b * du, e^{-ix u_j}
-      = e^{-ix u_a} e^{-ix b du}.  Per target that takes _BLOCK + N/_BLOCK
-      exponentials instead of N, and no targets x nodes phase matrix is
-      formed.  Two tests pin this arithmetic bit for bit (the frozen
-      demo-direct result, which inverts one bandwidth, and the frozen chain
-      spectra through option pricing), so it stays for one column;
-    * more columns: Gaussian gridding, a type-2 nonuniform FFT (Dutt &
-      Rokhlin, SIAM J. Sci. Comput. 1993; Greengard & Lee 2004), whose cost
-      hardly depends on N: one FFT of _OVERSAMPLING * N points per column
-      and 2 * _SPREAD grid points gathered per target (`_gridded_sum`).
-      The kernel (spread 16 at oversampling 2) keeps test_numerics.py's
-      1e-12 bound with margin: at most 1.9e-13 of max|F| on its random
-      data and 1.2e-13 over 3,000 draws of its property's domain, where
-      du * x reaches 370 rad; spread 12 reaches 7.1e-12 at oversampling 2
-      and needs oversampling 3 (a larger FFT) to get back to 1.4e-13.
+    A negative target is evaluated by the conjugate rule F_g(-x) =
+    F_{conj g}(|x|), which is exact algebra: every target is gathered at
+    theta >= 0, from the FFT of g or of conj g, so a mirrored spectrum
+    conj g gives exactly mirrored values, and a column gives the same bits
+    alone as in a batch.  Measured against the direct sum, the error is at
+    most 1.9e-13 of max|F| on test_numerics.py's random data (its bound is
+    1e-12) and 1.2e-13 over 3,000 draws of its property's domain, where
+    du * |x| can reach 1,200 rad; 4.0e-15 of each column's max|F| on the
+    default chain's 13 columns; 7.6e-15 on demo-direct's one column (5e4
+    increments, h = 0.05) and 3.4e-15 on option pricing's.  Spread 12
+    reaches 7.1e-12 at oversampling 2 and needs oversampling 3 (a larger
+    FFT) to get back to 1.7e-13.
     """
     x = np.atleast_1d(np.asarray(targets, dtype=float))
     u = grid.u
     g = spectrum(u) if callable(spectrum) else np.asarray(spectrum)
     if g.shape[:1] != u.shape or g.ndim > 2:
         raise InputError("spectrum array must match the grid nodes")
-    if g.ndim == 2 and g.shape[1] > 1:
-        return _gridded_sum(g, grid, x)
-    block = min(_BLOCK, u.size)
-    starts = u[::block]
-    offsets = grid.spacing * np.arange(block)
-    # (block, starts * columns): row b holds node a * block + b of every block
-    wg = (grid.weights * g.T).T.reshape(starts.size, block, -1)
-    wg = wg.transpose(1, 0, 2)
-    columns = wg.shape[2]
-    wg = wg.reshape(block, -1)
-    out = np.empty((x.size, columns))
-    for lo in range(0, x.size, _CHUNK):
-        xs = x[lo : lo + _CHUNK, None]
-        inner = np.exp(-1j * xs * offsets) @ wg
-        inner = inner.reshape(xs.shape[0], starts.size, columns)
-        outer = np.exp(-1j * xs * starts)
-        out[lo : lo + _CHUNK] = (outer[:, None, :] @ inner)[:, 0, :].real
-    out /= 2.0 * np.pi
+    out = np.empty((x.size, g.size // u.size))
+    negative = x < 0
+    for side, conjugate in ((~negative, False), (negative, True)):
+        if side.any():
+            out[side] = _gridded_sum(g.reshape(u.size, -1), conjugate, grid,
+                                     np.abs(x[side]))
     return out if g.ndim == 2 else out[:, 0]
 
 
-def _gridded_sum(g, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
-    """inverse_fourier of the (N, B) spectrum g by Gaussian gridding.
-
-    With the centred index k = j - N/2, u_j = c + k du for c = u_0 + (N/2) du,
-    so the half sum at x is e^{-icx} f(du x), where f(theta) = sum_k a_k
-    e^{-ik theta} is a 2pi-periodic trigonometric sum and a_k = w_j g_j.  f is
-    the convolution of h(y) = sum_k (a_k / G_k) e^{-iky} with the periodised
-    Gaussian e^{-y^2 / (4 tau)}, whose Fourier coefficients are G_k =
-    sqrt(tau / pi) e^{-k^2 tau}.  One FFT of size R = _OVERSAMPLING * N per
-    column gives h on the grid y_m = 2 pi m / R, and the convolution at theta
-    is the trapezoid sum over the 2 * _SPREAD grid points nearest to it (the
-    Gaussian is below e^{-37} beyond), wrapped periodically, so any phase
-    du * x is exact modulo 2 pi.  tau = pi _SPREAD / (N^2 r (r - 1/2)), r =
-    _OVERSAMPLING (Greengard & Lee 2004), balances the Gaussian's
-    truncation against the aliasing of the trapezoid sum.
-    """
+def _gridded_sum(g, conjugate: bool, grid: FrequencyGrid,
+                 x: np.ndarray) -> np.ndarray:
+    """The half sums of the (N, B) spectrum g, or of conj g, at the targets
+    x >= 0: one FFT per column, then the Gaussian gather per target."""
     m, columns = g.shape
     half, size = m // 2, _OVERSAMPLING * m
     tau = np.pi * _SPREAD / (m * m * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
     k = np.arange(m) - half
+    # the coefficients a_k / G_k = w_j g_j / G_k of h
     modes = np.zeros((size, columns), dtype=complex)
     modes[k % size] = g * (grid.weights * np.exp(tau * k * k))[:, None]
+    if conjugate:
+        np.conjugate(modes, out=modes)
     # rows of (Re, Im) pairs: h(y_m) of every column
     fine = np.fft.fft(modes, axis=0).view(float)
     del modes

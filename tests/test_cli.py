@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,25 @@ class TestDemoDirectCommand:
         assert not out.exists()
         assert elapsed < 1.0
         assert peak < 20e6
+
+    @pytest.mark.parametrize("h", ["1e-308", "1e-320"])
+    def test_tiny_bandwidth_is_an_input_error(self, tmp_path, capsys, h):
+        # 1/h (or the window 2/h) is not finite: refused with one line that
+        # names h, before sampling and before any non-finite node is formed
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(DEMO_CFG.replace("h = 0.05", f"h = {h}"))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["demo-direct", "--config", str(cfg),
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: h = ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not caught, [str(w.message) for w in caught]
+        assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(config):

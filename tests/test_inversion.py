@@ -313,6 +313,18 @@ class TestQuantile:
         q_p2 = quantile_from_distribution(e_mirr, 0.3, 0.02, "+")
         assert q_m2.value == q_p2.value
 
+    def test_mirror_swap_over_the_bandwidth_grid(self):
+        # the 13 bandwidths 1.1^j / 100 of the default chain's grid,
+        # inverted in one call: the mirrored curvature gives exactly the
+        # swapped density tables at every bandwidth
+        grid = FrequencyGrid(100.0, 8192)
+        hs = 1.1 ** np.arange(13) / 100.0
+        orig = tail_estimates(curvature_table(psi2_cp, grid), FLAT, hs)
+        mirr = tail_estimates(curvature_table(psi2_mirrored, grid), FLAT, hs)
+        for a, b in zip(orig, mirr):
+            assert np.array_equal(a.density_pos, b.density_neg)
+            assert np.array_equal(a.density_neg, b.density_pos)
+
     def test_multiple_crossings_take_the_last(self):
         # N = 1 - t, then 0.2 + (t - 0.8), then 0.7 - (t - 1.3) down to 0
         # at 2: tau = 0.5 is crossed at 0.5, 1.1 and 1.5.  A jump beyond

@@ -636,44 +636,45 @@ class TestChainSpectra:
 
 
 # node index: (phi~, psi~', psi~'', trusted), frozen from the breakpoint sum
-# on the default-config chain (seed 1) at FrequencyGrid(100, 8192); the
-# trust region ends between nodes 1762 and 1763
+# on the default-config chain (seed 1) at FrequencyGrid(100, 8192), whose
+# prices come from the gridded inverse transform; the trust region ends
+# between nodes 1762 and 1763
 FROZEN_SPECTRA = {
-    0: ((0.9999975915434782-0.00018909091824693419j),
-        (-0.0015664981873240698-0.0619530791125693j),
-        (-0.1283111603301387+0.0002009612223014579j),
+    0: ((0.9999975915434782-0.00018909091824693012j),
+        (-0.0015664981873240896-0.06195307911256797j),
+        (-0.1283111603301403+0.00020096122230138646j),
         True),
-    1: ((0.9999783243539273-0.0005672319274730292j),
-        (-0.004699391106343763-0.061943265781796576j),
-        (-0.12830268650621052+0.0006028312193990217j),
+    1: ((0.9999783243539273-0.0005672319274730273j),
+        (-0.004699391106343739-0.061943265781796354j),
+        (-0.1283026865062099+0.0006028312193989989j),
         True),
-    40: ((0.9844688330846163-0.014440372176870235j),
-         (-0.12465458272358078-0.054184382809475004j),
-         (-0.12165677308866069+0.015167585115771643j),
+    40: ((0.9844688330846163-0.014440372176870183j),
+         (-0.12465458272358089-0.05418438280947535j),
+         (-0.1216567730886603+0.015167585115771952j),
          True),
-    400: ((0.37527150598519077+0.025973031006455562j),
-          (-0.5833359239222129+0.09401340743963857j),
-          (-0.011890264497767797+0.002154671639643193j),
+    400: ((0.37527150598519055+0.025973031006455056j),
+          (-0.5833359239222254+0.09401340743964941j),
+          (-0.011890264497753461+0.0021546716396688287j),
           True),
-    1000: ((0.04272705871356419+0.02310351879748348j),
-           (-0.22161370484232545+0.07044549528242619j),
-           (0.0783386752140525-0.07494430835403143j),
+    1000: ((0.042727058713559196+0.023103518797480578j),
+           (-0.22161370484241857+0.07044549528286816j),
+           (0.07833867521460312-0.07494430835395009j),
            True),
-    1500: ((0.04394188467712601+0.015617260821578976j),
-           (0.22677057699376368+0.004526024687378613j),
-           (0.02033027280501841-0.04866696017844578j),
+    1500: ((0.04394188467712912+0.015617260821588775j),
+           (0.2267705769947008+0.004526024687272604j),
+           (0.020330272805119124-0.04866696017937003j),
            True),
-    1762: ((0.0563050236784437+0.012251952102350085j),
-           (0.011269257323927208+0.03306052456229029j),
-           (0.005598914634073221+0.10698596605731929j),
+    1762: ((0.05630502367845358+0.012251952102358243j),
+           (0.011269257324754547+0.0330605245618749j),
+           (0.005598914633807624+0.10698596605685343j),
            True),
-    1763: ((0.056306350261159155+0.012264613668131351j), 0j, 0j, False),
-    2500: ((0.08592932861761471+0.01584557426345665j), 0j, 0j, False),
-    4095: ((0.18572328869417898+0.18128795087416122j), 0j, 0j, False),
+    1763: ((0.05630635026116948+0.01226461366813944j), 0j, 0j, False),
+    2500: ((0.08592932861758573+0.015845574263445975j), 0j, 0j, False),
+    4095: ((0.18572328869422305+0.18128795087414717j), 0j, 0j, False),
 }
-FROZEN_SUP_NORMS = (0.000797136905137785, 4.390747795464468e-05,
-                    9.546631321195215e-06)
-FROZEN_NOISE_SCALE = 2.9704142343208677e-05
+FROZEN_SUP_NORMS = (0.0007971369051377844, 4.390747795464462e-05,
+                    9.546631321195218e-06)
+FROZEN_NOISE_SCALE = 2.9704142343208664e-05
 
 
 class TestFrozenChainSpectra:
