@@ -146,11 +146,12 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
 
 
 # largest inversion, in bandwidths x (spectral points + 2 x tail nodes).  Each
-# such unit holds 33-42 bytes of work arrays through estimate_chain (n = 100,
-# 2^12-2^15 points, x_max 5-40; tracemalloc) and 44 at x_max = 400, and
-# 64 bytes when tail_estimates inverts one bandwidth (2^12-2^18 points), so
-# the cap stands for about 0.5 GB.  The default grid asks for
-# 13 x (8,192 + 2 x 1,091), about 135,000
+# such unit holds 27-39 bytes of work arrays through estimate_chain (n = 100,
+# 2^12-2^15 points, x_max 5-400; tracemalloc), 61-64 bytes when
+# tail_estimates inverts one bandwidth at 2^15-2^18 points (the gather's
+# fixed 0.7 MB of chunks makes it 162 at 2^12) and 77 at 16 points and
+# x_max 20,000, so the cap stands for about 0.65 GB.  The default grid asks
+# for 13 x (8,192 + 2 x 1,091), about 135,000
 _MAX_INVERSION = 2 ** 23
 
 

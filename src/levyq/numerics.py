@@ -19,9 +19,11 @@ the real part of the half sum.
 Inverse transforms: `inverse_fourier` has one path for every column
 count, Gaussian gridding, a type-2 nonuniform FFT (Dutt & Rokhlin, SIAM J.
 Sci. Comput. 1993; Greengard & Lee, SIAM Rev. 2004), within 1.9e-13 of
-max|F| of the direct sum on random spectra.  Negative targets go through
-the conjugate rule F_g(-x) = F_{conj g}(|x|), so mirrored spectra give
-mirrored values bit for bit.
+max|F| of the direct sum on random spectra.  Each call makes one real FFT
+set (of the modes' real and imaginary parts), keeps only the rows the
+targets touch, and gathers once per distinct |x|; the sign of a target is
+applied after the gather, so mirrored spectra give mirrored values bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError, NoSolutionError
 
@@ -146,7 +149,8 @@ _SPREAD = 16
 _OVERSAMPLING = 2
 # largest work array, in elements, that a pass over many (level or threshold)
 # cells builds at once: the quantile pass and the deviation bound take their
-# cells in chunks below it, so their memory does not grow with the levels
+# cells in chunks below it, so their memory does not grow with the levels,
+# and the inverse transform gathers its targets in such chunks
 _MAX_BATCH = 2 ** 15
 
 
@@ -167,71 +171,133 @@ def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
     e^{-ik theta} is a 2pi-periodic trigonometric sum and a_k = w_j g_j.  f
     is the convolution of h(y) = sum_k (a_k / G_k) e^{-iky} with the
     periodised Gaussian e^{-y^2 / (4 tau)}, whose Fourier coefficients are
-    G_k = sqrt(tau / pi) e^{-k^2 tau}.  One FFT of size R = _OVERSAMPLING * N
-    per column gives h on the grid y_m = 2 pi m / R, and the convolution at
-    theta is the trapezoid sum over the 2 * _SPREAD grid points nearest to
-    it (the Gaussian is below e^{-37} beyond), wrapped periodically, so any
-    phase du * x is exact modulo 2 pi.  tau = pi _SPREAD / (N^2 r (r - 1/2)),
+    G_k = sqrt(tau / pi) e^{-k^2 tau}.  tau = pi _SPREAD / (N^2 r (r - 1/2)),
     r = _OVERSAMPLING (Greengard & Lee 2004), balances the Gaussian's
-    truncation against the aliasing of the trapezoid sum.
+    truncation against the aliasing of the trapezoid sum below.
 
-    A negative target is evaluated by the conjugate rule F_g(-x) =
-    F_{conj g}(|x|), which is exact algebra: every target is gathered at
-    theta >= 0, from the FFT of g or of conj g, so a mirrored spectrum
-    conj g gives exactly mirrored values, and a column gives the same bits
-    alone as in a batch.  Measured against the direct sum, the error is at
-    most 1.9e-13 of max|F| on test_numerics.py's random data (its bound is
-    1e-12) and 1.2e-13 over 3,000 draws of its property's domain, where
-    du * |x| can reach 1,200 rad; 4.0e-15 of each column's max|F| on the
-    default chain's 13 columns; 7.6e-15 on demo-direct's one column (5e4
-    increments, h = 0.05) and 3.4e-15 on option pricing's.  Spread 12
+    One real FFT set serves every column and both signs.  The real parts p
+    and imaginary parts q of the modes a_k / G_k are the rows of one
+    (2, B, R) array, R = _OVERSAMPLING * N, and one rfft gives their FFTs P
+    and Q, so h = P + iQ on the grid y_m = 2 pi m / R.  Only the rows the
+    targets reach are kept, at most one period (rows -15 to 175 of 8,192
+    for the tail nodes of the default grid); as p and q are real, a row
+    beyond R/2, or a negative one, is the conjugate of its Hermitian
+    mirror.  The convolution at theta = du |x| is the trapezoid sum over
+    the 2 * _SPREAD grid points nearest to it (the Gaussian is below e^{-37}
+    beyond), wrapped periodically, so any phase is exact modulo 2 pi.  It
+    is a sparse matrix, one row of weights in step order per distinct |x|,
+    times the table of (Re P, Im P, Re Q, Im Q) of every column, taken
+    _MAX_BATCH weights at a time so that its work arrays do not grow with
+    the targets.
+
+    The sign comes after the gather.  F_g(-x) = F_{conj g}(|x|), and the
+    FFT of the modes of conj g is P - iQ, so a target takes h = P + iQ if
+    x >= 0 and P - iQ if x < 0 (or x = -0.0), and its half sum is
+    Re e^{-ic|x|} P +- Re e^{-ic|x|} iQ, both terms formed once per
+    distinct |x|.  Every step commutes with negation (IEEE rounding is
+    symmetric), so a mirrored spectrum conj g gives exactly mirrored
+    values, F_{conj g}(-x) = F_g(x) bit for bit.  Every column and every
+    |x| is summed on its own, so a column gives the same bits alone as in
+    a batch, and a target the same bits alone as among others.
+
+    Measured against the direct sum, the error is at most 1.9e-13 of
+    max|F| on test_numerics.py's random data (its bound is 1e-12) and
+    1.2e-13 over 3,000 draws of its property's domain, where du * |x| can
+    reach 1,200 rad; 4.0e-15 of each column's max|F| on the default
+    chain's 13 columns; 5.4e-15 on demo-direct's one column (5e4
+    increments, h = 0.05) and 4.7e-15 on option pricing's.  Spread 12
     reaches 7.1e-12 at oversampling 2 and needs oversampling 3 (a larger
-    FFT) to get back to 1.7e-13.
+    FFT) to get back to 1.7e-13.  Targets must be one-dimensional, and a
+    target x is refused unless x and du * x * (grid points) are finite.
     """
     x = np.atleast_1d(np.asarray(targets, dtype=float))
+    if x.ndim != 1:
+        raise InputError(f"targets must be one-dimensional, got shape "
+                         f"{x.shape}")
+    # the gather's grid position du |x| R / (2 pi) must be finite as well
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(x * grid.spacing * grid.points))
+    if bad.size:
+        raise InputError(f"target {x[bad[0]]} (index {bad[0]}) is not "
+                         "finite, or too large for the grid")
     u = grid.u
     g = spectrum(u) if callable(spectrum) else np.asarray(spectrum)
     if g.shape[:1] != u.shape or g.ndim > 2:
         raise InputError("spectrum array must match the grid nodes")
-    out = np.empty((x.size, g.size // u.size))
-    negative = x < 0
-    for side, conjugate in ((~negative, False), (negative, True)):
-        if side.any():
-            out[side] = _gridded_sum(g.reshape(u.size, -1), conjugate, grid,
-                                     np.abs(x[side]))
+    out = _gridded_sum(g.reshape(u.size, -1), grid, x)
     return out if g.ndim == 2 else out[:, 0]
 
 
-def _gridded_sum(g, conjugate: bool, grid: FrequencyGrid,
-                 x: np.ndarray) -> np.ndarray:
-    """The half sums of the (N, B) spectrum g, or of conj g, at the targets
-    x >= 0: one FFT per column, then the Gaussian gather per target."""
+def _gridded_sum(g, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
+    """The half sums of the (N, B) spectrum g at the targets x: one real
+    FFT set, one Gaussian gather per distinct |x|, then the sign of x."""
     m, columns = g.shape
+    if not x.size:
+        return np.empty((0, columns))
     half, size = m // 2, _OVERSAMPLING * m
     tau = np.pi * _SPREAD / (m * m * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
     k = np.arange(m) - half
-    # the coefficients a_k / G_k = w_j g_j / G_k of h
-    modes = np.zeros((size, columns), dtype=complex)
-    modes[k % size] = g * (grid.weights * np.exp(tau * k * k))[:, None]
-    if conjugate:
-        np.conjugate(modes, out=modes)
-    # rows of (Re, Im) pairs: h(y_m) of every column
-    fine = np.fft.fft(modes, axis=0).view(float)
+    scale = grid.weights * np.exp(tau * k * k)
+    # the real parts p and imaginary parts q of the coefficients
+    # a_k / G_k = w_j g_j / G_k of h, at index k mod R
+    modes = np.zeros((2, columns, size))
+    for nodes, index in ((slice(half, None), slice(None, m - half)),
+                         (slice(None, half), slice(size - half, None))):
+        np.multiply(g[nodes].real.T, scale[nodes], out=modes[0, :, index])
+        np.multiply(g[nodes].imag.T, scale[nodes], out=modes[1, :, index])
+    # P and Q, rows 0..R/2 of the FFTs of p and q: h = P + iQ
+    half_spectra = np.fft.rfft(modes)
     del modes
-    # theta = du x in steps of the FFT grid
-    pos = x * (grid.spacing * size / (2.0 * np.pi))
+    # theta = du |x| in steps of the FFT grid, reduced modulo R; fmod is
+    # exact, so the fractional step is that of the unreduced position
+    distinct, where = np.unique(np.abs(x), return_inverse=True)
+    pos = np.fmod(distinct * (grid.spacing * size / (2.0 * np.pi)), size)
     below = np.floor(pos)
     frac = pos - below
-    first = below.astype(np.intp) - (_SPREAD - 1)
+    first = below.astype(np.int32) - (_SPREAD - 1)
+    # the rows lo .. lo + count - 1 that the gather reads, at most one
+    # period; row r > R/2 (or r < 0) is the conjugate of row R - r (or -r)
+    lo = first.min()
+    count = min(first.max() - lo + 2 * _SPREAD, size)
+    rows = (lo + np.arange(count)) % size
+    mirror = rows > size // 2
+    table = np.empty((count, 2, columns), dtype=complex)
+    # (the indices are in range; "clip" lets take write into out unbuffered)
+    np.take(half_spectra, np.where(mirror, size - rows, rows), axis=2,
+            out=table.transpose(1, 2, 0), mode="clip")
+    del half_spectra
+    np.conjugate(table, out=table, where=mirror[:, None, None])
+    table = table.view(float).reshape(count, 4 * columns)
+    # the parts of the half sum even and odd in x, Re e^{-ic|x|} P and
+    # Re e^{-ic|x|} iQ, at each distinct |x|: one sparse row of 2 _SPREAD
+    # Gaussian weights, in step order, times the rows (Re P, Im P, Re Q,
+    # Im Q) of every column, _MAX_BATCH weights at a time
+    phase = (grid.u[0] + half * grid.spacing) * distinct
+    cos, sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
     decay = (np.pi / size) ** 2 / tau   # (2 pi / R)^2 / (4 tau)
-    acc = np.zeros((x.size, 2 * columns))
-    for step in range(2 * _SPREAD):
-        d = frac - (step - _SPREAD + 1)
-        acc += np.exp(-decay * d * d)[:, None] * fine[(first + step) % size]
-    acc = acc.reshape(x.size, columns, 2)
-    phase = (grid.u[0] + half * grid.spacing) * x
-    out = (np.cos(phase)[:, None] * acc[..., 0]
-           + np.sin(phase)[:, None] * acc[..., 1])
+    steps = np.arange(2 * _SPREAD, dtype=np.int32)
+    even, odd = np.empty((2, distinct.size, columns))
+    for start in range(0, distinct.size, _MAX_BATCH // steps.size):
+        part = slice(start, start + _MAX_BATCH // steps.size)
+        weights = frac[part, None] - (steps - (_SPREAD - 1))
+        weights *= weights
+        weights *= -decay
+        np.exp(weights, out=weights)
+        cols = np.add.outer(first[part] - lo, steps)
+        np.remainder(cols, size, out=cols)
+        gather = sparse.csr_array(
+            (weights.ravel(), cols.ravel(),
+             np.arange(0, weights.size + 1, steps.size)),
+            shape=(weights.shape[0], count))
+        p, q = (gather @ table).reshape(-1, 2, columns, 2
+                                        ).transpose(1, 3, 0, 2)
+        even[part] = cos[part] * p[0] + sin[part] * p[1]
+        odd[part] = sin[part] * q[0] - cos[part] * q[1]
+    # the sign after the gather: h = P + iQ, or P - iQ (the FFT of the modes
+    # of conj g) where the sign bit of x is set, so -0.0 mirrors 0.0 as well
+    out = odd[where]
+    out *= np.where(np.signbit(x), -1.0, 1.0)[:, None]
+    out += even[where]
     out *= np.sqrt(np.pi / tau) / (2.0 * np.pi * size)
     return out
 

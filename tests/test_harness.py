@@ -359,11 +359,11 @@ FROZEN_DIRECT = (
     (1.0, "-", 0.02, True),
     (1.0, "+", 1.5281697698940402, False),
     (1.5, "-", 0.02, True),
-    (1.5, "+", 1.1578782919295776, False),
+    (1.5, "+", 1.1578782919295778, False),
     (2.0, "-", 0.02, True),
-    (2.0, "+", 0.8774005107902542, False),
+    (2.0, "+", 0.8774005107902544, False),
     (2.5, "-", 0.02, True),
-    (2.5, "+", 0.6478086376502632, False),
+    (2.5, "+", 0.6478086376502634, False),
 )
 
 

@@ -9,6 +9,7 @@ from conftest import hermitian_full_sum
 from levyq.errors import InputError, NoSolutionError
 from levyq.inversion import tail_nodes
 from levyq.models import tail_integral
+from levyq import numerics
 from levyq.numerics import FrequencyGrid, bracketed_root, inverse_fourier
 
 
@@ -189,6 +190,80 @@ class TestFactoredTransform:
         perm = np.random.default_rng(3).permutation(x.size)
         np.testing.assert_allclose(inverse_fourier(g, grid, x[perm]), out[perm],
                                    rtol=0, atol=tol)
+
+    def test_one_fft_and_one_gather_row_per_distinct_magnitude(
+            self, monkeypatch):
+        # whatever the signs of the targets, one FFT call per transform,
+        # and the sparse gather holds one row per distinct |x|, in blocks
+        # of at most _MAX_BATCH weights
+        ffts, gathers = [], []
+        for name in ("fft", "rfft"):
+            def counted(*args, _f=getattr(np.fft, name), **kwargs):
+                ffts.append(name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def recorded(*args, _f=numerics.sparse.csr_array, **kwargs):
+            matrix = _f(*args, **kwargs)
+            gathers.append(matrix.shape[0])
+            return matrix
+        monkeypatch.setattr(numerics.sparse, "csr_array", recorded)
+        grid = FrequencyGrid(cutoff=40.0, points=2048)
+        g = np.exp(-0.01 * grid.u ** 2) * (1.0 + 0.3j * np.sin(grid.u))
+        # 4,097 targets, 2,049 distinct |x|: three blocks of 1,024 rows
+        many = np.linspace(-5.0, 5.0, 2 * numerics._MAX_BATCH // 16 + 1)
+        for x in ([0.5, 1.5], [-0.5, -1.5], [-1.5, 0.5, 1.5, -0.5, 0.0, 2.0],
+                  many):
+            ffts.clear()
+            gathers.clear()
+            inverse_fourier(np.stack([g, 2.0 * g], axis=1), grid, x)
+            assert len(ffts) == 1
+            assert sum(gathers) == np.unique(np.abs(x)).size
+
+    def test_mixed_targets_match_single_targets_bit_for_bit(self):
+        # unsorted, repeated and of both signs in one call: each value is
+        # the one-target call's, and F_g(-x) is F_{conj g}(x) exactly
+        rng = np.random.default_rng(7)
+        grid = FrequencyGrid(cutoff=100.0, points=8192)
+        g = (rng.standard_normal((grid.u.size, 3))
+             + 1j * rng.standard_normal((grid.u.size, 3)))
+        x = np.array([2.5, -1.0, 2.5, 0.0, -4.75, 0.3, -1.0, 5.0, -2.5, 1.0,
+                      -0.0, 40.0, -40.0])
+        mixed = inverse_fourier(g, grid, x)
+        for i, target in enumerate(x):
+            assert np.array_equal(mixed[i],
+                                  inverse_fourier(g, grid, [target])[0])
+        mirrored = inverse_fourier(np.conj(g), grid, -x)
+        assert np.array_equal(mixed, mirrored)
+
+    def test_empty_targets(self):
+        grid = FrequencyGrid(cutoff=1.0, points=64)
+        assert inverse_fourier(np.ones(32), grid, []).shape == (0,)
+        assert inverse_fourier(np.ones((32, 3)), grid, []).shape == (0, 3)
+
+    @pytest.mark.parametrize("x, bad", [([math.nan, 1.0], math.nan),
+                                        ([math.inf], math.inf),
+                                        ([0.5, -math.inf], -math.inf),
+                                        ([1.0, -1e307], -1e307)])
+    def test_rejects_non_finite_targets(self, x, bad):
+        # refused before the spectrum is evaluated; at 1e307 the grid
+        # position du |x| R / (2 pi) overflows
+        evaluated = []
+
+        def spectrum(u):
+            evaluated.append(u)
+            return np.ones_like(u)
+
+        grid = FrequencyGrid(cutoff=100.0, points=64)
+        with pytest.raises(InputError, match="finite") as info:
+            inverse_fourier(spectrum, grid, x)
+        assert str(bad) in str(info.value)
+        assert not evaluated
+
+    def test_rejects_targets_of_two_dimensions(self):
+        grid = FrequencyGrid(cutoff=10.0, points=64)
+        with pytest.raises(InputError, match="one-dimensional"):
+            inverse_fourier(np.ones(32), grid, [[0.1, 0.2], [0.3, -0.4]])
 
     def test_rejects_misaligned_spectrum(self):
         grid = FrequencyGrid(cutoff=1.0, points=64)

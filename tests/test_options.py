@@ -640,41 +640,41 @@ class TestChainSpectra:
 # prices come from the gridded inverse transform; the trust region ends
 # between nodes 1762 and 1763
 FROZEN_SPECTRA = {
-    0: ((0.9999975915434782-0.00018909091824693012j),
-        (-0.0015664981873240896-0.06195307911256797j),
-        (-0.1283111603301403+0.00020096122230138646j),
+    0: ((0.9999975915434782-0.0001890909182469308j),
+        (-0.0015664981873240794-0.06195307911256819j),
+        (-0.12831116033013942+0.00020096122230149117j),
         True),
     1: ((0.9999783243539273-0.0005672319274730273j),
-        (-0.004699391106343739-0.061943265781796354j),
-        (-0.1283026865062099+0.0006028312193989989j),
+        (-0.0046993911063437244-0.061943265781796354j),
+        (-0.12830268650620952+0.0006028312193989253j),
         True),
     40: ((0.9844688330846163-0.014440372176870183j),
-         (-0.12465458272358089-0.05418438280947535j),
-         (-0.1216567730886603+0.015167585115771952j),
+         (-0.12465458272358089-0.05418438280947555j),
+         (-0.12165677308866134+0.015167585115770627j),
          True),
-    400: ((0.37527150598519055+0.025973031006455056j),
-          (-0.5833359239222254+0.09401340743964941j),
-          (-0.011890264497753461+0.0021546716396688287j),
+    400: ((0.37527150598519055+0.025973031006455302j),
+          (-0.5833359239222211+0.0940134074396514j),
+          (-0.011890264497748979+0.002154671639666216j),
           True),
-    1000: ((0.042727058713559196+0.023103518797480578j),
-           (-0.22161370484241857+0.07044549528286816j),
-           (0.07833867521460312-0.07494430835395009j),
+    1000: ((0.04272705871355931+0.023103518797481314j),
+           (-0.22161370484240675+0.07044549528282429j),
+           (0.07833867521455844-0.07494430835392388j),
            True),
-    1500: ((0.04394188467712912+0.015617260821588775j),
-           (0.2267705769947008+0.004526024687272604j),
-           (0.020330272805119124-0.04866696017937003j),
+    1500: ((0.04394188467712956+0.015617260821586503j),
+           (0.2267705769945894+0.004526024687543936j),
+           (0.020330272805516726-0.04866696017917133j),
            True),
-    1762: ((0.05630502367845358+0.012251952102358243j),
-           (0.011269257324754547+0.0330605245618749j),
-           (0.005598914633807624+0.10698596605685343j),
+    1762: ((0.056305023678447697+0.01225195210235805j),
+           (0.011269257324719098+0.033060524562296106j),
+           (0.005598914634254048+0.10698596605690987j),
            True),
-    1763: ((0.05630635026116948+0.01226461366813944j), 0j, 0j, False),
-    2500: ((0.08592932861758573+0.015845574263445975j), 0j, 0j, False),
-    4095: ((0.18572328869422305+0.18128795087414717j), 0j, 0j, False),
+    1763: ((0.05630635026116304+0.012264613668139643j), 0j, 0j, False),
+    2500: ((0.08592932861761315+0.015845574263455398j), 0j, 0j, False),
+    4095: ((0.1857232886942658+0.18128795087413535j), 0j, 0j, False),
 }
-FROZEN_SUP_NORMS = (0.0007971369051377844, 4.390747795464462e-05,
-                    9.546631321195218e-06)
-FROZEN_NOISE_SCALE = 2.9704142343208664e-05
+FROZEN_SUP_NORMS = (0.0007971369051377843, 4.39074779546446e-05,
+                    9.546631321195225e-06)
+FROZEN_NOISE_SCALE = 2.970414234320867e-05
 
 
 class TestFrozenChainSpectra:
