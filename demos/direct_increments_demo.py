@@ -24,6 +24,7 @@ from levyq import (
     LevyModel,
     exponent_curvature,
     flat_top_kernel,
+    grid_points,
     psi2_from_increments,
     quantile_from_distribution,
     sample_increments,
@@ -47,12 +48,15 @@ print(f"observed {sample.values.size} increments, spacing {sample.delta}")
 
 # the table holds estimates of psi''(u) = -int x^2 e^{iux} nu(dx) on the
 # positive nodes of a grid covering the kernel band |u| <= 1/h; outside the
-# trust region |phi_hat| >= (delta n)^{-1/2} they are exactly zero
+# trust region |phi_hat| >= (delta n)^{-1/2} they are exactly zero.  The
+# node count comes from the sizing rule: the grid's period must cover the
+# tail nodes (out to x_max = 5) and the range of the sample six times over
 h = 0.05
+points = grid_points(1.0 / h, 5.0, np.ptp(sample.values))
 spectra = psi2_from_increments(sample, FrequencyGrid(cutoff=1.0 / h,
-                                                     points=2 ** 13))
+                                                     points=points))
 print(f"{spectra.trusted.sum()} of {spectra.grid.u.size} frequency nodes "
-      "trusted")
+      f"trusted ({points} spectral points)")
 
 u_nodes = spectra.grid.u
 for u in (0.0, 2.0, 5.0):

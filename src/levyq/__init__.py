@@ -39,6 +39,7 @@ from .simulate import METHODS, IncrementSampler, sample_increments
 from .inversion import (
     DistributionEstimate,
     QuantileEstimate,
+    grid_points,
     quantile_from_distribution,
     tail_estimates,
     tail_quantiles,

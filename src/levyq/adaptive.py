@@ -25,12 +25,17 @@ Three layers:
     running intersection of all smaller ones.
 
 The screen S(j) integrates the (noise-calibrated) variance surrogate of
-the reconstructed characteristic function over the window |u| <= 1/h_j.
-On realistic desk-scale chains the screen fails at *every* grid bandwidth:
-the window of the smallest grid bandwidth already extends beyond the trust
-region, where the integrand saturates, and the saturated value exceeds 1
-by a wide margin (it would need n in the 1e60 range to pass).  build_grid
-then records the infeasibility and keeps the full grid (j_min = 0).
+the reconstructed characteristic function over the window |u| <= 1/h_j,
+and it grows with n.  On the Monte Carlo design (seed 0, 40 replications,
+measured on the former fixed 8,192-point grid; ROADMAP item 9) it passes
+on every replication at small n and drops the j_min smallest bandwidths:
+j_min is 2-4 of j_max = 15 at n = 32 and 9-10 of 14 at n = 50 with 1 %
+noise, and 11-12 of 12 at n = 100 with 0.1 % noise.  It fails at every
+grid bandwidth at n >= 256 with any noise and at the default n = 100 with
+1 % noise (all 200 replications): there the window of the smallest grid
+bandwidth already extends beyond the trust region, where the integrand
+saturates above 1.  build_grid then records the infeasibility and keeps
+the full grid (j_min = 0).
 """
 
 from __future__ import annotations
@@ -86,9 +91,11 @@ def _e2(w: np.ndarray) -> np.ndarray:
 class BandwidthGrid:
     """Geometric grid h_j = L^j / n for j in [j_min, j_max].
 
-    s_values holds the screen statistic per index 0..j_max when a chain was
-    supplied (None otherwise); feasible records whether the screen was
-    actually passed or the fallback kept the full grid.
+    values holds the screened bandwidths and full_values the whole grid,
+    j = 0..j_max (values is full_values[j_min:]); s_values holds the screen
+    statistic per index 0..j_max when a chain was supplied (None
+    otherwise); feasible records whether the screen was actually passed or
+    the fallback kept the full grid.
     """
 
     n: int
@@ -96,6 +103,7 @@ class BandwidthGrid:
     j_min: int
     j_max: int
     values: np.ndarray
+    full_values: np.ndarray
     s_values: np.ndarray | None = None
     feasible: bool = True
 
@@ -131,9 +139,10 @@ def _screen_statistic(spectra: Spectra, n: int, cutoffs: np.ndarray) -> np.ndarr
 
 
 # most bandwidths build_grid makes: each one is inverted and bounded, about
-# 0.4 MB of work arrays at the default 8,192 spectral points (measured
-# through estimate_chain at n = 100), so the cap stands for about 0.4 GB;
-# the default grid at n = 100, L = 1.1 has 13 bandwidths
+# 0.4 MB of work arrays at 8,192 spectral points (measured through
+# estimate_chain at n = 100, where the sizing rule now takes 1,024), so the
+# cap stands for about 0.4 GB at that count; the default grid at n = 100,
+# L = 1.1 has 13 bandwidths
 _MAX_BANDWIDTHS = 1000
 
 
@@ -185,8 +194,8 @@ def build_grid(n: int, L: float,
         else:
             feasible = False
     return BandwidthGrid(n=n, L=L, j_min=j_min, j_max=j_max,
-                         values=all_values[j_min:], s_values=s_values,
-                         feasible=feasible)
+                         values=all_values[j_min:], full_values=all_values,
+                         s_values=s_values, feasible=feasible)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def _run_mc_table(args) -> None:
     out.write_text(table.to_csv(), encoding="utf-8")
     cells = table.replications * 2 * len(table.rows)
     print(f"wrote {out} ({len(table.rows)} levels, {cells - table.failures} "
-          f"of {cells} replication cells clean, {table.failures} failures)")
+          f"of {cells} replication cells clean, {table.failures} failures, "
+          f"{table.grid.points} spectral points)")
     for message in table.failure_log:
         print(f"  excluded: {message}", file=sys.stderr)
 

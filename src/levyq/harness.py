@@ -25,14 +25,19 @@ and every bandwidth's tail function comes from one batched inversion of
 all its kernel-damped columns (`inversion.tail_estimates`).  The option
 drivers tabulate on the master window |u| <= n, the band of the smallest
 grid bandwidth 1/n; the direct demo on |u| <= 1/h, the band of its one
-bandwidth.  Per chain, the quantiles of all levels and bandwidths come
-from one `tail_quantiles` pass per side, and the deviation bounds of all
-(tau, side) cells from one `sigma_tilde` call per bandwidth.  The Monte
-Carlo loop prices the chain once (the strike design is fixed), forms the
-noise profile once, and re-perturbs the prices per replication; the
-replications are tabulated in groups that share one phase table per
-frequency chunk (`options._ChainDesign`).  Every command refuses, before
-it allocates, an inversion larger than `inversion._MAX_INVERSION`.
+bandwidth.  Every driver sizes that grid by one rule,
+`inversion.grid_points`, from the window, x_max and the extent of its data
+(the log-strike range, or the range of the increments), unless the config
+sets `spectral_points`; the chain report and the demo report record the
+grid used under "spectral_grid".  Per chain, the quantiles of all levels
+and bandwidths come from one `tail_quantiles` pass per side, and the
+deviation bounds of all (tau, side) cells from one `sigma_tilde` call per
+bandwidth.  The Monte Carlo loop prices the chain once (the strike design
+is fixed), forms the noise profile once, and re-perturbs the prices per
+replication; the replications are tabulated in groups that share one
+phase table per frequency chunk (`options._ChainDesign`).  Every command
+refuses, before it allocates, an inversion larger than
+`inversion._MAX_INVERSION`.
 """
 from __future__ import annotations
 
@@ -46,10 +51,9 @@ from .adaptive import (_bound_terms, _top_index, adaptive_quantile,
                        build_grid, sigma_tilde)
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
-from .inversion import (FIRST_TAIL_NODE, SPECTRAL_POINTS, X_MAX_DEFAULT,
+from .inversion import (_MAX_SPECTRAL_POINTS, FIRST_TAIL_NODE, X_MAX_DEFAULT,
                         _check_inversion_size, checked_tail_nodes,
-                        quantile_from_distribution, tail_estimates,
-                        tail_quantiles)
+                        grid_points, tail_estimates, tail_quantiles)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, ExponentialJumps, LevyModel,
                      characteristic_exponent, martingale_drift, true_quantile)
@@ -77,28 +81,27 @@ _KINDS = ("cgmy", "brownian", "compound-poisson-exp")
 # default threshold ladder for the per-chain quantile curves: 0.2, 0.4, .., 4
 DEFAULT_CHAIN_TAUS = tuple(round(0.2 * k, 10) for k in range(1, 21))
 
-# quote-count ceiling for the Monte Carlo path; its master frequency window
-# is [-n, n] (= the full band of the smallest bandwidth 1/n), and this keeps
-# that window finely resolved at the default node count.
-_MC_MAX_QUOTES = 256
-
-# size caps, checked before anything is allocated.  Peak traced bytes
-# (tracemalloc) were 0.6-1.0 kB per spectral point in mc-table (10
-# replications) and estimate-chain at n = 100 (13 bandwidths; 2^12 to 2^15
-# points, the most at 2^12), 0.1 kB in demo-direct at 2^17 and 2^18 points,
-# so 2^19 points stand for about 0.5 GB; demo-direct took
-# 28-72 bytes per increment at 10^6 increments (512 points, exact and
-# inverse-cdf sampling), so 10^7 increments stand for at most 0.72 GB
-_MAX_SPECTRAL_POINTS = 2 ** 19
+# most quotes or increments, checked before anything is allocated:
+# demo-direct took 28-72 bytes per increment at 10^6 increments (512
+# points, exact and inverse-cdf sampling), so 10^7 increments stand for at
+# most 0.72 GB.  The spectral points have their own cap,
+# `inversion._MAX_SPECTRAL_POINTS`
 _MAX_N = 10 ** 7
+# smallest tempering rate G or M.  The truth oracle evaluates the CGMY tail
+# C rate^Y Gamma(-Y, rate t) at t down to 3.7e-13 (the floor of
+# `models.true_quantile`'s bracket), and Gamma(a, z) steps up through
+# z^a e^{-z} for a > -2, so rate t must stay above 1 / sqrt(max float) =
+# 7.5e-155: rate >= 2.0e-142, rounded up.  Below it z^a overflows, or z
+# underflows to 0.0 and 0.0^a divides by zero
+_MIN_RATE = 1e-140
 
 # mc-table tabulates the spectra of a group of replications together, so
 # that one phase table per frequency chunk serves them all.  A replication's
 # table holds _REPLICATION_BYTES per spectral point (three complex values
 # and a flag per positive node: 205 kB at 8,192 points, measured with
 # tracemalloc), and its transforms as much again while the group is formed;
-# the tables of a group hold at most _GROUP_BYTES (10 replications at the
-# default 8,192 points)
+# the tables of a group hold at most _GROUP_BYTES (81 replications at the
+# 1,024 points the sizing rule gives the default n = 100, 10 at 8,192)
 _REPLICATION_BYTES = 25
 _GROUP_BYTES = 2 ** 21
 
@@ -120,7 +123,9 @@ class ExperimentConfig:
 
     Estimator keys: eta (smallest admissible threshold, at least the first
     tail node 0.004), kernel_c (flat-top fraction), x_max (truncation of
-    the jump domain), spectral_points (frequency nodes, a power of two).
+    the jump domain), spectral_points (frequency nodes, a power of two in
+    [16, 2^19]; unset, every command sizes its grid by
+    `inversion.grid_points`, and a set value overrides that rule).
 
     Bandwidth-selection keys: L (geometric grid ratio), delta (slack in the
     deviation-bound multiplier).
@@ -153,7 +158,7 @@ class ExperimentConfig:
     eta: float = 0.02
     kernel_c: float = 0.5
     x_max: float = X_MAX_DEFAULT
-    spectral_points: int = SPECTRAL_POINTS
+    spectral_points: int | None = None
     # bandwidth selection
     L: float = 1.1
     delta: float = 0.1
@@ -184,6 +189,12 @@ class ExperimentConfig:
                 raise InputError(f"{name} must be finite")
         if not self.Y < 2:
             raise InputError(f"Y must be below 2, got {self.Y}")
+        for name in ("G", "M"):
+            if not getattr(self, name) >= _MIN_RATE:
+                raise InputError(
+                    f"{name} must be at least {_MIN_RATE:g}, where the "
+                    f"tail's Gamma(-Y, {name} t) stays finite, got "
+                    f"{getattr(self, name)!r}")
         if self.sigma < 0:
             raise InputError(f"sigma must be nonnegative, got {self.sigma}")
         if not math.isfinite(self.sigma * self.sigma):
@@ -201,12 +212,15 @@ class ExperimentConfig:
                              f"{FIRST_TAIL_NODE:g}, x_max = {self.x_max})")
         for name in ("n", "spectral_points", "replications", "seed"):
             value = getattr(self, name)
+            if name == "spectral_points" and value is None:
+                continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n <= _MAX_N:
             raise InputError(f"n must lie in [1, {_MAX_N}], got {self.n}")
         p = self.spectral_points
-        if not 16 <= p <= _MAX_SPECTRAL_POINTS or (p & (p - 1)) != 0:
+        if p is not None and (not 16 <= p <= _MAX_SPECTRAL_POINTS
+                              or (p & (p - 1)) != 0):
             raise InputError(
                 "spectral_points must be a power of two in "
                 f"[16, {_MAX_SPECTRAL_POINTS}], got {p}")
@@ -231,8 +245,10 @@ def _levels(taus) -> tuple:
     return taus
 
 
-# each key is parsed as the type of its default
+# each key is parsed as the type of its default; spectral_points, unset by
+# default, as an integer
 _KEY_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_KEY_TYPES["spectral_points"] = int
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -282,6 +298,25 @@ def _config_dict(config: ExperimentConfig) -> dict:
     out = asdict(config)
     out["taus"] = list(out["taus"])
     return out
+
+
+def _spectral_grid(config: ExperimentConfig, cutoff: float, span: float,
+                   bandwidths: int) -> FrequencyGrid:
+    """The grid on |u| <= cutoff: `config.spectral_points` nodes if the
+    config sets them, else as many as `grid_points` asks for the window,
+    x_max and the data's extent `span`.  An inversion of that many
+    bandwidths that would exceed the cap is refused first."""
+    points = config.spectral_points
+    if points is None:
+        points = grid_points(cutoff, config.x_max, span)
+    _check_inversion_size(bandwidths, points, config.x_max)
+    return FrequencyGrid(cutoff=cutoff, points=points)
+
+
+def _grid_record(grid: FrequencyGrid) -> dict:
+    """The grid a run used, as its report records it."""
+    return {"cutoff": grid.cutoff, "points": grid.points,
+            "spacing": grid.spacing}
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +409,15 @@ def _csv_cell(value: float) -> str:
 @dataclass(frozen=True)
 class RmseTable:
     """Error table plus bookkeeping: attempted replications, the number of
-    excluded (replication, tau, side) cells, and the failure messages (one
-    per failed cell, or one for a replication that failed as a whole)."""
+    excluded (replication, tau, side) cells, the failure messages (one
+    per failed cell, or one for a replication that failed as a whole) and
+    the frequency grid every replication was tabulated on."""
 
     rows: tuple
     replications: int
     failures: int
     failure_log: tuple
+    grid: FrequencyGrid
 
     def to_csv(self) -> str:
         lines = [",".join(f.name for f in fields(RmseRow))]
@@ -425,7 +462,7 @@ def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle):
     Returns a dict mapping (tau, side) to a _CellEstimate, or to the
     LevyqError that cell raised (the rest of the chain is still used).
     """
-    hs = build_grid(bw.n, bw.L).values if oracle else bw.values
+    hs = bw.full_values if oracle else bw.values
     first = bw.j_min if oracle else 0   # index of bw.values[0] in hs
     dists = tail_estimates(spectra, kernel, hs, config.x_max)
     cells = _cells_for(taus)
@@ -507,20 +544,19 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                          "kind = brownian has none")
     if config.n < 10:
         raise InputError(f"need at least 10 quotes per chain, got {config.n}")
-    if config.n > _MC_MAX_QUOTES:
-        raise InputError(
-            f"run_mc_table supports at most {_MC_MAX_QUOTES} quotes per "
-            "chain (its master window [-n, n] stays finely resolved at the "
-            "default node count); estimate_chain takes larger chains")
     _check_pricing_sigma(config)
-    # else every replication fails, or asks for more memory than allowed
-    _check_inversion_size(_top_index(config.n, config.L) + 1,
-                          config.spectral_points, config.x_max)
-    master = FrequencyGrid(cutoff=float(config.n),
-                           points=config.spectral_points)
+    # else every replication fails, or asks for more memory than allowed;
+    # the strike range can only add nodes, so a window refused without it
+    # is refused before the chain is priced
+    bandwidths = _top_index(config.n, config.L) + 1
+    _spectral_grid(config, float(config.n), 0.0, bandwidths)
+    model = pricing_model(config)
+    xs, exact = _synthetic_design(model, config.T, config.n,
+                                  (config.strike_mean, config.strike_variance))
+    master = _spectral_grid(config, float(config.n), float(np.ptp(xs)),
+                            bandwidths)
     checked_tail_nodes(master, config.x_max)
 
-    model = pricing_model(config)
     cells = _cells_for(config.taus)
     truth = {}
     for tau, side in cells:
@@ -532,15 +568,13 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                 "no true quantile to compare against") from exc
 
     kernel = flat_top_kernel(config.kernel_c)
-    xs, exact = _synthetic_design(model, config.T, config.n,
-                                  (config.strike_mean, config.strike_variance))
     # the noise levels _perturbed_chain gives every replication
     design = _ChainDesign(xs, config.noise_fraction * exact, config.T, master)
     kept = {cell: [] for cell in cells}
     failures = []
 
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    size = max(1, _GROUP_BYTES // (_REPLICATION_BYTES * config.spectral_points))
+    size = max(1, _GROUP_BYTES // (_REPLICATION_BYTES * master.points))
     for start in range(0, config.replications, size):
         indices = range(start, min(start + size, config.replications))
         chains = [_perturbed_chain(xs, exact, config.T, config.r,
@@ -582,7 +616,8 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                             *columns))
     failed_cells = sum(config.replications - len(kept[cell]) for cell in cells)
     return RmseTable(rows=tuple(rows), replications=config.replications,
-                     failures=failed_cells, failure_log=tuple(failures))
+                     failures=failed_cells, failure_log=tuple(failures),
+                     grid=master)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +634,11 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     "minus"/"plus" to two-column CSV texts (tau, quantile) ready to plot.
 
     The spectra are tabulated once on the master grid |u| <= n, the full
-    band of the smallest grid bandwidth 1/n, and every grid bandwidth is
-    inverted from it in one batch: the same per-chain path as the Monte
-    Carlo loop.  A config whose sigma could not price a chain is refused
-    as mc-table refuses it.
+    band of the smallest grid bandwidth 1/n, sized from n, x_max and the
+    chain's log-strike range, and every grid bandwidth is inverted from it
+    in one batch: the same per-chain path as the Monte Carlo loop.  The
+    report records that grid under "spectral_grid".  A config whose sigma
+    could not price a chain is refused as mc-table refuses it.
     """
     _check_pricing_sigma(config)
     if isinstance(chain, (str, os.PathLike)):
@@ -613,11 +649,9 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
             f"need at least 10 quotes to estimate, got {chain.n}")
     taus = _levels(DEFAULT_CHAIN_TAUS if taus is None else taus)
 
-    _check_inversion_size(_top_index(chain.n, config.L) + 1,
-                          config.spectral_points, config.x_max)
+    master = _spectral_grid(config, float(chain.n), float(np.ptp(chain.xs)),
+                            _top_index(chain.n, config.L) + 1)
     kernel = flat_top_kernel(config.kernel_c)
-    master = FrequencyGrid(cutoff=float(chain.n),
-                           points=config.spectral_points)
     spectra = compute_chain_spectra(chain, master)
     bw = build_grid(chain.n, config.L, spectra)
     cells = _chain_estimates(spectra, bw, kernel, config, taus, oracle=False)
@@ -647,6 +681,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
         "noise_scale": spectra.noise_scale,
         "bandwidth_grid": [float(h) for h in bw.values],
         "grid_feasible": bool(bw.feasible),
+        "spectral_grid": _grid_record(master),
         "taus": list(taus),
         "config": _config_dict(config),
         "estimates": {"minus": estimates["-"], "plus": estimates["+"]},
@@ -669,30 +704,42 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     """Estimate quantiles from simulated increments at a fixed bandwidth.
 
     No bandwidth selection: the configured h is used as-is.  The spectra
-    table of the increments covers its band |u| <= 1/h with
-    `spectral_points` nodes and goes through `tail_estimates`, the
-    inversion the chain drivers use.  Truth columns
+    table of the increments covers its band |u| <= 1/h, on the grid
+    `grid_points` sizes from 1/h, x_max and the range of the sample (which
+    the report records under "spectral_grid"), and goes through
+    `tail_estimates`, the inversion the chain drivers use; one
+    `tail_quantiles` pass per side finds every level.  Truth columns
     are filled from the closed-form tail integral where the model has one
     (and the level is reachable); otherwise they are None.
     """
     taus = _levels(config.taus if taus is None else taus)
-    _check_inversion_size(1, config.spectral_points, config.x_max)
-    try:
-        grid = FrequencyGrid(cutoff=1.0 / config.h, points=config.spectral_points)
-    except InputError as exc:
-        raise InputError(f"h = {config.h:g} is too small: {exc}") from None
+    cutoff = 1.0 / config.h
+
+    def grid_for(span):
+        try:
+            return _spectral_grid(config, cutoff, span, 1)
+        except InputError as exc:
+            raise InputError(f"h = {config.h:g} is too small: {exc}") from None
+
+    # the sample's range can only add nodes: a window that is refused
+    # without it is refused before sampling
+    grid = grid_for(0.0)
     model = observation_model(config)
     sampler = IncrementSampler(model=model, delta=config.increment_delta,
                                method=config.method, seed=config.seed)
     sample = sample_increments(sampler, config.n)
+    if config.spectral_points is None:
+        grid = grid_for(float(np.ptp(sample.values)))
     _check_cf_floor(model, config, grid)
     spectra = psi2_from_increments(sample, grid)
-    dist = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
-                          [config.h], config.x_max)[0]
+    dists = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
+                           [config.h], config.x_max)
+    found = {side: tail_quantiles(dists, taus, config.eta, side)
+             for side in ("-", "+")}
     results = []
-    for tau in taus:
+    for i, tau in enumerate(taus):
         for side in ("-", "+"):
-            qe = quantile_from_distribution(dist, tau, config.eta, side)
+            value = float(found[side][0][i, 0])
             truth = None
             if model.jumps is not None:
                 try:
@@ -702,11 +749,10 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
             results.append({
                 "tau": tau,
                 "side": side,
-                "estimate": qe.value,
-                "at_threshold": qe.at_threshold,
+                "estimate": value,
+                "at_threshold": bool(found[side][1][i, 0]),
                 "truth": truth,
-                "abs_error": None if truth is None
-                else abs(qe.value - truth),
+                "abs_error": None if truth is None else abs(value - truth),
             })
     return {
         "n": int(sample.n),
@@ -714,6 +760,7 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
         "method": config.method,
         "seed": config.seed,
         "bandwidth": config.h,
+        "spectral_grid": _grid_record(grid),
         "config": _config_dict(config),
         "results": results,
     }

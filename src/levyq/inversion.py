@@ -23,9 +23,11 @@ The pipeline shared by both observation schemes:
    `tail_quantiles` finds it for every level and bandwidth of one side in
    one pass; `quantile_from_distribution` is that pass for one cell.
 
-The inversion's work arrays grow with bandwidths x (spectral points + 2 x
-tail nodes); `tail_estimates` refuses more than _MAX_INVERSION of these
-units before it allocates.
+The frequency grid is sized by one rule, `grid_points`: the smallest power
+of two whose inverse-transform period is GRID_MARGIN times the reach of the
+inverted function.  The inversion's work arrays grow with bandwidths x
+(spectral points + 2 x tail nodes); `tail_estimates` refuses more than
+_MAX_INVERSION of these units before it allocates.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "QuantileEstimate",
     "X_MAX_DEFAULT",
     "FIRST_TAIL_NODE",
+    "GRID_MARGIN",
+    "grid_points",
     "tail_nodes",
     "checked_tail_nodes",
     "tail_estimates",
@@ -51,8 +55,6 @@ __all__ = [
 ]
 
 X_MAX_DEFAULT = 5.0
-# default spectral nodes of the grid a curvature estimate is tabulated on
-SPECTRAL_POINTS = 2 ** 13
 # composite spatial grid: geometric inner part, uniform outer part; no
 # tail is tabulated below FIRST_TAIL_NODE, so no threshold eta may lie there
 FIRST_TAIL_NODE = 0.004
@@ -150,9 +152,18 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
 # 2^12-2^15 points, x_max 5-400; tracemalloc), 61-64 bytes when
 # tail_estimates inverts one bandwidth at 2^15-2^18 points (the gather's
 # fixed 0.7 MB of chunks makes it 162 at 2^12) and 77 at 16 points and
-# x_max 20,000, so the cap stands for about 0.65 GB.  The default grid asks
-# for 13 x (8,192 + 2 x 1,091), about 135,000
+# x_max 20,000, so the cap stands for about 0.65 GB.  The default chain
+# asks for 13 x (1,024 + 2 x 1,091), about 42,000 (`grid_points`)
 _MAX_INVERSION = 2 ** 23
+# most spectral points of any grid.  Peak traced bytes (tracemalloc) were
+# 0.6-1.0 kB per spectral point in mc-table (10 replications) and
+# estimate-chain at n = 100 (13 bandwidths; 2^12 to 2^15 points, the most
+# at 2^12), 0.1 kB in demo-direct at 2^17 and 2^18 points, so 2^19 points
+# stand for about 0.5 GB
+_MAX_SPECTRAL_POINTS = 2 ** 19
+# the sizing rule's margin: the period 2 pi / spacing of the inverse
+# transform is at least GRID_MARGIN times the reach (see `grid_points`)
+GRID_MARGIN = 6.0
 
 
 def _check_inversion_size(bandwidths: int, points: int, x_max: float) -> None:
@@ -167,6 +178,48 @@ def _check_inversion_size(bandwidths: int, points: int, x_max: float) -> None:
             f"{nodes} tail nodes) = {size} exceeds the inversion cap of "
             f"{_MAX_INVERSION}; use fewer spectral points, a larger L or a "
             "smaller x_max")
+
+
+def grid_points(cutoff: float, x_max: float, span: float = 0.0) -> int:
+    """Spectral nodes for the window |u| <= cutoff: the smallest power of
+    two N >= 16 whose spacing du = 2 cutoff / (N - 1) makes the period
+    2 pi / du of the inverse transform at least GRID_MARGIN times the reach
+    max(x_max, span).
+
+    The discrete sum repeats F_h with that period, so each tail node sees
+    images of F_h from a period away.  The reach is how far F_h extends:
+    the tail nodes go out to x_max, and an estimate carries content across
+    the extent of the data behind it, `span` (the log-strike range of a
+    chain, the range of an increments sample: 22 for the direct benchmark,
+    where the period must clear it and x_max alone would not do).
+
+    Tolerance 1e-8.  Measured against 2^15 nodes (seed 1; CHANGES.md holds
+    the table), the reported estimates (a chain's selected quantiles,
+    demo-direct's fixed-h quantiles) moved by at most 2.1e-9 wherever the
+    period was at least 6 reaches, and by up to 2.7e-8 (chain, n = 50) and
+    4.7e-5 (increments) at 5.5 and 1.8 reaches.  GRID_MARGIN = 6 keeps them
+    within the tolerance; the power of two puts the grid at 6 to 12
+    reaches.  This holds where the curvature estimate is continuous inside
+    the kernel band.  Where the trust mask of a noisy chain switches psi~''
+    off and on inside it, the sum converges at first order, and no count
+    up to 2^15 meets 1e-8: per-bandwidth quantiles of the default
+    Monte Carlo design move by up to 5e-3 at the rule's 1,024 nodes and
+    2e-4 at 8,192, its RMSE x 100 by 1.3e-3 and 3.2e-4.
+
+    A window or reach that asks for more than _MAX_SPECTRAL_POINTS (or is
+    not finite) is refused before anything is allocated.
+    """
+    reach = max(x_max, span)
+    need = 1.0 + GRID_MARGIN * reach * cutoff / math.pi
+    if not need <= _MAX_SPECTRAL_POINTS:
+        raise InputError(
+            f"a frequency window of {cutoff:g} with x_max = {x_max:g} (reach "
+            f"{reach:g}) needs more than the cap of {_MAX_SPECTRAL_POINTS} "
+            "spectral points; use a smaller window or x_max")
+    points = 16
+    while points < need:
+        points *= 2
+    return points
 
 
 def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:

@@ -179,8 +179,9 @@ def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
     and imaginary parts q of the modes a_k / G_k are the rows of one
     (2, B, R) array, R = _OVERSAMPLING * N, and one rfft gives their FFTs P
     and Q, so h = P + iQ on the grid y_m = 2 pi m / R.  Only the rows the
-    targets reach are kept, at most one period (rows -15 to 175 of 8,192
-    for the tail nodes of the default grid); as p and q are real, a row
+    targets reach are kept, at most one period (rows -15 to 334 of 2,048
+    for the tail nodes of the default chain's grid, 1,024 nodes on
+    |u| <= 100, and of 16,384 at 8,192 nodes); as p and q are real, a row
     beyond R/2, or a negative one, is the conjugate of its Hermitian
     mirror.  The convolution at theta = du |x| is the trapezoid sum over
     the 2 * _SPREAD grid points nearest to it (the Gaussian is below e^{-37}

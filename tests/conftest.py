@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from levyq.errors import InputError
-from levyq.inversion import SPECTRAL_POINTS, X_MAX_DEFAULT, tail_estimates
+from levyq.inversion import X_MAX_DEFAULT, tail_estimates
 from levyq.kernels import SpectralKernel
 from levyq.models import CGMYJumps, LevyModel, martingale_drift
 from levyq.numerics import FrequencyGrid, Spectra, inverse_fourier
+
+# spectral nodes of the grids tail_at and density_at tabulate on; the
+# tolerances of the tests that use them were set at this count
+SPECTRAL_POINTS = 2 ** 13
 
 # Benchmark tempered-stable measure used across the test suite, together
 # with the frozen ground-truth quantile magnitudes: exact roots of

@@ -33,7 +33,8 @@ from levyq.adaptive import (
 from levyq.errors import InputError, NoSolutionError, NumericalError
 from levyq.harness import DEFAULT_CHAIN_TAUS, ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
-from levyq.inversion import X_MAX_DEFAULT, tail_estimates, tail_quantiles
+from levyq.inversion import (X_MAX_DEFAULT, grid_points, tail_estimates,
+                             tail_quantiles)
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import _MAX_BATCH, FrequencyGrid, Spectra
 from levyq.options import compute_chain_spectra, generate_synthetic_chain, spline_spectra
@@ -311,7 +312,8 @@ class TestBuildGrid:
             pricing_model(cfg), cfg.T, cfg.r, cfg.n, 0.0,
             (cfg.strike_mean, cfg.strike_variance), seed=0)
         noise_sd = cfg.noise_fraction * design.prices
-        fgrid = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
+        fgrid = FrequencyGrid(cutoff=float(cfg.n), points=grid_points(
+            float(cfg.n), cfg.x_max, float(np.ptp(design.xs))))
         for child in np.random.SeedSequence(cfg.seed).spawn(5):
             noise = np.random.default_rng(child).standard_normal(cfg.n) * noise_sd
             chain = dataclasses.replace(design, prices=design.prices + noise,

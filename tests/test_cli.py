@@ -114,6 +114,16 @@ class TestMcTableCommand:
         assert len(text.strip().split("\n")) == 2
         assert "wrote" in capsys.readouterr().out
 
+    def test_summary_names_the_rule_count(self, tmp_path, capsys):
+        cfg = tmp_path / "rule.cfg"
+        cfg.write_text(MC_CFG.replace("spectral_points = 1024\n", ""))
+        code = cli.main(["mc-table", "--config", str(cfg),
+                         "--out", str(tmp_path / "t.csv")])
+        table = run_mc_table(parse_config_text(cfg.read_text()))
+        assert code == 0
+        assert (f"0 failures, {table.grid.points} spectral points)"
+                in capsys.readouterr().out)
+
     def test_overrides_match_library_call(self, mc_config_file, tmp_path):
         out = tmp_path / "table.csv"
         code = cli.main(["mc-table", "--config", str(mc_config_file),
@@ -572,6 +582,44 @@ def test_oversized_inversion_is_refused(tmp_path, capsys, command, lines):
     assert_input_error(code, capsys)
     assert not out.exists()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("line", ["G = 5e-324", "M = 5e-324", "G = 1e-141"])
+def test_tiny_tempering_rate_is_refused(tmp_path, capsys, line):
+    # G t underflowed to 0.0 in the truth oracle's Gamma(-Y, G t), and
+    # 0.0 ** -Y raised a ZeroDivisionError: refused by the config check
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(MC_CFG + line + "\n")
+    out = tmp_path / "t.csv"
+    code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {line[0]} must be at least 1e-140")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, window", [
+    ("mc-table", "n = 200000", "200000"),
+    ("demo-direct", "h = 1e-05", "100000"),
+], ids=["mc-table-n-2e5", "demo-h-1e-5"])
+def test_grid_above_the_cap_is_refused(tmp_path, capsys, command, line,
+                                       window):
+    # without spectral_points the sizing rule asks for more than 2^19
+    # points: one error line that names the window and x_max
+    key = line.split(" = ")[0]
+    base = MC_CFG if command == "mc-table" else DEMO_CFG
+    cfg = tmp_path / "wide.cfg"
+    drop = (key, "spectral_points")
+    cfg.write_text("".join(row + "\n" for row in base.splitlines()
+                           if row.split(" = ")[0] not in drop) + line + "\n")
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"window of {window} with x_max = 5" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, base", [

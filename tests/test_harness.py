@@ -44,14 +44,15 @@ from levyq.harness import (
     pricing_model,
     run_mc_table,
 )
-from levyq.inversion import (quantile_from_distribution, tail_estimates,
-                             tail_quantiles)
+from levyq.inversion import (grid_points, quantile_from_distribution,
+                             tail_estimates, tail_quantiles)
 from levyq.kernels import flat_top_kernel
 from levyq.models import ExponentialJumps, martingale_drift
 from levyq.numerics import FrequencyGrid
 from levyq.options import (_perturbed_chain, _synthetic_design,
                            compute_chain_spectra, generate_synthetic_chain,
                            write_chain_csv)
+from levyq.simulate import IncrementSampler, sample_increments
 
 from conftest import TRUE_QUANTILES
 
@@ -254,8 +255,9 @@ class TestMcTable:
     def test_rejects_tiny_and_huge_chains(self):
         with pytest.raises(InputError):
             run_mc_table(ExperimentConfig(n=8, replications=1))
+        # a window [-n, n] whose grid would need more than 2^19 points
         with pytest.raises(InputError):
-            run_mc_table(ExperimentConfig(n=512, replications=1))
+            run_mc_table(ExperimentConfig(n=10 ** 6, replications=1))
 
     def test_rejects_unreachable_tau(self):
         # Exp(1) compound Poisson with intensity 1 has total mass 1, so
@@ -312,10 +314,67 @@ class TestMcTable:
 # Computed with per-segment spline transforms (series/recursion) and E2
 # from scipy's complex exp1; the breakpoint sum and the sine/cosine
 # integrals must reproduce them.  Every per-bandwidth q is the last crossing
-# of tau, solved in closed form on the tail table.  Rows: tau, q_minus,
+# of tau, solved in closed form on the tail table, on the grids the sizing
+# rule gives (grid_points: 1,024 points at n = 100).  Rows: tau, q_minus,
 # q_plus, then the oracle/adaptive RMSE x 100 for the minus and the plus
 # side.
 FROZEN_TABLE = (
+    (0.5, 0.17852489840127528, 0.12546803387440741, 0.17182423615850229,
+     0.6282369329524047, 1.3516390358986285, 1.4310209066973034),
+    (1.0, 0.12015464727170763, 0.08667558549903329, 1.7473831596265472,
+     1.7945635583510189, 2.3058860241886374, 2.3058860241886374),
+    (1.5, 0.09145128022171559, 0.06723333995230493, 1.6740353025853403,
+     1.6740353025853403, 2.261914530827689, 2.261914530827689),
+    (2.0, 0.07370016969181595, 0.05502228472121059, 1.1603791467657403,
+     1.1603791467657403, 1.9820970721323539, 1.9820970721323539),
+    (2.5, 0.06146587842367589, 0.04649250612296162, 0.5579769273398072,
+     0.5579769273398072, 1.6455336555579598, 1.6455336555579598),
+)
+FROZEN_CHAIN_TAUS = (0.4, 0.8, 1.2, 1.6, 2.0)
+# per side: (chosen quantile, chosen bandwidth, sigma of the chosen record)
+FROZEN_CHAIN = {
+    "minus": (
+        (0.1833680576397233, 0.03138428376721003, 0.09662503137295386),
+        (0.14598617016440038, 0.03138428376721003, 0.14351225027895473),
+        (0.12241615616996895, 0.03138428376721003, 0.19314244775726894),
+        (0.10434982258842339, 0.03138428376721003, 0.25116235644621715),
+        (0.08953702703348765, 0.03138428376721003, 0.32115008764481034),
+    ),
+    "plus": (
+        (0.14585788736059355, 0.03138428376721003, 0.1437279141577888),
+        (0.11534999896657872, 0.03138428376721003, 0.21314664678668405),
+        (0.09566822094714783, 0.03138428376721003, 0.2889611288804544),
+        (0.08100156676684706, 0.03138428376721003, 0.37598742695208687),
+        (0.06944185783156871, 0.03138428376721003, 0.4767264456250197),
+    ),
+}
+# demo_direct on compound-Poisson-exp increments (intensity 5, Exp(1)
+# jumps, sigma 0, spacing 0.5, h 0.05), n = 5,000, seed 1, default taus,
+# on the 1,024 spectral points the sizing rule gives (grid_points),
+# inverted by Gaussian gridding.  Rows: tau, side, estimate, at_threshold.
+FROZEN_DIRECT_CONFIG = dict(
+    kind="compound-poisson-exp", intensity=5.0, jump_rate=1.0, sigma=0.0,
+    gamma=0.0, increment_delta=0.5, h=0.05, method="exact-compound-poisson",
+    n=5000, seed=1)
+FROZEN_DIRECT = (
+    (0.5, "-", 0.02, True),
+    (0.5, "+", 2.307217562433853, False),
+    (1.0, "-", 0.02, True),
+    (1.0, "+", 1.5281697698901329, False),
+    (1.5, "-", 0.02, True),
+    (1.5, "+", 1.157878291927878, False),
+    (2.0, "-", 0.02, True),
+    (2.0, "+", 0.8774005107834115, False),
+    (2.5, "-", 0.02, True),
+    (2.5, "+", 0.6478086376467979, False),
+)
+
+
+# the pins above as the fixed 8,192-point grid gave them, before the grid
+# was sized by the rule: a config that sets spectral_points = 8192 must
+# reproduce them (the table and the chain to the same rtol, the direct
+# estimates bit for bit)
+FIXED_COUNT_TABLE = (
     (0.5, 0.17852489840127528, 0.12546803387440741, 0.17180570485935434,
      0.6282369346712885, 1.351623385394584, 1.4310209082184988),
     (1.0, 0.12015464727170763, 0.08667558549903329, 1.7465111089228502,
@@ -327,44 +386,15 @@ FROZEN_TABLE = (
     (2.5, 0.06146587842367589, 0.04649250612296162, 0.5579769283211897,
      0.5579769283211897, 1.6455336586782574, 1.6455336586782574),
 )
-FROZEN_CHAIN_TAUS = (0.4, 0.8, 1.2, 1.6, 2.0)
-# per side: (chosen quantile, chosen bandwidth, sigma of the chosen record)
-FROZEN_CHAIN = {
-    "minus": (
-        (0.18336805764337993, 0.03138428376721003, 0.09662503152627833),
-        (0.14598617011993859, 0.03138428376721003, 0.1435122505824546),
-        (0.12241615612257822, 0.03138428376721003, 0.19314244818506746),
-        (0.10434982255622996, 0.03138428376721003, 0.25116235696081124),
-        (0.08953702702539394, 0.03138428376721003, 0.32115008818077917),
-    ),
-    "plus": (
-        (0.14585788734520067, 0.03138428376721003, 0.1437279144128599),
-        (0.11534999900358599, 0.03138428376721003, 0.21314664700675973),
-        (0.09566822099578876, 0.03138428376721003, 0.2889611290885129),
-        (0.08100156680903407, 0.03138428376721003, 0.3759874272146277),
-        (0.06944185785883382, 0.03138428376721003, 0.47672644605022685),
-    ),
+FIXED_COUNT_CHAIN = {
+    "minus": (0.18336805764337993, 0.14598617011993859, 0.12241615612257822,
+              0.10434982255622996, 0.08953702702539394),
+    "plus": (0.14585788734520067, 0.11534999900358599, 0.09566822099578876,
+             0.08100156680903407, 0.06944185785883382),
 }
-# demo_direct on compound-Poisson-exp increments (intensity 5, Exp(1)
-# jumps, sigma 0, spacing 0.5, h 0.05), n = 5,000, seed 1, default taus and
-# spectral points, inverted by Gaussian gridding.  Rows: tau, side,
-# estimate, at_threshold.
-FROZEN_DIRECT_CONFIG = dict(
-    kind="compound-poisson-exp", intensity=5.0, jump_rate=1.0, sigma=0.0,
-    gamma=0.0, increment_delta=0.5, h=0.05, method="exact-compound-poisson",
-    n=5000, seed=1)
-FROZEN_DIRECT = (
-    (0.5, "-", 0.02, True),
-    (0.5, "+", 2.3072175624295705, False),
-    (1.0, "-", 0.02, True),
-    (1.0, "+", 1.5281697698940402, False),
-    (1.5, "-", 0.02, True),
-    (1.5, "+", 1.1578782919295778, False),
-    (2.0, "-", 0.02, True),
-    (2.0, "+", 0.8774005107902544, False),
-    (2.5, "-", 0.02, True),
-    (2.5, "+", 0.6478086376502634, False),
-)
+FIXED_COUNT_DIRECT = (2.3072175624295705, 1.5281697698940402,
+                      1.1578782919295778, 0.8774005107902544,
+                      0.6478086376502634)
 
 
 class TestFrozenResults:
@@ -395,6 +425,31 @@ class TestFrozenResults:
         got = tuple((r["tau"], r["side"], r["estimate"], r["at_threshold"])
                     for r in report["results"])
         assert got == FROZEN_DIRECT
+
+    def test_explicit_count_reproduces_the_fixed_grid(self):
+        table = run_mc_table(ExperimentConfig(replications=2, seed=0,
+                                              spectral_points=8192))
+        got = [(r.tau, r.q_minus, r.q_plus, r.rmse_oracle_minus,
+                r.rmse_adaptive_minus, r.rmse_oracle_plus,
+                r.rmse_adaptive_plus) for r in table.rows]
+        np.testing.assert_allclose(got, FIXED_COUNT_TABLE, rtol=1e-10, atol=0)
+        assert table.grid.points == 8192
+
+        cfg = ExperimentConfig(spectral_points=8192)
+        chain = generate_synthetic_chain(
+            pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+            (cfg.strike_mean, cfg.strike_variance), seed=1)
+        report, _ = estimate_chain(chain, cfg, taus=FROZEN_CHAIN_TAUS)
+        for key, frozen in FIXED_COUNT_CHAIN.items():
+            got = [row["quantile"] for row in report["estimates"][key]]
+            np.testing.assert_allclose(got, frozen, rtol=1e-10, atol=0)
+        assert report["spectral_grid"]["points"] == 8192
+        assert report["config"]["spectral_points"] == 8192
+
+        report = demo_direct(ExperimentConfig(**FROZEN_DIRECT_CONFIG,
+                                              spectral_points=8192))
+        assert tuple(r["estimate"] for r in report["results"]
+                     if r["side"] == "+") == FIXED_COUNT_DIRECT
 
 
 # ---------------------------------------------------------------------------
@@ -663,3 +718,82 @@ class TestDemoDirect:
         rep = demo_direct(cfg)
         for row in rep["results"]:
             assert row["truth"] is None and row["abs_error"] is None
+
+
+# ---------------------------------------------------------------------------
+# the grid every command sizes by inversion.grid_points
+
+
+def _chain(cfg, seed=1):
+    return generate_synthetic_chain(
+        pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
+        (cfg.strike_mean, cfg.strike_variance), seed=seed)
+
+
+class TestSpectralGrid:
+    # the stated tolerance of grid_points: reported estimates within 1e-8
+    # of the converged grid's
+    TOL = 1e-8
+
+    def test_commands_record_the_rule_count(self):
+        cfg = ExperimentConfig(n=32, taus=(1.0,), replications=1, seed=11)
+        xs, _ = _synthetic_design(pricing_model(cfg), cfg.T, cfg.n,
+                                  (cfg.strike_mean, cfg.strike_variance))
+        table = run_mc_table(cfg)
+        assert table.grid == FrequencyGrid(
+            32.0, grid_points(32.0, cfg.x_max, float(np.ptp(xs))))
+
+        cfg = ExperimentConfig(n=48)
+        chain = _chain(cfg)
+        report, _ = estimate_chain(chain, cfg, taus=(1.0,))
+        grid = FrequencyGrid(48.0, grid_points(48.0, cfg.x_max,
+                                               float(np.ptp(chain.xs))))
+        assert report["spectral_grid"] == {
+            "cutoff": 48.0, "points": grid.points, "spacing": grid.spacing}
+        assert report["config"]["spectral_points"] is None
+
+        cfg = demo_config(spectral_points=None)
+        sample = sample_increments(IncrementSampler(
+            model=observation_model(cfg), delta=cfg.increment_delta,
+            method=cfg.method, seed=cfg.seed), cfg.n)
+        report = demo_direct(cfg)
+        assert report["spectral_grid"]["points"] == grid_points(
+            1.0 / cfg.h, cfg.x_max, float(np.ptp(sample.values)))
+        assert report["config"]["spectral_points"] is None
+
+    def test_large_designs_run(self):
+        # the fixed 8,192 points capped mc-table at 256 quotes and made
+        # estimate-chain refuse chains above about 2,570 quotes
+        table = run_mc_table(ExperimentConfig(n=300, replications=1,
+                                              taus=(1.0,)))
+        assert table.failures == 0 and table.grid.points == 4096
+        cfg = ExperimentConfig(n=3000)
+        report, _ = estimate_chain(_chain(cfg), cfg, taus=(1.0,))
+        assert report["spectral_grid"]["points"] == 32768
+        for key in ("minus", "plus"):
+            assert np.isfinite(report["estimates"][key][0]["quantile"])
+
+    def test_chain_estimates_converged_at_the_rule_count(self):
+        cfg = ExperimentConfig(n=50)
+        chain = _chain(cfg)
+        points = grid_points(50.0, cfg.x_max, float(np.ptp(chain.xs)))
+        picks = []
+        for count in (None, 4 * points):
+            report, _ = estimate_chain(
+                chain, dataclasses.replace(cfg, spectral_points=count),
+                taus=FROZEN_CHAIN_TAUS)
+            picks.append([(row["quantile"], row["bandwidth"])
+                          for key in ("minus", "plus")
+                          for row in report["estimates"][key]])
+        rule, fine = np.array(picks)
+        assert np.array_equal(rule[:, 1], fine[:, 1])
+        assert np.max(np.abs(rule[:, 0] - fine[:, 0])) <= self.TOL
+
+    def test_direct_estimates_converged_at_the_rule_count(self):
+        cfg = ExperimentConfig(**FROZEN_DIRECT_CONFIG)
+        rule = demo_direct(cfg)
+        fine = demo_direct(dataclasses.replace(
+            cfg, spectral_points=4 * rule["spectral_grid"]["points"]))
+        for a, b in zip(rule["results"], fine["results"]):
+            assert a["at_threshold"] == b["at_threshold"]
+            assert abs(a["estimate"] - b["estimate"]) <= self.TOL

@@ -29,9 +29,12 @@ from conftest import curvature_table, density_at, hermitian_full_sum, tail_at
 from levyq.errors import InputError, NumericalError
 import levyq.inversion
 from levyq.inversion import (
+    _MAX_SPECTRAL_POINTS,
     FIRST_TAIL_NODE,
+    GRID_MARGIN,
     DistributionEstimate,
     checked_tail_nodes,
+    grid_points,
     quantile_from_distribution,
     tail_estimates,
     tail_nodes,
@@ -217,6 +220,61 @@ class TestDistribution:
         est = tail_at(psi2_cp, FLAT, 0.1)
         with pytest.raises(InputError):
             est(0.0)
+
+
+class TestGridPoints:
+    WINDOWS = (0.5, 2.0, 10.0, 20.0, 100.0, 256.0, 3000.0, 20000.0)
+    REACHES = (0.6, 1.0, 5.0, 10.0, 22.0, 400.0)
+
+    def test_power_of_two_in_range(self):
+        for cutoff in self.WINDOWS:
+            for x_max in self.REACHES:
+                for span in (0.0, 3.3, 22.0):
+                    try:
+                        points = grid_points(cutoff, x_max, span)
+                    except InputError:
+                        continue
+                    assert 16 <= points <= _MAX_SPECTRAL_POINTS
+                    assert points & (points - 1) == 0
+
+    def test_smallest_count_with_the_margin(self):
+        # the period 2 pi / spacing covers GRID_MARGIN reaches, and half
+        # the count (when at least 16) would not
+        for cutoff in self.WINDOWS[:6]:
+            for x_max in self.REACHES[:5]:
+                for span in (0.0, 22.0):
+                    points = grid_points(cutoff, x_max, span)
+                    reach = max(x_max, span)
+                    grid = FrequencyGrid(cutoff, points)
+                    assert 2 * math.pi / grid.spacing >= GRID_MARGIN * reach
+                    if points > 16:
+                        half = FrequencyGrid(cutoff, points // 2)
+                        assert (2 * math.pi / half.spacing
+                                < GRID_MARGIN * reach)
+
+    def test_nondecreasing_in_window_and_reach(self):
+        for span in (0.0, 22.0):
+            counts = [[grid_points(c, x, span) for x in self.REACHES[:5]]
+                      for c in self.WINDOWS[:6]]
+            assert np.all(np.diff(counts, axis=0) >= 0)
+            assert np.all(np.diff(counts, axis=1) >= 0)
+        spans = [grid_points(100.0, 5.0, s) for s in (0.0, 3.0, 10.0, 40.0)]
+        assert spans == sorted(spans)
+
+    def test_default_designs(self):
+        # the chain at n = 100 (log-strike range 3.3) and the increments of
+        # the direct benchmark (range 22.1 at h = 0.05)
+        assert grid_points(100.0, 5.0, 3.3) == 1024
+        assert grid_points(20.0, 5.0, 22.1) == 1024
+        assert grid_points(0.5, 0.6) == 16
+
+    @pytest.mark.parametrize("cutoff, x_max, span", [
+        (2e5, 5.0, 0.0), (100.0, 1e5, 0.0), (100.0, 5.0, 1e5),
+        (math.inf, 5.0, 0.0), (1e308, 5.0, 0.0), (math.nan, 5.0, 0.0)])
+    def test_above_the_cap_is_refused(self, cutoff, x_max, span):
+        with pytest.raises(InputError, match="x_max") as info:
+            grid_points(cutoff, x_max, span)
+        assert f"window of {cutoff:g}" in str(info.value)
 
 
 def table_estimate(density, x_max=5.0, nodes=None, bandwidth=0.05):
