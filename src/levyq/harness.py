@@ -354,19 +354,18 @@ def _check_pricing_sigma(config: ExperimentConfig) -> None:
 def _check_cf_floor(model: LevyModel, config: ExperimentConfig,
                     grid: FrequencyGrid) -> None:
     """Refuse a model whose increment cf |phi_delta| is already below the
-    empirical cf's noise floor n^{-1/2} at the first grid node, where it is
-    largest: the estimate would then be noise at every node."""
+    trust threshold (delta n)^{-1/2} of `psi2_from_increments` at the first
+    grid node, where it is largest: no node could then be trusted."""
     u = grid.u[0]
     level = abs(np.exp(config.increment_delta
                        * characteristic_exponent(model, u)))
-    floor = 1.0 / math.sqrt(config.n)
+    floor = 1.0 / math.sqrt(config.increment_delta * config.n)
     if not level >= floor:
         raise InputError(
             f"the model's |phi_delta| at the first grid node u = {u:.3g} is "
-            f"{level:.3g}, below the empirical cf's noise floor n^-1/2 = "
-            f"{floor:.3g}: no node carries signal at sigma = "
-            f"{config.sigma:g} and increment_delta = "
-            f"{config.increment_delta:g}")
+            f"{level:.3g}, below the cf's trust threshold (increment_delta "
+            f"n)^-1/2 = {floor:.3g}: no node carries signal at sigma = "
+            f"{config.sigma:g}, increment_delta = {config.increment_delta:g}")
 
 
 def pricing_model(config: ExperimentConfig) -> LevyModel:

@@ -16,13 +16,10 @@ elsewhere (the low-frequency cf approach of Neumann & Reiss, Bernoulli
 2009).  The ratio is exactly invariant under adding a constant to every
 increment (the e^{iuc} factors cancel), so no drift correction is needed.
 
-On a uniform frequency grid the three sums factor exactly over blocks of
-nodes, e^{i(u_a + b du)Y} = e^{iu_a Y} e^{ib du Y}, and both factors are
-powers of one phase per sample, so they are tabulated as running products:
-each chunk of samples costs three exponentials per sample (one more per
-4,096 further nodes, where a run of start phases is re-seeded) and one
-matrix product, instead of N exponentials.  Any other set of frequencies
-is summed directly.
+On a uniform frequency grid `_ecf_all` factors the three sums over blocks
+of 64 nodes into one matrix product of running-product phase tables: per
+sample three exponentials and 3N/64 + 64 table entries (88 at N = 512), in
+place of N exponentials.  Other frequencies are summed directly.
 
 `psi2_from_increments` tabulates them on a frequency grid as a
 `numerics.Spectra`, the same table the option scheme hands to the
@@ -70,8 +67,8 @@ class IncrementSample:
         return self.values.size
 
 
-# cap on the complex entries of one sample chunk's work arrays: the block
-# start phases (starts x m) and the weighted in-block phases (3 x block x m)
+# cap on the complex entries of one sample chunk's work arrays: the weighted
+# start phases (3 x starts x m) and the in-block phases (block x m)
 _WORK_ENTRIES = 2 ** 18
 
 
@@ -97,64 +94,68 @@ def _ecf_all(values: np.ndarray, u: np.ndarray):
     Returns (phi0, phi1, phi2) arrays aligned with u, where
     phi_k(u) = (1/n) sum (iY)^k e^{iuY}.
 
-    The nodes are summed in blocks, a blocked nonuniform DFT (Greengard &
-    Lee, SIAM Rev. 2004): with block start u_a and in-block offset b * du,
-    e^{iu Y} = e^{iu_a Y} e^{ib du Y}, so for each chunk of m samples all
-    three sums come from one matrix product of the start phases
-    (starts x m) with the in-block phases Y^k e^{ib du Y} (3 * block x m,
-    read transposed).
+    A blocked nonuniform DFT (Greengard & Lee, SIAM Rev. 2004): with block
+    start u_a and in-block offset b * du, e^{iuY} = e^{iu_a Y} e^{ib du Y},
+    so for each chunk of m samples all three sums come from one matrix
+    product of the weighted start phases Y^k e^{iu_a Y} (3 * starts x m)
+    with the in-block phases e^{ib du Y} (block x m, read transposed).
 
-    Both tables are geometric in their index, e^{iu_a Y} = e^{iu_0 Y}
-    (e^{i block du Y})^a and e^{ib du Y} = (e^{i du Y})^b, so each row is
-    the row before it times a step row, one vectorized product per row.
-    Three exponentials per sample (the two steps and e^{iu_0 Y}) replace
-    the N / block + block that exponentiating both tables takes.  The
-    start rows are cut into runs of `block`, each re-seeded from a direct
-    exponential of its first node; a phase then carries at most
-    2 * (block - 1) rounded products, about 2 * block ulp, whatever the
-    node count, and each run after the first costs one more exponential
-    per sample.  The in-block rows for k = 1, 2 are Y and Y^2 times the
-    k = 0 rows, a real scaling; the factors i^k and 1/n are applied once
-    to the sums.
+    Both tables are geometric in their index, so each row is the row
+    before it times a step row, e^{i block du Y} or e^{i du Y}: three
+    exponentials per sample (the two steps and e^{iu_0 Y}) replace the
+    N / block + block that exponentiating both tables takes.  The start
+    rows are cut into runs of `block`, each re-seeded from a direct
+    exponential of its first node (one more exponential per sample and
+    run), so a phase carries at most 2 * (block - 1) rounded products,
+    about 2 * block ulp, whatever the node count.  The rows for k = 1, 2
+    are Y and Y^2 times the k = 0 start rows, a real scaling of N / block
+    rows; the factors i^k and 1/n are applied once to the sums.
 
     Nodes that are not an arithmetic progression (scalars, irregular
     points, fewer than two nodes) use block 1: every start row is then a
-    seed, which is the direct sum.
+    seed, which is the direct sum.  A sample is refused (InputError) where
+    no phase is resolved, max|u| max|Y| >= 2^52 rad (a rounding unit of
+    1 rad), or where n max(Y^2) overflows.
     """
     n = values.size
+    ymax, umax = (float(np.max(np.abs(a), initial=0.0)) for a in (values, u))
+    if not (umax * ymax < 2.0 ** 52 and math.isfinite(n * ymax * ymax)):
+        raise InputError(
+            f"increments up to |Y| = {ymax:.3g} cannot be resolved at |u| <= "
+            f"{umax:.3g}: |u Y| must stay below 2^52 rad and n Y^2 finite")
     block = _progression_block(u)
     starts = u[::block]
     du = (u[-1] - u[0]) / (u.size - 1) if block > 1 else 0.0
-    acc = np.zeros((starts.size, 3 * block), dtype=complex)
-    chunk = max(1, _WORK_ENTRIES // (starts.size + 3 * block))
+    weighted = 3 * starts.size
+    acc = np.zeros((weighted, block), dtype=complex)
+    chunk = max(1, min(n, _WORK_ENTRIES // (weighted + block)))
+    # the work arrays, made once per call; each chunk views the head of the
+    # buffer, so the last, shorter chunk is contiguous as well
+    work = np.empty((weighted + block) * chunk, dtype=complex)
     for lo in range(0, n, chunk):
         y = values[lo : lo + chunk]
-        # start phases: each run of `block` rows is seeded directly, and
-        # row b of a run is row b - 1 times e^{i block du y}.  Row by row,
-        # not np.cumprod: that accumulates along the strided node axis and
-        # ran 5x slower on (64, 1024) tables
-        outer = np.empty((starts.size, y.size), dtype=complex)
-        outer[::block] = np.exp(1j * starts[::block, None] * y)
+        table = work[: (weighted + block) * y.size].reshape(-1, y.size)
+        outer, inner = table[:weighted], table[weighted:]
+        first, by_y, by_y2 = outer.reshape(3, -1, y.size)
+        # start phases: runs of `block` rows, each seeded directly; row b of
+        # a run is row b - 1 times e^{i block du y}, row by row (np.cumprod
+        # accumulates along the strided node axis, 5x slower at (64, 1024))
+        first[::block] = np.exp(1j * starts[::block, None] * y)
         step = np.exp(1j * (block * du) * y)
-        for b in range(1, block):
-            rows = outer[b::block]
-            np.multiply(outer[b - 1 :: block][: rows.shape[0]], step, out=rows)
-        # in-block phases: inner[k, b] = y^k e^{ib du y}
-        inner = np.empty((3, block, y.size), dtype=complex)
-        inner[0, 0] = 1.0
+        for b in range(1, min(block, starts.size)):
+            rows = first[b::block]
+            np.multiply(first[b - 1 :: block][: rows.shape[0]], step, out=rows)
+        np.multiply(first, y, out=by_y)
+        np.multiply(by_y, y, out=by_y2)
+        # in-block phases inner[b] = e^{ib du y}
+        inner[0] = 1.0
         step = np.exp(1j * du * y)
         for b in range(1, block):
-            np.multiply(inner[0, b - 1], step, out=inner[0, b])
-        # real scaling of the interleaved (re, im) pairs
-        pairs = inner.view(float)
-        y2 = np.repeat(y, 2)
-        np.multiply(pairs[0], y2, out=pairs[1])
-        np.multiply(pairs[1], y2, out=pairs[2])
-        acc += outer @ inner.reshape(3 * block, y.size).T
-    # acc[a, k * block + b] is n i^-k phi_k at node a * block + b
-    phi = acc.reshape(starts.size, 3, block).transpose(1, 0, 2).reshape(3, -1)
-    phi = phi[:, : u.size] * (np.array([1.0, 1j, -1.0])[:, None] / n)
-    return phi[0], phi[1], phi[2]
+            np.multiply(inner[b - 1], step, out=inner[b])
+        acc += outer @ inner.T
+    # acc[k * starts + a, b] is n i^-k phi_k at node a * block + b
+    scale = np.array([1.0, 1j, -1.0])[:, None] / n
+    return tuple(acc.reshape(3, -1)[:, : u.size] * scale)
 
 
 def _curvature_ratio(phi0, phi1, phi2, delta: float):

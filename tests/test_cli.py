@@ -462,6 +462,36 @@ class TestDemoDirectCommand:
         assert not caught, [str(w.message) for w in caught]
         assert not out.exists()
 
+    # gamma: every phase u Y of the sample passes 2^52 rad, where its
+    # rounding unit is 1 rad (at 1e200 Y^2 overflowed as well, and the run
+    # exited 3 after a RuntimeWarning; at 1e150 it exited 0).
+    # increment_delta: the trust threshold (delta n)^-1/2 of the cf is far
+    # above 1, so no node could be trusted (the run exited 0 with every
+    # estimate clamped, after RuntimeWarnings).  The unchanged config runs.
+    @pytest.mark.parametrize("line, expected", [
+        ("gamma = 1e200", 2), ("gamma = -1e200", 2), ("gamma = 1e150", 2),
+        ("increment_delta = 5e-324", 2), ("increment_delta = 1e-300", 2),
+        ("gamma = 0.0", 0),
+    ])
+    def test_sample_without_signal_is_an_input_error(self, tmp_path, capsys,
+                                                     line, expected):
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("".join(row + "\n" for row in DEMO_CFG.splitlines()
+                               if not row.startswith(key)) + line + "\n")
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["demo-direct", "--config", str(cfg),
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        if expected:
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(config):
             raise NumericalError("synthetic blow-up")

@@ -360,13 +360,13 @@ FROZEN_DIRECT = (
     (0.5, "-", 0.02, True),
     (0.5, "+", 2.307217562433853, False),
     (1.0, "-", 0.02, True),
-    (1.0, "+", 1.5281697698901329, False),
+    (1.0, "+", 1.5281697698901324, False),
     (1.5, "-", 0.02, True),
-    (1.5, "+", 1.157878291927878, False),
+    (1.5, "+", 1.1578782919278778, False),
     (2.0, "-", 0.02, True),
-    (2.0, "+", 0.8774005107834115, False),
+    (2.0, "+", 0.877400510783411, False),
     (2.5, "-", 0.02, True),
-    (2.5, "+", 0.6478086376467979, False),
+    (2.5, "+", 0.6478086376467974, False),
 )
 
 
@@ -392,9 +392,9 @@ FIXED_COUNT_CHAIN = {
     "plus": (0.14585788734520067, 0.11534999900358599, 0.09566822099578876,
              0.08100156680903407, 0.06944185785883382),
 }
-FIXED_COUNT_DIRECT = (2.3072175624295705, 1.5281697698940402,
-                      1.1578782919295778, 0.8774005107902544,
-                      0.6478086376502634)
+FIXED_COUNT_DIRECT = (2.3072175624295705, 1.5281697698940404,
+                      1.1578782919295776, 0.8774005107902542,
+                      0.6478086376502632)
 
 
 class TestFrozenResults:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from levyq.errors import InputError
 from levyq.increments import (
+    _WORK_ENTRIES,
     IncrementSample,
     _curvature_ratio,
     _ecf_all,
@@ -146,7 +147,9 @@ def assert_matches_direct(got, values, u, rtol=1e-12):
 @pytest.fixture(scope="module")
 def jumpy_values():
     # Gaussian part plus one-sided jumps, as in the compound-Poisson demo;
-    # 2000 samples span several sample chunks at every grid size below
+    # 2000 samples are one sample chunk of _ecf_all on grids of up to 2,048
+    # points and several from 4,096 points on (test_sample_chunk_edges
+    # takes n from the chunk length)
     rng = np.random.default_rng(17)
     jumps = rng.exponential(1.0, 2000) * (rng.random(2000) < 0.3)
     return rng.standard_normal(2000) * 0.5 + jumps
@@ -208,6 +211,24 @@ class TestBlockedEcf:
         got = _ecf_all(values, u)
         sub = slice(None, None, 97)
         assert_matches_direct(tuple(g[sub] for g in got), values, u[sub])
+
+    # n taken from the sample chunk of _ecf_all, _WORK_ENTRIES // (3 *
+    # starts + _BLOCK) samples: an exact multiple of it, one sample more,
+    # and fewer than one chunk.  2^14 points give 128 start rows, two runs
+    @pytest.mark.parametrize("points", [512, 2 ** 14])
+    def test_sample_chunk_edges(self, points):
+        u = FrequencyGrid(cutoff=20.0, points=points).u
+        starts = -(-u.size // _BLOCK)
+        chunk = _WORK_ENTRIES // (3 * starts + _BLOCK)
+        rng = np.random.default_rng(23)
+        size = 2 * chunk + 1
+        values = (rng.standard_normal(size) * 0.5
+                  + rng.exponential(1.0, size) * (rng.random(size) < 0.3))
+        sub = slice(None, None, max(1, u.size // 400))
+        for n in (2 * chunk, 2 * chunk + 1, chunk // 3):
+            got = _ecf_all(values[:n], u)
+            assert_matches_direct(tuple(g[sub] for g in got), values[:n],
+                                  u[sub])
 
     @pytest.mark.parametrize("points", [2 ** 13, 2 ** 16, 2 ** 19])
     def test_phase_rounding_does_not_grow_with_node_count(self, points):
