@@ -26,9 +26,9 @@ from levyq import (
     flat_top_kernel,
     grid_points,
     psi2_from_increments,
-    quantile_from_distribution,
     sample_increments,
     tail_estimates,
+    tail_quantiles,
 )
 
 # --- the observed process --------------------------------------------------
@@ -68,29 +68,34 @@ for u in (0.0, 2.0, 5.0):
 # --- inversion at a fixed bandwidth -----------------------------------------
 
 kernel = flat_top_kernel(0.5)
-tail = tail_estimates(spectra, kernel, [h])[0]
+table = tail_estimates(spectra, kernel, [h])
 
-print(f"\njump density at t = 0.7: estimate {tail.density(0.7):.4f}, "
+# the table holds nu_h and N_h at the tail nodes, side '+' in row 1 and
+# bandwidth h in column 0; t = 0.7 is a node (to rounding)
+density = np.interp(0.7, table.nodes, table.density[1, 0])
+tail = np.interp(0.7, table.nodes, table.tail[1, 0])
+print(f"\njump density at t = 0.7: estimate {density:.4f}, "
       f"exact {math.exp(-0.7):.4f}")
-print(f"tail intensity at t = 0.7: estimate {tail(0.7):.4f}, "
+print(f"tail intensity at t = 0.7: estimate {tail:.4f}, "
       f"exact {math.exp(-0.7):.4f}")
 
 # --- generalized quantiles ---------------------------------------------------
 
-# right 0.5-quantile: smallest t with at most 0.5 jumps larger than t
-# per unit time; exact answer log 2
-est = quantile_from_distribution(tail, tau=0.5, eta=0.02, side="+")
-print(f"\nright 0.5-quantile: estimate {est.value:.4f}, "
-      f"exact {math.log(2.0):.4f} (error {abs(est.value - math.log(2)):.4f})")
+# right quantiles at levels 0.5 and 10, one pass over the table.  At 0.5:
+# the smallest t with at most 0.5 jumps larger than t per unit time, exact
+# answer log 2.  Intensities concentrate near 0, so quantiles for tau above
+# the total mass (here 1.0) do not exist; the estimator reports the
+# threshold eta
+values, clamped = tail_quantiles(table, [0.5, 10.0], eta=0.02, side="+")
+est = values[0, 0]
+print(f"\nright 0.5-quantile: estimate {est:.4f}, "
+      f"exact {math.log(2.0):.4f} (error {abs(est - math.log(2)):.4f})")
 
 # the process has no negative jumps, so on the left side the tail never
 # reaches 0.5 and the estimate clamps to the threshold eta
-est_left = quantile_from_distribution(tail, tau=0.5, eta=0.02, side="-")
-print(f"left 0.5-quantile: estimate {est_left.value:.4f}, "
-      f"at_threshold = {est_left.at_threshold} (no negative jumps)")
+left, left_clamped = tail_quantiles(table, [0.5], eta=0.02, side="-")
+print(f"left 0.5-quantile: estimate {left[0, 0]:.4f}, "
+      f"at_threshold = {left_clamped[0, 0]} (no negative jumps)")
 
-# intensities concentrate near 0, so quantiles for tau above the total
-# mass (here 1.0) do not exist; the estimator reports the threshold
-est_big = quantile_from_distribution(tail, tau=10.0, eta=0.02, side="+")
 print(f"tau = 10 exceeds the total intensity: estimate clamps to "
-      f"eta = {est_big.value} with at_threshold = {est_big.at_threshold}")
+      f"eta = {values[1, 0]} with at_threshold = {clamped[1, 0]}")

@@ -37,28 +37,25 @@ from .kernels import SpectralKernel, flat_top_kernel
 from .increments import IncrementSample, psi2_from_increments, read_increment_csv
 from .simulate import METHODS, IncrementSampler, sample_increments
 from .inversion import (
-    DistributionEstimate,
-    QuantileEstimate,
+    TailInversion,
+    TailTable,
     grid_points,
-    quantile_from_distribution,
     tail_estimates,
     tail_quantiles,
 )
 from .options import (
-    NoiseProfile,
     OptionChain,
     compute_chain_spectra,
-    estimate_noise_profile,
     generate_synthetic_chain,
     option_function,
     read_chain_csv,
-    spline_spectra,
     write_chain_csv,
 )
 from .adaptive import (
     BandwidthGrid,
     BandwidthRecord,
     LepskiDiagnostics,
+    Selection,
     adaptive_quantile,
     build_grid,
     sigma_tilde,

@@ -41,7 +41,7 @@ the full grid (j_min = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici
@@ -55,6 +55,7 @@ __all__ = [
     "BandwidthGrid",
     "BandwidthRecord",
     "LepskiDiagnostics",
+    "Selection",
     "build_grid",
     "sigma_tilde",
     "adaptive_quantile",
@@ -169,6 +170,11 @@ def _top_index(n: int, L: float) -> int:
     return j_max
 
 
+def _full_grid(n: int, L: float) -> np.ndarray:
+    """The unscreened grid h_j = L^j / n, j = 0..j_max (`_top_index`)."""
+    return L ** np.arange(0, _top_index(n, L) + 1) / n
+
+
 def build_grid(n: int, L: float,
                spectra: Spectra | None = None) -> BandwidthGrid:
     """Bandwidth grid with the data-dependent lower cut.
@@ -181,8 +187,8 @@ def build_grid(n: int, L: float,
     kept and flagged feasible=False.  Grids of more than _MAX_BANDWIDTHS
     bandwidths are refused.
     """
-    j_max = _top_index(n, L)
-    all_values = L ** np.arange(0, j_max + 1) / n
+    all_values = _full_grid(n, L)
+    j_max = all_values.size - 1
     j_min = 0
     s_values = None
     feasible = True
@@ -206,9 +212,10 @@ def build_grid(n: int, L: float,
 class _BoundTerms:
     """The h-free part of sigma_tilde for one spectra table, on its trusted
     nodes u (increasing): the weights w |factor_k|^2 / |phi~|^2 of the three
-    norms, the x_max term E2(iu x_max) / x_max of the tail weight, and the
-    block and in-block index of each node for the phase products, whose
-    block starts are `starts`."""
+    norms, the x_max term E2(iu x_max) / x_max of the tail weight, the
+    kernel rows fk(h u) of `bandwidths` there, and the block and in-block
+    index of each node for the phase products, whose block starts are
+    `starts`."""
 
     spectra: Spectra
     x_max: float
@@ -216,13 +223,18 @@ class _BoundTerms:
     weights: np.ndarray
     tail_re: np.ndarray
     tail_im: np.ndarray
+    bandwidths: np.ndarray
+    fk: np.ndarray
     block: np.ndarray
     offset: np.ndarray
     starts: np.ndarray
 
 
-def _bound_terms(spectra: Spectra, x_max: float) -> _BoundTerms:
-    """Form once per table what sigma_tilde needs at every bandwidth."""
+def _bound_terms(spectra: Spectra, x_max: float, bandwidths,
+                 kernel_rows: np.ndarray) -> _BoundTerms:
+    """Form once per table what sigma_tilde needs at every bandwidth;
+    kernel_rows[j] is fk(h_j u) on the whole grid of the table (as
+    `inversion.TailInversion` holds it), read here at the trusted nodes."""
     _require_noise_profile(spectra, "the deviation bound")
     index = np.flatnonzero(spectra.trusted)
     u = spectra.grid.u[index]
@@ -243,7 +255,8 @@ def _bound_terms(spectra: Spectra, x_max: float) -> _BoundTerms:
     block, offset = np.divmod(index, _BLOCK)
     return _BoundTerms(spectra=spectra, x_max=x_max, u=u, weights=weights,
                        tail_re=tail.real.copy(), tail_im=tail.imag.copy(),
-                       block=block, offset=offset,
+                       bandwidths=np.asarray(bandwidths, dtype=float),
+                       fk=kernel_rows[:, index], block=block, offset=offset,
                        starts=spectra.grid.u[::_BLOCK])
 
 
@@ -269,9 +282,10 @@ def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
     cells are taken in chunks of at most _MAX_BATCH (cell, node) pairs.
 
     An array of thresholds gives an array, each entry equal to the call for
-    that threshold alone.  `terms`, from `_bound_terms(spectra, x_max)`,
-    carries the work that does not depend on h, so that a caller bounding
-    many bandwidths of one table forms it once.
+    that threshold alone.  `terms`, from `_bound_terms`, carries the work
+    that does not depend on h and the kernel rows of the caller's
+    bandwidths, so that a caller bounding many bandwidths of one table
+    forms it once; h must then be one of those bandwidths.
     """
     _require_noise_profile(spectra, "the deviation bound")
     if not h > 0:
@@ -289,9 +303,13 @@ def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
             raise InputError(
                 f"x_max = {x_max} must exceed the threshold q = {qi}")
     if terms is None:
-        terms = _bound_terms(spectra, x_max)
+        terms = _bound_terms(spectra, x_max, [h],
+                             kernel(h * spectra.grid.u)[None])
     elif terms.spectra is not spectra or terms.x_max != x_max:
         raise InputError("bound terms of another spectra table or x_max")
+    row = np.flatnonzero(terms.bandwidths == h)
+    if not row.size:
+        raise InputError(f"bound terms hold no kernel row at h = {h!r}")
     kept = int(np.searchsorted(terms.u, 1.0 / h, side="right"))
     if not kept:
         raise NumericalError(
@@ -299,7 +317,7 @@ def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
             "the noise guard dominates at this bandwidth"
         )
     u = terms.u[:kept]
-    fk = kernel(h * u)
+    fk = terms.fk[row[0], :kept]
     weights = terms.weights[:, :kept] * (fk * fk)
     tail_re, tail_im = terms.tail_re[:kept], terms.tail_im[:kept]
     block, offset = terms.block[:kept], terms.offset[:kept]
@@ -374,69 +392,89 @@ class LepskiDiagnostics:
     multiplier: float
 
     def to_json_rows(self) -> list:
-        return [
-            {
-                "h": r.h, "q": r.q, "sigma": r.sigma, "V": r.V,
-                "lo": r.lo, "hi": r.hi, "chosen": r.chosen,
-                "dropped": r.dropped,
-            }
-            for r in self.records
-        ]
+        return [dict(vars(r)) for r in self.records]
+
+
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """The interval rule over cells x bandwidths: its inputs quantiles and
+    sigmas, the half-width V and interval [lo, hi] of every (cell,
+    bandwidth), NaN where `dropped` (density 0), and the index `chosen` of
+    each cell's pick, -1 where every bandwidth was dropped."""
+
+    bandwidths: np.ndarray
+    quantiles: np.ndarray
+    sigmas: np.ndarray
+    multiplier: float
+    V: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    dropped: np.ndarray
+    chosen: np.ndarray
+
+    def pick(self, cell: int) -> tuple:
+        """(h, q) of a cell's pick; NoSolutionError where it has none."""
+        j = int(self.chosen[cell])
+        if j < 0:
+            raise NoSolutionError(
+                "every bandwidth was dropped by the density guard; "
+                "no interval to intersect")
+        return float(self.bandwidths[j]), float(self.quantiles[cell, j])
+
+    def diagnostics(self, cell: int) -> LepskiDiagnostics:
+        """The audit trail of one cell, one record per bandwidth."""
+        dropped = self.dropped[cell].tolist()
+        V, lo, hi = ([None if d else v for v, d in zip(a[cell].tolist(),
+                                                       dropped)]
+                     for a in (self.V, self.lo, self.hi))
+        chosen = [j == int(self.chosen[cell]) for j in range(len(dropped))]
+        return LepskiDiagnostics(records=tuple(map(
+            BandwidthRecord, self.bandwidths.tolist(),
+            self.quantiles[cell].tolist(), self.sigmas[cell].tolist(), V, lo,
+            hi, chosen, dropped)), multiplier=self.multiplier)
 
 
 def adaptive_quantile(bandwidths, quantiles, densities, sigmas, n: int,
-                      delta: float = 0.1):
-    """Select the largest bandwidth whose interval meets all smaller ones.
+                      delta: float = 0.1) -> Selection:
+    """Select, per cell, the largest bandwidth whose interval meets all
+    smaller ones.
 
-    Each bandwidth h proposes q_h +- V_h with
-    V_h = (1+delta) sqrt(2 log log n) sigma_h / |density_h|; the scan walks
-    the grid upward keeping the running intersection and stops permanently
-    once it empties.  Bandwidths with density 0 are dropped (flagged in the
-    diagnostics) rather than failing the whole run.
-
-    Returns (chosen h, chosen quantile, LepskiDiagnostics).
+    quantiles, densities and sigmas hold one row per cell and one column
+    per bandwidth (a 1-D array is one cell).  Each bandwidth h proposes
+    q_h +- V_h with V_h = (1+delta) sqrt(2 log log n) sigma_h / |density_h|.
+    The running intersection up the grid is the running max of lo and the
+    running min of hi; the pick is the last bandwidth before it empties.
+    Bandwidths with density 0 are dropped and do not enter it; a cell with
+    every bandwidth dropped has no pick (`Selection.pick` raises).
     """
     hs = np.asarray(bandwidths, dtype=float)
-    qs = np.asarray(quantiles, dtype=float)
-    dens = np.asarray(densities, dtype=float)
-    sig = np.asarray(sigmas, dtype=float)
-    if not (hs.size and hs.size == qs.size == dens.size == sig.size):
-        raise InputError("need equal-length nonempty per-bandwidth inputs")
+    qs, dens, sig = (np.atleast_2d(np.asarray(a, dtype=float))
+                     for a in (quantiles, densities, sigmas))
+    if not (hs.ndim == 1 and hs.size and qs.ndim == 2 and qs.shape[1]
+            == hs.size and dens.shape == sig.shape == qs.shape):
+        raise InputError("need one nonempty row per cell, one column per "
+                         "bandwidth, in every input")
     if hs.size > 1 and not np.all(np.diff(hs) > 0):
         raise InputError("bandwidths must be strictly increasing")
     if n < 3:
         raise InputError(f"need n >= 3 for the log log factor, got {n}")
     if delta <= 0:
         raise InputError(f"delta must be positive, got {delta}")
-    if np.any(sig < 0):
-        raise InputError("sigma values must be nonnegative")
+    if not (np.all(sig >= 0) and np.all(np.isfinite(qs))
+            and np.all(np.isfinite(dens))):
+        raise InputError("sigma values must be nonnegative, quantiles and "
+                         "densities finite")
 
     multiplier = (1.0 + delta) * math.sqrt(2.0 * math.log(math.log(n)))
-    records = []
-    lo_run, hi_run = -math.inf, math.inf
-    chosen_idx = None
-    alive = True
-    for i in range(hs.size):
-        V = lo = hi = None
-        if dens[i] != 0.0:
-            V = float(multiplier * sig[i] / abs(dens[i]))
-            lo, hi = float(qs[i] - V), float(qs[i] + V)
-        if alive and V is not None:
-            lo_new, hi_new = max(lo_run, lo), min(hi_run, hi)
-            if lo_new <= hi_new:
-                lo_run, hi_run = lo_new, hi_new
-                chosen_idx = i
-            else:
-                alive = False  # once empty, stays empty
-        records.append(BandwidthRecord(
-            h=float(hs[i]), q=float(qs[i]), sigma=float(sig[i]),
-            V=V, lo=lo, hi=hi, chosen=False, dropped=V is None,
-        ))
-    if chosen_idx is None:
-        raise NoSolutionError(
-            "every bandwidth was dropped by the density guard; "
-            "no interval to intersect"
-        )
-    records[chosen_idx] = replace(records[chosen_idx], chosen=True)
-    diag = LepskiDiagnostics(records=tuple(records), multiplier=multiplier)
-    return float(hs[chosen_idx]), float(qs[chosen_idx]), diag
+    dropped = dens == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        V = np.where(dropped, np.nan, multiplier * sig / np.abs(dens))
+    lo, hi = qs - V, qs + V
+    alive = (np.maximum.accumulate(np.where(dropped, -np.inf, lo), axis=1)
+             <= np.minimum.accumulate(np.where(dropped, np.inf, hi), axis=1))
+    kept = alive & ~dropped
+    last = hs.size - 1 - np.argmax(kept[:, ::-1], axis=1)
+    return Selection(bandwidths=hs, quantiles=qs, sigmas=sig,
+                     multiplier=multiplier, V=V, lo=lo, hi=hi,
+                     dropped=dropped,
+                     chosen=np.where(kept.any(axis=1), last, -1))

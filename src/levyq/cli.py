@@ -9,7 +9,9 @@ Three subcommands mirror the harness entry points:
 Exit codes: 0 on success, 2 for input problems (bad config, malformed
 chain file, invalid arguments, a chain or output file that cannot be
 read or written), 3 for numerical failures during estimation.  Error
-messages go to stderr.
+messages go to stderr.  mc-table excludes a failed replication cell from
+the averages and lists it on stderr; when no cell of the run is clean it
+writes no table and exits 3, as estimate-chain does for its one chain.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InputError, LevyqError
+from .errors import InputError, LevyqError, NumericalError
 from .harness import demo_direct, estimate_chain, load_config, run_mc_table
 
 __all__ = ["main", "build_parser"]
@@ -73,13 +75,17 @@ def _run_mc_table(args) -> None:
         config = dataclasses.replace(config, seed=args.seed)
     table = run_mc_table(config)
     out = Path(args.out)
-    out.write_text(table.to_csv(), encoding="utf-8")
     cells = table.replications * 2 * len(table.rows)
-    print(f"wrote {out} ({len(table.rows)} levels, {cells - table.failures} "
-          f"of {cells} replication cells clean, {table.failures} failures, "
-          f"{table.grid.points} spectral points)")
+    summary = (f"{len(table.rows)} levels, {cells - table.failures} of "
+               f"{cells} replication cells clean, {table.failures} failures, "
+               f"{table.grid.points} spectral points")
     for message in table.failure_log:
         print(f"  excluded: {message}", file=sys.stderr)
+    if table.failures == cells:
+        raise NumericalError(f"no replication cell is clean ({summary}); "
+                             f"{out} not written")
+    out.write_text(table.to_csv(), encoding="utf-8")
+    print(f"wrote {out} ({summary})")
 
 
 def _run_estimate_chain(args) -> None:

@@ -21,8 +21,7 @@ RMSE columns (oracle and adaptive, on both sides).
 All three drivers hand the inversion step the same table: the estimated
 cf and exponent derivatives on one frequency grid (`numerics.Spectra`,
 from `options.compute_chain_spectra` or `increments.psi2_from_increments`),
-and every bandwidth's tail function comes from one batched inversion of
-all its kernel-damped columns (`inversion.tail_estimates`).  The option
+inverted at every bandwidth into one `inversion.TailTable`.  The option
 drivers tabulate on the master window |u| <= n, the band of the smallest
 grid bandwidth 1/n; the direct demo on |u| <= 1/h, the band of its one
 bandwidth.  Every driver sizes that grid by one rule,
@@ -30,14 +29,15 @@ bandwidth.  Every driver sizes that grid by one rule,
 (the log-strike range, or the range of the increments), unless the config
 sets `spectral_points`; the chain report and the demo report record the
 grid used under "spectral_grid".  Per chain, the quantiles of all levels
-and bandwidths come from one `tail_quantiles` pass per side, and the
+and bandwidths come from one `tail_quantiles` pass per side, the
 deviation bounds of all (tau, side) cells from one `sigma_tilde` call per
-bandwidth.  The Monte Carlo loop prices the chain once (the strike design
-is fixed), forms the noise profile once, and re-perturbs the prices per
-replication; the replications are tabulated in groups that share one
-phase table per frequency chunk (`options._ChainDesign`).  Every command
-refuses, before it allocates, an inversion larger than
-`inversion._MAX_INVERSION`.
+bandwidth, and the picks of all cells from one `adaptive_quantile` call.
+The Monte Carlo loop prices the chain once (the strike design is fixed),
+forms the noise summary and the `inversion.TailInversion` (kernel rows,
+transform plan) once, and re-perturbs the prices per replication; the
+replications are tabulated in groups that share one phase table per
+frequency chunk (`options._ChainDesign`).  Every command refuses, before
+it allocates, an inversion larger than `inversion._MAX_INVERSION`.
 """
 from __future__ import annotations
 
@@ -47,13 +47,13 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .adaptive import (_bound_terms, _top_index, adaptive_quantile,
-                       build_grid, sigma_tilde)
+from .adaptive import (Selection, _bound_terms, _full_grid, _top_index,
+                       adaptive_quantile, build_grid, sigma_tilde)
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
 from .inversion import (_MAX_SPECTRAL_POINTS, FIRST_TAIL_NODE, X_MAX_DEFAULT,
-                        _check_inversion_size, checked_tail_nodes,
-                        grid_points, tail_estimates, tail_quantiles)
+                        TailInversion, _check_inversion_size, grid_points,
+                        tail_estimates, tail_quantiles)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, ExponentialJumps, LevyModel,
                      characteristic_exponent, martingale_drift, true_quantile)
@@ -431,12 +431,15 @@ def _cells_for(taus):
 @dataclass(frozen=True)
 class _CellEstimate:
     """One (tau, side) cell of one chain: the quantile and clamp flag at
-    every inverted bandwidth, and the selector's (h, q, diagnostics) over
-    the screened grid."""
+    every inverted bandwidth, and the selector's pick (h, q) over the
+    screened grid, row `row` of `selection`."""
 
     qs: np.ndarray
     clamped: np.ndarray
-    selection: tuple
+    h: float
+    q: float
+    selection: Selection
+    row: int
 
 
 def _attempt(fn, *args):
@@ -447,67 +450,67 @@ def _attempt(fn, *args):
         return exc
 
 
-def _chain_estimates(spectra, bw, kernel, config, taus, *, oracle):
+def _chain_estimates(spectra, bw, inversion, config, taus):
     """Per-(tau, side) estimates for one chain from its tabulated spectra.
 
-    All tail tables come from one tail_estimates call on the spectra grid,
-    and the quantiles of all levels and bandwidths from one tail_quantiles
-    pass per side.  With `oracle` the bandwidths are the full grid (the
-    post-hoc standard compares every grid bandwidth, whatever the screen
-    kept), otherwise the screened subset ``bw.values``; the interval rule
-    always runs over the screened subset, after one sigma_tilde call per
-    screened bandwidth for all cells still standing (the h-free part of the
-    bound is formed once) and one density lookup per bandwidth and side.
-    Returns a dict mapping (tau, side) to a _CellEstimate, or to the
-    LevyqError that cell raised (the rest of the chain is still used).
+    `inversion` (a `TailInversion` on the spectra grid) holds the full
+    grid ``bw.full_values`` for mc-table's oracle (the post-hoc standard
+    compares every grid bandwidth, whatever the screen kept), or the
+    screened ``bw.values``; one tail_quantiles pass per side reads every
+    level and bandwidth off its table.  Over the screened bandwidths, one
+    sigma_tilde call per bandwidth bounds all cells still standing, and
+    one adaptive_quantile call picks for all of them.  Returns a dict
+    mapping (tau, side) to a _CellEstimate, or to the LevyqError that
+    cell raised (the rest of the chain is still used).
     """
-    hs = bw.full_values if oracle else bw.values
-    first = bw.j_min if oracle else 0   # index of bw.values[0] in hs
-    dists = tail_estimates(spectra, kernel, hs, config.x_max)
+    hs = inversion.bandwidths
+    first = hs.size - bw.values.size   # index of bw.values[0] in hs
+    table = inversion.table(spectra)
     cells = _cells_for(taus)
     level = {tau: i for i, tau in enumerate(taus)}
-    found = {side: _attempt(tail_quantiles, dists, taus, config.eta, side)
+    found = {side: _attempt(tail_quantiles, table, taus, config.eta, side)
              for side in ("-", "+")}
     out = {cell: found[cell[1]] for cell in cells
            if isinstance(found[cell[1]], LevyqError)}
-    terms = _bound_terms(spectra, config.x_max)
+    terms = _bound_terms(spectra, config.x_max, hs[first:],
+                         inversion.kernel_rows[first:])
 
     sigmas = {cell: [] for cell in cells}
     for j in range(first, hs.size):
         live = [cell for cell in cells if cell not in out]
         h = float(hs[j])
         q_live = [found[side][0][level[tau], j] for tau, side in live]
-        values = _attempt(sigma_tilde, spectra, kernel, h, q_live,
+        values = _attempt(sigma_tilde, spectra, inversion.kernel, h, q_live,
                           [side for _, side in live], config.x_max, terms)
         if isinstance(values, LevyqError):
             # redo each cell alone, so an error stays with its own cell
-            values = [_attempt(sigma_tilde, spectra, kernel, h, q, side,
-                               config.x_max, terms)
+            values = [_attempt(sigma_tilde, spectra, inversion.kernel, h, q,
+                               side, config.x_max, terms)
                       for q, (_, side) in zip(q_live, live)]
         for cell, value in zip(live, values):
             sigmas[cell].append(value)
             if isinstance(value, LevyqError):
                 out[cell] = value
 
+    live = [cell for cell in cells if cell not in out]
     densities = {}
-    for side in ("-", "+"):
-        if not isinstance(found[side], LevyqError):
-            qs = found[side][0]
-            densities[side] = np.array([
-                np.interp(qs[:, j], dists[j].nodes, dists[j].density_pos
-                          if side == "+" else dists[j].density_neg)
-                for j in range(first, hs.size)]).T
-    for cell in cells:
-        if cell in out:
+    for side in {side for _, side in live}:
+        qs, d = found[side][0], table.density[int(side == "+")]
+        densities[side] = np.array([np.interp(qs[:, j], table.nodes, d[j])
+                                    for j in range(first, hs.size)]).T
+    selection = _attempt(
+        adaptive_quantile, hs[first:],
+        [found[side][0][level[tau], first:] for tau, side in live],
+        [densities[side][level[tau]] for tau, side in live],
+        [sigmas[cell] for cell in live], spectra.n_obs, config.delta)
+    for row, (tau, side) in enumerate(live):
+        pick = (selection if isinstance(selection, LevyqError)
+                else _attempt(selection.pick, row))
+        if isinstance(pick, LevyqError):
+            out[(tau, side)] = pick
             continue
-        tau, side = cell
-        qs, clamped = (table[level[tau]] for table in found[side])
-        selection = _attempt(adaptive_quantile, hs[first:], qs[first:],
-                             densities[side][level[tau]], sigmas[cell],
-                             spectra.n_obs, config.delta)
-        out[cell] = (selection if isinstance(selection, LevyqError) else
-                     _CellEstimate(qs=qs, clamped=clamped,
-                                   selection=selection))
+        out[(tau, side)] = _CellEstimate(
+            *(part[level[tau]] for part in found[side]), *pick, selection, row)
     return {cell: out[cell] for cell in cells}
 
 
@@ -524,12 +527,12 @@ def _group_spectra(design, chains) -> list:
 def run_mc_table(config: ExperimentConfig) -> RmseTable:
     """Replicated synthetic chains -> RMSE table against model truth.
 
-    The strike design, exact prices and noise profile are computed once;
-    each replication perturbs the prices with its own child of one seed
-    sequence, re-estimates the quantiles at every grid bandwidth, and runs
-    the bandwidth selector.  The replications' spectra are tabulated in
-    groups of about _GROUP_BYTES, each table bit for bit what it would be
-    alone.
+    The strike design, exact prices, noise summary and inversion are
+    formed once; each replication perturbs the prices with its own child
+    of one seed sequence, re-estimates the quantiles at every grid
+    bandwidth, and runs the bandwidth selector.  The replications' spectra
+    are tabulated in groups of about _GROUP_BYTES, each table bit for bit
+    what it would be alone.
     "Oracle" errors take, per (tau, side), the fixed grid bandwidth with the
     smallest root-mean-square error over the whole run -- a post-hoc
     standard no data-driven rule can see.
@@ -547,14 +550,15 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
     # else every replication fails, or asks for more memory than allowed;
     # the strike range can only add nodes, so a window refused without it
     # is refused before the chain is priced
-    bandwidths = _top_index(config.n, config.L) + 1
-    _spectral_grid(config, float(config.n), 0.0, bandwidths)
+    bandwidths = _full_grid(config.n, config.L)
+    _spectral_grid(config, float(config.n), 0.0, bandwidths.size)
     model = pricing_model(config)
     xs, exact = _synthetic_design(model, config.T, config.n,
                                   (config.strike_mean, config.strike_variance))
     master = _spectral_grid(config, float(config.n), float(np.ptp(xs)),
-                            bandwidths)
-    checked_tail_nodes(master, config.x_max)
+                            bandwidths.size)
+    inversion = TailInversion(master, flat_top_kernel(config.kernel_c),
+                              bandwidths, config.x_max)
 
     cells = _cells_for(config.taus)
     truth = {}
@@ -566,7 +570,6 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                 f"tau = {tau} exceeds the jump mass on side '{side}'; "
                 "no true quantile to compare against") from exc
 
-    kernel = flat_top_kernel(config.kernel_c)
     # the noise levels _perturbed_chain gives every replication
     design = _ChainDesign(xs, config.noise_fraction * exact, config.T, master)
     kept = {cell: [] for cell in cells}
@@ -585,8 +588,8 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                 if isinstance(spectra, LevyqError):
                     raise spectra
                 bw = build_grid(config.n, config.L, spectra)
-                result = _chain_estimates(spectra, bw, kernel, config,
-                                          config.taus, oracle=True)
+                result = _chain_estimates(spectra, bw, inversion, config,
+                                          config.taus)
             except LevyqError as exc:
                 failures.append(f"replication {index}: {exc}")
                 continue
@@ -608,7 +611,7 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                 continue
             stacked = np.array([est.qs for est in found])
             per_h = np.sqrt(np.mean((stacked - q_true) ** 2, axis=0))
-            picks = np.array([est.selection[1] for est in found])
+            picks = np.array([est.q for est in found])
             columns += [100.0 * float(np.min(per_h)),
                         100.0 * float(np.sqrt(np.mean((picks - q_true) ** 2)))]
         rows.append(RmseRow(tau, truth[(tau, "-")], truth[(tau, "+")],
@@ -650,10 +653,11 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
 
     master = _spectral_grid(config, float(chain.n), float(np.ptp(chain.xs)),
                             _top_index(chain.n, config.L) + 1)
-    kernel = flat_top_kernel(config.kernel_c)
     spectra = compute_chain_spectra(chain, master)
     bw = build_grid(chain.n, config.L, spectra)
-    cells = _chain_estimates(spectra, bw, kernel, config, taus, oracle=False)
+    inversion = TailInversion(master, flat_top_kernel(config.kernel_c),
+                              bw.values, config.x_max)
+    cells = _chain_estimates(spectra, bw, inversion, config, taus)
 
     estimates = {"-": [], "+": []}
     diagnostics = {"-": {}, "+": {}}
@@ -662,16 +666,15 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
             cell = cells[(tau, side)]
             if isinstance(cell, LevyqError):
                 raise cell
-            h_chosen, q_chosen, diag = cell.selection
-            chosen_index = next(i for i, record in enumerate(diag.records)
-                                if record.chosen)
             estimates[side].append({
                 "tau": tau,
-                "quantile": q_chosen,
-                "bandwidth": h_chosen,
-                "at_threshold": bool(cell.clamped[chosen_index]),
+                "quantile": cell.q,
+                "bandwidth": cell.h,
+                "at_threshold": bool(
+                    cell.clamped[cell.selection.chosen[cell.row]]),
             })
-            diagnostics[side][f"{tau:g}"] = diag.to_json_rows()
+            diagnostics[side][f"{tau:g}"] = cell.selection.diagnostics(
+                cell.row).to_json_rows()
 
     report = {
         "n": chain.n,
@@ -731,9 +734,9 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
         grid = grid_for(float(np.ptp(sample.values)))
     _check_cf_floor(model, config, grid)
     spectra = psi2_from_increments(sample, grid)
-    dists = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
+    table = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
                            [config.h], config.x_max)
-    found = {side: tail_quantiles(dists, taus, config.eta, side)
+    found = {side: tail_quantiles(table, taus, config.eta, side)
              for side in ("-", "+")}
     results = []
     for i, tau in enumerate(taus):

@@ -14,7 +14,8 @@ exponent,
 kept only on the trust region |phi(u)| >= (delta n)^{-1/2} and set to 0
 elsewhere (the low-frequency cf approach of Neumann & Reiss, Bernoulli
 2009).  The ratio is exactly invariant under adding a constant to every
-increment (the e^{iuc} factors cancel), so no drift correction is needed.
+increment, but it cancels terms of order (mean Y)^2; the sums run over the
+sample centred at its median, so that a drift costs no digits.
 
 On a uniform frequency grid `_ecf_all` factors the three sums over blocks
 of 64 nodes into one matrix product of running-product phase tables: per
@@ -113,16 +114,10 @@ def _ecf_all(values: np.ndarray, u: np.ndarray):
 
     Nodes that are not an arithmetic progression (scalars, irregular
     points, fewer than two nodes) use block 1: every start row is then a
-    seed, which is the direct sum.  A sample is refused (InputError) where
-    no phase is resolved, max|u| max|Y| >= 2^52 rad (a rounding unit of
-    1 rad), or where n max(Y^2) overflows.
+    seed, which is the direct sum.  `psi2_from_increments` refuses a
+    sample of which no phase is resolved.
     """
     n = values.size
-    ymax, umax = (float(np.max(np.abs(a), initial=0.0)) for a in (values, u))
-    if not (umax * ymax < 2.0 ** 52 and math.isfinite(n * ymax * ymax)):
-        raise InputError(
-            f"increments up to |Y| = {ymax:.3g} cannot be resolved at |u| <= "
-            f"{umax:.3g}: |u Y| must stay below 2^52 rad and n Y^2 finite")
     block = _progression_block(u)
     starts = u[::block]
     du = (u[-1] - u[0]) / (u.size - 1) if block > 1 else 0.0
@@ -171,6 +166,11 @@ def psi2_from_increments(sample: IncrementSample,
                          grid: FrequencyGrid) -> Spectra:
     """Empirical cf and exponent derivatives of the increments on ``grid.u``.
 
+    The sums run over the sample centred at its median m, so phi and psi1
+    are those of Y - m (the raw sample's times e^{-ium}, and minus
+    im/delta).  The raw sample is refused (InputError) where no phase is
+    resolved, max|u| max|Y| >= 2^52 rad, or where n max(Y^2) overflows.
+
     The trust region is |phi(u)| >= (delta n)^{-1/2}; outside it psi1 and
     psi2 are exactly 0 so downstream integrals simply drop those
     frequencies.  The table carries no quote-noise summary.
@@ -178,7 +178,15 @@ def psi2_from_increments(sample: IncrementSample,
     if sample.n < 2:
         raise InputError("need at least 2 increments")
     delta = sample.delta
-    phi0, phi1, phi2 = _ecf_all(sample.values, grid.u)
+    ymax, umax = (float(np.max(np.abs(a), initial=0.0))
+                  for a in (sample.values, grid.u))
+    if not (umax * ymax < 2.0 ** 52
+            and math.isfinite(sample.n * ymax * ymax)):
+        raise InputError(
+            f"increments up to |Y| = {ymax:.3g} cannot be resolved at |u| <= "
+            f"{umax:.3g}: |u Y| must stay below 2^52 rad and n Y^2 finite")
+    phi0, phi1, phi2 = _ecf_all(sample.values - np.median(sample.values),
+                                grid.u)
     trusted = np.abs(phi0) >= 1.0 / math.sqrt(delta * sample.n)
     # guard the division as well: off the trust region phi0 may be ~0
     safe0 = np.where(trusted, phi0, 1.0)

@@ -4,8 +4,10 @@ The pipeline shared by both observation schemes:
 
 1. Smooth the curvature estimate with a band-limited kernel at bandwidth h
    and invert:  F_h(x) = (1/2pi) int e^{-iux} psi2(u) fk(hu) du.  Either
-   scheme hands over its estimate as one `numerics.Spectra` table, and
-   `tail_estimates` inverts every bandwidth of it in one pass.
+   scheme hands over its estimate as one `numerics.Spectra` table.  A run
+   forms one `TailInversion` (tail nodes, kernel rows fk(h_j u), the plan
+   of the inverse transform) and inverts all bandwidths of each table
+   with one application of the plan (`tail_estimates` for one table).
 2. The density estimate is  nu_h(t) = -t^{-2} F_h(t)  for t != 0.
 3. The tail function N_h(t) integrates the density outward:
        N_h(t) = int_t^{X}  nu_h(x) dx          (t > 0)
@@ -15,34 +17,36 @@ The pipeline shared by both observation schemes:
    fastest, uniform further out where the Nyquist limit of the band-limited
    transform binds), truncated at X = x_max where the integrand is
    negligible for tempered models.  The grid starts at FIRST_TAIL_NODE,
-   and N_h is defined for |t| from there to x_max only.
+   and N_h is defined for |t| from there to x_max only.  Steps 2 and 3
+   give one `TailTable` of (side, bandwidth, node) arrays.
 4. The tau-quantile is the paper's q = inf{t > 0 : N(t) <= tau} (a jump
    beyond q is expected once in 1/tau time units) applied to the smallest
    nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
    the last crossing of tau, clamped to eta when N_h < tau throughout.
-   `tail_quantiles` finds it for every level and bandwidth of one side in
-   one pass; `quantile_from_distribution` is that pass for one cell.
+   `tail_quantiles` reads it off the table for every level and bandwidth
+   of one side in one pass.
 
 The frequency grid is sized by one rule, `grid_points`: the smallest power
 of two whose inverse-transform period is GRID_MARGIN times the reach of the
 inverted function.  The inversion's work arrays grow with bandwidths x
-(spectral points + 2 x tail nodes); `tail_estimates` refuses more than
+(spectral points + 2 x tail nodes); `TailInversion` refuses more than
 _MAX_INVERSION of these units before it allocates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import SpectralKernel
-from .numerics import _MAX_BATCH, FrequencyGrid, Spectra, inverse_fourier
+from .numerics import _MAX_BATCH, FrequencyGrid, Spectra, _GriddingPlan
 
 __all__ = [
-    "DistributionEstimate",
-    "QuantileEstimate",
+    "TailInversion",
+    "TailTable",
     "X_MAX_DEFAULT",
     "FIRST_TAIL_NODE",
     "GRID_MARGIN",
@@ -51,7 +55,6 @@ __all__ = [
     "checked_tail_nodes",
     "tail_estimates",
     "tail_quantiles",
-    "quantile_from_distribution",
 ]
 
 X_MAX_DEFAULT = 5.0
@@ -61,73 +64,6 @@ FIRST_TAIL_NODE = 0.004
 _NODE_SPLIT = 0.5
 _GEOM_POINTS = 640
 _LINEAR_STEP = 0.01
-
-
-@dataclass(frozen=True, eq=False)
-class DistributionEstimate:
-    """Tail function N_h (call it) and density nu_h (`density`) at one
-    bandwidth from the tables density_pos[i] = nu_h(nodes[i]) and
-    density_neg[i] = nu_h(-nodes[i]), nodes increasing to x_max = nodes[-1].
-
-    The density is linear between nodes, so N_h(t) = int_t^{x_max} nu_h
-    (mirrored for t < 0) is quadratic there, continuous, and exactly 0 at
-    +-x_max.  N_h is defined on first node <= |t| <= x_max and 0 beyond.
-    """
-
-    nodes: np.ndarray
-    density_pos: np.ndarray
-    density_neg: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        tables = {}
-        for sign, d in ((1, self.density_pos), (-1, self.density_neg)):
-            seg = 0.5 * np.diff(self.nodes) * (d[1:] + d[:-1])
-            tables[sign] = (d, np.concatenate([np.cumsum(seg[::-1])[::-1],
-                                               [0.0]]))
-        object.__setattr__(self, "_tables", tables)
-
-    def density(self, t):
-        """Tabulated density nu_h(t), linear between nodes."""
-        d, _ = self._tables[1 if t > 0 else -1]
-        return float(np.interp(abs(t), self.nodes, d))
-
-    def _one_side(self, s, sign):
-        nodes = self.nodes
-        d, cum = self._tables[sign]
-        out = np.empty(s.size)
-        inside = s <= nodes[-1]
-        out[~inside] = 0.0
-        si = s[inside]
-        if si.size:
-            idx = np.searchsorted(nodes, si, side="left")
-            idx = np.clip(idx, 1, nodes.size - 1)
-            x_hi = nodes[idx]
-            frac = (x_hi - si) / (x_hi - nodes[idx - 1])
-            d_at = d[idx] + frac * (d[idx - 1] - d[idx])
-            out[inside] = cum[idx] + 0.5 * (x_hi - si) * (d_at + d[idx])
-        return out
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.all(np.abs(t_arr) >= self.nodes[0]):
-            raise InputError(f"|t| must be at least the first tail node "
-                             f"{self.nodes[0]:g}, got {t}")
-        out = np.empty(t_arr.size)
-        pos = t_arr > 0
-        if pos.any():
-            out[pos] = self._one_side(t_arr[pos], 1)
-        if (~pos).any():
-            out[~pos] = self._one_side(-t_arr[~pos], -1)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """Location where the estimated tail function crosses level tau."""
-
-    value: float
-    at_threshold: bool
 
 
 def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
@@ -233,41 +169,82 @@ def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:
     return tail_nodes(x_max)
 
 
-def tail_estimates(spectra: Spectra, kernel: SpectralKernel, bandwidths,
-                   x_max: float = X_MAX_DEFAULT) -> list:
-    """Tail-function estimates N_h for every bandwidth from one spectra table.
+@dataclass(frozen=True, eq=False)
+class TailTable:
+    """Tail functions N_h of every bandwidth on one node grid.
 
-    Column j of the smoothed spectrum is spectra.psi2 * fk(h_j u) on the
-    table's grid; a single inverse_fourier pass evaluates F_h at
-    +-tail_nodes for all columns, and each column becomes one
-    DistributionEstimate with its +- density tables.  The grid window
-    should cover |u| < 1/h (the kernel's band): frequencies beyond
-    ``grid.cutoff`` are not integrated.  The grid must not alias the tail
-    nodes (`checked_tail_nodes`), and the inversion must stay within
-    `_check_inversion_size`.
+    density[s, j, i] is nu_h(-nodes[i]) for s = 0 and nu_h(nodes[i]) for
+    s = 1 at bandwidth bandwidths[j], nodes increasing to x_max =
+    nodes[-1].  The density is linear between nodes, so N_h(t) =
+    int_t^{x_max} nu_h (mirrored for t < 0) is quadratic there, continuous,
+    and exactly 0 at +-x_max; tail[s, j, i] holds it at +-nodes[i], from one
+    cumulative trapezoid sum along the node axis.
     """
-    hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
-    if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
-        raise InputError(f"bandwidths must be positive, got {bandwidths}")
-    grid = spectra.grid
-    _check_inversion_size(hs.size, grid.points, x_max)
-    u = grid.u
-    nodes = checked_tail_nodes(grid, x_max)
-    columns = np.stack([spectra.psi2 * kernel.fk(h * u) for h in hs], axis=1)
-    F = inverse_fourier(columns, grid, np.concatenate([-nodes[::-1], nodes]))
-    if not np.all(np.isfinite(F)):
-        raise NumericalError("inverse transform of the curvature is not finite")
-    F_neg = F[nodes.size - 1 :: -1]   # F(-nodes[i])
-    F_pos = F[nodes.size :]
-    return [DistributionEstimate(
-                nodes=nodes, density_pos=-F_pos[:, j] / (nodes * nodes),
-                density_neg=-F_neg[:, j] / (nodes * nodes), bandwidth=float(h))
-            for j, h in enumerate(hs)]
+
+    nodes: np.ndarray
+    bandwidths: np.ndarray
+    density: np.ndarray
+    tail: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        nodes, d = self.nodes, self.density
+        if d.shape != (2, self.bandwidths.size, nodes.size):
+            raise InputError(f"density tables of shape {d.shape}, not 2 sides"
+                             " x bandwidths x nodes")
+        seg = 0.5 * np.diff(nodes) * (d[..., 1:] + d[..., :-1])
+        tail = np.zeros(d.shape)
+        tail[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+        object.__setattr__(self, "tail", tail)
 
 
-def tail_quantiles(dists, taus, eta: float, side: str) -> tuple:
+class TailInversion:
+    """What the inversion of every spectra table on `grid` shares: the tail
+    nodes, the kernel rows fk(h_j u) on the grid and the plan of the
+    inverse transform at -+tail nodes.  The window should cover |u| < 1/h
+    (frequencies beyond ``grid.cutoff`` are not integrated); the grid must
+    not alias the tail nodes (`checked_tail_nodes`), and the inversion must
+    stay within `_check_inversion_size`."""
+
+    def __init__(self, grid: FrequencyGrid, kernel: SpectralKernel,
+                 bandwidths, x_max: float):
+        hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
+        if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
+            raise InputError(f"bandwidths must be positive, got {bandwidths}")
+        _check_inversion_size(hs.size, grid.points, x_max)
+        self.grid, self.kernel, self.bandwidths = grid, kernel, hs
+        self.nodes = checked_tail_nodes(grid, x_max)
+        self.kernel_rows = np.stack([kernel.fk(h * grid.u) for h in hs])
+        self._plan = _GriddingPlan(
+            grid, np.concatenate([-self.nodes[::-1], self.nodes]))
+
+    def table(self, spectra: Spectra) -> TailTable:
+        """The tail table of every bandwidth from one spectra table: column
+        j of the smoothed spectrum is spectra.psi2 * fk(h_j u)."""
+        if spectra.grid != self.grid:
+            raise InputError("spectra table on another frequency grid")
+        F = self._plan.apply(spectra.psi2[:, None] * self.kernel_rows.T)
+        if not np.all(np.isfinite(F)):
+            raise NumericalError(
+                "inverse transform of the curvature is not finite")
+        size = self.nodes.size
+        # F(-nodes[i]) and F(nodes[i]) per bandwidth
+        density = -np.stack([F[size - 1 :: -1].T, F[size:].T]) / (
+            self.nodes * self.nodes)
+        return TailTable(nodes=self.nodes, bandwidths=self.bandwidths,
+                         density=density)
+
+
+def tail_estimates(spectra: Spectra, kernel: SpectralKernel, bandwidths,
+                   x_max: float = X_MAX_DEFAULT) -> TailTable:
+    """Tail-function estimates N_h for every bandwidth from one spectra
+    table: `TailInversion` on the table's grid, applied once."""
+    inversion = TailInversion(spectra.grid, kernel, bandwidths, x_max)
+    return inversion.table(spectra)
+
+
+def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:
     """The tau-quantiles q = sup{t in [eta, x_max] : N_h(+-t) >= tau} of
-    tail tables on one node grid, for every level and table in one pass.
+    every bandwidth of a tail table, for every level in one pass.
 
     On node interval i, in w = nodes[i+1] - t, N_h - tau = a w^2 + b w + c.
     The last interval whose maximum (end values and interior vertex)
@@ -276,10 +253,11 @@ def tail_quantiles(dists, taus, eta: float, side: str) -> tuple:
     N_h < tau on all of [eta, x_max] the estimate clamps to eta with
     at_threshold=True.  eta may not lie below the first tail node.
 
-    Returns (values, at_threshold), arrays of shape (levels, tables).  The
-    coefficients that do not depend on tau are formed once per table; the
-    levels are taken in chunks of at most _MAX_BATCH elements per work array
-    (one level at a time where the tables alone hold more).
+    Returns (values, at_threshold), arrays of shape (levels, bandwidths).
+    The coefficients that do not depend on tau are formed once per
+    bandwidth; the levels are taken in chunks of at most _MAX_BATCH
+    elements per work array (one level at a time where the table alone
+    holds more).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     for tau in taus:
@@ -287,15 +265,12 @@ def tail_quantiles(dists, taus, eta: float, side: str) -> tuple:
             raise InputError(f"tau must be positive, got {tau}")
     if side not in ("+", "-"):
         raise InputError(f"side must be '+' or '-', got {side!r}")
-    nodes = dists[0].nodes
-    if not all(np.array_equal(dist.nodes, nodes) for dist in dists[1:]):
-        raise InputError("tail tables must share one node grid")
+    nodes = table.nodes
     if not eta >= nodes[0]:
         raise InputError(
             f"eta must be at least the first tail node {nodes[0]:g}, got {eta}")
-    sign = 1 if side == "+" else -1
-    d = np.stack([dist._tables[sign][0] for dist in dists])
-    cum = np.stack([dist._tables[sign][1] for dist in dists])
+    d = table.density[int(side == "+")]
+    cum = table.tail[int(side == "+")]
     # intervals from the one holding eta, the first cut at eta; the left
     # end of a whole interval takes its table value, so c < 0 at k below
     first = int(np.searchsorted(nodes, eta, side="right")) - 1
@@ -308,9 +283,9 @@ def tail_quantiles(dists, taus, eta: float, side: str) -> tuple:
     rise_vertex = (a * vertex + b) * vertex
     rise_left = (a * width + b) * width
     cut = width < step
-    rows = np.arange(len(dists))
-    values = np.empty((taus.size, len(dists)))
-    clamped = np.empty((taus.size, len(dists)), dtype=bool)
+    rows = np.arange(d.shape[0])
+    values = np.empty((taus.size, d.shape[0]))
+    clamped = np.empty((taus.size, d.shape[0]), dtype=bool)
     chunk = max(1, _MAX_BATCH // b.size)
     for lo in range(0, taus.size, chunk):
         tau = taus[lo : lo + chunk, None, None]
@@ -338,10 +313,3 @@ def tail_quantiles(dists, taus, eta: float, side: str) -> tuple:
         clamped[lo : lo + chunk] = ~found
     return values, clamped
 
-
-def quantile_from_distribution(dist: DistributionEstimate, tau: float,
-                               eta: float, side: str) -> QuantileEstimate:
-    """The tau-quantile of one tail table: `tail_quantiles` at one level."""
-    values, clamped = tail_quantiles([dist], [tau], eta, side)
-    return QuantileEstimate(value=float(values[0, 0]),
-                            at_threshold=bool(clamped[0, 0]))

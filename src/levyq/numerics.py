@@ -19,11 +19,13 @@ the real part of the half sum.
 Inverse transforms: `inverse_fourier` has one path for every column
 count, Gaussian gridding, a type-2 nonuniform FFT (Dutt & Rokhlin, SIAM J.
 Sci. Comput. 1993; Greengard & Lee, SIAM Rev. 2004), within 1.9e-13 of
-max|F| of the direct sum on random spectra.  Each call makes one real FFT
-set (of the modes' real and imaginary parts), keeps only the rows the
-targets touch, and gathers once per distinct |x|; the sign of a target is
-applied after the gather, so mirrored spectra give mirrored values bit for
-bit.
+max|F| of the direct sum on random spectra.  It is a plan and its
+application: the plan (`_GriddingPlan`) holds what the grid and targets
+fix, the Gaussian weights of each distinct |x| and the FFT rows they read;
+each application makes one real FFT set (of the modes' real and imaginary
+parts), gathers once per distinct |x| and applies the sign of a target
+after it, so mirrored spectra give mirrored values bit for bit.  A caller
+inverting many spectra at one set of targets forms the plan once.
 """
 
 from __future__ import annotations
@@ -225,82 +227,99 @@ def inverse_fourier(spectrum, grid: FrequencyGrid, targets) -> np.ndarray:
     g = spectrum(u) if callable(spectrum) else np.asarray(spectrum)
     if g.shape[:1] != u.shape or g.ndim > 2:
         raise InputError("spectrum array must match the grid nodes")
-    out = _gridded_sum(g.reshape(u.size, -1), grid, x)
+    out = _GriddingPlan(grid, x).apply(g.reshape(u.size, -1))
     return out if g.ndim == 2 else out[:, 0]
 
 
-def _gridded_sum(g, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
-    """The half sums of the (N, B) spectrum g at the targets x: one real
-    FFT set, one Gaussian gather per distinct |x|, then the sign of x."""
-    m, columns = g.shape
-    if not x.size:
-        return np.empty((0, columns))
-    half, size = m // 2, _OVERSAMPLING * m
-    tau = np.pi * _SPREAD / (m * m * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
-    k = np.arange(m) - half
-    scale = grid.weights * np.exp(tau * k * k)
-    # the real parts p and imaginary parts q of the coefficients
-    # a_k / G_k = w_j g_j / G_k of h, at index k mod R
-    modes = np.zeros((2, columns, size))
-    for nodes, index in ((slice(half, None), slice(None, m - half)),
-                         (slice(None, half), slice(size - half, None))):
-        np.multiply(g[nodes].real.T, scale[nodes], out=modes[0, :, index])
-        np.multiply(g[nodes].imag.T, scale[nodes], out=modes[1, :, index])
-    # P and Q, rows 0..R/2 of the FFTs of p and q: h = P + iQ
-    half_spectra = np.fft.rfft(modes)
-    del modes
-    # theta = du |x| in steps of the FFT grid, reduced modulo R; fmod is
-    # exact, so the fractional step is that of the unreduced position
-    distinct, where = np.unique(np.abs(x), return_inverse=True)
-    pos = np.fmod(distinct * (grid.spacing * size / (2.0 * np.pi)), size)
-    below = np.floor(pos)
-    frac = pos - below
-    first = below.astype(np.int32) - (_SPREAD - 1)
-    # the rows lo .. lo + count - 1 that the gather reads, at most one
-    # period; row r > R/2 (or r < 0) is the conjugate of row R - r (or -r)
-    lo = first.min()
-    count = min(first.max() - lo + 2 * _SPREAD, size)
-    rows = (lo + np.arange(count)) % size
-    mirror = rows > size // 2
-    table = np.empty((count, 2, columns), dtype=complex)
-    # (the indices are in range; "clip" lets take write into out unbuffered)
-    np.take(half_spectra, np.where(mirror, size - rows, rows), axis=2,
-            out=table.transpose(1, 2, 0), mode="clip")
-    del half_spectra
-    np.conjugate(table, out=table, where=mirror[:, None, None])
-    table = table.view(float).reshape(count, 4 * columns)
-    # the parts of the half sum even and odd in x, Re e^{-ic|x|} P and
-    # Re e^{-ic|x|} iQ, at each distinct |x|: one sparse row of 2 _SPREAD
-    # Gaussian weights, in step order, times the rows (Re P, Im P, Re Q,
-    # Im Q) of every column, _MAX_BATCH weights at a time
-    phase = (grid.u[0] + half * grid.spacing) * distinct
-    cos, sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
-    decay = (np.pi / size) ** 2 / tau   # (2 pi / R)^2 / (4 tau)
-    steps = np.arange(2 * _SPREAD, dtype=np.int32)
-    even, odd = np.empty((2, distinct.size, columns))
-    for start in range(0, distinct.size, _MAX_BATCH // steps.size):
-        part = slice(start, start + _MAX_BATCH // steps.size)
-        weights = frac[part, None] - (steps - (_SPREAD - 1))
-        weights *= weights
-        weights *= -decay
-        np.exp(weights, out=weights)
-        cols = np.add.outer(first[part] - lo, steps)
-        np.remainder(cols, size, out=cols)
-        gather = sparse.csr_array(
-            (weights.ravel(), cols.ravel(),
-             np.arange(0, weights.size + 1, steps.size)),
-            shape=(weights.shape[0], count))
-        p, q = (gather @ table).reshape(-1, 2, columns, 2
-                                        ).transpose(1, 3, 0, 2)
-        even[part] = cos[part] * p[0] + sin[part] * p[1]
-        odd[part] = sin[part] * q[0] - cos[part] * q[1]
-    # the sign after the gather: h = P + iQ, or P - iQ (the FFT of the modes
-    # of conj g) where the sign bit of x is set, so -0.0 mirrors 0.0 as well
-    out = odd[where]
-    out *= np.where(np.signbit(x), -1.0, 1.0)[:, None]
-    out += even[where]
-    out *= np.sqrt(np.pi / tau) / (2.0 * np.pi * size)
-    return out
+class _GriddingPlan:
+    """The part of `inverse_fourier`'s sum that depends on the grid and the
+    targets alone, for any spectrum: the scale w_j / G_k of the modes, the
+    FFT rows the gather reads, one sparse row of Gaussian weights per
+    distinct |x| (a CSR block per _MAX_BATCH weights), the phases and the
+    signs.  `apply` sums an (N, B) spectrum with it: one real FFT set, the
+    gather, then the sign of x."""
+
+    def __init__(self, grid: FrequencyGrid, x: np.ndarray):
+        m = grid.points // 2
+        half, size = m // 2, _OVERSAMPLING * m
+        tau = np.pi * _SPREAD / (m * m * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
+        k = np.arange(m) - half
+        self.scale = grid.weights * np.exp(tau * k * k)
+        self.norm = np.sqrt(np.pi / tau) / (2.0 * np.pi * size)
+        # theta = du |x| in steps of the FFT grid, reduced modulo R; fmod is
+        # exact, so the fractional step is that of the unreduced position
+        distinct, self.where = np.unique(np.abs(x), return_inverse=True)
+        pos = np.fmod(distinct * (grid.spacing * size / (2.0 * np.pi)), size)
+        below = np.floor(pos)
+        frac = pos - below
+        first = below.astype(np.int32) - (_SPREAD - 1)
+        # the rows lo .. lo + count - 1 that the gather reads, at most one
+        # period; row r > R/2 (or r < 0) is the conjugate of row R - r (or -r)
+        lo, hi = (first.min(), first.max()) if first.size else (0, 0)
+        rows = (lo + np.arange(min(hi - lo + 2 * _SPREAD, size))) % size
+        self.mirror = rows > size // 2
+        self.rows = np.where(self.mirror, size - rows, rows)
+        phase = (grid.u[0] + half * grid.spacing) * distinct
+        self.cos, self.sin = np.cos(phase)[:, None], np.sin(phase)[:, None]
+        # one sparse row of 2 _SPREAD Gaussian weights per distinct |x|, in
+        # step order, _MAX_BATCH weights per block
+        decay = (np.pi / size) ** 2 / tau   # (2 pi / R)^2 / (4 tau)
+        steps = np.arange(2 * _SPREAD, dtype=np.int32)
+        self.blocks = []
+        for start in range(0, distinct.size, _MAX_BATCH // steps.size):
+            part = slice(start, start + _MAX_BATCH // steps.size)
+            weights = frac[part, None] - (steps - (_SPREAD - 1))
+            weights *= weights
+            weights *= -decay
+            np.exp(weights, out=weights)
+            cols = np.add.outer(first[part] - lo, steps)
+            np.remainder(cols, size, out=cols)
+            self.blocks.append((part, sparse.csr_array(
+                (weights.ravel(), cols.ravel(),
+                 np.arange(0, weights.size + 1, steps.size)),
+                shape=(weights.shape[0], rows.size))))
+        # h = P + iQ, or P - iQ (the FFT of the modes of conj g) where the
+        # sign bit of x is set, so -0.0 mirrors 0.0 as well
+        self.sign = np.where(np.signbit(x), -1.0, 1.0)[:, None]
+
+    def apply(self, g) -> np.ndarray:
+        """The half sums of the (N, B) spectrum g at the plan's targets."""
+        m, columns = g.shape
+        half, size = m // 2, _OVERSAMPLING * m
+        # the real parts p and imaginary parts q of the coefficients
+        # a_k / G_k = w_j g_j / G_k of h, at index k mod R
+        modes = np.zeros((2, columns, size))
+        for nodes, index in ((slice(half, None), slice(None, m - half)),
+                             (slice(None, half), slice(size - half, None))):
+            np.multiply(g[nodes].real.T, self.scale[nodes],
+                        out=modes[0, :, index])
+            np.multiply(g[nodes].imag.T, self.scale[nodes],
+                        out=modes[1, :, index])
+        # P and Q, rows 0..R/2 of the FFTs of p and q: h = P + iQ
+        half_spectra = np.fft.rfft(modes)
+        del modes
+        table = np.empty((self.rows.size, 2, columns), dtype=complex)
+        # (indices in range: "clip" lets take write into out unbuffered)
+        np.take(half_spectra, self.rows, axis=2,
+                out=table.transpose(1, 2, 0), mode="clip")
+        del half_spectra
+        np.conjugate(table, out=table, where=self.mirror[:, None, None])
+        table = table.view(float).reshape(self.rows.size, 4 * columns)
+        # the parts of the half sum even and odd in x, Re e^{-ic|x|} P and
+        # Re e^{-ic|x|} iQ, at each distinct |x|: its Gaussian row times the
+        # rows (Re P, Im P, Re Q, Im Q) of every column
+        even, odd = np.empty((2, self.cos.size, columns))
+        for part, gather in self.blocks:
+            p, q = (gather @ table).reshape(-1, 2, columns, 2
+                                            ).transpose(1, 3, 0, 2)
+            cos, sin = self.cos[part], self.sin[part]
+            even[part] = cos * p[0] + sin * p[1]
+            odd[part] = sin * q[0] - cos * q[1]
+        out = odd[self.where]
+        out *= self.sign
+        out += even[self.where]
+        out *= self.norm
+        return out
 
 
 def bracketed_root(f, lo: float, hi: float, tol: float = 1e-8) -> float:

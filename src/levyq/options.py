@@ -51,11 +51,8 @@ from .numerics import FrequencyGrid, Spectra, inverse_fourier
 
 __all__ = [
     "OptionChain",
-    "NoiseProfile",
     "option_function",
     "generate_synthetic_chain",
-    "spline_spectra",
-    "estimate_noise_profile",
     "compute_chain_spectra",
     "read_chain_csv",
     "write_chain_csv",
@@ -307,12 +304,6 @@ def _linear_table(xs: np.ndarray, values: np.ndarray) -> tuple:
 _U_CHUNK = 512
 
 
-def _weighted_transforms(breaks: np.ndarray, ascending: np.ndarray, u: np.ndarray,
-                         ks) -> dict:
-    """All requested F_k of one interpolant table; see `_group_transforms`."""
-    return _group_transforms(breaks, [ascending], u, ks)[0]
-
-
 def _group_transforms(breaks: np.ndarray, tables, u: np.ndarray, ks) -> list:
     """All requested F_k on a common frequency array, as breakpoint sums, for
     each of several interpolant tables on the same breakpoints.
@@ -373,27 +364,6 @@ def _jump_weights(x: np.ndarray, asc: np.ndarray, ks) -> dict:
 # spectral estimators
 
 
-def spline_spectra(xs, prices, maturity: float, u: np.ndarray,
-                   noise_scale: float = 0.0):
-    """(phi~, trusted, psi~', psi~'') on an array of frequencies, from the
-    interpolant of the quotes (xs, prices).
-
-    trusted marks |phi~(u)| >= (1+|u|)^2 * noise_scale (and phi~ != 0);
-    both derivative arrays are zeroed outside it.  noise_scale is the
-    amplitude of the trust guard (0 disables it except for exact zeros of
-    phi~); pass ||e^{-x} rho|| / sqrt(n) for noisy data.
-    """
-    if not maturity > 0:
-        raise InputError(f"maturity must be positive, got {maturity}")
-    xs = np.asarray(xs, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    _check_knots(xs)
-    if prices.shape != xs.shape:
-        raise InputError("need two or more knots, one price each")
-    f = _weighted_transforms(*_linear_table(xs, prices), u, (0, 1, 2))
-    return _curvature(u, f, maturity, noise_scale)
-
-
 def _check_knots(xs: np.ndarray) -> None:
     if xs.ndim != 1 or xs.size < 2:
         raise InputError("need two or more knots, one price each")
@@ -402,17 +372,25 @@ def _check_knots(xs: np.ndarray) -> None:
 
 
 def _curvature(u, f: dict, maturity: float, noise_scale: float) -> tuple:
-    """(phi~, trusted, psi~', psi~'') from the transforms F_0, F_1, F_2."""
+    """(phi~, trusted, psi~', psi~'') from the transforms F_0, F_1, F_2.
+
+    A maturity so small that psi~' = O(1/T) cannot be squared, or psi~''
+    is not finite on a trusted node, raises NumericalError."""
     f0, f1, f2 = f[0], f[1], f[2]
     phi = 1.0 - u * (u + 1j) * f0
     threshold = (1.0 + np.abs(u)) ** 2 * noise_scale
     trusted = (np.abs(phi) >= threshold) & (phi != 0)
     safe_phi = np.where(trusted, phi, 1.0)
-    tphi = maturity * safe_phi
     num1 = (2.0 * u + 1j) * f0 + u * (1j * u - 1.0) * f1
-    psi1 = np.where(trusted, -num1 / tphi, 0.0)
     num2 = 2.0 * f0 + (4j * u - 2.0) * f1 - (u ** 2 + 1j * u) * f2
-    psi2 = np.where(trusted, -num2 / tphi - maturity * psi1 ** 2, 0.0)
+    with np.errstate(all="ignore"):  # checked below
+        tphi = maturity * safe_phi
+        psi1 = np.where(trusted, -num1 / tphi, 0.0)
+        psi2 = np.where(trusted, -num2 / tphi - maturity * psi1 ** 2, 0.0)
+    if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
+        raise NumericalError(
+            f"the exponent curvature overflows at maturity T = {maturity:g}: "
+            "psi~' = O(1/T) cannot be squared")
     return phi, trusted, psi1, psi2
 
 
@@ -423,28 +401,17 @@ _DENSITY_FLOOR = 1e-12
 _PROFILE_GRID = 1000
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseProfile:
-    """Design-compensated noise level rho = delta / sqrt(design density).
+def _noise_profile(xs: np.ndarray, noise_levels: np.ndarray) -> tuple:
+    """The quote-noise summary of a design: (sup_norms, l2_weighted).
 
-    sup_norms are max over the design range of |x|^k e^{-x} rho(x) for
-    k = 0, 1, 2; l2_weighted is the L2 norm of e^{-x} rho over the design
-    range.  Dividing the latter by sqrt(n) gives one standard deviation of
-    the phi~ reconstruction noise, the scale of the trust guard.
+    The profile is rho = delta / sqrt(f), delta the noise levels
+    interpolated between the quotes and f the triangular-kernel density of
+    the design (Silverman bandwidth), floored at _DENSITY_FLOOR.  On
+    _PROFILE_GRID points of the design range, sup_norms are max |x|^k
+    e^{-x} rho(x) for k = 0, 1, 2 and l2_weighted is the L2 norm of
+    e^{-x} rho; dividing the latter by sqrt(n) gives one standard deviation
+    of the phi~ reconstruction noise, the scale of the trust guard.
     """
-
-    rho: object
-    sup_norms: tuple
-    l2_weighted: float
-    density: object
-
-
-def estimate_noise_profile(chain: OptionChain) -> NoiseProfile:
-    """Triangular-kernel design density, Silverman bandwidth, rho and norms."""
-    return _noise_profile(chain.xs, chain.noise_levels)
-
-
-def _noise_profile(xs: np.ndarray, noise_levels: np.ndarray) -> NoiseProfile:
     n = xs.size
     if n < 5:
         raise InputError(f"noise profile needs at least 5 quotes, got {n}")
@@ -454,25 +421,16 @@ def _noise_profile(xs: np.ndarray, noise_levels: np.ndarray) -> NoiseProfile:
     if scale <= 0:
         raise InputError("degenerate design: all quoting points coincide")
     bandwidth = 1.06 * scale * n ** (-0.2)
-
-    def density(x):
-        x_arr = np.asarray(x, dtype=float)
-        t = np.abs(x_arr[..., None] - xs) / bandwidth
-        return np.clip(1.0 - t, 0.0, None).sum(axis=-1) / (n * bandwidth)
-
-    def rho(x):
-        d = np.interp(np.asarray(x, dtype=float), xs, noise_levels)
-        f = np.maximum(density(x), _DENSITY_FLOOR)
-        return d / np.sqrt(f)
-
     grid = np.linspace(xs[0], xs[-1], _PROFILE_GRID)
-    weighted = np.exp(-grid) * rho(grid)
+    t = np.abs(grid[..., None] - xs) / bandwidth
+    density = np.clip(1.0 - t, 0.0, None).sum(axis=-1) / (n * bandwidth)
+    rho = (np.interp(grid, xs, noise_levels)
+           / np.sqrt(np.maximum(density, _DENSITY_FLOOR)))
+    weighted = np.exp(-grid) * rho
     sup_norms = tuple(
         float(np.max(np.abs(grid) ** k * np.abs(weighted))) for k in (0, 1, 2)
     )
-    l2 = float(np.sqrt(np.trapezoid(weighted ** 2, grid)))
-    return NoiseProfile(rho=rho, sup_norms=sup_norms, l2_weighted=l2,
-                        density=density)
+    return sup_norms, float(np.sqrt(np.trapezoid(weighted ** 2, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +459,8 @@ class _ChainDesign:
         self.xs = np.asarray(xs, dtype=float)
         self.noise_levels = np.asarray(noise_levels, dtype=float)
         if np.any(self.noise_levels > 0):
-            profile = _noise_profile(self.xs, self.noise_levels)
-            self.sup_norms = profile.sup_norms
-            self.noise_scale = profile.l2_weighted / math.sqrt(self.xs.size)
+            self.sup_norms, l2 = _noise_profile(self.xs, self.noise_levels)
+            self.noise_scale = l2 / math.sqrt(self.xs.size)
         else:
             self.sup_norms = (0.0, 0.0, 0.0)
             self.noise_scale = 0.0

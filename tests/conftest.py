@@ -1,13 +1,18 @@
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from levyq.adaptive import adaptive_quantile
 from levyq.errors import InputError
-from levyq.inversion import X_MAX_DEFAULT, tail_estimates
+from levyq.inversion import (X_MAX_DEFAULT, TailTable, tail_estimates,
+                             tail_quantiles)
 from levyq.kernels import SpectralKernel
 from levyq.models import CGMYJumps, LevyModel, martingale_drift
 from levyq.numerics import FrequencyGrid, Spectra, inverse_fourier
+from levyq.options import (OptionChain, _check_knots, _curvature,
+                           _group_transforms, _linear_table)
 
 # spectral nodes of the grids tail_at and density_at tabulate on; the
 # tolerances of the tests that use them were set at this count
@@ -69,6 +74,29 @@ def curvature_table(psi2, grid):
                    psi2=values, trusted=np.ones(u.shape, dtype=bool))
 
 
+def weighted_transforms(breaks, ascending, u, ks):
+    """All requested F_k of one interpolant table at the frequencies u (any
+    sign, order or spacing): `_group_transforms` for that table alone."""
+    return _group_transforms(breaks, [ascending], u, ks)[0]
+
+
+def spline_spectra(xs, prices, maturity, u, noise_scale=0.0):
+    """(phi~, trusted, psi~', psi~'') on an array of frequencies, from the
+    interpolant of the quotes (xs, prices): what `compute_chain_spectra`
+    tabulates on a grid, at any frequencies.
+
+    trusted marks |phi~(u)| >= (1+|u|)^2 * noise_scale (and phi~ != 0);
+    both derivative arrays are zeroed outside it.  The quotes are checked
+    as a chain's are (positive maturity, strictly increasing knots, one
+    price each, at least two)."""
+    chain = OptionChain(maturity=maturity, rate=0.0, xs=xs, prices=prices,
+                        noise_levels=np.zeros(np.shape(xs)))
+    _check_knots(chain.xs)
+    f = weighted_transforms(*_linear_table(chain.xs, chain.prices), u,
+                            (0, 1, 2))
+    return _curvature(u, f, maturity, noise_scale)
+
+
 def interpolant_at(x, table):
     """The piecewise-linear option interpolant of a (breaks, ascending)
     table (`options._linear_table`'s form) at x: the straight line between
@@ -79,12 +107,116 @@ def interpolant_at(x, table):
     return np.interp(x, breaks, values_at_breaks, left=0.0, right=0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class TailOracle:
+    """Tail function N_h (call it) and density nu_h (`density`) at one
+    bandwidth, evaluated at any point from the tables density_pos[i] =
+    nu_h(nodes[i]) and density_neg[i] = nu_h(-nodes[i]), nodes increasing
+    to x_max = nodes[-1]: the point evaluator the quantile pass and the
+    tail table are checked against.
+
+    The density is linear between nodes, so N_h(t) = int_t^{x_max} nu_h
+    (mirrored for t < 0) is quadratic there, continuous, and exactly 0 at
+    +-x_max.  N_h is defined on first node <= |t| <= x_max and 0 beyond.
+    """
+
+    nodes: np.ndarray
+    density_pos: np.ndarray
+    density_neg: np.ndarray
+    bandwidth: float
+
+    def __post_init__(self):
+        tables = {}
+        for sign, d in ((1, self.density_pos), (-1, self.density_neg)):
+            seg = 0.5 * np.diff(self.nodes) * (d[1:] + d[:-1])
+            tables[sign] = (d, np.concatenate([np.cumsum(seg[::-1])[::-1],
+                                               [0.0]]))
+        object.__setattr__(self, "_tables", tables)
+
+    @classmethod
+    def from_table(cls, table, j):
+        """Bandwidth j of a TailTable."""
+        return cls(nodes=table.nodes, density_pos=table.density[1, j],
+                   density_neg=table.density[0, j],
+                   bandwidth=float(table.bandwidths[j]))
+
+    def density(self, t):
+        """Tabulated density nu_h(t), linear between nodes."""
+        d, _ = self._tables[1 if t > 0 else -1]
+        return float(np.interp(abs(t), self.nodes, d))
+
+    def _one_side(self, s, sign):
+        nodes = self.nodes
+        d, cum = self._tables[sign]
+        out = np.empty(s.size)
+        inside = s <= nodes[-1]
+        out[~inside] = 0.0
+        si = s[inside]
+        if si.size:
+            idx = np.searchsorted(nodes, si, side="left")
+            idx = np.clip(idx, 1, nodes.size - 1)
+            x_hi = nodes[idx]
+            frac = (x_hi - si) / (x_hi - nodes[idx - 1])
+            d_at = d[idx] + frac * (d[idx - 1] - d[idx])
+            out[inside] = cum[idx] + 0.5 * (x_hi - si) * (d_at + d[idx])
+        return out
+
+    def __call__(self, t):
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(np.abs(t_arr) >= self.nodes[0]):
+            raise InputError(f"|t| must be at least the first tail node "
+                             f"{self.nodes[0]:g}, got {t}")
+        out = np.empty(t_arr.size)
+        pos = t_arr > 0
+        if pos.any():
+            out[pos] = self._one_side(t_arr[pos], 1)
+        if (~pos).any():
+            out[~pos] = self._one_side(-t_arr[~pos], -1)
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def oracles(table):
+    """One TailOracle per bandwidth of a TailTable."""
+    return [TailOracle.from_table(table, j)
+            for j in range(table.bandwidths.size)]
+
+
+def as_table(dists):
+    """The TailTable of oracles on one node grid."""
+    return TailTable(
+        nodes=dists[0].nodes,
+        bandwidths=np.array([dist.bandwidth for dist in dists]),
+        density=np.array([[dist.density_neg for dist in dists],
+                          [dist.density_pos for dist in dists]]))
+
+
+class Quantile(NamedTuple):
+    value: float
+    at_threshold: bool
+
+
+def one_quantile(dist, tau, eta, side) -> Quantile:
+    """The tau-quantile of one oracle's table: `tail_quantiles` at one
+    level and one bandwidth."""
+    values, clamped = tail_quantiles(as_table([dist]), [tau], eta, side)
+    return Quantile(float(values[0, 0]), bool(clamped[0, 0]))
+
+
+def select_one(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
+    """adaptive_quantile on one cell: (h, q, LepskiDiagnostics), or the
+    NoSolutionError of a cell whose every bandwidth was dropped."""
+    selection = adaptive_quantile(bandwidths, quantiles, densities, sigmas,
+                                  n, delta)
+    return (*selection.pick(0), selection.diagnostics(0))
+
+
 def tail_at(psi2, kernel, h, x_max=X_MAX_DEFAULT, points=SPECTRAL_POINTS):
     """Tail-function estimate at one bandwidth: the curvature psi2 (a
     callable) tabulated on the full band |u| <= 1/h and inverted by
     tail_estimates, the table demo_direct builds from increments."""
     grid = FrequencyGrid(1.0 / h, points)
-    return tail_estimates(curvature_table(psi2, grid), kernel, [h], x_max)[0]
+    return TailOracle.from_table(
+        tail_estimates(curvature_table(psi2, grid), kernel, [h], x_max), 0)
 
 
 def density_at(psi2, kernel, h, t, points=SPECTRAL_POINTS):

@@ -42,18 +42,19 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from levyq.adaptive import adaptive_quantile, build_grid, sigma_tilde
+from levyq.adaptive import build_grid, sigma_tilde
 from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
-from levyq.inversion import quantile_from_distribution, tail_estimates
+from levyq.inversion import tail_estimates
 from levyq.kernels import flat_top_kernel
 from levyq.models import (LevyModel, characteristic_exponent,
                           exponent_curvature, true_quantile)
 from levyq.numerics import FrequencyGrid
 from levyq.options import (compute_chain_spectra, generate_synthetic_chain,
-                           option_function, spline_spectra)
+                           option_function)
 
-from conftest import PRINTED_QUANTILES, density_at, tail_at, verify_order
+from conftest import (PRINTED_QUANTILES, density_at, one_quantile, oracles,
+                      select_one, spline_spectra, tail_at, verify_order)
 
 # Reference benchmark table: empirical RMSE multiplied by 100, per
 # threshold level, columns (oracle -, adaptive -, oracle +, adaptive +).
@@ -191,14 +192,14 @@ def test_criterion_4_noiseless_dense_chain(bench_model):
     master = FrequencyGrid(cutoff=inv_h[-1] + 1.0, points=512)
     spectra = compute_chain_spectra(chain, master)
     kernel = flat_top_kernel(cfg.kernel_c)
-    dists = tail_estimates(spectra, kernel, ladder, cfg.x_max)
+    dists = oracles(tail_estimates(spectra, kernel, ladder, cfg.x_max))
 
     truth = {s: true_quantile(bench_model.jumps, 1.0, s) for s in ("-", "+")}
     best = {"-": math.inf, "+": math.inf}
     argbest = {"-": math.nan, "+": math.nan}
     for dist in dists:
         for side in ("-", "+"):
-            q = quantile_from_distribution(dist, 1.0, cfg.eta, side).value
+            q = one_quantile(dist, 1.0, cfg.eta, side).value
             err = abs(q - truth[side])
             if err < best[side]:
                 best[side], argbest[side] = err, dist.bandwidth
@@ -383,8 +384,7 @@ def test_criterion_7_selector_structure(bench_model):
         sigs = np.array([
             sigma_tilde(spectra, kernel, float(h), 0.11, "-")
             for h in grid.values])
-        h_sel, _, diag = adaptive_quantile(grid.values, qs, dens, sigs,
-                                           100, 0.1)
+        h_sel, _, diag = select_one(grid.values, qs, dens, sigs, 100, 0.1)
         selected.append(round(float(h_sel), 6))
         assert h_sel in grid.values
         assert any(r.chosen for r in diag.records)
@@ -392,7 +392,7 @@ def test_criterion_7_selector_structure(bench_model):
     # engineered fixture: the largest bandwidth's interval is disjoint
     # from the running intersection, so the selector stops one rung below
     m = 1.1 * math.sqrt(2.0 * math.log(math.log(100.0)))
-    h_pick, q_pick, _ = adaptive_quantile(
+    h_pick, q_pick, _ = select_one(
         [0.01, 0.02, 0.04], [0.50, 0.52, 5.00], [1.0] * 3,
         [0.30 / m, 0.25 / m, 0.10 / m], n=100)
     disjoint_ok = (h_pick == 0.02 and q_pick == 0.52)

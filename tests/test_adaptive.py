@@ -21,8 +21,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
+from conftest import select_one, spline_spectra
 from levyq.adaptive import (
     BandwidthGrid,
+    BandwidthRecord,
+    LepskiDiagnostics,
     _bound_terms,
     _e2,
     _screen_statistic,
@@ -33,11 +36,11 @@ from levyq.adaptive import (
 from levyq.errors import InputError, NoSolutionError, NumericalError
 from levyq.harness import DEFAULT_CHAIN_TAUS, ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
-from levyq.inversion import (X_MAX_DEFAULT, grid_points, tail_estimates,
-                             tail_quantiles)
+from levyq.inversion import (X_MAX_DEFAULT, TailInversion, grid_points,
+                             tail_estimates, tail_quantiles)
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import _MAX_BATCH, FrequencyGrid, Spectra
-from levyq.options import compute_chain_spectra, generate_synthetic_chain, spline_spectra
+from levyq.options import compute_chain_spectra, generate_synthetic_chain
 
 RATE = 0.06
 MATURITY = 0.25
@@ -550,8 +553,8 @@ class TestBoundAgainstOracle:
         spectra = compute_chain_spectra(chain, FrequencyGrid(100.0, 8192))
         kernel = flat_top_kernel(cfg.kernel_c)
         hs = build_grid(cfg.n, cfg.L).values
-        dists = tail_estimates(spectra, kernel, hs, cfg.x_max)
-        qs = np.concatenate([tail_quantiles(dists, DEFAULT_CHAIN_TAUS,
+        table = tail_estimates(spectra, kernel, hs, cfg.x_max)
+        qs = np.concatenate([tail_quantiles(table, DEFAULT_CHAIN_TAUS,
                                             cfg.eta, side)[0]
                              for side in ("-", "+")])
         sides = ["-"] * len(DEFAULT_CHAIN_TAUS) + ["+"] * len(DEFAULT_CHAIN_TAUS)
@@ -560,7 +563,9 @@ class TestBoundAgainstOracle:
     def test_default_chain_every_bandwidth_and_cell(self, default_chain_cells):
         spectra, kernel, hs, qs, sides = default_chain_cells
         assert hs.size == 13 and qs.shape == (40, 13)
-        terms = _bound_terms(spectra, X_MAX_DEFAULT)
+        rows = TailInversion(spectra.grid, kernel, hs,
+                             X_MAX_DEFAULT).kernel_rows
+        terms = _bound_terms(spectra, X_MAX_DEFAULT, hs, rows)
         for j, h in enumerate(hs):
             got = sigma_tilde(spectra, kernel, h, qs[:, j], sides,
                               X_MAX_DEFAULT, terms)
@@ -605,18 +610,23 @@ class TestBoundAgainstOracle:
 
     def test_terms_of_another_table_refused(self, noisy_spectra):
         other = dataclasses.replace(noisy_spectra, n_obs=200)
-        terms = _bound_terms(other, X_MAX_DEFAULT)
+        rows = flat_top_kernel()(0.02 * other.grid.u)[None]
+        terms = _bound_terms(other, X_MAX_DEFAULT, [0.02], rows)
         with pytest.raises(InputError):
             sigma_tilde(noisy_spectra, flat_top_kernel(), 0.02, 0.1, "+",
                         X_MAX_DEFAULT, terms)
         with pytest.raises(InputError):
             sigma_tilde(other, flat_top_kernel(), 0.02, 0.1, "+", 4.0, terms)
+        # terms hold the kernel rows of their bandwidths only
+        with pytest.raises(InputError, match="no kernel row"):
+            sigma_tilde(other, flat_top_kernel(), 0.03, 0.1, "+",
+                        X_MAX_DEFAULT, terms)
 
 
 class TestAdaptiveQuantile:
     def test_identical_intervals_choose_max_bandwidth(self):
         hs = [0.01, 0.02, 0.04]
-        h, q, diag = adaptive_quantile(hs, [0.5] * 3, [1.0] * 3, [0.1] * 3, n=100)
+        h, q, diag = select_one(hs, [0.5] * 3, [1.0] * 3, [0.1] * 3, n=100)
         assert h == 0.04
         assert q == 0.5
         assert diag.records[-1].chosen
@@ -628,7 +638,7 @@ class TestAdaptiveQuantile:
         hs = [0.01, 0.02, 0.04]
         qs = [0.50, 0.52, 5.00]
         sigmas = [0.30 / m, 0.25 / m, 0.10 / m]
-        h, q, diag = adaptive_quantile(hs, qs, [1.0] * 3, sigmas, n=100)
+        h, q, diag = select_one(hs, qs, [1.0] * 3, sigmas, n=100)
         assert h == 0.02
         assert q == 0.52
         assert [r.chosen for r in diag.records] == [False, True, False]
@@ -639,20 +649,20 @@ class TestAdaptiveQuantile:
         hs = [0.01, 0.02, 0.04, 0.08]
         qs = [0.50, 0.52, 5.00, 5.01]
         sigmas = [s / m for s in (0.30, 0.25, 0.10, 0.50)]
-        h, q, _ = adaptive_quantile(hs, qs, [1.0] * 4, sigmas, n=100)
+        h, q, _ = select_one(hs, qs, [1.0] * 4, sigmas, n=100)
         assert h == 0.02
 
     def test_multiplier_value(self):
         # delta = 0.1, n = 100: (1.1) sqrt(2 log log 100) = 1.923 (natural logs)
-        _, _, diag = adaptive_quantile([0.01], [0.5], [1.0], [1.0], n=100,
-                                       delta=0.1)
+        _, _, diag = select_one([0.01], [0.5], [1.0], [1.0], n=100,
+                                delta=0.1)
         assert abs(diag.multiplier - 1.923) < 1e-3
         assert diag.records[0].V == pytest.approx(diag.multiplier)
 
     def test_zero_density_dropped_with_flag(self):
         hs = [0.01, 0.02, 0.04]
-        h, q, diag = adaptive_quantile(hs, [0.5, 0.9, 0.51], [1.0, 0.0, 1.0],
-                                       [0.1, 0.1, 0.1], n=100)
+        h, q, diag = select_one(hs, [0.5, 0.9, 0.51], [1.0, 0.0, 1.0],
+                                [0.1, 0.1, 0.1], n=100)
         assert diag.records[1].dropped
         assert diag.records[1].V is None
         # the dropped bandwidth does not break the chain: h = 0.04 wins
@@ -660,19 +670,19 @@ class TestAdaptiveQuantile:
 
     def test_all_dropped_is_an_error(self):
         with pytest.raises(NoSolutionError):
-            adaptive_quantile([0.01, 0.02], [0.5, 0.5], [0.0, 0.0],
-                              [0.1, 0.1], n=100)
+            select_one([0.01, 0.02], [0.5, 0.5], [0.0, 0.0],
+                       [0.1, 0.1], n=100)
 
     def test_interval_uses_absolute_density(self):
         # negative density estimates enter through |density|
-        h, q, diag = adaptive_quantile([0.01, 0.02], [0.5, 0.5], [-1.0, 1.0],
-                                       [0.1, 0.1], n=100)
+        h, q, diag = select_one([0.01, 0.02], [0.5, 0.5], [-1.0, 1.0],
+                                [0.1, 0.1], n=100)
         assert h == 0.02
         assert diag.records[0].V == pytest.approx(diag.records[1].V)
 
     def test_diagnostics_serialize(self):
-        _, _, diag = adaptive_quantile([0.01, 0.02], [0.5, 0.6], [1.0, 0.0],
-                                       [0.1, 0.2], n=100)
+        _, _, diag = select_one([0.01, 0.02], [0.5, 0.6], [1.0, 0.0],
+                                [0.1, 0.2], n=100)
         rows = diag.to_json_rows()
         text = json.dumps(rows)
         back = json.loads(text)
@@ -690,3 +700,130 @@ class TestAdaptiveQuantile:
             adaptive_quantile([0.01], [0.5], [1.0], [0.1], n=2)
         with pytest.raises(InputError):
             adaptive_quantile([0.01], [0.5], [1.0], [-0.1], n=100)
+        with pytest.raises(InputError):
+            adaptive_quantile([0.01, 0.02], [[0.5, 0.5]], [[1.0, 1.0]],
+                              [[0.1]], n=100)
+        with pytest.raises(InputError):
+            adaptive_quantile([0.01], [math.nan], [1.0], [0.1], n=100)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell scan of the interval rule, kept as the reference of the
+# selector over cells x bandwidths
+
+
+def scan_reference(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
+    """One cell, one bandwidth at a time: walk the grid upward keeping the
+    running intersection and stop once it empties.  Returns (h, q,
+    LepskiDiagnostics); NoSolutionError when every bandwidth is dropped."""
+    hs, qs, dens, sig = (np.asarray(a, dtype=float) for a in
+                         (bandwidths, quantiles, densities, sigmas))
+    multiplier = (1.0 + delta) * math.sqrt(2.0 * math.log(math.log(n)))
+    records = []
+    lo_run, hi_run = -math.inf, math.inf
+    chosen_idx = None
+    alive = True
+    for i in range(hs.size):
+        V = lo = hi = None
+        if dens[i] != 0.0:
+            with np.errstate(over="ignore"):   # a tiny density: V = inf
+                V = float(multiplier * sig[i] / abs(dens[i]))
+            lo, hi = float(qs[i] - V), float(qs[i] + V)
+        if alive and V is not None:
+            lo_new, hi_new = max(lo_run, lo), min(hi_run, hi)
+            if lo_new <= hi_new:
+                lo_run, hi_run = lo_new, hi_new
+                chosen_idx = i
+            else:
+                alive = False  # once empty, stays empty
+        records.append(BandwidthRecord(
+            h=float(hs[i]), q=float(qs[i]), sigma=float(sig[i]),
+            V=V, lo=lo, hi=hi, chosen=False, dropped=V is None))
+    if chosen_idx is None:
+        raise NoSolutionError("every bandwidth was dropped")
+    records[chosen_idx] = dataclasses.replace(records[chosen_idx],
+                                              chosen=True)
+    return (float(hs[chosen_idx]), float(qs[chosen_idx]),
+            LepskiDiagnostics(records=tuple(records), multiplier=multiplier))
+
+
+def bits(values):
+    """The bit patterns of floats, None as NaN."""
+    return np.array([math.nan if v is None else v for v in values],
+                    dtype=float).view(np.uint64)
+
+
+@st.composite
+def selector_cells(draw):
+    """Cells x bandwidths of quantiles, densities and sigmas.  Values come
+    partly from small dyadic sets, so intervals tie (sigma 0 makes lo ==
+    hi, equal quantiles coincide), densities are often 0, and a cell may
+    have every bandwidth dropped."""
+    cells = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 8))
+    hs = np.cumsum(draw(st.lists(st.floats(1e-3, 0.1), min_size=size,
+                                 max_size=size)))
+
+    def table(values):
+        return np.array(draw(st.lists(
+            st.lists(values, min_size=size, max_size=size),
+            min_size=cells, max_size=cells)), dtype=float)
+
+    qs = table(st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
+                         st.floats(0.004, 5.0)))
+    dens = table(st.one_of(st.sampled_from([0.0, 0.0, -0.5, 1.0, 2.0]),
+                           st.floats(-50.0, 50.0)))
+    sig = table(st.one_of(st.sampled_from([0.0, 0.01, 0.1]),
+                          st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        dens[draw(st.integers(0, cells - 1))] = 0.0
+    n = draw(st.integers(10, 10 ** 6))
+    return hs, qs, dens, sig, n
+
+
+class TestSelectorOverCells:
+    """adaptive_quantile over cells x bandwidths against the per-cell scan,
+    bit for bit: picks, V, lo, hi and dropped flags."""
+
+    @given(case=selector_cells(), delta=st.floats(0.01, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_cell_scan(self, case, delta):
+        hs, qs, dens, sig, n = case
+        selection = adaptive_quantile(hs, qs, dens, sig, n, delta)
+        for c in range(qs.shape[0]):
+            try:
+                h, q, diag = scan_reference(hs, qs[c], dens[c], sig[c], n,
+                                            delta)
+            except NoSolutionError:
+                # that cell alone has no pick
+                assert selection.chosen[c] == -1
+                with pytest.raises(NoSolutionError):
+                    selection.pick(c)
+                assert selection.dropped[c].all()
+                continue
+            assert selection.pick(c) == (h, q)
+            got = selection.diagnostics(c)
+            assert got.multiplier == diag.multiplier
+            assert got.records == diag.records
+            for field in ("V", "lo", "hi"):
+                want = bits([getattr(r, field) for r in diag.records])
+                assert np.array_equal(bits(getattr(selection, field)[c]),
+                                      want)
+                assert np.array_equal(
+                    bits([getattr(r, field) for r in got.records]), want)
+            assert selection.dropped[c].tolist() == [r.dropped for r in
+                                                     diag.records]
+
+    def test_cells_are_independent(self):
+        # an all-dropped cell beside two that pick; each row alone gives
+        # the row's result in the batch
+        hs = [0.01, 0.02, 0.04]
+        qs = [[0.5, 0.5, 0.5], [0.5, 0.52, 5.0], [0.5, 0.6, 0.7]]
+        dens = [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+        sig = [[0.1] * 3, [0.15, 0.13, 0.05], [0.1] * 3]
+        selection = adaptive_quantile(hs, qs, dens, sig, 100)
+        assert selection.chosen.tolist() == [2, 1, -1]
+        for c in range(3):
+            alone = adaptive_quantile(hs, qs[c], dens[c], sig[c], 100)
+            assert alone.chosen[0] == selection.chosen[c]
+            assert np.array_equal(bits(alone.V[0]), bits(selection.V[c]))

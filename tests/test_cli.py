@@ -171,17 +171,20 @@ class TestMcTableCommand:
         for row in rows:
             assert row[3] and row[5]            # oracle cells filled
 
-    @pytest.mark.parametrize("target, summary", [
-        ("adaptive_quantile", "0 of 4 replication cells clean, 4 failures"),
-        ("spectra", "2 of 4 replication cells clean, 2 failures"),
+    @pytest.mark.parametrize("target, summary, code", [
+        ("adaptive_quantile", "0 of 4 replication cells clean, 4 failures",
+         3),
+        ("spectra", "2 of 4 replication cells clean, 2 failures", 0),
     ], ids=["every-cell-fails", "first-replication-fails"])
     def test_summary_counts_failed_cells(self, mc_config_file, tmp_path,
                                          capsys, monkeypatch, target,
-                                         summary):
+                                         summary, code):
         # 2 replications x 1 tau x 2 sides = 4 cells; a failed selector
-        # excludes one cell, a failed spectra table its whole replication.
-        # The replications' tables are made together and, when that fails,
-        # one by one; here only the first replication's table fails.
+        # excludes every cell of its chain, a failed spectra table its
+        # whole replication.  The replications' tables are made together
+        # and, when that fails, one by one; here only the first
+        # replication's table fails.  A run with no clean cell writes no
+        # table and exits 3, with the summary on the numerical failure line
         if target == "adaptive_quantile":
             def fail(*args):
                 raise NumericalError("synthetic failure")
@@ -200,13 +203,39 @@ class TestMcTableCommand:
             monkeypatch.setattr(levyq.options._ChainDesign, "spectra",
                                 fail_first_chain)
         out = tmp_path / "table.csv"
-        code = cli.main(["mc-table", "--config", str(mc_config_file),
-                         "--reps", "2", "--out", str(out)])
+        got = cli.main(["mc-table", "--config", str(mc_config_file),
+                        "--reps", "2", "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == 0
-        assert summary in captured.out
+        assert got == code
+        assert summary in (captured.err if code else captured.out)
         assert captured.err.count("excluded:") == (
             4 if target == "adaptive_quantile" else 1)
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("command", ["mc-table", "estimate-chain"])
+    def test_maturity_too_small_is_a_numerical_failure(self, tmp_path,
+                                                       capsys, command):
+        # at T = 1e-300 psi~' = O(1/T) cannot be squared: the curvature
+        # raises at the overflow (it printed two RuntimeWarnings), and
+        # mc-table, with no clean cell left, exits 3 as estimate-chain
+        # does (it wrote a table of empty cells and exited 0)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(MC_CFG.replace("replications = 1", "replications = 3")
+                       + "T = 1e-300\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "estimate-chain":
+            argv[1:1] = ["--chain", str(chain_file(tmp_path, 32))]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines()[-1].startswith("numerical failure:")
+        assert "T = 1e-300" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not out.exists()
+        if command == "mc-table":
+            assert err.count("excluded:") == 3
+            assert "0 of 6 replication cells clean" in err
 
     @pytest.mark.parametrize("line", ["x_max = 0.4", "spectral_points = 16"])
     def test_config_no_replication_can_run(self, tmp_path, capsys, line):
@@ -471,7 +500,8 @@ class TestDemoDirectCommand:
     @pytest.mark.parametrize("line, expected", [
         ("gamma = 1e200", 2), ("gamma = -1e200", 2), ("gamma = 1e150", 2),
         ("increment_delta = 5e-324", 2), ("increment_delta = 1e-300", 2),
-        ("gamma = 0.0", 0),
+        ("gamma = 1e300", 2), ("gamma = -1e300", 2),
+        ("jump_rate = 1e-300", 2), ("gamma = 0.0", 0),
     ])
     def test_sample_without_signal_is_an_input_error(self, tmp_path, capsys,
                                                      line, expected):

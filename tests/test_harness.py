@@ -44,8 +44,8 @@ from levyq.harness import (
     pricing_model,
     run_mc_table,
 )
-from levyq.inversion import (grid_points, quantile_from_distribution,
-                             tail_estimates, tail_quantiles)
+from levyq.inversion import (TailInversion, grid_points, tail_estimates,
+                             tail_quantiles)
 from levyq.kernels import flat_top_kernel
 from levyq.models import ExponentialJumps, martingale_drift
 from levyq.numerics import FrequencyGrid
@@ -54,7 +54,7 @@ from levyq.options import (_perturbed_chain, _synthetic_design,
                            write_chain_csv)
 from levyq.simulate import IncrementSampler, sample_increments
 
-from conftest import TRUE_QUANTILES
+from conftest import TRUE_QUANTILES, one_quantile, oracles
 
 LN2 = math.log(2.0)
 
@@ -351,7 +351,8 @@ FROZEN_CHAIN = {
 # demo_direct on compound-Poisson-exp increments (intensity 5, Exp(1)
 # jumps, sigma 0, spacing 0.5, h 0.05), n = 5,000, seed 1, default taus,
 # on the 1,024 spectral points the sizing rule gives (grid_points),
-# inverted by Gaussian gridding.  Rows: tau, side, estimate, at_threshold.
+# inverted by Gaussian gridding, the cf summed over the sample centred at
+# its median.  Rows: tau, side, estimate, at_threshold.
 FROZEN_DIRECT_CONFIG = dict(
     kind="compound-poisson-exp", intensity=5.0, jump_rate=1.0, sigma=0.0,
     gamma=0.0, increment_delta=0.5, h=0.05, method="exact-compound-poisson",
@@ -360,13 +361,13 @@ FROZEN_DIRECT = (
     (0.5, "-", 0.02, True),
     (0.5, "+", 2.307217562433853, False),
     (1.0, "-", 0.02, True),
-    (1.0, "+", 1.5281697698901324, False),
+    (1.0, "+", 1.5281697698901326, False),
     (1.5, "-", 0.02, True),
-    (1.5, "+", 1.1578782919278778, False),
+    (1.5, "+", 1.1578782919278774, False),
     (2.0, "-", 0.02, True),
-    (2.0, "+", 0.877400510783411, False),
+    (2.0, "+", 0.8774005107834109, False),
     (2.5, "-", 0.02, True),
-    (2.5, "+", 0.6478086376467974, False),
+    (2.5, "+", 0.6478086376467967, False),
 )
 
 
@@ -392,9 +393,9 @@ FIXED_COUNT_CHAIN = {
     "plus": (0.14585788734520067, 0.11534999900358599, 0.09566822099578876,
              0.08100156680903407, 0.06944185785883382),
 }
-FIXED_COUNT_DIRECT = (2.3072175624295705, 1.5281697698940404,
-                      1.1578782919295776, 0.8774005107902542,
-                      0.6478086376502632)
+FIXED_COUNT_DIRECT = (2.307217562429571, 1.5281697698940402,
+                      1.1578782919295774, 0.877400510790254,
+                      0.6478086376502635)
 
 
 class TestFrozenResults:
@@ -425,6 +426,20 @@ class TestFrozenResults:
         got = tuple((r["tau"], r["side"], r["estimate"], r["at_threshold"])
                     for r in report["results"])
         assert got == FROZEN_DIRECT
+
+    @pytest.mark.parametrize("gamma", [1e9, 1e11])
+    def test_direct_estimates_do_not_move_with_the_drift(self, gamma):
+        # psi'' is drift-invariant; the sums over the median-centred sample
+        # keep it so in floating point (measured: 8.6e-9 at 1e9 and 9.6e-7
+        # at 1e11, where the raw increments themselves round at 6e-8 and
+        # 6e-6), where the raw sample's cf lost the '+' estimates entirely
+        report = demo_direct(ExperimentConfig(**{**FROZEN_DIRECT_CONFIG,
+                                                 "gamma": gamma}))
+        got = [(r["tau"], r["side"], r["estimate"], r["at_threshold"])
+               for r in report["results"]]
+        for (tau, side, value, clamped), want in zip(got, FROZEN_DIRECT):
+            assert (tau, side, clamped) == (want[0], want[1], want[3])
+            assert value == pytest.approx(want[2], rel=0, abs=1e-5)
 
     def test_explicit_count_reproduces_the_fixed_grid(self):
         table = run_mc_table(ExperimentConfig(replications=2, seed=0,
@@ -512,15 +527,16 @@ class TestEstimateChain:
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
         spectra = compute_chain_spectra(chain, master)
         bw = build_grid(cfg.n, cfg.L, spectra)
-        cells = _chain_estimates(spectra, bw, flat_top_kernel(cfg.kernel_c),
-                                 cfg, cfg.taus, oracle=True)
+        inversion = TailInversion(master, flat_top_kernel(cfg.kernel_c),
+                                  bw.full_values, cfg.x_max)
+        cells = _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
         assert report["bandwidth_grid"] == list(bw.values)
         for key, side in (("minus", "-"), ("plus", "+")):
             for row in report["estimates"][key]:
                 cell = cells[(row["tau"], side)]
                 rows = report["diagnostics"][key][f"{row['tau']:g}"]
                 assert [r["q"] for r in rows] == list(cell.qs[bw.j_min:])
-                assert row["quantile"] == cell.selection[1]
+                assert row["quantile"] == cell.q
 
     def test_invalid_threshold_fails_only_its_cell(self, monkeypatch):
         # one cell's quantile at one bandwidth is moved to x_max, where the
@@ -537,16 +553,16 @@ class TestEstimateChain:
         kernel = flat_top_kernel(cfg.kernel_c)
 
         def run():
-            return _chain_estimates(spectra, bw, kernel, cfg, cfg.taus,
-                                    oracle=False)
+            inversion = TailInversion(master, kernel, bw.values, cfg.x_max)
+            return _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
 
         clean = run()
         bad_cell, bad_h = (1.0, "+"), float(bw.values[3])
 
-        def shifted(dists, taus, eta, side):
-            values, clamped = tail_quantiles(dists, taus, eta, side)
+        def shifted(table, taus, eta, side):
+            values, clamped = tail_quantiles(table, taus, eta, side)
             if side == bad_cell[1]:
-                column = [dist.bandwidth for dist in dists].index(bad_h)
+                column = list(table.bandwidths).index(bad_h)
                 values[list(taus).index(bad_cell[0]), column] = cfg.x_max
             return values, clamped
 
@@ -561,14 +577,15 @@ class TestEstimateChain:
             if cell == bad_cell:
                 continue
             assert np.array_equal(cells[cell].qs, est.qs)
-            assert cells[cell].selection[:2] == est.selection[:2]
-            assert (cells[cell].selection[2].to_json_rows()
-                    == est.selection[2].to_json_rows())
+            assert (cells[cell].h, cells[cell].q) == (est.h, est.q)
+            assert (cells[cell].selection.diagnostics(cells[cell].row)
+                    .to_json_rows() == est.selection.diagnostics(est.row)
+                    .to_json_rows())
 
     def test_intervals_read_each_sides_density(self):
         # V_h = multiplier * sigma_h / |density_h(q_h)|, with the density of
         # the cell's own side read at its own quantile, as the scalar
-        # DistributionEstimate.density gives it
+        # TailOracle.density gives it
         cfg = ExperimentConfig(n=48, spectral_points=1024, taus=(0.5, 1.0))
         chain = generate_synthetic_chain(
             pricing_model(cfg), cfg.T, cfg.r, cfg.n, cfg.noise_fraction,
@@ -577,12 +594,12 @@ class TestEstimateChain:
             chain, FrequencyGrid(float(cfg.n), cfg.spectral_points))
         bw = build_grid(cfg.n, cfg.L, spectra)
         kernel = flat_top_kernel(cfg.kernel_c)
-        dists = tail_estimates(spectra, kernel, bw.values, cfg.x_max)
-        cells = _chain_estimates(spectra, bw, kernel, cfg, cfg.taus,
-                                 oracle=False)
+        dists = oracles(tail_estimates(spectra, kernel, bw.values, cfg.x_max))
+        inversion = TailInversion(spectra.grid, kernel, bw.values, cfg.x_max)
+        cells = _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
         for (tau, side), cell in cells.items():
             sign = 1.0 if side == "+" else -1.0
-            diag = cell.selection[2]
+            diag = cell.selection.diagnostics(cell.row)
             for dist, record in zip(dists, diag.records):
                 density = dist.density(sign * record.q)
                 assert record.V == diag.multiplier * record.sigma / abs(density)
@@ -599,14 +616,14 @@ class TestEstimateChain:
         report, _ = estimate_chain(chain, cfg, taus=(1.0,))
         h = report["bandwidth_grid"][0]
         assert h == 1.0 / cfg.n
-        alone = tail_estimates(
+        alone = oracles(tail_estimates(
             compute_chain_spectra(chain, FrequencyGrid(1.0 / h,
                                                        cfg.spectral_points)),
-            flat_top_kernel(cfg.kernel_c), [h], cfg.x_max)[0]
+            flat_top_kernel(cfg.kernel_c), [h], cfg.x_max))[0]
         # a column of the (N, 13) inversion has the bits of the same
         # column inverted alone
         for key, side in (("minus", "-"), ("plus", "+")):
-            q = quantile_from_distribution(alone, 1.0, cfg.eta, side).value
+            q = one_quantile(alone, 1.0, cfg.eta, side).value
             assert report["diagnostics"][key]["1"][0]["q"] == q
 
     def test_default_tau_ladder(self):

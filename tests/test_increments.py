@@ -391,12 +391,13 @@ class TestCurvatureEstimate:
                                  FrequencyGrid(1.0, 16))
 
     def test_packaged_estimator(self, jumpy_values):
-        # the table holds the primitives' values bitwise on the trusted
-        # nodes and exact zeros off them, with no quote-noise summary
+        # the table holds the primitives' values of the sample centred at
+        # its median bitwise on the trusted nodes and exact zeros off them,
+        # with no quote-noise summary
         s = IncrementSample(jumpy_values, delta=0.5)
         grid = FrequencyGrid(30.0, 512)
         spectra = psi2_from_increments(s, grid)
-        phi0, phi1, phi2 = _ecf_all(s.values, grid.u)
+        phi0, phi1, phi2 = _ecf_all(s.values - np.median(s.values), grid.u)
         trusted = spectra.trusted
         np.testing.assert_array_equal(
             trusted, np.abs(phi0) >= 1.0 / math.sqrt(0.5 * s.n))
@@ -416,14 +417,17 @@ class TestCurvatureEstimate:
     def test_first_derivative_recovers_exponent_slope(self):
         # psi1 = phi' / (delta phi): on the true cf e^{delta psi} it is
         # psi' exactly.  Measured sup error on |u| <= 4 for this seed: 0.22
-        # at n = 1e3, 0.060 at 1e4, 0.012 at 1e5 (max |psi'| is 1.15)
+        # at n = 1e3, 0.060 at 1e4, 0.012 at 1e5 (max |psi'| is 1.15).  The
+        # table's psi1 is that of the sample centred at its median m, so
+        # its target is psi' - i m / delta
         rng = np.random.default_rng(19)
         delta = 0.5
         inc = sample_cp_increments(rng, 100_000, delta, 0.0, 0.0)
         spectra = psi2_from_increments(IncrementSample(inc, delta),
                                        FrequencyGrid(4.0, 64))
         assert spectra.trusted.all()
-        err = np.abs(spectra.psi1 - psi1_cp(spectra.grid.u))
+        target = psi1_cp(spectra.grid.u) - 1j * np.median(inc) / delta
+        err = np.abs(spectra.psi1 - target)
         assert np.max(err) < 0.03
 
     def test_drift_invariance(self):

@@ -25,17 +25,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import curvature_table, density_at, hermitian_full_sum, tail_at
+from conftest import (TailOracle, as_table, curvature_table, density_at,
+                      hermitian_full_sum, one_quantile, oracles, tail_at)
 from levyq.errors import InputError, NumericalError
 import levyq.inversion
 from levyq.inversion import (
     _MAX_SPECTRAL_POINTS,
     FIRST_TAIL_NODE,
     GRID_MARGIN,
-    DistributionEstimate,
+    X_MAX_DEFAULT,
+    TailInversion,
+    TailTable,
     checked_tail_nodes,
     grid_points,
-    quantile_from_distribution,
     tail_estimates,
     tail_nodes,
     tail_quantiles,
@@ -112,10 +114,11 @@ class TestDensity:
         grid = FrequencyGrid(cutoff=20.0, points=1024)
         hermitian = psi2_cp(grid.u)
         hs = [0.05, 0.1, 0.2]
-        batch = tail_estimates(curvature_table(hermitian, grid), FLAT, hs)
+        batch = oracles(tail_estimates(curvature_table(hermitian, grid), FLAT,
+                                       hs))
         assert [e.bandwidth for e in batch] == hs
-        shifted = tail_estimates(curvature_table(hermitian + 1j, grid), FLAT,
-                                 hs)
+        shifted = oracles(tail_estimates(curvature_table(hermitian + 1j, grid),
+                                         FLAT, hs))
         nodes = tail_nodes()
         for est, h in zip(shifted, hs):
             column = (hermitian + 1j) * FLAT.fk(h * grid.u)
@@ -132,10 +135,10 @@ class TestDistribution:
         grid = FrequencyGrid(cutoff=20.0, points=2048)
         hs = [0.05, 0.08, 0.2]
         table = curvature_table(psi2_cp, grid)
-        batch = tail_estimates(table, FLAT, hs)
+        batch = oracles(tail_estimates(table, FLAT, hs))
         t = np.array([-2.0, -0.3, 0.01, 0.4, 1.7])
         for est, h in zip(batch, hs):
-            alone = tail_estimates(table, FLAT, [h])[0]
+            alone = oracles(tail_estimates(table, FLAT, [h]))[0]
             np.testing.assert_allclose(est(t), alone(t),
                                        rtol=1e-12, atol=1e-14)
 
@@ -222,6 +225,43 @@ class TestDistribution:
             est(0.0)
 
 
+class TestTailTable:
+    """One table for every bandwidth: its cumulative tails are the
+    per-bandwidth cumulative sums bit for bit, and one run's inversion,
+    formed once, gives every table what a fresh inversion gives it."""
+
+    def test_rows_are_the_per_bandwidth_cumsums(self):
+        grid = FrequencyGrid(cutoff=50.0, points=1024)
+        hs = 1.1 ** np.arange(8) / 50.0
+        table = tail_estimates(curvature_table(psi2_cp, grid), FLAT, hs)
+        assert table.density.shape == table.tail.shape == (
+            2, 8, tail_nodes().size)
+        for j, oracle in enumerate(oracles(table)):
+            for s, sign in ((0, -1), (1, 1)):
+                d, cum = oracle._tables[sign]
+                assert np.array_equal(table.density[s, j], d)
+                assert np.array_equal(table.tail[s, j], cum)
+        assert np.all(table.tail[..., -1] == 0.0)
+
+    def test_inversion_formed_once_serves_every_table(self):
+        grid = FrequencyGrid(cutoff=50.0, points=1024)
+        hs = [0.02, 0.05, 0.1]
+        inversion = TailInversion(grid, FLAT, hs, X_MAX_DEFAULT)
+        for shift in (0.0, 0.3, -1j):
+            table = curvature_table(lambda u: psi2_cp(u) + shift, grid)
+            once, fresh = inversion.table(table), tail_estimates(table, FLAT,
+                                                                 hs)
+            assert np.array_equal(once.density, fresh.density)
+            assert np.array_equal(once.tail, fresh.tail)
+
+    def test_spectra_on_another_grid_refused(self):
+        inversion = TailInversion(FrequencyGrid(50.0, 1024), FLAT, [0.05],
+                                  X_MAX_DEFAULT)
+        other = curvature_table(psi2_cp, FrequencyGrid(50.0, 2048))
+        with pytest.raises(InputError):
+            inversion.table(other)
+
+
 class TestGridPoints:
     WINDOWS = (0.5, 2.0, 10.0, 20.0, 100.0, 256.0, 3000.0, 20000.0)
     REACHES = (0.6, 1.0, 5.0, 10.0, 22.0, 400.0)
@@ -278,11 +318,11 @@ class TestGridPoints:
 
 
 def table_estimate(density, x_max=5.0, nodes=None, bandwidth=0.05):
-    """DistributionEstimate with the density tables `density` (a function of
+    """TailOracle with the density tables `density` (a function of
     |t|) on both sides of the tail nodes."""
     nodes = tail_nodes(x_max) if nodes is None else nodes
     d = density(nodes)
-    return DistributionEstimate(
+    return TailOracle(
         nodes=nodes, density_pos=d, density_neg=d, bandwidth=bandwidth)
 
 
@@ -327,7 +367,7 @@ def tail_tables(draw):
     d_pos, d_neg = (np.array(draw(st.lists(
         st.floats(min_value=low, max_value=5.0),
         min_size=size, max_size=size))) for _ in range(2))
-    dist = DistributionEstimate(
+    dist = TailOracle(
         nodes=nodes, density_pos=d_pos, density_neg=d_neg, bandwidth=0.1)
     side = draw(st.sampled_from("+-"))
     sign = 1.0 if side == "+" else -1.0
@@ -345,18 +385,18 @@ class TestQuantile:
         return table_estimate(lambda t: np.exp(-t), x_max=30.0)
 
     def test_exact_tail_gives_log_two(self):
-        q = quantile_from_distribution(self.exact_exp_tail(), 0.5, 0.02, "+")
+        q = one_quantile(self.exact_exp_tail(), 0.5, 0.02, "+")
         assert not q.at_threshold
         assert q.value == pytest.approx(np.log(2.0), abs=1e-4)
 
     def test_excessive_tau_clamps(self):
-        q = quantile_from_distribution(self.exact_exp_tail(), 10.0, 0.02, "+")
+        q = one_quantile(self.exact_exp_tail(), 10.0, 0.02, "+")
         assert q.at_threshold
         assert q.value == 0.02
 
     def test_estimated_pipeline_quantile(self):
         est = tail_at(psi2_cp, FLAT, 0.05)
-        q = quantile_from_distribution(est, 0.5, 0.02, "+")
+        q = one_quantile(est, 0.5, 0.02, "+")
         # truncated truth: solve e^{-t} - e^{-5} = 0.5
         expected = -np.log(0.5 + np.exp(-5.0))
         assert q.value == pytest.approx(expected, abs=5e-3)
@@ -364,11 +404,11 @@ class TestQuantile:
     def test_mirror_swap(self):
         e_orig = tail_at(psi2_cp, FLAT, 0.05)
         e_mirr = tail_at(psi2_mirrored, FLAT, 0.05)
-        q_plus = quantile_from_distribution(e_orig, 0.5, 0.02, "+")
-        q_minus = quantile_from_distribution(e_mirr, 0.5, 0.02, "-")
+        q_plus = one_quantile(e_orig, 0.5, 0.02, "+")
+        q_minus = one_quantile(e_mirr, 0.5, 0.02, "-")
         assert q_minus.value == q_plus.value
-        q_m2 = quantile_from_distribution(e_orig, 0.3, 0.02, "-")
-        q_p2 = quantile_from_distribution(e_mirr, 0.3, 0.02, "+")
+        q_m2 = one_quantile(e_orig, 0.3, 0.02, "-")
+        q_p2 = one_quantile(e_mirr, 0.3, 0.02, "+")
         assert q_m2.value == q_p2.value
 
     def test_mirror_swap_over_the_bandwidth_grid(self):
@@ -377,8 +417,10 @@ class TestQuantile:
         # swapped density tables at every bandwidth
         grid = FrequencyGrid(100.0, 8192)
         hs = 1.1 ** np.arange(13) / 100.0
-        orig = tail_estimates(curvature_table(psi2_cp, grid), FLAT, hs)
-        mirr = tail_estimates(curvature_table(psi2_mirrored, grid), FLAT, hs)
+        orig = oracles(tail_estimates(curvature_table(psi2_cp, grid), FLAT,
+                                      hs))
+        mirr = oracles(tail_estimates(curvature_table(psi2_mirrored, grid),
+                                      FLAT, hs))
         for a, b in zip(orig, mirr):
             assert np.array_equal(a.density_pos, b.density_neg)
             assert np.array_equal(a.density_neg, b.density_pos)
@@ -401,38 +443,38 @@ class TestQuantile:
         dist = table_estimate(density, nodes=nodes, bandwidth=0.1)
         for t, want in ((0.5, 0.5), (1.1, 0.5), (1.5, 0.5), (1.0, 0.4)):
             assert dist(t) == pytest.approx(want, abs=1e-12)
-        q = quantile_from_distribution(dist, 0.5, 0.02, "+")
+        q = one_quantile(dist, 0.5, 0.02, "+")
         assert q.value == pytest.approx(1.5, abs=1e-12)
         assert not q.at_threshold
         # the hump in the middle tops out at 0.7: tau = 0.9 is crossed once
-        q = quantile_from_distribution(dist, 0.9, 0.02, "+")
+        q = one_quantile(dist, 0.9, 0.02, "+")
         assert q.value == pytest.approx(0.1, abs=1e-12)
 
     def test_validation(self):
         dist = self.exact_exp_tail()
         with pytest.raises(InputError):
-            quantile_from_distribution(dist, 0.0, 0.02, "+")
+            one_quantile(dist, 0.0, 0.02, "+")
         with pytest.raises(InputError):
-            quantile_from_distribution(dist, 0.5, 0.0, "+")
+            one_quantile(dist, 0.5, 0.0, "+")
         with pytest.raises(InputError):
             # below the first tail node, where no table exists
-            quantile_from_distribution(dist, 0.5, 0.003, "+")
+            one_quantile(dist, 0.5, 0.003, "+")
         with pytest.raises(InputError):
-            quantile_from_distribution(dist, 0.5, 0.02, "up")
+            one_quantile(dist, 0.5, 0.02, "up")
 
     @given(tau=st.floats(min_value=1.2, max_value=50.0))
     @settings(max_examples=25, deadline=None)
     def test_clamp_coherence(self, tau):
         # whenever the curve cannot reach tau the estimate sits exactly at
         # eta with the flag set (exact tail has total mass 1 < tau)
-        q = quantile_from_distribution(self.exact_exp_tail(), tau, 0.02, "+")
+        q = one_quantile(self.exact_exp_tail(), tau, 0.02, "+")
         assert q.at_threshold
         assert q.value == 0.02
 
     @given(tau=st.floats(min_value=0.05, max_value=0.9))
     @settings(max_examples=25, deadline=None)
     def test_value_never_below_threshold(self, tau):
-        q = quantile_from_distribution(self.exact_exp_tail(), tau, 0.02, "+")
+        q = one_quantile(self.exact_exp_tail(), tau, 0.02, "+")
         assert q.value >= 0.02
 
     @given(case=tail_tables())
@@ -440,7 +482,7 @@ class TestQuantile:
     def test_last_crossing_on_random_tables(self, case):
         dist, tau, eta, side, monotone = case
         sign = 1.0 if side == "+" else -1.0
-        q = quantile_from_distribution(dist, tau, eta, side)
+        q = one_quantile(dist, tau, eta, side)
         ts = dense_sample(dist.nodes, eta)
         tail = dist(sign * ts)
         rounding = 1e-12 * (1.0 + float(np.max(np.abs(tail))))
@@ -493,7 +535,7 @@ def quantile_closed_form(dist, tau, eta, side):
 
 
 def assert_pass_equals_cells(dists, taus, eta, side):
-    values, clamped = tail_quantiles(dists, taus, eta, side)
+    values, clamped = tail_quantiles(as_table(dists), taus, eta, side)
     assert values.shape == clamped.shape == (len(taus), len(dists))
     for i, tau in enumerate(taus):
         for j, dist in enumerate(dists):
@@ -519,7 +561,7 @@ def ladder_tables(draw):
         d_pos, d_neg = (np.array(draw(st.lists(
             st.floats(min_value=-3.0, max_value=5.0),
             min_size=size, max_size=size))) for _ in range(2))
-        dists.append(DistributionEstimate(nodes=nodes, density_pos=d_pos,
+        dists.append(TailOracle(nodes=nodes, density_pos=d_pos,
                                           density_neg=d_neg, bandwidth=0.1))
     side = draw(st.sampled_from("+-"))
     sign = 1.0 if side == "+" else -1.0
@@ -570,7 +612,7 @@ class TestQuantilePass:
                       [1.0, -1.0, 1.0], 0.0)
         for jump, mean in ((0.8, 0.0), (1.3, 0.0), (2.0, 0.5)):
             d[np.isclose(nodes, jump)] = mean
-        dist = DistributionEstimate(nodes=nodes, density_pos=d,
+        dist = TailOracle(nodes=nodes, density_pos=d,
                                     density_neg=d, bandwidth=0.1)
         values, _ = assert_pass_equals_cells([dist], [0.3, 0.5, 0.6, 0.9],
                                              0.02, "+")
@@ -578,20 +620,24 @@ class TestQuantilePass:
 
     def test_levels_in_chunks(self, estimated, monkeypatch):
         taus = np.linspace(0.05, 1.2, 17)
-        whole = tail_quantiles(estimated, taus, 0.02, "-")
+        table = as_table(estimated)
+        whole = tail_quantiles(table, taus, 0.02, "-")
         # a work-array cap below one table: one level at a time
         monkeypatch.setattr(levyq.inversion, "_MAX_BATCH", 100)
-        for got, want in zip(tail_quantiles(estimated, taus, 0.02, "-"),
+        for got, want in zip(tail_quantiles(table, taus, 0.02, "-"),
                              whole):
             assert np.array_equal(got, want)
 
     def test_validation(self, estimated):
+        table = as_table(estimated)
         with pytest.raises(InputError):
-            tail_quantiles(estimated, [0.5, 0.0], 0.02, "+")
+            tail_quantiles(table, [0.5, 0.0], 0.02, "+")
         with pytest.raises(InputError):
-            tail_quantiles(estimated, [0.5], 0.02, "up")
+            tail_quantiles(table, [0.5], 0.02, "up")
         with pytest.raises(InputError):
-            tail_quantiles(estimated, [0.5], 0.003, "+")
+            tail_quantiles(table, [0.5], 0.003, "+")
+        # density tables on another node grid than the table's nodes
         other = table_estimate(np.exp, x_max=4.0)
         with pytest.raises(InputError):
-            tail_quantiles([estimated[0], other], [0.5], 0.02, "+")
+            TailTable(nodes=other.nodes, bandwidths=table.bandwidths,
+                      density=table.density)

@@ -165,10 +165,11 @@ class TestFactoredTransform:
 
     @given(k=st.integers(min_value=1, max_value=11),
            cutoff=st.floats(0.5, 200.0), offset=st.booleans(),
-           columns=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
+           columns=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1),
+           spectra=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_hermitian_extension_property(self, k, cutoff, offset, columns,
-                                          seed):
+                                          seed, spectra):
         # du * x reaches 600 rad at k = 1, far past pi: gridding wraps it
         rng = np.random.default_rng(seed)
         grid = FrequencyGrid(cutoff=cutoff, points=2 ** k, offset=offset)
@@ -177,6 +178,13 @@ class TestFactoredTransform:
         x = rng.uniform(-3.0, 3.0, 40)
         want = self.direct(g, grid, x)
         assert self.max_rel(inverse_fourier(g, grid, x), want) <= 1e-12
+        # a plan formed once for the targets, applied to several spectra,
+        # gives each the one-off transform's bits
+        plan = numerics._GriddingPlan(grid, x)
+        for scale in range(1, spectra + 1):
+            other = g * (1.0 + 0.5j * scale) + scale
+            assert np.array_equal(plan.apply(other),
+                                  inverse_fourier(other, grid, x))
 
     def test_target_order_preserved(self):
         grid = FrequencyGrid(cutoff=40.0, points=2048, offset=True)

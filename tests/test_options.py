@@ -30,17 +30,15 @@ from levyq.numerics import FrequencyGrid
 from levyq.options import (
     OptionChain,
     compute_chain_spectra,
-    estimate_noise_profile,
     generate_synthetic_chain,
     option_function,
     read_chain_csv,
-    spline_spectra,
     write_chain_csv,
 )
-from levyq.options import (_ChainDesign, _linear_table, _perturbed_chain,
-                           _synthetic_design, _weighted_transforms)
+from levyq.options import (_ChainDesign, _linear_table, _noise_profile,
+                           _perturbed_chain, _synthetic_design)
 
-from conftest import interpolant_at
+from conftest import interpolant_at, spline_spectra, weighted_transforms
 
 RATE = 0.06
 MATURITY = 0.25
@@ -274,7 +272,7 @@ class TestBreakpointSum:
         # segments on both sides of the reference's series radius |zw| = 0.8
         zw = np.abs(1j * u - 1.0)[:, None] * np.diff(table[0])
         assert zw.min() < 0.8 < zw.max()
-        got = _weighted_transforms(*table, u, (0, 1, 2))
+        got = weighted_transforms(*table, u, (0, 1, 2))
         want = per_segment_transforms(table, u, (0, 1, 2))
         for k in (0, 1, 2):
             assert relative_to_max(got[k], want[k]) < 1e-11
@@ -290,7 +288,7 @@ class TestBreakpointSum:
             table = (knots, np.vstack([values[:-1],
                                        np.diff(values) / np.diff(knots)]))
         u = np.array([0.0, 1.0, 4.0, 20.0, -4.0])
-        got = _weighted_transforms(*table, u, (0, 1, 2))
+        got = weighted_transforms(*table, u, (0, 1, 2))
         want = per_segment_transforms(table, u, (0, 1, 2))
         for k in (0, 1, 2):
             assert relative_to_max(got[k], want[k]) < 1e-13
@@ -298,7 +296,7 @@ class TestBreakpointSum:
 
 def transform_at(table, k, u):
     """F_k at one frequency, read off the breakpoint sum."""
-    return _weighted_transforms(*table, np.array([u], dtype=float), (k,))[k][0]
+    return weighted_transforms(*table, np.array([u], dtype=float), (k,))[k][0]
 
 
 def phi_at(chain, u):
@@ -374,8 +372,8 @@ class TestWeightedTransform:
                                          STRIKE_LAW, seed=9)
         table = _linear_table(chain.xs, chain.prices)
         u = np.array([0.3, 1.7, 6.0, 19.0])
-        plus = _weighted_transforms(*table, u, (0, 1, 2))
-        minus = _weighted_transforms(*table, -u, (0, 1, 2))
+        plus = weighted_transforms(*table, u, (0, 1, 2))
+        minus = weighted_transforms(*table, -u, (0, 1, 2))
         for k in (0, 1, 2):
             assert np.max(np.abs(minus[k] - np.conj(plus[k]))) < 1e-12
 
@@ -429,8 +427,7 @@ class TestPsiTildeDerivatives:
     def test_trust_guard_zeroes_noisy_high_frequencies(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
                                          STRIKE_LAW, seed=7)
-        profile = estimate_noise_profile(chain)
-        scale = profile.l2_weighted / math.sqrt(chain.n)
+        scale = design_noise_scale(chain)
         _, _, psi1, psi2 = spline_spectra(chain.xs, chain.prices, MATURITY,
                                           np.array([5.0, 60.0]),
                                           noise_scale=scale)
@@ -440,8 +437,7 @@ class TestPsiTildeDerivatives:
     def test_guard_inactive_at_zero_frequency(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
                                          STRIKE_LAW, seed=7)
-        profile = estimate_noise_profile(chain)
-        scale = profile.l2_weighted / math.sqrt(chain.n)
+        scale = design_noise_scale(chain)
         _, trusted, _, psi2 = spline_spectra(chain.xs, chain.prices, MATURITY,
                                              np.array([0.0]),
                                              noise_scale=scale)
@@ -485,56 +481,88 @@ class TestPsiTildeDerivatives:
 # noise profile
 
 
+def design_noise_scale(chain):
+    """The trust guard's noise amplitude ||e^{-x} rho||_L2 / sqrt(n), as
+    the chain's strike design gives it to every table."""
+    return _ChainDesign(chain.xs, chain.noise_levels, chain.maturity,
+                        FrequencyGrid(1.0, 16)).noise_scale
+
+
+def noise_profile_reference(xs, noise_levels):
+    """rho = delta / sqrt(f) and the design density f (triangular kernel,
+    Silverman bandwidth) as functions, with the norms `_noise_profile`
+    reads off them on its grid: (rho, density, sup_norms, l2)."""
+    n = xs.size
+    sd = float(np.std(xs, ddof=1))
+    iqr = float(np.percentile(xs, 75) - np.percentile(xs, 25))
+    bandwidth = 1.06 * min(sd, iqr / 1.34) * n ** (-0.2)
+
+    def density(x):
+        t = np.abs(np.asarray(x, dtype=float)[..., None] - xs) / bandwidth
+        return np.clip(1.0 - t, 0.0, None).sum(axis=-1) / (n * bandwidth)
+
+    def rho(x):
+        d = np.interp(np.asarray(x, dtype=float), xs, noise_levels)
+        return d / np.sqrt(np.maximum(density(x), 1e-12))
+
+    grid = np.linspace(xs[0], xs[-1], 1000)
+    weighted = np.exp(-grid) * rho(grid)
+    sup_norms = tuple(float(np.max(np.abs(grid) ** k * np.abs(weighted)))
+                      for k in (0, 1, 2))
+    l2 = float(np.sqrt(np.trapezoid(weighted ** 2, grid)))
+    return rho, density, sup_norms, l2
+
+
 class TestNoiseProfile:
+    """`_noise_profile` returns the norms of rho bit for bit as the
+    reference profile gives them, and the reference's rho and design
+    density are what they estimate."""
+
     def test_uniform_design(self):
         n = 2000
         xs = (np.arange(n) + 0.5) / n  # uniform on [0, 1]
-        chain = OptionChain(maturity=MATURITY, rate=RATE, xs=xs,
-                            prices=np.full(n, 0.05),
-                            noise_levels=np.full(n, 0.02))
-        profile = estimate_noise_profile(chain)
+        noise = np.full(n, 0.02)
+        rho, density, sup_norms, l2 = noise_profile_reference(xs, noise)
+        assert _noise_profile(xs, noise) == (sup_norms, l2)
         mid = np.linspace(0.2, 0.8, 50)
-        assert np.max(np.abs(profile.density(mid) - 1.0)) < 0.1
-        assert np.max(np.abs(profile.rho(mid) - 0.02)) < 0.002
+        assert np.max(np.abs(density(mid) - 1.0)) < 0.1
+        assert np.max(np.abs(rho(mid) - 0.02)) < 0.002
 
     def test_gaussian_design_density(self):
         n = 3000
         xs = ndtri(np.arange(1, n + 1) / (n + 1))
-        chain = OptionChain(maturity=MATURITY, rate=RATE, xs=xs,
-                            prices=np.zeros(n), noise_levels=np.full(n, 0.01))
-        profile = estimate_noise_profile(chain)
+        noise = np.full(n, 0.01)
+        _, density, sup_norms, l2 = noise_profile_reference(xs, noise)
+        assert _noise_profile(xs, noise) == (sup_norms, l2)
         mid = np.linspace(ndtri(0.1), ndtri(0.9), 60)
         true_pdf = np.exp(-mid ** 2 / 2) / math.sqrt(2 * math.pi)
-        assert np.max(np.abs(profile.density(mid) / true_pdf - 1.0)) < 0.05
+        assert np.max(np.abs(density(mid) / true_pdf - 1.0)) < 0.05
 
     def test_zero_noise_gives_zero_profile(self, bench_model):
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 50, 0.0,
                                          STRIKE_LAW, seed=1)
-        profile = estimate_noise_profile(chain)
-        assert profile.sup_norms == (0.0, 0.0, 0.0)
-        assert profile.l2_weighted == 0.0
+        sup_norms, l2 = _noise_profile(chain.xs, chain.noise_levels)
+        assert sup_norms == (0.0, 0.0, 0.0)
+        assert l2 == 0.0
 
     def test_benchmark_chain_noise_amplitude(self, bench_model):
         # one-percent relative noise on 100 quotes: the weighted L2 norm of
         # rho lands near 3e-4, so the trust guard keeps |u| up to ~25-30
         chain = generate_synthetic_chain(bench_model, MATURITY, RATE, 100, 0.01,
                                          STRIKE_LAW, seed=7)
-        profile = estimate_noise_profile(chain)
-        assert 1e-4 < profile.l2_weighted < 8e-4
-        assert profile.sup_norms[0] > 0
-        with np.errstate(all="ignore"):
-            pass
-        scale = profile.l2_weighted / math.sqrt(chain.n)
+        sup_norms, l2 = _noise_profile(chain.xs, chain.noise_levels)
+        assert (sup_norms, l2) == noise_profile_reference(
+            chain.xs, chain.noise_levels)[2:]
+        assert 1e-4 < l2 < 8e-4
+        assert sup_norms[0] > 0
+        scale = design_noise_scale(chain)
+        assert scale == l2 / math.sqrt(chain.n)
         trust_edge = math.sqrt(1.0 / scale)  # crude: |phi|~1 near u=0
         assert trust_edge > 10
 
     def test_needs_enough_quotes(self):
-        chain = OptionChain(maturity=MATURITY, rate=RATE,
-                            xs=np.array([0.0, 0.1]),
-                            prices=np.array([0.02, 0.01]),
-                            noise_levels=np.array([0.0, 0.0]))
         with pytest.raises(InputError):
-            estimate_noise_profile(chain)
+            _noise_profile(np.array([0.0, 0.1]), np.array([0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +650,8 @@ class TestChainSpectra:
         assert spectra.trusted.any() and not spectra.trusted.all()
         assert np.all(spectra.psi2[~spectra.trusted] == 0)
         u = grid.u
-        f0 = _weighted_transforms(*_linear_table(chain.xs, chain.prices), u, (0,))[0]
+        f0 = weighted_transforms(*_linear_table(chain.xs, chain.prices), u,
+                                 (0,))[0]
         assert np.array_equal(spectra.phi, 1.0 - u * (u + 1j) * f0)
 
     def test_noiseless_bundle_trusts_everything(self, bench_model):
@@ -749,13 +778,12 @@ class TestHermitianSpectra:
         u = np.array(u)
         both = np.concatenate([u, -u])
         table = _linear_table(noisy_chain.xs, noisy_chain.prices)
-        f = _weighted_transforms(*table, both, (0, 1, 2))
+        f = weighted_transforms(*table, both, (0, 1, 2))
         for k in (0, 1, 2):
             pos, neg = f[k][: u.size], f[k][u.size :]
             np.testing.assert_allclose(neg, np.conj(pos), rtol=1e-12,
                                        atol=1e-15 * np.max(np.abs(pos)))
-        noise_scale = (estimate_noise_profile(noisy_chain).l2_weighted
-                       / math.sqrt(noisy_chain.n))
+        noise_scale = design_noise_scale(noisy_chain)
         _, trusted, _, psi2 = spline_spectra(noisy_chain.xs, noisy_chain.prices,
                                              MATURITY, both, noise_scale)
         np.testing.assert_array_equal(trusted[u.size :], trusted[: u.size])

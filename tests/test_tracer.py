@@ -3,11 +3,14 @@
 The tracer wraps levyq functions by name and its counter hooks read their
 arguments and results: the ``spectra`` and ``h`` arguments of
 `sigma_tilde`, ``result.trusted`` of `compute_chain_spectra` and
-``result.at_threshold`` of `quantile_from_distribution`.  A hook survives
+``result.feasible`` of `build_grid` (its quantile hook names a function
+that no longer exists, so that site is listed as absent).  A hook survives
 only a KeyError, AttributeError or TypeError, so a wrapped function whose
 result changes kind (an array where a record was) can crash a traced run.
 These tests import the tracer as the benchmark does and run `mc-table` and
-`estimate-chain` under it.
+`estimate-chain` under it; both must record calls of the deviation bound
+and of the selector, so that a rename cannot hide either from the
+benchmark.
 """
 
 import importlib
@@ -60,6 +63,7 @@ def test_traced_command_completes_and_counts(tracer_module, tmp_path, capsys,
         tracer.uninstall()
     assert code == 0, capsys.readouterr().err
     assert tracer.calls["adaptive.sigma"] > 0
+    assert tracer.calls["adaptive.select"] > 0
     assert tracer.counts["adaptive.sigma.mask"] > 0
     assert tracer.counts["adaptive.sigma.grid"] > 0
     assert not [entry for entry in tracer.absent
