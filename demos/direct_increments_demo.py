@@ -22,12 +22,12 @@ from levyq import (
     FrequencyGrid,
     IncrementSampler,
     LevyModel,
+    TailInversion,
     exponent_curvature,
     flat_top_kernel,
     grid_points,
     psi2_from_increments,
     sample_increments,
-    tail_estimates,
     tail_quantiles,
 )
 
@@ -67,8 +67,10 @@ for u in (0.0, 2.0, 5.0):
 
 # --- inversion at a fixed bandwidth -----------------------------------------
 
-kernel = flat_top_kernel(0.5)
-table = tail_estimates(spectra, kernel, [h])
+# the inversion of every table on this grid at bandwidth h: tail nodes out
+# to x_max = 5, kernel profile fk(h u) and the plan of the inverse transform
+inversion = TailInversion(spectra.grid, flat_top_kernel(0.5), [h], x_max=5.0)
+table = inversion.table(spectra)
 
 # the table holds nu_h and N_h at the tail nodes, side '+' in row 1 and
 # bandwidth h in column 0; t = 0.7 is a node (to rounding)

@@ -13,65 +13,49 @@ intensities, and their generalized quantiles.  A fully data-driven
 are included, along with a small CLI (`levyq`).
 """
 
-from .errors import (
-    ChainFormatError,
-    InputError,
-    LevyqError,
-    MartingaleError,
-    NoSolutionError,
-    NumericalError,
-)
-from .models import (
-    CGMYJumps,
-    ExponentialJumps,
-    LevyModel,
-    characteristic_exponent,
-    exponent_curvature,
-    jump_second_moment,
-    martingale_drift,
-    tail_integral,
-    true_quantile,
-)
-from .numerics import FrequencyGrid, Spectra, bracketed_root, inverse_fourier
-from .kernels import SpectralKernel, flat_top_kernel
-from .increments import IncrementSample, psi2_from_increments, read_increment_csv
-from .simulate import METHODS, IncrementSampler, sample_increments
-from .inversion import (
-    TailInversion,
-    TailTable,
-    grid_points,
-    tail_estimates,
-    tail_quantiles,
-)
-from .options import (
-    OptionChain,
-    compute_chain_spectra,
-    generate_synthetic_chain,
-    option_function,
-    read_chain_csv,
-    write_chain_csv,
-)
-from .adaptive import (
-    BandwidthGrid,
-    BandwidthRecord,
-    LepskiDiagnostics,
-    Selection,
-    adaptive_quantile,
-    build_grid,
-    sigma_tilde,
-)
+# what the three commands, demos/ and bench/ import from the package
+from .errors import InputError, LevyqError, NumericalError
+from .models import ExponentialJumps, LevyModel, exponent_curvature
+from .numerics import FrequencyGrid
+from .kernels import flat_top_kernel
+from .increments import psi2_from_increments
+from .simulate import IncrementSampler, sample_increments
+from .inversion import TailInversion, grid_points, tail_quantiles
+from .options import generate_synthetic_chain, write_chain_csv
 from .harness import (
     DEFAULT_CHAIN_TAUS,
     ExperimentConfig,
-    RmseRow,
-    RmseTable,
     demo_direct,
     estimate_chain,
     load_config,
-    observation_model,
-    parse_config_text,
     pricing_model,
     run_mc_table,
 )
+
+__all__ = [
+    "DEFAULT_CHAIN_TAUS",
+    "ExperimentConfig",
+    "ExponentialJumps",
+    "FrequencyGrid",
+    "IncrementSampler",
+    "InputError",
+    "LevyModel",
+    "LevyqError",
+    "NumericalError",
+    "TailInversion",
+    "demo_direct",
+    "estimate_chain",
+    "exponent_curvature",
+    "flat_top_kernel",
+    "generate_synthetic_chain",
+    "grid_points",
+    "load_config",
+    "pricing_model",
+    "psi2_from_increments",
+    "run_mc_table",
+    "sample_increments",
+    "tail_quantiles",
+    "write_chain_csv",
+]
 
 __version__ = "0.1.0"

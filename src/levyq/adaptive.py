@@ -48,13 +48,10 @@ from scipy.special import sici
 
 from .errors import InputError, NoSolutionError, NumericalError
 from .inversion import X_MAX_DEFAULT
-from .kernels import SpectralKernel
 from .numerics import _BLOCK, _MAX_BATCH, Spectra
 
 __all__ = [
     "BandwidthGrid",
-    "BandwidthRecord",
-    "LepskiDiagnostics",
     "Selection",
     "build_grid",
     "sigma_tilde",
@@ -99,10 +96,7 @@ class BandwidthGrid:
     the fallback kept the full grid.
     """
 
-    n: int
-    L: float
     j_min: int
-    j_max: int
     values: np.ndarray
     full_values: np.ndarray
     s_values: np.ndarray | None = None
@@ -188,7 +182,6 @@ def build_grid(n: int, L: float,
     bandwidths are refused.
     """
     all_values = _full_grid(n, L)
-    j_max = all_values.size - 1
     j_min = 0
     s_values = None
     feasible = True
@@ -199,9 +192,9 @@ def build_grid(n: int, L: float,
             j_min = int(passing[0])
         else:
             feasible = False
-    return BandwidthGrid(n=n, L=L, j_min=j_min, j_max=j_max,
-                         values=all_values[j_min:], full_values=all_values,
-                         s_values=s_values, feasible=feasible)
+    return BandwidthGrid(j_min=j_min, values=all_values[j_min:],
+                         full_values=all_values, s_values=s_values,
+                         feasible=feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +253,11 @@ def _bound_terms(spectra: Spectra, x_max: float, bandwidths,
                        starts=spectra.grid.u[::_BLOCK])
 
 
-def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
-                q, side, x_max: float = X_MAX_DEFAULT, terms=None):
+def sigma_tilde(spectra: Spectra, kernel, h: float, q, side,
+                x_max: float = X_MAX_DEFAULT, terms=None):
     """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
-    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
+    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q, with
+    the kernel profile f_K `kernel`.
 
     chi_k = g_t f_K(hu) factor_k / phi~ on the trusted nodes with u <= 1/h,
     where g_t is the spectrum of the tail weight x^{-2} on [t, x_max] (t > 0)
@@ -370,31 +364,6 @@ def sigma_tilde(spectra: Spectra, kernel: SpectralKernel, h: float,
 # interval-intersection selection
 
 
-@dataclass(frozen=True)
-class BandwidthRecord:
-    """One row of the selector's audit trail."""
-
-    h: float
-    q: float
-    sigma: float
-    V: float | None
-    lo: float | None
-    hi: float | None
-    chosen: bool
-    dropped: bool = False
-
-
-@dataclass(frozen=True)
-class LepskiDiagnostics:
-    """Full audit trail of one interval-intersection run."""
-
-    records: tuple
-    multiplier: float
-
-    def to_json_rows(self) -> list:
-        return [dict(vars(r)) for r in self.records]
-
-
 @dataclass(frozen=True, eq=False)
 class Selection:
     """The interval rule over cells x bandwidths: its inputs quantiles and
@@ -421,17 +390,20 @@ class Selection:
                 "no interval to intersect")
         return float(self.bandwidths[j]), float(self.quantiles[cell, j])
 
-    def diagnostics(self, cell: int) -> LepskiDiagnostics:
-        """The audit trail of one cell, one record per bandwidth."""
+    def records(self, cell: int) -> list:
+        """The audit trail of one cell as the report's rows, one per
+        bandwidth: h, q, sigma, V, lo, hi (None where dropped), chosen and
+        dropped."""
         dropped = self.dropped[cell].tolist()
         V, lo, hi = ([None if d else v for v, d in zip(a[cell].tolist(),
                                                        dropped)]
                      for a in (self.V, self.lo, self.hi))
-        chosen = [j == int(self.chosen[cell]) for j in range(len(dropped))]
-        return LepskiDiagnostics(records=tuple(map(
-            BandwidthRecord, self.bandwidths.tolist(),
-            self.quantiles[cell].tolist(), self.sigmas[cell].tolist(), V, lo,
-            hi, chosen, dropped)), multiplier=self.multiplier)
+        chosen = int(self.chosen[cell])
+        return [{"h": h, "q": q, "sigma": s, "V": v, "lo": a, "hi": b,
+                 "chosen": j == chosen, "dropped": d}
+                for j, (h, q, s, v, a, b, d) in enumerate(zip(
+                    self.bandwidths.tolist(), self.quantiles[cell].tolist(),
+                    self.sigmas[cell].tolist(), V, lo, hi, dropped))]
 
 
 def adaptive_quantile(bandwidths, quantiles, densities, sigmas, n: int,

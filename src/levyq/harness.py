@@ -53,7 +53,7 @@ from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
 from .inversion import (_MAX_SPECTRAL_POINTS, FIRST_TAIL_NODE, X_MAX_DEFAULT,
                         TailInversion, _check_inversion_size, grid_points,
-                        tail_estimates, tail_quantiles)
+                        tail_quantiles)
 from .kernels import flat_top_kernel
 from .models import (CGMYJumps, ExponentialJumps, LevyModel,
                      characteristic_exponent, martingale_drift, true_quantile)
@@ -673,8 +673,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
                 "at_threshold": bool(
                     cell.clamped[cell.selection.chosen[cell.row]]),
             })
-            diagnostics[side][f"{tau:g}"] = cell.selection.diagnostics(
-                cell.row).to_json_rows()
+            diagnostics[side][f"{tau:g}"] = cell.selection.records(cell.row)
 
     report = {
         "n": chain.n,
@@ -708,10 +707,10 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     No bandwidth selection: the configured h is used as-is.  The spectra
     table of the increments covers its band |u| <= 1/h, on the grid
     `grid_points` sizes from 1/h, x_max and the range of the sample (which
-    the report records under "spectral_grid"), and goes through
-    `tail_estimates`, the inversion the chain drivers use; one
-    `tail_quantiles` pass per side finds every level.  Truth columns
-    are filled from the closed-form tail integral where the model has one
+    the report records under "spectral_grid"), and is inverted by a
+    `TailInversion` of its one bandwidth, as the chain drivers invert
+    theirs; one `tail_quantiles` pass per side finds every level.  Truth
+    columns are filled from the closed-form tail integral where the model has one
     (and the level is reachable); otherwise they are None.
     """
     taus = _levels(config.taus if taus is None else taus)
@@ -734,8 +733,8 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
         grid = grid_for(float(np.ptp(sample.values)))
     _check_cf_floor(model, config, grid)
     spectra = psi2_from_increments(sample, grid)
-    table = tail_estimates(spectra, flat_top_kernel(config.kernel_c),
-                           [config.h], config.x_max)
+    table = TailInversion(grid, flat_top_kernel(config.kernel_c),
+                          [config.h], config.x_max).table(spectra)
     found = {side: tail_quantiles(table, taus, config.eta, side)
              for side in ("-", "+")}
     results = []

@@ -24,7 +24,7 @@ place of N exponentials.  Other frequencies are summed directly.
 
 `psi2_from_increments` tabulates them on a frequency grid as a
 `numerics.Spectra`, the same table the option scheme hands to the
-inversion step (`inversion.tail_estimates`).
+inversion step (`inversion.TailInversion.table`).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ The pipeline shared by both observation schemes:
    scheme hands over its estimate as one `numerics.Spectra` table.  A run
    forms one `TailInversion` (tail nodes, kernel rows fk(h_j u), the plan
    of the inverse transform) and inverts all bandwidths of each table
-   with one application of the plan (`tail_estimates` for one table).
+   with one application of the plan (`TailInversion.table`).
 2. The density estimate is  nu_h(t) = -t^{-2} F_h(t)  for t != 0.
 3. The tail function N_h(t) integrates the density outward:
        N_h(t) = int_t^{X}  nu_h(x) dx          (t > 0)
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import SpectralKernel
 from .numerics import _MAX_BATCH, FrequencyGrid, Spectra, _GriddingPlan
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "GRID_MARGIN",
     "grid_points",
     "tail_nodes",
-    "checked_tail_nodes",
-    "tail_estimates",
     "tail_quantiles",
 ]
 
@@ -85,11 +82,11 @@ def tail_nodes(x_max: float = X_MAX_DEFAULT) -> np.ndarray:
 
 # largest inversion, in bandwidths x (spectral points + 2 x tail nodes).  Each
 # such unit holds 27-39 bytes of work arrays through estimate_chain (n = 100,
-# 2^12-2^15 points, x_max 5-400; tracemalloc), 61-64 bytes when
-# tail_estimates inverts one bandwidth at 2^15-2^18 points (the gather's
-# fixed 0.7 MB of chunks makes it 162 at 2^12) and 77 at 16 points and
-# x_max 20,000, so the cap stands for about 0.65 GB.  The default chain
-# asks for 13 x (1,024 + 2 x 1,091), about 42,000 (`grid_points`)
+# 2^12-2^15 points, x_max 5-400; tracemalloc), 61-64 bytes when one
+# bandwidth is inverted at 2^15-2^18 points (the gather's fixed 0.7 MB of
+# chunks makes it 162 at 2^12) and 77 at 16 points and x_max 20,000, so
+# the cap stands for about 0.65 GB.  The default chain asks for
+# 13 x (1,024 + 2 x 1,091), about 42,000 (`grid_points`)
 _MAX_INVERSION = 2 ** 23
 # most spectral points of any grid.  Peak traced bytes (tracemalloc) were
 # 0.6-1.0 kB per spectral point in mc-table (10 replications) and
@@ -158,17 +155,6 @@ def grid_points(cutoff: float, x_max: float, span: float = 0.0) -> int:
     return points
 
 
-def checked_tail_nodes(grid: FrequencyGrid, x_max: float) -> np.ndarray:
-    """tail_nodes(x_max), once the grid spacing is known to stay below
-    pi / x_max, so the periodic images of F_h miss [-x_max, x_max]."""
-    if not grid.spacing * x_max < math.pi:
-        raise InputError(
-            f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
-            f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
-            f"spectral points for a window of {grid.cutoff:g}")
-    return tail_nodes(x_max)
-
-
 @dataclass(frozen=True, eq=False)
 class TailTable:
     """Tail functions N_h of every bandwidth on one node grid.
@@ -200,20 +186,27 @@ class TailTable:
 class TailInversion:
     """What the inversion of every spectra table on `grid` shares: the tail
     nodes, the kernel rows fk(h_j u) on the grid and the plan of the
-    inverse transform at -+tail nodes.  The window should cover |u| < 1/h
-    (frequencies beyond ``grid.cutoff`` are not integrated); the grid must
-    not alias the tail nodes (`checked_tail_nodes`), and the inversion must
-    stay within `_check_inversion_size`."""
+    inverse transform at -+tail nodes.  `kernel` is a kernel profile fk
+    (`kernels.flat_top_kernel`).  The window should cover |u| < 1/h
+    (frequencies beyond ``grid.cutoff`` are not integrated); the grid
+    spacing must stay below pi / x_max, so that the periodic images of F_h
+    miss [-x_max, x_max], and the inversion within
+    `_check_inversion_size`."""
 
-    def __init__(self, grid: FrequencyGrid, kernel: SpectralKernel,
-                 bandwidths, x_max: float):
+    def __init__(self, grid: FrequencyGrid, kernel, bandwidths,
+                 x_max: float):
         hs = np.atleast_1d(np.asarray(bandwidths, dtype=float))
         if hs.ndim != 1 or not hs.size or not np.all(hs > 0):
             raise InputError(f"bandwidths must be positive, got {bandwidths}")
         _check_inversion_size(hs.size, grid.points, x_max)
+        if not grid.spacing * x_max < math.pi:
+            raise InputError(
+                f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
+                f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
+                f"spectral points for a window of {grid.cutoff:g}")
         self.grid, self.kernel, self.bandwidths = grid, kernel, hs
-        self.nodes = checked_tail_nodes(grid, x_max)
-        self.kernel_rows = np.stack([kernel.fk(h * grid.u) for h in hs])
+        self.nodes = tail_nodes(x_max)
+        self.kernel_rows = np.stack([kernel(h * grid.u) for h in hs])
         self._plan = _GriddingPlan(
             grid, np.concatenate([-self.nodes[::-1], self.nodes]))
 
@@ -232,14 +225,6 @@ class TailInversion:
             self.nodes * self.nodes)
         return TailTable(nodes=self.nodes, bandwidths=self.bandwidths,
                          density=density)
-
-
-def tail_estimates(spectra: Spectra, kernel: SpectralKernel, bandwidths,
-                   x_max: float = X_MAX_DEFAULT) -> TailTable:
-    """Tail-function estimates N_h for every bandwidth from one spectra
-    table: `TailInversion` on the table's grid, applied once."""
-    inversion = TailInversion(spectra.grid, kernel, bandwidths, x_max)
-    return inversion.table(spectra)
 
 
 def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:

@@ -51,8 +51,10 @@ class CGMYJumps:
     """Tempered-stable intensity C|x|^{-1-Y} e^{-G|x|} (x<0), C x^{-1-Y} e^{-Mx} (x>0).
 
     Y < 2 is required; Y in {0, 1} is rejected (the closed form has
-    logarithmic limits there and the package does not need them).  For
-    Y >= 0 the measure has infinite mass near 0.
+    logarithmic limits there and the package does not need them), and so
+    is Y below about -171.62, where Gamma(-Y), a factor of the exponent
+    and of the tail, overflows.  For Y >= 0 the measure has infinite mass
+    near 0.
     """
 
     C: float
@@ -69,6 +71,9 @@ class CGMYJumps:
             raise InputError(f"Y must be < 2, got {self.Y}")
         if self.Y in (0.0, 1.0):
             raise InputError("Y in {0, 1} is not supported (logarithmic closed form)")
+        if not math.isfinite(_gamma_fn(-self.Y)):
+            raise InputError(f"Y must lie above about -171.62, where "
+                             f"Gamma(-Y) is finite, got {self.Y!r}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +229,9 @@ def martingale_drift(sigma2: float, jumps=None) -> float:
 # moments
 # ---------------------------------------------------------------------------
 
-def jump_second_moment(model_or_jumps) -> float:
-    """int x^2 nu(dx), the jump contribution to the variance per unit time."""
-    jumps = model_or_jumps.jumps if isinstance(model_or_jumps, LevyModel) else model_or_jumps
+def jump_second_moment(jumps) -> float:
+    """int x^2 nu(dx) of a jump specification (None: no jumps), the jump
+    contribution to the variance per unit time."""
     if jumps is None:
         return 0.0
     probe = LevyModel(sigma2=0.0, gamma=0.0, jumps=jumps)
@@ -234,9 +239,9 @@ def jump_second_moment(model_or_jumps) -> float:
     return float(-np.real(val))
 
 
-def jump_mean(model_or_jumps) -> float:
-    """int x nu(dx), the jump contribution to the mean drift."""
-    jumps = model_or_jumps.jumps if isinstance(model_or_jumps, LevyModel) else model_or_jumps
+def jump_mean(jumps) -> float:
+    """int x nu(dx) of a jump specification (None: no jumps), the jump
+    contribution to the mean drift."""
     if jumps is None:
         return 0.0
     if isinstance(jumps, CGMYJumps):

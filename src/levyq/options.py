@@ -279,6 +279,12 @@ def generate_synthetic_chain(model: LevyModel, maturity: float, rate: float, n: 
 # interpolation
 
 
+def _pad(xs: np.ndarray) -> float:
+    """Width of the ramps at both ends of the interpolant: twice the mean
+    knot spacing."""
+    return float(2.0 * (xs[-1] - xs[0]) / (xs.size - 1))
+
+
 def _linear_table(xs: np.ndarray, values: np.ndarray) -> tuple:
     """Breakpoints and ascending segment coefficients of the interpolant O~.
 
@@ -288,7 +294,7 @@ def _linear_table(xs: np.ndarray, values: np.ndarray) -> tuple:
     and the slope of O~ on [breaks[j], breaks[j+1]], as coefficients of
     ascending powers of (x - breaks[j]).
     """
-    pad = float(2.0 * (xs[-1] - xs[0]) / (xs.size - 1))
+    pad = _pad(xs)
     slopes = np.diff(values) / np.diff(xs)
     interior = np.vstack([slopes, values[:-1]])  # descending powers
     left = np.array([[values[0] / pad], [0.0]])
@@ -337,27 +343,31 @@ def _jump_weights(x: np.ndarray, asc: np.ndarray, ks) -> dict:
     """Per k, the (breakpoints x orders r) matrix whose column r is (-1)^r
     e^{-x_j} times the jump of (x^k O~)^(r) at x_j.
 
-    The jumps of (x^k O~)^(r) follow from those of O~^(s) by Leibniz' rule.
-    asc: (d+1, S), powers of (x - left edge) on the breakpoints x.
+    asc: (2, S), value and slope of the linear interpolant O~ on the
+    segments between the breakpoints x.  Only O~ and O~' jump, so by
+    Leibniz' rule the jump of (x^k O~)^(r) is
+    r k!/(k-r+1)! x^(k-r+1) J1 + k!/(k-r)! x^(k-r) J0, r = 0..k+1, with J0
+    and J1 the jumps of O~ and O~'.
     """
-    widths = np.diff(x)
-    d = asc.shape[0] - 1
-    # jumps[s, j] = O~^(s)(x_j-) - O~^(s)(x_j+); O~ vanishes off its support
-    jumps = np.zeros((d + 1, x.size))
-    for s in range(d + 1):
-        jumps[s, :-1] -= math.factorial(s) * asc[s]
-        jumps[s, 1:] += sum(math.perm(p, s) * asc[p] * widths ** (p - s)
-                            for p in range(s, d + 1))
-    # column r of weights[k]: (-1)^r e^{-x_j} times the jump of (x^k O~)^(r),
-    # sum_i C(r, i) k!/(k-i)! x^(k-i) jumps[r-i]
-    return {
-        k: np.exp(-x)[:, None] * np.stack([
-            (-1) ** r * sum(math.comb(r, i) * math.perm(k, i) * x ** (k - i) * jumps[r - i]
-                            for i in range(max(0, r - d), min(k, r) + 1))
-            for r in range(d + k + 1)
-        ], axis=1)
-        for k in ks
-    }
+    value, slope = asc
+    # left limit minus right limit; O~ vanishes off its support.  O~ is
+    # continuous, so J0 is 0 inside up to the rounding of value + slope *
+    # width, which is kept
+    j0, j1 = np.zeros(x.size), np.zeros(x.size)
+    j0[:-1] -= value
+    j0[1:] += value + slope * np.diff(x)
+    j1[:-1] -= slope
+    j1[1:] += slope
+
+    def column(k, r):
+        terms = [r * math.perm(k, r - 1) * x ** (k - r + 1) * j1] if r else []
+        if r <= k:
+            terms.append(math.perm(k, r) * x ** (k - r) * j0)
+        return (-1) ** r * sum(terms)
+
+    return {k: np.exp(-x)[:, None] * np.stack([column(k, r)
+                                               for r in range(k + 2)], axis=1)
+            for k in ks}
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +379,23 @@ def _check_knots(xs: np.ndarray) -> None:
         raise InputError("need two or more knots, one price each")
     if not np.all(np.diff(xs) > 0):
         raise InputError("knots must be strictly increasing")
+
+
+# the left end x of the interpolant must keep e^{-2x} finite: e^{-x} weighs
+# every transform F_k and the noise profile, whose L2 norm squares it
+_LEFT_END = -0.5 * math.log(np.finfo(float).max)
+
+
+def _check_left_end(xs: np.ndarray) -> None:
+    """Refuse knots whose interpolant starts left of _LEFT_END (-354.9),
+    before any e^{-x} is formed."""
+    left = xs[0] - _pad(xs)
+    if not left >= _LEFT_END:
+        raise InputError(
+            f"the leftmost knot x = {xs[0]:g} starts the interpolant at "
+            f"{left:g}, where e^(-2x) overflows (it must start at "
+            f"{_LEFT_END:.1f} or right of it); quote no strike that far "
+            "below the forward")
 
 
 def _curvature(u, f: dict, maturity: float, noise_scale: float) -> tuple:
@@ -410,7 +437,8 @@ def _noise_profile(xs: np.ndarray, noise_levels: np.ndarray) -> tuple:
     _PROFILE_GRID points of the design range, sup_norms are max |x|^k
     e^{-x} rho(x) for k = 0, 1, 2 and l2_weighted is the L2 norm of
     e^{-x} rho; dividing the latter by sqrt(n) gives one standard deviation
-    of the phi~ reconstruction noise, the scale of the trust guard.
+    of the phi~ reconstruction noise, the scale of the trust guard.  A
+    summary that overflows is refused (InputError).
     """
     n = xs.size
     if n < 5:
@@ -424,13 +452,19 @@ def _noise_profile(xs: np.ndarray, noise_levels: np.ndarray) -> tuple:
     grid = np.linspace(xs[0], xs[-1], _PROFILE_GRID)
     t = np.abs(grid[..., None] - xs) / bandwidth
     density = np.clip(1.0 - t, 0.0, None).sum(axis=-1) / (n * bandwidth)
-    rho = (np.interp(grid, xs, noise_levels)
-           / np.sqrt(np.maximum(density, _DENSITY_FLOOR)))
-    weighted = np.exp(-grid) * rho
-    sup_norms = tuple(
-        float(np.max(np.abs(grid) ** k * np.abs(weighted))) for k in (0, 1, 2)
-    )
-    return sup_norms, float(np.sqrt(np.trapezoid(weighted ** 2, grid)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rho = (np.interp(grid, xs, noise_levels)
+               / np.sqrt(np.maximum(density, _DENSITY_FLOOR)))
+        weighted = np.exp(-grid) * rho
+        sup_norms = tuple(float(np.max(np.abs(grid) ** k * np.abs(weighted)))
+                          for k in (0, 1, 2))
+        l2 = float(np.sqrt(np.trapezoid(weighted ** 2, grid)))
+    if not np.all(np.isfinite(sup_norms + (l2,))):
+        raise InputError(
+            f"the quote-noise summary is not finite: e^(-x) times the noise "
+            f"profile overflows (largest noise level "
+            f"{np.max(noise_levels):g}, leftmost knot x = {xs[0]:g})")
+    return sup_norms, l2
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +492,8 @@ class _ChainDesign:
                  grid: FrequencyGrid):
         self.xs = np.asarray(xs, dtype=float)
         self.noise_levels = np.asarray(noise_levels, dtype=float)
+        if self.xs.size > 1:
+            _check_left_end(self.xs)
         if np.any(self.noise_levels > 0):
             self.sup_norms, l2 = _noise_profile(self.xs, self.noise_levels)
             self.noise_scale = l2 / math.sqrt(self.xs.size)

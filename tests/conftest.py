@@ -6,9 +6,8 @@ import pytest
 
 from levyq.adaptive import adaptive_quantile
 from levyq.errors import InputError
-from levyq.inversion import (X_MAX_DEFAULT, TailTable, tail_estimates,
+from levyq.inversion import (X_MAX_DEFAULT, TailInversion, TailTable,
                              tail_quantiles)
-from levyq.kernels import SpectralKernel
 from levyq.models import CGMYJumps, LevyModel, martingale_drift
 from levyq.numerics import FrequencyGrid, Spectra, inverse_fourier
 from levyq.options import (OptionChain, _check_knots, _curvature,
@@ -203,17 +202,23 @@ def one_quantile(dist, tau, eta, side) -> Quantile:
 
 
 def select_one(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
-    """adaptive_quantile on one cell: (h, q, LepskiDiagnostics), or the
+    """adaptive_quantile on one cell: (h, q, Selection), or the
     NoSolutionError of a cell whose every bandwidth was dropped."""
     selection = adaptive_quantile(bandwidths, quantiles, densities, sigmas,
                                   n, delta)
-    return (*selection.pick(0), selection.diagnostics(0))
+    return (*selection.pick(0), selection)
+
+
+def tail_estimates(spectra, kernel, bandwidths, x_max=X_MAX_DEFAULT):
+    """The tail table of every bandwidth from one spectra table: a
+    `TailInversion` on the table's grid, applied once."""
+    return TailInversion(spectra.grid, kernel, bandwidths, x_max).table(spectra)
 
 
 def tail_at(psi2, kernel, h, x_max=X_MAX_DEFAULT, points=SPECTRAL_POINTS):
     """Tail-function estimate at one bandwidth: the curvature psi2 (a
-    callable) tabulated on the full band |u| <= 1/h and inverted by
-    tail_estimates, the table demo_direct builds from increments."""
+    callable) tabulated on the full band |u| <= 1/h and inverted at h
+    alone, as demo_direct inverts its table of increments."""
     grid = FrequencyGrid(1.0 / h, points)
     return TailOracle.from_table(
         tail_estimates(curvature_table(psi2, grid), kernel, [h], x_max), 0)
@@ -225,12 +230,12 @@ def density_at(psi2, kernel, h, t, points=SPECTRAL_POINTS):
     (the tail tables hold it only at the tail nodes)."""
     grid = FrequencyGrid(1.0 / h, points)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel.fk(h * grid.u)
+    spectrum = np.asarray(psi2(grid.u), dtype=complex) * kernel(h * grid.u)
     out = -inverse_fourier(spectrum, grid, t_arr) / (t_arr * t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def triangle_kernel() -> SpectralKernel:
+def triangle_kernel():
     """Triangle Fourier profile (the spatial kernel is the Fejer kernel).
 
     Mass is 1 but the second moment does not vanish; a negative control
@@ -240,7 +245,7 @@ def triangle_kernel() -> SpectralKernel:
     def fk(u):
         return np.clip(1.0 - np.abs(np.asarray(u, dtype=float)), 0.0, 1.0)
 
-    return SpectralKernel(fk=fk, declared_order=1, flat_radius=None)
+    return fk
 
 
 @dataclass(frozen=True)
@@ -276,9 +281,10 @@ _VERIFY_XMAX = 320.0
 _VERIFY_DX = 0.5
 
 
-def verify_order(kernel: SpectralKernel, p: int, tol: float = 1e-6,
+def verify_order(kernel, p: int, tol: float = 1e-6,
                  mass_tol: float = 1e-8) -> OrderReport:
-    """Numerically check that the first p moments of K vanish.
+    """Numerically check that the first p moments of K vanish, K the
+    kernel of the profile `kernel`.
 
     Reconstructs K on a dense spatial grid by inverse Fourier transform of
     the profile, then evaluates the windowed moments int x^l K(x) w(x) dx
@@ -295,7 +301,7 @@ def verify_order(kernel: SpectralKernel, p: int, tol: float = 1e-6,
         raise InputError(f"moment order must be >= 0, got {p}")
     grid = FrequencyGrid(cutoff=1.0, points=_VERIFY_POINTS)
     x = np.arange(-_VERIFY_XMAX, _VERIFY_XMAX + 0.5 * _VERIFY_DX, _VERIFY_DX)
-    K = inverse_fourier(kernel.fk, grid, x)
+    K = inverse_fourier(kernel, grid, x)
     scaled = x / _VERIFY_SCALE
     w = 2.0 * np.exp(-0.125 * scaled ** 2) - np.exp(-0.5 * scaled ** 2)
     residuals = {0: float(np.trapezoid(K * w, x)) - 1.0}

@@ -45,7 +45,6 @@ from scipy.stats import norm
 from levyq.adaptive import build_grid, sigma_tilde
 from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
-from levyq.inversion import tail_estimates
 from levyq.kernels import flat_top_kernel
 from levyq.models import (LevyModel, characteristic_exponent,
                           exponent_curvature, true_quantile)
@@ -54,7 +53,8 @@ from levyq.options import (compute_chain_spectra, generate_synthetic_chain,
                            option_function)
 
 from conftest import (PRINTED_QUANTILES, density_at, one_quantile, oracles,
-                      select_one, spline_spectra, tail_at, verify_order)
+                      select_one, spline_spectra, tail_at, tail_estimates,
+                      verify_order)
 
 # Reference benchmark table: empirical RMSE multiplied by 100, per
 # threshold level, columns (oracle -, adaptive -, oracle +, adaptive +).
@@ -384,10 +384,10 @@ def test_criterion_7_selector_structure(bench_model):
         sigs = np.array([
             sigma_tilde(spectra, kernel, float(h), 0.11, "-")
             for h in grid.values])
-        h_sel, _, diag = select_one(grid.values, qs, dens, sigs, 100, 0.1)
+        h_sel, _, sel = select_one(grid.values, qs, dens, sigs, 100, 0.1)
         selected.append(round(float(h_sel), 6))
         assert h_sel in grid.values
-        assert any(r.chosen for r in diag.records)
+        assert any(r["chosen"] for r in sel.records(0))
 
     # engineered fixture: the largest bandwidth's interval is disjoint
     # from the running intersection, so the selector stops one rung below

@@ -21,11 +21,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from conftest import select_one, spline_spectra
+from conftest import select_one, spline_spectra, tail_estimates
 from levyq.adaptive import (
     BandwidthGrid,
-    BandwidthRecord,
-    LepskiDiagnostics,
     _bound_terms,
     _e2,
     _screen_statistic,
@@ -37,7 +35,7 @@ from levyq.errors import InputError, NoSolutionError, NumericalError
 from levyq.harness import DEFAULT_CHAIN_TAUS, ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
 from levyq.inversion import (X_MAX_DEFAULT, TailInversion, grid_points,
-                             tail_estimates, tail_quantiles)
+                             tail_quantiles)
 from levyq.kernels import flat_top_kernel
 from levyq.numerics import _MAX_BATCH, FrequencyGrid, Spectra
 from levyq.options import compute_chain_spectra, generate_synthetic_chain
@@ -253,7 +251,7 @@ class TestBuildGrid:
         # n = 100, L = 1.1: the cap (log10 100)^{-5} = 2^{-5} = 0.03125 is
         # reached at j = 12 (1.1^12/100 = 0.031384)
         grid = build_grid(100, 1.1)
-        assert grid.j_max == 12
+        assert grid.full_values.size - 1 == 12
         assert grid.values.size == 13
         assert np.all(np.diff(grid.values) > 0)
         cap = math.log10(100) ** -5
@@ -626,10 +624,10 @@ class TestBoundAgainstOracle:
 class TestAdaptiveQuantile:
     def test_identical_intervals_choose_max_bandwidth(self):
         hs = [0.01, 0.02, 0.04]
-        h, q, diag = select_one(hs, [0.5] * 3, [1.0] * 3, [0.1] * 3, n=100)
+        h, q, sel = select_one(hs, [0.5] * 3, [1.0] * 3, [0.1] * 3, n=100)
         assert h == 0.04
         assert q == 0.5
-        assert diag.records[-1].chosen
+        assert sel.records(0)[-1]["chosen"]
 
     def test_disjoint_top_interval_rejected(self):
         # records engineered directly through V = m * sigma / density with
@@ -638,10 +636,10 @@ class TestAdaptiveQuantile:
         hs = [0.01, 0.02, 0.04]
         qs = [0.50, 0.52, 5.00]
         sigmas = [0.30 / m, 0.25 / m, 0.10 / m]
-        h, q, diag = select_one(hs, qs, [1.0] * 3, sigmas, n=100)
+        h, q, sel = select_one(hs, qs, [1.0] * 3, sigmas, n=100)
         assert h == 0.02
         assert q == 0.52
-        assert [r.chosen for r in diag.records] == [False, True, False]
+        assert [r["chosen"] for r in sel.records(0)] == [False, True, False]
 
     def test_once_empty_stays_empty(self):
         # 4th interval overlaps the 3rd but the scan has already stopped
@@ -654,17 +652,17 @@ class TestAdaptiveQuantile:
 
     def test_multiplier_value(self):
         # delta = 0.1, n = 100: (1.1) sqrt(2 log log 100) = 1.923 (natural logs)
-        _, _, diag = select_one([0.01], [0.5], [1.0], [1.0], n=100,
-                                delta=0.1)
-        assert abs(diag.multiplier - 1.923) < 1e-3
-        assert diag.records[0].V == pytest.approx(diag.multiplier)
+        _, _, sel = select_one([0.01], [0.5], [1.0], [1.0], n=100,
+                               delta=0.1)
+        assert abs(sel.multiplier - 1.923) < 1e-3
+        assert sel.records(0)[0]["V"] == pytest.approx(sel.multiplier)
 
     def test_zero_density_dropped_with_flag(self):
         hs = [0.01, 0.02, 0.04]
-        h, q, diag = select_one(hs, [0.5, 0.9, 0.51], [1.0, 0.0, 1.0],
-                                [0.1, 0.1, 0.1], n=100)
-        assert diag.records[1].dropped
-        assert diag.records[1].V is None
+        h, q, sel = select_one(hs, [0.5, 0.9, 0.51], [1.0, 0.0, 1.0],
+                               [0.1, 0.1, 0.1], n=100)
+        assert sel.records(0)[1]["dropped"]
+        assert sel.records(0)[1]["V"] is None
         # the dropped bandwidth does not break the chain: h = 0.04 wins
         assert h == 0.04 and q == 0.51
 
@@ -675,15 +673,16 @@ class TestAdaptiveQuantile:
 
     def test_interval_uses_absolute_density(self):
         # negative density estimates enter through |density|
-        h, q, diag = select_one([0.01, 0.02], [0.5, 0.5], [-1.0, 1.0],
-                                [0.1, 0.1], n=100)
+        h, q, sel = select_one([0.01, 0.02], [0.5, 0.5], [-1.0, 1.0],
+                               [0.1, 0.1], n=100)
         assert h == 0.02
-        assert diag.records[0].V == pytest.approx(diag.records[1].V)
+        rows = sel.records(0)
+        assert rows[0]["V"] == pytest.approx(rows[1]["V"])
 
     def test_diagnostics_serialize(self):
-        _, _, diag = select_one([0.01, 0.02], [0.5, 0.6], [1.0, 0.0],
-                                [0.1, 0.2], n=100)
-        rows = diag.to_json_rows()
+        _, _, sel = select_one([0.01, 0.02], [0.5, 0.6], [1.0, 0.0],
+                               [0.1, 0.2], n=100)
+        rows = sel.records(0)
         text = json.dumps(rows)
         back = json.loads(text)
         assert back[0].keys() == {"h", "q", "sigma", "V", "lo", "hi",
@@ -715,7 +714,8 @@ class TestAdaptiveQuantile:
 def scan_reference(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
     """One cell, one bandwidth at a time: walk the grid upward keeping the
     running intersection and stop once it empties.  Returns (h, q,
-    LepskiDiagnostics); NoSolutionError when every bandwidth is dropped."""
+    multiplier, rows), rows as `Selection.records` gives them;
+    NoSolutionError when every bandwidth is dropped."""
     hs, qs, dens, sig = (np.asarray(a, dtype=float) for a in
                          (bandwidths, quantiles, densities, sigmas))
     multiplier = (1.0 + delta) * math.sqrt(2.0 * math.log(math.log(n)))
@@ -736,15 +736,14 @@ def scan_reference(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
                 chosen_idx = i
             else:
                 alive = False  # once empty, stays empty
-        records.append(BandwidthRecord(
+        records.append(dict(
             h=float(hs[i]), q=float(qs[i]), sigma=float(sig[i]),
             V=V, lo=lo, hi=hi, chosen=False, dropped=V is None))
     if chosen_idx is None:
         raise NoSolutionError("every bandwidth was dropped")
-    records[chosen_idx] = dataclasses.replace(records[chosen_idx],
-                                              chosen=True)
-    return (float(hs[chosen_idx]), float(qs[chosen_idx]),
-            LepskiDiagnostics(records=tuple(records), multiplier=multiplier))
+    records[chosen_idx]["chosen"] = True
+    return (float(hs[chosen_idx]), float(qs[chosen_idx]), multiplier,
+            records)
 
 
 def bits(values):
@@ -792,8 +791,8 @@ class TestSelectorOverCells:
         selection = adaptive_quantile(hs, qs, dens, sig, n, delta)
         for c in range(qs.shape[0]):
             try:
-                h, q, diag = scan_reference(hs, qs[c], dens[c], sig[c], n,
-                                            delta)
+                h, q, multiplier, rows = scan_reference(
+                    hs, qs[c], dens[c], sig[c], n, delta)
             except NoSolutionError:
                 # that cell alone has no pick
                 assert selection.chosen[c] == -1
@@ -802,17 +801,16 @@ class TestSelectorOverCells:
                 assert selection.dropped[c].all()
                 continue
             assert selection.pick(c) == (h, q)
-            got = selection.diagnostics(c)
-            assert got.multiplier == diag.multiplier
-            assert got.records == diag.records
+            got = selection.records(c)
+            assert selection.multiplier == multiplier
+            assert got == rows
             for field in ("V", "lo", "hi"):
-                want = bits([getattr(r, field) for r in diag.records])
+                want = bits([r[field] for r in rows])
                 assert np.array_equal(bits(getattr(selection, field)[c]),
                                       want)
-                assert np.array_equal(
-                    bits([getattr(r, field) for r in got.records]), want)
-            assert selection.dropped[c].tolist() == [r.dropped for r in
-                                                     diag.records]
+                assert np.array_equal(bits([r[field] for r in got]), want)
+            assert selection.dropped[c].tolist() == [r["dropped"] for r in
+                                                     rows]
 
     def test_cells_are_independent(self):
         # an all-dropped cell beside two that pick; each row alone gives

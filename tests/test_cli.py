@@ -29,7 +29,8 @@ import levyq.harness
 import levyq.options
 from levyq.errors import NumericalError
 from levyq.harness import ExperimentConfig, parse_config_text, run_mc_table
-from levyq.options import generate_synthetic_chain, write_chain_csv
+from levyq.options import (generate_synthetic_chain, read_chain_csv,
+                           write_chain_csv)
 
 MC_CFG = ("n = 32\n"
           "taus = 1.0\n"
@@ -709,6 +710,43 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
     assert err.startswith("error:")
     assert "sigma = 1e+150" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, chain_edit, message", [
+    ("mc-table", "strike_mean = -1e3", None, "leftmost knot x = -1001.33"),
+    ("estimate-chain", "", {"shift": -1e3}, "leftmost knot x = -1001.3"),
+    ("mc-table", "noise_fraction = 1e300", None,
+     "quote-noise summary is not finite"),
+    ("estimate-chain", "", {"noise": 1e200},
+     "quote-noise summary is not finite"),
+    ("mc-table", "Y = -1e3", None, "Gamma(-Y) is finite"),
+], ids=["mc-strike-far-left", "chain-strike-far-left", "mc-huge-noise",
+        "chain-huge-noise", "mc-very-negative-Y"])
+def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
+                                          chain_edit, message):
+    # e^{-x} at strikes 1,000 below the forward, the square of a 1e300-fold
+    # noise profile and Gamma(1,000) overflowed: RuntimeWarnings, then
+    # exit 3 blaming an empty trust region or a non-finite option function
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(MC_CFG + line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "estimate-chain":
+        chain = read_chain_csv(chain_file(tmp_path, 32), maturity=0.25,
+                               rate=0.06)
+        chain = dataclasses.replace(
+            chain, xs=chain.xs + chain_edit.get("shift", 0.0),
+            noise_levels=chain.noise_levels * 0 + chain_edit.get(
+                "noise", chain.noise_levels))
+        write_chain_csv(tmp_path / "edited.csv", chain)
+        argv[1:1] = ["--chain", str(tmp_path / "edited.csv")]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
-"""The scripts under demos/ run start to finish in a fresh interpreter."""
+"""The scripts under demos/ run start to finish in a fresh interpreter,
+with numpy's RuntimeWarnings made errors there too (pytest's filter does
+not reach a subprocess)."""
 
 import math
 import os
@@ -13,7 +15,8 @@ REPO = Path(__file__).resolve().parents[1]
 def test_direct_increments_demo(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
-        [sys.executable, str(REPO / "demos" / "direct_increments_demo.py")],
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(REPO / "demos" / "direct_increments_demo.py")],
         capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -44,8 +44,7 @@ from levyq.harness import (
     pricing_model,
     run_mc_table,
 )
-from levyq.inversion import (TailInversion, grid_points, tail_estimates,
-                             tail_quantiles)
+from levyq.inversion import TailInversion, grid_points, tail_quantiles
 from levyq.kernels import flat_top_kernel
 from levyq.models import ExponentialJumps, martingale_drift
 from levyq.numerics import FrequencyGrid
@@ -54,7 +53,7 @@ from levyq.options import (_perturbed_chain, _synthetic_design,
                            write_chain_csv)
 from levyq.simulate import IncrementSampler, sample_increments
 
-from conftest import TRUE_QUANTILES, one_quantile, oracles
+from conftest import TRUE_QUANTILES, one_quantile, oracles, tail_estimates
 
 LN2 = math.log(2.0)
 
@@ -578,9 +577,8 @@ class TestEstimateChain:
                 continue
             assert np.array_equal(cells[cell].qs, est.qs)
             assert (cells[cell].h, cells[cell].q) == (est.h, est.q)
-            assert (cells[cell].selection.diagnostics(cells[cell].row)
-                    .to_json_rows() == est.selection.diagnostics(est.row)
-                    .to_json_rows())
+            assert (cells[cell].selection.records(cells[cell].row)
+                    == est.selection.records(est.row))
 
     def test_intervals_read_each_sides_density(self):
         # V_h = multiplier * sigma_h / |density_h(q_h)|, with the density of
@@ -599,10 +597,11 @@ class TestEstimateChain:
         cells = _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
         for (tau, side), cell in cells.items():
             sign = 1.0 if side == "+" else -1.0
-            diag = cell.selection.diagnostics(cell.row)
-            for dist, record in zip(dists, diag.records):
-                density = dist.density(sign * record.q)
-                assert record.V == diag.multiplier * record.sigma / abs(density)
+            multiplier = cell.selection.multiplier
+            for dist, record in zip(dists, cell.selection.records(cell.row)):
+                density = dist.density(sign * record["q"])
+                assert record["V"] == (multiplier * record["sigma"]
+                                       / abs(density))
 
     def test_large_chain_inverts_the_full_band(self):
         # beyond n = 400 the master window stays [-n, n]: psi~'' is still

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (TailOracle, as_table, curvature_table, density_at,
-                      hermitian_full_sum, one_quantile, oracles, tail_at)
+                      hermitian_full_sum, one_quantile, oracles, tail_at,
+                      tail_estimates)
 from levyq.errors import InputError, NumericalError
 import levyq.inversion
 from levyq.inversion import (
@@ -36,9 +37,7 @@ from levyq.inversion import (
     X_MAX_DEFAULT,
     TailInversion,
     TailTable,
-    checked_tail_nodes,
     grid_points,
-    tail_estimates,
     tail_nodes,
     tail_quantiles,
 )
@@ -74,7 +73,7 @@ class TestDensity:
             d = density_at(
                 lambda u: np.full(np.shape(u), -sigma2, dtype=complex),
                 FLAT, h, t)
-            Kh = quad(lambda u: np.cos(u * t) * FLAT.fk(h * u),
+            Kh = quad(lambda u: np.cos(u * t) * FLAT(h * u),
                       0.0, 1.0 / h, limit=400)[0] / np.pi
             # oracle uses adaptive quadrature, estimate a dense trapezoid
             assert d == pytest.approx(sigma2 * Kh / t ** 2, abs=1e-8)
@@ -106,7 +105,7 @@ class TestDensity:
         got = density_at(lambda u: np.full(np.shape(u), 1j), FLAT,
                                 0.1, t)
         grid = FrequencyGrid(cutoff=10.0, points=2 ** 13)
-        F = hermitian_full_sum(1j * FLAT.fk(0.1 * grid.u), grid, t)
+        F = hermitian_full_sum(1j * FLAT(0.1 * grid.u), grid, t)
         assert np.max(np.abs(F.imag)) < 1e-12 * np.max(np.abs(F.real))
         np.testing.assert_allclose(got, -F.real / t ** 2, rtol=1e-12)
 
@@ -121,7 +120,7 @@ class TestDensity:
                                          FLAT, hs))
         nodes = tail_nodes()
         for est, h in zip(shifted, hs):
-            column = (hermitian + 1j) * FLAT.fk(h * grid.u)
+            column = (hermitian + 1j) * FLAT(h * grid.u)
             F = hermitian_full_sum(column, grid, np.concatenate([nodes, -nodes]))
             want = -F.real / np.concatenate([nodes, nodes]) ** 2
             got = np.concatenate([est.density_pos, est.density_neg])
@@ -166,14 +165,17 @@ class TestDistribution:
             tail_at(psi2_cp, FLAT, 0.01, points=256)
 
     def test_aliasing_checked_before_nodes_are_built(self, monkeypatch):
-        # x_max = 1e7 would ask tail_nodes for 1e9 nodes; the spacing check
-        # must refuse it first
+        # x_max = 1e7 would ask tail_nodes for 1e9 nodes, x_max = 1,000 for
+        # 10^5; the size cap and the spacing check must refuse them first
         def no_nodes(x_max):
             raise AssertionError("tail nodes built before the check")
 
         monkeypatch.setattr(levyq.inversion, "tail_nodes", no_nodes)
+        grid = FrequencyGrid(100.0, 8192)
         with pytest.raises(InputError):
-            checked_tail_nodes(FrequencyGrid(100.0, 8192), 1e7)
+            TailInversion(grid, FLAT, [0.01], 1e7)
+        with pytest.raises(InputError, match="aliases the tail nodes"):
+            TailInversion(grid, FLAT, [0.01], 1e3)
 
     def test_cp_tail_at_one(self):
         N = tail_at(psi2_cp, FLAT, 0.05)(1.0)

@@ -11,15 +11,13 @@ Oracles
   independent check of the reconstruction pipeline.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyq.errors import InputError
-from levyq.kernels import SpectralKernel, flat_top_kernel
+from levyq.kernels import flat_top_kernel
 from levyq.numerics import FrequencyGrid, inverse_fourier
 
 from conftest import OrderReport, triangle_kernel, verify_order
@@ -44,23 +42,17 @@ def triangle_report():
 
 class TestFlatTopProfile:
     def test_plateau_and_support(self, flat):
-        assert flat.fk(0.0) == 1.0
-        assert flat.fk(1.0) == 0.0
-        assert flat.fk(-1.0) == 0.0
+        assert flat(0.0) == 1.0
+        assert flat(1.0) == 0.0
+        assert flat(-1.0) == 0.0
         u = np.array([-0.5, -0.2, 0.0, 0.31, 0.5])
-        assert np.all(flat.fk(u) == 1.0)
-        assert np.all(flat.fk(np.array([1.0, 1.5, -2.0, 40.0])) == 0.0)
+        assert np.all(flat(u) == 1.0)
+        assert np.all(flat(np.array([1.0, 1.5, -2.0, 40.0])) == 0.0)
 
     def test_bridge_midpoint_value(self, flat):
         # hand-derived: s = 0.5 -> q = 1 - 0.125 * (10 - 7.5 + 1.5) = 0.5
-        assert flat.fk(0.75) == pytest.approx(0.5, abs=1e-15)
-        assert flat.fk(-0.75) == pytest.approx(0.5, abs=1e-15)
-
-    def test_metadata(self, flat):
-        assert flat.declared_order == math.inf
-        assert flat.flat_radius == 0.5
-        # callable sugar delegates to the profile
-        assert flat(np.array([0.75]))[0] == pytest.approx(0.5)
+        assert flat(0.75) == pytest.approx(0.5, abs=1e-15)
+        assert flat(-0.75) == pytest.approx(0.5, abs=1e-15)
 
     def test_bad_flat_radius_rejected(self):
         for c in (0.0, 1.0, -0.2, 1.5):
@@ -72,34 +64,34 @@ class TestFlatTopProfile:
     def test_profile_shape_properties(self, c):
         k = flat_top_kernel(c)
         u = np.linspace(0.0, 1.2, 301)
-        vals = k.fk(u)
+        vals = k(u)
         # range [0, 1], plateau, zero tail, nonincreasing in |u|
         assert np.all(vals <= 1.0 + 1e-15) and np.all(vals >= -1e-15)
         assert np.all(vals[u <= c] == 1.0)
         assert np.all(vals[u >= 1.0] == 0.0)
         assert np.all(np.diff(vals) <= 1e-12)
         # evenness
-        assert np.allclose(k.fk(-u), vals, atol=0, rtol=0)
+        assert np.allclose(k(-u), vals, atol=0, rtol=0)
 
     def test_kernel_value_at_origin(self, flat):
         # closed form (1+c)/(2pi) from the smoothstep symmetry
-        K0 = inverse_fourier(flat.fk, DENSE, [0.0]).real[0]
+        K0 = inverse_fourier(flat, DENSE, [0.0]).real[0]
         assert K0 == pytest.approx(1.5 / (2.0 * np.pi), abs=1e-12)
 
     def test_spatial_decay_envelope(self, flat):
         # C^2 profile => |K(x)| <= C / x^2 on |x| <= 1e3 (measured max of
         # |K| x^2 is ~1.97; bound 3 leaves margin without hiding regressions)
         x = np.logspace(0.0, 3.0, 200)
-        K = inverse_fourier(flat.fk, DENSE, x).real
+        K = inverse_fourier(flat, DENSE, x).real
         assert np.max(np.abs(K) * x ** 2) < 3.0
 
     def test_scaling_identity(self, flat):
         # spectrum fk(h u) reconstructs h^{-1} K(x / h)
         h = 0.3
         x = np.array([0.0, 0.4, 1.1, 2.7])
-        lhs = inverse_fourier(lambda u: flat.fk(h * u), DENSE, x).real
+        lhs = inverse_fourier(lambda u: flat(h * u), DENSE, x).real
         narrow = FrequencyGrid(cutoff=h, points=2 ** 16)
-        rhs = inverse_fourier(flat.fk, narrow, x / h).real / h
+        rhs = inverse_fourier(flat, narrow, x / h).real / h
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -108,14 +100,9 @@ class TestTriangleProfile:
         # reconstruction must match (1 - cos x)/(pi x^2) pointwise
         tri = triangle_kernel()
         x = np.array([0.5, 1.7, 3.0, 7.3, 20.0, 55.5])
-        K = inverse_fourier(tri.fk, DENSE, x).real
+        K = inverse_fourier(tri, DENSE, x).real
         closed = (1.0 - np.cos(x)) / (np.pi * x ** 2)
         np.testing.assert_allclose(K, closed, atol=1e-9)
-
-    def test_metadata(self):
-        tri = triangle_kernel()
-        assert tri.declared_order == 1
-        assert tri.flat_radius is None
 
 
 class TestVerifyOrder:
@@ -138,11 +125,8 @@ class TestVerifyOrder:
     def test_mass_only_check(self):
         # p = 0 passes iff fk(0) = 1
         assert verify_order(triangle_kernel(), 0).ok
-        deficient = SpectralKernel(
-            fk=lambda u: 0.9 * flat_top_kernel(0.5).fk(u),
-            declared_order=0,
-        )
-        rep = verify_order(deficient, 0)
+        flat = flat_top_kernel(0.5)
+        rep = verify_order(lambda u: 0.9 * flat(u), 0)
         assert not rep.ok
         assert rep.failures == (0,)
         assert rep.residuals[0] == pytest.approx(-0.1, abs=1e-6)

@@ -112,6 +112,12 @@ class TestCharacteristicExponent:
             CGMYJumps(C=1.0, G=5.0, M=8.0, Y=1.0)
         with pytest.raises(InputError):
             CGMYJumps(C=1.0, G=5.0, M=8.0, Y=0.0)
+        # Gamma(-Y) overflows from -Y = 171.6243 on (the exponent took
+        # inf * 0 at Y = -1e3)
+        for Y in (-171.63, -1e3, -1e300):
+            with pytest.raises(InputError, match="-171.62"):
+                CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y)
+        CGMYJumps(C=1.0, G=5.0, M=8.0, Y=-171.62)
 
     def test_compound_poisson_quadrature_route(self):
         # the closed forms of the exponential measure against quadrature of

@@ -147,7 +147,7 @@ class TestFactoredTransform:
 
     def test_mc_table_shape(self):
         # 13 bandwidths on the default master grid |u| <= n = 100 at 8,192
-        # points, inverted at -+tail_nodes(5.0), as tail_estimates does
+        # points, inverted at -+tail_nodes(5.0), as TailInversion does
         rng = np.random.default_rng(13)
         grid = FrequencyGrid(cutoff=100.0, points=8192)
         g = (rng.standard_normal((4096, 13))
