@@ -61,27 +61,21 @@ class FrequencyGrid:
         when used for kernel-smoothed inversion).
     points : int
         Nodes of the whole symmetric grid, a power of two; `u` holds half.
-    offset : bool
-        If True, use a midpoint (half-step-shifted) grid.  Both layouts
-        omit u = 0; the offset layout additionally keeps every node at
-        least half a step away from it, which is convenient for spectra
-        with a removable singularity at the origin.
 
     Notes
     -----
-    With ``offset=False`` the nodes are ``linspace(-cutoff, cutoff, points)``
-    and ``spacing * (points - 1)`` spans exactly ``[-cutoff, cutoff]``;
-    quadrature weights are composite trapezoid.  With ``offset=True`` the
-    nodes sit at cell midpoints ``(j + 1/2) * spacing`` for
-    ``j = -points/2 .. points/2 - 1`` with ``spacing = 2 * cutoff / points``;
-    weights are the midpoint rule, and the cell edges span the same window.
-    `u` and `weights` keep the nodes u > 0, each weight doubled, so
-    sum(weights * f) integrates an even f over the whole window.
+    The nodes are ``linspace(-cutoff, cutoff, points)`` and
+    ``spacing * (points - 1)`` spans exactly ``[-cutoff, cutoff]``;
+    quadrature weights are composite trapezoid.  The node count is even, so
+    the nodes sit at ``(j + 1/2) * spacing`` (to rounding) and none is
+    nearer to u = 0 than half a step, which suits spectra with a removable
+    singularity at the origin.  `u` and `weights` keep the nodes u > 0,
+    each weight doubled, so sum(weights * f) integrates an even f over the
+    whole window.
     """
 
     cutoff: float
     points: int = 2 ** 14
-    offset: bool = False
 
     def __post_init__(self):
         if not self.cutoff > 0:
@@ -94,24 +88,19 @@ class FrequencyGrid:
 
     @property
     def spacing(self) -> float:
-        if self.offset:
-            return 2.0 * self.cutoff / self.points
         return 2.0 * self.cutoff / (self.points - 1)
 
     @property
     def u(self) -> np.ndarray:
         """The points / 2 positive nodes, increasing."""
-        half = self.points // 2
-        if self.offset:
-            return (np.arange(half) + 0.5) * self.spacing
-        return np.linspace(-self.cutoff, self.cutoff, self.points)[half:]
+        return np.linspace(-self.cutoff, self.cutoff,
+                           self.points)[self.points // 2:]
 
     @property
     def weights(self) -> np.ndarray:
         """Weights of the positive nodes for an even integrand."""
         w = np.full(self.points // 2, 2.0 * self.spacing)
-        if not self.offset:
-            w[-1] = self.spacing
+        w[-1] = self.spacing
         return w
 
 

@@ -209,8 +209,8 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
                     points: int = _PRICING_POINTS):
     """Exact (up to quadrature) option function O(x) of a martingale model.
 
-    Inverts (1 - phi_T(u-i)) / (u(u-i)) on a half-step-offset frequency
-    grid, after subtracting the analytically known spectrum of a reference
+    Inverts (1 - phi_T(u-i)) / (u(u-i)) on a frequency grid whose nodes
+    keep half a step away from the pole at u = 0, after subtracting the analytically known spectrum of a reference
     diffusion so the integrand decays fast.  Values are not floored at 0;
     a non-finite value (the reference overflows far out) raises.
     """
@@ -223,7 +223,7 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
         raise MartingaleError(
             f"model is not martingale-fixed: |phi_T(-i) - 1| = {gap:.3e} > "
             f"{_MARTINGALE_TOL:g}")
-    grid = FrequencyGrid(cutoff=cutoff, points=points, offset=True)
+    grid = FrequencyGrid(cutoff=cutoff, points=points)
     u = grid.u
     phi_shift = np.exp(maturity * characteristic_exponent(model, u - 1j))
     ref_shift = _reference_cf_shifted(_REFERENCE_VOL, maturity, u)

@@ -62,6 +62,31 @@ def hermitian_full_sum(g, grid, x):
     return phase @ full / (2.0 * np.pi)
 
 
+@dataclass(frozen=True)
+class MidpointGrid:
+    """A second uniform layout of the positive half grid, for the tests of
+    the inverse transform and the empirical cf: nodes at the cell midpoints
+    (j + 1/2) * spacing with spacing = 2 cutoff / points (FrequencyGrid's is
+    2 cutoff / (points - 1)) and midpoint-rule weights.  It has the
+    attributes those routines read, so a test on it fails where they lean
+    on FrequencyGrid's spacing rule and not on the grid they are given."""
+
+    cutoff: float
+    points: int
+
+    @property
+    def spacing(self) -> float:
+        return 2.0 * self.cutoff / self.points
+
+    @property
+    def u(self) -> np.ndarray:
+        return (np.arange(self.points // 2) + 0.5) * self.spacing
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.points // 2, 2.0 * self.spacing)
+
+
 def curvature_table(psi2, grid):
     """A spectra table that holds only a curvature: psi2 (a callable of the
     nodes, or an array on them) on ``grid.u``, every node trusted.  phi and

@@ -35,6 +35,8 @@ from levyq.increments import (
 from levyq.models import ExponentialJumps, LevyModel, exponent_curvature
 from levyq.numerics import _BLOCK, FrequencyGrid
 
+from conftest import MidpointGrid
+
 
 def psi_cp(u):
     u = np.asarray(u, dtype=complex)
@@ -156,10 +158,12 @@ def jumpy_values():
 
 
 class TestBlockedEcf:
-    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("midpoint", [False, True])
     @pytest.mark.parametrize("points", [128, 512, 8192])
-    def test_uniform_grid_matches_direct_sum(self, jumpy_values, points, offset):
-        u = FrequencyGrid(cutoff=20.0, points=points, offset=offset).u
+    def test_uniform_grid_matches_direct_sum(self, jumpy_values, points,
+                                             midpoint):
+        layout = MidpointGrid if midpoint else FrequencyGrid
+        u = layout(cutoff=20.0, points=points).u
         assert _progression_block(u) == 64
         assert_matches_direct(_ecf_all(jumpy_values, u), jumpy_values, u)
 
@@ -201,11 +205,13 @@ class TestBlockedEcf:
     # at cutoff 300 the phases pass |uY| = 1.2e4 rad; 2^16 and 2^19 points
     # give 8 and 64 re-seeded runs of start rows.  The direct sum is taken
     # on every 97th node only.
-    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("midpoint", [False, True])
     @pytest.mark.parametrize("points", [2 ** 16, 2 ** 19])
-    def test_long_products_match_direct_sum(self, jumpy_values, points, offset):
+    def test_long_products_match_direct_sum(self, jumpy_values, points,
+                                            midpoint):
         values = 6.0 * jumpy_values
-        u = FrequencyGrid(cutoff=300.0, points=points, offset=offset).u
+        layout = MidpointGrid if midpoint else FrequencyGrid
+        u = layout(cutoff=300.0, points=points).u
         assert np.max(np.abs(u)) * np.max(np.abs(values)) > 1e4
         assert u.size // 64 > 64   # more than one run of start rows
         got = _ecf_all(values, u)
@@ -267,12 +273,13 @@ class TestBlockedEcf:
     # 2 ulp(cutoff) off the progression the factored sum follows) move
     # phi'' by up to 2e-12 of its peak; the finer grids above reach 1.2e4 rad.
     @given(cutoff=st.floats(1.0, 300.0), k=st.integers(7, 16),
-           offset=st.booleans(), span=st.floats(1.0, 2000.0))
+           midpoint=st.booleans(), span=st.floats(1.0, 2000.0))
     @settings(max_examples=20, deadline=None)
-    def test_grids_match_direct_sum(self, jumpy_values, cutoff, k, offset,
+    def test_grids_match_direct_sum(self, jumpy_values, cutoff, k, midpoint,
                                     span):
         values = jumpy_values * (span / (cutoff * np.max(np.abs(jumpy_values))))
-        u = FrequencyGrid(cutoff=cutoff, points=2 ** k, offset=offset).u
+        layout = MidpointGrid if midpoint else FrequencyGrid
+        u = layout(cutoff=cutoff, points=2 ** k).u
         got = _ecf_all(values, u)
         sub = slice(None, None, max(1, u.size // 400))
         assert_matches_direct(tuple(g[sub] for g in got), values, u[sub])

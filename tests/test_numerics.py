@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hermitian_full_sum
+from conftest import MidpointGrid, hermitian_full_sum
 from levyq.errors import InputError, NoSolutionError
 from levyq.inversion import tail_nodes
 from levyq.models import tail_integral
@@ -17,13 +17,12 @@ class TestFrequencyGrid:
     def test_symmetric_about_zero(self):
         # u holds the positive half of a layout symmetric about 0 that
         # omits 0; mirrored, it is the whole symmetric grid
-        for offset in (False, True):
-            g = FrequencyGrid(cutoff=3.0, points=256, offset=offset)
-            u = g.u
-            assert u.size == 128 and np.all(u > 0)
-            full = np.concatenate([-u[::-1], u])
-            assert np.allclose(full + full[::-1], 0.0, atol=1e-14)
-            assert np.allclose(np.diff(full), g.spacing, rtol=1e-12)
+        g = FrequencyGrid(cutoff=3.0, points=256)
+        u = g.u
+        assert u.size == 128 and np.all(u > 0)
+        full = np.concatenate([-u[::-1], u])
+        assert np.allclose(full + full[::-1], 0.0, atol=1e-14)
+        assert np.allclose(np.diff(full), g.spacing, rtol=1e-12)
 
     def test_span_relation(self):
         g = FrequencyGrid(cutoff=7.0, points=1024)
@@ -33,12 +32,6 @@ class TestFrequencyGrid:
         # the same node values as the positive half of the symmetric layout
         full = np.linspace(-7.0, 7.0, 1024)
         assert np.array_equal(g.u, full[full > 0])
-
-    def test_offset_is_midpoint_layout(self):
-        g = FrequencyGrid(cutoff=1.0, points=8, offset=True)
-        assert g.spacing == pytest.approx(0.25)
-        assert np.allclose(g.u, [0.125, 0.375, 0.625, 0.875])
-        assert np.min(np.abs(g.u)) == pytest.approx(g.spacing / 2)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InputError):
@@ -51,9 +44,8 @@ class TestFrequencyGrid:
                 FrequencyGrid(cutoff=cutoff, points=64)
 
     def test_weights_sum_to_window(self):
-        for offset in (False, True):
-            g = FrequencyGrid(cutoff=2.0, points=512, offset=offset)
-            assert np.sum(g.weights) == pytest.approx(4.0, rel=1e-12)
+        g = FrequencyGrid(cutoff=2.0, points=512)
+        assert np.sum(g.weights) == pytest.approx(4.0, rel=1e-12)
 
     @given(k=st.integers(min_value=3, max_value=12), cutoff=st.floats(0.1, 100))
     @settings(max_examples=30, deadline=None)
@@ -126,11 +118,12 @@ class TestFactoredTransform:
     def max_rel(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
-    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("midpoint", [False, True])
     @pytest.mark.parametrize("points", [16, 64, 1024, 8192])
-    def test_matches_direct_sum(self, offset, points):
-        rng = np.random.default_rng(points + offset)
-        grid = FrequencyGrid(cutoff=0.05 * points, points=points, offset=offset)
+    def test_matches_direct_sum(self, midpoint, points):
+        rng = np.random.default_rng(points + midpoint)
+        layout = MidpointGrid if midpoint else FrequencyGrid
+        grid = layout(cutoff=0.05 * points, points=points)
         half = points // 2
         g = rng.standard_normal((half, 3)) + 1j * rng.standard_normal((half, 3))
         x = rng.uniform(-5.0, 5.0, 300)
@@ -164,15 +157,16 @@ class TestFactoredTransform:
             assert np.array_equal(got[:, col], single)
 
     @given(k=st.integers(min_value=1, max_value=11),
-           cutoff=st.floats(0.5, 200.0), offset=st.booleans(),
+           cutoff=st.floats(0.5, 200.0), midpoint=st.booleans(),
            columns=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1),
            spectra=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_hermitian_extension_property(self, k, cutoff, offset, columns,
+    def test_hermitian_extension_property(self, k, cutoff, midpoint, columns,
                                           seed, spectra):
         # du * x reaches 600 rad at k = 1, far past pi: gridding wraps it
         rng = np.random.default_rng(seed)
-        grid = FrequencyGrid(cutoff=cutoff, points=2 ** k, offset=offset)
+        layout = MidpointGrid if midpoint else FrequencyGrid
+        grid = layout(cutoff=cutoff, points=2 ** k)
         g = (rng.standard_normal((grid.u.size, columns))
              + 1j * rng.standard_normal((grid.u.size, columns)))
         x = rng.uniform(-3.0, 3.0, 40)
@@ -187,7 +181,7 @@ class TestFactoredTransform:
                                   inverse_fourier(other, grid, x))
 
     def test_target_order_preserved(self):
-        grid = FrequencyGrid(cutoff=40.0, points=2048, offset=True)
+        grid = MidpointGrid(cutoff=40.0, points=2048)
         g = np.exp(-0.01 * grid.u ** 2) * (1.0 + 0.3j * np.sin(grid.u))
         x = np.array([2.5, -1.0, 2.5, 0.0, -4.75, 0.3, -1.0, 5.0])
         out = inverse_fourier(g, grid, x)

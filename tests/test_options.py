@@ -669,40 +669,40 @@ class TestChainSpectra:
 # prices come from the gridded inverse transform; the trust region ends
 # between nodes 1762 and 1763
 FROZEN_SPECTRA = {
-    0: ((0.9999975915434782-0.0001890909182469308j),
-        (-0.0015664981873240794-0.06195307911256819j),
-        (-0.12831116033013942+0.00020096122230149117j),
+    0: ((0.9999975915434782-0.00018909091824693215j),
+        (-0.00156649818732413-0.061953079112568636j),
+        (-0.12831116033014356+0.00020096122230154223j),
         True),
-    1: ((0.9999783243539273-0.0005672319274730273j),
-        (-0.0046993911063437244-0.061943265781796354j),
-        (-0.12830268650620952+0.0006028312193989253j),
+    1: ((0.9999783243539273-0.0005672319274730313j),
+        (-0.004699391106343878-0.06194326578179679j),
+        (-0.12830268650621365+0.0006028312193992033j),
         True),
-    40: ((0.9844688330846163-0.014440372176870183j),
-         (-0.12465458272358089-0.05418438280947555j),
-         (-0.12165677308866134+0.015167585115770627j),
+    40: ((0.9844688330846161-0.014440372176870112j),
+         (-0.12465458272358144-0.054184382809473415j),
+         (-0.12165677308865808+0.015167585115773628j),
          True),
-    400: ((0.37527150598519055+0.025973031006455302j),
-          (-0.5833359239222211+0.0940134074396514j),
-          (-0.011890264497748979+0.002154671639666216j),
+    400: ((0.3752715059851913+0.025973031006457228j),
+          (-0.5833359239221857+0.09401340743962835j),
+          (-0.011890264497784062+0.002154671639588754j),
           True),
-    1000: ((0.04272705871355931+0.023103518797481314j),
-           (-0.22161370484240675+0.07044549528282429j),
-           (0.07833867521455844-0.07494430835392388j),
+    1000: ((0.042727058713564636+0.023103518797486136j),
+           (-0.22161370484212603+0.0704454952821435j),
+           (0.07833867521361519-0.07494430835451972j),
            True),
-    1500: ((0.04394188467712956+0.015617260821586503j),
-           (0.2267705769945894+0.004526024687543936j),
-           (0.020330272805516726-0.04866696017917133j),
+    1500: ((0.04394188467712967+0.015617260821589698j),
+           (0.2267705769946725+0.004526024686866635j),
+           (0.020330272804374293-0.04866696017851873j),
            True),
-    1762: ((0.056305023678447697+0.01225195210235805j),
-           (0.011269257324719098+0.033060524562296106j),
-           (0.005598914634254048+0.10698596605690987j),
+    1762: ((0.05630502367841583+0.012251952102374054j),
+           (0.011269257326215035+0.03306052456311089j),
+           (0.005598914635108695+0.10698596605482784j),
            True),
-    1763: ((0.05630635026116304+0.012264613668139643j), 0j, 0j, False),
-    2500: ((0.08592932861761315+0.015845574263455398j), 0j, 0j, False),
-    4095: ((0.1857232886942658+0.18128795087413535j), 0j, 0j, False),
+    1763: ((0.05630635026113184+0.01226461366815586j), 0j, 0j, False),
+    2500: ((0.08592932861761926+0.01584557426345922j), 0j, 0j, False),
+    4095: ((0.18572328869414145+0.18128795087413782j), 0j, 0j, False),
 }
-FROZEN_SUP_NORMS = (0.0007971369051377843, 4.39074779546446e-05,
-                    9.546631321195225e-06)
+FROZEN_SUP_NORMS = (0.0007971369051377853, 4.390747795464466e-05,
+                    9.546631321195264e-06)
 FROZEN_NOISE_SCALE = 2.970414234320867e-05
 
 
