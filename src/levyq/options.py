@@ -345,29 +345,24 @@ def _jump_weights(x: np.ndarray, asc: np.ndarray, ks) -> dict:
 
     asc: (2, S), value and slope of the linear interpolant O~ on the
     segments between the breakpoints x.  Only O~ and O~' jump, so by
-    Leibniz' rule the jump of (x^k O~)^(r) is
-    r k!/(k-r+1)! x^(k-r+1) J1 + k!/(k-r)! x^(k-r) J0, r = 0..k+1, with J0
-    and J1 the jumps of O~ and O~'.
+    Leibniz' rule the jump of (x^k O~)^(r) is sum_i C(r, i) k!/(k-i)!
+    x^(k-i) jumps[r-i] over i = r-1, r.
     """
-    value, slope = asc
-    # left limit minus right limit; O~ vanishes off its support.  O~ is
-    # continuous, so J0 is 0 inside up to the rounding of value + slope *
-    # width, which is kept
-    j0, j1 = np.zeros(x.size), np.zeros(x.size)
-    j0[:-1] -= value
-    j0[1:] += value + slope * np.diff(x)
-    j1[:-1] -= slope
-    j1[1:] += slope
-
-    def column(k, r):
-        terms = [r * math.perm(k, r - 1) * x ** (k - r + 1) * j1] if r else []
-        if r <= k:
-            terms.append(math.perm(k, r) * x ** (k - r) * j0)
-        return (-1) ** r * sum(terms)
-
-    return {k: np.exp(-x)[:, None] * np.stack([column(k, r)
-                                               for r in range(k + 2)], axis=1)
-            for k in ks}
+    # jumps[s, j] = O~^(s)(x_j-) - O~^(s)(x_j+); O~ vanishes off its
+    # support, and inside jumps[0] is 0 up to the rounding of the segment
+    # ends, which is kept
+    jumps = np.zeros((2, x.size))
+    jumps[:, :-1] -= asc
+    jumps[:, 1:] += [asc[0] + asc[1] * np.diff(x), asc[1]]
+    return {
+        k: np.exp(-x)[:, None] * np.stack([
+            (-1) ** r * sum(math.comb(r, i) * math.perm(k, i) * x ** (k - i)
+                            * jumps[r - i]
+                            for i in range(max(0, r - 1), min(k, r) + 1))
+            for r in range(k + 2)
+        ], axis=1)
+        for k in ks
+    }
 
 
 # ---------------------------------------------------------------------------
