@@ -210,9 +210,10 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     """Exact (up to quadrature) option function O(x) of a martingale model.
 
     Inverts (1 - phi_T(u-i)) / (u(u-i)) on a frequency grid whose nodes
-    keep half a step away from the pole at u = 0, after subtracting the analytically known spectrum of a reference
-    diffusion so the integrand decays fast.  Values are not floored at 0;
-    a non-finite value (the reference overflows far out) raises.
+    keep half a step away from the pole at u = 0, after subtracting the
+    analytically known spectrum of a reference diffusion so the integrand
+    decays fast.  Values are not floored at 0; a non-finite value (the
+    reference overflows far out) raises.
     """
     if not maturity > 0:
         raise InputError(f"maturity must be positive, got {maturity}")
@@ -487,15 +488,14 @@ class _ChainDesign:
                  grid: FrequencyGrid):
         self.xs = np.asarray(xs, dtype=float)
         self.noise_levels = np.asarray(noise_levels, dtype=float)
-        if self.xs.size > 1:
-            _check_left_end(self.xs)
+        _check_knots(self.xs)
+        _check_left_end(self.xs)
         if np.any(self.noise_levels > 0):
             self.sup_norms, l2 = _noise_profile(self.xs, self.noise_levels)
             self.noise_scale = l2 / math.sqrt(self.xs.size)
         else:
             self.sup_norms = (0.0, 0.0, 0.0)
             self.noise_scale = 0.0
-        _check_knots(self.xs)
         self.maturity = maturity
         self.grid = grid
 
