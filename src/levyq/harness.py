@@ -710,8 +710,8 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     the report records under "spectral_grid"), and is inverted by a
     `TailInversion` of its one bandwidth, as the chain drivers invert
     theirs; one `tail_quantiles` pass per side finds every level.  Truth
-    columns are filled from the closed-form tail integral where the model has one
-    (and the level is reachable); otherwise they are None.
+    columns are filled from the closed-form tail integral where the model
+    has one (and the level is reachable); otherwise they are None.
     """
     taus = _levels(config.taus if taus is None else taus)
     cutoff = 1.0 / config.h
