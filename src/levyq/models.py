@@ -10,8 +10,10 @@ The jump measure nu is given by an intensity density: expected number of
 jumps per unit time with sizes in dx.  Two families are supported, the
 ones the CLI builds: tempered-stable (CGMY, `kind = cgmy`) and compound
 Poisson with exponential sizes (`kind = compound-poisson-exp`).  Their
-exponent, curvature, moments, martingale drift and tail intensity are all
-closed-form; nothing here integrates numerically.
+exponent, curvature, mean, tail intensity and total mass are closed forms
+held by the family's class; the module functions add the Gaussian part and
+read a missing jump specification (None) as no jumps.  Nothing here
+integrates numerically.
 
 The tail-intensity functions and their quantiles computed here serve as
 the reference truth for every estimator in the package.
@@ -75,6 +77,59 @@ class CGMYJumps:
             raise InputError(f"Y must lie above about -171.62, where "
                              f"Gamma(-Y) is finite, got {self.Y!r}")
 
+    @property
+    def mass(self) -> float:
+        """Total intensity nu(R): C Gamma(-Y)(G^Y + M^Y) for Y < 0 with G
+        and M positive, infinite otherwise."""
+        if self.Y < 0 and self.G > 0 and self.M > 0:
+            return self.C * _gamma_fn(-self.Y) * (self.G ** self.Y
+                                                  + self.M ** self.Y)
+        return math.inf
+
+    def _strip_check(self, u, what: str):
+        """Refuse an untempered side (G or M zero) or Im(u) outside (-M, G]."""
+        if self.G == 0 or self.M == 0:
+            raise InputError(f"{what} requires G > 0 and M > 0")
+        im = np.atleast_1d(np.imag(u)).astype(float)
+        if np.any(im < -self.M) or np.any(im > self.G) or np.any(im == -self.M):
+            raise InputError(f"Im(u) must lie in (-M, G] = (-{self.M}, "
+                             f"{self.G}] for this measure")
+
+    def exponent(self, u):
+        """int (e^{iux}-1-iux) nu(dx) in closed form."""
+        C, G, M, Y = self.C, self.G, self.M, self.Y
+        self._strip_check(u, "closed-form exponent")
+        u = np.asarray(u, dtype=complex)
+        # the iuY(M^{Y-1} - G^{Y-1}) terms compensate the subtracted iux
+        val = (M - 1j * u) ** Y - M ** Y + 1j * u * Y * M ** (Y - 1.0)
+        val = val + (G + 1j * u) ** Y - G ** Y - 1j * u * Y * G ** (Y - 1.0)
+        return C * _gamma_fn(-Y) * val
+
+    def curvature(self, u):
+        """-int e^{iux} x^2 nu(dx), the second derivative of the exponent."""
+        self._strip_check(u, "curvature")
+        u = np.asarray(u, dtype=complex)
+        g2 = _gamma_fn(2.0 - self.Y)  # = Y(Y-1)Gamma(-Y)
+        return -self.C * g2 * ((self.M - 1j * u) ** (self.Y - 2.0)
+                               + (self.G + 1j * u) ** (self.Y - 2.0))
+
+    def mean(self) -> float:
+        """int x nu(dx)."""
+        C, G, M, Y = self.C, self.G, self.M, self.Y
+        return float(C * _gamma_fn(1.0 - Y) * (M ** (Y - 1.0) - G ** (Y - 1.0)))
+
+    def tail(self, t: float) -> float:
+        """N(t) for t != 0: C rate^Y Gamma(-Y, rate|t|) (Carr, Geman, Madan &
+        Yor 2002), or C|t|^{-Y}/Y at rate 0, with rate M or G by the side
+        of t."""
+        rate, Y = (self.M if t > 0 else self.G), self.Y
+        if rate == 0:
+            if Y < 0:
+                raise InputError("tail intensity is infinite for Y < 0 "
+                                 "without tempering on that side")
+            return float(self.C * abs(t) ** -Y / Y)
+        return float(self.C * rate ** Y * _upper_gamma(-Y, rate * abs(t)))
+
 
 @dataclass(frozen=True)
 class ExponentialJumps:
@@ -82,7 +137,7 @@ class ExponentialJumps:
 
     The intensity density is intensity * rate * e^{-rate x} on x > 0, so the
     measure has total mass `intensity`, mean intensity/rate, and no
-    negative jumps.
+    negative jumps.  Its transforms, over rate - iu, need Im(u) > -rate.
     """
 
     intensity: float
@@ -94,10 +149,38 @@ class ExponentialJumps:
         if not self.rate > 0:
             raise InputError(f"rate must be positive, got {self.rate}")
 
+    @property
+    def mass(self) -> float:
+        return self.intensity
+
+    def _shift(self, u):
+        if np.any(np.imag(u) <= -self.rate):
+            raise InputError(
+                f"Im(u) must exceed -rate = -{self.rate} for this measure")
+        return self.rate - 1j * np.asarray(u, dtype=complex)
+
+    def exponent(self, u):
+        """lam beta/(beta - iu) - lam - iu lam/beta for intensity lam and
+        Exp(beta) sizes."""
+        lam, beta = self.intensity, self.rate
+        u = np.asarray(u, dtype=complex)
+        return lam * beta / self._shift(u) - lam - 1j * u * lam / beta
+
+    def curvature(self, u):
+        return -2.0 * self.intensity * self.rate / self._shift(u) ** 3
+
+    def mean(self) -> float:
+        return float(self.intensity / self.rate)
+
+    def tail(self, t: float) -> float:
+        """lam e^{-beta t} for t > 0, and 0 for t < 0."""
+        return self.intensity * math.exp(-self.rate * t) if t > 0 else 0.0
+
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Characteristic triplet: Gaussian variance, drift, jump specification."""
+    """Characteristic triplet: Gaussian variance, drift, jump specification
+    (a CGMYJumps, an ExponentialJumps, or None for no jumps)."""
 
     sigma2: float
     gamma: float
@@ -106,51 +189,14 @@ class LevyModel:
     def __post_init__(self):
         if self.sigma2 < 0:
             raise InputError("sigma2 must be nonnegative")
+        if not isinstance(self.jumps, (CGMYJumps, ExponentialJumps, type(None))):
+            raise InputError(
+                f"unknown jump specification {type(self.jumps).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# characteristic exponent
+# characteristic exponent and moments
 # ---------------------------------------------------------------------------
-
-def _cgmy_strip_check(jumps: CGMYJumps, u):
-    im = np.atleast_1d(np.imag(u)).astype(float)
-    if np.any(im < -jumps.M) or np.any(im > jumps.G) or np.any(im == -jumps.M):
-        raise InputError(
-            f"Im(u) must lie in (-M, G] = (-{jumps.M}, {jumps.G}] for this measure"
-        )
-
-
-def _cgmy_jump_exponent(jumps: CGMYJumps, u):
-    """Closed form of int (e^{iux}-1-iux) nu(dx) for the tempered-stable density."""
-    C, G, M, Y = jumps.C, jumps.G, jumps.M, jumps.Y
-    if G == 0 or M == 0:
-        raise InputError("closed-form exponent requires G > 0 and M > 0 "
-                         "(finite second moment/tempering)")
-    _cgmy_strip_check(jumps, u)
-    u = np.asarray(u, dtype=complex)
-    g = _gamma_fn(-Y)
-    # the iuY(M^{Y-1} - G^{Y-1}) terms compensate the subtracted iux
-    val = (M - 1j * u) ** Y - M ** Y + 1j * u * Y * M ** (Y - 1.0)
-    val = val + (G + 1j * u) ** Y - G ** Y - 1j * u * Y * G ** (Y - 1.0)
-    return C * g * val
-
-
-def _exp_shift(jumps: ExponentialJumps, u):
-    """rate - iu, the denominator of every transform of the exponential
-    measure; they converge only for Im(u) > -rate."""
-    if np.any(np.imag(u) <= -jumps.rate):
-        raise InputError(
-            f"Im(u) must exceed -rate = -{jumps.rate} for this measure")
-    return jumps.rate - 1j * np.asarray(u, dtype=complex)
-
-
-def _exp_jump_exponent(jumps: ExponentialJumps, u):
-    """Closed form lam beta/(beta - iu) - lam - iu lam/beta of
-    int (e^{iux}-1-iux) nu(dx) for intensity lam and Exp(beta) sizes."""
-    lam, beta = jumps.intensity, jumps.rate
-    u = np.asarray(u, dtype=complex)
-    return lam * beta / _exp_shift(jumps, u) - lam - 1j * u * lam / beta
-
 
 def characteristic_exponent(model: LevyModel, u):
     """Characteristic exponent psi(u), vectorized over u (real or complex).
@@ -161,15 +207,8 @@ def characteristic_exponent(model: LevyModel, u):
     """
     u_c = np.asarray(u, dtype=complex)
     val = -0.5 * model.sigma2 * u_c * u_c + 1j * model.gamma * u_c
-    j = model.jumps
-    if j is None:
-        pass
-    elif isinstance(j, CGMYJumps):
-        val = val + _cgmy_jump_exponent(j, u)
-    elif isinstance(j, ExponentialJumps):
-        val = val + _exp_jump_exponent(j, u)
-    else:
-        raise InputError(f"unknown jump specification {type(j).__name__}")
+    if model.jumps is not None:
+        val = val + model.jumps.exponent(u)
     # psi(0) = 0 exactly for every model; do not leave closed-form rounding dust
     val = np.where(u_c == 0, 0.0 + 0.0j, val)
     return val if np.ndim(u) else complex(val)
@@ -183,74 +222,40 @@ def exponent_curvature(model: LevyModel, u):
     """
     u_c = np.asarray(u, dtype=complex)
     out = np.full(u_c.shape, -model.sigma2, dtype=complex)
-    j = model.jumps
-    if j is None:
-        pass
-    elif isinstance(j, CGMYJumps):
-        if j.G == 0 or j.M == 0:
-            raise InputError("curvature requires G > 0 and M > 0")
-        _cgmy_strip_check(j, u)
-        g2 = _gamma_fn(2.0 - j.Y)  # = Y(Y-1)Gamma(-Y)
-        out = out - j.C * g2 * ((j.M - 1j * u_c) ** (j.Y - 2.0)
-                                + (j.G + 1j * u_c) ** (j.Y - 2.0))
-    elif isinstance(j, ExponentialJumps):
-        out = out - 2.0 * j.intensity * j.rate / _exp_shift(j, u_c) ** 3
-    else:
-        raise InputError(f"unknown jump specification {type(j).__name__}")
+    if model.jumps is not None:
+        out = out + model.jumps.curvature(u_c)
     return out if np.ndim(u) else complex(out)
 
 
 def martingale_drift(sigma2: float, jumps=None) -> float:
     """Drift gamma making e^{L_t} a martingale: gamma = -sigma^2/2 - int(e^x-1-x)nu(dx).
 
-    Requires the exponential moment int_{x>1} e^x nu(dx) < infinity
-    (CGMY: M > 1; exponential jumps: rate > 1, where the correction is
-    lam beta/(beta - 1) - lam - lam/beta).
+    Requires the exponential moment int_{x>1} e^x nu(dx) < infinity, that
+    is -i inside the exponent's domain (CGMY: M > 1; exponential jumps:
+    rate > 1).
     """
     if jumps is None:
         return -0.5 * sigma2
-    if isinstance(jumps, CGMYJumps):
-        if not jumps.M > 1:
-            raise InputError("martingale drift needs M > 1 (exponential moment)")
-        corr = _cgmy_jump_exponent(jumps, -1j)
-    elif isinstance(jumps, ExponentialJumps):
-        if not jumps.rate > 1:
-            raise InputError(
-                "exponential moment of the jump measure does not exist")
-        corr = _exp_jump_exponent(jumps, -1j)
-    else:
-        raise InputError(f"unknown jump specification {type(jumps).__name__}")
+    try:
+        corr = jumps.exponent(-1j)
+    except InputError:
+        raise InputError(
+            "exponential moment of the jump measure does not exist") from None
     if abs(corr.imag) > 1e-8 * max(1.0, abs(corr.real)):
         raise NumericalError("jump exponent at -i should be real")
     return -0.5 * sigma2 - corr.real
 
 
-# ---------------------------------------------------------------------------
-# moments
-# ---------------------------------------------------------------------------
-
 def jump_second_moment(jumps) -> float:
     """int x^2 nu(dx) of a jump specification (None: no jumps), the jump
     contribution to the variance per unit time."""
-    if jumps is None:
-        return 0.0
-    probe = LevyModel(sigma2=0.0, gamma=0.0, jumps=jumps)
-    val = exponent_curvature(probe, 0.0)
-    return float(-np.real(val))
+    return 0.0 if jumps is None else float(-np.real(jumps.curvature(0.0)))
 
 
 def jump_mean(jumps) -> float:
     """int x nu(dx) of a jump specification (None: no jumps), the jump
     contribution to the mean drift."""
-    if jumps is None:
-        return 0.0
-    if isinstance(jumps, CGMYJumps):
-        C, G, M, Y = jumps.C, jumps.G, jumps.M, jumps.Y
-        g1 = _gamma_fn(1.0 - Y)
-        return float(C * g1 * (M ** (Y - 1.0) - G ** (Y - 1.0)))
-    if isinstance(jumps, ExponentialJumps):
-        return float(jumps.intensity / jumps.rate)
-    raise InputError(f"unknown jump specification {type(jumps).__name__}")
+    return 0.0 if jumps is None else jumps.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +273,14 @@ def _upper_gamma(a: float, z: float) -> float:
 
 
 def tail_integral(jumps, t: float) -> float:
-    """Exact tail intensity N(t) of a jump measure, t != 0.
+    """Exact tail intensity N(t) of a jump measure (None: no jumps), t != 0.
 
     N(t) = nu([t, infinity)) for t > 0 and nu((-infinity, t]) for t < 0:
     the expected number of jumps per unit time at least as extreme as t.
-    CGMY: C rate^Y Gamma(-Y, rate|t|) (Carr, Geman, Madan & Yor 2002), or
-    C|t|^{-Y}/Y at rate 0, with rate M or G by the side of t.  Exponential
-    jumps: lam e^{-beta t} for t > 0, and 0 for t < 0.
     """
     if t == 0:
         raise InputError("t must be nonzero")
-    if jumps is None:
-        return 0.0
-    s = abs(t)
-    if isinstance(jumps, CGMYJumps):
-        rate, Y = (jumps.M if t > 0 else jumps.G), jumps.Y
-        if rate == 0:
-            if Y < 0:
-                raise InputError("tail intensity is infinite for Y < 0 "
-                                 "without tempering on that side")
-            return float(jumps.C * s ** -Y / Y)
-        return float(jumps.C * rate ** Y * _upper_gamma(-Y, rate * s))
-    if isinstance(jumps, ExponentialJumps):
-        lam, beta = jumps.intensity, jumps.rate
-        return lam * math.exp(-beta * t) if t > 0 else 0.0
-    raise InputError(f"unknown jump specification {type(jumps).__name__}")
+    return 0.0 if jumps is None else jumps.tail(t)
 
 
 def true_quantile(jumps, tau: float, side: str) -> float:
