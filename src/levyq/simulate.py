@@ -8,8 +8,8 @@ Two methods:
   density by FFT inversion of the closed-form characteristic function on a
   wide grid and samples by inverse transform; works for any model whose
   increment law is (absolutely) continuous, with an explicit atom split
-  for driftless compound-Poisson models where the no-jump event has
-  positive mass.
+  where the no-jump event has positive probability: no diffusion and a
+  jump measure of finite mass (compound Poisson, or CGMY with Y < 0).
 
 Convention: the sampled increment law has mean delta * (gamma + int x nu),
 matching the plain sum form gamma*delta + sigma*sqrt(delta)*Z + sum J_i for
@@ -129,7 +129,15 @@ def _sample_inverse_cdf(rng, model, delta, n):
     var = delta * (model.sigma2 + jump_second_moment(jumps))
     if var == 0.0:
         return np.full(n, mean)
-    half = _ICDF_SPAN_SDS * math.sqrt(var)
+    # without diffusion a finite jump mass leaves the no-jump event an atom
+    # at gamma delta; the FFT then represents only the rest of the law,
+    # whose variance about `mean` is at most var / (1 - atom_mass)
+    atom_at = model.gamma * delta
+    atom_mass, jump_mass = 0.0, 1.0
+    if model.sigma2 == 0.0 and math.isfinite(jumps.mass):
+        atom_mass = math.exp(-jumps.mass * delta)
+        jump_mass = -math.expm1(-jumps.mass * delta)
+    half = _ICDF_SPAN_SDS * math.sqrt(var / jump_mass)
     M = _ICDF_POINTS
     x0 = mean - half
     dx = 2.0 * half / M
@@ -137,13 +145,7 @@ def _sample_inverse_cdf(rng, model, delta, n):
     u = 2.0 * math.pi * np.fft.fftfreq(M, d=dx)
     # cf of the mean-uncompensated increment law
     phi = np.exp(delta * (characteristic_exponent(model, u) + 1j * u * m1))
-
-    atom_mass = 0.0
-    atom_at = model.gamma * delta
-    if isinstance(jumps, ExponentialJumps) and model.sigma2 == 0.0:
-        # no-jump event has positive probability: split it off so the FFT
-        # only has to represent the continuous remainder
-        atom_mass = math.exp(-jumps.intensity * delta)
+    if atom_mass > 0.0:
         phi = phi - atom_mass * np.exp(1j * u * atom_at)
 
     dens = np.fft.fft(phi * np.exp(-1j * u * x0)).real / (M * dx)
@@ -158,7 +160,7 @@ def _sample_inverse_cdf(rng, model, delta, n):
     if atom_mass > 0.0:
         hit = qs < atom_mass
         out[hit] = atom_at
-        rest = (qs[~hit] - atom_mass) / (1.0 - atom_mass)
+        rest = (qs[~hit] - atom_mass) / jump_mass
         out[~hit] = np.interp(rest, cdf, x)
     else:
         out = np.interp(qs, cdf, x)

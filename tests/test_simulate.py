@@ -8,8 +8,8 @@ Oracles used here:
 * two independent sampling routes for the same compound-Poisson law (exact
   path simulation vs inverse-CDF tabulation) must agree in distribution:
   two-sample Kolmogorov-Smirnov statistic below 0.01 at n = 1e5;
-* the no-jump atom of a driftless finite-activity model has probability
-  exp(-lambda*delta), checkable by counting exact hits.
+* the no-jump atom of a finite-activity model without diffusion has
+  probability exp(-delta * nu(R)), checkable by counting exact hits.
 """
 
 import math
@@ -21,6 +21,7 @@ from scipy import stats
 
 from levyq.errors import InputError
 from levyq.models import (
+    CGMYJumps,
     ExponentialJumps,
     LevyModel,
     jump_mean,
@@ -99,17 +100,36 @@ class TestInverseCdf:
         ks = stats.ks_2samp(exact, tabulated).statistic
         assert ks < 0.01
 
-    def test_atom_frequency(self):
-        # driftless finite activity: P(no jump) = exp(-lam*delta) lands exactly
-        # on gamma*delta, so exact float equality counts the atom
-        lam, delta, gamma = 2.0, 0.5, 0.3
-        model = LevyModel(sigma2=0.0, gamma=gamma, jumps=ExponentialJumps(lam, 1.0))
+    @pytest.mark.parametrize("jumps, mass", [
+        (ExponentialJumps(2.0, 1.0), 2.0),
+        # tempered stable with Y < 0: mass C Gamma(-Y) (G^Y + M^Y)
+        (CGMYJumps(C=1.0, G=5.0, M=8.0, Y=-1.5),
+         math.gamma(1.5) * (5.0 ** -1.5 + 8.0 ** -1.5)),
+    ], ids=["cp-exp", "cgmy-Y-1.5"])
+    def test_atom_frequency(self, jumps, mass):
+        # finite activity without diffusion: P(no jump) = exp(-delta nu(R))
+        # lands exactly on gamma*delta, so exact float equality counts the atom
+        delta, gamma = 0.5, 0.3
+        model = LevyModel(sigma2=0.0, gamma=gamma, jumps=jumps)
         sampler = IncrementSampler(model=model, delta=delta, method=ICDF, seed=13)
         values = sample_increments(sampler, 100_000).values
-        p0 = math.exp(-lam * delta)
+        p0 = math.exp(-mass * delta)
         hits = np.mean(values == gamma * delta)
         se = math.sqrt(p0 * (1 - p0) / values.size)
         assert abs(hits - p0) < 5 * se
+
+    @pytest.mark.parametrize("Y", (-0.5, -1.5))
+    def test_finite_activity_cgmy_moments(self, Y):
+        # the law is an atom plus a continuous part; a tabulation span sized
+        # from the whole law's SD cut off the jumps of the continuous part
+        # (at Y = -1.5 the mean then missed by 8 standard errors at this n)
+        model = LevyModel(sigma2=0.0, gamma=0.0,
+                          jumps=CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y))
+        delta = 0.5
+        sampler = IncrementSampler(model=model, delta=delta, method=ICDF, seed=1)
+        values = sample_increments(sampler, 400_000).values
+        _moment_check(values, delta * jump_mean(model.jumps),
+                      delta * jump_second_moment(model.jumps))
 
     def test_benchmark_model_moments(self, bench_model):
         delta = 0.05
