@@ -110,6 +110,9 @@ class CGMYJumps:
         self._strip_check(u, "curvature")
         u = np.asarray(u, dtype=complex)
         g2 = _gamma_fn(2.0 - self.Y)  # = Y(Y-1)Gamma(-Y)
+        if not math.isfinite(g2):
+            raise InputError(f"the curvature needs Y above about -169.6, where "
+                             f"Gamma(2-Y) is finite, got {self.Y!r}")
         return -self.C * g2 * ((self.M - 1j * u) ** (self.Y - 2.0)
                                + (self.G + 1j * u) ** (self.Y - 2.0))
 

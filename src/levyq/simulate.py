@@ -144,7 +144,12 @@ def _sample_inverse_cdf(rng, model, delta, n):
     x = x0 + dx * np.arange(M)
     u = 2.0 * math.pi * np.fft.fftfreq(M, d=dx)
     # cf of the mean-uncompensated increment law
-    phi = np.exp(delta * (characteristic_exponent(model, u) + 1j * u * m1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        phi = np.exp(delta * (characteristic_exponent(model, u) + 1j * u * m1))
+    if not np.all(np.isfinite(phi)):
+        raise InputError(
+            "the increments' characteristic function is not finite on the "
+            "sampler's grid: the model's closed-form exponent overflows there")
     if atom_mass > 0.0:
         phi = phi - atom_mass * np.exp(1j * u * atom_at)
 

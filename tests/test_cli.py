@@ -38,6 +38,10 @@ MC_CFG = ("n = 32\n"
           "replications = 1\n"
           "seed = 11\n")
 
+# CGMY increments without diffusion, drawn through the closed-form cf
+CGMY_ICDF = ("kind = cgmy\nsigma = 0\n"
+             "method = inverse-cdf-from-characteristic-function\n")
+
 DEMO_CFG = ("kind = compound-poisson-exp\n"
             "intensity = 1.0\n"
             "jump_rate = 1.0\n"
@@ -721,13 +725,18 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
     ("estimate-chain", "", {"noise": 1e200},
      "quote-noise summary is not finite"),
     ("mc-table", "Y = -1e3", None, "Gamma(-Y) is finite"),
+    ("demo-direct", CGMY_ICDF + "Y = -171", None, "Gamma(2-Y) is finite"),
+    ("demo-direct", CGMY_ICDF + "Y = -100", None,
+     "characteristic function is not finite"),
 ], ids=["mc-strike-far-left", "chain-strike-far-left", "mc-huge-noise",
-        "chain-huge-noise", "mc-very-negative-Y"])
+        "chain-huge-noise", "mc-very-negative-Y", "demo-Y-171", "demo-Y-100"])
 def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
                                           chain_edit, message):
     # e^{-x} at strikes 1,000 below the forward, the square of a 1e300-fold
     # noise profile and Gamma(1,000) overflowed: RuntimeWarnings, then
-    # exit 3 blaming an empty trust region or a non-finite option function
+    # exit 3 blaming an empty trust region or a non-finite option function.
+    # The increments sampler's Gamma(2-Y) and its cf overflowed too: exit 2
+    # only after RuntimeWarnings, blaming the increments or the cf floor
     cfg = tmp_path / "far.cfg"
     cfg.write_text(MC_CFG + line + "\n")
     out = tmp_path / "out"
