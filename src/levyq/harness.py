@@ -572,6 +572,10 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
 
     # the noise levels _perturbed_chain gives every replication
     design = _ChainDesign(xs, config.noise_fraction * exact, config.T, master)
+    if not np.any(exact):
+        raise InputError(
+            f"every exact quote of the strike design is 0 (strike_mean = "
+            f"{config.strike_mean:g}): its chains carry no signal")
     kept = {cell: [] for cell in cells}
     failures = []
 
@@ -649,6 +653,8 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     if chain.n < 10:
         raise InputError(
             f"need at least 10 quotes to estimate, got {chain.n}")
+    if not np.any(chain.prices):
+        raise InputError("every price of the chain is 0: it carries no signal")
     taus = _levels(DEFAULT_CHAIN_TAUS if taus is None else taus)
 
     master = _spectral_grid(config, float(chain.n), float(np.ptp(chain.xs)),

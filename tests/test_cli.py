@@ -728,15 +728,24 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
     ("demo-direct", CGMY_ICDF + "Y = -171", None, "Gamma(2-Y) is finite"),
     ("demo-direct", CGMY_ICDF + "Y = -100", None,
      "characteristic function is not finite"),
+    ("mc-table", "strike_mean = -20", None, "carry no signal"),
+    ("mc-table", "strike_mean = -50", None, "carry no signal"),
+    ("estimate-chain", "", {"scale": 0.0, "noise": 0.0}, "carries no signal"),
+    ("estimate-chain", "", {"scale": 0.0, "noise": 1e-3},
+     "carries no signal"),
 ], ids=["mc-strike-far-left", "chain-strike-far-left", "mc-huge-noise",
-        "chain-huge-noise", "mc-very-negative-Y", "demo-Y-171", "demo-Y-100"])
+        "chain-huge-noise", "mc-very-negative-Y", "demo-Y-171", "demo-Y-100",
+        "mc-all-zero-20", "mc-all-zero-50", "chain-all-zero",
+        "chain-all-zero-noisy"])
 def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
                                           chain_edit, message):
     # e^{-x} at strikes 1,000 below the forward, the square of a 1e300-fold
     # noise profile and Gamma(1,000) overflowed: RuntimeWarnings, then
     # exit 3 blaming an empty trust region or a non-finite option function.
     # The increments sampler's Gamma(2-Y) and its cf overflowed too: exit 2
-    # only after RuntimeWarnings, blaming the increments or the cf floor
+    # only after RuntimeWarnings, blaming the increments or the cf floor.
+    # Quotes that are all 0 carry no signal; every bandwidth fell to the
+    # density guard, exit 3
     cfg = tmp_path / "far.cfg"
     cfg.write_text(MC_CFG + line + "\n")
     out = tmp_path / "out"
@@ -746,6 +755,7 @@ def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
                                rate=0.06)
         chain = dataclasses.replace(
             chain, xs=chain.xs + chain_edit.get("shift", 0.0),
+            prices=chain.prices * chain_edit.get("scale", 1.0),
             noise_levels=chain.noise_levels * 0 + chain_edit.get(
                 "noise", chain.noise_levels))
         write_chain_csv(tmp_path / "edited.csv", chain)
