@@ -343,7 +343,30 @@ class TestClosedFormTails:
         assert outcomes() == closed
 
 
+# finite-mass measures: CGMY with Y < 0 and tempering on both sides, and
+# compound Poisson with exponential sizes
+FINITE_MASS = st.one_of(
+    st.builds(CGMYJumps, C=st.floats(0.1, 10.0), G=st.floats(0.5, 20.0),
+              M=st.floats(0.5, 20.0), Y=st.floats(-3.0, -0.5)),
+    st.builds(ExponentialJumps, st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+
+
 class TestMassAndDensity:
+    @given(jumps=FINITE_MASS)
+    @settings(max_examples=60, deadline=None)
+    def test_mass_is_the_tail_at_the_origin(self, jumps):
+        # nu(R) = N(0+) + N(0-); at t = 1e-12 the tails miss at most
+        # 2 C t^{-Y} / (-Y), below 1e-5 relative on these ranges
+        t = 1e-12
+        got = tail_integral(jumps, t) + tail_integral(jumps, -t)
+        assert got == pytest.approx(jumps.mass, rel=1e-5)
+
+    @given(Y=st.floats(0.0, 2.0, exclude_max=True).filter(
+        lambda y: y not in (0.0, 1.0)))
+    @settings(max_examples=20, deadline=None)
+    def test_mass_is_infinite_for_nonnegative_Y(self, Y):
+        assert CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y).mass == math.inf
+
     def test_total_mass_finite_activity(self):
         # the total mass of a finite-activity measure is N(0+) + N(0-)
         assert tail_integral(ExponentialJumps(2.5, 1.0), 1e-300) == 2.5
