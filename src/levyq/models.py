@@ -86,10 +86,10 @@ class CGMYJumps:
                                                   + self.M ** self.Y)
         return math.inf
 
-    def _strip_check(self, u, what: str):
+    def _strip_check(self, u):
         """Refuse an untempered side (G or M zero) or Im(u) outside (-M, G]."""
         if self.G == 0 or self.M == 0:
-            raise InputError(f"{what} requires G > 0 and M > 0")
+            raise InputError("the exponent and its curvature need G > 0 and M > 0")
         im = np.atleast_1d(np.imag(u)).astype(float)
         if np.any(im < -self.M) or np.any(im > self.G) or np.any(im == -self.M):
             raise InputError(f"Im(u) must lie in (-M, G] = (-{self.M}, "
@@ -98,7 +98,7 @@ class CGMYJumps:
     def exponent(self, u):
         """int (e^{iux}-1-iux) nu(dx) in closed form."""
         C, G, M, Y = self.C, self.G, self.M, self.Y
-        self._strip_check(u, "closed-form exponent")
+        self._strip_check(u)
         u = np.asarray(u, dtype=complex)
         # the iuY(M^{Y-1} - G^{Y-1}) terms compensate the subtracted iux
         val = (M - 1j * u) ** Y - M ** Y + 1j * u * Y * M ** (Y - 1.0)
@@ -107,7 +107,7 @@ class CGMYJumps:
 
     def curvature(self, u):
         """-int e^{iux} x^2 nu(dx), the second derivative of the exponent."""
-        self._strip_check(u, "curvature")
+        self._strip_check(u)
         u = np.asarray(u, dtype=complex)
         g2 = _gamma_fn(2.0 - self.Y)  # = Y(Y-1)Gamma(-Y)
         if not math.isfinite(g2):
