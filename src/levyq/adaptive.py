@@ -87,19 +87,11 @@ def _e2(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandwidthGrid:
-    """Geometric grid h_j = L^j / n for j in [j_min, j_max].
+    """The screened grid h_j = L^j / n, j_min <= j <= j_max, as `values`;
+    `feasible` records whether the screen was passed or the fallback kept
+    the full grid (`_full_grid`)."""
 
-    values holds the screened bandwidths and full_values the whole grid,
-    j = 0..j_max (values is full_values[j_min:]); s_values holds the screen
-    statistic per index 0..j_max when a chain was supplied (None
-    otherwise); feasible records whether the screen was actually passed or
-    the fallback kept the full grid.
-    """
-
-    j_min: int
     values: np.ndarray
-    full_values: np.ndarray
-    s_values: np.ndarray | None = None
     feasible: bool = True
 
 
@@ -181,20 +173,13 @@ def build_grid(n: int, L: float,
     kept and flagged feasible=False.  Grids of more than _MAX_BANDWIDTHS
     bandwidths are refused.
     """
-    all_values = _full_grid(n, L)
-    j_min = 0
-    s_values = None
-    feasible = True
-    if spectra is not None:
-        s_values = _screen_statistic(spectra, n, 1.0 / all_values)
-        passing = np.flatnonzero(s_values <= 1.0)
-        if passing.size:
-            j_min = int(passing[0])
-        else:
-            feasible = False
-    return BandwidthGrid(j_min=j_min, values=all_values[j_min:],
-                         full_values=all_values, s_values=s_values,
-                         feasible=feasible)
+    values = _full_grid(n, L)
+    if spectra is None:
+        return BandwidthGrid(values=values)
+    passing = np.flatnonzero(_screen_statistic(spectra, n, 1.0 / values) <= 1.0)
+    if not passing.size:
+        return BandwidthGrid(values=values, feasible=False)
+    return BandwidthGrid(values=values[passing[0]:])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,7 @@ def _bound_terms(spectra: Spectra, x_max: float, bandwidths,
                        starts=spectra.grid.u[::_BLOCK])
 
 
-def sigma_tilde(spectra: Spectra, kernel, h: float, q, side,
+def sigma_tilde(spectra: Spectra, kernel, h: float, q,
                 x_max: float = X_MAX_DEFAULT, terms=None):
     """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
     ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q, with
@@ -265,8 +250,10 @@ def sigma_tilde(spectra: Spectra, kernel, h: float, q, side,
 
         g_t(u) = E2(iut)/t - E2(iu x_max)/x_max,
 
-    and the t < 0 side is its conjugate, so |g_t|^2 is even in t and both
-    sides use |t| = q.  With E2(iw) = cos w + w (Si(w) - pi/2)
+    and the t < 0 side is its conjugate, so |g_t|^2 is even in t: the bound
+    of a '-' cell is that of the '+' cell at the same |t| = q, and no side
+    is asked for.  A caller's (cells x bandwidths) quantile array gives one
+    call per bandwidth, its column q.  With E2(iw) = cos w + w (Si(w) - pi/2)
     + i (w Ci(w) - sin w), |g_t|^2 is formed in real arithmetic from one
     `sici` call over the (cells x nodes) array, and each squared norm is the
     sum of |g_t|^2 against the h-only weight w f_K(hu)^2 |factor_k|^2 /
@@ -285,14 +272,11 @@ def sigma_tilde(spectra: Spectra, kernel, h: float, q, side,
     if not h > 0:
         raise InputError(f"bandwidth must be positive, got {h}")
     qs = np.atleast_1d(np.asarray(q, dtype=float))
-    sides = [side] * qs.size if isinstance(side, str) else list(side)
-    if qs.ndim != 1 or len(sides) != qs.size:
-        raise InputError("need a 1-D array of thresholds, one side each")
-    for qi, si in zip(qs, sides):
+    if qs.ndim != 1:
+        raise InputError("need a threshold or a 1-D array of thresholds")
+    for qi in qs:
         if not qi > 0:
             raise InputError(f"threshold must be positive, got {qi}")
-        if si not in ("+", "-"):
-            raise InputError(f"side must be '+' or '-', got {si!r}")
         if not x_max > qi:
             raise InputError(
                 f"x_max = {x_max} must exceed the threshold q = {qi}")

@@ -28,11 +28,13 @@ bandwidth.  Every driver sizes that grid by one rule,
 `inversion.grid_points`, from the window, x_max and the extent of its data
 (the log-strike range, or the range of the increments), unless the config
 sets `spectral_points`; the chain report and the demo report record the
-grid used under "spectral_grid".  Per chain, the quantiles of all levels
-and bandwidths come from one `tail_quantiles` pass per side, the
-deviation bounds of all (tau, side) cells from one `sigma_tilde` call per
-bandwidth, and the picks of all cells from one `adaptive_quantile` call.
-The Monte Carlo loop prices the chain once (the strike design is fixed),
+grid used under "spectral_grid".  Every command reads its estimates as
+rows, one per (tau, side) cell in `_cells_for` order (tau outer, '-'
+before '+'), with one column per bandwidth: the quantiles from one
+`tail_quantiles` pass per side (`_quantile_rows`), and per chain the
+deviation bounds from one `sigma_tilde` call per bandwidth and the picks
+from one `adaptive_quantile` call (`_chain_estimates`).  The Monte Carlo
+loop prices the chain once (the strike design is fixed),
 forms the noise summary and the `inversion.TailInversion` (kernel rows,
 transform plan) once, and re-perturbs the prices per replication; the
 replications are tabulated in groups that share one phase table per
@@ -428,20 +430,6 @@ def _cells_for(taus):
     return [(tau, side) for tau in taus for side in ("-", "+")]
 
 
-@dataclass(frozen=True)
-class _CellEstimate:
-    """One (tau, side) cell of one chain: the quantile and clamp flag at
-    every inverted bandwidth, and the selector's pick (h, q) over the
-    screened grid, row `row` of `selection`."""
-
-    qs: np.ndarray
-    clamped: np.ndarray
-    h: float
-    q: float
-    selection: Selection
-    row: int
-
-
 def _attempt(fn, *args):
     """fn(*args), or the LevyqError it raised in place of the result."""
     try:
@@ -450,68 +438,71 @@ def _attempt(fn, *args):
         return exc
 
 
-def _chain_estimates(spectra, bw, inversion, config, taus):
-    """Per-(tau, side) estimates for one chain from its tabulated spectra.
+def _quantile_rows(table, taus, eta) -> tuple:
+    """(qs, clamped) of a tail table: one row per (tau, side) cell in
+    `_cells_for(taus)` order, one column per bandwidth of the table, from
+    one `tail_quantiles` pass per side."""
+    found = [tail_quantiles(table, taus, eta, side) for side in ("-", "+")]
+    return tuple(np.stack([minus, plus], axis=1).reshape(
+        -1, table.bandwidths.size) for minus, plus in zip(*found))
+
+
+def _chain_estimates(spectra, inversion, first, config, taus):
+    """The estimates of one chain from its tabulated spectra, one row per
+    (tau, side) cell in `_cells_for(taus)` order.
 
     `inversion` (a `TailInversion` on the spectra grid) holds the full
-    grid ``bw.full_values`` for mc-table's oracle (the post-hoc standard
-    compares every grid bandwidth, whatever the screen kept), or the
-    screened ``bw.values``; one tail_quantiles pass per side reads every
-    level and bandwidth off its table.  Over the screened bandwidths, one
-    sigma_tilde call per bandwidth bounds all cells still standing, and
-    one adaptive_quantile call picks for all of them.  Returns a dict
-    mapping (tau, side) to a _CellEstimate, or to the LevyqError that
-    cell raised (the rest of the chain is still used).
+    grid for mc-table's oracle (the post-hoc standard compares every grid
+    bandwidth, whatever the screen kept), or the screened grid; the screen
+    kept its bandwidths from index `first` on.  Over those, one
+    sigma_tilde call per bandwidth bounds every cell still standing, and
+    one adaptive_quantile call picks for all of them.
+
+    Returns (qs, clamped, selection, errors): the quantile and clamp flag
+    of every cell at every inverted bandwidth, the `Selection` over the
+    bandwidths from `first` on (None where it failed as a whole), and per
+    cell the LevyqError that cell raised or None.  An error stays with its
+    own cell, whose selection row is then not to be read; the other rows
+    do not depend on it.
     """
     hs = inversion.bandwidths
-    first = hs.size - bw.values.size   # index of bw.values[0] in hs
     table = inversion.table(spectra)
-    cells = _cells_for(taus)
-    level = {tau: i for i, tau in enumerate(taus)}
-    found = {side: _attempt(tail_quantiles, table, taus, config.eta, side)
-             for side in ("-", "+")}
-    out = {cell: found[cell[1]] for cell in cells
-           if isinstance(found[cell[1]], LevyqError)}
+    qs, clamped = _quantile_rows(table, taus, config.eta)
+    errors = [None] * qs.shape[0]
     terms = _bound_terms(spectra, config.x_max, hs[first:],
                          inversion.kernel_rows[first:])
-
-    sigmas = {cell: [] for cell in cells}
+    sigmas = np.zeros((qs.shape[0], hs.size - first))
     for j in range(first, hs.size):
-        live = [cell for cell in cells if cell not in out]
-        h = float(hs[j])
-        q_live = [found[side][0][level[tau], j] for tau, side in live]
-        values = _attempt(sigma_tilde, spectra, inversion.kernel, h, q_live,
-                          [side for _, side in live], config.x_max, terms)
+        live = [i for i, error in enumerate(errors) if error is None]
+        bound = (spectra, inversion.kernel, float(hs[j]))
+        values = _attempt(sigma_tilde, *bound, qs[live, j], config.x_max,
+                          terms)
         if isinstance(values, LevyqError):
             # redo each cell alone, so an error stays with its own cell
-            values = [_attempt(sigma_tilde, spectra, inversion.kernel, h, q,
-                               side, config.x_max, terms)
-                      for q, (_, side) in zip(q_live, live)]
-        for cell, value in zip(live, values):
-            sigmas[cell].append(value)
+            values = [_attempt(sigma_tilde, *bound, qs[i, j], config.x_max,
+                               terms) for i in live]
+        for i, value in zip(live, values):
             if isinstance(value, LevyqError):
-                out[cell] = value
+                errors[i] = value
+            else:
+                sigmas[i, j - first] = value
 
-    live = [cell for cell in cells if cell not in out]
-    densities = {}
-    for side in {side for _, side in live}:
-        qs, d = found[side][0], table.density[int(side == "+")]
-        densities[side] = np.array([np.interp(qs[:, j], table.nodes, d[j])
-                                    for j in range(first, hs.size)]).T
-    selection = _attempt(
-        adaptive_quantile, hs[first:],
-        [found[side][0][level[tau], first:] for tau, side in live],
-        [densities[side][level[tau]] for tau, side in live],
-        [sigmas[cell] for cell in live], spectra.n_obs, config.delta)
-    for row, (tau, side) in enumerate(live):
-        pick = (selection if isinstance(selection, LevyqError)
-                else _attempt(selection.pick, row))
-        if isinstance(pick, LevyqError):
-            out[(tau, side)] = pick
-            continue
-        out[(tau, side)] = _CellEstimate(
-            *(part[level[tau]] for part in found[side]), *pick, selection, row)
-    return {cell: out[cell] for cell in cells}
+    # a failed cell's row is not read; it is kept finite for the checks
+    sigmas[[error is not None for error in errors]] = 0.0
+    # the density of each cell's own side at its own quantile, one lookup
+    # per (side, bandwidth)
+    density = np.empty(sigmas.shape)
+    for s in (0, 1):
+        for j in range(first, hs.size):
+            density[s::2, j - first] = np.interp(
+                qs[s::2, j], table.nodes, table.density[s, j])
+    selection = _attempt(adaptive_quantile, hs[first:], qs[:, first:],
+                         density, sigmas, spectra.n_obs, config.delta)
+    if isinstance(selection, LevyqError):
+        return qs, clamped, None, [error or selection for error in errors]
+    for i in np.flatnonzero(selection.chosen < 0):
+        errors[i] = errors[i] or _attempt(selection.pick, i)
+    return qs, clamped, selection, errors
 
 
 def _group_spectra(design, chains) -> list:
@@ -576,7 +567,12 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
         raise InputError(
             f"every exact quote of the strike design is 0 (strike_mean = "
             f"{config.strike_mean:g}): its chains carry no signal")
-    kept = {cell: [] for cell in cells}
+    # (replications x cells x bandwidths) quantiles, the pick of every
+    # replication cell and which cells are clean
+    shape = (config.replications, len(cells))
+    quantiles = np.empty(shape + (bandwidths.size,))
+    picks = np.empty(shape)
+    clean = np.zeros(shape, dtype=bool)
     failures = []
 
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
@@ -591,39 +587,38 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
             try:
                 if isinstance(spectra, LevyqError):
                     raise spectra
-                bw = build_grid(config.n, config.L, spectra)
-                result = _chain_estimates(spectra, bw, inversion, config,
-                                          config.taus)
+                first = bandwidths.size - build_grid(
+                    config.n, config.L, spectra).values.size
+                qs, _, selection, errors = _chain_estimates(
+                    spectra, inversion, first, config, config.taus)
             except LevyqError as exc:
                 failures.append(f"replication {index}: {exc}")
                 continue
-            for (tau, side), value in result.items():
-                if isinstance(value, LevyqError):
-                    failures.append(f"replication {index}, tau {tau:g}, "
-                                    f"side {side}: {value}")
+            quantiles[index] = qs
+            for row, ((tau, side), error) in enumerate(zip(cells, errors)):
+                if error is None:
+                    picks[index, row] = selection.pick(row)[1]
+                    clean[index, row] = True
                 else:
-                    kept[(tau, side)].append(value)
+                    failures.append(f"replication {index}, tau {tau:g}, "
+                                    f"side {side}: {error}")
 
-    rows = []
-    for tau in config.taus:
-        columns = []
-        for side in ("-", "+"):
-            found = kept[(tau, side)]
-            q_true = truth[(tau, side)]
-            if not found:
-                columns += [math.nan, math.nan]
-                continue
-            stacked = np.array([est.qs for est in found])
-            per_h = np.sqrt(np.mean((stacked - q_true) ** 2, axis=0))
-            picks = np.array([est.q for est in found])
-            columns += [100.0 * float(np.min(per_h)),
-                        100.0 * float(np.sqrt(np.mean((picks - q_true) ** 2)))]
-        rows.append(RmseRow(tau, truth[(tau, "-")], truth[(tau, "+")],
-                            *columns))
-    failed_cells = sum(config.replications - len(kept[cell]) for cell in cells)
+    columns = []
+    for row, cell in enumerate(cells):
+        kept = clean[:, row]
+        if not kept.any():
+            columns.append([math.nan, math.nan])
+            continue
+        q_true = truth[cell]
+        per_h = np.sqrt(np.mean((quantiles[kept, row] - q_true) ** 2, axis=0))
+        columns.append([100.0 * float(np.min(per_h)), 100.0 * float(
+            np.sqrt(np.mean((picks[kept, row] - q_true) ** 2)))])
+    rows = [RmseRow(tau, truth[(tau, "-")], truth[(tau, "+")],
+                    *columns[2 * i], *columns[2 * i + 1])
+            for i, tau in enumerate(config.taus)]
     return RmseTable(rows=tuple(rows), replications=config.replications,
-                     failures=failed_cells, failure_log=tuple(failures),
-                     grid=master)
+                     failures=int(clean.size - np.count_nonzero(clean)),
+                     failure_log=tuple(failures), grid=master)
 
 
 # ---------------------------------------------------------------------------
@@ -663,23 +658,24 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     bw = build_grid(chain.n, config.L, spectra)
     inversion = TailInversion(master, flat_top_kernel(config.kernel_c),
                               bw.values, config.x_max)
-    cells = _chain_estimates(spectra, bw, inversion, config, taus)
+    _, clamped, selection, errors = _chain_estimates(spectra, inversion, 0,
+                                                     config, taus)
 
     estimates = {"-": [], "+": []}
     diagnostics = {"-": {}, "+": {}}
-    for side in ("-", "+"):
-        for tau in taus:
-            cell = cells[(tau, side)]
-            if isinstance(cell, LevyqError):
-                raise cell
+    for s, side in enumerate(("-", "+")):
+        for i, tau in enumerate(taus):
+            row = 2 * i + s
+            if errors[row] is not None:
+                raise errors[row]
+            h, q = selection.pick(row)
             estimates[side].append({
                 "tau": tau,
-                "quantile": cell.q,
-                "bandwidth": cell.h,
-                "at_threshold": bool(
-                    cell.clamped[cell.selection.chosen[cell.row]]),
+                "quantile": q,
+                "bandwidth": h,
+                "at_threshold": bool(clamped[row, selection.chosen[row]]),
             })
-            diagnostics[side][f"{tau:g}"] = cell.selection.records(cell.row)
+            diagnostics[side][f"{tau:g}"] = selection.records(row)
 
     report = {
         "n": chain.n,
@@ -741,26 +737,24 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     spectra = psi2_from_increments(sample, grid)
     table = TailInversion(grid, flat_top_kernel(config.kernel_c),
                           [config.h], config.x_max).table(spectra)
-    found = {side: tail_quantiles(table, taus, config.eta, side)
-             for side in ("-", "+")}
+    qs, clamped = _quantile_rows(table, taus, config.eta)
     results = []
-    for i, tau in enumerate(taus):
-        for side in ("-", "+"):
-            value = float(found[side][0][i, 0])
-            truth = None
-            if model.jumps is not None:
-                try:
-                    truth = true_quantile(model.jumps, tau, side)
-                except NoSolutionError:
-                    truth = None
-            results.append({
-                "tau": tau,
-                "side": side,
-                "estimate": value,
-                "at_threshold": bool(found[side][1][i, 0]),
-                "truth": truth,
-                "abs_error": None if truth is None else abs(value - truth),
-            })
+    for row, (tau, side) in enumerate(_cells_for(taus)):
+        value = float(qs[row, 0])
+        truth = None
+        if model.jumps is not None:
+            try:
+                truth = true_quantile(model.jumps, tau, side)
+            except NoSolutionError:
+                truth = None
+        results.append({
+            "tau": tau,
+            "side": side,
+            "estimate": value,
+            "at_threshold": bool(clamped[row, 0]),
+            "truth": truth,
+            "abs_error": None if truth is None else abs(value - truth),
+        })
     return {
         "n": int(sample.n),
         "increment_delta": sample.delta,

@@ -369,20 +369,19 @@ def test_criterion_7_selector_structure(bench_model):
         master = FrequencyGrid(cutoff=100.0, points=4096)
         spectra = compute_chain_spectra(chain, master)
         grid = build_grid(100, 1.1, spectra)
-        for side in ("-", "+"):
-            for q in (0.09, 0.15):
-                sigmas = np.array([
-                    sigma_tilde(spectra, kernel, float(h), q, side)
-                    for h in grid.values])
-                monotone_checks += 1
-                # the deviation bound integrates over |u| <= 1/h, so it
-                # must not grow as the band shrinks
-                monotone_ok &= bool(np.all(np.diff(sigmas) <= 1e-12))
+        # the bound is even in the threshold, so one q serves both sides
+        for q in (0.09, 0.15):
+            sigmas = np.array([sigma_tilde(spectra, kernel, float(h), q)
+                               for h in grid.values])
+            monotone_checks += 1
+            # the deviation bound integrates over |u| <= 1/h, so it must
+            # not grow as the band shrinks
+            monotone_ok &= bool(np.all(np.diff(sigmas) <= 1e-12))
         # the selector must return a member of the grid on a plain run
         qs = np.linspace(0.11, 0.12, grid.values.size)
         dens = np.full(grid.values.size, 2.0)
         sigs = np.array([
-            sigma_tilde(spectra, kernel, float(h), 0.11, "-")
+            sigma_tilde(spectra, kernel, float(h), 0.11)
             for h in grid.values])
         h_sel, _, sel = select_one(grid.values, qs, dens, sigs, 100, 0.1)
         selected.append(round(float(h_sel), 6))

@@ -23,9 +23,9 @@ from scipy.special import exp1
 
 from conftest import select_one, spline_spectra, tail_estimates
 from levyq.adaptive import (
-    BandwidthGrid,
     _bound_terms,
     _e2,
+    _full_grid,
     _screen_statistic,
     adaptive_quantile,
     build_grid,
@@ -245,13 +245,13 @@ class TestBuildGrid:
     def test_smallest_bandwidth_is_one_over_n(self):
         grid = build_grid(100, 1.1)
         assert grid.values[0] == pytest.approx(1.0 / 100, rel=1e-15)
-        assert grid.j_min == 0
+        assert np.array_equal(grid.values, _full_grid(100, 1.1))
 
     def test_benchmark_grid_shape(self):
         # n = 100, L = 1.1: the cap (log10 100)^{-5} = 2^{-5} = 0.03125 is
         # reached at j = 12 (1.1^12/100 = 0.031384)
         grid = build_grid(100, 1.1)
-        assert grid.full_values.size - 1 == 12
+        assert _full_grid(100, 1.1).size - 1 == 12
         assert grid.values.size == 13
         assert np.all(np.diff(grid.values) > 0)
         cap = math.log10(100) ** -5
@@ -259,18 +259,21 @@ class TestBuildGrid:
 
     def test_screen_skipped_without_chain(self):
         grid = build_grid(1000, 1.2)
-        assert grid.s_values is None
+        assert np.array_equal(grid.values, _full_grid(1000, 1.2))
         assert grid.feasible
 
     def test_screen_monotone_on_synthetic_spectra(self):
         fgrid = FrequencyGrid(cutoff=120.0, points=2 ** 13)
         phi = np.exp(-fgrid.u ** 2 / 5000.0)
         spectra = synthetic_spectra(fgrid, phi, noise_scale=1e-6)
-        grid = build_grid(100, 1.1, spectra)
-        assert grid.s_values is not None
+        s_values = _screen_statistic(spectra, 100, 1.0 / _full_grid(100, 1.1))
         # integration window shrinks as j grows
-        assert np.all(np.diff(grid.s_values) <= 1e-12)
-        assert np.all(grid.s_values >= 0)
+        assert np.all(np.diff(s_values) <= 1e-12)
+        assert np.all(s_values >= 0)
+        # the grid starts at the first bandwidth that passes
+        first = int(np.flatnonzero(s_values <= 1.0)[0])
+        assert np.array_equal(build_grid(100, 1.1, spectra).values,
+                              _full_grid(100, 1.1)[first:])
 
     def test_screen_matches_masked_sum(self, noisy_spectra):
         # the prefix-sum reading against a masked weighted sum per cutoff;
@@ -291,9 +294,9 @@ class TestBuildGrid:
         fgrid = FrequencyGrid(cutoff=40.0, points=2 ** 11)
         spectra = compute_chain_spectra(chain, fgrid)
         grid = build_grid(50, 1.1, spectra)
-        assert grid.j_min == 0
+        assert np.array_equal(grid.values, _full_grid(50, 1.1))
         assert grid.feasible
-        assert np.all(grid.s_values == 0.0)
+        assert np.all(_screen_statistic(spectra, 50, 1.0 / grid.values) == 0.0)
 
     def test_benchmark_noise_fails_screen(self, noisy_spectra):
         # the screen saturates on the trust region and exceeds 1 at every
@@ -301,8 +304,9 @@ class TestBuildGrid:
         # recorded
         grid = build_grid(100, 1.1, noisy_spectra)
         assert not grid.feasible
-        assert grid.j_min == 0
-        assert np.all(grid.s_values > 1.0)
+        assert np.array_equal(grid.values, _full_grid(100, 1.1))
+        assert np.all(_screen_statistic(noisy_spectra, 100,
+                                        1.0 / grid.values) > 1.0)
 
     def test_screen_cuts_at_fifty_quotes(self):
         # the Monte Carlo design at n = 50 and 1 % noise (seed 0), where the
@@ -321,7 +325,7 @@ class TestBuildGrid:
                                         noise_levels=noise_sd)
             grid = build_grid(cfg.n, cfg.L, compute_chain_spectra(chain, fgrid))
             assert grid.feasible
-            assert grid.j_min >= 9
+            assert _full_grid(cfg.n, cfg.L).size - grid.values.size >= 9
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -342,28 +346,29 @@ class TestBuildGrid:
 class TestSigmaTilde:
     def test_doubling_n_scales_by_inverse_sqrt2(self, noisy_spectra):
         kernel = flat_top_kernel()
-        a = sigma_tilde(noisy_spectra, kernel, h=0.02, q=0.1, side="+")
+        a = sigma_tilde(noisy_spectra, kernel, h=0.02, q=0.1)
         doubled = dataclasses.replace(noisy_spectra, n_obs=200)
-        b = sigma_tilde(doubled, kernel, h=0.02, q=0.1, side="+")
+        b = sigma_tilde(doubled, kernel, h=0.02, q=0.1)
         assert b == pytest.approx(a / math.sqrt(2.0), rel=1e-14)
 
     def test_monotone_decreasing_in_h(self, noisy_spectra):
         kernel = flat_top_kernel()
         grid = build_grid(100, 1.1, noisy_spectra)
-        for side in ("+", "-"):
-            vals = [sigma_tilde(noisy_spectra, kernel, h, 0.12, side)
-                    for h in grid.values]
-            assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+        vals = [sigma_tilde(noisy_spectra, kernel, h, 0.12)
+                for h in grid.values]
+        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_sides_symmetric_thresholds_differ(self, noisy_spectra):
         kernel = flat_top_kernel()
-        a = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "+")
-        b = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "-")
-        assert a > 0 and b > 0
-        # Hermitian symmetry of every factor makes the two sides agree
-        # exactly at equal |threshold|; the threshold itself does matter
-        assert b == pytest.approx(a, rel=1e-12)
-        c = sigma_tilde(noisy_spectra, kernel, 0.02, 0.3, "+")
+        a = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1)
+        assert a > 0
+        # Hermitian symmetry of every factor makes the per-cell complex
+        # form give both sides the bound at |threshold|, which sigma_tilde
+        # reads without a side; the threshold itself does matter
+        for side in ("+", "-"):
+            assert sigma_reference(noisy_spectra, kernel, 0.02, 0.1,
+                                   side) == pytest.approx(a, rel=1e-12)
+        c = sigma_tilde(noisy_spectra, kernel, 0.02, 0.3)
         assert c != a
 
     def test_chi2_norm_against_quadrature(self, ):
@@ -398,16 +403,16 @@ class TestSigmaTilde:
         spectra = synthetic_spectra(fgrid, phi, noise_scale=1.0)
         assert not spectra.trusted.any()
         with pytest.raises(NumericalError):
-            sigma_tilde(spectra, flat_top_kernel(), 0.05, 0.1, "+")
+            sigma_tilde(spectra, flat_top_kernel(), 0.05, 0.1)
 
     def test_validation(self, noisy_spectra):
         kernel = flat_top_kernel()
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.0, 0.1, "+")
+            sigma_tilde(noisy_spectra, kernel, 0.0, 0.1)
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, -0.1, "+")
+            sigma_tilde(noisy_spectra, kernel, 0.02, -0.1)
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "up")
+            sigma_tilde(noisy_spectra, kernel, 0.02, [[0.1, 0.2]])
 
 
 class TestIncrementsTableRefused:
@@ -428,9 +433,9 @@ class TestIncrementsTableRefused:
     def test_sigma_tilde_and_auxiliary_spectra(self, increments_spectra):
         kernel = flat_top_kernel(0.5)
         with pytest.raises(InputError, match="quote-noise profile"):
-            sigma_tilde(increments_spectra, kernel, 0.1, 0.5, "+")
+            sigma_tilde(increments_spectra, kernel, 0.1, 0.5)
         with pytest.raises(InputError, match="quote-noise profile"):
-            sigma_tilde(increments_spectra, kernel, 0.1, [0.5, 0.7], "-")
+            sigma_tilde(increments_spectra, kernel, 0.1, [0.5, 0.7])
         with pytest.raises(InputError, match="quote-noise profile"):
             auxiliary_spectra(increments_spectra, kernel, 0.1, 0.5, "+")
 
@@ -469,11 +474,9 @@ class TestBatchedBound:
     def test_vector_equals_scalar_calls(self, noisy_spectra, cells):
         kernel = flat_top_kernel()
         qs = [q for q, _ in cells]
-        sides = [side for _, side in cells]
         for h in (0.01, 0.02, 0.031):
-            batched = sigma_tilde(noisy_spectra, kernel, h, qs, sides)
-            alone = [sigma_tilde(noisy_spectra, kernel, h, q, side)
-                     for q, side in cells]
+            batched = sigma_tilde(noisy_spectra, kernel, h, qs)
+            alone = [sigma_tilde(noisy_spectra, kernel, h, q) for q in qs]
             assert batched.tolist() == alone
         t = np.array([q if side == "+" else -q for q, side in cells])
         u = noisy_spectra.grid.u[::5]
@@ -490,17 +493,17 @@ class TestBatchedBound:
         u = noisy_spectra.grid.u[noisy_spectra.trusted]
         h = 2.0 / (u[1023] + u[1024])
         qs = np.linspace(0.05, 4.5, _MAX_BATCH // 1024)
-        batched = sigma_tilde(noisy_spectra, kernel, h, qs, "+")
-        assert batched.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q, "+")
+        batched = sigma_tilde(noisy_spectra, kernel, h, qs)
+        assert batched.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q)
                                     for q in qs]
 
     def test_shapes_and_scalar_float(self, noisy_spectra):
         kernel = flat_top_kernel()
-        one = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1, "-")
+        one = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1)
         assert isinstance(one, float)
-        both = sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 0.3], "-")
+        both = sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 0.3])
         assert both.tolist() == [
-            one, sigma_tilde(noisy_spectra, kernel, 0.02, 0.3, "-")]
+            one, sigma_tilde(noisy_spectra, kernel, 0.02, 0.3)]
         assert isinstance(tail_weight_spectrum(0.2, 1.5), complex)
         assert tail_weight_spectrum([0.2, -0.4], 1.5).tolist() == [
             tail_weight_spectrum(0.2, 1.5), tail_weight_spectrum(-0.4, 1.5)]
@@ -518,9 +521,7 @@ class TestBatchedBound:
     def test_validation(self, noisy_spectra):
         kernel = flat_top_kernel()
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 0.2], ["+"])
-        with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 5.0], "+")
+            sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 5.0])
         with pytest.raises(InputError):
             tail_weight_spectrum([0.1, 0.0], 1.0)
         with pytest.raises(InputError):
@@ -565,17 +566,17 @@ class TestBoundAgainstOracle:
                              X_MAX_DEFAULT).kernel_rows
         terms = _bound_terms(spectra, X_MAX_DEFAULT, hs, rows)
         for j, h in enumerate(hs):
-            got = sigma_tilde(spectra, kernel, h, qs[:, j], sides,
-                              X_MAX_DEFAULT, terms)
+            got = sigma_tilde(spectra, kernel, h, qs[:, j], X_MAX_DEFAULT,
+                              terms)
             want = sigma_reference(spectra, kernel, h, qs[:, j], sides)
             np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0)
             # the terms formed once give what each call forms for itself
-            assert got.tolist() == sigma_tilde(spectra, kernel, h, qs[:, j],
-                                               sides).tolist()
+            assert got.tolist() == sigma_tilde(spectra, kernel, h,
+                                               qs[:, j]).tolist()
 
     def test_one_cell(self, noisy_spectra):
         kernel = flat_top_kernel()
-        got = sigma_tilde(noisy_spectra, kernel, 0.031, 0.17, "-")
+        got = sigma_tilde(noisy_spectra, kernel, 0.031, 0.17)
         assert isinstance(got, float)
         want = sigma_reference(noisy_spectra, kernel, 0.031, 0.17, "-")
         assert got == pytest.approx(want, rel=self.RTOL, abs=0)
@@ -585,39 +586,36 @@ class TestBoundAgainstOracle:
         kernel = flat_top_kernel()
         qs = [0.05, 0.3, 0.3, 0.9, 1.7, 3.1, 4.2, 4.9]
         sides = ["+", "-", "+", "-", "+", "-", "-", "+"]
-        got = sigma_tilde(noisy_spectra, kernel, h, qs, sides)
+        got = sigma_tilde(noisy_spectra, kernel, h, qs)
         want = sigma_reference(noisy_spectra, kernel, h, qs, sides)
         near = np.array(qs) < 1.0
         np.testing.assert_allclose(got[near], want[near], rtol=self.RTOL,
                                    atol=0)
         np.testing.assert_allclose(got, want, rtol=self.RTOL_FAR, atol=0)
-        assert got.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q, s)
-                                for q, s in zip(qs, sides)]
+        assert got.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q)
+                                for q in qs]
 
     @pytest.mark.parametrize("t", [0.02, 0.3, 2.5])
     def test_tail_weight_power_is_even(self, noisy_spectra, t):
         # g_{-t} = conj g_t, so |g_t|^2 is even in t and sigma_tilde reads
-        # both sides at |t|: equal bounds, exactly
+        # both sides at |t|, with no side argument
         u = noisy_spectra.grid.u
         plus = np.abs(tail_weight_spectrum(t, u)) ** 2
         minus = np.abs(tail_weight_spectrum(-t, u)) ** 2
         np.testing.assert_allclose(minus, plus, rtol=1e-13, atol=0)
-        kernel = flat_top_kernel()
-        assert (sigma_tilde(noisy_spectra, kernel, 0.02, t, "+")
-                == sigma_tilde(noisy_spectra, kernel, 0.02, t, "-"))
 
     def test_terms_of_another_table_refused(self, noisy_spectra):
         other = dataclasses.replace(noisy_spectra, n_obs=200)
         rows = flat_top_kernel()(0.02 * other.grid.u)[None]
         terms = _bound_terms(other, X_MAX_DEFAULT, [0.02], rows)
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, flat_top_kernel(), 0.02, 0.1, "+",
+            sigma_tilde(noisy_spectra, flat_top_kernel(), 0.02, 0.1,
                         X_MAX_DEFAULT, terms)
         with pytest.raises(InputError):
-            sigma_tilde(other, flat_top_kernel(), 0.02, 0.1, "+", 4.0, terms)
+            sigma_tilde(other, flat_top_kernel(), 0.02, 0.1, 4.0, terms)
         # terms hold the kernel rows of their bandwidths only
         with pytest.raises(InputError, match="no kernel row"):
-            sigma_tilde(other, flat_top_kernel(), 0.03, 0.1, "+",
+            sigma_tilde(other, flat_top_kernel(), 0.03, 0.1,
                         X_MAX_DEFAULT, terms)
 
 

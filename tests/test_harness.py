@@ -29,10 +29,11 @@ import pytest
 import scipy.integrate
 
 import levyq.harness
-from levyq.adaptive import build_grid, sigma_tilde
+from levyq.adaptive import _full_grid, build_grid, sigma_tilde
 from levyq.errors import ChainFormatError, InputError
 from levyq.harness import (
     DEFAULT_CHAIN_TAUS,
+    _cells_for,
     _chain_estimates,
     ExperimentConfig,
     RmseTable,
@@ -526,16 +527,19 @@ class TestEstimateChain:
         master = FrequencyGrid(cutoff=float(cfg.n), points=cfg.spectral_points)
         spectra = compute_chain_spectra(chain, master)
         bw = build_grid(cfg.n, cfg.L, spectra)
+        full = _full_grid(cfg.n, cfg.L)
+        first = full.size - bw.values.size
         inversion = TailInversion(master, flat_top_kernel(cfg.kernel_c),
-                                  bw.full_values, cfg.x_max)
-        cells = _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
+                                  full, cfg.x_max)
+        qs, _, selection, errors = _chain_estimates(spectra, inversion, first,
+                                                    cfg, cfg.taus)
+        assert errors == [None] * 4
         assert report["bandwidth_grid"] == list(bw.values)
-        for key, side in (("minus", "-"), ("plus", "+")):
-            for row in report["estimates"][key]:
-                cell = cells[(row["tau"], side)]
+        for s, (key, side) in enumerate((("minus", "-"), ("plus", "+"))):
+            for i, row in enumerate(report["estimates"][key]):
                 rows = report["diagnostics"][key][f"{row['tau']:g}"]
-                assert [r["q"] for r in rows] == list(cell.qs[bw.j_min:])
-                assert row["quantile"] == cell.q
+                assert [r["q"] for r in rows] == list(qs[2 * i + s, first:])
+                assert row["quantile"] == selection.pick(2 * i + s)[1]
 
     def test_invalid_threshold_fails_only_its_cell(self, monkeypatch):
         # one cell's quantile at one bandwidth is moved to x_max, where the
@@ -553,32 +557,32 @@ class TestEstimateChain:
 
         def run():
             inversion = TailInversion(master, kernel, bw.values, cfg.x_max)
-            return _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
+            return _chain_estimates(spectra, inversion, 0, cfg, cfg.taus)
 
-        clean = run()
-        bad_cell, bad_h = (1.0, "+"), float(bw.values[3])
+        clean_qs, _, clean, clean_errors = run()
+        bad_row, bad_h = 3, float(bw.values[3])   # tau 1.0, side '+'
 
         def shifted(table, taus, eta, side):
             values, clamped = tail_quantiles(table, taus, eta, side)
-            if side == bad_cell[1]:
+            if side == "+":
                 column = list(table.bandwidths).index(bad_h)
-                values[list(taus).index(bad_cell[0]), column] = cfg.x_max
+                values[list(taus).index(1.0), column] = cfg.x_max
             return values, clamped
 
         monkeypatch.setattr(levyq.harness, "tail_quantiles", shifted)
-        cells = run()
+        qs, _, selection, errors = run()
         with pytest.raises(InputError) as alone:
-            sigma_tilde(spectra, kernel, bad_h, cfg.x_max, "+", cfg.x_max)
-        assert isinstance(cells[bad_cell], InputError)
-        assert str(cells[bad_cell]) == str(alone.value)
-        assert cells.keys() == clean.keys()
-        for cell, est in clean.items():
-            if cell == bad_cell:
+            sigma_tilde(spectra, kernel, bad_h, cfg.x_max, cfg.x_max)
+        assert isinstance(errors[bad_row], InputError)
+        assert str(errors[bad_row]) == str(alone.value)
+        assert clean_errors == [None] * 4
+        for row in range(4):
+            if row == bad_row:
                 continue
-            assert np.array_equal(cells[cell].qs, est.qs)
-            assert (cells[cell].h, cells[cell].q) == (est.h, est.q)
-            assert (cells[cell].selection.records(cells[cell].row)
-                    == est.selection.records(est.row))
+            assert errors[row] is None
+            assert np.array_equal(qs[row], clean_qs[row])
+            assert selection.pick(row) == clean.pick(row)
+            assert selection.records(row) == clean.records(row)
 
     def test_intervals_read_each_sides_density(self):
         # V_h = multiplier * sigma_h / |density_h(q_h)|, with the density of
@@ -594,11 +598,12 @@ class TestEstimateChain:
         kernel = flat_top_kernel(cfg.kernel_c)
         dists = oracles(tail_estimates(spectra, kernel, bw.values, cfg.x_max))
         inversion = TailInversion(spectra.grid, kernel, bw.values, cfg.x_max)
-        cells = _chain_estimates(spectra, bw, inversion, cfg, cfg.taus)
-        for (tau, side), cell in cells.items():
+        _, _, selection, _ = _chain_estimates(spectra, inversion, 0, cfg,
+                                              cfg.taus)
+        for row, (tau, side) in enumerate(_cells_for(cfg.taus)):
             sign = 1.0 if side == "+" else -1.0
-            multiplier = cell.selection.multiplier
-            for dist, record in zip(dists, cell.selection.records(cell.row)):
+            multiplier = selection.multiplier
+            for dist, record in zip(dists, selection.records(row)):
                 density = dist.density(sign * record["q"])
                 assert record["V"] == (multiplier * record["sigma"]
                                        / abs(density))
