@@ -49,7 +49,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .adaptive import (Selection, _bound_terms, _full_grid, _top_index,
+from .adaptive import (_bound_terms, _full_grid, _top_index,
                        adaptive_quantile, build_grid, sigma_tilde)
 from .errors import InputError, LevyqError, NoSolutionError
 from .increments import psi2_from_increments
@@ -96,6 +96,14 @@ _MAX_N = 10 ** 7
 # 7.5e-155: rate >= 2.0e-142, rounded up.  Below it z^a overflows, or z
 # underflows to 0.0 and 0.0^a divides by zero
 _MIN_RATE = 1e-140
+# the least that the largest exact quote of an mc-table strike design may
+# be.  On the default model, whose prices at |x| >= 20 lie below e^-20 =
+# 2e-9, `options.option_function` returned values within 3.0e-16 of 0 for
+# 20 <= |x| < 128.7 and up to 2.9e-15 beyond (|x| <= 400, 80,000 points);
+# the aliased prices past 128.7 are negative and clip to 0.  A design whose
+# quotes all lie below 1e-14, above that dust, carries no signal.  The
+# default design's quotes run from 7.0e-8 to 0.059
+_QUOTE_FLOOR = 1e-14
 
 # mc-table tabulates the spectra of a group of replications together, so
 # that one phase table per frequency chunk serves them all.  A replication's
@@ -487,8 +495,6 @@ def _chain_estimates(spectra, inversion, first, config, taus):
             else:
                 sigmas[i, j - first] = value
 
-    # a failed cell's row is not read; it is kept finite for the checks
-    sigmas[[error is not None for error in errors]] = 0.0
     # the density of each cell's own side at its own quantile, one lookup
     # per (side, bandwidth)
     density = np.empty(sigmas.shape)
@@ -530,7 +536,8 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
 
     Failures (any estimation error in one replication cell, or in a whole
     replication) are excluded from the averages and counted per cell in the
-    returned table.
+    returned table.  A strike design whose exact quotes all lie below
+    _QUOTE_FLOOR, the measured dust of the pricing quadrature, is refused.
     """
     if config.kind == "brownian":
         raise InputError("the Monte Carlo table needs a jump component; "
@@ -563,10 +570,12 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
 
     # the noise levels _perturbed_chain gives every replication
     design = _ChainDesign(xs, config.noise_fraction * exact, config.T, master)
-    if not np.any(exact):
+    if not exact.max() >= _QUOTE_FLOOR:
         raise InputError(
-            f"every exact quote of the strike design is 0 (strike_mean = "
-            f"{config.strike_mean:g}): its chains carry no signal")
+            f"every exact quote of the strike design is below "
+            f"{_QUOTE_FLOOR:g}, the pricing quadrature's dust (largest "
+            f"{exact.max():.3g} at strike_mean = {config.strike_mean:g}): "
+            "its chains carry no signal")
     # (replications x cells x bandwidths) quantiles, the pick of every
     # replication cell and which cells are clean
     shape = (config.replications, len(cells))
@@ -617,7 +626,7 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                     *columns[2 * i], *columns[2 * i + 1])
             for i, tau in enumerate(config.taus)]
     return RmseTable(rows=tuple(rows), replications=config.replications,
-                     failures=int(clean.size - np.count_nonzero(clean)),
+                     failures=int(np.count_nonzero(~clean)),
                      failure_log=tuple(failures), grid=master)
 
 

@@ -48,6 +48,13 @@ __all__ = [
 # jump-measure specifications
 # ---------------------------------------------------------------------------
 
+def _finite_power(base: float, power: float) -> bool:
+    try:
+        return math.isfinite(base ** power)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class CGMYJumps:
     """Tempered-stable intensity C|x|^{-1-Y} e^{-G|x|} (x<0), C x^{-1-Y} e^{-Mx} (x>0).
@@ -55,8 +62,9 @@ class CGMYJumps:
     Y < 2 is required; Y in {0, 1} is rejected (the closed form has
     logarithmic limits there and the package does not need them), and so
     is Y below about -171.62, where Gamma(-Y), a factor of the exponent
-    and of the tail, overflows.  For Y >= 0 the measure has infinite mass
-    near 0.
+    and of the tail, overflows, and a positive rate whose power G^Y, M^Y,
+    G^(Y-1) or M^(Y-1) overflows.  For Y >= 0 the measure has infinite
+    mass near 0.
     """
 
     C: float
@@ -76,6 +84,14 @@ class CGMYJumps:
         if not math.isfinite(_gamma_fn(-self.Y)):
             raise InputError(f"Y must lie above about -171.62, where "
                              f"Gamma(-Y) is finite, got {self.Y!r}")
+        # the exponent, the mass and the mean take these powers of a
+        # positive rate in Python floats, which raise where they overflow
+        for name, rate in (("G", self.G), ("M", self.M)):
+            for power, label in ((self.Y, "Y"), (self.Y - 1.0, "(Y-1)")):
+                if rate > 0 and not _finite_power(rate, power):
+                    raise InputError(
+                        f"{name}^{label} is not finite at {name} = {rate!r}, "
+                        f"Y = {self.Y!r}")
 
     @property
     def mass(self) -> float:

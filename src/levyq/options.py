@@ -205,8 +205,7 @@ def _reference_cf_shifted(sigma: float, maturity: float, u: np.ndarray) -> np.nd
     return np.exp(maturity * psi)
 
 
-def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PRICING_CUTOFF,
-                    points: int = _PRICING_POINTS):
+def option_function(model: LevyModel, maturity: float, x):
     """Exact (up to quadrature) option function O(x) of a martingale model.
 
     Inverts (1 - phi_T(u-i)) / (u(u-i)) on a frequency grid whose nodes
@@ -214,6 +213,12 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
     analytically known spectrum of a reference diffusion so the integrand
     decays fast.  Values are not floored at 0; a non-finite value (the
     reference overflows far out) raises.
+
+    The grid (_PRICING_POINTS nodes on |u| <= _PRICING_CUTOFF, spacing du)
+    repeats the remainder with period 2 pi / du = 257.3, so O(x) holds for
+    |x| < pi / du = 128.7 only.  Past it the prices alias: on the default
+    CGMY model O is -0.0143 near x = 257.3, an image of the money a period
+    away.
     """
     if not maturity > 0:
         raise InputError(f"maturity must be positive, got {maturity}")
@@ -224,7 +229,7 @@ def option_function(model: LevyModel, maturity: float, x, *, cutoff: float = _PR
         raise MartingaleError(
             f"model is not martingale-fixed: |phi_T(-i) - 1| = {gap:.3e} > "
             f"{_MARTINGALE_TOL:g}")
-    grid = FrequencyGrid(cutoff=cutoff, points=points)
+    grid = FrequencyGrid(cutoff=_PRICING_CUTOFF, points=_PRICING_POINTS)
     u = grid.u
     phi_shift = np.exp(maturity * characteristic_exponent(model, u - 1j))
     ref_shift = _reference_cf_shifted(_REFERENCE_VOL, maturity, u)

@@ -217,30 +217,40 @@ class TestMcTableCommand:
             4 if target == "adaptive_quantile" else 1)
         assert out.exists() == (code == 0)
 
-    @pytest.mark.parametrize("command", ["mc-table", "estimate-chain"])
+    @pytest.mark.parametrize("command", ["estimate-chain"])
     def test_maturity_too_small_is_a_numerical_failure(self, tmp_path,
                                                        capsys, command):
         # at T = 1e-300 psi~' = O(1/T) cannot be squared: the curvature
-        # raises at the overflow (it printed two RuntimeWarnings), and
-        # mc-table, with no clean cell left, exits 3 as estimate-chain
-        # does (it wrote a table of empty cells and exited 0)
+        # raises at the overflow (it printed two RuntimeWarnings), and the
+        # chain's one estimate fails with exit 3
         cfg = tmp_path / "t.cfg"
-        cfg.write_text(MC_CFG.replace("replications = 1", "replications = 3")
-                       + "T = 1e-300\n")
+        cfg.write_text(MC_CFG + "T = 1e-300\n")
         out = tmp_path / "out"
-        argv = [command, "--config", str(cfg), "--out", str(out)]
-        if command == "estimate-chain":
-            argv[1:1] = ["--chain", str(chain_file(tmp_path, 32))]
-        code = cli.main(argv)
+        code = cli.main([command, "--chain", str(chain_file(tmp_path, 32)),
+                         "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
         assert err.splitlines()[-1].startswith("numerical failure:")
         assert "T = 1e-300" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
-        if command == "mc-table":
-            assert err.count("excluded:") == 3
-            assert "0 of 6 replication cells clean" in err
+
+    def test_maturity_too_small_design_is_refused(self, tmp_path, capsys):
+        # at T = 1e-300 every exact quote of the strike design is pricing
+        # dust (the largest 5.6e-17), so mc-table refuses the design with
+        # exit 2 before its curvature fails (it exited 3 with every cell
+        # excluded, and earlier wrote a table of empty cells and exited 0)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(MC_CFG.replace("replications = 1", "replications = 3")
+                       + "T = 1e-300\n")
+        out = tmp_path / "out"
+        code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "carry no signal" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["x_max = 0.4", "spectral_points = 16"])
     def test_config_no_replication_can_run(self, tmp_path, capsys, line):
@@ -733,10 +743,16 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
     ("estimate-chain", "", {"scale": 0.0, "noise": 0.0}, "carries no signal"),
     ("estimate-chain", "", {"scale": 0.0, "noise": 1e-3},
      "carries no signal"),
+    ("mc-table", "G = 1e-20\nY = -20", None, "G^Y is not finite"),
+    ("demo-direct", CGMY_ICDF + "G = 1e-20\nY = -20", None,
+     "G^Y is not finite"),
+    ("mc-table", "strike_mean = -300", None, "carry no signal"),
+    ("mc-table", "strike_mean = 60", None, "carry no signal"),
 ], ids=["mc-strike-far-left", "chain-strike-far-left", "mc-huge-noise",
         "chain-huge-noise", "mc-very-negative-Y", "demo-Y-171", "demo-Y-100",
         "mc-all-zero-20", "mc-all-zero-50", "chain-all-zero",
-        "chain-all-zero-noisy"])
+        "chain-all-zero-noisy", "mc-power-overflows", "demo-power-overflows",
+        "mc-dust-left", "mc-dust-right"])
 def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
                                           chain_edit, message):
     # e^{-x} at strikes 1,000 below the forward, the square of a 1e300-fold
@@ -745,7 +761,10 @@ def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
     # The increments sampler's Gamma(2-Y) and its cf overflowed too: exit 2
     # only after RuntimeWarnings, blaming the increments or the cf floor.
     # Quotes that are all 0 carry no signal; every bandwidth fell to the
-    # density guard, exit 3
+    # density guard, exit 3.  G^Y at a tiny G and a negative Y raised a
+    # raw OverflowError in the exponent (mc-table) and in the mean
+    # (demo-direct).  Designs far from the money, whose exact quotes are
+    # quadrature dust below 3e-15, exited 0 with a table of clamps
     cfg = tmp_path / "far.cfg"
     cfg.write_text(MC_CFG + line + "\n")
     out = tmp_path / "out"

@@ -29,8 +29,9 @@ import pytest
 import scipy.integrate
 
 import levyq.harness
+import levyq.options
 from levyq.adaptive import _full_grid, build_grid, sigma_tilde
-from levyq.errors import ChainFormatError, InputError
+from levyq.errors import ChainFormatError, InputError, NumericalError
 from levyq.harness import (
     DEFAULT_CHAIN_TAUS,
     _cells_for,
@@ -236,6 +237,57 @@ class TestMcTable:
                             "rmse_adaptive_minus,rmse_oracle_plus,"
                             "rmse_adaptive_plus")
         assert len(lines) == 1 + len(cfg.taus)
+
+    def test_failed_pick_leaves_only_its_cell(self, monkeypatch):
+        # cell (1.0, '+') of replication 0 loses its pick.  That cell's
+        # RMSE columns are then those of replications 1 and 2 alone, as a
+        # run whose whole replication 0 fails gives them; every other cell
+        # is the clean run's, bit for bit
+        cfg = ExperimentConfig(n=32, taus=(0.5, 1.0), spectral_points=1024,
+                               replications=3, seed=11)
+        clean = run_mc_table(cfg)
+        original_select = levyq.harness.adaptive_quantile
+        calls = []
+
+        def drop_one_pick(*args):
+            selection = original_select(*args)
+            calls.append(selection)
+            if len(calls) > 1:
+                return selection
+            chosen = selection.chosen.copy()
+            chosen[3] = -1     # row 3: tau 1.0, side '+'
+            return dataclasses.replace(selection, chosen=chosen)
+
+        monkeypatch.setattr(levyq.harness, "adaptive_quantile",
+                            drop_one_pick)
+        failed_pick = run_mc_table(cfg)
+        monkeypatch.undo()
+
+        original_spectra = levyq.options._ChainDesign.spectra
+        first = []
+
+        def fail_first_chain(design, chains):
+            first[:] = first or chains[:1]
+            if any(chain is first[0] for chain in chains):
+                raise NumericalError("synthetic failure")
+            return original_spectra(design, chains)
+
+        monkeypatch.setattr(levyq.options._ChainDesign, "spectra",
+                            fail_first_chain)
+        without_first = run_mc_table(cfg)
+
+        assert len(calls) == 3
+        assert failed_pick.failures == 1
+        assert failed_pick.failure_log == (
+            "replication 0, tau 1, side +: every bandwidth was dropped by "
+            "the density guard; no interval to intersect",)
+        assert failed_pick.rows[0] == clean.rows[0]
+        got, alone, base = (dataclasses.astuple(table.rows[1]) for table in
+                            (failed_pick, without_first, clean))
+        # tau, truths and the '-' columns, then the '+' columns
+        assert got[:5] == base[:5]
+        assert got[5:] == alone[5:]
+        assert got[5:] != base[5:]
 
     def test_oracle_mode_with_per_replication_screen(self):
         # at 0.12 % noise the screen passes, at a different j_min in each

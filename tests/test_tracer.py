@@ -7,10 +7,11 @@ arguments and results: the ``spectra`` and ``h`` arguments of
 that no longer exists, so that site is listed as absent).  A hook survives
 only a KeyError, AttributeError or TypeError, so a wrapped function whose
 result changes kind (an array where a record was) can crash a traced run.
-These tests import the tracer as the benchmark does and run `mc-table` and
-`estimate-chain` under it; both must record calls of the deviation bound
-and of the selector, so that a rename cannot hide either from the
-benchmark.
+These tests import the tracer as the benchmark does and run each command
+under it.  `mc-table` and `estimate-chain` must record calls of the
+deviation bound and of the selector, and `demo-direct` calls of the
+empirical cf and of the sampler, so that a rename cannot hide any of them
+from the benchmark.
 """
 
 import importlib
@@ -26,6 +27,8 @@ from levyq.options import generate_synthetic_chain, write_chain_csv
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFIG = "n = 32\nspectral_points = 1024\ntaus = 0.5 1.0\nreplications = 2\n"
+DEMO_CONFIG = ("kind = compound-poisson-exp\nsigma = 0\nintensity = 5\n"
+               "n = 2000\nspectral_points = 512\ntaus = 0.5 1.0\n")
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +50,12 @@ def chain_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", ["mc-table", "estimate-chain"])
+@pytest.mark.parametrize("command",
+                         ["mc-table", "estimate-chain", "demo-direct"])
 def test_traced_command_completes_and_counts(tracer_module, tmp_path, capsys,
                                              command):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(DEMO_CONFIG if command == "demo-direct" else CONFIG)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     if command == "estimate-chain":
         argv[1:1] = ["--chain", str(chain_file(tmp_path))]
@@ -62,10 +66,14 @@ def test_traced_command_completes_and_counts(tracer_module, tmp_path, capsys,
     finally:
         tracer.uninstall()
     assert code == 0, capsys.readouterr().err
-    assert tracer.calls["adaptive.sigma"] > 0
-    assert tracer.calls["adaptive.select"] > 0
-    assert tracer.counts["adaptive.sigma.mask"] > 0
-    assert tracer.counts["adaptive.sigma.grid"] > 0
+    if command == "demo-direct":
+        assert tracer.calls["increments.ecf"] > 0
+        assert tracer.calls["simulate.sampling"] > 0
+    else:
+        assert tracer.calls["adaptive.sigma"] > 0
+        assert tracer.calls["adaptive.select"] > 0
+        assert tracer.counts["adaptive.sigma.mask"] > 0
+        assert tracer.counts["adaptive.sigma.grid"] > 0
     assert not [entry for entry in tracer.absent
                 if entry.startswith("counter of")]
     # uninstall restores every wrapped function
