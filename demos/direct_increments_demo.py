@@ -20,7 +20,6 @@ import numpy as np
 from levyq import (
     ExponentialJumps,
     FrequencyGrid,
-    IncrementSampler,
     LevyModel,
     TailInversion,
     exponent_curvature,
@@ -39,9 +38,8 @@ print("model: compound Poisson, intensity 1, Exp(1) jump sizes")
 print(f"total jump intensity: {jumps.intensity}")
 
 # n increments at spacing 0.5, drawn by compounding the Poisson count
-sampler = IncrementSampler(model=model, delta=0.5,
-                           method="exact-compound-poisson", seed=7)
-sample = sample_increments(sampler, n=50_000)
+sample = sample_increments(model, 0.5, "exact-compound-poisson", seed=7,
+                           n=50_000)
 print(f"observed {sample.values.size} increments, spacing {sample.delta}")
 
 # --- curvature of the characteristic exponent ------------------------------

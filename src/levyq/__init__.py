@@ -19,7 +19,7 @@ from .models import ExponentialJumps, LevyModel, exponent_curvature
 from .numerics import FrequencyGrid
 from .kernels import flat_top_kernel
 from .increments import psi2_from_increments
-from .simulate import IncrementSampler, sample_increments
+from .simulate import sample_increments
 from .inversion import TailInversion, grid_points, tail_quantiles
 from .options import generate_synthetic_chain, write_chain_csv
 from .harness import (
@@ -37,7 +37,6 @@ __all__ = [
     "ExperimentConfig",
     "ExponentialJumps",
     "FrequencyGrid",
-    "IncrementSampler",
     "InputError",
     "LevyModel",
     "LevyqError",

@@ -47,7 +47,6 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import InputError, NoSolutionError, NumericalError
-from .inversion import X_MAX_DEFAULT
 from .numerics import _BLOCK, _MAX_BATCH, Spectra
 
 __all__ = [
@@ -161,21 +160,17 @@ def _full_grid(n: int, L: float) -> np.ndarray:
     return L ** np.arange(0, _top_index(n, L) + 1) / n
 
 
-def build_grid(n: int, L: float,
-               spectra: Spectra | None = None) -> BandwidthGrid:
+def build_grid(n: int, L: float, spectra: Spectra) -> BandwidthGrid:
     """Bandwidth grid with the data-dependent lower cut.
 
     j_max is the smallest index with L^j / n >= (log10 n)^{-5}; j_min is the
     first index whose screen statistic S(j) is <= 1 (if S skips past the
     band [1/2, 1] in one step, that index still wins — only the upper bound
-    controls consistency).  Without chain spectra the screen is skipped and
-    the full grid is returned.  If no bandwidth passes, the full grid is
-    kept and flagged feasible=False.  Grids of more than _MAX_BANDWIDTHS
+    controls consistency).  If no bandwidth passes, the full grid is kept
+    and flagged feasible=False.  Grids of more than _MAX_BANDWIDTHS
     bandwidths are refused.
     """
     values = _full_grid(n, L)
-    if spectra is None:
-        return BandwidthGrid(values=values)
     passing = np.flatnonzero(_screen_statistic(spectra, n, 1.0 / values) <= 1.0)
     if not passing.size:
         return BandwidthGrid(values=values, feasible=False)
@@ -238,11 +233,12 @@ def _bound_terms(spectra: Spectra, x_max: float, bandwidths,
                        starts=spectra.grid.u[::_BLOCK])
 
 
-def sigma_tilde(spectra: Spectra, kernel, h: float, q,
-                x_max: float = X_MAX_DEFAULT, terms=None):
+def sigma_tilde(spectra: Spectra, h: float, q, terms: _BoundTerms):
     """Deviation bound (2 pi sqrt(n) T)^{-1} sum_k ||x^k e^{-x} rho||_inf
-    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q, with
-    the kernel profile f_K `kernel`.
+    ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
+    `terms` (`_bound_terms` of `spectra`) holds x_max, the work that does
+    not depend on h and the kernel rows f_K(hu), one per bandwidth, formed
+    once per table; h must be one of its bandwidths.
 
     chi_k = g_t f_K(hu) factor_k / phi~ on the trusted nodes with u <= 1/h,
     where g_t is the spectrum of the tail weight x^{-2} on [t, x_max] (t > 0)
@@ -263,12 +259,10 @@ def sigma_tilde(spectra: Spectra, kernel, h: float, q,
     cells are taken in chunks of at most _MAX_BATCH (cell, node) pairs.
 
     An array of thresholds gives an array, each entry equal to the call for
-    that threshold alone.  `terms`, from `_bound_terms`, carries the work
-    that does not depend on h and the kernel rows of the caller's
-    bandwidths, so that a caller bounding many bandwidths of one table
-    forms it once; h must then be one of those bandwidths.
+    that threshold alone.
     """
-    _require_noise_profile(spectra, "the deviation bound")
+    if terms.spectra is not spectra:
+        raise InputError("bound terms of another spectra table")
     if not h > 0:
         raise InputError(f"bandwidth must be positive, got {h}")
     qs = np.atleast_1d(np.asarray(q, dtype=float))
@@ -277,14 +271,9 @@ def sigma_tilde(spectra: Spectra, kernel, h: float, q,
     for qi in qs:
         if not qi > 0:
             raise InputError(f"threshold must be positive, got {qi}")
-        if not x_max > qi:
+        if not terms.x_max > qi:
             raise InputError(
-                f"x_max = {x_max} must exceed the threshold q = {qi}")
-    if terms is None:
-        terms = _bound_terms(spectra, x_max, [h],
-                             kernel(h * spectra.grid.u)[None])
-    elif terms.spectra is not spectra or terms.x_max != x_max:
-        raise InputError("bound terms of another spectra table or x_max")
+                f"x_max = {terms.x_max} must exceed the threshold q = {qi}")
     row = np.flatnonzero(terms.bandwidths == h)
     if not row.size:
         raise InputError(f"bound terms hold no kernel row at h = {h!r}")
@@ -358,7 +347,6 @@ class Selection:
     bandwidths: np.ndarray
     quantiles: np.ndarray
     sigmas: np.ndarray
-    multiplier: float
     V: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -430,7 +418,6 @@ def adaptive_quantile(bandwidths, quantiles, densities, sigmas, n: int,
              <= np.minimum.accumulate(np.where(dropped, np.inf, hi), axis=1))
     kept = alive & ~dropped
     last = hs.size - 1 - np.argmax(kept[:, ::-1], axis=1)
-    return Selection(bandwidths=hs, quantiles=qs, sigmas=sig,
-                     multiplier=multiplier, V=V, lo=lo, hi=hi,
-                     dropped=dropped,
+    return Selection(bandwidths=hs, quantiles=qs, sigmas=sig, V=V, lo=lo,
+                     hi=hi, dropped=dropped,
                      chosen=np.where(kept.any(axis=1), last, -1))

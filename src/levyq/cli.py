@@ -2,7 +2,7 @@
 
 Three subcommands mirror the harness entry points:
 
-* ``levyq mc-table --config FILE [--reps N] [--seed S] --out table.csv``
+* ``levyq mc-table --config FILE --out table.csv``
 * ``levyq estimate-chain --chain chain.csv --config FILE --out DIR``
 * ``levyq demo-direct --config FILE --out report.json``
 
@@ -16,7 +16,6 @@ writes no table and exits 3, as estimate-chain does for its one chain.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,10 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mc-table",
         help="Monte Carlo RMSE table over replicated synthetic chains")
     mc.add_argument("--config", required=True, help="key = value config file")
-    mc.add_argument("--reps", type=int, default=None,
-                    help="override the configured replication count")
-    mc.add_argument("--seed", type=int, default=None,
-                    help="override the configured seed")
     mc.add_argument("--out", required=True, help="output CSV path")
 
     chain = sub.add_parser(
@@ -68,12 +63,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _run_mc_table(args) -> None:
-    config = load_config(args.config)
-    if args.reps is not None:
-        config = dataclasses.replace(config, replications=args.reps)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    table = run_mc_table(config)
+    table = run_mc_table(load_config(args.config))
     out = Path(args.out)
     cells = table.replications * 2 * len(table.rows)
     summary = (f"{len(table.rows)} levels, {cells - table.failures} of "

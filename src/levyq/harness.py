@@ -62,7 +62,7 @@ from .models import (CGMYJumps, ExponentialJumps, LevyModel,
 from .numerics import FrequencyGrid
 from .options import (_MARTINGALE_TOL, _ChainDesign, _perturbed_chain,
                       _synthetic_design, compute_chain_spectra, read_chain_csv)
-from .simulate import METHODS, IncrementSampler, sample_increments
+from .simulate import METHODS, sample_increments
 
 __all__ = [
     "ExperimentConfig",
@@ -482,13 +482,12 @@ def _chain_estimates(spectra, inversion, first, config, taus):
     sigmas = np.zeros((qs.shape[0], hs.size - first))
     for j in range(first, hs.size):
         live = [i for i, error in enumerate(errors) if error is None]
-        bound = (spectra, inversion.kernel, float(hs[j]))
-        values = _attempt(sigma_tilde, *bound, qs[live, j], config.x_max,
-                          terms)
+        h = float(hs[j])
+        values = _attempt(sigma_tilde, spectra, h, qs[live, j], terms)
         if isinstance(values, LevyqError):
             # redo each cell alone, so an error stays with its own cell
-            values = [_attempt(sigma_tilde, *bound, qs[i, j], config.x_max,
-                               terms) for i in live]
+            values = [_attempt(sigma_tilde, spectra, h, qs[i, j], terms)
+                      for i in live]
         for i, value in zip(live, values):
             if isinstance(value, LevyqError):
                 errors[i] = value
@@ -712,7 +711,7 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
 # direct-increment demo
 
 
-def demo_direct(config: ExperimentConfig, taus=None) -> dict:
+def demo_direct(config: ExperimentConfig) -> dict:
     """Estimate quantiles from simulated increments at a fixed bandwidth.
 
     No bandwidth selection: the configured h is used as-is.  The spectra
@@ -724,7 +723,7 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     columns are filled from the closed-form tail integral where the model
     has one (and the level is reachable); otherwise they are None.
     """
-    taus = _levels(config.taus if taus is None else taus)
+    taus = config.taus
     cutoff = 1.0 / config.h
 
     def grid_for(span):
@@ -737,9 +736,8 @@ def demo_direct(config: ExperimentConfig, taus=None) -> dict:
     # without it is refused before sampling
     grid = grid_for(0.0)
     model = observation_model(config)
-    sampler = IncrementSampler(model=model, delta=config.increment_delta,
-                               method=config.method, seed=config.seed)
-    sample = sample_increments(sampler, config.n)
+    sample = sample_increments(model, config.increment_delta, config.method,
+                               config.seed, config.n)
     if config.spectral_points is None:
         grid = grid_for(float(np.ptp(sample.values)))
     _check_cf_floor(model, config, grid)

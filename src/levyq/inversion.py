@@ -204,7 +204,7 @@ class TailInversion:
                 f"frequency spacing {grid.spacing:.3g} aliases the tail nodes "
                 f"(needs < pi / x_max = {math.pi / x_max:.3g}); use more "
                 f"spectral points for a window of {grid.cutoff:g}")
-        self.grid, self.kernel, self.bandwidths = grid, kernel, hs
+        self.grid, self.bandwidths = grid, hs
         self.nodes = tail_nodes(x_max)
         self.kernel_rows = np.stack([kernel(h * grid.u) for h in hs])
         self._plan = _GriddingPlan(

@@ -75,7 +75,7 @@ class FrequencyGrid:
     """
 
     cutoff: float
-    points: int = 2 ** 14
+    points: int
 
     def __post_init__(self):
         if not self.cutoff > 0:

@@ -21,7 +21,6 @@ exactly drift-invariant, so the convention never touches estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .models import (
 
 __all__ = [
     "METHODS",
-    "IncrementSampler",
     "sample_increments",
 ]
 
@@ -54,32 +52,19 @@ _ICDF_POINTS = 2 ** 16
 _ICDF_SPAN_SDS = 12.0
 
 
-@dataclass(frozen=True)
-class IncrementSampler:
-    """Recipe for drawing i.i.d. increments: model, spacing, method, seed."""
-
-    model: LevyModel
-    delta: float
-    method: str
-    seed: int
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise InputError(f"time spacing must be positive, got {self.delta}")
-        if self.method not in METHODS:
-            raise InputError(
-                f"unknown method {self.method!r}; choose one of {METHODS}"
-            )
-
-
-def sample_increments(sampler: IncrementSampler, n: int) -> IncrementSample:
-    """Draw n independent increments; same sampler (and n) -> same bytes."""
+def sample_increments(model: LevyModel, delta: float, method: str, seed: int,
+                      n: int) -> IncrementSample:
+    """Draw n independent increments over spacing delta by `method` (one of
+    METHODS), from the generator seeded with `seed`; the same arguments give
+    the same bytes."""
+    if not delta > 0:
+        raise InputError(f"time spacing must be positive, got {delta}")
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}; choose one of {METHODS}")
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(sampler.seed)
-    model = sampler.model
-    delta = sampler.delta
-    if sampler.method == "exact-compound-poisson":
+    rng = np.random.default_rng(seed)
+    if method == "exact-compound-poisson":
         values = _sample_compound_poisson(rng, model, delta, n)
     else:
         values = _sample_inverse_cdf(rng, model, delta, n)

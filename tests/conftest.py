@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from levyq.adaptive import adaptive_quantile
+from levyq.adaptive import _bound_terms, adaptive_quantile, sigma_tilde
 from levyq.errors import InputError
 from levyq.inversion import (X_MAX_DEFAULT, TailInversion, TailTable,
                              tail_quantiles)
@@ -232,6 +232,13 @@ def select_one(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
     selection = adaptive_quantile(bandwidths, quantiles, densities, sigmas,
                                   n, delta)
     return (*selection.pick(0), selection)
+
+
+def sigma_at(spectra, kernel, h, q, x_max=X_MAX_DEFAULT):
+    """sigma_tilde at one bandwidth h, from bound terms formed for h alone
+    with the kernel profile `kernel`."""
+    terms = _bound_terms(spectra, x_max, [h], kernel(h * spectra.grid.u)[None])
+    return sigma_tilde(spectra, h, q, terms)
 
 
 def tail_estimates(spectra, kernel, bandwidths, x_max=X_MAX_DEFAULT):

@@ -42,7 +42,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from levyq.adaptive import build_grid, sigma_tilde
+from levyq.adaptive import build_grid
 from levyq.harness import ExperimentConfig, demo_direct
 from levyq.increments import IncrementSample, _curvature_ratio, psi2_from_increments
 from levyq.kernels import flat_top_kernel
@@ -53,8 +53,8 @@ from levyq.options import (compute_chain_spectra, generate_synthetic_chain,
                            option_function)
 
 from conftest import (PRINTED_QUANTILES, density_at, one_quantile, oracles,
-                      select_one, spline_spectra, tail_at, tail_estimates,
-                      verify_order)
+                      select_one, sigma_at, spline_spectra, tail_at,
+                      tail_estimates, verify_order)
 
 # Reference benchmark table: empirical RMSE multiplied by 100, per
 # threshold level, columns (oracle -, adaptive -, oracle +, adaptive +).
@@ -371,7 +371,7 @@ def test_criterion_7_selector_structure(bench_model):
         grid = build_grid(100, 1.1, spectra)
         # the bound is even in the threshold, so one q serves both sides
         for q in (0.09, 0.15):
-            sigmas = np.array([sigma_tilde(spectra, kernel, float(h), q)
+            sigmas = np.array([sigma_at(spectra, kernel, float(h), q)
                                for h in grid.values])
             monotone_checks += 1
             # the deviation bound integrates over |u| <= 1/h, so it must
@@ -381,7 +381,7 @@ def test_criterion_7_selector_structure(bench_model):
         qs = np.linspace(0.11, 0.12, grid.values.size)
         dens = np.full(grid.values.size, 2.0)
         sigs = np.array([
-            sigma_tilde(spectra, kernel, float(h), 0.11)
+            sigma_at(spectra, kernel, float(h), 0.11)
             for h in grid.values])
         h_sel, _, sel = select_one(grid.values, qs, dens, sigs, 100, 0.1)
         selected.append(round(float(h_sel), 6))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from conftest import select_one, spline_spectra, tail_estimates
+from conftest import select_one, sigma_at, spline_spectra, tail_estimates
 from levyq.adaptive import (
     _bound_terms,
     _e2,
@@ -243,24 +243,17 @@ class TestTailWeightSpectrum:
 
 class TestBuildGrid:
     def test_smallest_bandwidth_is_one_over_n(self):
-        grid = build_grid(100, 1.1)
-        assert grid.values[0] == pytest.approx(1.0 / 100, rel=1e-15)
-        assert np.array_equal(grid.values, _full_grid(100, 1.1))
+        values = _full_grid(100, 1.1)
+        assert values[0] == pytest.approx(1.0 / 100, rel=1e-15)
 
     def test_benchmark_grid_shape(self):
         # n = 100, L = 1.1: the cap (log10 100)^{-5} = 2^{-5} = 0.03125 is
         # reached at j = 12 (1.1^12/100 = 0.031384)
-        grid = build_grid(100, 1.1)
-        assert _full_grid(100, 1.1).size - 1 == 12
-        assert grid.values.size == 13
-        assert np.all(np.diff(grid.values) > 0)
+        values = _full_grid(100, 1.1)
+        assert values.size == 13
+        assert np.all(np.diff(values) > 0)
         cap = math.log10(100) ** -5
-        assert cap <= grid.values[-1] < cap * 1.1
-
-    def test_screen_skipped_without_chain(self):
-        grid = build_grid(1000, 1.2)
-        assert np.array_equal(grid.values, _full_grid(1000, 1.2))
-        assert grid.feasible
+        assert cap <= values[-1] < cap * 1.1
 
     def test_screen_monotone_on_synthetic_spectra(self):
         fgrid = FrequencyGrid(cutoff=120.0, points=2 ** 13)
@@ -327,40 +320,40 @@ class TestBuildGrid:
             assert grid.feasible
             assert _full_grid(cfg.n, cfg.L).size - grid.values.size >= 9
 
-    def test_validation(self):
+    def test_validation(self, noisy_spectra):
         with pytest.raises(InputError):
-            build_grid(9, 1.1)
+            build_grid(9, 1.1, noisy_spectra)
         with pytest.raises(InputError):
-            build_grid(100, 1.0)
+            build_grid(100, 1.0, noisy_spectra)
 
-    def test_bandwidth_count_cap(self):
+    def test_bandwidth_count_cap(self, noisy_spectra):
         # L -> 1 would build ln(3.125) / ln(L) bandwidths at n = 100
         with pytest.raises(InputError, match="cap of 1000"):
-            build_grid(100, 1.000001)
+            build_grid(100, 1.000001, noisy_spectra)
         with pytest.raises(InputError, match="cap of 1000"):
-            build_grid(100, 1 + 1e-15)
-        assert build_grid(100, 1.1).values.size == 13
-        assert build_grid(100, 1.002).values.size == 572
+            build_grid(100, 1 + 1e-15, noisy_spectra)
+        assert _full_grid(100, 1.1).size == 13
+        assert _full_grid(100, 1.002).size == 572
 
 
 class TestSigmaTilde:
     def test_doubling_n_scales_by_inverse_sqrt2(self, noisy_spectra):
         kernel = flat_top_kernel()
-        a = sigma_tilde(noisy_spectra, kernel, h=0.02, q=0.1)
+        a = sigma_at(noisy_spectra, kernel, h=0.02, q=0.1)
         doubled = dataclasses.replace(noisy_spectra, n_obs=200)
-        b = sigma_tilde(doubled, kernel, h=0.02, q=0.1)
+        b = sigma_at(doubled, kernel, h=0.02, q=0.1)
         assert b == pytest.approx(a / math.sqrt(2.0), rel=1e-14)
 
     def test_monotone_decreasing_in_h(self, noisy_spectra):
         kernel = flat_top_kernel()
         grid = build_grid(100, 1.1, noisy_spectra)
-        vals = [sigma_tilde(noisy_spectra, kernel, h, 0.12)
+        vals = [sigma_at(noisy_spectra, kernel, h, 0.12)
                 for h in grid.values]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_sides_symmetric_thresholds_differ(self, noisy_spectra):
         kernel = flat_top_kernel()
-        a = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1)
+        a = sigma_at(noisy_spectra, kernel, 0.02, 0.1)
         assert a > 0
         # Hermitian symmetry of every factor makes the per-cell complex
         # form give both sides the bound at |threshold|, which sigma_tilde
@@ -368,7 +361,7 @@ class TestSigmaTilde:
         for side in ("+", "-"):
             assert sigma_reference(noisy_spectra, kernel, 0.02, 0.1,
                                    side) == pytest.approx(a, rel=1e-12)
-        c = sigma_tilde(noisy_spectra, kernel, 0.02, 0.3)
+        c = sigma_at(noisy_spectra, kernel, 0.02, 0.3)
         assert c != a
 
     def test_chi2_norm_against_quadrature(self, ):
@@ -403,16 +396,16 @@ class TestSigmaTilde:
         spectra = synthetic_spectra(fgrid, phi, noise_scale=1.0)
         assert not spectra.trusted.any()
         with pytest.raises(NumericalError):
-            sigma_tilde(spectra, flat_top_kernel(), 0.05, 0.1)
+            sigma_at(spectra, flat_top_kernel(), 0.05, 0.1)
 
     def test_validation(self, noisy_spectra):
         kernel = flat_top_kernel()
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.0, 0.1)
+            sigma_at(noisy_spectra, kernel, 0.0, 0.1)
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, -0.1)
+            sigma_at(noisy_spectra, kernel, 0.02, -0.1)
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, [[0.1, 0.2]])
+            sigma_at(noisy_spectra, kernel, 0.02, [[0.1, 0.2]])
 
 
 class TestIncrementsTableRefused:
@@ -433,9 +426,9 @@ class TestIncrementsTableRefused:
     def test_sigma_tilde_and_auxiliary_spectra(self, increments_spectra):
         kernel = flat_top_kernel(0.5)
         with pytest.raises(InputError, match="quote-noise profile"):
-            sigma_tilde(increments_spectra, kernel, 0.1, 0.5)
+            sigma_at(increments_spectra, kernel, 0.1, 0.5)
         with pytest.raises(InputError, match="quote-noise profile"):
-            sigma_tilde(increments_spectra, kernel, 0.1, [0.5, 0.7])
+            sigma_at(increments_spectra, kernel, 0.1, [0.5, 0.7])
         with pytest.raises(InputError, match="quote-noise profile"):
             auxiliary_spectra(increments_spectra, kernel, 0.1, 0.5, "+")
 
@@ -475,8 +468,8 @@ class TestBatchedBound:
         kernel = flat_top_kernel()
         qs = [q for q, _ in cells]
         for h in (0.01, 0.02, 0.031):
-            batched = sigma_tilde(noisy_spectra, kernel, h, qs)
-            alone = [sigma_tilde(noisy_spectra, kernel, h, q) for q in qs]
+            batched = sigma_at(noisy_spectra, kernel, h, qs)
+            alone = [sigma_at(noisy_spectra, kernel, h, q) for q in qs]
             assert batched.tolist() == alone
         t = np.array([q if side == "+" else -q for q, side in cells])
         u = noisy_spectra.grid.u[::5]
@@ -493,17 +486,17 @@ class TestBatchedBound:
         u = noisy_spectra.grid.u[noisy_spectra.trusted]
         h = 2.0 / (u[1023] + u[1024])
         qs = np.linspace(0.05, 4.5, _MAX_BATCH // 1024)
-        batched = sigma_tilde(noisy_spectra, kernel, h, qs)
-        assert batched.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q)
+        batched = sigma_at(noisy_spectra, kernel, h, qs)
+        assert batched.tolist() == [sigma_at(noisy_spectra, kernel, h, q)
                                     for q in qs]
 
     def test_shapes_and_scalar_float(self, noisy_spectra):
         kernel = flat_top_kernel()
-        one = sigma_tilde(noisy_spectra, kernel, 0.02, 0.1)
+        one = sigma_at(noisy_spectra, kernel, 0.02, 0.1)
         assert isinstance(one, float)
-        both = sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 0.3])
+        both = sigma_at(noisy_spectra, kernel, 0.02, [0.1, 0.3])
         assert both.tolist() == [
-            one, sigma_tilde(noisy_spectra, kernel, 0.02, 0.3)]
+            one, sigma_at(noisy_spectra, kernel, 0.02, 0.3)]
         assert isinstance(tail_weight_spectrum(0.2, 1.5), complex)
         assert tail_weight_spectrum([0.2, -0.4], 1.5).tolist() == [
             tail_weight_spectrum(0.2, 1.5), tail_weight_spectrum(-0.4, 1.5)]
@@ -521,7 +514,7 @@ class TestBatchedBound:
     def test_validation(self, noisy_spectra):
         kernel = flat_top_kernel()
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, kernel, 0.02, [0.1, 5.0])
+            sigma_at(noisy_spectra, kernel, 0.02, [0.1, 5.0])
         with pytest.raises(InputError):
             tail_weight_spectrum([0.1, 0.0], 1.0)
         with pytest.raises(InputError):
@@ -551,7 +544,7 @@ class TestBoundAgainstOracle:
             (cfg.strike_mean, cfg.strike_variance), seed=1)
         spectra = compute_chain_spectra(chain, FrequencyGrid(100.0, 8192))
         kernel = flat_top_kernel(cfg.kernel_c)
-        hs = build_grid(cfg.n, cfg.L).values
+        hs = _full_grid(cfg.n, cfg.L)
         table = tail_estimates(spectra, kernel, hs, cfg.x_max)
         qs = np.concatenate([tail_quantiles(table, DEFAULT_CHAIN_TAUS,
                                             cfg.eta, side)[0]
@@ -566,17 +559,16 @@ class TestBoundAgainstOracle:
                              X_MAX_DEFAULT).kernel_rows
         terms = _bound_terms(spectra, X_MAX_DEFAULT, hs, rows)
         for j, h in enumerate(hs):
-            got = sigma_tilde(spectra, kernel, h, qs[:, j], X_MAX_DEFAULT,
-                              terms)
+            got = sigma_tilde(spectra, h, qs[:, j], terms)
             want = sigma_reference(spectra, kernel, h, qs[:, j], sides)
             np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0)
-            # the terms formed once give what each call forms for itself
-            assert got.tolist() == sigma_tilde(spectra, kernel, h,
-                                               qs[:, j]).tolist()
+            # the terms formed once give what terms of h alone give
+            assert got.tolist() == sigma_at(spectra, kernel, h,
+                                            qs[:, j]).tolist()
 
     def test_one_cell(self, noisy_spectra):
         kernel = flat_top_kernel()
-        got = sigma_tilde(noisy_spectra, kernel, 0.031, 0.17)
+        got = sigma_at(noisy_spectra, kernel, 0.031, 0.17)
         assert isinstance(got, float)
         want = sigma_reference(noisy_spectra, kernel, 0.031, 0.17, "-")
         assert got == pytest.approx(want, rel=self.RTOL, abs=0)
@@ -586,13 +578,13 @@ class TestBoundAgainstOracle:
         kernel = flat_top_kernel()
         qs = [0.05, 0.3, 0.3, 0.9, 1.7, 3.1, 4.2, 4.9]
         sides = ["+", "-", "+", "-", "+", "-", "-", "+"]
-        got = sigma_tilde(noisy_spectra, kernel, h, qs)
+        got = sigma_at(noisy_spectra, kernel, h, qs)
         want = sigma_reference(noisy_spectra, kernel, h, qs, sides)
         near = np.array(qs) < 1.0
         np.testing.assert_allclose(got[near], want[near], rtol=self.RTOL,
                                    atol=0)
         np.testing.assert_allclose(got, want, rtol=self.RTOL_FAR, atol=0)
-        assert got.tolist() == [sigma_tilde(noisy_spectra, kernel, h, q)
+        assert got.tolist() == [sigma_at(noisy_spectra, kernel, h, q)
                                 for q in qs]
 
     @pytest.mark.parametrize("t", [0.02, 0.3, 2.5])
@@ -609,14 +601,10 @@ class TestBoundAgainstOracle:
         rows = flat_top_kernel()(0.02 * other.grid.u)[None]
         terms = _bound_terms(other, X_MAX_DEFAULT, [0.02], rows)
         with pytest.raises(InputError):
-            sigma_tilde(noisy_spectra, flat_top_kernel(), 0.02, 0.1,
-                        X_MAX_DEFAULT, terms)
-        with pytest.raises(InputError):
-            sigma_tilde(other, flat_top_kernel(), 0.02, 0.1, 4.0, terms)
+            sigma_tilde(noisy_spectra, 0.02, 0.1, terms)
         # terms hold the kernel rows of their bandwidths only
         with pytest.raises(InputError, match="no kernel row"):
-            sigma_tilde(other, flat_top_kernel(), 0.03, 0.1,
-                        X_MAX_DEFAULT, terms)
+            sigma_tilde(other, 0.03, 0.1, terms)
 
 
 class TestAdaptiveQuantile:
@@ -652,8 +640,8 @@ class TestAdaptiveQuantile:
         # delta = 0.1, n = 100: (1.1) sqrt(2 log log 100) = 1.923 (natural logs)
         _, _, sel = select_one([0.01], [0.5], [1.0], [1.0], n=100,
                                delta=0.1)
-        assert abs(sel.multiplier - 1.923) < 1e-3
-        assert sel.records(0)[0]["V"] == pytest.approx(sel.multiplier)
+        # sigma = density = 1, so V is the multiplier
+        assert abs(sel.records(0)[0]["V"] - 1.923) < 1e-3
 
     def test_zero_density_dropped_with_flag(self):
         hs = [0.01, 0.02, 0.04]
@@ -711,8 +699,8 @@ class TestAdaptiveQuantile:
 
 def scan_reference(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
     """One cell, one bandwidth at a time: walk the grid upward keeping the
-    running intersection and stop once it empties.  Returns (h, q,
-    multiplier, rows), rows as `Selection.records` gives them;
+    running intersection and stop once it empties.  Returns (h, q, rows),
+    rows as `Selection.records` gives them;
     NoSolutionError when every bandwidth is dropped."""
     hs, qs, dens, sig = (np.asarray(a, dtype=float) for a in
                          (bandwidths, quantiles, densities, sigmas))
@@ -740,8 +728,7 @@ def scan_reference(bandwidths, quantiles, densities, sigmas, n, delta=0.1):
     if chosen_idx is None:
         raise NoSolutionError("every bandwidth was dropped")
     records[chosen_idx]["chosen"] = True
-    return (float(hs[chosen_idx]), float(qs[chosen_idx]), multiplier,
-            records)
+    return float(hs[chosen_idx]), float(qs[chosen_idx]), records
 
 
 def bits(values):
@@ -789,7 +776,7 @@ class TestSelectorOverCells:
         selection = adaptive_quantile(hs, qs, dens, sig, n, delta)
         for c in range(qs.shape[0]):
             try:
-                h, q, multiplier, rows = scan_reference(
+                h, q, rows = scan_reference(
                     hs, qs[c], dens[c], sig[c], n, delta)
             except NoSolutionError:
                 # that cell alone has no pick
@@ -800,7 +787,6 @@ class TestSelectorOverCells:
                 continue
             assert selection.pick(c) == (h, q)
             got = selection.records(c)
-            assert selection.multiplier == multiplier
             assert got == rows
             for field in ("V", "lo", "hi"):
                 want = bits([r[field] for r in rows])

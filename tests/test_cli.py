@@ -129,24 +129,6 @@ class TestMcTableCommand:
         assert (f"0 failures, {table.grid.points} spectral points)"
                 in capsys.readouterr().out)
 
-    def test_overrides_match_library_call(self, mc_config_file, tmp_path):
-        out = tmp_path / "table.csv"
-        code = cli.main(["mc-table", "--config", str(mc_config_file),
-                         "--reps", "2", "--seed", "21", "--out", str(out)])
-        assert code == 0
-        expected = run_mc_table(dataclasses.replace(
-            parse_config_text(MC_CFG), replications=2, seed=21))
-        assert out.read_text() == expected.to_csv()
-
-    @pytest.mark.parametrize("flag", [["--reps", "0"], ["--seed", "-4"]])
-    def test_bad_overrides_are_input_errors(self, mc_config_file, tmp_path,
-                                            capsys, flag):
-        out = tmp_path / "table.csv"
-        code = cli.main(["mc-table", "--config", str(mc_config_file),
-                         *flag, "--out", str(out)])
-        assert_input_error(code, capsys)
-        assert not out.exists()
-
     def test_nonfinite_prices_are_a_numerical_failure(self, tmp_path,
                                                       capsys):
         # far-out strikes overflow the pricing reference; every replication
@@ -181,9 +163,8 @@ class TestMcTableCommand:
          3),
         ("spectra", "2 of 4 replication cells clean, 2 failures", 0),
     ], ids=["every-cell-fails", "first-replication-fails"])
-    def test_summary_counts_failed_cells(self, mc_config_file, tmp_path,
-                                         capsys, monkeypatch, target,
-                                         summary, code):
+    def test_summary_counts_failed_cells(self, tmp_path, capsys, monkeypatch,
+                                         target, summary, code):
         # 2 replications x 1 tau x 2 sides = 4 cells; a failed selector
         # excludes every cell of its chain, a failed spectra table its
         # whole replication.  The replications' tables are made together
@@ -207,9 +188,10 @@ class TestMcTableCommand:
 
             monkeypatch.setattr(levyq.options._ChainDesign, "spectra",
                                 fail_first_chain)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(MC_CFG.replace("replications = 1", "replications = 2"))
         out = tmp_path / "table.csv"
-        got = cli.main(["mc-table", "--config", str(mc_config_file),
-                        "--reps", "2", "--out", str(out)])
+        got = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
         captured = capsys.readouterr()
         assert got == code
         assert summary in (captured.err if code else captured.out)
@@ -570,7 +552,7 @@ def test_commands_import_no_quadrature_or_interpolation(tmp_path,
     demo_cfg.write_text(DEMO_CFG.replace(
         "exact-compound-poisson", "inverse-cdf-from-characteristic-function"))
     runs = [
-        ["mc-table", "--config", str(mc_cfg), "--reps", "1",
+        ["mc-table", "--config", str(mc_cfg),
          "--out", str(tmp_path / "table.csv")],
         ["estimate-chain", "--chain", str(chain_csv), "--config",
          str(chain_cfg), "--out", str(tmp_path / "chain")],

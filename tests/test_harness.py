@@ -30,7 +30,7 @@ import scipy.integrate
 
 import levyq.harness
 import levyq.options
-from levyq.adaptive import _full_grid, build_grid, sigma_tilde
+from levyq.adaptive import _full_grid, build_grid
 from levyq.errors import ChainFormatError, InputError, NumericalError
 from levyq.harness import (
     DEFAULT_CHAIN_TAUS,
@@ -53,9 +53,10 @@ from levyq.numerics import FrequencyGrid
 from levyq.options import (_perturbed_chain, _synthetic_design,
                            compute_chain_spectra, generate_synthetic_chain,
                            write_chain_csv)
-from levyq.simulate import IncrementSampler, sample_increments
+from levyq.simulate import sample_increments
 
-from conftest import TRUE_QUANTILES, one_quantile, oracles, tail_estimates
+from conftest import (TRUE_QUANTILES, one_quantile, oracles, sigma_at,
+                      tail_estimates)
 
 LN2 = math.log(2.0)
 
@@ -320,7 +321,7 @@ class TestMcTable:
                                           taus=(500.0,), replications=1))
 
     def test_rejects_bad_rep_and_seed_overrides(self):
-        # the CLI applies --reps and --seed this way
+        # replications and seed as config keys, validated on every replace
         cfg = ExperimentConfig(**TINY_MC)
         with pytest.raises(InputError):
             dataclasses.replace(cfg, replications=0)
@@ -624,7 +625,7 @@ class TestEstimateChain:
         monkeypatch.setattr(levyq.harness, "tail_quantiles", shifted)
         qs, _, selection, errors = run()
         with pytest.raises(InputError) as alone:
-            sigma_tilde(spectra, kernel, bad_h, cfg.x_max, cfg.x_max)
+            sigma_at(spectra, kernel, bad_h, cfg.x_max, cfg.x_max)
         assert isinstance(errors[bad_row], InputError)
         assert str(errors[bad_row]) == str(alone.value)
         assert clean_errors == [None] * 4
@@ -652,9 +653,10 @@ class TestEstimateChain:
         inversion = TailInversion(spectra.grid, kernel, bw.values, cfg.x_max)
         _, _, selection, _ = _chain_estimates(spectra, inversion, 0, cfg,
                                               cfg.taus)
+        multiplier = (1.0 + cfg.delta) * math.sqrt(
+            2.0 * math.log(math.log(cfg.n)))
         for row, (tau, side) in enumerate(_cells_for(cfg.taus)):
             sign = 1.0 if side == "+" else -1.0
-            multiplier = selection.multiplier
             for dist, record in zip(dists, selection.records(row)):
                 density = dist.density(sign * record["q"])
                 assert record["V"] == (multiplier * record["sigma"]
@@ -826,9 +828,9 @@ class TestSpectralGrid:
         assert report["config"]["spectral_points"] is None
 
         cfg = demo_config(spectral_points=None)
-        sample = sample_increments(IncrementSampler(
-            model=observation_model(cfg), delta=cfg.increment_delta,
-            method=cfg.method, seed=cfg.seed), cfg.n)
+        sample = sample_increments(observation_model(cfg),
+                                   cfg.increment_delta, cfg.method, cfg.seed,
+                                   cfg.n)
         report = demo_direct(cfg)
         assert report["spectral_grid"]["points"] == grid_points(
             1.0 / cfg.h, cfg.x_max, float(np.ptp(sample.values)))

@@ -27,7 +27,7 @@ from levyq.models import (
     jump_mean,
     jump_second_moment,
 )
-from levyq.simulate import METHODS, IncrementSampler, sample_increments
+from levyq.simulate import METHODS, sample_increments
 
 EXACT = "exact-compound-poisson"
 ICDF = "inverse-cdf-from-characteristic-function"
@@ -48,8 +48,7 @@ class TestExactCompoundPoisson:
     def test_spec_moments(self):
         # lambda=2, unit-mean jumps, delta=0.5 -> mean 1.0, var delta*lam*E[J^2]=2
         model = LevyModel(sigma2=0.0, gamma=0.0, jumps=ExponentialJumps(2.0, 1.0))
-        sampler = IncrementSampler(model=model, delta=0.5, method=EXACT, seed=11)
-        values = sample_increments(sampler, 100_000).values
+        values = sample_increments(model, 0.5, EXACT, 11, 100_000).values
         _moment_check(values, mean=1.0, var=2.0)
 
     def test_diffusion_and_drift_enter(self):
@@ -57,24 +56,21 @@ class TestExactCompoundPoisson:
         delta = 0.25
         mean = delta * (model.gamma + jump_mean(model.jumps))
         var = delta * (model.sigma2 + jump_second_moment(model.jumps))
-        sampler = IncrementSampler(model=model, delta=delta, method=EXACT, seed=7)
-        values = sample_increments(sampler, 100_000).values
+        values = sample_increments(model, delta, EXACT, 7, 100_000).values
         _moment_check(values, mean, var)
 
     def test_requires_finite_activity(self, bench_model):
-        sampler = IncrementSampler(model=bench_model, delta=0.1, method=EXACT, seed=1)
         with pytest.raises(InputError, match="finite-activity"):
-            sample_increments(sampler, 10)
+            sample_increments(bench_model, 0.1, EXACT, 1, 10)
 
     def test_oversized_draw_refused_before_sizes(self):
         # 10^6 jumps per increment: refused from the counts, before the
         # 5e7 sizes (400 MB) are drawn, so the peak stays small
         model = LevyModel(sigma2=0.0, gamma=0.0, jumps=ExponentialJumps(2e6, 1.0))
-        sampler = IncrementSampler(model=model, delta=0.5, method=EXACT, seed=1)
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="cap of 10000000 jumps"):
-                sample_increments(sampler, 50)
+                sample_increments(model, 0.5, EXACT, 1, 50)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -84,19 +80,14 @@ class TestExactCompoundPoisson:
 class TestInverseCdf:
     def test_pure_brownian_moments(self):
         model = LevyModel(sigma2=0.09, gamma=1.0, jumps=None)
-        sampler = IncrementSampler(model=model, delta=0.1, method=ICDF, seed=9)
-        values = sample_increments(sampler, 100_000).values
+        values = sample_increments(model, 0.1, ICDF, 9, 100_000).values
         _moment_check(values, mean=0.1, var=0.009)
 
     def test_matches_exact_compound_poisson_in_distribution(self):
         model = LevyModel(sigma2=0.0, gamma=0.0, jumps=ExponentialJumps(2.0, 1.0))
         n = 100_000
-        exact = sample_increments(
-            IncrementSampler(model=model, delta=0.5, method=EXACT, seed=21), n
-        ).values
-        tabulated = sample_increments(
-            IncrementSampler(model=model, delta=0.5, method=ICDF, seed=22), n
-        ).values
+        exact = sample_increments(model, 0.5, EXACT, 21, n).values
+        tabulated = sample_increments(model, 0.5, ICDF, 22, n).values
         ks = stats.ks_2samp(exact, tabulated).statistic
         assert ks < 0.01
 
@@ -111,9 +102,7 @@ class TestInverseCdf:
              math.gamma(1.5) * (5.0 ** -1.5 + 8.0 ** -1.5)),
         ]:
             model = LevyModel(sigma2=0.0, gamma=gamma, jumps=jumps)
-            sampler = IncrementSampler(model=model, delta=delta, method=ICDF,
-                                       seed=13)
-            values = sample_increments(sampler, 100_000).values
+            values = sample_increments(model, delta, ICDF, 13, 100_000).values
             p0 = math.exp(-mass * delta)
             hits = np.mean(values == gamma * delta)
             se = math.sqrt(p0 * (1 - p0) / values.size)
@@ -127,8 +116,7 @@ class TestInverseCdf:
         model = LevyModel(sigma2=0.0, gamma=0.0,
                           jumps=CGMYJumps(C=1.0, G=5.0, M=8.0, Y=Y))
         delta = 0.5
-        sampler = IncrementSampler(model=model, delta=delta, method=ICDF, seed=1)
-        values = sample_increments(sampler, 400_000).values
+        values = sample_increments(model, delta, ICDF, 1, 400_000).values
         _moment_check(values, delta * jump_mean(model.jumps),
                       delta * jump_second_moment(model.jumps))
 
@@ -136,14 +124,13 @@ class TestInverseCdf:
         delta = 0.05
         mean = delta * (bench_model.gamma + jump_mean(bench_model.jumps))
         var = delta * (bench_model.sigma2 + jump_second_moment(bench_model.jumps))
-        sampler = IncrementSampler(model=bench_model, delta=delta, method=ICDF, seed=17)
-        values = sample_increments(sampler, 100_000).values
+        values = sample_increments(bench_model, delta, ICDF, 17,
+                                   100_000).values
         _moment_check(values, mean, var)
 
     def test_degenerate_pure_drift(self):
         model = LevyModel(sigma2=0.0, gamma=0.4, jumps=None)
-        sampler = IncrementSampler(model=model, delta=0.5, method=ICDF, seed=1)
-        values = sample_increments(sampler, 100).values
+        values = sample_increments(model, 0.5, ICDF, 1, 100).values
         np.testing.assert_array_equal(values, np.full(100, 0.2))
 
 
@@ -151,20 +138,17 @@ class TestReproducibility:
     @pytest.mark.parametrize("method", METHODS)
     def test_same_seed_same_bytes(self, method):
         model = LevyModel(sigma2=0.01, gamma=0.1, jumps=ExponentialJumps(2.0, 1.0))
-        sampler = IncrementSampler(model=model, delta=0.5, method=method, seed=42)
-        a = sample_increments(sampler, 5_000).values
-        b = sample_increments(sampler, 5_000).values
+        a = sample_increments(model, 0.5, method, 42, 5_000).values
+        b = sample_increments(model, 0.5, method, 42, 5_000).values
         np.testing.assert_array_equal(a, b)
-        other = IncrementSampler(model=model, delta=0.5, method=method, seed=43)
-        c = sample_increments(other, 5_000).values
+        c = sample_increments(model, 0.5, method, 43, 5_000).values
         assert not np.array_equal(a, c)
 
     def test_validation(self):
         model = LevyModel(sigma2=0.01, gamma=0.0, jumps=None)
         with pytest.raises(InputError, match="method"):
-            IncrementSampler(model=model, delta=0.5, method="bogus", seed=1)
+            sample_increments(model, 0.5, "bogus", 1, 10)
         with pytest.raises(InputError, match="positive"):
-            IncrementSampler(model=model, delta=0.0, method=ICDF, seed=1)
-        good = IncrementSampler(model=model, delta=0.5, method=ICDF, seed=1)
+            sample_increments(model, 0.0, ICDF, 1, 10)
         with pytest.raises(InputError, match="n >= 1"):
-            sample_increments(good, 0)
+            sample_increments(model, 0.5, ICDF, 1, 0)
