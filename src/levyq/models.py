@@ -22,6 +22,7 @@ the reference truth for every estimator in the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,6 @@ __all__ = [
 # jump-measure specifications
 # ---------------------------------------------------------------------------
 
-def _finite_power(base: float, power: float) -> bool:
-    try:
-        return math.isfinite(base ** power)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class CGMYJumps:
     """Tempered-stable intensity C|x|^{-1-Y} e^{-G|x|} (x<0), C x^{-1-Y} e^{-Mx} (x>0).
@@ -62,9 +56,11 @@ class CGMYJumps:
     Y < 2 is required; Y in {0, 1} is rejected (the closed form has
     logarithmic limits there and the package does not need them), and so
     is Y below about -171.62, where Gamma(-Y), a factor of the exponent
-    and of the tail, overflows, and a positive rate whose power G^Y, M^Y,
-    G^(Y-1) or M^(Y-1) overflows.  For Y >= 0 the measure has infinite
-    mass near 0.
+    and of the tail, overflows.  So is a positive rate whose power rate^p,
+    p in {Y, Y-1, Y-2} (the exponent, the mean, the curvature), overflows
+    or underflows below the smallest normal float, or gives a term
+    C Gamma(-Y) rate^p that overflows.  For Y >= 0 the measure has
+    infinite mass near 0.
     """
 
     C: float
@@ -84,14 +80,27 @@ class CGMYJumps:
         if not math.isfinite(_gamma_fn(-self.Y)):
             raise InputError(f"Y must lie above about -171.62, where "
                              f"Gamma(-Y) is finite, got {self.Y!r}")
-        # the exponent, the mass and the mean take these powers of a
-        # positive rate in Python floats, which raise where they overflow
+        # numpy's powers of (rate -+ iu) warn where these do not hold;
+        # formed here in Python floats, which raise on overflow and do not
+        # warn on underflow
+        scale = float(self.C) * float(_gamma_fn(-self.Y))
         for name, rate in (("G", self.G), ("M", self.M)):
-            for power, label in ((self.Y, "Y"), (self.Y - 1.0, "(Y-1)")):
-                if rate > 0 and not _finite_power(rate, power):
-                    raise InputError(
-                        f"{name}^{label} is not finite at {name} = {rate!r}, "
-                        f"Y = {self.Y!r}")
+            if rate == 0:
+                continue
+            at = f"at {name} = {rate!r}, Y = {self.Y!r}"
+            for power, label in ((self.Y, "Y"), (self.Y - 1.0, "(Y-1)"),
+                                 (self.Y - 2.0, "(Y-2)")):
+                try:
+                    value = float(rate) ** float(power)
+                except OverflowError:
+                    raise InputError(f"{name}^{label} is not finite: it "
+                                     f"overflows {at}") from None
+                if value < sys.float_info.min:
+                    raise InputError(f"{name}^{label} underflows below the "
+                                     f"smallest normal float {at}")
+                if not math.isfinite(scale * value):
+                    raise InputError(f"C Gamma(-Y) {name}^{label} "
+                                     f"overflows {at}")
 
     @property
     def mass(self) -> float:

@@ -10,8 +10,11 @@ installation; the other runs ``levyq`` from PATH and is skipped where the
 package is not installed.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -22,6 +25,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import levyq
 import levyq.cli as cli
@@ -730,11 +735,18 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
      "G^Y is not finite"),
     ("mc-table", "strike_mean = -300", None, "carry no signal"),
     ("mc-table", "strike_mean = 60", None, "carry no signal"),
+    ("mc-table", "G = 1e8\nY = -50", None, "G^Y underflows"),
+    ("mc-table", "M = 1e8\nY = -40", None, "M^Y underflows"),
+    ("mc-table", "G = 0.001\nY = -99", None, "C Gamma(-Y) G^Y overflows"),
+    ("demo-direct", CGMY_ICDF.replace("sigma = 0", "sigma = 0.1")
+     + "G = 1e8\nY = -50", None, "G^Y underflows"),
 ], ids=["mc-strike-far-left", "chain-strike-far-left", "mc-huge-noise",
         "chain-huge-noise", "mc-very-negative-Y", "demo-Y-171", "demo-Y-100",
         "mc-all-zero-20", "mc-all-zero-50", "chain-all-zero",
         "chain-all-zero-noisy", "mc-power-overflows", "demo-power-overflows",
-        "mc-dust-left", "mc-dust-right"])
+        "mc-dust-left", "mc-dust-right", "mc-power-underflows",
+        "mc-power-underflows-M", "mc-term-overflows",
+        "demo-power-underflows"])
 def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
                                           chain_edit, message):
     # e^{-x} at strikes 1,000 below the forward, the square of a 1e300-fold
@@ -746,7 +758,10 @@ def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
     # density guard, exit 3.  G^Y at a tiny G and a negative Y raised a
     # raw OverflowError in the exponent (mc-table) and in the mean
     # (demo-direct).  Designs far from the money, whose exact quotes are
-    # quadrature dust below 3e-15, exited 0 with a table of clamps
+    # quadrature dust below 3e-15, exited 0 with a table of clamps.  A
+    # power of a huge rate that underflows, and a term C Gamma(-Y) G^Y
+    # that overflows, warned in numpy's complex powers, then exited 3 (or
+    # 2 in the sampler) on a non-finite option function or cf
     cfg = tmp_path / "far.cfg"
     cfg.write_text(MC_CFG + line + "\n")
     out = tmp_path / "out"
@@ -817,3 +832,111 @@ class TestParser:
         reason="levyq console script not on PATH (package not installed)")
     def test_console_script_on_path(self, tmp_path):
         _run_demo([shutil.which("levyq")], tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every float config key set, one at a time, to an extreme value
+
+# the float keys (taus as a single level) and the values they are set to
+FUZZ_KEYS = sorted(key for key, kind in levyq.harness._KEY_TYPES.items()
+                   if kind in (float, tuple))
+FUZZ_VALUES = (0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, math.nan,
+               math.inf, -math.inf, 1e-8, 1e8, -1.0, 2.0, 0.999999)
+# each command at a small size; a fuzzed key replaces the base's value
+FUZZ_BASE = {
+    "mc-table": {"n": 32, "taus": 1.0, "spectral_points": 512,
+                 "replications": 1},
+    "estimate-chain": {"n": 32, "spectral_points": 512},
+    "demo-direct": dict(line.split(" = ") for line in DEMO_CFG.splitlines()),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    chain_file(path, 32)
+    return path
+
+
+def _assert_finite_json(value):
+    """Every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _assert_finite_json(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+def _assert_finite_csv(text, blank_columns=()):
+    """Every cell of a CSV text is a finite number; only the columns named
+    in `blank_columns` may hold empty cells."""
+    header, *rows = text.splitlines()
+    names = header.split(",")
+    assert rows
+    for row in rows:
+        for name, cell in zip(names, row.split(","), strict=True):
+            if cell == "" and name in blank_columns:
+                continue
+            assert math.isfinite(float(cell)), (name, cell)
+
+
+def fuzz_run(workdir, command, overrides):
+    """One command in-process on its small base config with `overrides`;
+    asserts the exit-code contract and finite outputs of a clean exit.  A
+    traceback or a RuntimeWarning (made an error here) fails it as an
+    uncaught exception."""
+    values = {**FUZZ_BASE[command], **overrides}
+    cfg = workdir / "fuzz.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n"
+                           for key, value in values.items()))
+    out = workdir / "out"
+    if out.is_dir():
+        shutil.rmtree(out)
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "estimate-chain":
+        argv[1:1] = ["--chain", str(workdir / "chain.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith(
+            ("error:", "numerical failure:")), err
+        return
+    if command == "mc-table":
+        # an RMSE cell is empty where no replication of it was clean
+        _assert_finite_csv(out.read_text(), blank_columns={
+            f"rmse_{kind}_{side}" for kind in ("oracle", "adaptive")
+            for side in ("minus", "plus")})
+    elif command == "estimate-chain":
+        _assert_finite_json(json.loads((out / "report.json").read_text()))
+        for side in ("minus", "plus"):
+            _assert_finite_csv((out / f"quantiles_{side}.csv").read_text())
+    else:
+        _assert_finite_json(json.loads(out.read_text()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(FUZZ_BASE)),
+       overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                                 st.sampled_from(FUZZ_VALUES),
+                                 min_size=1, max_size=1))
+# pairs of keys found by a fuzz over pairs: numpy's complex powers warned,
+# then the run exited 3 (or 2 in the sampler)
+@example(command="mc-table", overrides={"G": 1e8, "Y": -50.0})
+@example(command="mc-table", overrides={"M": 1e8, "Y": -40.0})
+@example(command="mc-table", overrides={"G": 0.001, "Y": -99.0})
+@example(command="demo-direct", overrides={
+    "kind": "cgmy", "method": "inverse-cdf-from-characteristic-function",
+    "sigma": 0.1, "G": 1e8, "Y": -50.0})
+def test_extreme_config_exits_cleanly(fuzz_dir, command, overrides):
+    # the whole single-key domain (22 keys x 14 values x 3 commands) ran
+    # clean by exhaustive sweep; this draws a fixed sample of it
+    fuzz_run(fuzz_dir, command, overrides)
