@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True) + "\n"  # the C encoder
 
 
 def _run_mc_table(args) -> None:

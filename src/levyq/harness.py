@@ -669,21 +669,21 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     _, clamped, selection, errors = _chain_estimates(spectra, inversion, 0,
                                                      config, taus)
 
-    estimates = {"-": [], "+": []}
-    diagnostics = {"-": {}, "+": {}}
-    for s, side in enumerate(("-", "+")):
+    estimates = {"minus": [], "plus": []}
+    diagnostics = {"minus": {}, "plus": {}}
+    for s, key in enumerate(estimates):
         for i, tau in enumerate(taus):
             row = 2 * i + s
             if errors[row] is not None:
                 raise errors[row]
             h, q = selection.pick(row)
-            estimates[side].append({
+            estimates[key].append({
                 "tau": tau,
                 "quantile": q,
                 "bandwidth": h,
                 "at_threshold": bool(clamped[row, selection.chosen[row]]),
             })
-            diagnostics[side][f"{tau:g}"] = selection.records(row)
+            diagnostics[key][f"{tau:g}"] = selection.records(row)
 
     report = {
         "n": chain.n,
@@ -695,15 +695,12 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
         "spectral_grid": _grid_record(master),
         "taus": list(taus),
         "config": _config_dict(config),
-        "estimates": {"minus": estimates["-"], "plus": estimates["+"]},
-        "diagnostics": {"minus": diagnostics["-"], "plus": diagnostics["+"]},
+        "estimates": estimates,
+        "diagnostics": diagnostics,
     }
-    plots = {}
-    for key, side in (("minus", "-"), ("plus", "+")):
-        lines = ["tau,quantile"]
-        for row in estimates[side]:
-            lines.append(f"{row['tau']:g},{row['quantile']!r}")
-        plots[key] = "\n".join(lines) + "\n"
+    plots = {key: "tau,quantile\n" + "".join(
+        f"{row['tau']:g},{row['quantile']!r}\n" for row in rows)
+        for key, rows in estimates.items()}
     return report, plots
 
 

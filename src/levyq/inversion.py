@@ -24,7 +24,7 @@ The pipeline shared by both observation schemes:
    nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
    the last crossing of tau, clamped to eta when N_h < tau throughout.
    `tail_quantiles` reads it off the table for every level and bandwidth
-   of one side in one pass.
+   of one side, searching the suffix maxima of N_h over the node intervals.
 
 The frequency grid is sized by one rule, `grid_points`: the smallest power
 of two whose inverse-transform period is GRID_MARGIN times the reach of the
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .numerics import _MAX_BATCH, FrequencyGrid, Spectra, _GriddingPlan
+from .numerics import FrequencyGrid, Spectra, _GriddingPlan
 
 __all__ = [
     "TailInversion",
@@ -239,10 +239,11 @@ def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:
     at_threshold=True.  eta may not lie below the first tail node.
 
     Returns (values, at_threshold), arrays of shape (levels, bandwidths).
-    The coefficients that do not depend on tau are formed once per
-    bandwidth; the levels are taken in chunks of at most _MAX_BATCH
-    elements per work array (one level at a time where the table alone
-    holds more).
+    The interval maxima do not depend on tau, and one binary search per
+    bandwidth in their suffix maxima finds every level's interval.  The
+    per-level test (peak >= 0) rounds apart from them within a few ulps,
+    so a level that fails it there is scanned again interval by interval.
+    The work is bandwidths x nodes plus levels x bandwidths.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     for tau in taus:
@@ -268,33 +269,37 @@ def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:
     rise_vertex = (a * vertex + b) * vertex
     rise_left = (a * width + b) * width
     cut = width < step
-    rows = np.arange(d.shape[0])
-    values = np.empty((taus.size, d.shape[0]))
-    clamped = np.empty((taus.size, d.shape[0]), dtype=bool)
-    chunk = max(1, _MAX_BATCH // b.size)
-    for lo in range(0, taus.size, chunk):
-        tau = taus[lo : lo + chunk, None, None]
-        c = cum_hi - tau
-        left = np.where(cut, rise_left + c, cum_lo - tau)
-        reach = np.maximum(np.maximum(c, left), rise_vertex + c) >= 0.0
-        k = reach.shape[-1] - 1 - np.argmax(reach[..., ::-1], axis=-1)
-        # in v = w / width, scaled to a largest coefficient of 1 so that the
-        # discriminant neither overflows nor underflows.  w ** 2 is pow, not
-        # w * w: the two round apart in about 1 case in 1,000, and the
-        # frozen quantile outputs are pow's
-        A = a[rows, k] * np.array([w ** 2 for w in width[k].flat]
-                                  ).reshape(k.shape)
-        B = b[rows, k] * width[k]
-        C = np.take_along_axis(c, k[..., None], axis=-1)[..., 0]
-        scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
-        with np.errstate(all="ignore"):  # np.where evaluates both branches
-            A, B, C = A / scale, B / scale, C / scale
-            root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
-            v = np.where(B < 0, (root - B) / (2.0 * A),
-                         np.where(B + root > 0, -2.0 * C / (B + root), 0.0))
-        found = reach.any(axis=-1)
-        values[lo : lo + chunk] = np.where(
-            found, np.maximum(x_hi[k] - v * width[k], eta), eta)
-        clamped[lo : lo + chunk] = ~found
-    return values, clamped
 
+    def peak(tau, j=slice(None), k=slice(None)):  # max of N_h - tau
+        c = cum_hi[j, k] - tau
+        left = np.where(cut[k], rise_left[j, k] + c, cum_lo[j, k] - tau)
+        return np.maximum(np.maximum(c, left), rise_vertex[j, k] + c)
+
+    # tau above an interval's maximum by 16 ulps of its terms fails there;
+    # the negated suffix maxima rise along each row
+    top = peak(0.0) + 16.0 * np.spacing(
+        abs(cum_hi) + abs(cum_lo) + abs(rise_left) + abs(rise_vertex))
+    rising = -np.maximum.accumulate(top[:, ::-1], axis=-1)[:, ::-1]
+    k = np.stack([np.searchsorted(row, -taus, side="right")
+                  for row in rising], axis=-1) - 1
+    rows, tau = np.arange(d.shape[0]), taus[:, None]
+    for i, j in np.argwhere((k >= 0) & ~(peak(tau, rows, k) >= 0.0)):
+        # tau within rounding of the maximum of interval k: scan the row
+        hits = np.nonzero(peak(taus[i], j) >= 0.0)[0]
+        k[i, j] = hits[-1] if hits.size else -1
+    # in v = w / width, scaled to a largest coefficient of 1 so that the
+    # discriminant neither overflows nor underflows.  w ** 2 is pow, not
+    # w * w: the two round apart in about 1 case in 1,000, and the
+    # frozen quantile outputs are pow's
+    A = a[rows, k] * np.array([w ** 2 for w in width[k].flat]
+                              ).reshape(k.shape)
+    B = b[rows, k] * width[k]
+    C = cum_hi[rows, k] - tau
+    scale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C))
+    with np.errstate(all="ignore"):  # np.where evaluates both branches
+        A, B, C = A / scale, B / scale, C / scale
+        root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+        v = np.where(B < 0, (root - B) / (2.0 * A),
+                     np.where(B + root > 0, -2.0 * C / (B + root), 0.0))
+    values = np.where(k >= 0, np.maximum(x_hi[k] - v * width[k], eta), eta)
+    return values, k < 0

@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Positive half of a symmetric uniform grid on [-cutoff, cutoff].
@@ -83,7 +79,7 @@ class FrequencyGrid:
         if not math.isfinite(2.0 * float(self.cutoff)):
             raise InputError(f"the frequency window 2 x cutoff is not finite "
                              f"(cutoff {self.cutoff:g})")
-        if not _is_power_of_two(self.points) or self.points < 2:
+        if not (self.points >= 2 and self.points & (self.points - 1) == 0):
             raise InputError(f"points must be a power of two >= 2, got {self.points}")
 
     @property
@@ -138,10 +134,10 @@ _BLOCK = 64
 # from the measured errors given in `inverse_fourier`)
 _SPREAD = 16
 _OVERSAMPLING = 2
-# largest work array, in elements, that a pass over many (level or threshold)
-# cells builds at once: the quantile pass and the deviation bound take their
-# cells in chunks below it, so their memory does not grow with the levels,
-# and the inverse transform gathers its targets in such chunks
+# largest work array, in elements, that a pass over many threshold cells
+# builds at once: the deviation bound takes its cells in chunks below it, so
+# its memory does not grow with the levels, and the inverse transform
+# gathers its targets in such chunks
 _MAX_BATCH = 2 ** 15
 
 

@@ -133,7 +133,7 @@ def read_chain_csv(path, maturity: float, rate: float, spot: float | None = None
             f"header must be 'x,price,noise' or 'strike,price,noise', got {header!r}",
             line=1,
         )
-    xs, prices, noise = [], [], []
+    rows = []
     for i, raw in enumerate(lines[1:], start=2):
         row = raw.strip()
         if not row:
@@ -149,19 +149,13 @@ def read_chain_csv(path, maturity: float, rate: float, spot: float | None = None
             if a <= 0:
                 raise ChainFormatError(f"strike must be positive, got {a}", line=i)
             a = math.log(a / spot) - rate * maturity
-        xs.append(a)
-        prices.append(p)
-        noise.append(d)
-    if not xs:
+        rows.append((a, p, d))
+    if not rows:
         raise ChainFormatError("chain file has a header but no rows", line=2)
-    order = np.argsort(np.asarray(xs), kind="stable")
-    return OptionChain(
-        maturity=maturity,
-        rate=rate,
-        xs=np.asarray(xs)[order],
-        prices=np.asarray(prices)[order],
-        noise_levels=np.asarray(noise)[order],
-    )
+    rows.sort(key=lambda row: row[0])
+    xs, prices, noise = (np.array(column) for column in zip(*rows))
+    return OptionChain(maturity=maturity, rate=rate, xs=xs, prices=prices,
+                       noise_levels=noise)
 
 
 def write_chain_csv(path, chain: OptionChain) -> None:
@@ -212,7 +206,8 @@ def option_function(model: LevyModel, maturity: float, x):
     keep half a step away from the pole at u = 0, after subtracting the
     analytically known spectrum of a reference diffusion so the integrand
     decays fast.  Values are not floored at 0; a non-finite value (the
-    reference overflows far out) raises.
+    reference overflows far out) raises, as does |phi_T(u-i)| > 1 on the
+    grid (a closed form that cancels).
 
     The grid (_PRICING_POINTS nodes on |u| <= _PRICING_CUTOFF, spacing du)
     repeats the remainder with period 2 pi / du = 257.3, so O(x) holds for
@@ -231,7 +226,14 @@ def option_function(model: LevyModel, maturity: float, x):
             f"{_MARTINGALE_TOL:g}")
     grid = FrequencyGrid(cutoff=_PRICING_CUTOFF, points=_PRICING_POINTS)
     u = grid.u
-    phi_shift = np.exp(maturity * characteristic_exponent(model, u - 1j))
+    # a martingale model has |phi_T(u - i)| <= phi_T(-i) = 1
+    exponent = maturity * characteristic_exponent(model, u - 1j)
+    worst = int(np.argmax(exponent.real))
+    if exponent.real[worst] > math.log1p(_MARTINGALE_TOL):
+        raise InputError(
+            f"T Re psi(u - i) = {exponent.real[worst]:.4g} > 0 at u = "
+            f"{u[worst]:.4g}: cancellation in the characteristic exponent")
+    phi_shift = np.exp(exponent)
     ref_shift = _reference_cf_shifted(_REFERENCE_VOL, maturity, u)
     spectrum = (ref_shift - phi_shift) / (u * (u - 1j))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

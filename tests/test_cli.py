@@ -740,13 +740,15 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
     ("mc-table", "G = 0.001\nY = -99", None, "C Gamma(-Y) G^Y overflows"),
     ("demo-direct", CGMY_ICDF.replace("sigma = 0", "sigma = 0.1")
      + "G = 1e8\nY = -50", None, "G^Y underflows"),
+    ("mc-table", "G = 1e8\nY = 1.999", None,
+     "cancellation in the characteristic exponent"),
 ], ids=["mc-strike-far-left", "chain-strike-far-left", "mc-huge-noise",
         "chain-huge-noise", "mc-very-negative-Y", "demo-Y-171", "demo-Y-100",
         "mc-all-zero-20", "mc-all-zero-50", "chain-all-zero",
         "chain-all-zero-noisy", "mc-power-overflows", "demo-power-overflows",
         "mc-dust-left", "mc-dust-right", "mc-power-underflows",
         "mc-power-underflows-M", "mc-term-overflows",
-        "demo-power-underflows"])
+        "demo-power-underflows", "mc-exponent-cancels"])
 def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
                                           chain_edit, message):
     # e^{-x} at strikes 1,000 below the forward, the square of a 1e300-fold
@@ -761,7 +763,9 @@ def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
     # quadrature dust below 3e-15, exited 0 with a table of clamps.  A
     # power of a huge rate that underflows, and a term C Gamma(-Y) G^Y
     # that overflows, warned in numpy's complex powers, then exited 3 (or
-    # 2 in the sampler) on a non-finite option function or cf
+    # 2 in the sampler) on a non-finite option function or cf.  At Y near
+    # 2 the closed-form exponent cancels to T Re psi(u - i) = 2502 > 0, and
+    # np.exp overflowed in option pricing before exit 3
     cfg = tmp_path / "far.cfg"
     cfg.write_text(MC_CFG + line + "\n")
     out = tmp_path / "out"

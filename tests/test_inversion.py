@@ -536,6 +536,23 @@ def quantile_closed_form(dist, tau, eta, side):
     return max(float(x_hi[k] - v * width[k]), eta), False
 
 
+def interval_peaks(dist, tau, eta, side):
+    """max(c, left, vertex rise + c) of `quantile_closed_form` on each node
+    interval from eta at level tau; at tau = 0, the tau-free tops."""
+    nodes = dist.nodes
+    d, cum = dist._tables[1 if side == "+" else -1]
+    first = int(np.searchsorted(nodes, eta, side="right")) - 1
+    x_hi, step = nodes[first + 1:], np.diff(nodes[first:])
+    width = np.minimum(step, x_hi - eta)
+    a = 0.5 * (d[first:-1] - d[first + 1:]) / step
+    b, c = d[first + 1:], cum[first + 1:] - tau
+    vertex = np.clip(np.divide(-b, 2.0 * a, out=np.zeros_like(b),
+                               where=a < 0), 0.0, width)
+    left = np.where(width < step, (a * width + b) * width + c,
+                    cum[first:-1] - tau)
+    return np.maximum.reduce([c, left, (a * vertex + b) * vertex + c])
+
+
 def assert_pass_equals_cells(dists, taus, eta, side):
     values, clamped = tail_quantiles(as_table(dists), taus, eta, side)
     assert values.shape == clamped.shape == (len(taus), len(dists))
@@ -620,15 +637,44 @@ class TestQuantilePass:
                                              0.02, "+")
         assert values[1, 0] == pytest.approx(1.5, abs=1e-12)
 
-    def test_levels_in_chunks(self, estimated, monkeypatch):
-        taus = np.linspace(0.05, 1.2, 17)
+    def test_thousand_levels_in_one_call(self, estimated):
         table = as_table(estimated)
-        whole = tail_quantiles(table, taus, 0.02, "-")
-        # a work-array cap below one table: one level at a time
-        monkeypatch.setattr(levyq.inversion, "_MAX_BATCH", 100)
-        for got, want in zip(tail_quantiles(table, taus, 0.02, "-"),
-                             whole):
-            assert np.array_equal(got, want)
+        taus = np.linspace(0.01, 3.0, 1000)
+        for side in ("+", "-"):
+            values, clamped = tail_quantiles(table, taus, 0.02, side)
+            for i, tau in enumerate(taus):
+                one = tail_quantiles(table, [tau], 0.02, side)
+                assert np.array_equal(values[i], one[0][0])
+                assert np.array_equal(clamped[i], one[1][0])
+
+    def test_levels_on_interval_tops(self, estimated):
+        # levels at the tau-free top of each interval that holds the last
+        # crossing of it, and at its float neighbours.  The per-level sums
+        # round apart from the top there both ways: below it on the
+        # estimated tables (the pass must scan the row again), above it on
+        # a table of random densities (the pass must search past the top)
+        nodes = tail_nodes()
+        d = np.random.default_rng(233).uniform(-3.0, 5.0, nodes.size)[::-1]
+        noisy = TailOracle(nodes=nodes, density_pos=d, density_neg=d,
+                           bandwidth=0.1)
+        eta, below, above = 0.02, 0, 0
+        for side in ("+", "-"):
+            for dist in estimated + [noisy]:
+                top = interval_peaks(dist, 0.0, eta, side)
+                later = np.maximum.accumulate(top[::-1])[::-1]
+                last = [i for i in np.nonzero(top[:-1] > later[1:])[0]
+                        if top[i] > 0]
+                levels = {i: (np.nextafter(top[i], 0.0), top[i],
+                              np.nextafter(top[i], np.inf)) for i in last}
+                assert_pass_equals_cells(
+                    [dist], [t for near in levels.values() for t in near],
+                    eta, side)
+                for i, near in levels.items():
+                    for t in near:
+                        reach = interval_peaks(dist, t, eta, side)[i] >= 0.0
+                        below += bool(top[i] >= t and not reach)
+                        above += bool(top[i] < t and reach)
+        assert below > 0 and above > 0
 
     def test_validation(self, estimated):
         table = as_table(estimated)
