@@ -81,21 +81,21 @@ print(f"tail intensity at t = 0.7: estimate {tail:.4f}, "
 
 # --- generalized quantiles ---------------------------------------------------
 
-# right quantiles at levels 0.5 and 10, one pass over the table.  At 0.5:
-# the smallest t with at most 0.5 jumps larger than t per unit time, exact
-# answer log 2.  Intensities concentrate near 0, so quantiles for tau above
-# the total mass (here 1.0) do not exist; the estimator reports the
-# threshold eta
-values, clamped = tail_quantiles(table, [0.5, 10.0], eta=0.02, side="+")
-est = values[0, 0]
+# quantiles at levels 0.5 and 10 on both sides, one pass over the table:
+# row 2 i holds level i on side '-', row 2 i + 1 on side '+'.  At 0.5 on
+# the right: the smallest t with at most 0.5 jumps larger than t per unit
+# time, exact answer log 2.  Intensities concentrate near 0, so quantiles
+# for tau above the total mass (here 1.0) do not exist; the estimator
+# reports the threshold eta
+values, clamped, _ = tail_quantiles(table, [0.5, 10.0], eta=0.02)
+est = values[1, 0]
 print(f"\nright 0.5-quantile: estimate {est:.4f}, "
       f"exact {math.log(2.0):.4f} (error {abs(est - math.log(2)):.4f})")
 
 # the process has no negative jumps, so on the left side the tail never
 # reaches 0.5 and the estimate clamps to the threshold eta
-left, left_clamped = tail_quantiles(table, [0.5], eta=0.02, side="-")
-print(f"left 0.5-quantile: estimate {left[0, 0]:.4f}, "
-      f"at_threshold = {left_clamped[0, 0]} (no negative jumps)")
+print(f"left 0.5-quantile: estimate {values[0, 0]:.4f}, "
+      f"at_threshold = {clamped[0, 0]} (no negative jumps)")
 
 print(f"tau = 10 exceeds the total intensity: estimate clamps to "
-      f"eta = {values[1, 0]} with at_threshold = {clamped[1, 0]}")
+      f"eta = {values[3, 0]} with at_threshold = {clamped[3, 0]}")

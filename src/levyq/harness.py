@@ -30,16 +30,16 @@ bandwidth.  Every driver sizes that grid by one rule,
 sets `spectral_points`; the chain report and the demo report record the
 grid used under "spectral_grid".  Every command reads its estimates as
 rows, one per (tau, side) cell in `_cells_for` order (tau outer, '-'
-before '+'), with one column per bandwidth: the quantiles from one
-`tail_quantiles` pass per side (`_quantile_rows`), and per chain the
-deviation bounds from one `sigma_tilde` call per bandwidth and the picks
-from one `adaptive_quantile` call (`_chain_estimates`).  The Monte Carlo
-loop prices the chain once (the strike design is fixed),
-forms the noise summary and the `inversion.TailInversion` (kernel rows,
-transform plan) once, and re-perturbs the prices per replication; the
-replications are tabulated in groups that share one phase table per
-frequency chunk (`options._ChainDesign`).  Every command refuses, before
-it allocates, an inversion larger than `inversion._MAX_INVERSION`.
+before '+'), with one column per bandwidth: the quantiles and densities
+from one `inversion.tail_quantiles` pass, and per chain the deviation
+bounds from one `sigma_tilde` call per bandwidth and the picks from one
+`adaptive_quantile` call (`_chain_estimates`).  The Monte Carlo loop
+prices the chain once (the strike design is fixed), forms the noise
+summary and the `inversion.TailInversion` (kernel rows, transform plan)
+once, and re-perturbs the prices per replication; the replications are
+tabulated in groups that share one phase table per frequency chunk
+(`options._ChainDesign`).  Every command refuses, before it allocates,
+an inversion larger than `inversion._MAX_INVERSION`.
 """
 from __future__ import annotations
 
@@ -99,10 +99,10 @@ _MIN_RATE = 1e-140
 # the least that the largest exact quote of an mc-table strike design may
 # be.  On the default model, whose prices at |x| >= 20 lie below e^-20 =
 # 2e-9, `options.option_function` returned values within 3.0e-16 of 0 for
-# 20 <= |x| < 128.7 and up to 2.9e-15 beyond (|x| <= 400, 80,000 points);
-# the aliased prices past 128.7 are negative and clip to 0.  A design whose
-# quotes all lie below 1e-14, above that dust, carries no signal.  The
-# default design's quotes run from 7.0e-8 to 0.059
+# 20 <= |x| < 128.7 (80,000 points), the domain of its pricing grid, whose
+# aliased prices beyond are refused.  A design whose quotes all lie below
+# 1e-14, above that dust, carries no signal.  The default design's quotes
+# run from 7.0e-8 to 0.059
 _QUOTE_FLOOR = 1e-14
 
 # mc-table tabulates the spectra of a group of replications together, so
@@ -140,7 +140,9 @@ class ExperimentConfig:
     Bandwidth-selection keys: L (geometric grid ratio), delta (slack in the
     deviation-bound multiplier).
 
-    Monte Carlo keys: replications, seed, taus (threshold levels).
+    Monte Carlo keys: replications, seed, taus (the threshold levels of
+    mc-table and demo-direct; estimate-chain ignores them and reports
+    DEFAULT_CHAIN_TAUS, 0.2, 0.4, .., 4.0).
 
     Direct-increment keys: increment_delta (time spacing), h (fixed
     bandwidth), method (sampling scheme).
@@ -446,15 +448,6 @@ def _attempt(fn, *args):
         return exc
 
 
-def _quantile_rows(table, taus, eta) -> tuple:
-    """(qs, clamped) of a tail table: one row per (tau, side) cell in
-    `_cells_for(taus)` order, one column per bandwidth of the table, from
-    one `tail_quantiles` pass per side."""
-    found = [tail_quantiles(table, taus, eta, side) for side in ("-", "+")]
-    return tuple(np.stack([minus, plus], axis=1).reshape(
-        -1, table.bandwidths.size) for minus, plus in zip(*found))
-
-
 def _chain_estimates(spectra, inversion, first, config, taus):
     """The estimates of one chain from its tabulated spectra, one row per
     (tau, side) cell in `_cells_for(taus)` order.
@@ -474,8 +467,8 @@ def _chain_estimates(spectra, inversion, first, config, taus):
     do not depend on it.
     """
     hs = inversion.bandwidths
-    table = inversion.table(spectra)
-    qs, clamped = _quantile_rows(table, taus, config.eta)
+    qs, clamped, density = tail_quantiles(inversion.table(spectra), taus,
+                                          config.eta)
     errors = [None] * qs.shape[0]
     terms = _bound_terms(spectra, config.x_max, hs[first:],
                          inversion.kernel_rows[first:])
@@ -493,16 +486,9 @@ def _chain_estimates(spectra, inversion, first, config, taus):
                 errors[i] = value
             else:
                 sigmas[i, j - first] = value
-
-    # the density of each cell's own side at its own quantile, one lookup
-    # per (side, bandwidth)
-    density = np.empty(sigmas.shape)
-    for s in (0, 1):
-        for j in range(first, hs.size):
-            density[s::2, j - first] = np.interp(
-                qs[s::2, j], table.nodes, table.density[s, j])
     selection = _attempt(adaptive_quantile, hs[first:], qs[:, first:],
-                         density, sigmas, spectra.n_obs, config.delta)
+                         density[:, first:], sigmas, spectra.n_obs,
+                         config.delta)
     if isinstance(selection, LevyqError):
         return qs, clamped, None, [error or selection for error in errors]
     for i in np.flatnonzero(selection.chosen < 0):
@@ -510,13 +496,13 @@ def _chain_estimates(spectra, inversion, first, config, taus):
     return qs, clamped, selection, errors
 
 
-def _group_spectra(design, chains) -> list:
-    """design.spectra(chains), one table per chain; if that raises, each
-    chain alone, so that an error stays with its own replication."""
-    tables = _attempt(design.spectra, chains)
+def _group_spectra(design, prices) -> list:
+    """design.spectra(prices), one table per price vector; if that raises,
+    each alone, so that an error stays with its own replication."""
+    tables = _attempt(design.spectra, prices)
     if not isinstance(tables, LevyqError):
         return tables
-    alone = [_attempt(design.spectra, [chain]) for chain in chains]
+    alone = [_attempt(design.spectra, [p]) for p in prices]
     return [t if isinstance(t, LevyqError) else t[0] for t in alone]
 
 
@@ -587,11 +573,11 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
     size = max(1, _GROUP_BYTES // (_REPLICATION_BYTES * master.points))
     for start in range(0, config.replications, size):
         indices = range(start, min(start + size, config.replications))
-        chains = [_perturbed_chain(xs, exact, config.T, config.r,
+        prices = [_perturbed_chain(xs, exact, config.T, config.r,
                                    config.noise_fraction,
-                                   np.random.default_rng(children[index]))
-                  for index in indices]
-        for index, spectra in zip(indices, _group_spectra(design, chains)):
+                                   np.random.default_rng(children[index])
+                                   ).prices for index in indices]
+        for index, spectra in zip(indices, _group_spectra(design, prices)):
             try:
                 if isinstance(spectra, LevyqError):
                     raise spectra
@@ -716,9 +702,9 @@ def demo_direct(config: ExperimentConfig) -> dict:
     `grid_points` sizes from 1/h, x_max and the range of the sample (which
     the report records under "spectral_grid"), and is inverted by a
     `TailInversion` of its one bandwidth, as the chain drivers invert
-    theirs; one `tail_quantiles` pass per side finds every level.  Truth
-    columns are filled from the closed-form tail integral where the model
-    has one (and the level is reachable); otherwise they are None.
+    theirs; one `tail_quantiles` pass finds every level on both sides.
+    Truth columns are filled from the closed-form tail integral where the
+    model has one (and the level is reachable); otherwise they are None.
     """
     taus = config.taus
     cutoff = 1.0 / config.h
@@ -741,7 +727,7 @@ def demo_direct(config: ExperimentConfig) -> dict:
     spectra = psi2_from_increments(sample, grid)
     table = TailInversion(grid, flat_top_kernel(config.kernel_c),
                           [config.h], config.x_max).table(spectra)
-    qs, clamped = _quantile_rows(table, taus, config.eta)
+    qs, clamped, _ = tail_quantiles(table, taus, config.eta)
     results = []
     for row, (tau, side) in enumerate(_cells_for(taus)):
         value = float(qs[row, 0])

@@ -23,8 +23,8 @@ The pipeline shared by both observation schemes:
    beyond q is expected once in 1/tau time units) applied to the smallest
    nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
    the last crossing of tau, clamped to eta when N_h < tau throughout.
-   `tail_quantiles` reads it off the table for every level and bandwidth
-   of one side, searching the suffix maxima of N_h over the node intervals.
+   `tail_quantiles` reads it off the table for every level, bandwidth and
+   side, searching the suffix maxima of N_h over the node intervals.
 
 The frequency grid is sized by one rule, `grid_points`: the smallest power
 of two whose inverse-transform period is GRID_MARGIN times the reach of the
@@ -227,9 +227,9 @@ class TailInversion:
                          density=density)
 
 
-def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:
-    """The tau-quantiles q = sup{t in [eta, x_max] : N_h(+-t) >= tau} of
-    every bandwidth of a tail table, for every level in one pass.
+def tail_quantiles(table: TailTable, taus, eta: float) -> tuple:
+    """The tau-quantiles q = sup{t in [eta, x_max] : N_h(+-t) >= tau} of a
+    tail table, for every level, side and bandwidth in one pass.
 
     On node interval i, in w = nodes[i+1] - t, N_h - tau = a w^2 + b w + c.
     The last interval whose maximum (end values and interior vertex)
@@ -238,25 +238,25 @@ def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:
     N_h < tau on all of [eta, x_max] the estimate clamps to eta with
     at_threshold=True.  eta may not lie below the first tail node.
 
-    Returns (values, at_threshold), arrays of shape (levels, bandwidths).
-    The interval maxima do not depend on tau, and one binary search per
-    bandwidth in their suffix maxima finds every level's interval.  The
-    per-level test (peak >= 0) rounds apart from them within a few ulps,
-    so a level that fails it there is scanned again interval by interval.
-    The work is bandwidths x nodes plus levels x bandwidths.
+    Returns (values, at_threshold, density) of shape (2 levels,
+    bandwidths), a row per (tau, side) cell, tau outer and '-' first;
+    density is nu_h of the cell's side at its quantile (`np.interp`).  The
+    interval maxima do not depend on tau, and one binary search per (side,
+    bandwidth) row in their suffix maxima finds every level's interval.
+    The per-level test (peak >= 0) rounds apart from them within a few
+    ulps, so a level that fails it there is scanned again interval by
+    interval.  The work is sides x bandwidths x (nodes + levels).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     for tau in taus:
         if not tau > 0:
             raise InputError(f"tau must be positive, got {tau}")
-    if side not in ("+", "-"):
-        raise InputError(f"side must be '+' or '-', got {side!r}")
     nodes = table.nodes
     if not eta >= nodes[0]:
         raise InputError(
             f"eta must be at least the first tail node {nodes[0]:g}, got {eta}")
-    d = table.density[int(side == "+")]
-    cum = table.tail[int(side == "+")]
+    # one row per (side, bandwidth), '-' rows first
+    d, cum = (a.reshape(-1, nodes.size) for a in (table.density, table.tail))
     # intervals from the one holding eta, the first cut at eta; the left
     # end of a whole interval takes its table value, so c < 0 at k below
     first = int(np.searchsorted(nodes, eta, side="right")) - 1
@@ -302,4 +302,7 @@ def tail_quantiles(table: TailTable, taus, eta: float, side: str) -> tuple:
         v = np.where(B < 0, (root - B) / (2.0 * A),
                      np.where(B + root > 0, -2.0 * C / (B + root), 0.0))
     values = np.where(k >= 0, np.maximum(x_hi[k] - v * width[k], eta), eta)
-    return values, k < 0
+    density = np.stack([np.interp(q, nodes, row)
+                        for q, row in zip(values.T, d)], axis=-1)
+    return tuple(a.reshape(2 * taus.size, -1)
+                 for a in (values, k < 0, density))

@@ -53,10 +53,10 @@ __all__ = [
 class CGMYJumps:
     """Tempered-stable intensity C|x|^{-1-Y} e^{-G|x|} (x<0), C x^{-1-Y} e^{-Mx} (x>0).
 
-    Y < 2 is required; Y in {0, 1} is rejected (the closed form has
-    logarithmic limits there and the package does not need them), and so
-    is Y below about -171.62, where Gamma(-Y), a factor of the exponent
-    and of the tail, overflows.  So is a positive rate whose power rate^p,
+    G, M > 0 and Y < 2 are required; Y in {0, 1} is rejected (the closed
+    form has logarithmic limits there and the package does not need them),
+    and so is Y below about -171.62, where Gamma(-Y), a factor of the
+    exponent and of the tail, overflows.  So is a rate whose power rate^p,
     p in {Y, Y-1, Y-2} (the exponent, the mean, the curvature), overflows
     or underflows below the smallest normal float, or gives a term
     C Gamma(-Y) rate^p that overflows.  For Y >= 0 the measure has
@@ -71,8 +71,8 @@ class CGMYJumps:
     def __post_init__(self):
         if not self.C > 0:
             raise InputError(f"C must be positive, got {self.C}")
-        if self.G < 0 or self.M < 0:
-            raise InputError("G and M must be nonnegative")
+        if not (self.G > 0 and self.M > 0):
+            raise InputError("G and M must be positive")
         if not self.Y < 2:
             raise InputError(f"Y must be < 2, got {self.Y}")
         if self.Y in (0.0, 1.0):
@@ -85,8 +85,6 @@ class CGMYJumps:
         # warn on underflow
         scale = float(self.C) * float(_gamma_fn(-self.Y))
         for name, rate in (("G", self.G), ("M", self.M)):
-            if rate == 0:
-                continue
             at = f"at {name} = {rate!r}, Y = {self.Y!r}"
             for power, label in ((self.Y, "Y"), (self.Y - 1.0, "(Y-1)"),
                                  (self.Y - 2.0, "(Y-2)")):
@@ -104,17 +102,15 @@ class CGMYJumps:
 
     @property
     def mass(self) -> float:
-        """Total intensity nu(R): C Gamma(-Y)(G^Y + M^Y) for Y < 0 with G
-        and M positive, infinite otherwise."""
-        if self.Y < 0 and self.G > 0 and self.M > 0:
+        """Total intensity nu(R): C Gamma(-Y)(G^Y + M^Y) for Y < 0,
+        infinite otherwise."""
+        if self.Y < 0:
             return self.C * _gamma_fn(-self.Y) * (self.G ** self.Y
                                                   + self.M ** self.Y)
         return math.inf
 
     def _strip_check(self, u):
-        """Refuse an untempered side (G or M zero) or Im(u) outside (-M, G]."""
-        if self.G == 0 or self.M == 0:
-            raise InputError("the exponent and its curvature need G > 0 and M > 0")
+        """Refuse Im(u) outside (-M, G]."""
         im = np.atleast_1d(np.imag(u)).astype(float)
         if np.any(im < -self.M) or np.any(im > self.G) or np.any(im == -self.M):
             raise InputError(f"Im(u) must lie in (-M, G] = (-{self.M}, "
@@ -148,14 +144,8 @@ class CGMYJumps:
 
     def tail(self, t: float) -> float:
         """N(t) for t != 0: C rate^Y Gamma(-Y, rate|t|) (Carr, Geman, Madan &
-        Yor 2002), or C|t|^{-Y}/Y at rate 0, with rate M or G by the side
-        of t."""
+        Yor 2002), with rate M or G by the side of t."""
         rate, Y = (self.M if t > 0 else self.G), self.Y
-        if rate == 0:
-            if Y < 0:
-                raise InputError("tail intensity is infinite for Y < 0 "
-                                 "without tempering on that side")
-            return float(self.C * abs(t) ** -Y / Y)
         return float(self.C * rate ** Y * _upper_gamma(-Y, rate * abs(t)))
 
 

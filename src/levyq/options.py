@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ChainFormatError, InputError, MartingaleError, NumericalError
+from .errors import InputError, NumericalError
 from .models import LevyModel, characteristic_exponent
 from .numerics import FrequencyGrid, Spectra, inverse_fourier
 
@@ -116,23 +116,20 @@ def read_chain_csv(path, maturity: float, rate: float, spot: float | None = None
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise ChainFormatError(f"not UTF-8 text: {exc.reason}",
-                               line=exc.object[:exc.start].count(b"\n") + 1
-                               ) from None
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise InputError(f"line {line}: not UTF-8 text: {exc.reason}") from None
     if not lines:
-        raise ChainFormatError("empty chain file", line=1)
+        raise InputError("line 1: empty chain file")
     header = lines[0].strip()
     if header == "x,price,noise":
         strike_form = False
     elif header == "strike,price,noise":
         strike_form = True
         if spot is None:
-            raise ChainFormatError("strike-format chain needs a spot price", line=1)
+            raise InputError("line 1: strike-format chain needs a spot price")
     else:
-        raise ChainFormatError(
-            f"header must be 'x,price,noise' or 'strike,price,noise', got {header!r}",
-            line=1,
-        )
+        raise InputError("line 1: header must be 'x,price,noise' or "
+                         f"'strike,price,noise', got {header!r}")
     rows = []
     for i, raw in enumerate(lines[1:], start=2):
         row = raw.strip()
@@ -140,18 +137,19 @@ def read_chain_csv(path, maturity: float, rate: float, spot: float | None = None
             continue
         parts = row.split(",")
         if len(parts) != 3:
-            raise ChainFormatError(f"expected 3 comma-separated fields, got {len(parts)}", line=i)
+            raise InputError(f"line {i}: expected 3 comma-separated fields, "
+                             f"got {len(parts)}")
         try:
             a, p, d = (float(v) for v in parts)
         except ValueError as exc:
-            raise ChainFormatError(f"bad number in row: {exc}", line=i) from None
+            raise InputError(f"line {i}: bad number in row: {exc}") from None
         if strike_form:
             if a <= 0:
-                raise ChainFormatError(f"strike must be positive, got {a}", line=i)
+                raise InputError(f"line {i}: strike must be positive, got {a}")
             a = math.log(a / spot) - rate * maturity
         rows.append((a, p, d))
     if not rows:
-        raise ChainFormatError("chain file has a header but no rows", line=2)
+        raise InputError("line 2: chain file has a header but no rows")
     rows.sort(key=lambda row: row[0])
     xs, prices, noise = (np.array(column) for column in zip(*rows))
     return OptionChain(maturity=maturity, rate=rate, xs=xs, prices=prices,
@@ -205,26 +203,31 @@ def option_function(model: LevyModel, maturity: float, x):
     Inverts (1 - phi_T(u-i)) / (u(u-i)) on a frequency grid whose nodes
     keep half a step away from the pole at u = 0, after subtracting the
     analytically known spectrum of a reference diffusion so the integrand
-    decays fast.  Values are not floored at 0; a non-finite value (the
-    reference overflows far out) raises, as does |phi_T(u-i)| > 1 on the
-    grid (a closed form that cancels).
+    decays fast.  Values are not floored at 0; a non-finite value raises,
+    as does |phi_T(u-i)| > 1 on the grid (a closed form that cancels).
 
     The grid (_PRICING_POINTS nodes on |u| <= _PRICING_CUTOFF, spacing du)
     repeats the remainder with period 2 pi / du = 257.3, so O(x) holds for
-    |x| < pi / du = 128.7 only.  Past it the prices alias: on the default
-    CGMY model O is -0.0143 near x = 257.3, an image of the money a period
-    away.
+    |x| < pi / du = 128.7 only, and any other x is refused before pricing.
+    Past it the prices alias: on the default CGMY model O was -0.0143 near
+    x = 257.3, an image of the money a period away.
     """
     if not maturity > 0:
         raise InputError(f"maturity must be positive, got {maturity}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    grid = FrequencyGrid(cutoff=_PRICING_CUTOFF, points=_PRICING_POINTS)
+    limit = math.pi / grid.spacing
+    outside = np.flatnonzero(~(np.abs(x_arr) < limit))
+    if outside.size:
+        raise InputError(
+            f"x = {x_arr[outside[0]]:g} lies outside the pricing grid's "
+            f"domain |x| < pi / du = {limit:.5g}, where its prices alias")
     psi_mi = characteristic_exponent(model, np.array([-1j]))[0]
     gap = abs(np.exp(maturity * psi_mi) - 1.0)
     if gap > _MARTINGALE_TOL:
-        raise MartingaleError(
+        raise NumericalError(
             f"model is not martingale-fixed: |phi_T(-i) - 1| = {gap:.3e} > "
             f"{_MARTINGALE_TOL:g}")
-    grid = FrequencyGrid(cutoff=_PRICING_CUTOFF, points=_PRICING_POINTS)
     u = grid.u
     # a martingale model has |phi_T(u - i)| <= phi_T(-i) = 1
     exponent = maturity * characteristic_exponent(model, u - 1j)
@@ -404,10 +407,17 @@ def _check_left_end(xs: np.ndarray) -> None:
 def _curvature(u, f: dict, maturity: float, noise_scale: float) -> tuple:
     """(phi~, trusted, psi~', psi~'') from the transforms F_0, F_1, F_2.
 
-    A maturity so small that psi~' = O(1/T) cannot be squared, or psi~''
-    is not finite on a trusted node, raises NumericalError."""
+    A maturity so small that psi~' = O(1/T) cannot be squared, so that
+    psi~'' is not finite on a trusted node, raises InputError, as do
+    quotes so large that |phi~|^2 is not finite."""
     f0, f1, f2 = f[0], f[1], f[2]
-    phi = 1.0 - u * (u + 1j) * f0
+    with np.errstate(all="ignore"):  # checked below
+        phi = 1.0 - u * (u + 1j) * f0
+        peak = float(np.max(np.abs(phi)))
+    if not math.isfinite(peak * peak):
+        raise InputError(
+            f"|phi~| reaches {peak:.3g}, whose square is not finite: the "
+            "quotes lie far above spot-normalized prices, which are at most 1")
     threshold = (1.0 + np.abs(u)) ** 2 * noise_scale
     trusted = (np.abs(phi) >= threshold) & (phi != 0)
     safe_phi = np.where(trusted, phi, 1.0)
@@ -418,7 +428,7 @@ def _curvature(u, f: dict, maturity: float, noise_scale: float) -> tuple:
         psi1 = np.where(trusted, -num1 / tphi, 0.0)
         psi2 = np.where(trusted, -num2 / tphi - maturity * psi1 ** 2, 0.0)
     if not (np.all(np.isfinite(psi1)) and np.all(np.isfinite(psi2))):
-        raise NumericalError(
+        raise InputError(
             f"the exponent curvature overflows at maturity T = {maturity:g}: "
             "psi~' = O(1/T) cannot be squared")
     return phi, trusted, psi1, psi2
@@ -478,7 +488,7 @@ def compute_chain_spectra(chain: OptionChain, grid: FrequencyGrid) -> Spectra:
     """Interpolate the chain and tabulate phi~, psi~', psi~'' on the grid,
     with the noise summary the bandwidth selector reads."""
     design = _ChainDesign(chain.xs, chain.noise_levels, chain.maturity, grid)
-    return design.spectra([chain])[0]
+    return design.spectra([chain.prices])[0]
 
 
 class _ChainDesign:
@@ -486,9 +496,10 @@ class _ChainDesign:
     breakpoints of their interpolants, the quote noise levels and the
     noise summary drawn from them, the maturity and the frequency grid.
 
-    `spectra` tabulates several such chains at once, with one phase table
-    per frequency chunk (`_group_transforms`); each table is bit for bit
-    the one `compute_chain_spectra` gives the chain alone.
+    `spectra` tabulates several such chains at once, from one price vector
+    each, with one phase table per frequency chunk (`_group_transforms`);
+    each table is bit for bit the one `compute_chain_spectra` gives the
+    chain alone.
     """
 
     def __init__(self, xs, noise_levels, maturity: float,
@@ -506,28 +517,23 @@ class _ChainDesign:
         self.maturity = maturity
         self.grid = grid
 
-    def spectra(self, chains) -> list:
-        """One Spectra table per chain, in order."""
-        for chain in chains:
-            if not (chain.maturity == self.maturity
-                    and np.array_equal(chain.xs, self.xs)
-                    and np.array_equal(chain.noise_levels, self.noise_levels)):
-                raise InputError("chain is not quoted on this design")
-        if not chains:
-            return []
+    def spectra(self, prices) -> list:
+        """One Spectra table per price vector of `prices`, in order."""
         u = self.grid.u
-        tables = [_linear_table(self.xs, chain.prices) for chain in chains]
-        transforms = _group_transforms(tables[0][0], [asc for _, asc in tables],
-                                       u, (0, 1, 2))
+        with np.errstate(all="ignore"):  # `_curvature` checks phi~
+            tables = [_linear_table(self.xs, p) for p in prices]
+            transforms = _group_transforms(
+                tables[0][0], [asc for _, asc in tables], u, (0, 1, 2))
         transforms.reverse()
         out = []
-        for chain in chains:
+        for _ in tables:
             # each chain's transforms are dropped as soon as its table is made
             phi, trusted, psi1, psi2 = _curvature(u, transforms.pop(),
                                                   self.maturity,
                                                   self.noise_scale)
             out.append(Spectra(grid=self.grid, horizon=self.maturity,
-                               n_obs=chain.n, phi=phi, psi1=psi1, psi2=psi2,
-                               trusted=trusted, sup_norms=self.sup_norms,
+                               n_obs=self.xs.size, phi=phi, psi1=psi1,
+                               psi2=psi2, trusted=trusted,
+                               sup_norms=self.sup_norms,
                                noise_scale=self.noise_scale))
         return out

@@ -221,9 +221,10 @@ class Quantile(NamedTuple):
 
 def one_quantile(dist, tau, eta, side) -> Quantile:
     """The tau-quantile of one oracle's table: `tail_quantiles` at one
-    level and one bandwidth."""
-    values, clamped = tail_quantiles(as_table([dist]), [tau], eta, side)
-    return Quantile(float(values[0, 0]), bool(clamped[0, 0]))
+    level and one bandwidth, read on `side`."""
+    values, clamped, _ = tail_quantiles(as_table([dist]), [tau], eta)
+    row = int(side == "+")
+    return Quantile(float(values[row, 0]), bool(clamped[row, 0]))
 
 
 def select_one(bandwidths, quantiles, densities, sigmas, n, delta=0.1):

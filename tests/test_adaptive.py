@@ -546,10 +546,8 @@ class TestBoundAgainstOracle:
         kernel = flat_top_kernel(cfg.kernel_c)
         hs = _full_grid(cfg.n, cfg.L)
         table = tail_estimates(spectra, kernel, hs, cfg.x_max)
-        qs = np.concatenate([tail_quantiles(table, DEFAULT_CHAIN_TAUS,
-                                            cfg.eta, side)[0]
-                             for side in ("-", "+")])
-        sides = ["-"] * len(DEFAULT_CHAIN_TAUS) + ["+"] * len(DEFAULT_CHAIN_TAUS)
+        qs = tail_quantiles(table, DEFAULT_CHAIN_TAUS, cfg.eta)[0]
+        sides = ["-", "+"] * len(DEFAULT_CHAIN_TAUS)
         return spectra, kernel, hs, qs, sides
 
     def test_default_chain_every_bandwidth_and_cell(self, default_chain_cells):

@@ -136,15 +136,18 @@ class TestMcTableCommand:
 
     def test_nonfinite_prices_are_a_numerical_failure(self, tmp_path,
                                                       capsys):
-        # far-out strikes overflow the pricing reference; every replication
-        # would be excluded and the table left blank
+        # far-out strikes overflowed the pricing reference (exit 3, every
+        # replication excluded); they lie past the pricing grid's domain
+        # |x| < 128.67, so option pricing now refuses the leftmost, exit 2
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(MC_CFG + "strike_variance = 1e6\n")
         out = tmp_path / "t.csv"
         code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith("numerical failure:")
+        assert code == 2
+        assert err.startswith("error: x = -1876.36 lies outside the pricing "
+                              "grid's domain")
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -185,11 +188,11 @@ class TestMcTableCommand:
             original = levyq.options._ChainDesign.spectra
             first = []
 
-            def fail_first_chain(design, chains):
-                first[:] = first or chains[:1]
-                if any(chain is first[0] for chain in chains):
+            def fail_first_chain(design, prices):
+                first[:] = first or prices[:1]
+                if any(p is first[0] for p in prices):
                     raise NumericalError("synthetic failure")
-                return original(design, chains)
+                return original(design, prices)
 
             monkeypatch.setattr(levyq.options._ChainDesign, "spectra",
                                 fail_first_chain)
@@ -208,16 +211,16 @@ class TestMcTableCommand:
     def test_maturity_too_small_is_a_numerical_failure(self, tmp_path,
                                                        capsys, command):
         # at T = 1e-300 psi~' = O(1/T) cannot be squared: the curvature
-        # raises at the overflow (it printed two RuntimeWarnings), and the
-        # chain's one estimate fails with exit 3
+        # refuses the maturity at the overflow (it printed two
+        # RuntimeWarnings, and later exited 3), exit 2
         cfg = tmp_path / "t.cfg"
         cfg.write_text(MC_CFG + "T = 1e-300\n")
         out = tmp_path / "out"
         code = cli.main([command, "--chain", str(chain_file(tmp_path, 32)),
                          "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
-        assert code == 3
-        assert err.splitlines()[-1].startswith("numerical failure:")
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "T = 1e-300" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
@@ -715,7 +718,8 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
 
 
 @pytest.mark.parametrize("command, line, chain_edit, message", [
-    ("mc-table", "strike_mean = -1e3", None, "leftmost knot x = -1001.33"),
+    ("mc-table", "strike_mean = -1e3", None,
+     "x = -1001.33 lies outside the pricing grid's domain |x| < pi / du"),
     ("estimate-chain", "", {"shift": -1e3}, "leftmost knot x = -1001.3"),
     ("mc-table", "noise_fraction = 1e300", None,
      "quote-noise summary is not finite"),
@@ -733,7 +737,8 @@ def test_huge_sigma_is_refused(tmp_path, capsys, command, base):
     ("mc-table", "G = 1e-20\nY = -20", None, "G^Y is not finite"),
     ("demo-direct", CGMY_ICDF + "G = 1e-20\nY = -20", None,
      "G^Y is not finite"),
-    ("mc-table", "strike_mean = -300", None, "carry no signal"),
+    ("mc-table", "strike_mean = -300", None,
+     "x = -301.327 lies outside the pricing grid's domain"),
     ("mc-table", "strike_mean = 60", None, "carry no signal"),
     ("mc-table", "G = 1e8\nY = -50", None, "G^Y underflows"),
     ("mc-table", "M = 1e8\nY = -40", None, "M^Y underflows"),
@@ -760,7 +765,9 @@ def test_design_that_overflows_is_refused(tmp_path, capsys, command, line,
     # density guard, exit 3.  G^Y at a tiny G and a negative Y raised a
     # raw OverflowError in the exponent (mc-table) and in the mean
     # (demo-direct).  Designs far from the money, whose exact quotes are
-    # quadrature dust below 3e-15, exited 0 with a table of clamps.  A
+    # quadrature dust below 3e-15, exited 0 with a table of clamps; past
+    # the pricing grid's domain |x| < 128.67 (strike_mean = -300 or -1e3)
+    # the prices alias, and pricing refuses the first such strike.  A
     # power of a huge rate that underflows, and a term C Gamma(-Y) G^Y
     # that overflows, warned in numpy's complex powers, then exited 3 (or
     # 2 in the sampler) on a non-finite option function or cf.  At Y near
@@ -886,11 +893,12 @@ def _assert_finite_csv(text, blank_columns=()):
             assert math.isfinite(float(cell)), (name, cell)
 
 
-def fuzz_run(workdir, command, overrides):
-    """One command in-process on its small base config with `overrides`;
-    asserts the exit-code contract and finite outputs of a clean exit.  A
-    traceback or a RuntimeWarning (made an error here) fails it as an
-    uncaught exception."""
+def fuzz_run(workdir, command, overrides, chain="chain.csv"):
+    """One command in-process on its small base config with `overrides`
+    (estimate-chain on the chain file `chain` of `workdir`); asserts the
+    exit-code contract and finite outputs of a clean exit.  A traceback or
+    a RuntimeWarning (made an error here) fails it as an uncaught
+    exception."""
     values = {**FUZZ_BASE[command], **overrides}
     cfg = workdir / "fuzz.cfg"
     cfg.write_text("".join(f"{key} = {value}\n"
@@ -901,7 +909,7 @@ def fuzz_run(workdir, command, overrides):
     out.unlink(missing_ok=True)
     argv = [command, "--config", str(cfg), "--out", str(out)]
     if command == "estimate-chain":
-        argv[1:1] = ["--chain", str(workdir / "chain.csv")]
+        argv[1:1] = ["--chain", str(workdir / chain)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -944,3 +952,64 @@ def test_extreme_config_exits_cleanly(fuzz_dir, command, overrides):
     # the whole single-key domain (22 keys x 14 values x 3 commands) ran
     # clean by exhaustive sweep; this draws a fixed sample of it
     fuzz_run(fuzz_dir, command, overrides)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the chain file of estimate-chain, edited
+
+# a whole column (0 x, 1 price, 2 noise) scaled or shifted, one cell set to
+# NaN, a row blanked, doubled or given a byte that is not UTF-8
+CHAIN_FACTORS = (0.0, -1.0, 5e-324, 1e-300, 1e-8, 1e8, 1e155, 1e300,
+                 1.79e308, math.inf, math.nan)
+CHAIN_SHIFTS = (-1e3, -354.0, -5.0, 5.0, 1e155, 1e300, -1e300)
+_COLUMNS = st.integers(min_value=0, max_value=2)
+_ROWS = st.integers(min_value=0, max_value=31)
+ROW_EDITS = ("blank", "duplicate", "byte")
+CHAIN_EDITS = st.one_of(
+    st.tuples(st.just("scale"), _COLUMNS, st.sampled_from(CHAIN_FACTORS)),
+    st.tuples(st.just("shift"), _COLUMNS, st.sampled_from(CHAIN_SHIFTS)),
+    st.tuples(st.just("nan"), _COLUMNS, _ROWS),
+    st.tuples(st.sampled_from(ROW_EDITS), _ROWS))
+
+
+def _edited_chain(data: bytes, edit) -> bytes:
+    """The bytes of a chain file after one edit of CHAIN_EDITS."""
+    header, *rows = data.splitlines()
+    kind, *args = edit
+    if kind in ("scale", "shift"):
+        column, by = args
+        for i, row in enumerate(rows):
+            parts = row.split(b",")
+            value = float(parts[column])
+            value = value * by if kind == "scale" else value + by
+            parts[column] = repr(value).encode()
+            rows[i] = b",".join(parts)
+    elif kind == "nan":
+        column, i = args
+        parts = rows[i].split(b",")
+        parts[column] = b"nan"
+        rows[i] = b",".join(parts)
+    elif kind == "blank":
+        rows[args[0]] = b""
+    elif kind == "duplicate":
+        rows.insert(args[0], rows[args[0]])
+    else:
+        rows[args[0]] = rows[args[0]][:3] + b"\xb1" + rows[args[0]][3:]
+    return b"\n".join([header, *rows]) + b"\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(CHAIN_EDITS, min_size=1, max_size=2))
+# spot-normalized prices of 1e155 and more: |phi~|^2 overflowed in the
+# screen and the deviation bound with a RuntimeWarning, then exit 0
+@example(edits=[("scale", 1, 1e155)])
+@example(edits=[("shift", 1, 1.7e308)])
+def test_edited_chain_file_exits_cleanly(fuzz_dir, edits):
+    # the 96 single edits of a sweep over these values and rows 0, 15, 31
+    # ran clean; this draws a fixed sample of one or two edits
+    data = (fuzz_dir / "chain.csv").read_bytes()
+    # the cell edits first, while every row still parses
+    for edit in sorted(edits, key=lambda e: e[0] in ROW_EDITS):
+        data = _edited_chain(data, edit)
+    (fuzz_dir / "edited.csv").write_bytes(data)
+    fuzz_run(fuzz_dir, "estimate-chain", {}, chain="edited.csv")

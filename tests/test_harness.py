@@ -31,7 +31,7 @@ import scipy.integrate
 import levyq.harness
 import levyq.options
 from levyq.adaptive import _full_grid, build_grid
-from levyq.errors import ChainFormatError, InputError, NumericalError
+from levyq.errors import InputError, NumericalError
 from levyq.harness import (
     DEFAULT_CHAIN_TAUS,
     _cells_for,
@@ -267,11 +267,11 @@ class TestMcTable:
         original_spectra = levyq.options._ChainDesign.spectra
         first = []
 
-        def fail_first_chain(design, chains):
-            first[:] = first or chains[:1]
-            if any(chain is first[0] for chain in chains):
+        def fail_first_chain(design, prices):
+            first[:] = first or prices[:1]
+            if any(p is first[0] for p in prices):
                 raise NumericalError("synthetic failure")
-            return original_spectra(design, chains)
+            return original_spectra(design, prices)
 
         monkeypatch.setattr(levyq.options._ChainDesign, "spectra",
                             fail_first_chain)
@@ -615,12 +615,11 @@ class TestEstimateChain:
         clean_qs, _, clean, clean_errors = run()
         bad_row, bad_h = 3, float(bw.values[3])   # tau 1.0, side '+'
 
-        def shifted(table, taus, eta, side):
-            values, clamped = tail_quantiles(table, taus, eta, side)
-            if side == "+":
-                column = list(table.bandwidths).index(bad_h)
-                values[list(taus).index(1.0), column] = cfg.x_max
-            return values, clamped
+        def shifted(table, taus, eta):
+            values, clamped, density = tail_quantiles(table, taus, eta)
+            column = list(table.bandwidths).index(bad_h)
+            values[bad_row, column] = cfg.x_max
+            return values, clamped, density
 
         monkeypatch.setattr(levyq.harness, "tail_quantiles", shifted)
         qs, _, selection, errors = run()
@@ -701,9 +700,9 @@ class TestEstimateChain:
         path.write_text("x,price,noise\n"
                         "-0.1,0.03,0.001\n"
                         "0.0,not_a_number,0.001\n")
-        with pytest.raises(ChainFormatError) as err:
+        with pytest.raises(InputError) as err:
             estimate_chain(path, ExperimentConfig())
-        assert "line 3" in str(err.value)
+        assert str(err.value).startswith("line 3: bad number in row:")
 
     def test_tau_validation(self, noisy_chain_setup):
         cfg, chain = noisy_chain_setup

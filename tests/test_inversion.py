@@ -461,8 +461,6 @@ class TestQuantile:
         with pytest.raises(InputError):
             # below the first tail node, where no table exists
             one_quantile(dist, 0.5, 0.003, "+")
-        with pytest.raises(InputError):
-            one_quantile(dist, 0.5, 0.02, "up")
 
     @given(tau=st.floats(min_value=1.2, max_value=50.0))
     @settings(max_examples=25, deadline=None)
@@ -553,14 +551,21 @@ def interval_peaks(dist, tau, eta, side):
     return np.maximum.reduce([c, left, (a * vertex + b) * vertex + c])
 
 
-def assert_pass_equals_cells(dists, taus, eta, side):
-    values, clamped = tail_quantiles(as_table(dists), taus, eta, side)
-    assert values.shape == clamped.shape == (len(taus), len(dists))
+def assert_pass_equals_cells(dists, taus, eta):
+    """Row 2 i + s of the pass is level i on side '-' (s = 0) or '+' (s =
+    1); each of its cells equals the one-cell closed form, and its density
+    the oracle's density of that side at the quantile."""
+    values, clamped, density = tail_quantiles(as_table(dists), taus, eta)
+    assert values.shape == clamped.shape == density.shape == (
+        2 * len(taus), len(dists))
     for i, tau in enumerate(taus):
-        for j, dist in enumerate(dists):
-            value, at_threshold = quantile_closed_form(dist, tau, eta, side)
-            assert values[i, j] == value          # bit for bit
-            assert clamped[i, j] == at_threshold
+        for s, (side, sign) in enumerate((("-", -1.0), ("+", 1.0))):
+            for j, dist in enumerate(dists):
+                value, at_threshold = quantile_closed_form(dist, tau, eta,
+                                                           side)
+                assert values[2 * i + s, j] == value          # bit for bit
+                assert clamped[2 * i + s, j] == at_threshold
+                assert density[2 * i + s, j] == dist.density(sign * value)
     return values, clamped
 
 
@@ -582,9 +587,8 @@ def ladder_tables(draw):
             min_size=size, max_size=size))) for _ in range(2))
         dists.append(TailOracle(nodes=nodes, density_pos=d_pos,
                                           density_neg=d_neg, bandwidth=0.1))
-    side = draw(st.sampled_from("+-"))
-    sign = 1.0 if side == "+" else -1.0
-    peak = max(float(np.max(dist(sign * nodes))) for dist in dists)
+    peak = max(float(np.max(dist(sign * nodes))) for dist in dists
+               for sign in (1.0, -1.0))
     scale = peak if peak > 0 else 1.0
     taus = draw(st.lists(st.floats(min_value=0.01, max_value=1.5),
                          min_size=1, max_size=8))
@@ -594,12 +598,12 @@ def ladder_tables(draw):
     else:
         eta = nodes[0] + draw(st.floats(min_value=0.0, max_value=0.95)) * (
             nodes[-1] - nodes[0])
-    return dists, [t * scale for t in taus], eta, side
+    return dists, [t * scale for t in taus], eta
 
 
 class TestQuantilePass:
     """tail_quantiles equals the one-cell closed form bit for bit, in value
-    and in at_threshold, over every (level, table) cell."""
+    and in at_threshold, over every (level, side, table) cell."""
 
     @given(case=ladder_tables())
     @settings(max_examples=200, deadline=None)
@@ -611,17 +615,15 @@ class TestQuantilePass:
         return [tail_at(psi2_cp, FLAT, h) for h in (0.02, 0.05, 0.1)]
 
     def test_estimated_tables_both_sides(self, estimated):
-        taus = [0.05, 0.2, 0.5, 0.9, 2.0]
-        for side in ("+", "-"):
-            assert_pass_equals_cells(estimated, taus, 0.02, side)
+        assert_pass_equals_cells(estimated, [0.05, 0.2, 0.5, 0.9, 2.0], 0.02)
 
     def test_eta_on_a_node(self, estimated):
         eta = float(estimated[0].nodes[100])
-        assert_pass_equals_cells(estimated, [0.1, 0.3], eta, "+")
+        assert_pass_equals_cells(estimated, [0.1, 0.3], eta)
 
     def test_all_levels_clamped(self, estimated):
         values, clamped = assert_pass_equals_cells(estimated, [3.0, 7.5],
-                                                   0.02, "+")
+                                                   0.02)
         assert clamped.all() and np.all(values == 0.02)
 
     def test_multiple_crossings(self):
@@ -634,18 +636,16 @@ class TestQuantilePass:
         dist = TailOracle(nodes=nodes, density_pos=d,
                                     density_neg=d, bandwidth=0.1)
         values, _ = assert_pass_equals_cells([dist], [0.3, 0.5, 0.6, 0.9],
-                                             0.02, "+")
-        assert values[1, 0] == pytest.approx(1.5, abs=1e-12)
+                                             0.02)
+        assert values[2:4, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_thousand_levels_in_one_call(self, estimated):
         table = as_table(estimated)
         taus = np.linspace(0.01, 3.0, 1000)
-        for side in ("+", "-"):
-            values, clamped = tail_quantiles(table, taus, 0.02, side)
-            for i, tau in enumerate(taus):
-                one = tail_quantiles(table, [tau], 0.02, side)
-                assert np.array_equal(values[i], one[0][0])
-                assert np.array_equal(clamped[i], one[1][0])
+        found = tail_quantiles(table, taus, 0.02)
+        for i, tau in enumerate(taus):
+            for got, one in zip(found, tail_quantiles(table, [tau], 0.02)):
+                assert np.array_equal(got[2 * i : 2 * i + 2], one)
 
     def test_levels_on_interval_tops(self, estimated):
         # levels at the tau-free top of each interval that holds the last
@@ -668,7 +668,7 @@ class TestQuantilePass:
                               np.nextafter(top[i], np.inf)) for i in last}
                 assert_pass_equals_cells(
                     [dist], [t for near in levels.values() for t in near],
-                    eta, side)
+                    eta)
                 for i, near in levels.items():
                     for t in near:
                         reach = interval_peaks(dist, t, eta, side)[i] >= 0.0
@@ -679,11 +679,9 @@ class TestQuantilePass:
     def test_validation(self, estimated):
         table = as_table(estimated)
         with pytest.raises(InputError):
-            tail_quantiles(table, [0.5, 0.0], 0.02, "+")
+            tail_quantiles(table, [0.5, 0.0], 0.02)
         with pytest.raises(InputError):
-            tail_quantiles(table, [0.5], 0.02, "up")
-        with pytest.raises(InputError):
-            tail_quantiles(table, [0.5], 0.003, "+")
+            tail_quantiles(table, [0.5], 0.003)
         # density tables on another node grid than the table's nodes
         other = table_estimate(np.exp, x_max=4.0)
         with pytest.raises(InputError):
