@@ -17,7 +17,9 @@ Three layers:
     comes in real arithmetic from one `sici` call over the (cells x nodes)
     array, and the work that depends on neither h nor the cell (the three
     weights without the kernel, the x_max term of g_t) is formed once per
-    spectra table (`_bound_terms`);
+    spectra table (`_bound_terms`).  A table with no trusted node in the
+    window of its largest bandwidth carries no signal and is refused there
+    (an input error), once, not per bandwidth;
 
   * the interval-intersection rule: each bandwidth proposes the interval
     quantile +- (1+delta) sqrt(2 log log n) sigma_tilde / density; the
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
-from .errors import InputError, NoSolutionError, NumericalError
+from .errors import InputError, NoSolutionError
 from .numerics import _BLOCK, _MAX_BATCH, Spectra
 
 __all__ = [
@@ -207,10 +209,23 @@ def _bound_terms(spectra: Spectra, x_max: float, bandwidths,
                  kernel_rows: np.ndarray) -> _BoundTerms:
     """Form once per table what sigma_tilde needs at every bandwidth;
     kernel_rows[j] is fk(h_j u) on the whole grid of the table (as
-    `inversion.TailInversion` holds it), read here at the trusted nodes."""
+    `inversion.TailInversion` holds it), read here at the trusted nodes.
+
+    A table with no trusted node in the window |u| <= 1/max(bandwidths) of
+    the largest bandwidth, where no bound has a node to integrate, is
+    refused, so the window of every bandwidth holds one."""
     _require_noise_profile(spectra, "the deviation bound")
+    hs = np.asarray(bandwidths, dtype=float)
+    if not (hs.size and np.all(hs > 0)):
+        raise InputError(f"bandwidths must be positive, got {bandwidths}")
     index = np.flatnonzero(spectra.trusted)
     u = spectra.grid.u[index]
+    window = 1.0 / hs.max()
+    if not (u.size and u[0] <= window):
+        why = (f"the first is u = {u[0]:.3g}" if u.size
+               else "the quote noise swamps the signal at every node")
+        raise InputError(f"no trusted node in |u| <= {window:.3g}, the "
+                         f"window of the largest bandwidth: {why}")
     T = spectra.horizon
     phi = spectra.phi[index]  # trusted nodes, so bounded away from zero
     psi1 = spectra.psi1[index]
@@ -228,7 +243,7 @@ def _bound_terms(spectra: Spectra, x_max: float, bandwidths,
     block, offset = np.divmod(index, _BLOCK)
     return _BoundTerms(spectra=spectra, x_max=x_max, u=u, weights=weights,
                        tail_re=tail.real.copy(), tail_im=tail.imag.copy(),
-                       bandwidths=np.asarray(bandwidths, dtype=float),
+                       bandwidths=hs,
                        fk=kernel_rows[:, index], block=block, offset=offset,
                        starts=spectra.grid.u[::_BLOCK])
 
@@ -238,7 +253,8 @@ def sigma_tilde(spectra: Spectra, h: float, q, terms: _BoundTerms):
     ||chi_k||_{L2(|u| <= 1/h)} for the tail estimate at threshold +-q.
     `terms` (`_bound_terms` of `spectra`) holds x_max, the work that does
     not depend on h and the kernel rows f_K(hu), one per bandwidth, formed
-    once per table; h must be one of its bandwidths.
+    once per table; h must be one of its bandwidths, so its window |u| <=
+    1/h holds a trusted node (`_bound_terms`).
 
     chi_k = g_t f_K(hu) factor_k / phi~ on the trusted nodes with u <= 1/h,
     where g_t is the spectrum of the tail weight x^{-2} on [t, x_max] (t > 0)
@@ -263,8 +279,6 @@ def sigma_tilde(spectra: Spectra, h: float, q, terms: _BoundTerms):
     """
     if terms.spectra is not spectra:
         raise InputError("bound terms of another spectra table")
-    if not h > 0:
-        raise InputError(f"bandwidth must be positive, got {h}")
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     if qs.ndim != 1:
         raise InputError("need a threshold or a 1-D array of thresholds")
@@ -278,11 +292,6 @@ def sigma_tilde(spectra: Spectra, h: float, q, terms: _BoundTerms):
     if not row.size:
         raise InputError(f"bound terms hold no kernel row at h = {h!r}")
     kept = int(np.searchsorted(terms.u, 1.0 / h, side="right"))
-    if not kept:
-        raise NumericalError(
-            f"trust region is empty on |u| <= {1.0 / h:.3g}; "
-            "the noise guard dominates at this bandwidth"
-        )
     u = terms.u[:kept]
     fk = terms.fk[row[0], :kept]
     weights = terms.weights[:, :kept] * (fk * fk)

@@ -9,9 +9,9 @@ Three subcommands mirror the harness entry points:
 Exit codes: 0 on success, 2 for input problems (bad config, malformed
 chain file, invalid arguments, a chain or output file that cannot be
 read or written), 3 for numerical failures during estimation.  Error
-messages go to stderr.  mc-table excludes a failed replication cell from
-the averages and lists it on stderr; when no cell of the run is clean it
-writes no table and exits 3, as estimate-chain does for its one chain.
+messages go to stderr.  mc-table excludes a failed replication, or a cell
+with no pick, from the averages and lists it on stderr; when no cell of
+the run is clean it writes no table and exits 3.
 """
 from __future__ import annotations
 

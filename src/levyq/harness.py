@@ -33,7 +33,10 @@ rows, one per (tau, side) cell in `_cells_for` order (tau outer, '-'
 before '+'), with one column per bandwidth: the quantiles and densities
 from one `inversion.tail_quantiles` pass, and per chain the deviation
 bounds from one `sigma_tilde` call per bandwidth and the picks from one
-`adaptive_quantile` call (`_chain_estimates`).  The Monte Carlo loop
+`adaptive_quantile` call (`_chain_estimates`).  The chain is the unit of
+failure: an error in its estimates fails the whole chain (one mc-table
+replication, or the estimate-chain command), and only a cell whose every
+bandwidth was dropped fails alone.  The Monte Carlo loop
 prices the chain once (the strike design is fixed), forms the noise
 summary and the `inversion.TailInversion` (kernel rows, transform plan)
 once, and re-perturbs the prices per replication; the replications are
@@ -456,44 +459,25 @@ def _chain_estimates(spectra, inversion, first, config, taus):
     grid for mc-table's oracle (the post-hoc standard compares every grid
     bandwidth, whatever the screen kept), or the screened grid; the screen
     kept its bandwidths from index `first` on.  Over those, one
-    sigma_tilde call per bandwidth bounds every cell still standing, and
-    one adaptive_quantile call picks for all of them.
+    sigma_tilde call per bandwidth bounds every cell, and one
+    adaptive_quantile call picks for all of them.
 
-    Returns (qs, clamped, selection, errors): the quantile and clamp flag
-    of every cell at every inverted bandwidth, the `Selection` over the
-    bandwidths from `first` on (None where it failed as a whole), and per
-    cell the LevyqError that cell raised or None.  An error stays with its
-    own cell, whose selection row is then not to be read; the other rows
-    do not depend on it.
+    Returns (qs, clamped, selection): the quantile and clamp flag of every
+    cell at every inverted bandwidth, and the `Selection` over the
+    bandwidths from `first` on.  The chain is the unit of failure: any
+    LevyqError raised here fails it as a whole.  Only a cell whose every
+    bandwidth was dropped fails alone, when its pick is read.
     """
     hs = inversion.bandwidths
     qs, clamped, density = tail_quantiles(inversion.table(spectra), taus,
                                           config.eta)
-    errors = [None] * qs.shape[0]
     terms = _bound_terms(spectra, config.x_max, hs[first:],
                          inversion.kernel_rows[first:])
-    sigmas = np.zeros((qs.shape[0], hs.size - first))
-    for j in range(first, hs.size):
-        live = [i for i, error in enumerate(errors) if error is None]
-        h = float(hs[j])
-        values = _attempt(sigma_tilde, spectra, h, qs[live, j], terms)
-        if isinstance(values, LevyqError):
-            # redo each cell alone, so an error stays with its own cell
-            values = [_attempt(sigma_tilde, spectra, h, qs[i, j], terms)
-                      for i in live]
-        for i, value in zip(live, values):
-            if isinstance(value, LevyqError):
-                errors[i] = value
-            else:
-                sigmas[i, j - first] = value
-    selection = _attempt(adaptive_quantile, hs[first:], qs[:, first:],
-                         density[:, first:], sigmas, spectra.n_obs,
-                         config.delta)
-    if isinstance(selection, LevyqError):
-        return qs, clamped, None, [error or selection for error in errors]
-    for i in np.flatnonzero(selection.chosen < 0):
-        errors[i] = errors[i] or _attempt(selection.pick, i)
-    return qs, clamped, selection, errors
+    sigmas = np.column_stack([sigma_tilde(spectra, float(h), qs[:, j], terms)
+                              for j, h in enumerate(hs[first:], first)])
+    return qs, clamped, adaptive_quantile(
+        hs[first:], qs[:, first:], density[:, first:], sigmas, spectra.n_obs,
+        config.delta)
 
 
 def _group_spectra(design, prices) -> list:
@@ -519,9 +503,11 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
     smallest root-mean-square error over the whole run -- a post-hoc
     standard no data-driven rule can see.
 
-    Failures (any estimation error in one replication cell, or in a whole
-    replication) are excluded from the averages and counted per cell in the
-    returned table.  A strike design whose exact quotes all lie below
+    Failures are excluded from the averages and counted per cell in the
+    returned table: a replication whose spectra or estimates raise (a
+    chain whose noise leaves no trusted node in the window of its largest
+    bandwidth, say) is excluded as a whole, a cell whose every bandwidth
+    was dropped alone.  A strike design whose exact quotes all lie below
     _QUOTE_FLOOR, the measured dust of the pricing quadrature, is refused.
     """
     if config.kind == "brownian":
@@ -583,19 +569,20 @@ def run_mc_table(config: ExperimentConfig) -> RmseTable:
                     raise spectra
                 first = bandwidths.size - build_grid(
                     config.n, config.L, spectra).values.size
-                qs, _, selection, errors = _chain_estimates(
+                qs, _, selection = _chain_estimates(
                     spectra, inversion, first, config, config.taus)
             except LevyqError as exc:
                 failures.append(f"replication {index}: {exc}")
                 continue
             quantiles[index] = qs
-            for row, ((tau, side), error) in enumerate(zip(cells, errors)):
-                if error is None:
+            for row, (tau, side) in enumerate(cells):
+                try:
                     picks[index, row] = selection.pick(row)[1]
-                    clean[index, row] = True
-                else:
+                except NoSolutionError as exc:
                     failures.append(f"replication {index}, tau {tau:g}, "
-                                    f"side {side}: {error}")
+                                    f"side {side}: {exc}")
+                else:
+                    clean[index, row] = True
 
     columns = []
     for row, cell in enumerate(cells):
@@ -652,16 +639,14 @@ def estimate_chain(chain, config: ExperimentConfig, taus=None):
     bw = build_grid(chain.n, config.L, spectra)
     inversion = TailInversion(master, flat_top_kernel(config.kernel_c),
                               bw.values, config.x_max)
-    _, clamped, selection, errors = _chain_estimates(spectra, inversion, 0,
-                                                     config, taus)
+    _, clamped, selection = _chain_estimates(spectra, inversion, 0, config,
+                                             taus)
 
     estimates = {"minus": [], "plus": []}
     diagnostics = {"minus": {}, "plus": {}}
     for s, key in enumerate(estimates):
         for i, tau in enumerate(taus):
             row = 2 * i + s
-            if errors[row] is not None:
-                raise errors[row]
             h, q = selection.pick(row)
             estimates[key].append({
                 "tau": tau,

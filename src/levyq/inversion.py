@@ -21,10 +21,11 @@ The pipeline shared by both observation schemes:
    give one `TailTable` of (side, bandwidth, node) arrays.
 4. The tau-quantile is the paper's q = inf{t > 0 : N(t) <= tau} (a jump
    beyond q is expected once in 1/tau time units) applied to the smallest
-   nonincreasing majorant of N_h: q = sup{t in [eta, x_max] : N_h(t) >= tau},
-   the last crossing of tau, clamped to eta when N_h < tau throughout.
-   `tail_quantiles` reads it off the table for every level, bandwidth and
-   side, searching the suffix maxima of N_h over the node intervals.
+   nonincreasing majorant of N_h: q = sup{t in [eta, x_max) : N_h(t) >= tau},
+   the last crossing of tau (below x_max, where N_h = 0 < tau), clamped
+   to eta when N_h < tau throughout.  `tail_quantiles` reads it off the
+   table for every level, bandwidth and side, searching the suffix maxima
+   of N_h over the node intervals.
 
 The frequency grid is sized by one rule, `grid_points`: the smallest power
 of two whose inverse-transform period is GRID_MARGIN times the reach of the
@@ -228,14 +229,16 @@ class TailInversion:
 
 
 def tail_quantiles(table: TailTable, taus, eta: float) -> tuple:
-    """The tau-quantiles q = sup{t in [eta, x_max] : N_h(+-t) >= tau} of a
+    """The tau-quantiles q = sup{t in [eta, x_max) : N_h(+-t) >= tau} of a
     tail table, for every level, side and bandwidth in one pass.
 
     On node interval i, in w = nodes[i+1] - t, N_h - tau = a w^2 + b w + c.
     The last interval whose maximum (end values and interior vertex)
     reaches tau holds q; N_h < tau at its right end, so q sits at the
-    smallest positive root, taken from the numerically stable form.  If
-    N_h < tau on all of [eta, x_max] the estimate clamps to eta with
+    smallest positive root, taken from the numerically stable form.  As
+    N_h(x_max) = 0 < tau, q lies below x_max: a root that rounds up to
+    x_max (a tiny tau) is returned as np.nextafter(x_max, 0).  If N_h < tau
+    on all of [eta, x_max] the estimate clamps to eta with
     at_threshold=True.  eta may not lie below the first tail node.
 
     Returns (values, at_threshold, density) of shape (2 levels,
@@ -301,7 +304,8 @@ def tail_quantiles(table: TailTable, taus, eta: float) -> tuple:
         root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
         v = np.where(B < 0, (root - B) / (2.0 * A),
                      np.where(B + root > 0, -2.0 * C / (B + root), 0.0))
-    values = np.where(k >= 0, np.maximum(x_hi[k] - v * width[k], eta), eta)
+    values = np.where(k >= 0, np.clip(x_hi[k] - v * width[k], eta,
+                                      np.nextafter(nodes[-1], 0.0)), eta)
     density = np.stack([np.interp(q, nodes, row)
                         for q, row in zip(values.T, d)], axis=-1)
     return tuple(a.reshape(2 * taus.size, -1)

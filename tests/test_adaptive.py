@@ -31,7 +31,7 @@ from levyq.adaptive import (
     build_grid,
     sigma_tilde,
 )
-from levyq.errors import InputError, NoSolutionError, NumericalError
+from levyq.errors import InputError, NoSolutionError
 from levyq.harness import DEFAULT_CHAIN_TAUS, ExperimentConfig, pricing_model
 from levyq.increments import IncrementSample, psi2_from_increments
 from levyq.inversion import (X_MAX_DEFAULT, TailInversion, grid_points,
@@ -395,7 +395,10 @@ class TestSigmaTilde:
         phi = np.full(fgrid.u.size, 1e-9, dtype=complex)
         spectra = synthetic_spectra(fgrid, phi, noise_scale=1.0)
         assert not spectra.trusted.any()
-        with pytest.raises(NumericalError):
+        # refused once, when the bound terms of the table are formed: no
+        # bandwidth of it has a trusted node to integrate
+        with pytest.raises(InputError,
+                           match=r"no trusted node in \|u\| <= 20"):
             sigma_at(spectra, flat_top_kernel(), 0.05, 0.1)
 
     def test_validation(self, noisy_spectra):

@@ -174,8 +174,8 @@ class TestMcTableCommand:
     def test_summary_counts_failed_cells(self, tmp_path, capsys, monkeypatch,
                                          target, summary, code):
         # 2 replications x 1 tau x 2 sides = 4 cells; a failed selector
-        # excludes every cell of its chain, a failed spectra table its
-        # whole replication.  The replications' tables are made together
+        # excludes its whole chain, as a failed spectra table does, with
+        # one line per replication.  The replications' tables are made together
         # and, when that fails, one by one; here only the first
         # replication's table fails.  A run with no clean cell writes no
         # table and exits 3, with the summary on the numerical failure line
@@ -204,7 +204,7 @@ class TestMcTableCommand:
         assert got == code
         assert summary in (captured.err if code else captured.out)
         assert captured.err.count("excluded:") == (
-            4 if target == "adaptive_quantile" else 1)
+            2 if target == "adaptive_quantile" else 1)
         assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("command", ["estimate-chain"])
@@ -950,7 +950,8 @@ def fuzz_run(workdir, command, overrides, chain="chain.csv"):
     "sigma": 0.1, "G": 1e8, "Y": -50.0})
 def test_extreme_config_exits_cleanly(fuzz_dir, command, overrides):
     # the whole single-key domain (22 keys x 14 values x 3 commands) ran
-    # clean by exhaustive sweep; this draws a fixed sample of it
+    # clean by exhaustive sweep, mc-table at taus = 1e-300 with finite
+    # rows; this draws a fixed sample of it
     fuzz_run(fuzz_dir, command, overrides)
 
 
@@ -1005,11 +1006,58 @@ def _edited_chain(data: bytes, edit) -> bytes:
 @example(edits=[("scale", 1, 1e155)])
 @example(edits=[("shift", 1, 1.7e308)])
 def test_edited_chain_file_exits_cleanly(fuzz_dir, edits):
-    # the 96 single edits of a sweep over these values and rows 0, 15, 31
-    # ran clean; this draws a fixed sample of one or two edits
+    # the 246 single edits of a sweep over these values and every row ran
+    # clean, the noise column x 1e8, x 1e155 or + 5 with exit 2; this
+    # draws a fixed sample of one or two edits
     data = (fuzz_dir / "chain.csv").read_bytes()
     # the cell edits first, while every row still parses
     for edit in sorted(edits, key=lambda e: e[0] in ROW_EDITS):
         data = _edited_chain(data, edit)
     (fuzz_dir / "edited.csv").write_bytes(data)
     fuzz_run(fuzz_dir, "estimate-chain", {}, chain="edited.csv")
+
+
+@pytest.mark.parametrize("edit", [("scale", 2, 1e8), ("scale", 2, 1e150),
+                                  ("shift", 2, 5.0)],
+                         ids=["noise-x1e8", "noise-x1e150", "noise-plus-5"])
+def test_noise_swamped_chain_is_refused(fuzz_dir, capsys, edit):
+    # every noise level so large that no node is trusted in the window of
+    # the largest bandwidth: the chain carries no signal, an input error
+    # raised once for the table (it exited 3 from the deviation bound of
+    # the first bandwidth, "trust region is empty")
+    data = _edited_chain((fuzz_dir / "chain.csv").read_bytes(), edit)
+    (fuzz_dir / "swamped.csv").write_bytes(data)
+    cfg = fuzz_dir / "swamped.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value
+                           in FUZZ_BASE["estimate-chain"].items()))
+    out = fuzz_dir / "swamped"
+    code = cli.main(["estimate-chain", "--config", str(cfg), "--out", str(out),
+                     "--chain", str(fuzz_dir / "swamped.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: no trusted node in |u| <= 7.66, the "
+                          "window of the largest bandwidth")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_noise_swamped_replications_are_excluded_whole(tmp_path, capsys):
+    # at noise_fraction = 1e8 the chains of replications 0 and 1 have no
+    # trusted node in the window of the largest bandwidth: each is
+    # excluded as a whole, on one line (one per cell before), and
+    # replication 2 stays clean
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in {
+        **FUZZ_BASE["mc-table"], "replications": 3,
+        "noise_fraction": 1e8}.items()))
+    out = tmp_path / "table.csv"
+    code = cli.main(["mc-table", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "2 of 6 replication cells clean, 4 failures" in captured.out
+    excluded = [line for line in captured.err.splitlines()
+                if "excluded:" in line]
+    assert [line.split(":")[1] for line in excluded] == [
+        " replication 0", " replication 1"]
+    assert all("no trusted node in |u| <=" in line for line in excluded)
+    _assert_finite_csv(out.read_text())

@@ -337,7 +337,7 @@ def dense_sample(nodes, eta, per_interval=64):
 
 
 def last_crossing_reference(dist, tau, eta, side):
-    """The last t in [eta, x_max] with N_h(t) >= tau, by a dense scan and
+    """The last t in [eta, x_max) with N_h(t) >= tau, by a dense scan and
     bisection of the bracketing sample interval; None when every sample
     lies below tau."""
     sign = 1.0 if side == "+" else -1.0
@@ -486,7 +486,7 @@ class TestQuantile:
         ts = dense_sample(dist.nodes, eta)
         tail = dist(sign * ts)
         rounding = 1e-12 * (1.0 + float(np.max(np.abs(tail))))
-        assert eta <= q.value <= dist.nodes[-1]
+        assert eta <= q.value < dist.nodes[-1]
         if q.at_threshold:
             assert q.value == eta
             assert np.max(tail) < tau
@@ -507,7 +507,8 @@ class TestQuantile:
 def quantile_closed_form(dist, tau, eta, side):
     """(value, at_threshold) of one (table, level) cell, one cell at a time:
     the arithmetic `tail_quantiles` does element by element, kept as an
-    oracle in its one-cell form."""
+    oracle in its one-cell form.  q = sup{t in [eta, x_max) : N_h >= tau},
+    so a root that rounds up to x_max is the last float below it."""
     nodes = dist.nodes
     d, cum = dist._tables[1 if side == "+" else -1]
     first = int(np.searchsorted(nodes, eta, side="right")) - 1
@@ -531,7 +532,8 @@ def quantile_closed_form(dist, tau, eta, side):
         v = (root - B) / (2.0 * A)
     else:
         v = -2.0 * C / (B + root) if B + root > 0 else 0.0
-    return max(float(x_hi[k] - v * width[k]), eta), False
+    return min(max(float(x_hi[k] - v * width[k]), eta),
+               float(np.nextafter(nodes[-1], 0.0))), False
 
 
 def interval_peaks(dist, tau, eta, side):
@@ -573,8 +575,9 @@ def assert_pass_equals_cells(dists, taus, eta):
 def ladder_tables(draw):
     """Tables on one random node grid (densities may be negative, so N_h
     may cross a level several times), a level ladder reaching from below
-    the tables' values to above their peak, and eta inside an interval or
-    on a node."""
+    the tables' values to above their peak, at times with a level of
+    1e-300 of the peak (a root it puts in the last interval rounds up to
+    x_max), and eta inside an interval or on a node."""
     size = draw(st.integers(min_value=2, max_value=24))
     first = draw(st.floats(min_value=0.004, max_value=0.1))
     steps = draw(st.lists(st.floats(min_value=0.005, max_value=0.5),
@@ -593,6 +596,8 @@ def ladder_tables(draw):
     taus = draw(st.lists(st.floats(min_value=0.01, max_value=1.5),
                          min_size=1, max_size=8))
     if draw(st.booleans()):
+        taus.append(1e-300)
+    if draw(st.booleans()):
         eta = float(nodes[draw(st.integers(min_value=0,
                                            max_value=size - 2))])
     else:
@@ -608,7 +613,8 @@ class TestQuantilePass:
     @given(case=ladder_tables())
     @settings(max_examples=200, deadline=None)
     def test_random_tables_and_ladders(self, case):
-        assert_pass_equals_cells(*case)
+        values, _ = assert_pass_equals_cells(*case)
+        assert np.all(values < case[0][0].nodes[-1])
 
     @pytest.fixture(scope="class")
     def estimated(self):
@@ -625,6 +631,19 @@ class TestQuantilePass:
         values, clamped = assert_pass_equals_cells(estimated, [3.0, 7.5],
                                                    0.02)
         assert clamped.all() and np.all(values == 0.02)
+
+    def test_tiny_level_stays_below_x_max(self):
+        # N_h(t) = x_max - t on both sides: at these levels the root
+        # x_max - tau rounds up to x_max, where N_h = 0 < tau, and the
+        # quantile is the last float below x_max
+        nodes = tail_nodes()
+        ones = np.ones(nodes.size)
+        dist = TailOracle(nodes=nodes, density_pos=ones, density_neg=ones,
+                          bandwidth=0.1)
+        values, clamped = assert_pass_equals_cells([dist], [1e-300, 1e-17],
+                                                   0.02)
+        assert np.all(values == np.nextafter(nodes[-1], 0.0))
+        assert not clamped.any()
 
     def test_multiple_crossings(self):
         # N_h crosses 0.5 at 0.5, 1.1 and 1.5 (see TestQuantile)
